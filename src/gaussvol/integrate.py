@@ -5,9 +5,11 @@ The integrand over the standard-form chart (a, b, c, d) is
     1_domain(p) * weight(V(p)) * sqrt(det g(p)),
 
 sampled uniformly over an axis-aligned box that contains the support of the
-weighted domain.  All four domain indicators are evaluated in a single pass
-over the same sample stream, so nested domains are ordered exactly and the
-entangled volume is an indicator difference, not a separate run.
+weighted domain.  One labelling pass gives each sample the innermost domain
+holding it (outside, classical only, separable or entangled), and the weights
+use the closed-form sqrt(det g).  Weighted sums are kept per label, and every
+domain is a fixed set of labels, so nested domains are ordered exactly and
+the entangled volume comes from the same run as the others.
 
 Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from a spawned SeedSequence, partial sums are combined by a fixed-order
@@ -25,14 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
+from .metric import _pairwise_reduce, _partition
 from .regularizers import RegKind, RegularizerSpec, log1p_det_pow
 from .twomode import (
+    DOMAIN_LABELS,
     DomainTag,
     canonical_det,
     canonical_trace_adjugate,
-    domain_mask,
-    metric_components,
+    domain_labels,
+    volume_density,
 )
+# unused here, but perfbench/tracing.py wraps these two attributes of this module
+from .twomode import domain_mask, metric_components  # noqa: F401
 
 __all__ = [
     "Box",
@@ -116,29 +122,6 @@ def regularizer_values(a, b, c, d, spec: RegularizerSpec) -> np.ndarray:
     return np.exp(np.minimum(expo, 700.0)) * base
 
 
-def _integrand(a, b, c, d, spec: RegularizerSpec, tol: float):
-    """Weight array and the four nested domain masks for one batch of points."""
-    m_cl = domain_mask(a, b, c, d, DomainTag.CLASSICAL, tol)
-    m_qu = domain_mask(a, b, c, d, DomainTag.QUANTUM, tol) & m_cl
-    m_se = domain_mask(a, b, c, d, DomainTag.SEPARABLE, tol) & m_qu
-    m_en = m_qu & ~m_se
-    w = np.zeros(a.shape)
-    idx = np.flatnonzero(m_cl)
-    if idx.size:
-        aa, bb, cc, dd = a[idx], b[idx], c[idx], d[idx]
-        reg = regularizer_values(aa, bb, cc, dd, spec)
-        sign, logdet = np.linalg.slogdet(metric_components(aa, bb, cc, dd))
-        inner = domain_mask(aa, bb, cc, dd, DomainTag.CLASSICAL, -1e-7)
-        # the metric is positive definite strictly inside the classical domain
-        assert not np.any(inner & ~((sign > 0.0) & np.isfinite(logdet)))
-        valid = (reg > 0.0) & (sign > 0.0) & np.isfinite(logdet)
-        logw = np.where(valid, np.log(np.maximum(reg, 1e-300)) + 0.5 * logdet, -np.inf)
-        vals = np.exp(np.minimum(logw, 700.0))
-        assert np.isfinite(vals).all()
-        w[idx] = vals
-    return w, (m_cl, m_qu, m_se, m_en)
-
-
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
                     sampler: str, exclude: Box | None):
     lo = np.asarray(box.lo)
@@ -163,37 +146,22 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     while done < count:
         k = min(_CHUNK, count - done)
         pts = lo + draw(k) * span
+        lab = domain_labels(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], tol)
         if exclude is not None:
-            outside = ~exclude.contains(pts)
-        w, masks = _integrand(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], spec, tol)
-        if exclude is not None:
-            w = w * outside
-            masks = tuple(m & outside for m in masks)
-        w2 = w * w
-        for i, m in enumerate(masks):
-            s1[i] += float(np.dot(w, m))
-            s2[i] += float(np.dot(w2, m))
-            hits[i] += int(m.sum())
+            lab[exclude.contains(pts)] = 0
+        idx = np.flatnonzero(lab)
+        lab = lab[idx]
+        inside = pts[idx]
+        a, b, c, d = inside.T
+        w = regularizer_values(a, b, c, d, spec) * volume_density(a, b, c, d)
+        if not np.isfinite(w).all():
+            bad = tuple(inside[~np.isfinite(w)][0])
+            raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
+        s1 += np.bincount(lab, weights=w, minlength=4)
+        s2 += np.bincount(lab, weights=w * w, minlength=4)
+        hits += np.bincount(lab, minlength=4)
         done += k
     return count, s1, s2, hits
-
-
-def _pairwise_reduce(items, combine):
-    items = list(items)
-    while len(items) > 1:
-        nxt = []
-        for i in range(0, len(items), 2):
-            if i + 1 < len(items):
-                nxt.append(combine(items[i], items[i + 1]))
-            else:
-                nxt.append(items[i])
-        items = nxt
-    return items[0]
-
-
-def _partition(n: int, k: int) -> list[int]:
-    base, extra = divmod(n, k)
-    return [base + 1 if i < extra else base for i in range(k)]
 
 
 @dataclass(frozen=True)
@@ -234,67 +202,55 @@ class JointVolumes:
         self._s2 = s2
         self._hits = hits
 
-    def _mean(self, i: int) -> float:
-        return float(self._s1[i]) / self.n_samples
+    def _mean(self, tag: DomainTag) -> float:
+        return sum(float(self._s1[l]) for l in DOMAIN_LABELS[tag]) / self.n_samples
 
-    def _mean_var(self, i: int) -> float:
+    def _mean_cov(self, tag_a: DomainTag, tag_b: DomainTag) -> float:
+        """Covariance of the two domains' sample means, from the labels they share."""
         n = self.n_samples
         if n < 2:
             return 0.0
-        mu = self._mean(i)
-        var = (float(self._s2[i]) / n - mu * mu) * (n / (n - 1.0))
-        return max(var, 0.0) / n
+        shared = [l for l in DOMAIN_LABELS[tag_a] if l in DOMAIN_LABELS[tag_b]]
+        cross = sum(float(self._s2[l]) for l in shared) / n
+        return (cross - self._mean(tag_a) * self._mean(tag_b)) * (n / (n - 1.0)) / n
 
-    def _cross_sq(self, i: int, j: int) -> float:
-        if {i, j} == {2, 3}:  # separable and entangled are disjoint
-            return 0.0
-        return float(self._s2[max(i, j)])
-
-    def _mean_cov(self, i: int, j: int) -> float:
-        n = self.n_samples
-        if n < 2:
-            return 0.0
-        cov = (self._cross_sq(i, j) / n - self._mean(i) * self._mean(j)) * (n / (n - 1.0))
-        return cov / n
+    def _mean_var(self, tag: DomainTag) -> float:
+        return max(self._mean_cov(tag, tag), 0.0)
 
     def result(self, tag: DomainTag) -> IntegrationResult:
-        i = DOMAIN_ORDER.index(tag)
         vol = self.box.volume
+        hits = sum(int(self._hits[l]) for l in DOMAIN_LABELS[tag])
         return IntegrationResult(
-            estimate=vol * self._mean(i),
-            std_error=vol * math.sqrt(self._mean_var(i)),
+            estimate=vol * self._mean(tag),
+            std_error=vol * math.sqrt(self._mean_var(tag)),
             n_samples=self.n_samples,
             seed=self.seed,
             streams=self.streams,
             box=self.box,
-            acceptance_fraction=float(self._hits[i]) / self.n_samples,
+            acceptance_fraction=hits / self.n_samples,
             domain=tag,
             regularizer=self.regularizer,
             sampler=self.sampler,
-            empty_domain=bool(self._hits[i] == 0),
+            empty_domain=hits == 0,
         )
 
     def difference(self, tag_a: DomainTag, tag_b: DomainTag) -> tuple[float, float]:
         """Estimate and standard error of vol(tag_a) - vol(tag_b)."""
-        i = DOMAIN_ORDER.index(tag_a)
-        j = DOMAIN_ORDER.index(tag_b)
         vol = self.box.volume
-        est = vol * (self._mean(i) - self._mean(j))
-        var = self._mean_var(i) + self._mean_var(j) - 2.0 * self._mean_cov(i, j)
+        est = vol * (self._mean(tag_a) - self._mean(tag_b))
+        var = self._mean_var(tag_a) + self._mean_var(tag_b) - 2.0 * self._mean_cov(tag_a, tag_b)
         return est, vol * math.sqrt(max(var, 0.0))
 
     def ratio(self, tag: DomainTag, base: DomainTag = DomainTag.CLASSICAL) -> tuple[float, float]:
         """Delta-method ratio vol(tag) / vol(base); approximate to first order."""
-        i = DOMAIN_ORDER.index(tag)
-        j = DOMAIN_ORDER.index(base)
-        x, y = self._mean(i), self._mean(j)
+        x, y = self._mean(tag), self._mean(base)
         if y == 0.0:
             return math.nan, math.nan
         r = x / y
         var = (
-            self._mean_var(i) / (y * y)
-            + (x * x) * self._mean_var(j) / (y ** 4)
-            - 2.0 * x * self._mean_cov(i, j) / (y ** 3)
+            self._mean_var(tag) / (y * y)
+            + (x * x) * self._mean_var(base) / (y ** 4)
+            - 2.0 * x * self._mean_cov(tag, base) / (y ** 3)
         )
         return r, math.sqrt(max(var, 0.0))
 

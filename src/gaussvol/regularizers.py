@@ -112,8 +112,9 @@ def phi(V, spec: RegularizerSpec) -> float:
 def upsilon(V, spec: RegularizerSpec) -> float:
     """Adjugate-damped weight: exp(-tr[adj V] / kappa) * log(1 + (det V)^m).
 
-    Invariant under symplectic and mode-permutation congruences, which
-    preserve both det V and tr[adj V].
+    Invariant under orthogonal symplectic congruences, including mode
+    permutations, which preserve both det V and tr[adj V].  General
+    symplectic congruences preserve det V but move tr[adj V].
     """
     if spec.kind is not RegKind.ADJUGATE_UPSILON:
         raise InvalidArgumentError("upsilon requires an adjugate-kind spec")

@@ -40,10 +40,13 @@ __all__ = [
     "canonical_trace_adjugate",
     "metric_components",
     "closed_form_metric",
+    "DOMAIN_LABELS",
     "domain_bounds",
+    "domain_labels",
     "domain_mask",
     "in_domain",
     "simon_invariants",
+    "volume_density",
 ]
 
 _SINGULAR_ATOL = 1e-14
@@ -203,87 +206,108 @@ def domain_bounds(p: CanonicalPoint) -> DomainBounds:
     c1 = (a / b) * (b * b - 1.0)
     c2 = (b / a) * (a * a - 1.0)
     c3 = (1.0 - a * a - b * b + a * a * b * b) / ab
-    denom = ab - c * c
-    delta = c * c - denom * (ab * c * c - (a * a - 1.0) * (b * b - 1.0))
-    if delta < 0.0 or denom == 0.0:
-        d1, d2 = math.inf, -math.inf
-    else:
-        root = math.sqrt(delta)
-        d1 = (-c - root) / denom
-        d2 = (-c + root) / denom
-        if d1 > d2:
-            d1, d2 = math.inf, -math.inf
-    return DomainBounds(c1=c1, c2=c2, c3=c3, d1=d1, d2=d2, delta=delta)
+    d1, d2, delta = _d_interval(a, b, c, ab, c * c)
+    return DomainBounds(c1=c1, c2=c2, c3=c3, d1=float(d1), d2=float(d2), delta=float(delta))
 
 
-def _d_interval(a, b, c):
-    """Vectorized d-interval of the quantum domain; empty encoded as (inf, -inf)."""
-    ab = a * b
-    denom = ab - c * c
-    delta = c * c - denom * (ab * c * c - (a * a - 1.0) * (b * b - 1.0))
+def _d_interval(a, b, c, ab, c2):
+    """d-interval of the quantum domain and its discriminant Delta, elementwise.
+
+    Takes ab = a*b and c2 = c*c precomputed; the interval is empty, encoded as
+    (inf, -inf), unless Delta >= 0 and ab - c^2 > 0.
+    """
+    denom = ab - c2
+    delta = c2 - denom * (ab * c * c - (a * a - 1.0) * (b * b - 1.0))
     ok = (delta >= 0.0) & (denom > 0.0)
     root = np.sqrt(np.where(ok, delta, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         d1 = np.where(ok, (-c - root) / denom, np.inf)
         d2 = np.where(ok, (-c + root) / denom, -np.inf)
-    return d1, d2
+    return d1, d2, delta
+
+
+# The labels of domain_labels that make up each domain.
+DOMAIN_LABELS = {
+    DomainTag.CLASSICAL: (1, 2, 3),
+    DomainTag.QUANTUM: (2, 3),
+    DomainTag.SEPARABLE: (2,),
+    DomainTag.ENTANGLED: (3,),
+}
+
+
+def domain_labels(a, b, c, d, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Label each standard-form point with the innermost domain holding it, elementwise.
+
+    Returns uint8 labels: 0 outside the classical domain, 1 classical but not
+    quantum, 2 separable, 3 entangled.  The domains are nested, so a label
+    determines every membership (see ``DOMAIN_LABELS``).  ``tol`` slackens
+    every inequality outward, so boundaries count as inside; a negative
+    ``tol`` shrinks the domains instead, which is how boundary bands are
+    detected.
+    """
+    a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, d)))
+    shape = a.shape
+    a, b, c, d = (x.ravel() for x in (a, b, c, d))
+    ab = a * b
+    sab = np.sqrt(np.maximum(ab, 0.0))
+    classical = (a > -tol) & (b > -tol) & (np.abs(c) < sab + tol) & (np.abs(d) < sab + tol)
+    lab = classical.astype(np.uint8)
+
+    # the quantum and separability bounds are evaluated only where they can hold
+    idx = np.flatnonzero(classical & (a > 1.0 - tol) & (b > 1.0 - tol))
+    a, b, c, d, ab = a[idx], b[idx], c[idx], d[idx], ab[idx]
+    a2 = a * a
+    b2 = b * b
+    abs_c = np.abs(c)
+    d1, d2, _ = _d_interval(a, b, c, ab, c * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # branch by mode ordering; at a = b the two c-bounds coincide
+        cbound_sq = np.where(b <= a, (a / b) * (b2 - 1.0), (b / a) * (a2 - 1.0))
+        quantum = abs_c < np.sqrt(np.maximum(cbound_sq, 0.0)) + tol
+        c3 = (1.0 - a2 - b2 + ab * ab) / ab
+        ppt = abs_c < np.sqrt(np.maximum(c3, 0.0)) + tol
+    quantum &= (d >= d1 - tol) & (d <= d2 + tol)
+    # separability: c <= 0 branch d in [d1, -d1]; c > 0 branch d in [-d2, d2].
+    # At c = 0 the two intervals coincide, which covers that slice by closure.
+    neg = c <= 0.0
+    lo = np.where(neg, d1, -d2)
+    hi = np.where(neg, -d1, d2)
+    ppt &= (d >= lo - tol) & (d <= hi + tol)
+    lab[idx] += quantum.astype(np.uint8) + (quantum & ~ppt)
+    return lab.reshape(shape)
 
 
 def domain_mask(a, b, c, d, tag: DomainTag, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Inequality-based membership of standard-form points, elementwise.
 
-    ``tol`` slackens every inequality outward, so boundaries count as inside;
-    a negative ``tol`` shrinks the domains instead, which is how boundary
-    bands are detected.
+    A view of :func:`domain_labels` with the same ``tol`` convention.
     """
-    a, b, c, d = np.broadcast_arrays(
-        np.asarray(a, dtype=float),
-        np.asarray(b, dtype=float),
-        np.asarray(c, dtype=float),
-        np.asarray(d, dtype=float),
-    )
-    if tag is DomainTag.CLASSICAL:
-        pos = (a > -tol) & (b > -tol)
-        sab = np.sqrt(np.maximum(a * b, 0.0))
-        return pos & (np.abs(c) < sab + tol) & (np.abs(d) < sab + tol)
-    if tag is DomainTag.QUANTUM:
-        return _quantum_mask(a, b, c, d, tol)
-    if tag is DomainTag.SEPARABLE:
-        return _quantum_mask(a, b, c, d, tol) & _ppt_mask(a, b, c, d, tol)
-    if tag is DomainTag.ENTANGLED:
-        return _quantum_mask(a, b, c, d, tol) & ~_ppt_mask(a, b, c, d, tol)
-    raise InvalidArgumentError(f"unknown domain tag: {tag!r}")
+    labels = DOMAIN_LABELS.get(tag)
+    if labels is None:
+        raise InvalidArgumentError(f"unknown domain tag: {tag!r}")
+    return np.isin(domain_labels(a, b, c, d, tol), labels)
 
 
-def _quantum_mask(a, b, c, d, tol):
-    base = (a > 1.0 - tol) & (b > 1.0 - tol)
-    # branch by mode ordering; at a = b the two c-bounds coincide
-    c1 = (a / np.where(b != 0.0, b, np.nan)) * (b * b - 1.0)
-    c2 = (b / np.where(a != 0.0, a, np.nan)) * (a * a - 1.0)
-    cbound_sq = np.where(b <= a, c1, c2)
-    with np.errstate(invalid="ignore"):
-        cbound = np.sqrt(np.maximum(cbound_sq, 0.0))
-        cok = np.abs(c) < cbound + tol
-    d1, d2 = _d_interval(a, b, c)
-    dok = (d >= d1 - tol) & (d <= d2 + tol)
-    return base & cok & dok
+def volume_density(a, b, c, d) -> np.ndarray:
+    """Closed-form sqrt(det g) of the (a, b, c, d) chart, elementwise.
 
-
-def _ppt_mask(a, b, c, d, tol):
-    """Separability half of the standard-form inequalities (given quantum)."""
-    base = (a > 1.0 - tol) & (b > 1.0 - tol)
+    det g = (4 a^2 b^2 - (c^2 + d^2)^2) / (4 (ab - c^2)^3 (ab - d^2)^3); the
+    numerator is evaluated as (pc + pd)(2ab + c^2 + d^2) with pc = ab - c^2 and
+    pd = ab - d^2, which does not cancel near the singular surfaces.  The
+    density is 0 off the classical domain, that is wherever a <= 0, pc <= 0
+    or pd <= 0, and wherever the numerator is <= 0.
+    """
+    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
     ab = a * b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c3 = (1.0 - a * a - b * b + ab * ab) / ab
-        cbound = np.sqrt(np.maximum(c3, 0.0))
-    cok = np.abs(c) < cbound + tol
-    d1, d2 = _d_interval(a, b, c)
-    # c <= 0 branch: d in [d1, -d1]; c > 0 branch: d in [-d2, d2].
-    # At c = 0 the two intervals coincide, which covers that slice by closure.
-    lo = np.where(c <= 0.0, d1, -d2)
-    hi = np.where(c <= 0.0, -d1, d2)
-    dok = (d >= lo - tol) & (d <= hi + tol)
-    return base & cok & dok
+    c2 = c * c
+    d2 = d * d
+    pc = ab - c2
+    pd_ = ab - d2
+    num = (pc + pd_) * (2.0 * ab + c2 + d2)
+    ok = (a > 0.0) & (pc > 0.0) & (pd_ > 0.0) & (num > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = pc * pd_
+        return np.where(ok, np.sqrt(num) / (2.0 * p * np.sqrt(p)), 0.0)
 
 
 def in_domain(p: CanonicalPoint, tag: DomainTag, tol: float = DEFAULT_TOL) -> bool:

@@ -167,6 +167,13 @@ def test_empty_domain_flagged():
     assert jv.ratio(DomainTag.QUANTUM) == (0.0, 0.0)
 
 
+def test_non_finite_weight_raises(monkeypatch):
+    monkeypatch.setattr(integrate, "regularizer_values", lambda a, *rest: np.full(np.shape(a), np.nan))
+    spec = RegularizerSpec.energy(6.0)
+    with pytest.raises(NumericError, match="non-finite"):
+        mc_joint_volumes(phi_box(6.0), spec, 20_000, seed=3)
+
+
 def test_exclude_removes_everything():
     spec = RegularizerSpec.energy(6.0)
     box = phi_box(6.0)

@@ -18,10 +18,12 @@ from gaussvol.twomode import (
     canonical_trace_adjugate,
     closed_form_metric,
     domain_bounds,
+    domain_labels,
     domain_mask,
     in_domain,
     metric_components,
     simon_invariants,
+    volume_density,
 )
 
 from conftest import sample_canonical
@@ -188,6 +190,63 @@ def test_metric_components_no_domain_checks():
     # singular input yields non-finite entries instead of raising
     g = metric_components(1.0, 1.0, 1.0, 0.0)
     assert not np.isfinite(g).all()
+
+
+def test_volume_density_matches_slogdet():
+    # closed-form sqrt(det g) vs the log-determinant of the explicit metric,
+    # away from the singular surfaces ab = c^2 and ab = d^2
+    rng = np.random.default_rng(67)
+    a, b, c, d = rng.uniform([0.0, 0.0, -3.0, -3.0], [4.0, 4.0, 3.0, 3.0], size=(200_000, 4)).T
+    ab = a * b
+    keep = np.flatnonzero((np.minimum(ab - c * c, ab - d * d) / ab >= 1e-3) & (ab > 0.0))[:10_000]
+    assert keep.size == 10_000
+    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+    sign, logdet = np.linalg.slogdet(metric_components(a, b, c, d))
+    assert np.all(sign > 0.0)
+    assert np.allclose(volume_density(a, b, c, d), np.sqrt(np.exp(logdet)), rtol=1e-9, atol=0.0)
+
+
+def test_volume_density_cli_example():
+    # det g = 1/16 at (2, 1, 0, 0), the metric diag(1/4, 1, 1/2, 1/2)
+    assert volume_density(2.0, 1.0, 0.0, 0.0) == 0.25
+
+
+def test_volume_density_zero_off_classical():
+    rng = np.random.default_rng(71)
+    a, b, c, d = rng.uniform([-1.0, -1.0, -4.0, -4.0], [4.0, 4.0, 4.0, 4.0], size=(20_000, 4)).T
+    off = domain_labels(a, b, c, d, 0.0) == 0
+    assert off.sum() > 1000
+    assert np.all(volume_density(a[off], b[off], c[off], d[off]) == 0.0)
+    # on the singular surface ab = c^2 itself
+    assert volume_density(1.0, 1.0, 1.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "point,label",
+    [
+        ((1.0, 1.0, 2.0, 0.0), 0),     # |c| > sqrt(ab): not even positive definite
+        ((0.5, 0.5, 0.0, 0.0), 1),     # classical, violates the uncertainty relation
+        ((2.0, 2.0, 0.5, -0.5), 2),    # separable
+        ((2.0, 2.0, 1.6, -1.6), 3),    # entangled
+    ],
+)
+def test_domain_labels_frozen(point, label):
+    out = domain_labels(*point)
+    assert out.dtype == np.uint8 and out.shape == ()
+    assert out == label
+
+
+def test_domain_labels_views():
+    rng = np.random.default_rng(73)
+    a, b, c, d = rng.uniform([0.0, 0.0, -2.0, -2.0], [4.0, 4.0, 2.0, 2.0], size=(20_000, 4)).T
+    lab = domain_labels(a, b, c, d)
+    assert set(np.unique(lab)) == {0, 1, 2, 3}
+    assert np.array_equal(domain_mask(a, b, c, d, DomainTag.CLASSICAL), lab >= 1)
+    assert np.array_equal(domain_mask(a, b, c, d, DomainTag.QUANTUM), lab >= 2)
+    assert np.array_equal(domain_mask(a, b, c, d, DomainTag.SEPARABLE), lab == 2)
+    assert np.array_equal(domain_mask(a, b, c, d, DomainTag.ENTANGLED), lab == 3)
+    # broadcasting keeps the input shape
+    assert domain_labels(a.reshape(100, 200), 2.0, 0.0, 0.0).shape == (100, 200)
 
 
 def test_domain_bounds_frozen():
