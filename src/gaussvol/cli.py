@@ -376,7 +376,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=None, help="regularizer exponent (default 4)")
     p.add_argument("--samples", type=int, default=None, help="sample count (default 100000)")
     p.add_argument("--seed", type=int, default=None, help="integer seed (default 12345)")
-    p.add_argument("--streams", type=int, default=None, help="parallel substreams (default 4)")
+    p.add_argument("--streams", type=int, default=None,
+                   help="substream count, part of the determinism key; the substreams run on "
+                        "at most one thread per usable core (default 4)")
     p.add_argument("--eps-tail", type=float, default=None,
                    help="support-box tail threshold (default 1e-3)")
     p.add_argument("--tol", type=float, default=None, help="domain tolerance (default 1e-9)")

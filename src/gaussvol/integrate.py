@@ -14,12 +14,15 @@ the entangled volume comes from the same run as the others.
 Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from a spawned SeedSequence, partial sums are combined by a fixed-order
 pairwise reduction, and the chunk size is a fixed constant; results are
-bit-identical for a fixed (seed, streams, n_samples).
+bit-identical for a fixed (seed, streams, n_samples).  The substreams run on
+at most one thread per usable core, so the core count sets the speed but
+never the bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -84,9 +87,12 @@ class Box:
         return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return ((pts > lo) & (pts <= hi)).all(axis=-1)
+        """Membership of (..., 4) points in the half-open box (lo, hi], one column at a time."""
+        inside = True
+        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            x = pts[..., j]
+            inside = inside & (x > lo) & (x <= hi)
+        return inside
 
 
 def phi_box(bound_E: float) -> Box:
@@ -145,17 +151,25 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     done = 0
     while done < count:
         k = min(_CHUNK, count - done)
-        pts = lo + draw(k) * span
-        lab = domain_labels(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], tol)
+        # one contiguous column per coordinate; u[:, j] * span[j] + lo[j] has
+        # the bits of the row-major lo + u * span, and dropping u before
+        # labelling leaves one copy of the coordinates per chunk
+        u = draw(k)
+        cols = np.empty((4, k))
+        for j in range(4):
+            np.multiply(u[:, j], span[j], out=cols[j])
+            cols[j] += lo[j]
+        del u
+        lab = domain_labels(*cols, tol)
         if exclude is not None:
-            lab[exclude.contains(pts)] = 0
+            lab[exclude.contains(cols.T)] = 0
         idx = np.flatnonzero(lab)
         lab = lab[idx]
-        inside = pts[idx]
-        a, b, c, d = inside.T
+        a, b, c, d = np.take(cols, idx, axis=1)
         w = regularizer_values(a, b, c, d, spec) * volume_density(a, b, c, d)
         if not np.isfinite(w).all():
-            bad = tuple(inside[~np.isfinite(w)][0])
+            i = np.flatnonzero(~np.isfinite(w))[0]
+            bad = (a[i], b[i], c[i], d[i])
             raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
         s1 += np.bincount(lab, weights=w, minlength=4)
         s2 += np.bincount(lab, weights=w * w, minlength=4)
@@ -255,13 +269,23 @@ class JointVolumes:
         return r, math.sqrt(max(var, 0.0))
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, streams: int = 1,
                      tol: float = 1e-9, sampler: str = "pseudo", seed_label: int | None = None,
                      exclude: Box | None = None) -> JointVolumes:
     """One uniform-sampling pass over ``box`` scoring all four domains.
 
     ``seed`` may be an integer or a SeedSequence; ``seed_label`` is what gets
-    reported in results when the seed is not a plain integer.
+    reported in results when the seed is not a plain integer.  ``streams`` is
+    the number of substreams and part of the determinism key; they run on
+    min(streams, usable cores) threads.
     """
     if streams < 1:
         raise InvalidArgumentError("streams must be >= 1")
@@ -277,16 +301,17 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
             seed_label = int(seed)
     children = ss.spawn(streams)
     counts = _partition(n_samples, streams)
-    if streams == 1:
-        partials = [_stream_partial(children[0], counts[0], box, spec, tol, sampler, exclude)]
+
+    def run(i):
+        return _stream_partial(children[i], counts[i], box, spec, tol, sampler, exclude)
+
+    workers = min(streams, _usable_cores())
+    if workers == 1:
+        partials = [run(i) for i in range(streams)]
     else:
-        with ThreadPoolExecutor(max_workers=streams) as pool:
-            partials = list(
-                pool.map(
-                    lambda i: _stream_partial(children[i], counts[i], box, spec, tol, sampler, exclude),
-                    range(streams),
-                )
-            )
+        # map returns the partials in stream order, whichever thread ran them
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(run, range(streams)))
     n, s1, s2, hits = _pairwise_reduce(
         partials, lambda u, v: (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
     )

@@ -129,6 +129,40 @@ def test_stream_count_changes_bits_not_value():
     assert abs(r1.estimate - r6.estimate) < 5.0 * sigma
 
 
+def _joint_bits(jv):
+    return [(r.estimate, r.std_error, r.acceptance_fraction)
+            for r in (jv.result(tag) for tag in DOMAIN_ORDER)]
+
+
+def test_core_count_does_not_change_bits(monkeypatch):
+    spec = RegularizerSpec.energy(8.0)
+    box = phi_box(8.0)
+    for streams in (4, 6):
+        runs = {}
+        for cores in (1, 2, 8):
+            monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
+            runs[cores] = _joint_bits(mc_joint_volumes(box, spec, 120_000, seed=404, streams=streams))
+        assert runs[2] == runs[1]
+        assert runs[8] == runs[1]
+
+
+def test_pool_threads_capped_at_usable_cores(monkeypatch):
+    seen = []
+
+    class RecordingPool(integrate.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "ThreadPoolExecutor", RecordingPool)
+    spec = RegularizerSpec.energy(6.0)
+    for cores in (1, 2, 8):
+        seen.clear()
+        monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
+        mc_joint_volumes(phi_box(6.0), spec, 64_000, seed=405, streams=64)
+        assert seen == ([] if cores == 1 else [cores])
+
+
 def test_nested_domains_add_up():
     spec = RegularizerSpec.energy(8.0)
     jv = mc_joint_volumes(phi_box(8.0), spec, 80_000, seed=31, streams=2)

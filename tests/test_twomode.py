@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gaussvol.errors import AsymmetricMatrixError, DomainError, InvalidArgumentError
 from gaussvol.metric import metric_closed_form, volume_element
-from gaussvol.states import is_quantum, partial_transpose_two_mode, symplectic_eigenvalues
+from gaussvol.states import (
+    StateClass,
+    classify,
+    is_quantum,
+    partial_transpose_two_mode,
+    symplectic_eigenvalues,
+)
 from gaussvol.twomode import (
     CanonicalPoint,
     DomainTag,
@@ -388,3 +396,40 @@ def test_in_domain_returns_bool():
     out = in_domain(CanonicalPoint(2.0, 2.0, 0.5, -0.5), DomainTag.SEPARABLE)
     assert isinstance(out, bool)
     assert out
+
+
+_LABEL_CLASS = {
+    0: StateClass.NOT_A_STATE,
+    1: StateClass.CLASSICAL_ONLY,
+    2: StateClass.QUANTUM_SEPARABLE,
+    3: StateClass.QUANTUM_ENTANGLED,
+}
+
+
+@st.composite
+def _standard_form_points(draw):
+    # c and d scale with sqrt(ab), so every class, boundaries included, gets hit
+    fl = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_subnormal=False)
+    a = draw(fl(-0.5, 6.0))
+    b = draw(fl(-0.5, 6.0))
+    r = math.sqrt(max(a * b, 0.0))
+    return a, b, draw(fl(-1.1, 1.1)) * r, draw(fl(-1.1, 1.1)) * r
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_standard_form_points())
+@example((-1.0, 2.0, 0.0, 0.0))
+@example((0.5, 0.5, 0.0, 0.0))
+@example((2.0, 3.0, 1.0, -1.0))
+@example((2.0, 2.0, 1.5, -1.5))
+def test_labels_match_spectral_classify(p):
+    # labels vs eigenvalue, symplectic-spectrum and PPT tests, away from 1e-8 boundary bands
+    a, b, c, d = p
+    label = int(domain_labels(a, b, c, d, 0.0))
+    assume(int(domain_labels(a, b, c, d, 1e-8)) == int(domain_labels(a, b, c, d, -1e-8)))
+    V = canonical_embed(CanonicalPoint(a, b, c, d))
+    # the spectral side has its own roundoff band: at (1, 4, 1e-116, 0) the smallest
+    # symplectic eigenvalue is 1 - O(c^2), which rounds to 1, while the labels'
+    # tol does not widen the d-interval's Delta >= 0 condition
+    assume(classify(V, tol=1e-9) is classify(V, tol=-1e-9))
+    assert classify(V, tol=0.0) is _LABEL_CLASS[label]
