@@ -12,17 +12,20 @@ domain is a fixed set of labels, so nested domains are ordered exactly and
 the entangled volume comes from the same run as the others.
 
 Determinism: the sample budget is split by index into ``streams`` substreams
-seeded from a spawned SeedSequence, partial sums are combined by a fixed-order
-pairwise reduction, and the chunk size is a fixed constant; results are
-bit-identical for a fixed (seed, streams, n_samples).  The substreams run on
-at most one thread per usable core, so the core count sets the speed but
-never the bits.
+seeded from the children of the seed's SeedSequence, partial sums are
+combined by a fixed-order pairwise reduction, and the chunk size is a fixed
+constant; results are bit-identical for a fixed (seed, streams, n_samples).
+The substreams of one pass, or of several passes that do not depend on each
+other (the inner box and outer shell of a support-box probe), run as one task
+list on at most one thread per usable core, so the core count sets the speed
+but never the bits.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,6 +66,9 @@ DOMAIN_ORDER = (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE, Dom
 _CHUNK = 1 << 18
 _PROBE_SEED = 0x426F78  # fixed probe seed: the box depends only on its inputs
 _SAMPLERS = ("pseudo", "qmc")
+# warnings.catch_warnings swaps the process-wide filter list, so two pool
+# threads inside it at once can leave one thread's filter installed for good
+_WARNINGS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -141,7 +147,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         sob = qmc.Sobol(d=4, scramble=True, seed=np.random.default_rng(child_ss))
 
         def draw(k):
-            with warnings.catch_warnings():
+            with _WARNINGS_LOCK, warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 return sob.random(k)
 
@@ -277,15 +283,71 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _children(ss: np.random.SeedSequence, n: int) -> list:
+    """The n children that ``ss.spawn(n)`` gives on a fresh SeedSequence.
+
+    Unlike ``spawn``, this leaves ``ss`` as it was, so the same SeedSequence
+    passed twice gives the same substreams.
+    """
+    return [np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                   pool_size=ss.pool_size) for i in range(n)]
+
+
+@dataclass(frozen=True)
+class _Pass:
+    """The arguments of one ``mc_joint_volumes`` pass, with its seed as a SeedSequence."""
+
+    box: Box
+    spec: RegularizerSpec
+    n_samples: int
+    ss: np.random.SeedSequence
+    streams: int = 1
+    tol: float = 1e-9
+    sampler: str = "pseudo"
+    exclude: Box | None = None
+    seed_label: int | None = None
+
+
+def _run_passes(passes: list[_Pass]) -> list[JointVolumes]:
+    """Run the substreams of every pass as one task list; one JointVolumes per pass.
+
+    The tasks run in order on min(tasks, usable cores) threads, and each
+    pass's partial sums are reduced in stream order, so every pass gets the
+    bits it would get alone.
+    """
+    tasks = [(p, child, count) for p in passes
+             for child, count in zip(_children(p.ss, p.streams), _partition(p.n_samples, p.streams))]
+
+    def run(task):
+        p, child, count = task
+        return _stream_partial(child, count, p.box, p.spec, p.tol, p.sampler, p.exclude)
+
+    workers = min(len(tasks), _usable_cores())
+    if workers == 1:
+        partials = [run(t) for t in tasks]
+    else:
+        # map returns the partials in task order, whichever thread ran them
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(run, tasks))
+    out = []
+    for p in passes:
+        mine, partials = partials[:p.streams], partials[p.streams:]
+        n, s1, s2, hits = _pairwise_reduce(
+            mine, lambda u, v: (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3]))
+        out.append(JointVolumes(p.box, p.spec, n, p.seed_label, p.streams, p.tol, p.sampler,
+                                s1, s2, hits))
+    return out
+
+
 def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, streams: int = 1,
                      tol: float = 1e-9, sampler: str = "pseudo", seed_label: int | None = None,
                      exclude: Box | None = None) -> JointVolumes:
     """One uniform-sampling pass over ``box`` scoring all four domains.
 
-    ``seed`` may be an integer or a SeedSequence; ``seed_label`` is what gets
-    reported in results when the seed is not a plain integer.  ``streams`` is
-    the number of substreams and part of the determinism key; they run on
-    min(streams, usable cores) threads.
+    ``seed`` may be an integer or a SeedSequence, which is not modified;
+    ``seed_label`` is what gets reported in results when the seed is not a
+    plain integer.  ``streams`` is the number of substreams and part of the
+    determinism key; they run on min(streams, usable cores) threads.
     """
     if streams < 1:
         raise InvalidArgumentError("streams must be >= 1")
@@ -299,23 +361,8 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
         ss = np.random.SeedSequence(seed)
         if seed_label is None:
             seed_label = int(seed)
-    children = ss.spawn(streams)
-    counts = _partition(n_samples, streams)
-
-    def run(i):
-        return _stream_partial(children[i], counts[i], box, spec, tol, sampler, exclude)
-
-    workers = min(streams, _usable_cores())
-    if workers == 1:
-        partials = [run(i) for i in range(streams)]
-    else:
-        # map returns the partials in stream order, whichever thread ran them
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, range(streams)))
-    n, s1, s2, hits = _pairwise_reduce(
-        partials, lambda u, v: (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
-    )
-    return JointVolumes(box, spec, n, seed_label, streams, tol, sampler, s1, s2, hits)
+    return _run_passes([_Pass(box, spec, n_samples, ss, streams, tol, sampler, exclude,
+                              seed_label)])[0]
 
 
 def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
@@ -326,7 +373,9 @@ def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
     Starts from a, b in (0, L], |c|, |d| <= L with L = max(4, 4 sqrt(kappa))
     and doubles L until the outer shell (between L and 2L) contributes less
     than ``eps_tail`` of the current estimate.  Probing uses a fixed internal
-    seed, so the box depends only on the arguments.
+    seed, so the box depends only on the arguments.  Each attempt's inner and
+    shell passes share one task list on the stream pool, so with two usable
+    cores they run at the same time; each gets the bits it would get alone.
     """
     if not (kappa > 0.0):
         raise InvalidArgumentError("kappa must be positive")
@@ -341,8 +390,10 @@ def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
         inner = _sym_box(L)
         outer = _sym_box(2.0 * L)
         seeds = np.random.SeedSequence([_PROBE_SEED, attempt]).spawn(2)
-        est_in = mc_joint_volumes(inner, spec, n_probe, seeds[0]).result(domain).estimate
-        est_shell = mc_joint_volumes(outer, spec, n_probe, seeds[1], exclude=inner).result(domain).estimate
+        jv_in, jv_shell = _run_passes([_Pass(inner, spec, n_probe, seeds[0]),
+                                       _Pass(outer, spec, n_probe, seeds[1], exclude=inner)])
+        est_in = jv_in.result(domain).estimate
+        est_shell = jv_shell.result(domain).estimate
         history.append((L, est_in, est_shell))
         if est_shell <= eps_tail * est_in:
             return inner

@@ -1,6 +1,8 @@
 """Monte Carlo volume machinery: boxes, joint estimates, sweeps."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +84,68 @@ def test_upsilon_box_small_kappa():
     assert box.lo == (0.0, 0.0, -8.0, -8.0)
 
 
+def _sequential_probe(kappa, *, n_probe, max_doublings=12, eps_tail=1e-3,
+                      domain=DomainTag.CLASSICAL):
+    """The support-box probe as two mc_joint_volumes calls per attempt, one after the other.
+
+    Returns the box and each attempt's (inner, shell) JointVolumes, or the
+    NumericError message when the doublings run out.
+    """
+    spec = RegularizerSpec.adjugate(kappa, 4)
+    L = max(4.0, 4.0 * math.sqrt(kappa))
+    attempts, history = [], []
+    for attempt in range(max_doublings + 1):
+        inner, outer = integrate._sym_box(L), integrate._sym_box(2.0 * L)
+        seeds = np.random.SeedSequence([integrate._PROBE_SEED, attempt]).spawn(2)
+        jv_in = mc_joint_volumes(inner, spec, n_probe, seeds[0])
+        jv_shell = mc_joint_volumes(outer, spec, n_probe, seeds[1], exclude=inner)
+        attempts.append((jv_in, jv_shell))
+        est_in, est_shell = jv_in.result(domain).estimate, jv_shell.result(domain).estimate
+        history.append((L, est_in, est_shell))
+        if est_shell <= eps_tail * est_in:
+            return inner, attempts
+        L *= 2.0
+    detail = "; ".join(f"L={l:g}: estimate={e:.6g}, shell={s:.6g}" for l, e, s in history)
+    return (f"support box did not converge after {max_doublings} doublings (kappa={kappa:g}, "
+            f"eps_tail={eps_tail:g}): {detail}"), attempts
+
+
+@pytest.mark.parametrize("kappa", [1.0, 5.0])
+def test_upsilon_box_matches_sequential_probe(monkeypatch, kappa):
+    box, attempts = _sequential_probe(kappa, n_probe=20_000)
+    assert len(attempts) == 2  # both kappas double L once
+    expected = [[_joint_bits(jv) for jv in pair] for pair in attempts]
+    real_run, real_stream = integrate._run_passes, integrate._stream_partial
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
+        seen, boxes = [], []
+
+        def recording_run(passes):
+            seen.append(real_run(passes))
+            return seen[-1]
+
+        def recording_stream(child_ss, count, box, *rest):
+            boxes.append(box)
+            return real_stream(child_ss, count, box, *rest)
+
+        monkeypatch.setattr(integrate, "_run_passes", recording_run)
+        monkeypatch.setattr(integrate, "_stream_partial", recording_stream)
+        assert upsilon_box(kappa, n_probe=20_000) == box
+        assert [[_joint_bits(jv) for jv in pair] for pair in seen] == expected
+        if cores == 1:
+            # without a pool each attempt's inner pass runs before its shell pass
+            assert boxes == [jv.box for pair in attempts for jv in pair]
+
+
+def test_upsilon_box_failure_text_matches_sequential_probe(monkeypatch):
+    message, _ = _sequential_probe(5.0, n_probe=20_000, max_doublings=0)
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
+        with pytest.raises(NumericError) as err:
+            upsilon_box(5.0, max_doublings=0, n_probe=20_000)
+        assert str(err.value) == message
+
+
 def test_upsilon_box_deterministic():
     assert upsilon_box(1.0, n_probe=20_000) == upsilon_box(1.0, n_probe=20_000)
 
@@ -161,6 +225,59 @@ def test_pool_threads_capped_at_usable_cores(monkeypatch):
         monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
         mc_joint_volumes(phi_box(6.0), spec, 64_000, seed=405, streams=64)
         assert seen == ([] if cores == 1 else [cores])
+
+
+def test_same_seed_sequence_twice_gives_same_bits():
+    spec = RegularizerSpec.energy(8.0)
+    ss = np.random.SeedSequence(42)
+    first = mc_joint_volumes(phi_box(8.0), spec, 20_000, ss, streams=2)
+    second = mc_joint_volumes(phi_box(8.0), spec, 20_000, ss, streams=2)
+    assert _joint_bits(second) == _joint_bits(first)
+    assert ss.n_children_spawned == 0
+    # the substreams are the ones spawn gives on a fresh SeedSequence
+    ours = [c.generate_state(4) for c in integrate._children(ss, 3)]
+    theirs = [c.generate_state(4) for c in np.random.SeedSequence(42).spawn(3)]
+    assert np.array_equal(ours, theirs)
+
+
+def test_run_passes_match_single_pass_runs(monkeypatch):
+    passes = [
+        integrate._Pass(phi_box(6.0), RegularizerSpec.energy(6.0), 30_000,
+                        np.random.SeedSequence(1), streams=1),
+        integrate._Pass(phi_box(8.0), RegularizerSpec.energy(8.0), 50_001,
+                        np.random.SeedSequence(2), streams=3, sampler="qmc"),
+        integrate._Pass(integrate._sym_box(8.0), RegularizerSpec.adjugate(2.0), 40_000,
+                        np.random.SeedSequence([3, 4]), streams=4, tol=1e-6,
+                        exclude=integrate._sym_box(4.0)),
+    ]
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
+        joint = integrate._run_passes(passes)
+        assert len(joint) == 3
+        for p, jv in zip(passes, joint):
+            alone = mc_joint_volumes(p.box, p.spec, p.n_samples, p.ss, p.streams, p.tol,
+                                     p.sampler, exclude=p.exclude)
+            assert (jv.n_samples, jv.streams, jv.box) == (p.n_samples, p.streams, p.box)
+            assert np.array_equal(jv._s1, alone._s1)
+            assert np.array_equal(jv._s2, alone._s2)
+            assert np.array_equal(jv._hits, alone._hits)
+
+
+def test_qmc_pool_leaves_warning_filters_alone(monkeypatch):
+    # more threads than cores and a short switch interval, so that unguarded
+    # warnings.catch_warnings blocks in pool threads interleave
+    monkeypatch.setattr(integrate, "_usable_cores", lambda: 8)
+    spec = RegularizerSpec.energy(8.0)
+    interval = sys.getswitchinterval()
+    with warnings.catch_warnings():
+        before = list(warnings.filters)
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(10):
+                mc_joint_volumes(phi_box(8.0), spec, 300_000, seed, 4, sampler="qmc")
+                assert warnings.filters == before, f"filters changed by the run with seed {seed}"
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_nested_domains_add_up():
