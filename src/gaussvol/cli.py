@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -93,8 +94,8 @@ def parse_matrix_file(path: str) -> np.ndarray:
         if not stripped or stripped.startswith("#"):
             continue
         row = []
-        for tok in stripped.split():
-            col = raw.index(tok) + 1
+        for m in re.finditer(r"\S+", raw):
+            tok, col = m.group(), m.start() + 1
             try:
                 row.append(float(tok))
             except ValueError:

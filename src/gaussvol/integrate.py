@@ -15,6 +15,11 @@ Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from the children of the seed's SeedSequence, partial sums are
 combined by a fixed-order pairwise reduction, and the chunk size is a fixed
 constant; results are bit-identical for a fixed (seed, streams, n_samples).
+Each stream draws, labels and weights its points in tiles of ``_TILE``
+points on scratch buffers it allocates once, and sums them with one
+``bincount`` per block of ``_CHUNK`` points in draw order.  So ``_CHUNK``
+sets the summation order and the bits, and the tile size sets only the
+speed.
 The substreams of one pass, or of several passes that do not depend on each
 other (the inner box and outer shell of a support-box probe), run as one task
 list on at most one thread per usable core, so the core count sets the speed
@@ -40,8 +45,9 @@ from .twomode import (
     DomainTag,
     canonical_det,
     canonical_trace_adjugate,
-    domain_labels,
     volume_density,
+    _classical_labels,
+    _classical_test,
 )
 # unused here, but perfbench/tracing.py wraps these two attributes of this module
 from .twomode import domain_mask, metric_components  # noqa: F401
@@ -63,7 +69,10 @@ __all__ = [
 
 DOMAIN_ORDER = (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE, DomainTag.ENTANGLED)
 
+# _CHUNK is the reduction block and fixes the summation order, hence the bits;
+# _TILE is the elementwise working set and sets only the speed
 _CHUNK = 1 << 18
+_TILE = 1 << 16
 _PROBE_SEED = 0x426F78  # fixed probe seed: the box depends only on its inputs
 _SAMPLERS = ("pseudo", "qmc")
 # warnings.catch_warnings swaps the process-wide filter list, so two pool
@@ -92,13 +101,20 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Membership of (..., 4) points in the half-open box (lo, hi], one column at a time."""
-        inside = True
+    def contains(self, pts: np.ndarray, out=None, tmp=None) -> np.ndarray:
+        """Membership of (..., 4) points in the half-open box (lo, hi], one column at a time.
+
+        ``out`` and ``tmp`` are optional bool arrays of the points' leading
+        shape to work in, so that a caller running it in a loop allocates
+        nothing.
+        """
+        out = np.greater(pts[..., 0], self.lo[0], out=out)
         for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
             x = pts[..., j]
-            inside = inside & (x > lo) & (x <= hi)
-        return inside
+            if j:
+                out &= np.greater(x, lo, out=tmp)
+            out &= np.less_equal(x, hi, out=tmp)
+        return out
 
 
 def phi_box(bound_E: float) -> Box:
@@ -126,30 +142,55 @@ def regularizer_values(a, b, c, d, spec: RegularizerSpec) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    detv = np.maximum(canonical_det(a, b, c, d), 1e-300)
+    detv = np.asarray(canonical_det(a, b, c, d))
+    np.maximum(detv, 1e-300, out=detv)
     base = np.asarray(log1p_det_pow(detv, spec.m))
     if spec.kind is RegKind.ENERGY_PHI:
-        return np.where(2.0 * (a + b) <= spec.bound_E, base, 0.0)
-    expo = -np.asarray(canonical_trace_adjugate(a, b, c, d)) / spec.kappa
-    return np.exp(np.minimum(expo, 700.0)) * base
+        energy = np.add(a, b)
+        energy *= 2.0
+        np.copyto(base, 0.0, where=~(energy <= spec.bound_E))
+        return base
+    damp = np.asarray(canonical_trace_adjugate(a, b, c, d))
+    np.negative(damp, out=damp)
+    damp /= spec.kappa
+    np.minimum(damp, 700.0, out=damp)
+    np.exp(damp, out=damp)
+    damp *= base
+    return damp
 
 
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
                     sampler: str, exclude: Box | None):
     lo = np.asarray(box.lo)
     span = np.asarray(box.hi) - lo
+    tile = min(_TILE, count)
+    # a tile's draws, then its classical points gathered once: the draws are
+    # spent by the time the gather overwrites them
+    pts_buf = np.empty(4 * tile)
     if sampler == "pseudo":
         rng = np.random.default_rng(child_ss)
-        draw = lambda k: rng.random((k, 4))
+        draw = lambda t: rng.random(out=pts_buf[:4 * t].reshape(t, 4))
     else:
         from scipy.stats import qmc
 
         sob = qmc.Sobol(d=4, scramble=True, seed=np.random.default_rng(child_ss))
 
-        def draw(k):
+        def draw(t):
             with _WARNINGS_LOCK, warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                return sob.random(k)
+                return sob.random(t)
+
+    # the rest of one tile's scratch, allocated once: its coordinates, one
+    # contiguous column each, ab, and the float and bool arrays that the
+    # classical test and the labelling work in
+    col_buf = np.empty(4 * tile)
+    ab_buf = np.empty(tile)
+    f_buf = np.empty((7, tile))
+    b_buf = np.empty((3, tile), dtype=bool)
+    # one block's classical points, labelled and weighted in draw order
+    block = min(_CHUNK, count)
+    lab_blk = np.empty(block, dtype=np.intp)
+    w_blk = np.empty(block)
 
     s1 = np.zeros(4)
     s2 = np.zeros(4)
@@ -157,28 +198,41 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     done = 0
     while done < count:
         k = min(_CHUNK, count - done)
-        # one contiguous column per coordinate; u[:, j] * span[j] + lo[j] has
-        # the bits of the row-major lo + u * span, and dropping u before
-        # labelling leaves one copy of the coordinates per chunk
-        u = draw(k)
-        cols = np.empty((4, k))
-        for j in range(4):
-            np.multiply(u[:, j], span[j], out=cols[j])
-            cols[j] += lo[j]
-        del u
-        lab = domain_labels(*cols, tol)
-        if exclude is not None:
-            lab[exclude.contains(cols.T)] = 0
-        idx = np.flatnonzero(lab)
-        lab = lab[idx]
-        a, b, c, d = np.take(cols, idx, axis=1)
-        w = regularizer_values(a, b, c, d, spec) * volume_density(a, b, c, d)
-        if not np.isfinite(w).all():
-            i = np.flatnonzero(~np.isfinite(w))[0]
-            bad = (a[i], b[i], c[i], d[i])
-            raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
+        filled = 0
+        for start in range(0, k, _TILE):
+            t = min(_TILE, k - start)
+            # u.T * span + lo has the bits of the row-major lo + u * span
+            u = draw(t)
+            cols = col_buf[:4 * t].reshape(4, t)
+            np.multiply(u.T, span[:, None], out=cols)
+            cols += lo[:, None]
+            keep, tmp, inside = b_buf[:, :t]
+            _classical_test(*cols, tol, out=keep, scratch=(f_buf[0, :t], f_buf[1, :t], tmp))
+            if exclude is not None:
+                keep &= np.logical_not(exclude.contains(cols.T, out=inside, tmp=tmp), out=inside)
+            idx = np.flatnonzero(keep)
+            n = idx.size
+            if n == 0:
+                continue
+            pts = pts_buf[:4 * n].reshape(4, n)
+            # idx is in range; "clip" skips the copy of out that "raise" makes
+            np.take(cols, idx, axis=1, out=pts, mode="clip")
+            a, b, c, d = pts
+            end = filled + n
+            _classical_labels(a, b, c, d, np.multiply(a, b, out=ab_buf[:n]), tol,
+                              out=lab_blk[filled:end], scratch=(*f_buf[:, :n], *b_buf[:, :n]))
+            w = np.multiply(regularizer_values(a, b, c, d, spec), volume_density(a, b, c, d),
+                            out=w_blk[filled:end])
+            finite = np.isfinite(w, out=b_buf[0, :n])
+            if not finite.all():
+                i = int(np.argmin(finite))
+                bad = (a[i], b[i], c[i], d[i])
+                raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
+            filled = end
+        # one bincount per block, so the block, not the tile, fixes the summation order
+        lab, w = lab_blk[:filled], w_blk[:filled]
         s1 += np.bincount(lab, weights=w, minlength=4)
-        s2 += np.bincount(lab, weights=w * w, minlength=4)
+        s2 += np.bincount(lab, weights=np.multiply(w, w, out=w), minlength=4)
         hits += np.bincount(lab, minlength=4)
         done += k
     return count, s1, s2, hits

@@ -80,9 +80,13 @@ def log1p_det_pow(det_v, m: int):
     m * log(det_v) agree to below double precision, so the latter is returned.
     """
     dv = np.asarray(det_v, dtype=float)
-    t = m * np.log(np.maximum(dv, 1e-300))
-    small = np.log1p(np.exp(np.minimum(t, _LOG1P_EXP_CROSSOVER)))
-    out = np.where(t > _LOG1P_EXP_CROSSOVER, t, small)
+    t = np.maximum(dv, 1e-300, out=np.empty(dv.shape))
+    np.log(t, out=t)
+    t *= m
+    out = np.minimum(t, _LOG1P_EXP_CROSSOVER, out=np.empty(dv.shape))
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.copyto(out, t, where=t > _LOG1P_EXP_CROSSOVER)
     if np.ndim(det_v) == 0:
         return float(out)
     return out

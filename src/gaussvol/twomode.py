@@ -108,18 +108,41 @@ def canonical_chart() -> ParamChart:
     return ParamChart(dim_modes=2, basis=(Ba, Bb, Bc, Bd), names=("a", "b", "c", "d"))
 
 
+def _float_arrays(*xs):
+    """The inputs as float arrays broadcast to one shape (views, not copies)."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    if all(x.shape == xs[0].shape for x in xs):
+        return xs
+    return np.broadcast_arrays(*xs)
+
+
 def canonical_det(a, b, c, d):
     """det V = (ab - c^2)(ab - d^2), elementwise."""
-    ab = np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
-    return (ab - np.square(np.asarray(c, dtype=float))) * (ab - np.square(np.asarray(d, dtype=float)))
+    a, b, c, d = _float_arrays(a, b, c, d)
+    ab = np.multiply(a, b, out=np.empty(a.shape))
+    det = np.square(c, out=np.empty(a.shape))
+    np.subtract(ab, det, out=det)
+    ab -= np.square(d)
+    det *= ab
+    return det[()]
 
 
 def canonical_trace_adjugate(a, b, c, d):
     """tr[adj V] = 2a^2 b + a(2b^2 - c^2 - d^2) - b(c^2 + d^2), elementwise."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    s = np.square(np.asarray(c, dtype=float)) + np.square(np.asarray(d, dtype=float))
-    return 2.0 * a * a * b + a * (2.0 * b * b - s) - b * s
+    a, b, c, d = _float_arrays(a, b, c, d)
+    s = np.square(c, out=np.empty(a.shape))
+    tmp = np.square(d, out=np.empty(a.shape))
+    s += tmp
+    tr = np.multiply(a, 2.0, out=np.empty(a.shape))
+    tr *= a
+    tr *= b
+    np.multiply(b, 2.0, out=tmp)
+    tmp *= b
+    tmp -= s
+    tmp *= a
+    tr += tmp
+    tr -= np.multiply(b, s, out=tmp)
+    return tr[()]
 
 
 def metric_components(a, b, c, d) -> np.ndarray:
@@ -206,24 +229,45 @@ def domain_bounds(p: CanonicalPoint) -> DomainBounds:
     c1 = (a / b) * (b * b - 1.0)
     c2 = (b / a) * (a * a - 1.0)
     c3 = (1.0 - a * a - b * b + a * a * b * b) / ab
-    d1, d2, delta = _d_interval(a, b, c, ab, c * c)
+    d1, d2, delta, ok = _d_interval(c, ab, c * c, a * a - 1.0, b * b - 1.0)
+    if not ok:
+        d1, d2 = math.inf, -math.inf
     return DomainBounds(c1=c1, c2=c2, c3=c3, d1=float(d1), d2=float(d2), delta=float(delta))
 
 
-def _d_interval(a, b, c, ab, c2):
-    """d-interval of the quantum domain and its discriminant Delta, elementwise.
+def _d_interval(c, ab, c2, am1, bm1, out=None):
+    """d-interval [d1, d2] of the quantum domain and its discriminant Delta, elementwise.
 
-    Takes ab = a*b and c2 = c*c precomputed; the interval is empty, encoded as
-    (inf, -inf), unless Delta >= 0 and ab - c^2 > 0.
+    Takes ab = a*b, c2 = c*c, am1 = a*a - 1 and bm1 = b*b - 1 precomputed and
+    returns (d1, d2, delta, ok).  The interval exists only where ``ok``, that
+    is where Delta >= 0 and ab - c^2 > 0; elsewhere d1 and d2 carry no
+    meaning.  ``out`` is four float arrays and two bool arrays of c's shape
+    for denom = ab - c^2, delta, d1, d2, ok and scratch, allocated when
+    omitted; d2 may be the array that holds c2, which is read before d2 is
+    written.
     """
-    denom = ab - c2
-    delta = c2 - denom * (ab * c * c - (a * a - 1.0) * (b * b - 1.0))
-    ok = (delta >= 0.0) & (denom > 0.0)
-    root = np.sqrt(np.where(ok, delta, 0.0))
+    if out is None:
+        shape = np.shape(c)
+        out = (*(np.empty(shape) for _ in range(4)), *(np.empty(shape, dtype=bool) for _ in range(2)))
+    denom, delta, d1, d2, ok, tmp = out
+    np.subtract(ab, c2, out=denom)
+    # delta = c2 - denom * (ab c c - am1 bm1)
+    np.multiply(ab, c, out=delta)
+    delta *= c
+    delta -= np.multiply(am1, bm1, out=d1)
+    delta *= denom
+    np.subtract(c2, delta, out=delta)
+    np.greater_equal(delta, 0.0, out=ok)
+    ok &= np.greater(denom, 0.0, out=tmp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = np.where(ok, (-c - root) / denom, np.inf)
-        d2 = np.where(ok, (-c + root) / denom, -np.inf)
-    return d1, d2, delta
+        root = np.sqrt(delta, out=d2)
+        # d1 = (-c - root) / denom, d2 = (-c + root) / denom = (root - c) / denom
+        np.negative(c, out=d1)
+        d1 -= root
+        np.subtract(root, c, out=d2)
+        d1 /= denom
+        d2 /= denom
+    return d1, d2, delta, ok
 
 
 # The labels of domain_labels that make up each domain.
@@ -235,45 +279,108 @@ DOMAIN_LABELS = {
 }
 
 
+def _classical_test(a, b, c, d, tol, out=None, scratch=None):
+    """The classical test of :func:`domain_labels` on 1-d float arrays.
+
+    a, b > -tol and |c|, |d| < sqrt(ab) + tol.  ``out`` receives the bool
+    mask; ``scratch`` is two float arrays and one bool array of a's length, so
+    that a caller running it tile after tile allocates nothing.
+    """
+    if scratch is None:
+        scratch = (np.empty(a.shape), np.empty(a.shape), np.empty(a.shape, dtype=bool))
+    sab, abs_x, tmp = scratch
+    np.multiply(a, b, out=sab)
+    np.maximum(sab, 0.0, out=sab)
+    np.sqrt(sab, out=sab)
+    sab += tol
+    out = np.greater(np.minimum(a, b, out=abs_x), -tol, out=out)
+    for x in (c, d):
+        out &= np.less(np.abs(x, out=abs_x), sab, out=tmp)
+    return out
+
+
+def _classical_labels(a, b, c, d, ab, tol, out=None, scratch=None):
+    """Labels 1-3 of classical points (see :func:`domain_labels`), given ab = a*b.
+
+    The quantum and separability bounds can hold only where a, b > 1 - tol.
+    They are evaluated at every point and masked there, so a caller that has
+    gathered its classical points once needs no second gather.  ``out``
+    receives the labels (uint8 when omitted); ``scratch`` is seven float
+    arrays and three bool arrays of a's length, allocated when omitted, so
+    that a caller running it tile after tile allocates nothing.
+    """
+    if scratch is None:
+        scratch = (*(np.empty(a.shape) for _ in range(7)),
+                   *(np.empty(a.shape, dtype=bool) for _ in range(3)))
+    f0, f1, f2, f3, f4, f5, f6, quantum, m1, m2 = scratch
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        am1 = np.multiply(a, a, out=f0)
+        am1 -= 1.0
+        b2 = np.multiply(b, b, out=f1)
+        bm1 = np.subtract(b2, 1.0, out=f2)
+        d1, d2, _, _ = _d_interval(c, ab, np.multiply(c, c, out=f3), am1, bm1,
+                                   out=(f4, f5, f6, f3, quantum, m1))
+        # c3 = (1 - a^2 - b^2 + (ab)^2) / ab, and 1 - a^2 - b^2 = -(am1 + b^2) exactly
+        b2 += am1
+        # branch by mode ordering; at a = b the two c-bounds coincide
+        cbound = np.divide(a, b, out=f4)
+        cbound *= bm1
+        np.copyto(cbound, np.multiply(np.divide(b, a, out=f5), am1, out=f5),
+                  where=np.logical_not(np.less_equal(b, a, out=m1), out=m1))
+        np.maximum(cbound, 0.0, out=cbound)
+        np.sqrt(cbound, out=cbound)
+        cbound += tol
+        abs_c = np.abs(c, out=f5)
+        quantum &= np.less(abs_c, cbound, out=m1)
+        c3 = np.multiply(ab, ab, out=f4)
+        c3 -= b2
+        c3 /= ab
+        np.maximum(c3, 0.0, out=c3)
+        np.sqrt(c3, out=c3)
+        c3 += tol
+        ppt = np.less(abs_c, c3, out=m1)
+    quantum &= np.greater(np.minimum(a, b, out=f4), 1.0 - tol, out=m2)
+    # separability: d in [d1, -d1] where c <= 0 and in [-d2, d2] where c > 0,
+    # that is |d| <= hi with hi = -d1 or d2.  At c = 0 the two intervals
+    # coincide, which covers that slice by closure.
+    hi = np.negative(d1, out=f4)
+    np.copyto(hi, d2, where=np.logical_not(np.less_equal(c, 0.0, out=m2), out=m2))
+    d1 -= tol
+    quantum &= np.greater_equal(d, d1, out=m2)
+    d2 += tol
+    quantum &= np.less_equal(d, d2, out=m2)
+    hi += tol
+    ppt &= np.less_equal(np.abs(d, out=f5), hi, out=m2)
+    if out is None:
+        out = np.add(quantum, 1, dtype=np.uint8)
+    else:
+        np.add(quantum, 1, out=out)
+    out += np.greater(quantum, ppt, out=m2)  # quantum and not PPT
+    return out
+
+
 def domain_labels(a, b, c, d, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Label each standard-form point with the innermost domain holding it, elementwise.
 
     Returns uint8 labels: 0 outside the classical domain, 1 classical but not
     quantum, 2 separable, 3 entangled.  The domains are nested, so a label
-    determines every membership (see ``DOMAIN_LABELS``).  ``tol`` slackens
-    every inequality outward, so boundaries count as inside; a negative
-    ``tol`` shrinks the domains instead, which is how boundary bands are
-    detected.
+    determines every membership (see ``DOMAIN_LABELS``).  ``tol`` moves the
+    classical test, the a, b > 1 thresholds, the c-bounds and the ends of the
+    d-intervals outward, so those boundaries count as inside; a negative
+    ``tol`` shrinks them instead, which is how boundary bands are detected.
+    The d-interval exists only where Delta >= 0 and ab - c^2 > 0, and these
+    two conditions are not slackened: a point with Delta slightly below 0 is
+    labelled classical only even when it lies within ``tol`` of a quantum
+    point.
     """
     a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, d)))
     shape = a.shape
     a, b, c, d = (x.ravel() for x in (a, b, c, d))
-    ab = a * b
-    sab = np.sqrt(np.maximum(ab, 0.0))
-    classical = (a > -tol) & (b > -tol) & (np.abs(c) < sab + tol) & (np.abs(d) < sab + tol)
+    classical = _classical_test(a, b, c, d, tol)
     lab = classical.astype(np.uint8)
-
-    # the quantum and separability bounds are evaluated only where they can hold
-    idx = np.flatnonzero(classical & (a > 1.0 - tol) & (b > 1.0 - tol))
-    a, b, c, d, ab = a[idx], b[idx], c[idx], d[idx], ab[idx]
-    a2 = a * a
-    b2 = b * b
-    abs_c = np.abs(c)
-    d1, d2, _ = _d_interval(a, b, c, ab, c * c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # branch by mode ordering; at a = b the two c-bounds coincide
-        cbound_sq = np.where(b <= a, (a / b) * (b2 - 1.0), (b / a) * (a2 - 1.0))
-        quantum = abs_c < np.sqrt(np.maximum(cbound_sq, 0.0)) + tol
-        c3 = (1.0 - a2 - b2 + ab * ab) / ab
-        ppt = abs_c < np.sqrt(np.maximum(c3, 0.0)) + tol
-    quantum &= (d >= d1 - tol) & (d <= d2 + tol)
-    # separability: c <= 0 branch d in [d1, -d1]; c > 0 branch d in [-d2, d2].
-    # At c = 0 the two intervals coincide, which covers that slice by closure.
-    neg = c <= 0.0
-    lo = np.where(neg, d1, -d2)
-    hi = np.where(neg, -d1, d2)
-    ppt &= (d >= lo - tol) & (d <= hi + tol)
-    lab[idx] += quantum.astype(np.uint8) + (quantum & ~ppt)
+    idx = np.flatnonzero(classical)
+    a, b, c, d = a[idx], b[idx], c[idx], d[idx]
+    lab[idx] = _classical_labels(a, b, c, d, a * b, tol)
     return lab.reshape(shape)
 
 
@@ -297,17 +404,28 @@ def volume_density(a, b, c, d) -> np.ndarray:
     density is 0 off the classical domain, that is wherever a <= 0, pc <= 0
     or pd <= 0, and wherever the numerator is <= 0.
     """
-    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
-    ab = a * b
-    c2 = c * c
-    d2 = d * d
-    pc = ab - c2
-    pd_ = ab - d2
-    num = (pc + pd_) * (2.0 * ab + c2 + d2)
-    ok = (a > 0.0) & (pc > 0.0) & (pd_ > 0.0) & (num > 0.0)
+    a, b, c, d = _float_arrays(a, b, c, d)
+    ab = np.multiply(a, b, out=np.empty(a.shape))
+    pc = np.square(c, out=np.empty(a.shape))
+    pd_ = np.square(d, out=np.empty(a.shape))
+    num = np.multiply(ab, 2.0, out=np.empty(a.shape))
+    num += pc
+    num += pd_
+    np.subtract(ab, pc, out=pc)
+    np.subtract(ab, pd_, out=pd_)
+    num *= np.add(pc, pd_, out=ab)
+    ok = np.greater(a, 0.0, out=np.empty(a.shape, dtype=bool))
+    tmp = np.empty(a.shape, dtype=bool)
+    for x in (pc, pd_, num):
+        ok &= np.greater(x, 0.0, out=tmp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p = pc * pd_
-        return np.where(ok, np.sqrt(num) / (2.0 * p * np.sqrt(p)), 0.0)
+        p = np.multiply(pc, pd_, out=pc)
+        den = np.multiply(p, 2.0, out=pd_)
+        den *= np.sqrt(p, out=p)
+        dens = np.sqrt(num, out=num)
+        dens /= den
+    np.copyto(dens, 0.0, where=np.logical_not(ok, out=ok))
+    return dens
 
 
 def in_domain(p: CanonicalPoint, tag: DomainTag, tol: float = DEFAULT_TOL) -> bool:

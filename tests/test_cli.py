@@ -89,6 +89,17 @@ def test_classify_parse_error_position(tmp_path, capsys):
     assert "(line 2, column 3)" in err
 
 
+def test_classify_parse_error_column_of_repeated_token(tmp_path, capsys):
+    # "e5" also occurs inside "1e5"; the column is that of the bad token itself
+    path = tmp_path / "junk.txt"
+    path.write_text("0 0 1e5 e5\n", encoding="utf-8")
+    assert main(["classify", str(path)]) == 2
+    assert "(line 1, column 9)" in capsys.readouterr().err
+    with pytest.raises(MatrixParseError) as err:
+        parse_matrix_file(str(path))
+    assert (err.value.line, err.value.column) == (1, 9)
+
+
 def test_classify_ragged_rows(tmp_path, capsys):
     path = tmp_path / "ragged.txt"
     path.write_text("1 0\n0 1 2\n", encoding="utf-8")

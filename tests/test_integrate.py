@@ -1,7 +1,9 @@
 """Monte Carlo volume machinery: boxes, joint estimates, sweeps."""
 
+import itertools
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,8 +22,8 @@ from gaussvol.integrate import (
     sweep,
     upsilon_box,
 )
-from gaussvol.regularizers import RegularizerSpec, phi, upsilon
-from gaussvol.twomode import CanonicalPoint, DomainTag, canonical_embed
+from gaussvol.regularizers import RegKind, RegularizerSpec, phi, upsilon
+from gaussvol.twomode import CanonicalPoint, DomainTag, canonical_embed, domain_labels
 
 from conftest import sample_canonical
 
@@ -323,6 +325,161 @@ def test_non_finite_weight_raises(monkeypatch):
     spec = RegularizerSpec.energy(6.0)
     with pytest.raises(NumericError, match="non-finite"):
         mc_joint_volumes(phi_box(6.0), spec, 20_000, seed=3)
+
+
+def test_first_bad_point_named_across_tiles(monkeypatch):
+    real, calls = integrate.regularizer_values, []
+
+    def nan_after_first_tile(a, b, c, d, spec):
+        calls.append(len(a))
+        vals = real(a, b, c, d, spec)
+        return vals if len(calls) == 1 else np.full_like(vals, np.nan)
+
+    monkeypatch.setattr(integrate, "regularizer_values", nan_after_first_tile)
+    box, spec, tile = phi_box(8.0), RegularizerSpec.energy(8.0), integrate._TILE
+    ss = np.random.SeedSequence(8)
+    with pytest.raises(NumericError) as err:
+        integrate._stream_partial(ss, 3 * tile, box, spec, 1e-9, "pseudo", None)
+    assert len(calls) == 2
+    # the first classical point of the second tile, in draw order
+    u = np.random.default_rng(ss).random((3 * tile, 4))
+    pts = np.asarray(box.lo) + u * (np.asarray(box.hi) - np.asarray(box.lo))
+    first = tile + np.flatnonzero(domain_labels(*pts[tile:].T, 1e-9))[0]
+    assert str(err.value) == f"non-finite integrand weight at (a, b, c, d) = {tuple(pts[first])}"
+
+
+def _reference_labels(a, b, c, d, tol):
+    """domain_labels as it was before the tiled kernel, without its helpers."""
+    ab = a * b
+    sab = np.sqrt(np.maximum(ab, 0.0))
+    classical = (a > -tol) & (b > -tol) & (np.abs(c) < sab + tol) & (np.abs(d) < sab + tol)
+    lab = classical.astype(np.uint8)
+    idx = np.flatnonzero(classical & (a > 1.0 - tol) & (b > 1.0 - tol))
+    a, b, c, d, ab = a[idx], b[idx], c[idx], d[idx], ab[idx]
+    a2, b2, c2 = a * a, b * b, c * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = ab - c2
+        delta = c2 - denom * (ab * c * c - (a * a - 1.0) * (b * b - 1.0))
+        ok = (delta >= 0.0) & (denom > 0.0)
+        root = np.sqrt(np.where(ok, delta, 0.0))
+        d1 = np.where(ok, (-c - root) / denom, np.inf)
+        d2 = np.where(ok, (-c + root) / denom, -np.inf)
+        cbound_sq = np.where(b <= a, (a / b) * (b2 - 1.0), (b / a) * (a2 - 1.0))
+        quantum = np.abs(c) < np.sqrt(np.maximum(cbound_sq, 0.0)) + tol
+        c3 = (1.0 - a2 - b2 + ab * ab) / ab
+        ppt = np.abs(c) < np.sqrt(np.maximum(c3, 0.0)) + tol
+    quantum &= (d >= d1 - tol) & (d <= d2 + tol)
+    neg = c <= 0.0
+    ppt &= (d >= np.where(neg, d1, -d2) - tol) & (d <= np.where(neg, -d1, d2) + tol)
+    lab[idx] += quantum.astype(np.uint8) + (quantum & ~ppt)
+    return lab
+
+
+def _reference_weights(a, b, c, d, spec):
+    """regularizer_values * volume_density as they were before the tiled kernel."""
+    ab = a * b
+    c2, d2 = np.square(c), np.square(d)
+    t = spec.m * np.log(np.maximum(np.maximum((ab - c2) * (ab - d2), 1e-300), 1e-300))
+    base = np.where(t > 700.0, t, np.log1p(np.exp(np.minimum(t, 700.0))))
+    if spec.kind is RegKind.ENERGY_PHI:
+        reg = np.where(2.0 * (a + b) <= spec.bound_E, base, 0.0)
+    else:
+        s = c2 + d2
+        tr = 2.0 * a * a * b + a * (2.0 * b * b - s) - b * s
+        reg = np.exp(np.minimum(-tr / spec.kappa, 700.0)) * base
+    pc, pd = ab - c2, ab - d2
+    num = (pc + pd) * (2.0 * ab + c2 + d2)
+    ok = (a > 0.0) & (pc > 0.0) & (pd > 0.0) & (num > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = pc * pd
+        dens = np.where(ok, np.sqrt(num) / (2.0 * p * np.sqrt(p)), 0.0)
+    return reg * dens
+
+
+def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude):
+    """The untiled kernel: one draw, one labelling and one bincount per _CHUNK points."""
+    lo = np.asarray(box.lo)
+    span = np.asarray(box.hi) - lo
+    if sampler == "pseudo":
+        rng = np.random.default_rng(child_ss)
+        draw = lambda k: rng.random((k, 4))
+    else:
+        from scipy.stats import qmc
+
+        sob = qmc.Sobol(d=4, scramble=True, seed=np.random.default_rng(child_ss))
+
+        def draw(k):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                return sob.random(k)
+
+    s1, s2, hits = np.zeros(4), np.zeros(4), np.zeros(4, dtype=np.int64)
+    done = 0
+    while done < count:
+        k = min(integrate._CHUNK, count - done)
+        u = draw(k)
+        cols = np.empty((4, k))
+        for j in range(4):
+            np.multiply(u[:, j], span[j], out=cols[j])
+            cols[j] += lo[j]
+        lab = _reference_labels(*cols, tol)
+        if exclude is not None:
+            lab[exclude.contains(cols.T)] = 0
+        idx = np.flatnonzero(lab)
+        lab = lab[idx]
+        w = _reference_weights(*np.take(cols, idx, axis=1), spec)
+        s1 += np.bincount(lab, weights=w, minlength=4)
+        s2 += np.bincount(lab, weights=w * w, minlength=4)
+        hits += np.bincount(lab, minlength=4)
+        done += k
+    return count, s1, s2, hits
+
+
+_ORACLE_TOLS = (1e-9, 0.0, -1e-6, 1e-3)
+_ORACLE_COUNTS = (1, integrate._TILE - 1, integrate._TILE + 1,
+                  integrate._CHUNK + integrate._TILE + 3)
+# every count meets every (sampler, regularizer, exclude) triple, and every
+# tolerance twice; the tolerance rotates with the count
+_ORACLE_CASES = [
+    (count, sampler, reg, excl, _ORACLE_TOLS[(i + ci) % 4])
+    for ci, count in enumerate(_ORACLE_COUNTS)
+    for i, (sampler, reg, excl) in enumerate(
+        itertools.product(("pseudo", "qmc"), ("E", "kappa"), (False, True)))
+]
+
+
+@pytest.mark.parametrize("count,sampler,reg,excl,tol", _ORACLE_CASES)
+def test_tiled_kernel_matches_untiled_reference(count, sampler, reg, excl, tol):
+    spec = RegularizerSpec.energy(8.0) if reg == "E" else RegularizerSpec.adjugate(2.0)
+    if excl:
+        # an inner box on a 2L shell, as the support-box probe uses
+        box, exclude = integrate._sym_box(8.0), integrate._sym_box(4.0)
+    else:
+        box = phi_box(8.0) if reg == "E" else integrate._sym_box(8.0)
+        exclude = None
+    # a fresh SeedSequence for each kernel: scipy's Sobol spawns from the one it is given
+    seed = [count, len(sampler), len(reg), int(excl)]
+    got = integrate._stream_partial(np.random.SeedSequence(seed), count, box, spec, tol,
+                                    sampler, exclude)
+    want = _reference_stream_partial(np.random.SeedSequence(seed), count, box, spec, tol,
+                                     sampler, exclude)
+    assert got[0] == want[0] == count
+    for g, w in zip(got[1:], want[1:]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_stream_partial_traced_peak_is_small():
+    # the scratch is a few tiles plus one block; before the tiled kernel one
+    # stream of 1M samples peaked at 36.6 MiB
+    args = (phi_box(8.0), RegularizerSpec.energy(8.0), 1e-9, "pseudo", None)
+    integrate._stream_partial(np.random.SeedSequence(0), 1_000_000, *args)
+    tracemalloc.start()
+    try:
+        integrate._stream_partial(np.random.SeedSequence(1), 1_000_000, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_exclude_removes_everything():
