@@ -5,11 +5,14 @@ The integrand over the standard-form chart (a, b, c, d) is
     1_domain(p) * weight(V(p)) * sqrt(det g(p)),
 
 sampled uniformly over an axis-aligned box that contains the support of the
-weighted domain.  One labelling pass gives each sample the innermost domain
-holding it (outside, classical only, separable or entangled), and the weights
-use the closed-form sqrt(det g).  Weighted sums are kept per label, and every
-domain is a fixed set of labels, so nested domains are ordered exactly and
-the entangled volume comes from the same run as the others.
+weighted domain.  Each tile of draws is first filtered: points outside the
+classical domain, inside an ``exclude`` box or, for the energy cutoff, with
+tr V > E are dropped, since none of them carries weight.  One labelling
+pass gives each kept point the innermost domain holding it (classical only,
+separable or entangled), and the weights use the closed-form sqrt(det g).
+Weighted sums and hits are kept per label, and every domain is a fixed set of
+labels, so nested domains are ordered exactly and the entangled volume comes
+from the same run as the others.
 
 Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from the children of the seed's SeedSequence, partial sums are
@@ -133,6 +136,18 @@ def _sym_box(L: float) -> Box:
     return Box(lo=(0.0, 0.0, -L, -L), hi=(L, L, L, L))
 
 
+def _in_energy_support(a, b, bound_E: float, out=None, tmp=None) -> np.ndarray:
+    """The energy cutoff's closed Heaviside on the chart: tr V = 2(a + b) <= E.
+
+    The weight and the stream kernel's support filter both use this one float
+    test, so the points the kernel drops are exactly those whose weight is 0.
+    ``out`` (bool) and ``tmp`` (float) are optional scratch of a's shape.
+    """
+    e = np.add(a, b, out=tmp)
+    e *= 2.0
+    return np.less_equal(e, bound_E, out=out)
+
+
 def regularizer_values(a, b, c, d, spec: RegularizerSpec) -> np.ndarray:
     """Vectorized regularizer weight at standard-form points.
 
@@ -146,9 +161,8 @@ def regularizer_values(a, b, c, d, spec: RegularizerSpec) -> np.ndarray:
     np.maximum(detv, 1e-300, out=detv)
     base = np.asarray(log1p_det_pow(detv, spec.m))
     if spec.kind is RegKind.ENERGY_PHI:
-        energy = np.add(a, b)
-        energy *= 2.0
-        np.copyto(base, 0.0, where=~(energy <= spec.bound_E))
+        inside = _in_energy_support(a, b, spec.bound_E)
+        np.copyto(base, 0.0, where=np.logical_not(inside, out=inside))
         return base
     damp = np.asarray(canonical_trace_adjugate(a, b, c, d))
     np.negative(damp, out=damp)
@@ -192,6 +206,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     lab_blk = np.empty(block, dtype=np.intp)
     w_blk = np.empty(block)
 
+    energy = spec.kind is RegKind.ENERGY_PHI
     s1 = np.zeros(4)
     s2 = np.zeros(4)
     hits = np.zeros(4, dtype=np.int64)
@@ -210,6 +225,10 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
             _classical_test(*cols, tol, out=keep, scratch=(f_buf[0, :t], f_buf[1, :t], tmp))
             if exclude is not None:
                 keep &= np.logical_not(exclude.contains(cols.T, out=inside, tmp=tmp), out=inside)
+            if energy:
+                # a point outside the cutoff would add only +0.0 to s1 and s2
+                keep &= _in_energy_support(cols[0], cols[1], spec.bound_E, out=inside,
+                                           tmp=f_buf[0, :t])
             idx = np.flatnonzero(keep)
             n = idx.size
             if n == 0:
@@ -240,7 +259,13 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """One domain's volume estimate with its sampling error."""
+    """One domain's volume estimate with its sampling error.
+
+    ``acceptance_fraction`` is the share of the ``n_samples`` draws that lie
+    in the domain and inside the regularizer's support (tr V <= E for the
+    energy cutoff; the adjugate damping has unbounded support), that is the
+    share that carries weight; ``empty_domain`` is true when none does.
+    """
 
     estimate: float
     std_error: float
@@ -261,6 +286,8 @@ class JointVolumes:
     Because every domain is evaluated on the same weighted samples, nested
     domains are ordered exactly, differences of estimates carry honest errors,
     and delta-method ratio errors include the correlation with the denominator.
+    The per-label hits count the samples in the domain and inside the
+    regularizer's support, outside any ``exclude`` box.
     """
 
     def __init__(self, box: Box, spec: RegularizerSpec, n_samples: int, seed_label, streams: int,

@@ -234,6 +234,18 @@ def test_volume_quantum_empty_at_small_energy(capsys):
     assert fields[8] == "1"
 
 
+def test_volume_entangled_empty_just_above_threshold(capsys):
+    # entangled points lie in phi_box(4.05) but none inside tr V <= 4.05, so
+    # the run must report an empty domain, not the share that passed the box
+    code = main(["volume", "--set", "entangled", "--E", "4.05", "--samples", "100000",
+                 "--seed", "3"])
+    assert code == 0
+    fields = capsys.readouterr().out.splitlines()[2].split(",")
+    assert float(fields[5]) == 0.0
+    assert float(fields[7]) == 0.0
+    assert fields[8] == "1"
+
+
 def test_volume_adjugate_kind(capsys):
     code = main(["volume", "--kappa", "1", "--samples", "20000", "--seed", "9"])
     assert code == 0

@@ -79,6 +79,20 @@ def test_regularizer_values_match_matrix_forms():
             assert vals[k] == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
 
+def test_energy_support_boundary_is_closed():
+    # the kernel's support filter and the weight's Heaviside share one test:
+    # 2(a + b) == E is inside, the next float above E is outside
+    E = 8.0
+    above = np.nextafter(E, math.inf)
+    a = np.array([2.0, 2.0])
+    b = np.array([2.0, above / 2.0 - 2.0])
+    assert 2.0 * (a[0] + b[0]) == E and 2.0 * (a[1] + b[1]) == above
+    zeros = np.zeros(2)
+    assert list(integrate._in_energy_support(a, b, E)) == [True, False]
+    vals = regularizer_values(a, b, zeros, zeros, RegularizerSpec.energy(E))
+    assert vals[0] > 0.0 and vals[1] == 0.0
+
+
 def test_upsilon_box_small_kappa():
     box = upsilon_box(1.0, n_probe=20_000)
     # kappa = 1 needs one doubling of the initial L = 4
@@ -320,6 +334,17 @@ def test_empty_domain_flagged():
     assert jv.ratio(DomainTag.QUANTUM) == (0.0, 0.0)
 
 
+def test_entangled_empty_just_above_threshold():
+    # phi_box(4.05) holds entangled points, but none with tr V <= 4.05 at this
+    # seed: the result is empty, and acceptance counts only weighted samples
+    spec = RegularizerSpec.energy(4.05)
+    jv = mc_joint_volumes(phi_box(4.05), spec, 100_000, seed=3)
+    e = jv.result(DomainTag.ENTANGLED)
+    assert e.estimate == 0.0
+    assert e.acceptance_fraction == 0.0
+    assert e.empty_domain
+
+
 def test_non_finite_weight_raises(monkeypatch):
     monkeypatch.setattr(integrate, "regularizer_values", lambda a, *rest: np.full(np.shape(a), np.nan))
     spec = RegularizerSpec.energy(6.0)
@@ -341,10 +366,12 @@ def test_first_bad_point_named_across_tiles(monkeypatch):
     with pytest.raises(NumericError) as err:
         integrate._stream_partial(ss, 3 * tile, box, spec, 1e-9, "pseudo", None)
     assert len(calls) == 2
-    # the first classical point of the second tile, in draw order
+    # the first classical point of the second tile inside the cutoff, in draw order
     u = np.random.default_rng(ss).random((3 * tile, 4))
     pts = np.asarray(box.lo) + u * (np.asarray(box.hi) - np.asarray(box.lo))
-    first = tile + np.flatnonzero(domain_labels(*pts[tile:].T, 1e-9))[0]
+    a, b, c, d = pts[tile:].T
+    weighted = (domain_labels(a, b, c, d, 1e-9) > 0) & (2.0 * (a + b) <= spec.bound_E)
+    first = tile + np.flatnonzero(weighted)[0]
     assert str(err.value) == f"non-finite integrand weight at (a, b, c, d) = {tuple(pts[first])}"
 
 
@@ -397,7 +424,12 @@ def _reference_weights(a, b, c, d, spec):
 
 
 def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude):
-    """The untiled kernel: one draw, one labelling and one bincount per _CHUNK points."""
+    """The untiled kernel: one draw, one labelling and one bincount per _CHUNK points.
+
+    It weights every classical point, so the kernel's sums must show that
+    dropping the points outside the energy cutoff changes no bits; only hits
+    leave those points out, as they leave out excluded points.
+    """
     lo = np.asarray(box.lo)
     span = np.asarray(box.hi) - lo
     if sampler == "pseudo":
@@ -427,9 +459,12 @@ def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude)
             lab[exclude.contains(cols.T)] = 0
         idx = np.flatnonzero(lab)
         lab = lab[idx]
-        w = _reference_weights(*np.take(cols, idx, axis=1), spec)
+        a, b, c, d = np.take(cols, idx, axis=1)
+        w = _reference_weights(a, b, c, d, spec)
         s1 += np.bincount(lab, weights=w, minlength=4)
         s2 += np.bincount(lab, weights=w * w, minlength=4)
+        if spec.kind is RegKind.ENERGY_PHI:
+            lab = lab[2.0 * (a + b) <= spec.bound_E]
         hits += np.bincount(lab, minlength=4)
         done += k
     return count, s1, s2, hits
@@ -445,17 +480,26 @@ _ORACLE_CASES = [
     for ci, count in enumerate(_ORACLE_COUNTS)
     for i, (sampler, reg, excl) in enumerate(
         itertools.product(("pseudo", "qmc"), ("E", "kappa"), (False, True)))
+] + [
+    # near E = 4 the cutoff a + b <= E/2 cuts through the quantum labels: at
+    # E = 4.5 some tens of separable and entangled points of such a run lie
+    # inside it and tens of thousands outside
+    (integrate._CHUNK + integrate._TILE + 3, sampler, "E4.5", False, tol)
+    for sampler, tol in (("pseudo", 1e-9), ("qmc", 1e-3))
 ]
 
 
 @pytest.mark.parametrize("count,sampler,reg,excl,tol", _ORACLE_CASES)
 def test_tiled_kernel_matches_untiled_reference(count, sampler, reg, excl, tol):
-    spec = RegularizerSpec.energy(8.0) if reg == "E" else RegularizerSpec.adjugate(2.0)
+    if reg == "kappa":
+        spec = RegularizerSpec.adjugate(2.0)
+    else:
+        spec = RegularizerSpec.energy(8.0 if reg == "E" else float(reg[1:]))
     if excl:
         # an inner box on a 2L shell, as the support-box probe uses
         box, exclude = integrate._sym_box(8.0), integrate._sym_box(4.0)
     else:
-        box = phi_box(8.0) if reg == "E" else integrate._sym_box(8.0)
+        box = integrate._sym_box(8.0) if reg == "kappa" else phi_box(spec.bound_E)
         exclude = None
     # a fresh SeedSequence for each kernel: scipy's Sobol spawns from the one it is given
     seed = [count, len(sampler), len(reg), int(excl)]
