@@ -5,28 +5,31 @@ The integrand over the standard-form chart (a, b, c, d) is
     1_domain(p) * weight(V(p)) * sqrt(det g(p)),
 
 sampled uniformly over an axis-aligned box that contains the support of the
-weighted domain.  Each tile of draws is first filtered: points outside the
-classical domain, inside an ``exclude`` box or, for the energy cutoff, with
-tr V > E are dropped, since none of them carries weight.  One labelling
-pass gives each kept point the innermost domain holding it (classical only,
-separable or entangled), and the weights use the closed-form sqrt(det g).
-Weighted sums and hits are kept per label, and every domain is a fixed set of
-labels, so nested domains are ordered exactly and the entangled volume comes
-from the same run as the others.
+weighted domain.  A pass scores a set of domains in three stages per tile of
+draws.  Every sample draws a and b and must pass min(a, b) > -tol and, for
+the energy cutoff, tr V <= E.  Only the survivors draw c and d and must pass
+|c|, |d| < sqrt(ab) + tol and miss any ``exclude`` box.  One labelling pass
+then gives each kept point the innermost domain holding it (classical only,
+separable or entangled), and only points with a scored label are weighted,
+with the closed-form sqrt(det g).  Weighted sums and hits are kept per label
+and every domain is a fixed set of labels, so nested domains are ordered
+exactly.  The draws do not depend on the scored domains, so a pass scoring
+one domain gives it the bits of a pass scoring all four.
 
 Determinism: the sample budget is split by index into ``streams`` substreams
-seeded from the children of the seed's SeedSequence, partial sums are
-combined by a fixed-order pairwise reduction, and the chunk size is a fixed
-constant; results are bit-identical for a fixed (seed, streams, n_samples).
-Each stream draws, labels and weights its points in tiles of ``_TILE``
-points on scratch buffers it allocates once, and sums them with one
-``bincount`` per block of ``_CHUNK`` points in draw order.  So ``_CHUNK``
-sets the summation order and the bits, and the tile size sets only the
-speed.
+seeded from the children of the seed's SeedSequence, and partial sums are
+combined by a fixed-order pairwise reduction; results are bit-identical for
+a fixed (seed, streams, n_samples).  A stream works in tiles of ``_TILE``
+points on scratch it allocates once and sums each block of ``_CHUNK``
+points with one ``bincount`` in draw order.  A pseudo stream is consumed
+per tile as a(t) and b(t), then c(k) and d(k) for the k stage-1 survivors,
+so both constants fix its bits.  qmc draws 4-d Sobol points, so its points
+do not depend on ``_TILE``; but a ``upsilon_box`` support box is probed with
+the pseudo sampler, so on a probed box both constants fix qmc bits too.
 The substreams of one pass, or of several passes that do not depend on each
 other (the inner box and outer shell of a support-box probe), run as one task
-list on at most one thread per usable core, so the core count sets the speed
-but never the bits.
+list on at most one thread per usable core, from a pool kept between passes,
+so the core count sets the speed but never the bits.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ from .twomode import (
     canonical_det,
     canonical_trace_adjugate,
     volume_density,
+    _ab_above,
+    _cd_inside,
     _classical_labels,
-    _classical_test,
 )
 # unused here, but perfbench/tracing.py wraps these two attributes of this module
 from .twomode import domain_mask, metric_components  # noqa: F401
@@ -72,8 +76,8 @@ __all__ = [
 
 DOMAIN_ORDER = (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE, DomainTag.ENTANGLED)
 
-# _CHUNK is the reduction block and fixes the summation order, hence the bits;
-# _TILE is the elementwise working set and sets only the speed
+# _CHUNK is the reduction block and fixes the summation order; _TILE is the
+# elementwise working set and, with _CHUNK, fixes the pseudo stream's layout
 _CHUNK = 1 << 18
 _TILE = 1 << 16
 _PROBE_SEED = 0x426F78  # fixed probe seed: the box depends only on its inputs
@@ -81,6 +85,8 @@ _SAMPLERS = ("pseudo", "qmc")
 # warnings.catch_warnings swaps the process-wide filter list, so two pool
 # threads inside it at once can leave one thread's filter installed for good
 _WARNINGS_LOCK = threading.Lock()
+_POOL_LOCK = threading.Lock()
+_pool = None  # ((pid, cores), ThreadPoolExecutor) of _stream_pool
 
 
 @dataclass(frozen=True)
@@ -173,35 +179,46 @@ def regularizer_values(a, b, c, d, spec: RegularizerSpec) -> np.ndarray:
     return damp
 
 
+def _take(keep, cols, buf, rows=4):
+    """The first ``rows`` rows of ``cols`` at the columns where ``keep``, in draw order.
+
+    They fill the leading rows of a (4, n) view of the flat scratch ``buf``,
+    which is returned with the kept indices; when ``keep`` drops nothing,
+    ``cols`` itself and None are returned and nothing is copied.
+    """
+    n = int(np.count_nonzero(keep))
+    if n == keep.size:
+        return cols, None
+    idx = np.flatnonzero(keep)
+    out = buf[:4 * n].reshape(4, n)
+    # idx is in range; "clip" skips the copy of out that "raise" makes
+    np.take(cols[:rows], idx, axis=1, out=out[:rows], mode="clip")
+    return out, idx
+
+
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
-                    sampler: str, exclude: Box | None):
-    lo = np.asarray(box.lo)
-    span = np.asarray(box.hi) - lo
+                    sampler: str, exclude: Box | None, labels: tuple):
+    lo = np.asarray(box.lo)[:, None]
+    span = np.asarray(box.hi)[:, None] - lo
     tile = min(_TILE, count)
-    # a tile's draws, then its classical points gathered once: the draws are
-    # spent by the time the gather overwrites them
-    pts_buf = np.empty(4 * tile)
+    # a tile's points live in one of two flat buffers of four columns; each
+    # stage gathers its survivors into the other one
+    bufs = (np.empty(4 * tile), np.empty(4 * tile))
+    other = lambda pts: bufs[np.may_share_memory(pts, bufs[0])]
     if sampler == "pseudo":
         rng = np.random.default_rng(child_ss)
-        draw = lambda t: rng.random(out=pts_buf[:4 * t].reshape(t, 4))
     else:
         from scipy.stats import qmc
 
         sob = qmc.Sobol(d=4, scramble=True, seed=np.random.default_rng(child_ss))
-
-        def draw(t):
-            with _WARNINGS_LOCK, warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                return sob.random(t)
-
-    # the rest of one tile's scratch, allocated once: its coordinates, one
-    # contiguous column each, ab, and the float and bool arrays that the
-    # classical test and the labelling work in
-    col_buf = np.empty(4 * tile)
+    # the rest of one tile's scratch, allocated once: ab, labels, and the
+    # float and bool arrays that the tests and the labelling work in
     ab_buf = np.empty(tile)
+    lab_buf = np.empty(tile, dtype=np.intp)
     f_buf = np.empty((7, tile))
     b_buf = np.empty((3, tile), dtype=bool)
-    # one block's classical points, labelled and weighted in draw order
+    scored = np.isin(np.arange(4), labels)  # scored[l]: label l is weighted and counted
+    # one block's scored points, labelled and weighted in draw order
     block = min(_CHUNK, count)
     lab_blk = np.empty(block, dtype=np.intp)
     w_blk = np.empty(block)
@@ -216,30 +233,61 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         filled = 0
         for start in range(0, k, _TILE):
             t = min(_TILE, k - start)
-            # u.T * span + lo has the bits of the row-major lo + u * span
-            u = draw(t)
-            cols = col_buf[:4 * t].reshape(4, t)
-            np.multiply(u.T, span[:, None], out=cols)
-            cols += lo[:, None]
-            keep, tmp, inside = b_buf[:, :t]
-            _classical_test(*cols, tol, out=keep, scratch=(f_buf[0, :t], f_buf[1, :t], tmp))
-            if exclude is not None:
-                keep &= np.logical_not(exclude.contains(cols.T, out=inside, tmp=tmp), out=inside)
+            keep, inside = b_buf[:2, :t]
+            # stage 1, every sample: a and b, the a, b half of the classical
+            # test and the energy cutoff
+            pts = bufs[0][:4 * t].reshape(4, t)
+            if sampler == "pseudo":
+                rng.random(out=pts[:2])
+            else:
+                # Sobol points are 4-d: the tile's c and d are drawn here and gathered in stage 2
+                with _WARNINGS_LOCK, warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    u = sob.random(t).T
+                np.copyto(pts[:2], u[:2])
+            pts[:2] *= span[:2]
+            pts[:2] += lo[:2]
+            a, b = pts[:2]
+            _ab_above(a, b, -tol, out=keep, tmp=f_buf[0, :t])
             if energy:
                 # a point outside the cutoff would add only +0.0 to s1 and s2
-                keep &= _in_energy_support(cols[0], cols[1], spec.bound_E, out=inside,
-                                           tmp=f_buf[0, :t])
-            idx = np.flatnonzero(keep)
-            n = idx.size
+                keep &= _in_energy_support(a, b, spec.bound_E, out=inside, tmp=f_buf[0, :t])
+            pts, idx = _take(keep, pts, bufs[1], rows=2)
+            # stage 2, the survivors: c and d, the c, d half of the classical
+            # test, exclude, and points sure to have an unscored label
+            n = pts.shape[1]
+            cd = pts[2:]
+            if sampler == "pseudo":
+                rng.random(out=cd)
+            elif idx is None:
+                np.copyto(cd, u[2:])
+            else:
+                np.take(u[2:], idx, axis=1, out=cd, mode="clip")
+            cd *= span[2:]
+            cd += lo[2:]
+            keep, tmp, inside = b_buf[:, :n]
+            _cd_inside(*pts, tol, out=keep, scratch=(f_buf[0, :n], f_buf[1, :n], tmp))
+            if exclude is not None:
+                keep &= np.logical_not(exclude.contains(pts.T, out=inside, tmp=tmp), out=inside)
+            if not scored[1]:
+                # a classical point with min(a, b) <= 1 - tol has label 1
+                keep &= _ab_above(*pts[:2], 1.0 - tol, out=inside, tmp=f_buf[0, :n])
+            pts, _ = _take(keep, pts, other(pts))
+            # stage 3, the scored domains only: label, then weight the scored labels
+            n = pts.shape[1]
+            a, b, c, d = pts
+            lab = _classical_labels(a, b, c, d, np.multiply(a, b, out=ab_buf[:n]), tol,
+                                    out=lab_buf[:n], scratch=(*f_buf[:, :n], *b_buf[:, :n]))
+            pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts, other(pts))
+            n = pts.shape[1]
             if n == 0:
                 continue
-            pts = pts_buf[:4 * n].reshape(4, n)
-            # idx is in range; "clip" skips the copy of out that "raise" makes
-            np.take(cols, idx, axis=1, out=pts, mode="clip")
-            a, b, c, d = pts
             end = filled + n
-            _classical_labels(a, b, c, d, np.multiply(a, b, out=ab_buf[:n]), tol,
-                              out=lab_blk[filled:end], scratch=(*f_buf[:, :n], *b_buf[:, :n]))
+            if idx is None:
+                lab_blk[filled:end] = lab
+            else:
+                np.take(lab, idx, out=lab_blk[filled:end], mode="clip")
+            a, b, c, d = pts
             w = np.multiply(regularizer_values(a, b, c, d, spec), volume_density(a, b, c, d),
                             out=w_blk[filled:end])
             finite = np.isfinite(w, out=b_buf[0, :n])
@@ -287,11 +335,15 @@ class JointVolumes:
     domains are ordered exactly, differences of estimates carry honest errors,
     and delta-method ratio errors include the correlation with the denominator.
     The per-label hits count the samples in the domain and inside the
-    regularizer's support, outside any ``exclude`` box.
+    regularizer's support, outside any ``exclude`` box.  Only the labels in
+    ``labels`` were weighted and counted; ``result``, ``difference`` and
+    ``ratio`` accept every domain made up of them and raise
+    ``InvalidArgumentError`` for any other.
     """
 
     def __init__(self, box: Box, spec: RegularizerSpec, n_samples: int, seed_label, streams: int,
-                 tol: float, sampler: str, s1: np.ndarray, s2: np.ndarray, hits: np.ndarray):
+                 tol: float, sampler: str, s1: np.ndarray, s2: np.ndarray, hits: np.ndarray,
+                 labels: tuple):
         self.box = box
         self.regularizer = spec
         self.n_samples = n_samples
@@ -302,8 +354,12 @@ class JointVolumes:
         self._s1 = s1
         self._s2 = s2
         self._hits = hits
+        self.labels = labels
 
     def _mean(self, tag: DomainTag) -> float:
+        # every reader of a domain goes through here
+        if not set(DOMAIN_LABELS[tag]) <= set(self.labels):
+            raise InvalidArgumentError(f"the {tag.value} domain was not scored in this pass")
         return sum(float(self._s1[l]) for l in DOMAIN_LABELS[tag]) / self.n_samples
 
     def _mean_cov(self, tag_a: DomainTag, tag_b: DomainTag) -> float:
@@ -374,6 +430,17 @@ def _children(ss: np.random.SeedSequence, n: int) -> list:
                                    pool_size=ss.pool_size) for i in range(n)]
 
 
+def _labels_of(domains) -> tuple:
+    """The sorted labels of ``domain_labels`` that make up the given domains."""
+    try:
+        labels = {l for tag in domains for l in DOMAIN_LABELS[tag]}
+    except (KeyError, TypeError):
+        raise InvalidArgumentError("domains must be a collection of DomainTags") from None
+    if not labels:
+        raise InvalidArgumentError("domains must be non-empty")
+    return tuple(sorted(labels))
+
+
 @dataclass(frozen=True)
 class _Pass:
     """The arguments of one ``mc_joint_volumes`` pass, with its seed as a SeedSequence."""
@@ -387,6 +454,25 @@ class _Pass:
     sampler: str = "pseudo"
     exclude: Box | None = None
     seed_label: int | None = None
+    labels: tuple = _labels_of(DOMAIN_ORDER)
+
+
+def _stream_pool(cores: int) -> ThreadPoolExecutor:
+    """The process's pool of at most ``cores`` stream threads, kept between passes.
+
+    A pass would otherwise pay for starting and joining its threads, which
+    for a short pass takes as long as its streams.  The pool starts a thread
+    only when no idle one can take a task, so a pass of k tasks runs on at
+    most min(k, cores) of them.  A new pool replaces it when the core count
+    or the process (after a fork) changes; the old one's idle threads exit
+    once it is no longer referenced.
+    """
+    global _pool
+    key = (os.getpid(), cores)
+    with _POOL_LOCK:
+        if _pool is None or _pool[0] != key:
+            _pool = (key, ThreadPoolExecutor(max_workers=cores))
+        return _pool[1]
 
 
 def _run_passes(passes: list[_Pass]) -> list[JointVolumes]:
@@ -401,34 +487,36 @@ def _run_passes(passes: list[_Pass]) -> list[JointVolumes]:
 
     def run(task):
         p, child, count = task
-        return _stream_partial(child, count, p.box, p.spec, p.tol, p.sampler, p.exclude)
+        return _stream_partial(child, count, p.box, p.spec, p.tol, p.sampler, p.exclude, p.labels)
 
-    workers = min(len(tasks), _usable_cores())
-    if workers == 1:
+    cores = _usable_cores()
+    if min(len(tasks), cores) == 1:
         partials = [run(t) for t in tasks]
     else:
         # map returns the partials in task order, whichever thread ran them
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, tasks))
+        partials = list(_stream_pool(cores).map(run, tasks))
     out = []
     for p in passes:
         mine, partials = partials[:p.streams], partials[p.streams:]
         n, s1, s2, hits = _pairwise_reduce(
             mine, lambda u, v: (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3]))
         out.append(JointVolumes(p.box, p.spec, n, p.seed_label, p.streams, p.tol, p.sampler,
-                                s1, s2, hits))
+                                s1, s2, hits, p.labels))
     return out
 
 
 def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, streams: int = 1,
                      tol: float = 1e-9, sampler: str = "pseudo", seed_label: int | None = None,
-                     exclude: Box | None = None) -> JointVolumes:
-    """One uniform-sampling pass over ``box`` scoring all four domains.
+                     exclude: Box | None = None, *, domains=DOMAIN_ORDER) -> JointVolumes:
+    """One uniform-sampling pass over ``box`` scoring ``domains`` (all four by default).
 
     ``seed`` may be an integer or a SeedSequence, which is not modified;
     ``seed_label`` is what gets reported in results when the seed is not a
     plain integer.  ``streams`` is the number of substreams and part of the
-    determinism key; they run on min(streams, usable cores) threads.
+    determinism key; they run on min(streams, usable cores) threads.  Only
+    points in ``domains`` are weighted, so a non-finite weight outside them
+    does not raise, and each scored domain gets the bits that a pass scoring
+    all four gives it (see ``JointVolumes`` for what can be read).
     """
     if streams < 1:
         raise InvalidArgumentError("streams must be >= 1")
@@ -443,7 +531,7 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
         if seed_label is None:
             seed_label = int(seed)
     return _run_passes([_Pass(box, spec, n_samples, ss, streams, tol, sampler, exclude,
-                              seed_label)])[0]
+                              seed_label, _labels_of(domains))])[0]
 
 
 def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
@@ -457,6 +545,7 @@ def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
     seed, so the box depends only on the arguments.  Each attempt's inner and
     shell passes share one task list on the stream pool, so with two usable
     cores they run at the same time; each gets the bits it would get alone.
+    Both passes score ``domain`` only.
     """
     if not (kappa > 0.0):
         raise InvalidArgumentError("kappa must be positive")
@@ -465,14 +554,16 @@ def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
     if n_probe < 1000:
         raise InvalidArgumentError("n_probe must be at least 1000")
     spec = RegularizerSpec.adjugate(kappa, m)
+    labels = _labels_of((domain,))
     L = max(4.0, 4.0 * math.sqrt(kappa))
     history = []
     for attempt in range(max_doublings + 1):
         inner = _sym_box(L)
         outer = _sym_box(2.0 * L)
         seeds = np.random.SeedSequence([_PROBE_SEED, attempt]).spawn(2)
-        jv_in, jv_shell = _run_passes([_Pass(inner, spec, n_probe, seeds[0]),
-                                       _Pass(outer, spec, n_probe, seeds[1], exclude=inner)])
+        jv_in, jv_shell = _run_passes([_Pass(inner, spec, n_probe, seeds[0], labels=labels),
+                                       _Pass(outer, spec, n_probe, seeds[1], exclude=inner,
+                                             labels=labels)])
         est_in = jv_in.result(domain).estimate
         est_shell = jv_shell.result(domain).estimate
         history.append((L, est_in, est_shell))
@@ -511,7 +602,9 @@ def _default_box(spec: RegularizerSpec, domain: DomainTag, n_samples: int, eps_t
 def mc_volume(req: IntegrationRequest) -> IntegrationResult:
     """Monte Carlo volume of one domain under the requested regularizer.
 
-    Bit-identical for a fixed (seed, streams, n_samples) request.
+    Bit-identical for a fixed (seed, streams, n_samples) request, and to the
+    same domain's result from a pass that scores all four: only this
+    domain's points are weighted.
     """
     if req.n_samples < 10_000:
         raise InvalidArgumentError("n_samples must be at least 10_000")
@@ -526,7 +619,7 @@ def mc_volume(req: IntegrationRequest) -> IntegrationResult:
     box = req.box if req.box is not None else _default_box(req.regularizer, req.domain,
                                                            req.n_samples, req.eps_tail)
     jv = mc_joint_volumes(box, req.regularizer, req.n_samples, req.seed, req.streams,
-                          req.tol, req.sampler)
+                          req.tol, req.sampler, domains=(req.domain,))
     return jv.result(req.domain)
 
 

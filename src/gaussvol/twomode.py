@@ -279,12 +279,23 @@ DOMAIN_LABELS = {
 }
 
 
-def _classical_test(a, b, c, d, tol, out=None, scratch=None):
-    """The classical test of :func:`domain_labels` on 1-d float arrays.
+def _ab_above(a, b, x, out=None, tmp=None):
+    """min(a, b) > x on 1-d float arrays.
 
-    a, b > -tol and |c|, |d| < sqrt(ab) + tol.  ``out`` receives the bool
-    mask; ``scratch`` is two float arrays and one bool array of a's length, so
-    that a caller running it tile after tile allocates nothing.
+    With x = -tol this is the a, b half of the classical test of
+    :func:`domain_labels`; with x = 1 - tol it is the quantum threshold of
+    :func:`_classical_labels`, so a classical point it rejects has label 1.
+    ``out`` (bool) and ``tmp`` (float) are optional scratch of a's length.
+    """
+    return np.greater(np.minimum(a, b, out=tmp), x, out=out)
+
+
+def _cd_inside(a, b, c, d, tol, out=None, scratch=None):
+    """|c|, |d| < sqrt(ab) + tol on 1-d float arrays: the c, d half of the classical test.
+
+    ``out`` receives the bool mask; ``scratch`` is two float arrays and one
+    bool array of a's length, so that a caller running it tile after tile
+    allocates nothing.
     """
     if scratch is None:
         scratch = (np.empty(a.shape), np.empty(a.shape), np.empty(a.shape, dtype=bool))
@@ -293,9 +304,8 @@ def _classical_test(a, b, c, d, tol, out=None, scratch=None):
     np.maximum(sab, 0.0, out=sab)
     np.sqrt(sab, out=sab)
     sab += tol
-    out = np.greater(np.minimum(a, b, out=abs_x), -tol, out=out)
-    for x in (c, d):
-        out &= np.less(np.abs(x, out=abs_x), sab, out=tmp)
+    out = np.less(np.abs(c, out=abs_x), sab, out=out)
+    out &= np.less(np.abs(d, out=abs_x), sab, out=tmp)
     return out
 
 
@@ -339,7 +349,7 @@ def _classical_labels(a, b, c, d, ab, tol, out=None, scratch=None):
         np.sqrt(c3, out=c3)
         c3 += tol
         ppt = np.less(abs_c, c3, out=m1)
-    quantum &= np.greater(np.minimum(a, b, out=f4), 1.0 - tol, out=m2)
+    quantum &= _ab_above(a, b, 1.0 - tol, out=m2, tmp=f4)
     # separability: d in [d1, -d1] where c <= 0 and in [-d2, d2] where c > 0,
     # that is |d| <= hi with hi = -d1 or d2.  At c = 0 the two intervals
     # coincide, which covers that slice by closure.
@@ -376,7 +386,8 @@ def domain_labels(a, b, c, d, tol: float = DEFAULT_TOL) -> np.ndarray:
     a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, d)))
     shape = a.shape
     a, b, c, d = (x.ravel() for x in (a, b, c, d))
-    classical = _classical_test(a, b, c, d, tol)
+    classical = _ab_above(a, b, -tol)
+    classical &= _cd_inside(a, b, c, d, tol)
     lab = classical.astype(np.uint8)
     idx = np.flatnonzero(classical)
     a, b, c, d = a[idx], b[idx], c[idx], d[idx]

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -23,7 +24,13 @@ from gaussvol.integrate import (
     upsilon_box,
 )
 from gaussvol.regularizers import RegKind, RegularizerSpec, phi, upsilon
-from gaussvol.twomode import CanonicalPoint, DomainTag, canonical_embed, domain_labels
+from gaussvol.twomode import (
+    DOMAIN_LABELS,
+    CanonicalPoint,
+    DomainTag,
+    canonical_embed,
+    domain_labels,
+)
 
 from conftest import sample_canonical
 
@@ -126,11 +133,19 @@ def _sequential_probe(kappa, *, n_probe, max_doublings=12, eps_tail=1e-3,
             f"eps_tail={eps_tail:g}): {detail}"), attempts
 
 
-@pytest.mark.parametrize("kappa", [1.0, 5.0])
-def test_upsilon_box_matches_sequential_probe(monkeypatch, kappa):
-    box, attempts = _sequential_probe(kappa, n_probe=20_000)
-    assert len(attempts) == 2  # both kappas double L once
-    expected = [[_joint_bits(jv) for jv in pair] for pair in attempts]
+@pytest.mark.parametrize("kappa,domain,n_attempts", [
+    # both kappas double L once for the classical domain; the entangled
+    # domain's shell holds almost nothing, so its first box passes
+    pytest.param(1.0, DomainTag.CLASSICAL, 2, id="1.0"),
+    pytest.param(5.0, DomainTag.CLASSICAL, 2, id="5.0"),
+    pytest.param(5.0, DomainTag.ENTANGLED, 1, id="5.0-entangled"),
+])
+def test_upsilon_box_matches_sequential_probe(monkeypatch, kappa, domain, n_attempts):
+    # the probe scores only `domain`: its bits must be those of full sequential passes
+    box, attempts = _sequential_probe(kappa, n_probe=20_000, domain=domain)
+    assert len(attempts) == n_attempts
+    tags = _scored_tags(domain)
+    expected = [[_joint_bits(jv, tags) for jv in pair] for pair in attempts]
     real_run, real_stream = integrate._run_passes, integrate._stream_partial
     for cores in (1, 2, 8):
         monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
@@ -146,8 +161,8 @@ def test_upsilon_box_matches_sequential_probe(monkeypatch, kappa):
 
         monkeypatch.setattr(integrate, "_run_passes", recording_run)
         monkeypatch.setattr(integrate, "_stream_partial", recording_stream)
-        assert upsilon_box(kappa, n_probe=20_000) == box
-        assert [[_joint_bits(jv) for jv in pair] for pair in seen] == expected
+        assert upsilon_box(kappa, n_probe=20_000, domain=domain) == box
+        assert [[_joint_bits(jv, tags) for jv in pair] for pair in seen] == expected
         if cores == 1:
             # without a pool each attempt's inner pass runs before its shell pass
             assert boxes == [jv.box for pair in attempts for jv in pair]
@@ -209,38 +224,62 @@ def test_stream_count_changes_bits_not_value():
     assert abs(r1.estimate - r6.estimate) < 5.0 * sigma
 
 
-def _joint_bits(jv):
+def _joint_bits(jv, tags=DOMAIN_ORDER):
     return [(r.estimate, r.std_error, r.acceptance_fraction)
-            for r in (jv.result(tag) for tag in DOMAIN_ORDER)]
+            for r in (jv.result(tag) for tag in tags)]
+
+
+def _scored_tags(domain):
+    """The domains that a pass scoring ``domain`` can report."""
+    return [t for t in DOMAIN_ORDER if set(DOMAIN_LABELS[t]) <= set(DOMAIN_LABELS[domain])]
 
 
 def test_core_count_does_not_change_bits(monkeypatch):
     spec = RegularizerSpec.energy(8.0)
     box = phi_box(8.0)
     for streams in (4, 6):
-        runs = {}
+        req = IntegrationRequest(DomainTag.ENTANGLED, spec, 120_000, seed=404, streams=streams)
+        runs, volumes = {}, {}
         for cores in (1, 2, 8):
             monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
             runs[cores] = _joint_bits(mc_joint_volumes(box, spec, 120_000, seed=404, streams=streams))
+            volumes[cores] = mc_volume(req)
         assert runs[2] == runs[1]
         assert runs[8] == runs[1]
+        assert volumes[2] == volumes[1] and volumes[8] == volumes[1]
 
 
 def test_pool_threads_capped_at_usable_cores(monkeypatch):
-    seen = []
+    real_stream, threads = integrate._stream_partial, set()
 
-    class RecordingPool(integrate.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            seen.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def recording_stream(*args):
+        threads.add(threading.get_ident())
+        return real_stream(*args)
 
-    monkeypatch.setattr(integrate, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(integrate, "_stream_partial", recording_stream)
     spec = RegularizerSpec.energy(6.0)
     for cores in (1, 2, 8):
-        seen.clear()
+        threads.clear()
         monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
         mc_joint_volumes(phi_box(6.0), spec, 64_000, seed=405, streams=64)
-        assert seen == ([] if cores == 1 else [cores])
+        if cores == 1:
+            assert threads == {threading.get_ident()}
+        else:
+            assert 1 <= len(threads) <= cores
+            assert integrate._stream_pool(cores)._max_workers == cores
+
+
+def test_stream_pool_kept_between_passes(monkeypatch):
+    monkeypatch.setattr(integrate, "_usable_cores", lambda: 2)
+    spec = RegularizerSpec.energy(6.0)
+    mc_joint_volumes(phi_box(6.0), spec, 20_000, seed=406, streams=2)
+    pool = integrate._stream_pool(2)
+    threads = set(pool._threads)
+    mc_joint_volumes(phi_box(6.0), spec, 20_000, seed=407, streams=2)
+    # the second pass starts and joins no threads
+    assert integrate._stream_pool(2) is pool and set(pool._threads) == threads
+    # a new core count gets a pool of its own size
+    assert integrate._stream_pool(3) is not pool
 
 
 def test_same_seed_sequence_twice_gives_same_bits():
@@ -364,15 +403,79 @@ def test_first_bad_point_named_across_tiles(monkeypatch):
     box, spec, tile = phi_box(8.0), RegularizerSpec.energy(8.0), integrate._TILE
     ss = np.random.SeedSequence(8)
     with pytest.raises(NumericError) as err:
-        integrate._stream_partial(ss, 3 * tile, box, spec, 1e-9, "pseudo", None)
+        integrate._stream_partial(ss, 3 * tile, box, spec, 1e-9, "pseudo", None, (1, 2, 3))
     assert len(calls) == 2
-    # the first classical point of the second tile inside the cutoff, in draw order
-    u = np.random.default_rng(ss).random((3 * tile, 4))
-    pts = np.asarray(box.lo) + u * (np.asarray(box.hi) - np.asarray(box.lo))
-    a, b, c, d = pts[tile:].T
-    weighted = (domain_labels(a, b, c, d, 1e-9) > 0) & (2.0 * (a + b) <= spec.bound_E)
-    first = tile + np.flatnonzero(weighted)[0]
-    assert str(err.value) == f"non-finite integrand weight at (a, b, c, d) = {tuple(pts[first])}"
+    # the first classical point of the second tile, in draw order
+    rng = np.random.default_rng(ss)
+    _reference_tile(rng, tile, box, spec, 1e-9)
+    a, b, c, d = _reference_tile(rng, tile, box, spec, 1e-9)
+    i = np.flatnonzero(domain_labels(a, b, c, d, 1e-9))[0]
+    assert str(err.value) == f"non-finite integrand weight at (a, b, c, d) = {(a[i], b[i], c[i], d[i])}"
+
+
+def test_non_finite_weight_outside_scored_domain(monkeypatch):
+    # a volume weights only its own domain's points; a full pass weights them all
+    real = integrate.regularizer_values
+
+    def nan_off_entangled(a, b, c, d, spec):
+        vals = real(a, b, c, d, spec)
+        vals[domain_labels(a, b, c, d, 1e-9) != 3] = np.nan
+        return vals
+
+    spec = RegularizerSpec.energy(8.0)
+    req = IntegrationRequest(DomainTag.ENTANGLED, spec, 50_000, seed=9, streams=2)
+    clean = mc_volume(req)
+    monkeypatch.setattr(integrate, "regularizer_values", nan_off_entangled)
+    assert mc_volume(req) == clean
+    with pytest.raises(NumericError, match="non-finite"):
+        mc_joint_volumes(phi_box(8.0), spec, 50_000, seed=9, streams=2)
+
+
+_INVARIANT_SPECS = {
+    "E8": RegularizerSpec.energy(8.0),
+    "E4.5": RegularizerSpec.energy(4.5),
+    "kappa5": RegularizerSpec.adjugate(5.0),
+    "kappa1": RegularizerSpec.adjugate(1.0),
+}
+
+
+@pytest.mark.parametrize("reg", list(_INVARIANT_SPECS))
+@pytest.mark.parametrize("sampler", ["pseudo", "qmc"])
+@pytest.mark.parametrize("domain", DOMAIN_ORDER, ids=lambda tag: tag.value)
+def test_volume_equals_joint_pass_domain(domain, sampler, reg):
+    spec = _INVARIANT_SPECS[reg]
+    for tol in _ORACLE_TOLS:
+        req = IntegrationRequest(domain, spec, 20_000, seed=77, streams=2, tol=tol,
+                                 sampler=sampler)
+        got = mc_volume(req)
+        joint = mc_joint_volumes(got.box, spec, 20_000, 77, 2, tol, sampler)
+        assert got == joint.result(domain), f"tol={tol}"
+
+
+def test_unscored_domain_raises():
+    spec = RegularizerSpec.energy(8.0)
+    jv = mc_joint_volumes(phi_box(8.0), spec, 20_000, seed=5, domains=(DomainTag.ENTANGLED,))
+    e = DomainTag.ENTANGLED
+    assert jv.result(e).estimate > 0.0
+    for tag in (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE):
+        with pytest.raises(InvalidArgumentError, match="not scored"):
+            jv.result(tag)
+        with pytest.raises(InvalidArgumentError, match="not scored"):
+            jv.difference(tag, e)
+        with pytest.raises(InvalidArgumentError, match="not scored"):
+            jv.difference(e, tag)
+        with pytest.raises(InvalidArgumentError, match="not scored"):
+            jv.ratio(e, tag)
+    # a quantum pass can report its two subdomains, not the classical one
+    jq = mc_joint_volumes(phi_box(8.0), spec, 20_000, seed=5, domains=(DomainTag.QUANTUM,))
+    diff, _ = jq.difference(DomainTag.QUANTUM, e)
+    assert diff == pytest.approx(jq.result(DomainTag.SEPARABLE).estimate, rel=1e-12)
+    assert 0.0 < jq.ratio(e, DomainTag.QUANTUM)[0] < 1.0
+    with pytest.raises(InvalidArgumentError, match="not scored"):
+        jq.ratio(e)
+    for bad in ((), ("entangled",), None):
+        with pytest.raises(InvalidArgumentError):
+            mc_joint_volumes(phi_box(8.0), spec, 20_000, seed=5, domains=bad)
 
 
 def _reference_labels(a, b, c, d, tol):
@@ -423,18 +526,37 @@ def _reference_weights(a, b, c, d, spec):
     return reg * dens
 
 
-def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude):
-    """The untiled kernel: one draw, one labelling and one bincount per _CHUNK points.
+def _reference_tile(rng, t, box, spec, tol):
+    """One pseudo tile's points that pass the a, b tests and the energy cutoff, as (4, n).
 
-    It weights every classical point, so the kernel's sums must show that
-    dropping the points outside the energy cutoff changes no bits; only hits
-    leave those points out, as they leave out excluded points.
+    a(t) and b(t) come first in the stream, then c and d for the n survivors.
+    """
+    lo, span = np.asarray(box.lo)[:, None], np.subtract(box.hi, box.lo)[:, None]
+    a, b = lo[:2] + rng.random((2, t)) * span[:2]
+    first = (a > -tol) & (b > -tol)
+    if spec.kind is RegKind.ENERGY_PHI:
+        first &= 2.0 * (a + b) <= spec.bound_E
+    a, b = a[first], b[first]
+    c, d = lo[2:] + rng.random((2, a.size)) * span[2:]
+    return np.array([a, b, c, d])
+
+
+def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude):
+    """The unstaged kernel: one labelling and one bincount per _CHUNK points, all labels scored.
+
+    The pseudo sampler completes only the points of each tile that pass the
+    a, b tests and the cutoff; qmc draws every point in full.  Every
+    classical point drawn is weighted, so for qmc the kernel's sums must show
+    that dropping the points outside the energy cutoff changes no bits; only
+    hits leave those points out, as they leave out excluded points.
     """
     lo = np.asarray(box.lo)
     span = np.asarray(box.hi) - lo
     if sampler == "pseudo":
         rng = np.random.default_rng(child_ss)
-        draw = lambda k: rng.random((k, 4))
+        draw = lambda k: np.concatenate(
+            [_reference_tile(rng, min(integrate._TILE, k - i), box, spec, tol)
+             for i in range(0, k, integrate._TILE)], axis=1)
     else:
         from scipy.stats import qmc
 
@@ -443,17 +565,18 @@ def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude)
         def draw(k):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                return sob.random(k)
+                u = sob.random(k)
+            cols = np.empty((4, k))
+            for j in range(4):
+                np.multiply(u[:, j], span[j], out=cols[j])
+                cols[j] += lo[j]
+            return cols
 
     s1, s2, hits = np.zeros(4), np.zeros(4), np.zeros(4, dtype=np.int64)
     done = 0
     while done < count:
         k = min(integrate._CHUNK, count - done)
-        u = draw(k)
-        cols = np.empty((4, k))
-        for j in range(4):
-            np.multiply(u[:, j], span[j], out=cols[j])
-            cols[j] += lo[j]
+        cols = draw(k)
         lab = _reference_labels(*cols, tol)
         if exclude is not None:
             lab[exclude.contains(cols.T)] = 0
@@ -503,27 +626,35 @@ def test_tiled_kernel_matches_untiled_reference(count, sampler, reg, excl, tol):
         exclude = None
     # a fresh SeedSequence for each kernel: scipy's Sobol spawns from the one it is given
     seed = [count, len(sampler), len(reg), int(excl)]
-    got = integrate._stream_partial(np.random.SeedSequence(seed), count, box, spec, tol,
-                                    sampler, exclude)
     want = _reference_stream_partial(np.random.SeedSequence(seed), count, box, spec, tol,
                                      sampler, exclude)
-    assert got[0] == want[0] == count
-    for g, w in zip(got[1:], want[1:]):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+    # a kernel scoring some labels gives their bins bit for bit and 0 in the others
+    for labels in ((1, 2, 3), (2, 3), (2,), (3,)):
+        got = integrate._stream_partial(np.random.SeedSequence(seed), count, box, spec, tol,
+                                        sampler, exclude, labels)
+        scored = np.isin(np.arange(4), labels)
+        assert got[0] == want[0] == count
+        for g, w in zip(got[1:], want[1:]):
+            w = np.where(scored, w, 0).astype(w.dtype)
+            assert g.dtype == w.dtype and np.array_equal(g, w), labels
 
 
 def test_stream_partial_traced_peak_is_small():
     # the scratch is a few tiles plus one block; before the tiled kernel one
     # stream of 1M samples peaked at 36.6 MiB
-    args = (phi_box(8.0), RegularizerSpec.energy(8.0), 1e-9, "pseudo", None)
-    integrate._stream_partial(np.random.SeedSequence(0), 1_000_000, *args)
-    tracemalloc.start()
-    try:
-        integrate._stream_partial(np.random.SeedSequence(1), 1_000_000, *args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    energy = (phi_box(8.0), RegularizerSpec.energy(8.0), 1e-9, "pseudo", None, (1, 2, 3))
+    # the kappa = 5 box, scoring the entangled label only
+    damped = (integrate._sym_box(8.0 * math.sqrt(5.0)), RegularizerSpec.adjugate(5.0), 1e-9,
+              "pseudo", None, (3,))
+    for args in (energy, damped):
+        integrate._stream_partial(np.random.SeedSequence(0), 1_000_000, *args)
+        tracemalloc.start()
+        try:
+            integrate._stream_partial(np.random.SeedSequence(1), 1_000_000, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB for {args}"
 
 
 def test_exclude_removes_everything():
