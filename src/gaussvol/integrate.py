@@ -16,6 +16,15 @@ and every domain is a fixed set of labels, so nested domains are ordered
 exactly.  The draws do not depend on the scored domains, so a pass scoring
 one domain gives it the bits of a pass scoring all four.
 
+The adjugate damping has unbounded support, so ``upsilon_box`` fits a box
+a, b in (0, L], |c|, |d| <= L with L on the grid L0 * 2^(k/2).  It doubles
+L until a shell pass finds at most ``eps_tail`` of the mass outside the box,
+for every domain it checks.  It then takes one half-step back to L / sqrt(2)
+when the ring between the two boxes plus the shell hold at most ``eps_tail``
+of the mass inside the smaller one.  The inner pass that decides this is the
+only pass that also sums, per label, the weight of its scored points inside
+a ``within`` box; the main pass does no extra work.
+
 Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from the children of the seed's SeedSequence, and partial sums are
 combined by a fixed-order pairwise reduction; results are bit-identical for
@@ -197,7 +206,7 @@ def _take(keep, cols, buf, rows=4):
 
 
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
-                    sampler: str, exclude: Box | None, labels: tuple):
+                    sampler: str, exclude: Box | None, labels: tuple, within: Box | None = None):
     lo = np.asarray(box.lo)[:, None]
     span = np.asarray(box.hi)[:, None] - lo
     tile = min(_TILE, count)
@@ -222,11 +231,14 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     block = min(_CHUNK, count)
     lab_blk = np.empty(block, dtype=np.intp)
     w_blk = np.empty(block)
+    # a probe's inner pass also sums the weights of its scored points inside ``within``
+    in_blk = np.empty(block if within is not None else 0, dtype=bool)
 
     energy = spec.kind is RegKind.ENERGY_PHI
     s1 = np.zeros(4)
     s2 = np.zeros(4)
     hits = np.zeros(4, dtype=np.int64)
+    s_in = np.zeros(4)
     done = 0
     while done < count:
         k = min(_CHUNK, count - done)
@@ -295,14 +307,19 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
                 i = int(np.argmin(finite))
                 bad = (a[i], b[i], c[i], d[i])
                 raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
+            if within is not None:
+                within.contains(pts.T, out=in_blk[filled:end], tmp=b_buf[0, :n])
             filled = end
         # one bincount per block, so the block, not the tile, fixes the summation order
         lab, w = lab_blk[:filled], w_blk[:filled]
         s1 += np.bincount(lab, weights=w, minlength=4)
+        if within is not None:
+            inb = in_blk[:filled]
+            s_in += np.bincount(lab[inb], weights=w[inb], minlength=4)
         s2 += np.bincount(lab, weights=np.multiply(w, w, out=w), minlength=4)
         hits += np.bincount(lab, minlength=4)
         done += k
-    return count, s1, s2, hits
+    return count, s1, s2, hits, s_in
 
 
 @dataclass(frozen=True)
@@ -338,12 +355,13 @@ class JointVolumes:
     regularizer's support, outside any ``exclude`` box.  Only the labels in
     ``labels`` were weighted and counted; ``result``, ``difference`` and
     ``ratio`` accept every domain made up of them and raise
-    ``InvalidArgumentError`` for any other.
+    ``InvalidArgumentError`` for any other.  ``s_in`` holds the per-label
+    weight sums of the points inside a probe pass's ``within`` box.
     """
 
     def __init__(self, box: Box, spec: RegularizerSpec, n_samples: int, seed_label, streams: int,
                  tol: float, sampler: str, s1: np.ndarray, s2: np.ndarray, hits: np.ndarray,
-                 labels: tuple):
+                 labels: tuple, s_in: np.ndarray | None = None):
         self.box = box
         self.regularizer = spec
         self.n_samples = n_samples
@@ -355,12 +373,18 @@ class JointVolumes:
         self._s2 = s2
         self._hits = hits
         self.labels = labels
+        self._s_in = s_in
 
     def _mean(self, tag: DomainTag) -> float:
         # every reader of a domain goes through here
         if not set(DOMAIN_LABELS[tag]) <= set(self.labels):
             raise InvalidArgumentError(f"the {tag.value} domain was not scored in this pass")
         return sum(float(self._s1[l]) for l in DOMAIN_LABELS[tag]) / self.n_samples
+
+    def _within(self, tag: DomainTag) -> float:
+        """The part of ``tag``'s estimate from points inside the pass's ``within`` box."""
+        return self.box.volume * (sum(float(self._s_in[l]) for l in DOMAIN_LABELS[tag])
+                                  / self.n_samples)
 
     def _mean_cov(self, tag_a: DomainTag, tag_b: DomainTag) -> float:
         """Covariance of the two domains' sample means, from the labels they share."""
@@ -455,23 +479,31 @@ class _Pass:
     exclude: Box | None = None
     seed_label: int | None = None
     labels: tuple = _labels_of(DOMAIN_ORDER)
+    within: Box | None = None
 
 
 def _stream_pool(cores: int) -> ThreadPoolExecutor:
     """The process's pool of at most ``cores`` stream threads, kept between passes.
 
     A pass would otherwise pay for starting and joining its threads, which
-    for a short pass takes as long as its streams.  The pool starts a thread
-    only when no idle one can take a task, so a pass of k tasks runs on at
-    most min(k, cores) of them.  A new pool replaces it when the core count
-    or the process (after a fork) changes; the old one's idle threads exit
-    once it is no longer referenced.
+    for a short pass takes as long as its streams.  All ``cores`` threads
+    start with the pool, each held by one task until every one runs, so no
+    later pass starts a thread: the executor's count of idle threads lags
+    behind a task's result, and a pass submitted at once after another
+    would otherwise start one more.  A new pool replaces it when the core
+    count or the process (after a fork) changes; the old one's idle threads
+    exit once it is no longer referenced.
     """
     global _pool
     key = (os.getpid(), cores)
     with _POOL_LOCK:
         if _pool is None or _pool[0] != key:
-            _pool = (key, ThreadPoolExecutor(max_workers=cores))
+            pool = ThreadPoolExecutor(max_workers=cores)
+            started = threading.Barrier(cores + 1)
+            for _ in range(cores):
+                pool.submit(started.wait)
+            started.wait()
+            _pool = (key, pool)
         return _pool[1]
 
 
@@ -487,7 +519,8 @@ def _run_passes(passes: list[_Pass]) -> list[JointVolumes]:
 
     def run(task):
         p, child, count = task
-        return _stream_partial(child, count, p.box, p.spec, p.tol, p.sampler, p.exclude, p.labels)
+        return _stream_partial(child, count, p.box, p.spec, p.tol, p.sampler, p.exclude, p.labels,
+                               p.within)
 
     cores = _usable_cores()
     if min(len(tasks), cores) == 1:
@@ -498,10 +531,10 @@ def _run_passes(passes: list[_Pass]) -> list[JointVolumes]:
     out = []
     for p in passes:
         mine, partials = partials[:p.streams], partials[p.streams:]
-        n, s1, s2, hits = _pairwise_reduce(
-            mine, lambda u, v: (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3]))
+        n, s1, s2, hits, s_in = _pairwise_reduce(
+            mine, lambda u, v: tuple(x + y for x, y in zip(u, v)))
         out.append(JointVolumes(p.box, p.spec, n, p.seed_label, p.streams, p.tol, p.sampler,
-                                s1, s2, hits, p.labels))
+                                s1, s2, hits, p.labels, s_in if p.within is not None else None))
     return out
 
 
@@ -535,17 +568,28 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
 
 
 def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
-                domain: DomainTag = DomainTag.CLASSICAL, n_probe: int = 100_000,
+                domain: DomainTag | tuple = DomainTag.CLASSICAL, n_probe: int = 100_000,
                 max_doublings: int = 12) -> Box:
     """Adaptive support box for the adjugate-damped integrand.
 
-    Starts from a, b in (0, L], |c|, |d| <= L with L = max(4, 4 sqrt(kappa))
-    and doubles L until the outer shell (between L and 2L) contributes less
-    than ``eps_tail`` of the current estimate.  Probing uses a fixed internal
-    seed, so the box depends only on the arguments.  Each attempt's inner and
-    shell passes share one task list on the stream pool, so with two usable
-    cores they run at the same time; each gets the bits it would get alone.
-    Both passes score ``domain`` only.
+    Boxes are a, b in (0, L], |c|, |d| <= L, and L lies on the grid
+    L0 * 2^(k/2) with L0 = max(4, 4 sqrt(kappa)).  ``domain`` is one tag or
+    a tuple of tags, and every one of them is checked.  Each attempt probes
+    the box of side L with an inner pass over it and a shell pass over the
+    box of side 2L outside it; L doubles from L0 until, for every checked
+    domain, the shell holds at most ``eps_tail`` of the inner estimate.
+    The passing attempt's inner pass also sums each domain's weight
+    ``within`` the half-step box of side l = L / sqrt(2).  That box is
+    returned when the mass outside it, the ring (l, L] plus the shell, is at
+    most ``eps_tail`` of ``within`` for every checked domain, and the box of
+    side L otherwise: so at most one half-step is taken, and ``eps_tail``
+    bounds the tail mass over the estimate either way.
+
+    Probing uses a fixed internal seed, so the box depends only on the
+    arguments.  Each attempt's inner and shell passes share one task list on
+    the stream pool, so with two usable cores they run at the same time; each
+    gets the bits it would get alone.  Both passes score the checked domains
+    only.
     """
     if not (kappa > 0.0):
         raise InvalidArgumentError("kappa must be positive")
@@ -554,21 +598,29 @@ def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
     if n_probe < 1000:
         raise InvalidArgumentError("n_probe must be at least 1000")
     spec = RegularizerSpec.adjugate(kappa, m)
-    labels = _labels_of((domain,))
+    domains = domain if isinstance(domain, tuple) else (domain,)
+    labels = _labels_of(domains)
     L = max(4.0, 4.0 * math.sqrt(kappa))
     history = []
     for attempt in range(max_doublings + 1):
         inner = _sym_box(L)
+        half = _sym_box(L / math.sqrt(2.0))
         outer = _sym_box(2.0 * L)
         seeds = np.random.SeedSequence([_PROBE_SEED, attempt]).spawn(2)
-        jv_in, jv_shell = _run_passes([_Pass(inner, spec, n_probe, seeds[0], labels=labels),
+        jv_in, jv_shell = _run_passes([_Pass(inner, spec, n_probe, seeds[0], labels=labels,
+                                             within=half),
                                        _Pass(outer, spec, n_probe, seeds[1], exclude=inner,
                                              labels=labels)])
-        est_in = jv_in.result(domain).estimate
-        est_shell = jv_shell.result(domain).estimate
-        history.append((L, est_in, est_shell))
-        if est_shell <= eps_tail * est_in:
+        # (inner, shell, within) estimates per checked domain
+        ests = [(jv_in.result(t).estimate, jv_shell.result(t).estimate, jv_in._within(t))
+                for t in domains]
+        failed = [(e, s) for e, s, _ in ests if s > eps_tail * e]
+        if not failed:
+            if all(s + (e - w) <= eps_tail * w for e, s, w in ests):
+                return half
             return inner
+        # the failure text reports the first checked domain that failed
+        history.append((L, *failed[0]))
         L *= 2.0
     detail = "; ".join(f"L={l:g}: estimate={e:.6g}, shell={s:.6g}" for l, e, s in history)
     raise NumericError(
@@ -592,10 +644,11 @@ class IntegrationRequest:
     sampler: str = "pseudo"
 
 
-def _default_box(spec: RegularizerSpec, domain: DomainTag, n_samples: int, eps_tail: float) -> Box:
+def _default_box(spec: RegularizerSpec, domains: tuple, n_samples: int, eps_tail: float) -> Box:
+    """``phi_box`` for the energy cutoff; for the damping, a box probed for each of ``domains``."""
     if spec.kind is RegKind.ENERGY_PHI:
         return phi_box(spec.bound_E)
-    return upsilon_box(spec.kappa, eps_tail, m=spec.m, domain=domain,
+    return upsilon_box(spec.kappa, eps_tail, m=spec.m, domain=domains,
                        n_probe=max(10_000, n_samples // 10))
 
 
@@ -616,7 +669,7 @@ def mc_volume(req: IntegrationRequest) -> IntegrationResult:
         raise InvalidArgumentError("volume integrals use the 4-parameter chart; regularizer m must be 4")
     if req.sampler not in _SAMPLERS:
         raise InvalidArgumentError(f"sampler must be one of {_SAMPLERS}")
-    box = req.box if req.box is not None else _default_box(req.regularizer, req.domain,
+    box = req.box if req.box is not None else _default_box(req.regularizer, (req.domain,),
                                                            req.n_samples, req.eps_tail)
     jv = mc_joint_volumes(box, req.regularizer, req.n_samples, req.seed, req.streams,
                           req.tol, req.sampler, domains=(req.domain,))
@@ -645,9 +698,10 @@ def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
     """Volumes of all four domains across a parameter sweep.
 
     ``param`` is "E" (energy regularizer) or "kappa" (adjugate regularizer);
-    each row re-derives its support box and gets its own deterministic
-    substream of the template seed.  Rows that fail numerically are recorded
-    and the sweep continues.
+    each row re-derives its support box, probed for all four domains it
+    reports (``template.domain`` does not enter), and gets its own
+    deterministic substream of the template seed.  Rows that fail
+    numerically are recorded and the sweep continues.
     """
     if param not in ("E", "kappa"):
         raise InvalidArgumentError('param must be "E" or "kappa"')
@@ -673,7 +727,7 @@ def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
         spec = RegularizerSpec.energy(v, m) if param == "E" else RegularizerSpec.adjugate(v, m)
         try:
             box = template.box if template.box is not None else _default_box(
-                spec, template.domain, template.n_samples, template.eps_tail)
+                spec, DOMAIN_ORDER, template.n_samples, template.eps_tail)
             row_ss = np.random.SeedSequence([int(template.seed), i])
             jv = mc_joint_volumes(box, spec, template.n_samples, row_ss, template.streams,
                                   template.tol, template.sampler, seed_label=template.seed)

@@ -252,8 +252,10 @@ def test_volume_adjugate_kind(capsys):
     fields = capsys.readouterr().out.splitlines()[2].split(",")
     assert fields[1] == "adj"
     assert fields[2] == "kappa"
-    # adaptive support box for kappa = 1 settles on L = 8
-    assert fields[13:] == ["0.0", "8.0", "0.0", "8.0", "-8.0", "8.0", "-8.0", "8.0"]
+    # adaptive support box for kappa = 1 doubles to L = 8 and, at this
+    # n_probe, takes the half-step back to 8 / sqrt(2)
+    L = repr(8.0 / math.sqrt(2.0))
+    assert fields[13:] == ["0.0", L, "0.0", L, "-" + L, L, "-" + L, L]
 
 
 # ------------------------------------------------------------------ config

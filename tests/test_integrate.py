@@ -102,50 +102,75 @@ def test_energy_support_boundary_is_closed():
 
 def test_upsilon_box_small_kappa():
     box = upsilon_box(1.0, n_probe=20_000)
-    # kappa = 1 needs one doubling of the initial L = 4
-    assert box.hi == (8.0, 8.0, 8.0, 8.0)
-    assert box.lo == (0.0, 0.0, -8.0, -8.0)
+    # kappa = 1 doubles the initial L = 4 once, and at this n_probe the
+    # half-step back to 8 / sqrt(2) passes its tail test
+    L = 8.0 / math.sqrt(2.0)
+    assert box.hi == (L, L, L, L)
+    assert box.lo == (0.0, 0.0, -L, -L)
 
 
 def _sequential_probe(kappa, *, n_probe, max_doublings=12, eps_tail=1e-3,
                       domain=DomainTag.CLASSICAL):
     """The support-box probe as two mc_joint_volumes calls per attempt, one after the other.
 
-    Returns the box and each attempt's (inner, shell) JointVolumes, or the
+    ``domain`` is one tag or a tuple of tags.  The inner pass's weight within
+    the half-step box comes from the untiled reference kernel.  Returns the
+    box and each attempt's (inner, shell, per-label within sums), or the
     NumericError message when the doublings run out.
     """
+    domains = domain if isinstance(domain, tuple) else (domain,)
     spec = RegularizerSpec.adjugate(kappa, 4)
     L = max(4.0, 4.0 * math.sqrt(kappa))
     attempts, history = [], []
     for attempt in range(max_doublings + 1):
         inner, outer = integrate._sym_box(L), integrate._sym_box(2.0 * L)
+        half = L / math.sqrt(2.0)
         seeds = np.random.SeedSequence([integrate._PROBE_SEED, attempt]).spawn(2)
         jv_in = mc_joint_volumes(inner, spec, n_probe, seeds[0])
         jv_shell = mc_joint_volumes(outer, spec, n_probe, seeds[1], exclude=inner)
-        attempts.append((jv_in, jv_shell))
-        est_in, est_shell = jv_in.result(domain).estimate, jv_shell.result(domain).estimate
-        history.append((L, est_in, est_shell))
-        if est_shell <= eps_tail * est_in:
-            return inner, attempts
+        # the probe passes run one stream each
+        s_in = _reference_stream_partial(integrate._children(seeds[0], 1)[0], n_probe, inner,
+                                         spec, 1e-9, "pseudo", None, within=half)[4]
+        attempts.append((jv_in, jv_shell, s_in))
+        ests = [(jv_in.result(t).estimate, jv_shell.result(t).estimate,
+                 inner.volume * (sum(float(s_in[l]) for l in DOMAIN_LABELS[t]) / n_probe))
+                for t in domains]
+        failed = [(e, s) for e, s, _ in ests if s > eps_tail * e]
+        if not failed:
+            shrink = all(s + (e - w) <= eps_tail * w for e, s, w in ests)
+            return integrate._sym_box(half if shrink else L), attempts
+        history.append((L, *failed[0]))
         L *= 2.0
     detail = "; ".join(f"L={l:g}: estimate={e:.6g}, shell={s:.6g}" for l, e, s in history)
     return (f"support box did not converge after {max_doublings} doublings (kappa={kappa:g}, "
             f"eps_tail={eps_tail:g}): {detail}"), attempts
 
 
-@pytest.mark.parametrize("kappa,domain,n_attempts", [
-    # both kappas double L once for the classical domain; the entangled
-    # domain's shell holds almost nothing, so its first box passes
-    pytest.param(1.0, DomainTag.CLASSICAL, 2, id="1.0"),
-    pytest.param(5.0, DomainTag.CLASSICAL, 2, id="5.0"),
-    pytest.param(5.0, DomainTag.ENTANGLED, 1, id="5.0-entangled"),
+_L5 = 8.94427190999916  # the initial L = 4 sqrt(5) at kappa = 5
+
+
+@pytest.mark.parametrize("kappa,domain,n_probe,n_attempts,side", [
+    # the classical domain doubles L once at both kappas; the half-step back
+    # passes at kappa = 1, but not at kappa = 5 and this n_probe
+    pytest.param(1.0, DomainTag.CLASSICAL, 20_000, 2, 8.0 / math.sqrt(2.0), id="1.0"),
+    pytest.param(5.0, DomainTag.CLASSICAL, 40_000, 2, 2.0 * _L5, id="5.0"),
+    # the entangled domain's shell holds almost nothing, so its first box
+    # passes, and so does the half-step
+    pytest.param(5.0, DomainTag.ENTANGLED, 20_000, 1, _L5 / math.sqrt(2.0), id="5.0-entangled"),
+    # a sweep checks all four domains, and the classical tail decides
+    pytest.param(5.0, DOMAIN_ORDER, 20_000, 2, 2.0 * _L5 / math.sqrt(2.0), id="5.0-all"),
 ])
-def test_upsilon_box_matches_sequential_probe(monkeypatch, kappa, domain, n_attempts):
+def test_upsilon_box_matches_sequential_probe(monkeypatch, kappa, domain, n_probe, n_attempts,
+                                              side):
     # the probe scores only `domain`: its bits must be those of full sequential passes
-    box, attempts = _sequential_probe(kappa, n_probe=20_000, domain=domain)
+    box, attempts = _sequential_probe(kappa, n_probe=n_probe, domain=domain)
     assert len(attempts) == n_attempts
+    assert box == integrate._sym_box(side)
     tags = _scored_tags(domain)
-    expected = [[_joint_bits(jv, tags) for jv in pair] for pair in attempts]
+    scored = np.isin(np.arange(4), integrate._labels_of(tags))
+    expected = [[_joint_bits(jv, tags) for jv in attempt[:2]] for attempt in attempts]
+    # the kernel sums the within weights of the scored labels only
+    expected_in = [np.where(scored, attempt[2], 0.0) for attempt in attempts]
     real_run, real_stream = integrate._run_passes, integrate._stream_partial
     for cores in (1, 2, 8):
         monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
@@ -161,11 +186,33 @@ def test_upsilon_box_matches_sequential_probe(monkeypatch, kappa, domain, n_atte
 
         monkeypatch.setattr(integrate, "_run_passes", recording_run)
         monkeypatch.setattr(integrate, "_stream_partial", recording_stream)
-        assert upsilon_box(kappa, n_probe=20_000, domain=domain) == box
+        assert upsilon_box(kappa, n_probe=n_probe, domain=domain) == box
         assert [[_joint_bits(jv, tags) for jv in pair] for pair in seen] == expected
+        for (jv_in, jv_shell), want in zip(seen, expected_in):
+            assert np.array_equal(jv_in._s_in, want) and jv_shell._s_in is None
         if cores == 1:
             # without a pool each attempt's inner pass runs before its shell pass
-            assert boxes == [jv.box for pair in attempts for jv in pair]
+            assert boxes == [jv.box for attempt in attempts for jv in attempt[:2]]
+
+
+def test_upsilon_box_half_step_is_honest():
+    # kappa = 5 entangled: the probe takes the half-step from L0 = 4 sqrt(5)
+    spec, e, eps_tail = RegularizerSpec.adjugate(5.0), DomainTag.ENTANGLED, 1e-3
+    box = upsilon_box(5.0, eps_tail, domain=e)
+    assert box == integrate._sym_box(_L5 / math.sqrt(2.0))
+    # 20 seeds in the chosen box: the reported errors do not understate the
+    # spread (over 200 seeds spread/se is 0.94, but 20 seeds scatter it from
+    # 0.6 to 1.2, too widely for a two-sided bound)
+    runs = [mc_joint_volumes(box, spec, 500_000, seed=9100 + i, streams=2, domains=(e,)).result(e)
+            for i in range(20)]
+    estimates = [r.estimate for r in runs]
+    spread = float(np.std(estimates, ddof=1))
+    assert spread / float(np.mean([r.std_error for r in runs])) <= 1.5
+    # an independent pass over the L0 box outside the chosen one: the tail
+    # that the half-step cut is below eps_tail of the in-box estimate
+    tail = mc_joint_volumes(integrate._sym_box(_L5), spec, 1_000_000, seed=9099, streams=2,
+                            exclude=box, domains=(e,)).result(e)
+    assert tail.estimate < eps_tail * float(np.mean(estimates))
 
 
 def test_upsilon_box_failure_text_matches_sequential_probe(monkeypatch):
@@ -190,6 +237,9 @@ def test_upsilon_box_validates():
         upsilon_box(1.0, eps_tail=1.0)
     with pytest.raises(InvalidArgumentError):
         upsilon_box(1.0, n_probe=10)
+    for bad in ("classical", None, (), (DomainTag.CLASSICAL, "entangled")):
+        with pytest.raises(InvalidArgumentError):
+            upsilon_box(1.0, domain=bad)
 
 
 def test_upsilon_box_failure_reports_history():
@@ -230,8 +280,9 @@ def _joint_bits(jv, tags=DOMAIN_ORDER):
 
 
 def _scored_tags(domain):
-    """The domains that a pass scoring ``domain`` can report."""
-    return [t for t in DOMAIN_ORDER if set(DOMAIN_LABELS[t]) <= set(DOMAIN_LABELS[domain])]
+    """The domains that a pass scoring ``domain``, one tag or a tuple, can report."""
+    labels = set(integrate._labels_of(domain if isinstance(domain, tuple) else (domain,)))
+    return [t for t in DOMAIN_ORDER if set(DOMAIN_LABELS[t]) <= labels]
 
 
 def test_core_count_does_not_change_bits(monkeypatch):
@@ -541,8 +592,11 @@ def _reference_tile(rng, t, box, spec, tol):
     return np.array([a, b, c, d])
 
 
-def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude):
+def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude, within=None):
     """The unstaged kernel: one labelling and one bincount per _CHUNK points, all labels scored.
+
+    With ``within`` (a side l), it also sums the weights of the points with
+    max(a, b, |c|, |d|) <= l, as the support-box probe's inner pass does.
 
     The pseudo sampler completes only the points of each tile that pass the
     a, b tests and the cutoff; qmc draws every point in full.  Every
@@ -572,7 +626,7 @@ def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude)
                 cols[j] += lo[j]
             return cols
 
-    s1, s2, hits = np.zeros(4), np.zeros(4), np.zeros(4, dtype=np.int64)
+    s1, s2, hits, s_in = np.zeros(4), np.zeros(4), np.zeros(4, dtype=np.int64), np.zeros(4)
     done = 0
     while done < count:
         k = min(integrate._CHUNK, count - done)
@@ -586,11 +640,14 @@ def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude)
         w = _reference_weights(a, b, c, d, spec)
         s1 += np.bincount(lab, weights=w, minlength=4)
         s2 += np.bincount(lab, weights=w * w, minlength=4)
+        if within is not None:
+            inb = np.max(np.abs([a, b, c, d]), axis=0) <= within
+            s_in += np.bincount(lab[inb], weights=w[inb], minlength=4)
         if spec.kind is RegKind.ENERGY_PHI:
             lab = lab[2.0 * (a + b) <= spec.bound_E]
         hits += np.bincount(lab, minlength=4)
         done += k
-    return count, s1, s2, hits
+    return count, s1, s2, hits, s_in
 
 
 _ORACLE_TOLS = (1e-9, 0.0, -1e-6, 1e-3)
@@ -624,16 +681,20 @@ def test_tiled_kernel_matches_untiled_reference(count, sampler, reg, excl, tol):
     else:
         box = integrate._sym_box(8.0) if reg == "kappa" else phi_box(spec.bound_E)
         exclude = None
+    # the damped passes also sum the weight within a half-step box, as a
+    # probe's inner pass does; the others sum nothing there
+    half = 8.0 / math.sqrt(2.0) if reg == "kappa" else None
+    within = integrate._sym_box(half) if half is not None else None
     # a fresh SeedSequence for each kernel: scipy's Sobol spawns from the one it is given
     seed = [count, len(sampler), len(reg), int(excl)]
     want = _reference_stream_partial(np.random.SeedSequence(seed), count, box, spec, tol,
-                                     sampler, exclude)
+                                     sampler, exclude, half)
     # a kernel scoring some labels gives their bins bit for bit and 0 in the others
     for labels in ((1, 2, 3), (2, 3), (2,), (3,)):
         got = integrate._stream_partial(np.random.SeedSequence(seed), count, box, spec, tol,
-                                        sampler, exclude, labels)
+                                        sampler, exclude, labels, within)
         scored = np.isin(np.arange(4), labels)
-        assert got[0] == want[0] == count
+        assert got[0] == want[0] == count and len(got) == len(want) == 5
         for g, w in zip(got[1:], want[1:]):
             w = np.where(scored, w, 0).astype(w.dtype)
             assert g.dtype == w.dtype and np.array_equal(g, w), labels
