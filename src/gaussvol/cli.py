@@ -275,10 +275,19 @@ def cmd_metric(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_regularizer(param: str, value: float, m: int) -> RegularizerSpec:
-    if param == "E":
-        return RegularizerSpec.energy(value, m)
-    return RegularizerSpec.adjugate(value, m)
+def _request(merged: dict, param: str, value: float) -> IntegrationRequest:
+    """The request of the merged settings, with its regularizer at ``param`` = ``value``."""
+    build = RegularizerSpec.energy if param == "E" else RegularizerSpec.adjugate
+    return IntegrationRequest(
+        domain=DomainTag(merged["set"]),
+        regularizer=build(value, merged["m"]),
+        n_samples=merged["samples"],
+        seed=merged["seed"],
+        streams=merged["streams"],
+        tol=merged["tol"],
+        eps_tail=merged["eps-tail"],
+        sampler=merged["sampler"],
+    )
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
@@ -288,18 +297,7 @@ def cmd_volume(args: argparse.Namespace) -> int:
     param, vals = _regularizer_inputs(merged)
     if len(vals) != 1:
         raise InvalidArgumentError("volume takes a single --E or --kappa value; use sweep for lists")
-    reg = _build_regularizer(param, vals[0], merged["m"])
-    req = IntegrationRequest(
-        domain=DomainTag(merged["set"]),
-        regularizer=reg,
-        n_samples=merged["samples"],
-        seed=merged["seed"],
-        streams=merged["streams"],
-        tol=merged["tol"],
-        eps_tail=merged["eps-tail"],
-        sampler=merged["sampler"],
-    )
-    res = mc_volume(req)
+    res = mc_volume(_request(merged, param, vals[0]))
     row = [
         merged["set"],
         "energy" if param == "E" else "adj",
@@ -328,17 +326,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.write_config:
         _write_config(args.write_config, merged)
     param, vals = _regularizer_inputs(merged)
-    template = IntegrationRequest(
-        domain=DomainTag(merged["set"]),
-        regularizer=_build_regularizer(param, vals[0], merged["m"]),
-        n_samples=merged["samples"],
-        seed=merged["seed"],
-        streams=merged["streams"],
-        tol=merged["tol"],
-        eps_tail=merged["eps-tail"],
-        sampler=merged["sampler"],
-    )
-    table = sweep(param, vals, template)
+    table = sweep(param, vals, _request(merged, param, vals[0]))
     lines = ["# gaussvol-sweep-csv v1", _SWEEP_COLUMNS]
     failed = []
     for row in table.rows:

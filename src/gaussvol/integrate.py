@@ -29,12 +29,10 @@ Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from the children of the seed's SeedSequence, and partial sums are
 combined by a fixed-order pairwise reduction; results are bit-identical for
 a fixed (seed, streams, n_samples).  A stream works in tiles of ``_TILE``
-points on scratch it allocates once and sums each block of ``_CHUNK``
-points with one ``bincount`` in draw order.  A pseudo stream is consumed
-per tile as a(t) and b(t), then c(k) and d(k) for the k stage-1 survivors,
-so both constants fix its bits.  qmc draws 4-d Sobol points, so its points
-do not depend on ``_TILE``; but a ``upsilon_box`` support box is probed with
-the pseudo sampler, so on a probed box both constants fix qmc bits too.
+points on scratch it allocates once and sums each tile with one ``bincount``
+per sum, in draw order.  A pseudo stream is consumed per tile as a(t) and
+b(t), then c(k) and d(k) for the k stage-1 survivors.  So ``_TILE`` alone
+fixes the bits, for pseudo and qmc alike.
 The substreams of one pass, or of several passes that do not depend on each
 other (the inner box and outer shell of a support-box probe), run as one task
 list on at most one thread per usable core, from a pool kept between passes,
@@ -85,9 +83,8 @@ __all__ = [
 
 DOMAIN_ORDER = (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE, DomainTag.ENTANGLED)
 
-# _CHUNK is the reduction block and fixes the summation order; _TILE is the
-# elementwise working set and, with _CHUNK, fixes the pseudo stream's layout
-_CHUNK = 1 << 18
+# _TILE is the working set of a stream and fixes its bits: the pseudo
+# stream's layout and the summation order of every sum
 _TILE = 1 << 16
 _PROBE_SEED = 0x426F78  # fixed probe seed: the box depends only on its inputs
 _SAMPLERS = ("pseudo", "qmc")
@@ -167,8 +164,8 @@ def regularizer_values(a, b, c, d, spec: RegularizerSpec) -> np.ndarray:
     """Vectorized regularizer weight at standard-form points.
 
     Uses the standard-form closed forms det V = (ab - c^2)(ab - d^2) and
-    tr[adj V] = 2a^2 b + a(2b^2 - c^2 - d^2) - b(c^2 + d^2); agrees with the
-    general matrix evaluation on the classical domain.
+    tr[adj V] = (a + b)(2ab - c^2 - d^2); agrees with the general matrix
+    evaluation on the classical domain.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -221,104 +218,87 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
 
         sob = qmc.Sobol(d=4, scramble=True, seed=np.random.default_rng(child_ss))
     # the rest of one tile's scratch, allocated once: ab, labels, and the
-    # float and bool arrays that the tests and the labelling work in
+    # float and bool arrays that the tests, the labelling and the weights work in
     ab_buf = np.empty(tile)
     lab_buf = np.empty(tile, dtype=np.intp)
     f_buf = np.empty((7, tile))
     b_buf = np.empty((3, tile), dtype=bool)
     scored = np.isin(np.arange(4), labels)  # scored[l]: label l is weighted and counted
-    # one block's scored points, labelled and weighted in draw order
-    block = min(_CHUNK, count)
-    lab_blk = np.empty(block, dtype=np.intp)
-    w_blk = np.empty(block)
-    # a probe's inner pass also sums the weights of its scored points inside ``within``
-    in_blk = np.empty(block if within is not None else 0, dtype=bool)
 
     energy = spec.kind is RegKind.ENERGY_PHI
     s1 = np.zeros(4)
     s2 = np.zeros(4)
     hits = np.zeros(4, dtype=np.int64)
     s_in = np.zeros(4)
-    done = 0
-    while done < count:
-        k = min(_CHUNK, count - done)
-        filled = 0
-        for start in range(0, k, _TILE):
-            t = min(_TILE, k - start)
-            keep, inside = b_buf[:2, :t]
-            # stage 1, every sample: a and b, the a, b half of the classical
-            # test and the energy cutoff
-            pts = bufs[0][:4 * t].reshape(4, t)
-            if sampler == "pseudo":
-                rng.random(out=pts[:2])
-            else:
-                # Sobol points are 4-d: the tile's c and d are drawn here and gathered in stage 2
-                with _WARNINGS_LOCK, warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    u = sob.random(t).T
-                np.copyto(pts[:2], u[:2])
-            pts[:2] *= span[:2]
-            pts[:2] += lo[:2]
-            a, b = pts[:2]
-            _ab_above(a, b, -tol, out=keep, tmp=f_buf[0, :t])
-            if energy:
-                # a point outside the cutoff would add only +0.0 to s1 and s2
-                keep &= _in_energy_support(a, b, spec.bound_E, out=inside, tmp=f_buf[0, :t])
-            pts, idx = _take(keep, pts, bufs[1], rows=2)
-            # stage 2, the survivors: c and d, the c, d half of the classical
-            # test, exclude, and points sure to have an unscored label
-            n = pts.shape[1]
-            cd = pts[2:]
-            if sampler == "pseudo":
-                rng.random(out=cd)
-            elif idx is None:
-                np.copyto(cd, u[2:])
-            else:
-                np.take(u[2:], idx, axis=1, out=cd, mode="clip")
-            cd *= span[2:]
-            cd += lo[2:]
-            keep, tmp, inside = b_buf[:, :n]
-            _cd_inside(*pts, tol, out=keep, scratch=(f_buf[0, :n], f_buf[1, :n], tmp))
-            if exclude is not None:
-                keep &= np.logical_not(exclude.contains(pts.T, out=inside, tmp=tmp), out=inside)
-            if not scored[1]:
-                # a classical point with min(a, b) <= 1 - tol has label 1
-                keep &= _ab_above(*pts[:2], 1.0 - tol, out=inside, tmp=f_buf[0, :n])
-            pts, _ = _take(keep, pts, other(pts))
-            # stage 3, the scored domains only: label, then weight the scored labels
-            n = pts.shape[1]
-            a, b, c, d = pts
-            lab = _classical_labels(a, b, c, d, np.multiply(a, b, out=ab_buf[:n]), tol,
-                                    out=lab_buf[:n], scratch=(*f_buf[:, :n], *b_buf[:, :n]))
-            pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts, other(pts))
-            n = pts.shape[1]
-            if n == 0:
-                continue
-            end = filled + n
-            if idx is None:
-                lab_blk[filled:end] = lab
-            else:
-                np.take(lab, idx, out=lab_blk[filled:end], mode="clip")
-            a, b, c, d = pts
-            w = np.multiply(regularizer_values(a, b, c, d, spec), volume_density(a, b, c, d),
-                            out=w_blk[filled:end])
-            finite = np.isfinite(w, out=b_buf[0, :n])
-            if not finite.all():
-                i = int(np.argmin(finite))
-                bad = (a[i], b[i], c[i], d[i])
-                raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
-            if within is not None:
-                within.contains(pts.T, out=in_blk[filled:end], tmp=b_buf[0, :n])
-            filled = end
-        # one bincount per block, so the block, not the tile, fixes the summation order
-        lab, w = lab_blk[:filled], w_blk[:filled]
+    for done in range(0, count, _TILE):
+        t = min(_TILE, count - done)
+        keep, inside = b_buf[:2, :t]
+        # stage 1, every sample: a and b, the a, b half of the classical
+        # test and the energy cutoff
+        pts = bufs[0][:4 * t].reshape(4, t)
+        if sampler == "pseudo":
+            rng.random(out=pts[:2])
+        else:
+            # Sobol points are 4-d: the tile's c and d are drawn here and gathered in stage 2
+            with _WARNINGS_LOCK, warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                u = sob.random(t).T
+            np.copyto(pts[:2], u[:2])
+        pts[:2] *= span[:2]
+        pts[:2] += lo[:2]
+        a, b = pts[:2]
+        _ab_above(a, b, -tol, out=keep, tmp=f_buf[0, :t])
+        if energy:
+            # a point outside the cutoff would add only +0.0 to s1 and s2
+            keep &= _in_energy_support(a, b, spec.bound_E, out=inside, tmp=f_buf[0, :t])
+        pts, idx = _take(keep, pts, bufs[1], rows=2)
+        # stage 2, the survivors: c and d, the c, d half of the classical
+        # test, exclude, and points sure to have an unscored label
+        n = pts.shape[1]
+        cd = pts[2:]
+        if sampler == "pseudo":
+            rng.random(out=cd)
+        elif idx is None:
+            np.copyto(cd, u[2:])
+        else:
+            np.take(u[2:], idx, axis=1, out=cd, mode="clip")
+        cd *= span[2:]
+        cd += lo[2:]
+        keep, tmp, inside = b_buf[:, :n]
+        _cd_inside(*pts, tol, out=keep, scratch=(f_buf[0, :n], f_buf[1, :n], tmp))
+        if exclude is not None:
+            keep &= np.logical_not(exclude.contains(pts.T, out=inside, tmp=tmp), out=inside)
+        if not scored[1]:
+            # a classical point with min(a, b) <= 1 - tol has label 1
+            keep &= _ab_above(*pts[:2], 1.0 - tol, out=inside, tmp=f_buf[0, :n])
+        pts, _ = _take(keep, pts, other(pts))
+        # stage 3, the scored domains only: label, then weight the scored labels
+        n = pts.shape[1]
+        a, b, c, d = pts
+        lab = _classical_labels(a, b, c, d, np.multiply(a, b, out=ab_buf[:n]), tol,
+                                out=lab_buf[:n], scratch=(*f_buf[:, :n], *b_buf[:, :n]))
+        pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts, other(pts))
+        n = pts.shape[1]
+        if n == 0:
+            continue
+        if idx is not None:
+            lab = lab[idx]
+        a, b, c, d = pts
+        w = np.multiply(regularizer_values(a, b, c, d, spec), volume_density(a, b, c, d),
+                        out=f_buf[0, :n])
+        finite = np.isfinite(w, out=b_buf[0, :n])
+        if not finite.all():
+            i = int(np.argmin(finite))
+            bad = (a[i], b[i], c[i], d[i])
+            raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
+        # one bincount per sum and tile, in draw order, so the tile fixes the summation order
         s1 += np.bincount(lab, weights=w, minlength=4)
         if within is not None:
-            inb = in_blk[:filled]
+            # a probe's inner pass also sums the weights of its scored points inside ``within``
+            inb = within.contains(pts.T, out=b_buf[1, :n], tmp=b_buf[2, :n])
             s_in += np.bincount(lab[inb], weights=w[inb], minlength=4)
         s2 += np.bincount(lab, weights=np.multiply(w, w, out=w), minlength=4)
         hits += np.bincount(lab, minlength=4)
-        done += k
     return count, s1, s2, hits, s_in
 
 
@@ -631,7 +611,11 @@ def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
 
 @dataclass(frozen=True)
 class IntegrationRequest:
-    """Inputs of one volume estimate; every field has a deterministic effect."""
+    """Inputs of one volume estimate; every field has a deterministic effect.
+
+    The fields are checked here, so that ``mc_volume`` and ``sweep`` take
+    only valid requests; ``eps_tail`` is checked where a box is probed.
+    """
 
     domain: DomainTag
     regularizer: RegularizerSpec
@@ -642,6 +626,19 @@ class IntegrationRequest:
     tol: float = 1e-9
     eps_tail: float = 1e-3
     sampler: str = "pseudo"
+
+    def __post_init__(self):
+        if not isinstance(self.domain, DomainTag):
+            raise InvalidArgumentError("domain must be a DomainTag")
+        if self.n_samples < 10_000:
+            raise InvalidArgumentError("n_samples must be at least 10_000")
+        if self.streams < 1:
+            raise InvalidArgumentError("streams must be >= 1")
+        if self.regularizer.m != 4:
+            raise InvalidArgumentError(
+                "volume integrals use the 4-parameter chart; regularizer m must be 4")
+        if self.sampler not in _SAMPLERS:
+            raise InvalidArgumentError(f"sampler must be one of {_SAMPLERS}")
 
 
 def _default_box(spec: RegularizerSpec, domains: tuple, n_samples: int, eps_tail: float) -> Box:
@@ -659,16 +656,6 @@ def mc_volume(req: IntegrationRequest) -> IntegrationResult:
     same domain's result from a pass that scores all four: only this
     domain's points are weighted.
     """
-    if req.n_samples < 10_000:
-        raise InvalidArgumentError("n_samples must be at least 10_000")
-    if req.streams < 1:
-        raise InvalidArgumentError("streams must be >= 1")
-    if not isinstance(req.domain, DomainTag):
-        raise InvalidArgumentError("domain must be a DomainTag")
-    if req.regularizer.m != 4:
-        raise InvalidArgumentError("volume integrals use the 4-parameter chart; regularizer m must be 4")
-    if req.sampler not in _SAMPLERS:
-        raise InvalidArgumentError(f"sampler must be one of {_SAMPLERS}")
     box = req.box if req.box is not None else _default_box(req.regularizer, (req.domain,),
                                                            req.n_samples, req.eps_tail)
     jv = mc_joint_volumes(box, req.regularizer, req.n_samples, req.seed, req.streams,
@@ -717,11 +704,7 @@ def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
         raise InvalidArgumentError("an E sweep needs an energy-kind template regularizer")
     if param == "kappa" and kind is not RegKind.ADJUGATE_UPSILON:
         raise InvalidArgumentError("a kappa sweep needs an adjugate-kind template regularizer")
-    if template.n_samples < 10_000:
-        raise InvalidArgumentError("n_samples must be at least 10_000")
     m = template.regularizer.m
-    if m != 4:
-        raise InvalidArgumentError("volume integrals use the 4-parameter chart; regularizer m must be 4")
     rows = []
     for i, v in enumerate(vals):
         spec = RegularizerSpec.energy(v, m) if param == "E" else RegularizerSpec.adjugate(v, m)

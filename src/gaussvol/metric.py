@@ -188,7 +188,7 @@ def _partition(n: int, k: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(k)]
 
 
-_ORACLE_CHUNK = 1 << 17
+_ORACLE_BLOCK = 1 << 17
 
 
 def _oracle_stream(ss, count: int, L: np.ndarray, C: np.ndarray, t: np.ndarray):
@@ -198,7 +198,7 @@ def _oracle_stream(ss, count: int, L: np.ndarray, C: np.ndarray, t: np.ndarray):
     s2 = np.zeros((m, m))
     done = 0
     while done < count:
-        k = min(_ORACLE_CHUNK, count - done)
+        k = min(_ORACLE_BLOCK, count - done)
         z = rng.standard_normal((k, L.shape[0]))
         x = z @ L.T
         q = np.empty((k, m))

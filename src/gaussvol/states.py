@@ -6,7 +6,6 @@ matrices are dimensionless (hbar = 1), so the vacuum is the identity.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import Sequence
 
@@ -246,52 +245,6 @@ def is_symplectic(S, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.abs(A.T @ omega @ A - omega).max() <= tol)
 
 
-# Pade order-13 coefficients for the scaling-and-squaring matrix exponential.
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_THETA13 = 5.371920351148152
-
-
-def _expm_pade13(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring with the Pade order fixed at 13.
-
-    The fixed order keeps the evaluation deterministic for a fixed input,
-    independent of any norm-based order selection.
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    norm = float(np.linalg.norm(A, 1))
-    s = 0
-    if norm > _THETA13:
-        s = int(math.ceil(math.log2(norm / _THETA13)))
-    A = A / (2.0**s)
-    b = _PADE13
-    ident = np.eye(n)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    W = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident
-    R = np.linalg.solve(W - U, W + U)
-    for _ in range(s):
-        R = R @ R
-    return R
-
-
 def random_symplectic(n_modes: int, scale: float, seed) -> np.ndarray:
     """Random symplectic matrix exp(Omega H) with H symmetric, entries uniform in [-scale, scale].
 
@@ -302,10 +255,13 @@ def random_symplectic(n_modes: int, scale: float, seed) -> np.ndarray:
         raise InvalidArgumentError("n_modes must be >= 1")
     if not (scale > 0.0):
         raise InvalidArgumentError("scale must be positive")
+    # imported here, so that importing gaussvol does not import scipy
+    from scipy.linalg import expm
+
     rng = np.random.default_rng(seed)
     A = rng.uniform(-scale, scale, size=(2 * n_modes, 2 * n_modes))
     H = np.triu(A) + np.triu(A, 1).T
-    S = _expm_pade13(symplectic_form(n_modes) @ H)
+    S = expm(symplectic_form(n_modes) @ H)
     if not np.isfinite(S).all() or not is_symplectic(S, 1e-9):
         raise NumericError("generated matrix failed the symplectic identity check")
     return S

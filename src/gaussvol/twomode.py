@@ -128,20 +128,13 @@ def canonical_det(a, b, c, d):
 
 
 def canonical_trace_adjugate(a, b, c, d):
-    """tr[adj V] = 2a^2 b + a(2b^2 - c^2 - d^2) - b(c^2 + d^2), elementwise."""
+    """tr[adj V] = (a + b)(2ab - c^2 - d^2), elementwise."""
     a, b, c, d = _float_arrays(a, b, c, d)
-    s = np.square(c, out=np.empty(a.shape))
-    tmp = np.square(d, out=np.empty(a.shape))
-    s += tmp
-    tr = np.multiply(a, 2.0, out=np.empty(a.shape))
-    tr *= a
-    tr *= b
-    np.multiply(b, 2.0, out=tmp)
-    tmp *= b
-    tmp -= s
-    tmp *= a
-    tr += tmp
-    tr -= np.multiply(b, s, out=tmp)
+    tr = np.multiply(a, b, out=np.empty(a.shape))
+    tr *= 2.0
+    tr -= np.square(c)
+    tr -= np.square(d)
+    tr *= np.add(a, b)
     return tr[()]
 
 

@@ -565,8 +565,7 @@ def _reference_weights(a, b, c, d, spec):
     if spec.kind is RegKind.ENERGY_PHI:
         reg = np.where(2.0 * (a + b) <= spec.bound_E, base, 0.0)
     else:
-        s = c2 + d2
-        tr = 2.0 * a * a * b + a * (2.0 * b * b - s) - b * s
+        tr = (a + b) * (2.0 * ab - c2 - d2)
         reg = np.exp(np.minimum(-tr / spec.kappa, 700.0)) * base
     pc, pd = ab - c2, ab - d2
     num = (pc + pd) * (2.0 * ab + c2 + d2)
@@ -593,7 +592,7 @@ def _reference_tile(rng, t, box, spec, tol):
 
 
 def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude, within=None):
-    """The unstaged kernel: one labelling and one bincount per _CHUNK points, all labels scored.
+    """The unstaged kernel, all labels scored: each tile of _TILE points is labelled and summed alone.
 
     With ``within`` (a side l), it also sums the weights of the points with
     max(a, b, |c|, |d|) <= l, as the support-box probe's inner pass does.
@@ -608,29 +607,25 @@ def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude,
     span = np.asarray(box.hi) - lo
     if sampler == "pseudo":
         rng = np.random.default_rng(child_ss)
-        draw = lambda k: np.concatenate(
-            [_reference_tile(rng, min(integrate._TILE, k - i), box, spec, tol)
-             for i in range(0, k, integrate._TILE)], axis=1)
+        draw = lambda t: _reference_tile(rng, t, box, spec, tol)
     else:
         from scipy.stats import qmc
 
         sob = qmc.Sobol(d=4, scramble=True, seed=np.random.default_rng(child_ss))
 
-        def draw(k):
+        def draw(t):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                u = sob.random(k)
-            cols = np.empty((4, k))
+                u = sob.random(t)
+            cols = np.empty((4, t))
             for j in range(4):
                 np.multiply(u[:, j], span[j], out=cols[j])
                 cols[j] += lo[j]
             return cols
 
     s1, s2, hits, s_in = np.zeros(4), np.zeros(4), np.zeros(4, dtype=np.int64), np.zeros(4)
-    done = 0
-    while done < count:
-        k = min(integrate._CHUNK, count - done)
-        cols = draw(k)
+    for done in range(0, count, integrate._TILE):
+        cols = draw(min(integrate._TILE, count - done))
         lab = _reference_labels(*cols, tol)
         if exclude is not None:
             lab[exclude.contains(cols.T)] = 0
@@ -646,13 +641,11 @@ def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude,
         if spec.kind is RegKind.ENERGY_PHI:
             lab = lab[2.0 * (a + b) <= spec.bound_E]
         hits += np.bincount(lab, minlength=4)
-        done += k
     return count, s1, s2, hits, s_in
 
 
 _ORACLE_TOLS = (1e-9, 0.0, -1e-6, 1e-3)
-_ORACLE_COUNTS = (1, integrate._TILE - 1, integrate._TILE + 1,
-                  integrate._CHUNK + integrate._TILE + 3)
+_ORACLE_COUNTS = (1, integrate._TILE - 1, integrate._TILE + 1, 5 * integrate._TILE + 3)
 # every count meets every (sampler, regularizer, exclude) triple, and every
 # tolerance twice; the tolerance rotates with the count
 _ORACLE_CASES = [
@@ -664,7 +657,7 @@ _ORACLE_CASES = [
     # near E = 4 the cutoff a + b <= E/2 cuts through the quantum labels: at
     # E = 4.5 some tens of separable and entangled points of such a run lie
     # inside it and tens of thousands outside
-    (integrate._CHUNK + integrate._TILE + 3, sampler, "E4.5", False, tol)
+    (5 * integrate._TILE + 3, sampler, "E4.5", False, tol)
     for sampler, tol in (("pseudo", 1e-9), ("qmc", 1e-3))
 ]
 
@@ -701,8 +694,8 @@ def test_tiled_kernel_matches_untiled_reference(count, sampler, reg, excl, tol):
 
 
 def test_stream_partial_traced_peak_is_small():
-    # the scratch is a few tiles plus one block; before the tiled kernel one
-    # stream of 1M samples peaked at 36.6 MiB
+    # the scratch is a few tiles; before the tiled kernel one stream of 1M
+    # samples peaked at 36.6 MiB
     energy = (phi_box(8.0), RegularizerSpec.energy(8.0), 1e-9, "pseudo", None, (1, 2, 3))
     # the kappa = 5 box, scoring the entangled label only
     damped = (integrate._sym_box(8.0 * math.sqrt(5.0)), RegularizerSpec.adjugate(5.0), 1e-9,

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import expm as scipy_expm
 
 from conftest import random_covariance, uncertainty_oracle
 from gaussvol.errors import (
@@ -29,7 +28,6 @@ from gaussvol.states import (
     symplectic_form,
     trace_adjugate,
 )
-from gaussvol.states import _expm_pade13
 
 
 def two_mode_squeezed(r: float) -> np.ndarray:
@@ -226,13 +224,6 @@ def test_is_symplectic():
     assert is_symplectic(np.eye(4))
     assert not is_symplectic(2.0 * np.eye(4))
     assert not is_symplectic(np.eye(3))
-
-
-def test_expm_matches_scipy():
-    rng = np.random.default_rng(12)
-    for scale in (0.1, 1.0, 5.0, 25.0):
-        A = rng.normal(size=(4, 4)) * scale
-        assert_allclose(_expm_pade13(A), scipy_expm(A), rtol=1e-9, atol=1e-9)
 
 
 def test_random_symplectic_properties():
