@@ -369,7 +369,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="substream count, part of the determinism key; the substreams run on "
                         "at most one thread per usable core (default 4)")
     p.add_argument("--eps-tail", type=float, default=None,
-                   help="support-box tail threshold (default 1e-3)")
+                   help="--kappa only: the largest fraction of each checked class's mass, "
+                        "relative to the mass inside, that the support box may leave out; the "
+                        "box side stops at max(8, 8 sqrt(kappa)), with a warning if more is "
+                        "left out there (default 1e-3)")
     p.add_argument("--tol", type=float, default=None, help="domain tolerance (default 1e-9)")
     p.add_argument("--sampler", choices=_CHOICES["sampler"], default=None,
                    help="pseudo (default) or qmc")

@@ -17,13 +17,12 @@ exactly.  The draws do not depend on the scored domains, so a pass scoring
 one domain gives it the bits of a pass scoring all four.
 
 The adjugate damping has unbounded support, so ``upsilon_box`` fits a box
-a, b in (0, L], |c|, |d| <= L with L on the grid L0 * 2^(k/2).  It doubles
-L until a shell pass finds at most ``eps_tail`` of the mass outside the box,
-for every domain it checks.  It then takes one half-step back to L / sqrt(2)
-when the ring between the two boxes plus the shell hold at most ``eps_tail``
-of the mass inside the smaller one.  The inner pass that decides this is the
-only pass that also sums, per label, the weight of its scored points inside
-a ``within`` box; the main pass does no extra work.
+a, b in (0, L], |c|, |d| <= L: the smallest L on the grid L0 * 2^(k/2) for
+which every domain it checks has at most ``eps_tail`` of its mass outside
+the box, relative to the mass inside, but at most 2 L0.  Both masses come
+from the deterministic Gauss-Legendre rule of ``_quad``, which draws no
+samples, so the box depends on kappa, ``eps_tail`` and the domains, not on
+the sample budget.
 
 Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from the children of the seed's SeedSequence, and partial sums are
@@ -33,10 +32,9 @@ points on scratch it allocates once and sums each tile with one ``bincount``
 per sum, in draw order.  A pseudo stream is consumed per tile as a(t) and
 b(t), then c(k) and d(k) for the k stage-1 survivors.  So ``_TILE`` alone
 fixes the bits, for pseudo and qmc alike.
-The substreams of one pass, or of several passes that do not depend on each
-other (the inner box and outer shell of a support-box probe), run as one task
-list on at most one thread per usable core, from a pool kept between passes,
-so the core count sets the speed but never the bits.
+The substreams of a pass run on at most one thread per usable core, from a
+pool kept between passes, so the core count sets the speed but never the
+bits.
 """
 
 from __future__ import annotations
@@ -86,8 +84,10 @@ DOMAIN_ORDER = (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE, Dom
 # _TILE is the working set of a stream and fixes its bits: the pseudo
 # stream's layout and the summation order of every sum
 _TILE = 1 << 16
-_PROBE_SEED = 0x426F78  # fixed probe seed: the box depends only on its inputs
 _SAMPLERS = ("pseudo", "qmc")
+# Gauss-Legendre order per axis of the support-box rule: its tail ratios
+# agree with the rule at twice the order to a few percent near the threshold
+_BOX_ORDER = 12
 # warnings.catch_warnings swaps the process-wide filter list, so two pool
 # threads inside it at once can leave one thread's filter installed for good
 _WARNINGS_LOCK = threading.Lock()
@@ -203,7 +203,7 @@ def _take(keep, cols, buf, rows=4):
 
 
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
-                    sampler: str, exclude: Box | None, labels: tuple, within: Box | None = None):
+                    sampler: str, exclude: Box | None, labels: tuple):
     lo = np.asarray(box.lo)[:, None]
     span = np.asarray(box.hi)[:, None] - lo
     tile = min(_TILE, count)
@@ -229,7 +229,6 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     s1 = np.zeros(4)
     s2 = np.zeros(4)
     hits = np.zeros(4, dtype=np.int64)
-    s_in = np.zeros(4)
     for done in range(0, count, _TILE):
         t = min(_TILE, count - done)
         keep, inside = b_buf[:2, :t]
@@ -293,13 +292,9 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
             raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
         # one bincount per sum and tile, in draw order, so the tile fixes the summation order
         s1 += np.bincount(lab, weights=w, minlength=4)
-        if within is not None:
-            # a probe's inner pass also sums the weights of its scored points inside ``within``
-            inb = within.contains(pts.T, out=b_buf[1, :n], tmp=b_buf[2, :n])
-            s_in += np.bincount(lab[inb], weights=w[inb], minlength=4)
         s2 += np.bincount(lab, weights=np.multiply(w, w, out=w), minlength=4)
         hits += np.bincount(lab, minlength=4)
-    return count, s1, s2, hits, s_in
+    return count, s1, s2, hits
 
 
 @dataclass(frozen=True)
@@ -335,13 +330,12 @@ class JointVolumes:
     regularizer's support, outside any ``exclude`` box.  Only the labels in
     ``labels`` were weighted and counted; ``result``, ``difference`` and
     ``ratio`` accept every domain made up of them and raise
-    ``InvalidArgumentError`` for any other.  ``s_in`` holds the per-label
-    weight sums of the points inside a probe pass's ``within`` box.
+    ``InvalidArgumentError`` for any other.
     """
 
     def __init__(self, box: Box, spec: RegularizerSpec, n_samples: int, seed_label, streams: int,
                  tol: float, sampler: str, s1: np.ndarray, s2: np.ndarray, hits: np.ndarray,
-                 labels: tuple, s_in: np.ndarray | None = None):
+                 labels: tuple):
         self.box = box
         self.regularizer = spec
         self.n_samples = n_samples
@@ -353,18 +347,12 @@ class JointVolumes:
         self._s2 = s2
         self._hits = hits
         self.labels = labels
-        self._s_in = s_in
 
     def _mean(self, tag: DomainTag) -> float:
         # every reader of a domain goes through here
         if not set(DOMAIN_LABELS[tag]) <= set(self.labels):
             raise InvalidArgumentError(f"the {tag.value} domain was not scored in this pass")
         return sum(float(self._s1[l]) for l in DOMAIN_LABELS[tag]) / self.n_samples
-
-    def _within(self, tag: DomainTag) -> float:
-        """The part of ``tag``'s estimate from points inside the pass's ``within`` box."""
-        return self.box.volume * (sum(float(self._s_in[l]) for l in DOMAIN_LABELS[tag])
-                                  / self.n_samples)
 
     def _mean_cov(self, tag_a: DomainTag, tag_b: DomainTag) -> float:
         """Covariance of the two domains' sample means, from the labels they share."""
@@ -445,23 +433,6 @@ def _labels_of(domains) -> tuple:
     return tuple(sorted(labels))
 
 
-@dataclass(frozen=True)
-class _Pass:
-    """The arguments of one ``mc_joint_volumes`` pass, with its seed as a SeedSequence."""
-
-    box: Box
-    spec: RegularizerSpec
-    n_samples: int
-    ss: np.random.SeedSequence
-    streams: int = 1
-    tol: float = 1e-9
-    sampler: str = "pseudo"
-    exclude: Box | None = None
-    seed_label: int | None = None
-    labels: tuple = _labels_of(DOMAIN_ORDER)
-    within: Box | None = None
-
-
 def _stream_pool(cores: int) -> ThreadPoolExecutor:
     """The process's pool of at most ``cores`` stream threads, kept between passes.
 
@@ -487,37 +458,6 @@ def _stream_pool(cores: int) -> ThreadPoolExecutor:
         return _pool[1]
 
 
-def _run_passes(passes: list[_Pass]) -> list[JointVolumes]:
-    """Run the substreams of every pass as one task list; one JointVolumes per pass.
-
-    The tasks run in order on min(tasks, usable cores) threads, and each
-    pass's partial sums are reduced in stream order, so every pass gets the
-    bits it would get alone.
-    """
-    tasks = [(p, child, count) for p in passes
-             for child, count in zip(_children(p.ss, p.streams), _partition(p.n_samples, p.streams))]
-
-    def run(task):
-        p, child, count = task
-        return _stream_partial(child, count, p.box, p.spec, p.tol, p.sampler, p.exclude, p.labels,
-                               p.within)
-
-    cores = _usable_cores()
-    if min(len(tasks), cores) == 1:
-        partials = [run(t) for t in tasks]
-    else:
-        # map returns the partials in task order, whichever thread ran them
-        partials = list(_stream_pool(cores).map(run, tasks))
-    out = []
-    for p in passes:
-        mine, partials = partials[:p.streams], partials[p.streams:]
-        n, s1, s2, hits, s_in = _pairwise_reduce(
-            mine, lambda u, v: tuple(x + y for x, y in zip(u, v)))
-        out.append(JointVolumes(p.box, p.spec, n, p.seed_label, p.streams, p.tol, p.sampler,
-                                s1, s2, hits, p.labels, s_in if p.within is not None else None))
-    return out
-
-
 def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, streams: int = 1,
                      tol: float = 1e-9, sampler: str = "pseudo", seed_label: int | None = None,
                      exclude: Box | None = None, *, domains=DOMAIN_ORDER) -> JointVolumes:
@@ -537,72 +477,94 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
         raise InvalidArgumentError("n_samples must be positive")
     if sampler not in _SAMPLERS:
         raise InvalidArgumentError(f"sampler must be one of {_SAMPLERS}")
+    labels = _labels_of(domains)
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
         ss = np.random.SeedSequence(seed)
         if seed_label is None:
             seed_label = int(seed)
-    return _run_passes([_Pass(box, spec, n_samples, ss, streams, tol, sampler, exclude,
-                              seed_label, _labels_of(domains))])[0]
+    tasks = list(zip(_children(ss, streams), _partition(n_samples, streams)))
+
+    def run(task):
+        child, count = task
+        return _stream_partial(child, count, box, spec, tol, sampler, exclude, labels)
+
+    cores = _usable_cores()
+    if min(streams, cores) == 1:
+        partials = [run(t) for t in tasks]
+    else:
+        # map returns the partials in stream order, whichever thread ran them
+        partials = list(_stream_pool(cores).map(run, tasks))
+    n, s1, s2, hits = _pairwise_reduce(partials, lambda u, v: tuple(x + y for x, y in zip(u, v)))
+    return JointVolumes(box, spec, n, seed_label, streams, tol, sampler, s1, s2, hits, labels)
 
 
 def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
                 domain: DomainTag | tuple = DomainTag.CLASSICAL, n_probe: int = 100_000,
                 max_doublings: int = 12) -> Box:
-    """Adaptive support box for the adjugate-damped integrand.
+    """Support box for the adjugate-damped integrand, fitted by quadrature.
 
-    Boxes are a, b in (0, L], |c|, |d| <= L, and L lies on the grid
-    L0 * 2^(k/2) with L0 = max(4, 4 sqrt(kappa)).  ``domain`` is one tag or
-    a tuple of tags, and every one of them is checked.  Each attempt probes
-    the box of side L with an inner pass over it and a shell pass over the
-    box of side 2L outside it; L doubles from L0 until, for every checked
-    domain, the shell holds at most ``eps_tail`` of the inner estimate.
-    The passing attempt's inner pass also sums each domain's weight
-    ``within`` the half-step box of side l = L / sqrt(2).  That box is
-    returned when the mass outside it, the ring (l, L] plus the shell, is at
-    most ``eps_tail`` of ``within`` for every checked domain, and the box of
-    side L otherwise: so at most one half-step is taken, and ``eps_tail``
-    bounds the tail mass over the estimate either way.
+    Boxes are a, b in (0, L], |c|, |d| <= L.  ``domain`` is one tag or a
+    tuple of tags, and every one of them is checked.  The tail test passes
+    at the smallest side on the grid L0 * 2^(k/2), k >= -1, with
+    L0 = max(4, 4 sqrt(kappa)), at which every checked domain's tail, its
+    mass outside the box, is at most ``eps_tail`` times its mass inside.
+    Sides are tried in increasing order up to L0 * 2^max_doublings; when
+    none passes, NumericError lists each side tried with the first checked
+    domain that failed there.
 
-    Probing uses a fixed internal seed, so the box depends only on the
-    arguments.  Each attempt's inner and shell passes share one task list on
-    the stream pool, so with two usable cores they run at the same time; each
-    gets the bits it would get alone.  Both passes score the checked domains
-    only.
+    The returned side is that side, but at most 2 L0: each doubling spreads
+    the uniform sampler's draws over 16 times the volume, and past one
+    doubling the estimate's error at practical sample counts dwarfs the tail
+    it would save.  When the cap binds, a RuntimeWarning names the side that
+    passes and, for each checked domain that fails at the cap, the share of
+    its mass left outside the box.
+
+    Both masses come from ``_quad``'s Gauss-Legendre rule of order
+    ``_BOX_ORDER`` on each axis.  The tail is integrated directly over
+    max(a, b) > L, which is the whole outside of the box because
+    |c|, |d| < sqrt(ab) <= max(a, b), and the mass inside is the whole
+    volume minus the tail.  No samples are drawn, so the box depends only on
+    kappa, ``eps_tail``, ``m`` and the domains.  ``n_probe``, the sample
+    count of the Monte Carlo probe this rule replaced, is accepted and
+    ignored.
     """
     if not (kappa > 0.0):
         raise InvalidArgumentError("kappa must be positive")
     if not (0.0 < eps_tail < 1.0):
         raise InvalidArgumentError("eps_tail must lie in (0, 1)")
-    if n_probe < 1000:
-        raise InvalidArgumentError("n_probe must be at least 1000")
-    spec = RegularizerSpec.adjugate(kappa, m)
     domains = domain if isinstance(domain, tuple) else (domain,)
-    labels = _labels_of(domains)
+    _labels_of(domains)  # checks the tags
+    from . import _quad  # here, not at the top: _quad takes regularizer_values from this module
+
+    spec = RegularizerSpec.adjugate(kappa, m)
+    total = _quad.quad_volumes(spec, _BOX_ORDER, domains)
     L = max(4.0, 4.0 * math.sqrt(kappa))
-    history = []
-    for attempt in range(max_doublings + 1):
-        inner = _sym_box(L)
-        half = _sym_box(L / math.sqrt(2.0))
-        outer = _sym_box(2.0 * L)
-        seeds = np.random.SeedSequence([_PROBE_SEED, attempt]).spawn(2)
-        jv_in, jv_shell = _run_passes([_Pass(inner, spec, n_probe, seeds[0], labels=labels,
-                                             within=half),
-                                       _Pass(outer, spec, n_probe, seeds[1], exclude=inner,
-                                             labels=labels)])
-        # (inner, shell, within) estimates per checked domain
-        ests = [(jv_in.result(t).estimate, jv_shell.result(t).estimate, jv_in._within(t))
-                for t in domains]
-        failed = [(e, s) for e, s, _ in ests if s > eps_tail * e]
-        if not failed:
-            if all(s + (e - w) <= eps_tail * w for e, s, w in ests):
-                return half
-            return inner
-        # the failure text reports the first checked domain that failed
-        history.append((L, *failed[0]))
+    # a domain that passes at one side passes at every larger one, so only
+    # the domains still failing are integrated at the next side
+    failed, tried = domains, []  # tried: (side, {failed tag: (inside, tail)})
+    for _ in range(max_doublings + 1):
+        # the grid in order: the half-step below L, then L
+        for side in (L / math.sqrt(2.0), L):
+            tail = _quad.tail_masses(spec, failed, side, _BOX_ORDER)
+            failed = tuple(t for t in failed if not tail[t] <= eps_tail * (total[t] - tail[t]))
+            tried.append((side, {t: (total[t] - tail[t], tail[t]) for t in failed}))
+            if failed:
+                continue
+            if len(tried) <= 4:
+                return _sym_box(side)
+            # past 2 L0, the fourth side of the grid
+            cap, left = tried[3]
+            shares = ", ".join(f"{t.value} {tl / i:.3g}" for t, (i, tl) in left.items())
+            warnings.warn(f"support box capped at L={cap:g} (kappa={kappa:g}): the tail test "
+                          f"passes at L={side:g}; outside the capped box lies {shares} of the "
+                          f"mass inside (eps_tail={eps_tail:g})", RuntimeWarning, stacklevel=2)
+            return _sym_box(cap)
         L *= 2.0
-    detail = "; ".join(f"L={l:g}: estimate={e:.6g}, shell={s:.6g}" for l, e, s in history)
+    # the failure text reports the first checked domain that failed at each side
+    detail = "; ".join(f"L={l:g}: inside={i:.6g}, tail={t:.6g}"
+                       for l, m in tried for i, t in [next(iter(m.values()))])
     raise NumericError(
         f"support box did not converge after {max_doublings} doublings (kappa={kappa:g}, "
         f"eps_tail={eps_tail:g}): {detail}"
@@ -614,7 +576,7 @@ class IntegrationRequest:
     """Inputs of one volume estimate; every field has a deterministic effect.
 
     The fields are checked here, so that ``mc_volume`` and ``sweep`` take
-    only valid requests; ``eps_tail`` is checked where a box is probed.
+    only valid requests; ``eps_tail`` is checked where a box is fitted.
     """
 
     domain: DomainTag
@@ -641,12 +603,11 @@ class IntegrationRequest:
             raise InvalidArgumentError(f"sampler must be one of {_SAMPLERS}")
 
 
-def _default_box(spec: RegularizerSpec, domains: tuple, n_samples: int, eps_tail: float) -> Box:
-    """``phi_box`` for the energy cutoff; for the damping, a box probed for each of ``domains``."""
+def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float) -> Box:
+    """``phi_box`` for the energy cutoff; for the damping, a box fitted to each of ``domains``."""
     if spec.kind is RegKind.ENERGY_PHI:
         return phi_box(spec.bound_E)
-    return upsilon_box(spec.kappa, eps_tail, m=spec.m, domain=domains,
-                       n_probe=max(10_000, n_samples // 10))
+    return upsilon_box(spec.kappa, eps_tail, m=spec.m, domain=domains)
 
 
 def mc_volume(req: IntegrationRequest) -> IntegrationResult:
@@ -657,7 +618,7 @@ def mc_volume(req: IntegrationRequest) -> IntegrationResult:
     domain's points are weighted.
     """
     box = req.box if req.box is not None else _default_box(req.regularizer, (req.domain,),
-                                                           req.n_samples, req.eps_tail)
+                                                           req.eps_tail)
     jv = mc_joint_volumes(box, req.regularizer, req.n_samples, req.seed, req.streams,
                           req.tol, req.sampler, domains=(req.domain,))
     return jv.result(req.domain)
@@ -685,7 +646,7 @@ def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
     """Volumes of all four domains across a parameter sweep.
 
     ``param`` is "E" (energy regularizer) or "kappa" (adjugate regularizer);
-    each row re-derives its support box, probed for all four domains it
+    each row re-derives its support box, fitted to all four domains it
     reports (``template.domain`` does not enter), and gets its own
     deterministic substream of the template seed.  Rows that fail
     numerically are recorded and the sweep continues.
@@ -710,7 +671,7 @@ def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
         spec = RegularizerSpec.energy(v, m) if param == "E" else RegularizerSpec.adjugate(v, m)
         try:
             box = template.box if template.box is not None else _default_box(
-                spec, DOMAIN_ORDER, template.n_samples, template.eps_tail)
+                spec, DOMAIN_ORDER, template.eps_tail)
             row_ss = np.random.SeedSequence([int(template.seed), i])
             jv = mc_joint_volumes(box, spec, template.n_samples, row_ss, template.streams,
                                   template.tol, template.sampler, seed_label=template.seed)

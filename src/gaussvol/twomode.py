@@ -302,6 +302,39 @@ def _cd_inside(a, b, c, d, tol, out=None, scratch=None):
     return out
 
 
+def _c_bounds(a, b, ab, am1, bm1, out=None):
+    """The quantum c-bound cb and the separability c-bound sqrt(c3), elementwise.
+
+    cb = sqrt((a/b)(b^2 - 1)) where b <= a and sqrt((b/a)(a^2 - 1)) elsewhere,
+    and c3 = (1 - a^2 - b^2 + (ab)^2) / ab = (a^2 - 1)(b^2 - 1) / ab; both
+    radicands are clipped at 0.  Takes ab = a*b, am1 = a*a - 1 and
+    bm1 = b*b - 1 precomputed; ``out`` is three float arrays and one bool
+    array of a's shape for cb, sqrt(c3) and scratch, allocated when omitted.
+    The labelling and the quadrature both take their c-limits from here.
+    """
+    if out is None:
+        shape = np.shape(a)
+        out = (np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+    cb, c3, tmp, mask = out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # branch by mode ordering; at a = b the two c-bounds coincide
+        np.divide(a, b, out=cb)
+        cb *= bm1
+        np.copyto(cb, np.multiply(np.divide(b, a, out=tmp), am1, out=tmp),
+                  where=np.logical_not(np.less_equal(b, a, out=mask), out=mask))
+        np.maximum(cb, 0.0, out=cb)
+        np.sqrt(cb, out=cb)
+        # 1 - a^2 - b^2 = -(am1 + b^2) exactly
+        s = np.multiply(b, b, out=tmp)
+        s += am1
+        np.multiply(ab, ab, out=c3)
+        c3 -= s
+        c3 /= ab
+        np.maximum(c3, 0.0, out=c3)
+        np.sqrt(c3, out=c3)
+    return cb, c3
+
+
 def _classical_labels(a, b, c, d, ab, tol, out=None, scratch=None):
     """Labels 1-3 of classical points (see :func:`domain_labels`), given ab = a*b.
 
@@ -319,27 +352,14 @@ def _classical_labels(a, b, c, d, ab, tol, out=None, scratch=None):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         am1 = np.multiply(a, a, out=f0)
         am1 -= 1.0
-        b2 = np.multiply(b, b, out=f1)
-        bm1 = np.subtract(b2, 1.0, out=f2)
+        bm1 = np.multiply(b, b, out=f2)
+        bm1 -= 1.0
         d1, d2, _, _ = _d_interval(c, ab, np.multiply(c, c, out=f3), am1, bm1,
                                    out=(f4, f5, f6, f3, quantum, m1))
-        # c3 = (1 - a^2 - b^2 + (ab)^2) / ab, and 1 - a^2 - b^2 = -(am1 + b^2) exactly
-        b2 += am1
-        # branch by mode ordering; at a = b the two c-bounds coincide
-        cbound = np.divide(a, b, out=f4)
-        cbound *= bm1
-        np.copyto(cbound, np.multiply(np.divide(b, a, out=f5), am1, out=f5),
-                  where=np.logical_not(np.less_equal(b, a, out=m1), out=m1))
-        np.maximum(cbound, 0.0, out=cbound)
-        np.sqrt(cbound, out=cbound)
+        cbound, c3 = _c_bounds(a, b, ab, am1, bm1, out=(f4, f1, f5, m1))
         cbound += tol
         abs_c = np.abs(c, out=f5)
         quantum &= np.less(abs_c, cbound, out=m1)
-        c3 = np.multiply(ab, ab, out=f4)
-        c3 -= b2
-        c3 /= ab
-        np.maximum(c3, 0.0, out=c3)
-        np.sqrt(c3, out=c3)
         c3 += tol
         ppt = np.less(abs_c, c3, out=m1)
     quantum &= _ab_above(a, b, 1.0 - tol, out=m2, tmp=f4)

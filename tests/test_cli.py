@@ -252,10 +252,17 @@ def test_volume_adjugate_kind(capsys):
     fields = capsys.readouterr().out.splitlines()[2].split(",")
     assert fields[1] == "adj"
     assert fields[2] == "kappa"
-    # adaptive support box for kappa = 1 doubles to L = 8 and, at this
-    # n_probe, takes the half-step back to 8 / sqrt(2)
-    L = repr(8.0 / math.sqrt(2.0))
+    # the kappa = 1 classical tail passes its test first at L = 8
+    L = "8.0"
     assert fields[13:] == ["0.0", L, "0.0", L, "-" + L, L, "-" + L, L]
+
+
+def test_volume_box_does_not_depend_on_samples(capsys):
+    boxes = []
+    for samples in ("20000", "1000000"):
+        assert main(["volume", "--kappa", "1", "--samples", samples, "--seed", "9"]) == 0
+        boxes.append(capsys.readouterr().out.splitlines()[2].split(",")[13:])
+    assert boxes[0] == boxes[1] == ["0.0", "8.0", "0.0", "8.0", "-8.0", "8.0", "-8.0", "8.0"]
 
 
 # ------------------------------------------------------------------ config
@@ -370,6 +377,17 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "QuantumSeparable, nu=(1,1)"
+
+
+@pytest.mark.parametrize("flags", [("--kappa", "5", "--set", "entangled"),
+                                   ("--E", "8", "--set", "separable")])
+def test_optimized_interpreter_same_bytes(flags):
+    # python -O strips assert statements, so no invariant may rest on one
+    argv = ["-m", "gaussvol", "volume", *flags, "--samples", "100000", "--seed", "3"]
+    plain, optimized = (subprocess.run([sys.executable, *opt, *argv], capture_output=True)
+                        for opt in ((), ("-O",)))
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout and plain.stdout.startswith(b"# gaussvol-volume-csv")
 
 
 def test_usage_error_exit_code():

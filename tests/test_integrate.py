@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gaussvol._quad as _quad
 import gaussvol.integrate as integrate
 from gaussvol.errors import InvalidArgumentError, NumericError
 from gaussvol.integrate import (
@@ -25,7 +26,6 @@ from gaussvol.integrate import (
 )
 from gaussvol.regularizers import RegKind, RegularizerSpec, phi, upsilon
 from gaussvol.twomode import (
-    DOMAIN_LABELS,
     CanonicalPoint,
     DomainTag,
     canonical_embed,
@@ -101,102 +101,86 @@ def test_energy_support_boundary_is_closed():
 
 
 def test_upsilon_box_small_kappa():
-    box = upsilon_box(1.0, n_probe=20_000)
-    # kappa = 1 doubles the initial L = 4 once, and at this n_probe the
-    # half-step back to 8 / sqrt(2) passes its tail test
-    L = 8.0 / math.sqrt(2.0)
+    box = upsilon_box(1.0)
+    # kappa = 1 starts from L0 = 4: the classical tail is 8e-2 of the mass
+    # inside at 4 / sqrt(2), 1.4e-2 at 4, 1.8e-3 at 4 sqrt(2) and 2.1e-4 at 8
+    L = 8.0
     assert box.hi == (L, L, L, L)
     assert box.lo == (0.0, 0.0, -L, -L)
 
 
-def _sequential_probe(kappa, *, n_probe, max_doublings=12, eps_tail=1e-3,
-                      domain=DomainTag.CLASSICAL):
-    """The support-box probe as two mc_joint_volumes calls per attempt, one after the other.
+def _tail_search(kappa, domain, eps_tail=1e-3, max_doublings=12):
+    """The support-box search replayed side by side on the grid L0 * 2^(k/2), k >= -1.
 
-    ``domain`` is one tag or a tuple of tags.  The inner pass's weight within
-    the half-step box comes from the untiled reference kernel.  Returns the
-    box and each attempt's (inner, shell, per-label within sums), or the
-    NumericError message when the doublings run out.
+    ``domain`` is one tag or a tuple of tags.  Returns the first side at
+    which every domain passes its tail test, or the NumericError message when
+    the sides run out, with each side tried and its per-domain
+    (inside, tail) masses from the quadrature rule.
     """
     domains = domain if isinstance(domain, tuple) else (domain,)
-    spec = RegularizerSpec.adjugate(kappa, 4)
-    L = max(4.0, 4.0 * math.sqrt(kappa))
-    attempts, history = [], []
-    for attempt in range(max_doublings + 1):
-        inner, outer = integrate._sym_box(L), integrate._sym_box(2.0 * L)
-        half = L / math.sqrt(2.0)
-        seeds = np.random.SeedSequence([integrate._PROBE_SEED, attempt]).spawn(2)
-        jv_in = mc_joint_volumes(inner, spec, n_probe, seeds[0])
-        jv_shell = mc_joint_volumes(outer, spec, n_probe, seeds[1], exclude=inner)
-        # the probe passes run one stream each
-        s_in = _reference_stream_partial(integrate._children(seeds[0], 1)[0], n_probe, inner,
-                                         spec, 1e-9, "pseudo", None, within=half)[4]
-        attempts.append((jv_in, jv_shell, s_in))
-        ests = [(jv_in.result(t).estimate, jv_shell.result(t).estimate,
-                 inner.volume * (sum(float(s_in[l]) for l in DOMAIN_LABELS[t]) / n_probe))
-                for t in domains]
-        failed = [(e, s) for e, s, _ in ests if s > eps_tail * e]
-        if not failed:
-            shrink = all(s + (e - w) <= eps_tail * w for e, s, w in ests)
-            return integrate._sym_box(half if shrink else L), attempts
-        history.append((L, *failed[0]))
-        L *= 2.0
-    detail = "; ".join(f"L={l:g}: estimate={e:.6g}, shell={s:.6g}" for l, e, s in history)
+    spec, order = RegularizerSpec.adjugate(kappa, 4), integrate._BOX_ORDER
+    total = _quad.quad_volumes(spec, order, domains)
+    L0 = max(4.0, 4.0 * math.sqrt(kappa))
+    tried, history = [], []
+    for j in range(max_doublings + 1):
+        for side in (L0 * 2.0 ** j / math.sqrt(2.0), L0 * 2.0 ** j):
+            tail = _quad.tail_masses(spec, domains, side, order)
+            masses = {t: (total[t] - tail[t], tail[t]) for t in domains}
+            tried.append((side, masses))
+            failed = [m for m in masses.values() if m[1] > eps_tail * m[0]]
+            if not failed:
+                return side, tried
+            history.append((side, *failed[0]))
+    detail = "; ".join(f"L={l:g}: inside={i:.6g}, tail={t:.6g}" for l, i, t in history)
     return (f"support box did not converge after {max_doublings} doublings (kappa={kappa:g}, "
-            f"eps_tail={eps_tail:g}): {detail}"), attempts
+            f"eps_tail={eps_tail:g}): {detail}"), tried
 
 
 _L5 = 8.94427190999916  # the initial L = 4 sqrt(5) at kappa = 5
+_L50 = 4.0 * math.sqrt(50.0)  # the initial L at kappa = 50
 
 
-@pytest.mark.parametrize("kappa,domain,n_probe,n_attempts,side", [
-    # the classical domain doubles L once at both kappas; the half-step back
-    # passes at kappa = 1, but not at kappa = 5 and this n_probe
-    pytest.param(1.0, DomainTag.CLASSICAL, 20_000, 2, 8.0 / math.sqrt(2.0), id="1.0"),
-    pytest.param(5.0, DomainTag.CLASSICAL, 40_000, 2, 2.0 * _L5, id="5.0"),
-    # the entangled domain's shell holds almost nothing, so its first box
-    # passes, and so does the half-step
-    pytest.param(5.0, DomainTag.ENTANGLED, 20_000, 1, _L5 / math.sqrt(2.0), id="5.0-entangled"),
+@pytest.mark.parametrize("kappa,domain,passing,side", [
+    # the classical tail passes at 2 L0 for kappa = 1 and 5, and at 4 L0 for
+    # 50, where the box stops at 2 L0
+    pytest.param(1.0, DomainTag.CLASSICAL, 8.0, 8.0, id="1.0"),
+    pytest.param(5.0, DomainTag.CLASSICAL, 2.0 * _L5, 2.0 * _L5, id="5.0"),
+    pytest.param(50.0, DomainTag.CLASSICAL, 4.0 * _L50, 2.0 * _L50, id="50.0"),
+    # the entangled tail is 2.3e-4 of the mass inside the first side tried
+    pytest.param(5.0, DomainTag.ENTANGLED, _L5 / math.sqrt(2.0), _L5 / math.sqrt(2.0),
+                 id="5.0-entangled"),
+    pytest.param(50.0, DomainTag.ENTANGLED, _L50, _L50, id="50.0-entangled"),
     # a sweep checks all four domains, and the classical tail decides
-    pytest.param(5.0, DOMAIN_ORDER, 20_000, 2, 2.0 * _L5 / math.sqrt(2.0), id="5.0-all"),
+    pytest.param(5.0, DOMAIN_ORDER, 2.0 * _L5, 2.0 * _L5, id="5.0-all"),
 ])
-def test_upsilon_box_matches_sequential_probe(monkeypatch, kappa, domain, n_probe, n_attempts,
-                                              side):
-    # the probe scores only `domain`: its bits must be those of full sequential passes
-    box, attempts = _sequential_probe(kappa, n_probe=n_probe, domain=domain)
-    assert len(attempts) == n_attempts
-    assert box == integrate._sym_box(side)
-    tags = _scored_tags(domain)
-    scored = np.isin(np.arange(4), integrate._labels_of(tags))
-    expected = [[_joint_bits(jv, tags) for jv in attempt[:2]] for attempt in attempts]
-    # the kernel sums the within weights of the scored labels only
-    expected_in = [np.where(scored, attempt[2], 0.0) for attempt in attempts]
-    real_run, real_stream = integrate._run_passes, integrate._stream_partial
-    for cores in (1, 2, 8):
-        monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
-        seen, boxes = [], []
-
-        def recording_run(passes):
-            seen.append(real_run(passes))
-            return seen[-1]
-
-        def recording_stream(child_ss, count, box, *rest):
-            boxes.append(box)
-            return real_stream(child_ss, count, box, *rest)
-
-        monkeypatch.setattr(integrate, "_run_passes", recording_run)
-        monkeypatch.setattr(integrate, "_stream_partial", recording_stream)
-        assert upsilon_box(kappa, n_probe=n_probe, domain=domain) == box
-        assert [[_joint_bits(jv, tags) for jv in pair] for pair in seen] == expected
-        for (jv_in, jv_shell), want in zip(seen, expected_in):
-            assert np.array_equal(jv_in._s_in, want) and jv_shell._s_in is None
-        if cores == 1:
-            # without a pool each attempt's inner pass runs before its shell pass
-            assert boxes == [jv.box for attempt in attempts for jv in attempt[:2]]
+def test_upsilon_box_matches_tail_search(kappa, domain, passing, side):
+    found, tried = _tail_search(kappa, domain)
+    assert found == passing
+    # every side tried before fails for some domain, and the last passes for all
+    *before, (last, masses) = tried
+    assert all(t <= 1e-3 * i for i, t in masses.values())
+    for _, m in before:
+        assert any(t > 1e-3 * i for i, t in m.values())
+    capped = side != passing
+    if capped:
+        # the cap is the fourth side of the grid, 2 L0, and the warning
+        # reports the share of the classical mass its box leaves out
+        cap, at_cap = tried[3]
+        i, t = at_cap[DomainTag.CLASSICAL]
+        assert cap == side and t > 1e-3 * i
+        message = f"passes at L={passing:g}; outside the capped box lies classical {t / i:.3g} of"
+    # the box does not depend on the probe size, which is ignored
+    for n_probe in (10, 100_000, 10**9):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert upsilon_box(kappa, n_probe=n_probe, domain=domain) == integrate._sym_box(side)
+        assert len(seen) == capped
+        if capped:
+            assert seen[0].category is RuntimeWarning and message in str(seen[0].message)
 
 
 def test_upsilon_box_half_step_is_honest():
-    # kappa = 5 entangled: the probe takes the half-step from L0 = 4 sqrt(5)
+    # kappa = 5 entangled: the rule takes the half-step below L0 = 4 sqrt(5)
     spec, e, eps_tail = RegularizerSpec.adjugate(5.0), DomainTag.ENTANGLED, 1e-3
     box = upsilon_box(5.0, eps_tail, domain=e)
     assert box == integrate._sym_box(_L5 / math.sqrt(2.0))
@@ -215,12 +199,12 @@ def test_upsilon_box_half_step_is_honest():
     assert tail.estimate < eps_tail * float(np.mean(estimates))
 
 
-def test_upsilon_box_failure_text_matches_sequential_probe(monkeypatch):
-    message, _ = _sequential_probe(5.0, n_probe=20_000, max_doublings=0)
-    for cores in (1, 2, 8):
-        monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
+def test_upsilon_box_failure_text_matches_tail_search():
+    for domain in (DomainTag.CLASSICAL, DOMAIN_ORDER):
+        message, tried = _tail_search(5.0, domain, max_doublings=0)
+        assert [side for side, _ in tried] == [_L5 / math.sqrt(2.0), _L5]
         with pytest.raises(NumericError) as err:
-            upsilon_box(5.0, max_doublings=0, n_probe=20_000)
+            upsilon_box(5.0, max_doublings=0, domain=domain)
         assert str(err.value) == message
 
 
@@ -235,20 +219,19 @@ def test_upsilon_box_validates():
         upsilon_box(1.0, eps_tail=0.0)
     with pytest.raises(InvalidArgumentError):
         upsilon_box(1.0, eps_tail=1.0)
-    with pytest.raises(InvalidArgumentError):
-        upsilon_box(1.0, n_probe=10)
     for bad in ("classical", None, (), (DomainTag.CLASSICAL, "entangled")):
         with pytest.raises(InvalidArgumentError):
             upsilon_box(1.0, domain=bad)
 
 
 def test_upsilon_box_failure_reports_history():
-    # with zero doublings allowed, kappa = 5 cannot pass its first shell test
+    # with zero doublings allowed, the kappa = 5 classical tail fails at both
+    # sides tried, L0 / sqrt(2) and L0
     with pytest.raises(NumericError) as err:
-        upsilon_box(5.0, max_doublings=0, n_probe=20_000)
+        upsilon_box(5.0, max_doublings=0)
     msg = str(err.value)
     assert "did not converge" in msg
-    assert "estimate=" in msg and "shell=" in msg
+    assert msg.count("inside=") == 2 and msg.count(", tail=") == 2
 
 
 def test_joint_volumes_deterministic():
@@ -277,12 +260,6 @@ def test_stream_count_changes_bits_not_value():
 def _joint_bits(jv, tags=DOMAIN_ORDER):
     return [(r.estimate, r.std_error, r.acceptance_fraction)
             for r in (jv.result(tag) for tag in tags)]
-
-
-def _scored_tags(domain):
-    """The domains that a pass scoring ``domain``, one tag or a tuple, can report."""
-    labels = set(integrate._labels_of(domain if isinstance(domain, tuple) else (domain,)))
-    return [t for t in DOMAIN_ORDER if set(DOMAIN_LABELS[t]) <= labels]
 
 
 def test_core_count_does_not_change_bits(monkeypatch):
@@ -346,34 +323,13 @@ def test_same_seed_sequence_twice_gives_same_bits():
     assert np.array_equal(ours, theirs)
 
 
-def test_run_passes_match_single_pass_runs(monkeypatch):
-    passes = [
-        integrate._Pass(phi_box(6.0), RegularizerSpec.energy(6.0), 30_000,
-                        np.random.SeedSequence(1), streams=1),
-        integrate._Pass(phi_box(8.0), RegularizerSpec.energy(8.0), 50_001,
-                        np.random.SeedSequence(2), streams=3, sampler="qmc"),
-        integrate._Pass(integrate._sym_box(8.0), RegularizerSpec.adjugate(2.0), 40_000,
-                        np.random.SeedSequence([3, 4]), streams=4, tol=1e-6,
-                        exclude=integrate._sym_box(4.0)),
-    ]
-    for cores in (1, 2, 8):
-        monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
-        joint = integrate._run_passes(passes)
-        assert len(joint) == 3
-        for p, jv in zip(passes, joint):
-            alone = mc_joint_volumes(p.box, p.spec, p.n_samples, p.ss, p.streams, p.tol,
-                                     p.sampler, exclude=p.exclude)
-            assert (jv.n_samples, jv.streams, jv.box) == (p.n_samples, p.streams, p.box)
-            assert np.array_equal(jv._s1, alone._s1)
-            assert np.array_equal(jv._s2, alone._s2)
-            assert np.array_equal(jv._hits, alone._hits)
-
-
 def test_qmc_pool_leaves_warning_filters_alone(monkeypatch):
     # more threads than cores and a short switch interval, so that unguarded
     # warnings.catch_warnings blocks in pool threads interleave
     monkeypatch.setattr(integrate, "_usable_cores", lambda: 8)
     spec = RegularizerSpec.energy(8.0)
+    # importing scipy.stats adds scipy's own filters; import it before the snapshot
+    from scipy.stats import qmc  # noqa: F401
     interval = sys.getswitchinterval()
     with warnings.catch_warnings():
         before = list(warnings.filters)
@@ -591,11 +547,8 @@ def _reference_tile(rng, t, box, spec, tol):
     return np.array([a, b, c, d])
 
 
-def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude, within=None):
+def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude):
     """The unstaged kernel, all labels scored: each tile of _TILE points is labelled and summed alone.
-
-    With ``within`` (a side l), it also sums the weights of the points with
-    max(a, b, |c|, |d|) <= l, as the support-box probe's inner pass does.
 
     The pseudo sampler completes only the points of each tile that pass the
     a, b tests and the cutoff; qmc draws every point in full.  Every
@@ -623,7 +576,7 @@ def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude,
                 cols[j] += lo[j]
             return cols
 
-    s1, s2, hits, s_in = np.zeros(4), np.zeros(4), np.zeros(4, dtype=np.int64), np.zeros(4)
+    s1, s2, hits = np.zeros(4), np.zeros(4), np.zeros(4, dtype=np.int64)
     for done in range(0, count, integrate._TILE):
         cols = draw(min(integrate._TILE, count - done))
         lab = _reference_labels(*cols, tol)
@@ -635,13 +588,10 @@ def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude,
         w = _reference_weights(a, b, c, d, spec)
         s1 += np.bincount(lab, weights=w, minlength=4)
         s2 += np.bincount(lab, weights=w * w, minlength=4)
-        if within is not None:
-            inb = np.max(np.abs([a, b, c, d]), axis=0) <= within
-            s_in += np.bincount(lab[inb], weights=w[inb], minlength=4)
         if spec.kind is RegKind.ENERGY_PHI:
             lab = lab[2.0 * (a + b) <= spec.bound_E]
         hits += np.bincount(lab, minlength=4)
-    return count, s1, s2, hits, s_in
+    return count, s1, s2, hits
 
 
 _ORACLE_TOLS = (1e-9, 0.0, -1e-6, 1e-3)
@@ -669,25 +619,21 @@ def test_tiled_kernel_matches_untiled_reference(count, sampler, reg, excl, tol):
     else:
         spec = RegularizerSpec.energy(8.0 if reg == "E" else float(reg[1:]))
     if excl:
-        # an inner box on a 2L shell, as the support-box probe uses
+        # an inner box cut out of a box of twice its side
         box, exclude = integrate._sym_box(8.0), integrate._sym_box(4.0)
     else:
         box = integrate._sym_box(8.0) if reg == "kappa" else phi_box(spec.bound_E)
         exclude = None
-    # the damped passes also sum the weight within a half-step box, as a
-    # probe's inner pass does; the others sum nothing there
-    half = 8.0 / math.sqrt(2.0) if reg == "kappa" else None
-    within = integrate._sym_box(half) if half is not None else None
     # a fresh SeedSequence for each kernel: scipy's Sobol spawns from the one it is given
     seed = [count, len(sampler), len(reg), int(excl)]
     want = _reference_stream_partial(np.random.SeedSequence(seed), count, box, spec, tol,
-                                     sampler, exclude, half)
+                                     sampler, exclude)
     # a kernel scoring some labels gives their bins bit for bit and 0 in the others
     for labels in ((1, 2, 3), (2, 3), (2,), (3,)):
         got = integrate._stream_partial(np.random.SeedSequence(seed), count, box, spec, tol,
-                                        sampler, exclude, labels, within)
+                                        sampler, exclude, labels)
         scored = np.isin(np.arange(4), labels)
-        assert got[0] == want[0] == count and len(got) == len(want) == 5
+        assert got[0] == want[0] == count and len(got) == len(want) == 4
         for g, w in zip(got[1:], want[1:]):
             w = np.where(scored, w, 0).astype(w.dtype)
             assert g.dtype == w.dtype and np.array_equal(g, w), labels
@@ -837,7 +783,7 @@ def test_sweep_records_row_failure_and_continues(monkeypatch):
     def flaky(kappa, eps_tail=1e-3, **kw):
         if kappa == 2.0:
             raise NumericError("support box did not converge (synthetic)")
-        return real(kappa, eps_tail, **{**kw, "n_probe": 20_000})
+        return real(kappa, eps_tail, **kw)
 
     monkeypatch.setattr(integrate, "upsilon_box", flaky)
     template = _template(regularizer=RegularizerSpec.adjugate(1.0))

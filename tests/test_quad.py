@@ -1,0 +1,74 @@
+"""The tensor Gauss-Legendre rule of the damped volumes and the box it fits."""
+
+import math
+import warnings
+
+import pytest
+
+from gaussvol import _quad
+from gaussvol.integrate import DOMAIN_ORDER, mc_joint_volumes, upsilon_box
+from gaussvol.regularizers import RegularizerSpec
+from gaussvol.twomode import DomainTag
+
+Q, S, E = DomainTag.QUANTUM, DomainTag.SEPARABLE, DomainTag.ENTANGLED
+
+# kappa = 5 volumes from an earlier tensor rule with 48 nodes per axis and
+# other axis maps; 4e8-sample Monte Carlo runs agree with them within |z| <= 1.3
+_KAPPA5 = {Q: 0.4738971385, S: 0.1772976861, E: 0.2965994523}
+
+
+def test_kappa5_volumes_match_oracle():
+    got = _quad.quad_volumes(RegularizerSpec.adjugate(5.0), 24, (Q, S, E))
+    for tag, want in _KAPPA5.items():
+        assert got[tag] == pytest.approx(want, rel=1e-6), tag
+    # quantum is separable plus entangled, piece by piece
+    assert got[Q] == pytest.approx(got[S] + got[E], rel=1e-15)
+
+
+def test_monte_carlo_agrees_inside_the_box():
+    spec = RegularizerSpec.adjugate(5.0)
+    box = upsilon_box(5.0, domain=DOMAIN_ORDER)
+    side = box.hi[0]
+    total = _quad.quad_volumes(spec, 24)
+    tail = _quad.tail_masses(spec, DOMAIN_ORDER, side, 24)
+    jv = mc_joint_volumes(box, spec, 2_000_000, seed=4711, streams=4)
+    for tag in DOMAIN_ORDER:
+        r = jv.result(tag)
+        inside = total[tag] - tail[tag]
+        assert abs(r.estimate - inside) <= 4.0 * r.std_error, (tag, r.estimate, r.std_error, inside)
+
+
+def _passing_side(spec, tag, eps_tail, order):
+    """The first side of the grid L0 * 2^(k/2), k >= -1, where the tail test passes."""
+    L0 = max(4.0, 4.0 * math.sqrt(spec.kappa))
+    total = _quad.quad_volumes(spec, order, (tag,))[tag]
+    for j in range(12):
+        for side in (L0 * 2.0 ** j / math.sqrt(2.0), L0 * 2.0 ** j):
+            tail = _quad.tail_masses(spec, (tag,), side, order)[tag]
+            if tail <= eps_tail * (total - tail):
+                return side, L0
+    raise AssertionError("no side passes")
+
+
+@pytest.mark.parametrize("kappa", [1.0, 5.0, 50.0])
+def test_tail_ratios_converged_where_the_box_is_decided(kappa):
+    # at the side where the tail test passes and one grid step below, the
+    # ratio tail / inside agrees with the rule at twice the order, unless
+    # both are far below the threshold
+    spec, eps_tail, order = RegularizerSpec.adjugate(kappa), 1e-3, 12
+    totals = {n: _quad.quad_volumes(spec, n) for n in (order, 2 * order)}
+    for tag in DOMAIN_ORDER:
+        side, L0 = _passing_side(spec, tag, eps_tail, order)
+        for at in (side, side / math.sqrt(2.0)):
+            ratio = {}
+            for n in (order, 2 * order):
+                tail = _quad.tail_masses(spec, (tag,), at, n)[tag]
+                ratio[n] = tail / (totals[n][tag] - tail)
+            small = max(ratio.values()) < eps_tail / 10.0
+            assert small or ratio[order] == pytest.approx(ratio[2 * order], rel=0.25), \
+                (tag, at, ratio)
+        # the box is that side, at most 2 L0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            box = upsilon_box(kappa, eps_tail, domain=tag)
+        assert box.hi[0] == min(side, 2.0 * L0)
