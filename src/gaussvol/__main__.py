@@ -1,6 +1,10 @@
+import os
 import sys
 
-from .cli import main
+# No gaussvol path gains from BLAS threads; idle OpenBLAS workers only burn CPU.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .cli import main  # noqa: E402
 
 if __name__ == "__main__":
     sys.exit(main())

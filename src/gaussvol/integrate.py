@@ -40,6 +40,7 @@ bits.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 import warnings
@@ -594,6 +595,10 @@ class IntegrationRequest:
             raise InvalidArgumentError("domain must be a DomainTag")
         if self.n_samples < 10_000:
             raise InvalidArgumentError("n_samples must be at least 10_000")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise InvalidArgumentError("seed must be an integer >= 0")
+        if not math.isfinite(self.tol):
+            raise InvalidArgumentError("tol must be finite")
         if self.streams < 1:
             raise InvalidArgumentError("streams must be >= 1")
         if self.regularizer.m != 4:

@@ -52,13 +52,13 @@ class RegularizerSpec:
         if not isinstance(self.m, int) or self.m < 1:
             raise InvalidArgumentError("m must be a positive integer")
         if self.kind is RegKind.ENERGY_PHI:
-            if self.bound_E is None or not (self.bound_E > 0.0):
-                raise InvalidArgumentError("energy regularizer needs bound_E > 0")
+            if self.bound_E is None or not (0.0 < self.bound_E < math.inf):
+                raise InvalidArgumentError("energy regularizer needs a finite bound_E > 0")
             if self.kappa is not None:
                 raise InvalidArgumentError("energy regularizer does not take kappa")
         elif self.kind is RegKind.ADJUGATE_UPSILON:
-            if self.kappa is None or not (self.kappa > 0.0):
-                raise InvalidArgumentError("adjugate regularizer needs kappa > 0")
+            if self.kappa is None or not (0.0 < self.kappa < math.inf):
+                raise InvalidArgumentError("adjugate regularizer needs a finite kappa > 0")
             if self.bound_E is not None:
                 raise InvalidArgumentError("adjugate regularizer does not take bound_E")
         else:

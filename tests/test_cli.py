@@ -208,6 +208,15 @@ def test_volume_requires_one_parameter(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [("--E", "inf"), ("--E", "8", "--tol", "nan"),
+                                   ("--E", "8", "--seed", "-1"), ("--kappa", "inf")])
+def test_volume_rejects_out_of_range_input(flags, capsys):
+    assert main(["volume", *flags, "--samples", "10000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_volume_out_file(tmp_path, capsys):
     out = tmp_path / "vol.csv"
     code = main(["volume", "--E", "6", "--samples", "20000", "--seed", "3", "--out", str(out)])

@@ -72,3 +72,16 @@ def test_tail_ratios_converged_where_the_box_is_decided(kappa):
             warnings.simplefilter("ignore", RuntimeWarning)
             box = upsilon_box(kappa, eps_tail, domain=tag)
         assert box.hi[0] == min(side, 2.0 * L0)
+
+
+def test_quantum_share_still_drifts_at_large_kappa():
+    # criterion 8's missing power: Q/C falls by about 7% from kappa = 50 to 100,
+    # which a 1M-sample Monte Carlo ratio cannot resolve.  Order 48 gives
+    # 0.059879 and 0.055678; the slow classical edge layer sets the tolerance.
+    ratio = {}
+    for kappa in (50.0, 100.0):
+        vols = _quad.quad_volumes(RegularizerSpec.adjugate(kappa), 24)
+        ratio[kappa] = vols[Q] / vols[DomainTag.CLASSICAL]
+    assert ratio[50.0] == pytest.approx(0.05989, abs=2e-4)
+    assert ratio[100.0] == pytest.approx(0.05572, abs=2e-4)
+    assert ratio[50.0] > 1.06 * ratio[100.0]
