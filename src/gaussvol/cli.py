@@ -21,7 +21,7 @@ from .errors import (
     MatrixParseError,
     NumericError,
 )
-from .integrate import DOMAIN_ORDER, IntegrationRequest, mc_volume, sweep
+from .integrate import DOMAIN_ORDER, IntegrationRequest, _sweep_specs, mc_volume, sweep
 from .metric import bound_matrix, metric_closed_form
 from .regularizers import RegularizerSpec
 from .states import (
@@ -292,12 +292,14 @@ def _request(merged: dict, param: str, value: float) -> IntegrationRequest:
 
 def cmd_volume(args: argparse.Namespace) -> int:
     merged = _merge_config(args)
-    if args.write_config:
-        _write_config(args.write_config, merged)
     param, vals = _regularizer_inputs(merged)
     if len(vals) != 1:
         raise InvalidArgumentError("volume takes a single --E or --kappa value; use sweep for lists")
-    res = mc_volume(_request(merged, param, vals[0]))
+    req = _request(merged, param, vals[0])
+    # only a configuration that passed every check is recorded
+    if args.write_config:
+        _write_config(args.write_config, merged)
+    res = mc_volume(req)
     row = [
         merged["set"],
         "energy" if param == "E" else "adj",
@@ -323,10 +325,12 @@ def cmd_volume(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     merged = _merge_config(args)
+    param, vals = _regularizer_inputs(merged)
+    template = _request(merged, param, vals[0])
+    _sweep_specs(param, vals, template)  # checks every value before anything is written
     if args.write_config:
         _write_config(args.write_config, merged)
-    param, vals = _regularizer_inputs(merged)
-    table = sweep(param, vals, _request(merged, param, vals[0]))
+    table = sweep(param, vals, template)
     lines = ["# gaussvol-sweep-csv v1", _SWEEP_COLUMNS]
     failed = []
     for row in table.rows:

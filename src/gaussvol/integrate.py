@@ -8,13 +8,17 @@ sampled uniformly over an axis-aligned box that contains the support of the
 weighted domain.  A pass scores a set of domains in three stages per tile of
 draws.  Every sample draws a and b and must pass min(a, b) > -tol and, for
 the energy cutoff, tr V <= E.  Only the survivors draw c and d and must pass
-|c|, |d| < sqrt(ab) + tol and miss any ``exclude`` box.  One labelling pass
-then gives each kept point the innermost domain holding it (classical only,
-separable or entangled), and only points with a scored label are weighted,
-with the closed-form sqrt(det g).  Weighted sums and hits are kept per label
-and every domain is a fixed set of labels, so nested domains are ordered
-exactly.  The draws do not depend on the scored domains, so a pass scoring
-one domain gives it the bits of a pass scoring all four.
+|c|, |d| < sqrt(ab) + tol and miss any ``exclude`` box.  Only points that
+can carry a scored label are labelled: when the classical-only label is not
+scored, points with min(a, b) <= 1 - tol are dropped, and when separable or
+entangled alone is scored, a necessary test on Simon's invariant drops the
+points that cannot be.  One labelling pass then gives each point left the
+innermost domain holding it (classical only, separable or entangled), and
+only points with a scored label are weighted, with the closed-form
+sqrt(det g).  Weighted sums and hits are kept per label and every domain is
+a fixed set of labels, so nested domains are ordered exactly.  The draws do
+not depend on the scored domains, so a pass scoring one domain gives it the
+bits of a pass scoring all four.
 
 The adjugate damping has unbounded support, so ``upsilon_box`` fits a box
 a, b in (0, L], |c|, |d| <= L: the smallest L on the grid L0 * 2^(k/2) for
@@ -61,6 +65,7 @@ from .twomode import (
     _ab_above,
     _cd_inside,
     _classical_labels,
+    _may_have_label,
 )
 # unused here, but perfbench/tracing.py wraps these two attributes of this module
 from .twomode import domain_mask, metric_components  # noqa: F401
@@ -225,6 +230,8 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     f_buf = np.empty((7, tile))
     b_buf = np.empty((3, tile), dtype=bool)
     scored = np.isin(np.arange(4), labels)  # scored[l]: label l is weighted and counted
+    # a single scored quantum label has a cheap necessary test (_may_have_label)
+    prefilter = labels in ((2,), (3,))
 
     energy = spec.kind is RegKind.ENERGY_PHI
     s1 = np.zeros(4)
@@ -275,7 +282,16 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         # stage 3, the scored domains only: label, then weight the scored labels
         n = pts.shape[1]
         a, b, c, d = pts
-        lab = _classical_labels(a, b, c, d, np.multiply(a, b, out=ab_buf[:n]), tol,
+        ab = np.multiply(a, b, out=ab_buf[:n])
+        if prefilter:
+            # only the points that may carry the scored label are labelled
+            keep = _may_have_label(a, b, c, d, ab, tol, labels[0], out=b_buf[0, :n],
+                                   scratch=f_buf[:3, :n])
+            pts, _ = _take(keep, pts, other(pts))
+            n = pts.shape[1]
+            a, b, c, d = pts
+            ab = np.multiply(a, b, out=ab_buf[:n])
+        lab = _classical_labels(a, b, c, d, ab, tol,
                                 out=lab_buf[:n], scratch=(*f_buf[:, :n], *b_buf[:, :n]))
         pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts, other(pts))
         n = pts.shape[1]
@@ -423,6 +439,27 @@ def _children(ss: np.random.SeedSequence, n: int) -> list:
                                    pool_size=ss.pool_size) for i in range(n)]
 
 
+def _check_seed(seed) -> None:
+    """An integer seed must be >= 0; ``mc_joint_volumes`` also takes a SeedSequence."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidArgumentError("seed must be an integer >= 0")
+
+
+def _check_pass(streams: int, tol: float, sampler: str) -> None:
+    """The checks of a pass's streams, tol and sampler, shared with ``IntegrationRequest``."""
+    if streams < 1:
+        raise InvalidArgumentError("streams must be >= 1")
+    if not math.isfinite(tol):
+        raise InvalidArgumentError("tol must be finite")
+    if sampler not in _SAMPLERS:
+        raise InvalidArgumentError(f"sampler must be one of {_SAMPLERS}")
+
+
+def _check_eps_tail(eps_tail: float) -> None:
+    if not (0.0 < eps_tail < 1.0):
+        raise InvalidArgumentError("eps_tail must lie in (0, 1)")
+
+
 def _labels_of(domains) -> tuple:
     """The sorted labels of ``domain_labels`` that make up the given domains."""
     try:
@@ -472,16 +509,14 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     does not raise, and each scored domain gets the bits that a pass scoring
     all four gives it (see ``JointVolumes`` for what can be read).
     """
-    if streams < 1:
-        raise InvalidArgumentError("streams must be >= 1")
+    _check_pass(streams, tol, sampler)
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be positive")
-    if sampler not in _SAMPLERS:
-        raise InvalidArgumentError(f"sampler must be one of {_SAMPLERS}")
     labels = _labels_of(domains)
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
+        _check_seed(seed)
         ss = np.random.SeedSequence(seed)
         if seed_label is None:
             seed_label = int(seed)
@@ -533,8 +568,7 @@ def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
     """
     if not (kappa > 0.0):
         raise InvalidArgumentError("kappa must be positive")
-    if not (0.0 < eps_tail < 1.0):
-        raise InvalidArgumentError("eps_tail must lie in (0, 1)")
+    _check_eps_tail(eps_tail)
     domains = domain if isinstance(domain, tuple) else (domain,)
     _labels_of(domains)  # checks the tags
     from . import _quad  # here, not at the top: _quad takes regularizer_values from this module
@@ -577,7 +611,8 @@ class IntegrationRequest:
     """Inputs of one volume estimate; every field has a deterministic effect.
 
     The fields are checked here, so that ``mc_volume`` and ``sweep`` take
-    only valid requests; ``eps_tail`` is checked where a box is fitted.
+    only valid requests; ``eps_tail`` only where it fits a box, that is for
+    the damping without a given ``box``.
     """
 
     domain: DomainTag
@@ -595,17 +630,13 @@ class IntegrationRequest:
             raise InvalidArgumentError("domain must be a DomainTag")
         if self.n_samples < 10_000:
             raise InvalidArgumentError("n_samples must be at least 10_000")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise InvalidArgumentError("seed must be an integer >= 0")
-        if not math.isfinite(self.tol):
-            raise InvalidArgumentError("tol must be finite")
-        if self.streams < 1:
-            raise InvalidArgumentError("streams must be >= 1")
+        _check_seed(self.seed)
+        _check_pass(self.streams, self.tol, self.sampler)
         if self.regularizer.m != 4:
             raise InvalidArgumentError(
                 "volume integrals use the 4-parameter chart; regularizer m must be 4")
-        if self.sampler not in _SAMPLERS:
-            raise InvalidArgumentError(f"sampler must be one of {_SAMPLERS}")
+        if self.box is None and self.regularizer.kind is RegKind.ADJUGATE_UPSILON:
+            _check_eps_tail(self.eps_tail)
 
 
 def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float) -> Box:
@@ -647,15 +678,8 @@ class SweepTable:
     seed: int
 
 
-def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
-    """Volumes of all four domains across a parameter sweep.
-
-    ``param`` is "E" (energy regularizer) or "kappa" (adjugate regularizer);
-    each row re-derives its support box, fitted to all four domains it
-    reports (``template.domain`` does not enter), and gets its own
-    deterministic substream of the template seed.  Rows that fail
-    numerically are recorded and the sweep continues.
-    """
+def _sweep_specs(param: str, values, template: IntegrationRequest) -> list:
+    """(value, regularizer) of each row of a sweep, after checking the sweep's arguments."""
     if param not in ("E", "kappa"):
         raise InvalidArgumentError('param must be "E" or "kappa"')
     vals = [float(v) for v in values]
@@ -670,10 +694,21 @@ def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
         raise InvalidArgumentError("an E sweep needs an energy-kind template regularizer")
     if param == "kappa" and kind is not RegKind.ADJUGATE_UPSILON:
         raise InvalidArgumentError("a kappa sweep needs an adjugate-kind template regularizer")
-    m = template.regularizer.m
+    build = RegularizerSpec.energy if param == "E" else RegularizerSpec.adjugate
+    return [(v, build(v, template.regularizer.m)) for v in vals]
+
+
+def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
+    """Volumes of all four domains across a parameter sweep.
+
+    ``param`` is "E" (energy regularizer) or "kappa" (adjugate regularizer);
+    each row re-derives its support box, fitted to all four domains it
+    reports (``template.domain`` does not enter), and gets its own
+    deterministic substream of the template seed.  Rows that fail
+    numerically are recorded and the sweep continues.
+    """
     rows = []
-    for i, v in enumerate(vals):
-        spec = RegularizerSpec.energy(v, m) if param == "E" else RegularizerSpec.adjugate(v, m)
+    for i, (v, spec) in enumerate(_sweep_specs(param, values, template)):
         try:
             box = template.box if template.box is not None else _default_box(
                 spec, DOMAIN_ORDER, template.eps_tail)

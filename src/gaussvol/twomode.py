@@ -382,6 +382,57 @@ def _classical_labels(a, b, c, d, ab, tol, out=None, scratch=None):
     return out
 
 
+def _may_have_label(a, b, c, d, ab, tol, label, out=None, scratch=None):
+    """A necessary test for ``label`` 2 or 3 of :func:`_classical_labels`, given ab = a*b.
+
+    With Y = det V + 1 - a^2 - b^2 and p = ab - c^2, Simon's invariant
+    X(d) = Y - 2cd = -p d^2 - 2cd + K, with K = p ab + 1 - a^2 - b^2, obeys
+    p X(d) = Delta - (p d + c)^2, so X(d) >= 0 exactly on the d-interval
+    [d1, d2] of :func:`_d_interval`: the quantum test.  Partial transposition
+    flips the sign of d, so PPT is X(-d) >= 0, and a state with cd >= 0 is
+    always PPT (R. Simon, PRL 84, 2726 (2000)); the separability bounds of
+    :func:`_classical_labels` spell this out.  So entangled (label 3) needs
+    |Y| < -2cd and separable (label 2) needs Y >= 2|cd|.
+
+    Both tests allow the slack s = (1e-9 + 8|tol|(1 + |tol|))(1 + ab)^2.
+    The labels need p > 0, so c^2 < ab, and then sqrt(Delta) <= (1 + ab)^2.
+    With t = |tol|: moving an end of [d1, d2] out by t lowers X there by at
+    most t(2 sqrt(Delta) + p t) <= 2t(1 + t)(1 + ab)^2.  A point that the
+    shrunken d-interval or the moved c-limit sqrt(c3) labels entangled has
+    X(-d) <= 4t sqrt(Delta) or X(-d) <= 4K <= 8t (ab)^(3/2), both at most
+    4t(1 + ab)^2.  The labels need |c| < cb + tol with cb^2 <= ab - 1, so p
+    is of order 1 or more where they hold; then the labelling's roundoff and
+    this test's move X by a few ulp of (1 + ab)^2, far below the 1e-9 term.
+
+    ``out`` receives the bool mask; ``scratch`` is three float arrays of a's
+    shape, allocated when omitted.
+    """
+    if scratch is None:
+        scratch = (np.empty(a.shape), np.empty(a.shape), np.empty(a.shape))
+    y, cd, s = scratch
+    # Y = (ab - c^2)(ab - d^2) + 1 - a^2 - b^2
+    np.subtract(ab, np.multiply(c, c, out=y), out=y)
+    y *= np.subtract(ab, np.multiply(d, d, out=cd), out=cd)
+    y -= np.multiply(a, a, out=cd)
+    y -= np.multiply(b, b, out=cd)
+    y += 1.0
+    t = abs(tol)
+    np.add(ab, 1.0, out=s)
+    s *= s
+    s *= 1e-9 + 8.0 * t * (1.0 + t)
+    np.multiply(c, d, out=cd)
+    cd += cd
+    if label == 3:
+        # |Y| + 2cd < s
+        y = np.abs(y, out=y)
+        y += cd
+        return np.less(y, s, out=out)
+    # 2|cd| - Y <= s
+    cd = np.abs(cd, out=cd)
+    cd -= y
+    return np.less_equal(cd, s, out=out)
+
+
 def domain_labels(a, b, c, d, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Label each standard-form point with the innermost domain holding it, elementwise.
 

@@ -217,6 +217,27 @@ def test_volume_rejects_out_of_range_input(flags, capsys):
     assert err.startswith("error: ")
 
 
+# the data row of each benchmark workload at 200k samples and seed 1, recorded
+# before the labelling prefilter; a kernel speed-up must keep these bytes
+_PINNED_ROWS = {
+    ("--set", "entangled", "--kappa", "5"):
+        "entangled,adj,kappa,5.0,4,0.28278397797539917,0.04056085617269509,0.014765,0,200000,"
+        "1,4,pseudo,0.0,6.324555320336758,0.0,6.324555320336758,-6.324555320336758,"
+        "6.324555320336758,-6.324555320336758,6.324555320336758",
+    ("--set", "separable", "--E", "8"):
+        "separable,energy,E,8.0,4,5.27211904480058,0.08887613500546214,0.0178,0,200000,1,4,"
+        "pseudo,0.0,4.0,0.0,4.0,-2.0,2.0,-2.0,2.0",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(_PINNED_ROWS), ids=lambda flags: flags[1])
+def test_volume_benchmark_rows_pinned(flags, capsys):
+    assert main(["volume", *flags, "--samples", "200000", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == VOLUME_HEADER
+    assert lines[2:] == [_PINNED_ROWS[flags]]
+
+
 def test_volume_out_file(tmp_path, capsys):
     out = tmp_path / "vol.csv"
     code = main(["volume", "--E", "6", "--samples", "20000", "--seed", "3", "--out", str(out)])
@@ -317,6 +338,20 @@ def test_config_bad_value(tmp_path, capsys):
     cfg.write_text("samples = many\n", encoding="utf-8")
     assert main(["volume", "--E", "6", "--config", str(cfg)]) == 2
     assert "bad value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--E", "inf"],
+    ["volume", "--E", "8", "--seed", "-1"],
+    ["volume", "--kappa", "5", "--eps-tail", "2"],
+    ["sweep", "--E", "4,inf"],
+    ["sweep", "--E", "6,4"],
+], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+def test_write_config_only_after_validation(argv, tmp_path, capsys):
+    cfg = tmp_path / "wc.cfg"
+    assert main(argv + ["--samples", "10000", "--write-config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not cfg.exists()
 
 
 # ------------------------------------------------------------- value lists

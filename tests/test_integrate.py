@@ -721,6 +721,25 @@ def test_mc_volume_validates():
         mc_volume(IntegrationRequest(**{**good, "sampler": "sobol"}))
 
 
+def test_mc_joint_volumes_validates_seed():
+    # as IntegrationRequest does: numpy raised a bare ValueError for seed = -1
+    spec = RegularizerSpec.energy(8.0)
+    for seed in (-1, 1.5, None):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            mc_joint_volumes(phi_box(8.0), spec, 1_000, seed)
+    # a SeedSequence stays legal
+    jv = mc_joint_volumes(phi_box(8.0), spec, 1_000, np.random.SeedSequence(1))
+    assert jv.seed is None and jv.n_samples == 1_000
+
+
+def test_mc_joint_volumes_validates_tol():
+    # a nan tol used to label every point 0 and return 0 for every domain
+    spec = RegularizerSpec.energy(8.0)
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError, match="tol"):
+            mc_joint_volumes(phi_box(8.0), spec, 1_000, 1, tol=tol)
+
+
 def _template(**overrides):
     base = dict(
         domain=DomainTag.CLASSICAL,

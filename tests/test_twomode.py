@@ -32,6 +32,9 @@ from gaussvol.twomode import (
     metric_components,
     simon_invariants,
     volume_density,
+    _c_bounds,
+    _d_interval,
+    _may_have_label,
 )
 
 from conftest import sample_canonical
@@ -433,3 +436,61 @@ def test_labels_match_spectral_classify(p):
     # tol does not widen the d-interval's Delta >= 0 condition
     assume(classify(V, tol=1e-9) is classify(V, tol=-1e-9))
     assert classify(V, tol=0.0) is _LABEL_CLASS[label]
+
+
+def _near_label_surfaces(rng, n, tol):
+    """(a, b, c, d) on and within a few |tol| of the surfaces that bound labels 2 and 3.
+
+    Those are X(d) = 0 and X(-d) = 0 (the ends of the d-interval and their
+    mirrors), |c| = cb, |c| = sqrt(c3) and min(a, b) = 1.  Each coordinate is
+    put on a surface and moved by a jitter of scale |tol|, of a few ulp, or 0.
+    """
+    def jitter():
+        scale = np.array([abs(tol), 1e-13, 0.0])[rng.integers(0, 3, n)]
+        return rng.uniform(-3.0, 3.0, n) * scale
+
+    lo = 1.0 - 3.0 * abs(tol) - 1e-3
+    a, b = rng.uniform(lo, 8.0, (2, n))
+    # a quarter of the points put min(a, b) near 1
+    near1 = rng.random(n) < 0.25
+    a = np.where(near1 & (a <= b), 1.0 + jitter(), a)
+    b = np.where(near1 & (b < a), 1.0 + jitter(), b)
+    ab = a * b
+    am1, bm1 = a * a - 1.0, b * b - 1.0
+    sign = lambda: rng.choice([-1.0, 1.0], n)
+    with np.errstate(invalid="ignore"):
+        cb, sc3 = _c_bounds(a, b, ab, am1, bm1)
+        c = np.choose(rng.integers(0, 3, n), [rng.uniform(-1.0, 1.0, n) * cb,
+                                              sign() * cb + jitter(), sign() * sc3 + jitter()])
+        d1, d2, _, _ = _d_interval(c, ab, c * c, am1, bm1)
+        root = np.where(rng.random(n) < 0.5, d1, d2) * sign()
+        d = np.where(rng.random(n) < 0.75, root + jitter(),
+                     rng.uniform(-1.0, 1.0, n) * np.sqrt(np.maximum(ab, 0.0)))
+    return a, b, c, np.where(np.isfinite(d), d, 0.0)
+
+
+@pytest.mark.parametrize("tol", (-1e-6, -1e-9, 0.0, 1e-9, 1e-3, 0.1))
+def test_may_have_label_keeps_every_labelled_point(tol):
+    # the prefilter is a necessary test: every point labelled 2 or 3 passes it
+    rng = np.random.default_rng(int(1e9 * abs(tol)) + (tol < 0))
+    a, b, c, d = _near_label_surfaces(rng, 400_000, tol)
+    lab = domain_labels(a, b, c, d, tol)
+    for label in (2, 3):
+        at = lab == label
+        assert np.count_nonzero(at) > 10_000, label
+        kept = _may_have_label(a[at], b[at], c[at], d[at], a[at] * b[at], tol, label)
+        assert kept.all(), (label, np.flatnonzero(at)[~kept][:5])
+
+
+def test_may_have_label_entangled_is_selective():
+    # a slack grown until the test drops nothing would keep every point
+    from gaussvol.integrate import upsilon_box
+
+    box = upsilon_box(5.0, domain=DomainTag.ENTANGLED)
+    lo = np.asarray(box.lo)[:, None]
+    a, b, c, d = lo + np.random.default_rng(2).random((4, 400_000)) * (np.asarray(box.hi)[:, None] - lo)
+    # the stage-3 points of the stream kernel: classical, min(a, b) > 1 - tol
+    stage3 = (domain_labels(a, b, c, d, 1e-9) > 0) & (np.minimum(a, b) > 1.0 - 1e-9)
+    a, b, c, d = a[stage3], b[stage3], c[stage3], d[stage3]
+    kept = _may_have_label(a, b, c, d, a * b, 1e-9, 3)
+    assert np.count_nonzero(kept) <= 0.10 * a.size
