@@ -32,10 +32,16 @@ Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from the children of the seed's SeedSequence, and partial sums are
 combined by a fixed-order pairwise reduction; results are bit-identical for
 a fixed (seed, streams, n_samples).  A stream works in tiles of ``_TILE``
-points on scratch it allocates once and sums each tile with one ``bincount``
-per sum, in draw order.  A pseudo stream is consumed per tile as a(t) and
-b(t), then c(k) and d(k) for the k stage-1 survivors.  So ``_TILE`` alone
-fixes the bits, for pseudo and qmc alike.
+points on scratch it allocates once.  Stages 1 and 2 and the Simon test run
+per tile; the points left queue up, and the labelling, weighting and
+summing run once per batch of consecutive tiles, so that a rare domain
+pays the fixed cost of those numpy calls once per batch, not per tile.
+Each tile still keeps its own sums: one ``bincount`` per sum over the
+batch, keyed by tile and label, adds each tile's weights in draw order, as
+a ``bincount`` of that tile alone does, and the tiles' sums are added up in
+tile order.  So the batch size changes no bit.  A pseudo stream is consumed
+per tile as a(t) and b(t), then c(k) and d(k) for the k stage-1 survivors.
+So ``_TILE`` alone fixes the bits, for pseudo and qmc alike.
 The substreams of a pass run on at most one thread per usable core, from a
 pool kept between passes, so the core count sets the speed but never the
 bits.
@@ -65,7 +71,9 @@ from .twomode import (
     _ab_above,
     _cd_inside,
     _classical_labels,
+    _float_arrays,
     _may_have_label,
+    _scratch,
 )
 # unused here, but perfbench/tracing.py wraps these two attributes of this module
 from .twomode import domain_mask, metric_components  # noqa: F401
@@ -90,6 +98,10 @@ DOMAIN_ORDER = (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE, Dom
 # _TILE is the working set of a stream and fixes its bits: the pseudo
 # stream's layout and the summation order of every sum
 _TILE = 1 << 16
+# stage 3 (labelling, weighting and summing) runs once per batch of at most
+# _BATCH points from consecutive tiles; a tile keeps its own sums, so the
+# batch size changes no bit
+_BATCH = 1 << 13
 _SAMPLERS = ("pseudo", "qmc")
 # Gauss-Legendre order per axis of the support-box rule: its tail ratios
 # agree with the rule at twice the order to a few percent near the threshold
@@ -113,6 +125,8 @@ class Box:
         hi = tuple(float(x) for x in self.hi)
         if len(lo) != 4 or len(hi) != 4:
             raise InvalidArgumentError("box needs 4 lower and 4 upper bounds")
+        if not all(map(math.isfinite, lo + hi)):
+            raise InvalidArgumentError("box bounds must be finite")
         if any(not (h > l) for l, h in zip(lo, hi)):
             raise InvalidArgumentError("box upper bounds must exceed lower bounds")
         object.__setattr__(self, "lo", lo)
@@ -166,29 +180,32 @@ def _in_energy_support(a, b, bound_E: float, out=None, tmp=None) -> np.ndarray:
     return np.less_equal(e, bound_E, out=out)
 
 
-def regularizer_values(a, b, c, d, spec: RegularizerSpec) -> np.ndarray:
+def regularizer_values(a, b, c, d, spec: RegularizerSpec, out=None, scratch=None) -> np.ndarray:
     """Vectorized regularizer weight at standard-form points.
 
     Uses the standard-form closed forms det V = (ab - c^2)(ab - d^2) and
     tr[adj V] = (a + b)(2ab - c^2 - d^2); agrees with the general matrix
-    evaluation on the classical domain.
+    evaluation on the classical domain.  ``out`` and ``scratch`` (two float
+    arrays and a bool array) are optional arrays of the points' shape to
+    work in, so that the stream kernel allocates nothing here.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    detv = np.asarray(canonical_det(a, b, c, d))
+    a, b, c, d = _float_arrays(a, b, c, d)
+    f1, f2, mask = scratch if scratch is not None else _scratch(a.shape, 2, 1)
+    base = np.empty(a.shape) if out is None else out
+    detv = canonical_det(a, b, c, d, out=f1, scratch=(base, f2))
     np.maximum(detv, 1e-300, out=detv)
-    base = np.asarray(log1p_det_pow(detv, spec.m))
+    log1p_det_pow(detv, spec.m, out=base, scratch=(f2, mask))
     if spec.kind is RegKind.ENERGY_PHI:
-        inside = _in_energy_support(a, b, spec.bound_E)
+        inside = _in_energy_support(a, b, spec.bound_E, out=mask, tmp=f1)
         np.copyto(base, 0.0, where=np.logical_not(inside, out=inside))
         return base
-    damp = np.asarray(canonical_trace_adjugate(a, b, c, d))
+    damp = canonical_trace_adjugate(a, b, c, d, out=f1, scratch=(f2,))
     np.negative(damp, out=damp)
     damp /= spec.kappa
     np.minimum(damp, 700.0, out=damp)
     np.exp(damp, out=damp)
-    damp *= base
-    return damp
+    base *= damp
+    return base
 
 
 def _take(keep, cols, buf, rows=4):
@@ -208,14 +225,21 @@ def _take(keep, cols, buf, rows=4):
     return out, idx
 
 
+def _rows(buf, k, n):
+    """k rows of n floats at the start of the flat scratch ``buf``."""
+    return buf[:k * n].reshape(k, n)
+
+
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
                     sampler: str, exclude: Box | None, labels: tuple):
     lo = np.asarray(box.lo)[:, None]
     span = np.asarray(box.hi)[:, None] - lo
     tile = min(_TILE, count)
-    # a tile's points live in one of two flat buffers of four columns; each
-    # stage gathers its survivors into the other one
-    bufs = (np.empty(4 * tile), np.empty(4 * tile))
+    cap = min(_BATCH, count)
+    size = max(tile, cap)
+    # a tile's points live in one of two flat buffers; each stage works in the
+    # other one and then gathers its survivors into it
+    bufs = (np.empty(4 * size), np.empty(4 * size))
     other = lambda pts: bufs[np.may_share_memory(pts, bufs[0])]
     if sampler == "pseudo":
         rng = np.random.default_rng(child_ss)
@@ -223,21 +247,71 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         from scipy.stats import qmc
 
         sob = qmc.Sobol(d=4, scramble=True, seed=np.random.default_rng(child_ss))
-    # the rest of one tile's scratch, allocated once: ab, labels, and the
-    # float and bool arrays that the tests, the labelling and the weights work in
-    ab_buf = np.empty(tile)
-    lab_buf = np.empty(tile, dtype=np.intp)
-    f_buf = np.empty((7, tile))
-    b_buf = np.empty((3, tile), dtype=bool)
+    # stage 3 works in nine rows: the labelling in the first eight, the
+    # weighting in the last five.  A batch finds them in the other buffer; a
+    # tile that runs alone takes four there and five here.  Every buffer stays
+    # below the 4 MiB from which numpy asks for huge pages, which a few
+    # touched bytes would make resident in full
+    f_buf = np.empty((5, size))
+    lab_buf = np.empty(size, dtype=np.intp)
+    b_buf = np.empty((3, size), dtype=bool)
+    # the stage-3 points queued from tiles first, first + 1, ..., each with
+    # the key 4 * (its tile - first)
+    queue = np.empty((4, cap))
+    qkey = np.empty(cap, dtype=np.intp)
     scored = np.isin(np.arange(4), labels)  # scored[l]: label l is weighted and counted
     # a single scored quantum label has a cheap necessary test (_may_have_label)
     prefilter = labels in ((2,), (3,))
+    # each tile's sums, one row per tile, added up in tile order at the end
+    tiles = -(-count // _TILE)
+    s1 = np.zeros((max(tiles, 1), 4))
+    s2 = np.zeros_like(s1)
+    hits = np.zeros(s1.shape, dtype=np.int64)
+
+    def stage3(pts, key, j0, k, spare):
+        """Label, weight and sum the (4, n) points of tiles j0, ..., j0 + k - 1.
+
+        ``key`` holds 4 * (tile - j0) per point (None for a single tile);
+        ``spare`` is a free flat buffer to work in.
+        """
+        n = pts.shape[1]
+        if n == 0:
+            return
+        a, b, c, d = pts
+        rows = _rows(spare, 9, n) if 9 * n <= spare.size else (*_rows(spare, 4, n), *f_buf[:, :n])
+        ab = np.multiply(a, b, out=rows[0])
+        lab = _classical_labels(a, b, c, d, ab, tol, out=lab_buf[:n],
+                                scratch=(*rows[1:8], *b_buf[:, :n]))
+        keep = np.take(scored, lab, out=b_buf[0, :n], mode="clip")
+        if key is not None:
+            lab += key
+        pts, idx = _take(keep, pts, spare)
+        n = pts.shape[1]
+        if n == 0:
+            return
+        if idx is not None:
+            lab = lab[idx]
+        a, b, c, d = pts
+        # the points' n columns lie in the first four rows' space
+        w, dens, f1, f2, f3 = (x[:n] for x in rows[4:])
+        m1, m2 = b_buf[:2, :n]
+        w = np.multiply(regularizer_values(a, b, c, d, spec, out=w, scratch=(f1, f2, m1)),
+                        volume_density(a, b, c, d, out=dens, scratch=(f1, f2, f3, m1, m2)), out=w)
+        finite = np.isfinite(w, out=m1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            bad = (a[i], b[i], c[i], d[i])
+            raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
+        # one bincount per sum over the batch, keyed by tile: each tile's
+        # row adds its weights in draw order, as a bincount of that tile alone does
+        own = slice(j0, j0 + k)
+        s1[own] = np.bincount(lab, weights=w, minlength=4 * k).reshape(k, 4)
+        s2[own] = np.bincount(lab, weights=np.multiply(w, w, out=w), minlength=4 * k).reshape(k, 4)
+        hits[own] = np.bincount(lab, minlength=4 * k).reshape(k, 4)
 
     energy = spec.kind is RegKind.ENERGY_PHI
-    s1 = np.zeros(4)
-    s2 = np.zeros(4)
-    hits = np.zeros(4, dtype=np.int64)
-    for done in range(0, count, _TILE):
+    first = queued = 0  # the queue holds tiles first, ..., j - 1 with queued points
+    for j, done in enumerate(range(0, count, _TILE)):
         t = min(_TILE, count - done)
         keep, inside = b_buf[:2, :t]
         # stage 1, every sample: a and b, the a, b half of the classical
@@ -254,10 +328,11 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         pts[:2] *= span[:2]
         pts[:2] += lo[:2]
         a, b = pts[:2]
-        _ab_above(a, b, -tol, out=keep, tmp=f_buf[0, :t])
+        tmp = bufs[1][:t]
+        _ab_above(a, b, -tol, out=keep, tmp=tmp)
         if energy:
             # a point outside the cutoff would add only +0.0 to s1 and s2
-            keep &= _in_energy_support(a, b, spec.bound_E, out=inside, tmp=f_buf[0, :t])
+            keep &= _in_energy_support(a, b, spec.bound_E, out=inside, tmp=tmp)
         pts, idx = _take(keep, pts, bufs[1], rows=2)
         # stage 2, the survivors: c and d, the c, d half of the classical
         # test, exclude, and points sure to have an unscored label
@@ -272,46 +347,39 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         cd *= span[2:]
         cd += lo[2:]
         keep, tmp, inside = b_buf[:, :n]
-        _cd_inside(*pts, tol, out=keep, scratch=(f_buf[0, :n], f_buf[1, :n], tmp))
+        f0, f1 = _rows(other(pts), 2, n)
+        _cd_inside(*pts, tol, out=keep, scratch=(f0, f1, tmp))
         if exclude is not None:
             keep &= np.logical_not(exclude.contains(pts.T, out=inside, tmp=tmp), out=inside)
         if not scored[1]:
             # a classical point with min(a, b) <= 1 - tol has label 1
-            keep &= _ab_above(*pts[:2], 1.0 - tol, out=inside, tmp=f_buf[0, :n])
+            keep &= _ab_above(*pts[:2], 1.0 - tol, out=inside, tmp=f0)
         pts, _ = _take(keep, pts, other(pts))
-        # stage 3, the scored domains only: label, then weight the scored labels
-        n = pts.shape[1]
-        a, b, c, d = pts
-        ab = np.multiply(a, b, out=ab_buf[:n])
         if prefilter:
-            # only the points that may carry the scored label are labelled
-            keep = _may_have_label(a, b, c, d, ab, tol, labels[0], out=b_buf[0, :n],
-                                   scratch=f_buf[:3, :n])
-            pts, _ = _take(keep, pts, other(pts))
+            # only the points that may carry the scored label go on to stage 3
             n = pts.shape[1]
-            a, b, c, d = pts
-            ab = np.multiply(a, b, out=ab_buf[:n])
-        lab = _classical_labels(a, b, c, d, ab, tol,
-                                out=lab_buf[:n], scratch=(*f_buf[:, :n], *b_buf[:, :n]))
-        pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts, other(pts))
+            ab, *f = _rows(other(pts), 4, n)
+            keep = _may_have_label(*pts, np.multiply(*pts[:2], out=ab), tol, labels[0],
+                                   out=b_buf[0, :n], scratch=f)
+            pts, _ = _take(keep, pts, other(pts))
+        # stage 3 once per batch of tiles: a tile that fills more than half
+        # the queue runs alone, straight from its buffer, and any other
+        # joins the queue, which runs first when it would overflow
         n = pts.shape[1]
-        if n == 0:
-            continue
-        if idx is not None:
-            lab = lab[idx]
-        a, b, c, d = pts
-        w = np.multiply(regularizer_values(a, b, c, d, spec), volume_density(a, b, c, d),
-                        out=f_buf[0, :n])
-        finite = np.isfinite(w, out=b_buf[0, :n])
-        if not finite.all():
-            i = int(np.argmin(finite))
-            bad = (a[i], b[i], c[i], d[i])
-            raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
-        # one bincount per sum and tile, in draw order, so the tile fixes the summation order
-        s1 += np.bincount(lab, weights=w, minlength=4)
-        s2 += np.bincount(lab, weights=np.multiply(w, w, out=w), minlength=4)
-        hits += np.bincount(lab, minlength=4)
-    return count, s1, s2, hits
+        alone = 2 * n > cap
+        if alone or queued + n > cap:
+            stage3(queue[:, :queued], qkey[:queued], first, j - first, other(pts))
+            first, queued = j, 0
+        if alone:
+            stage3(pts, None, j, 1, other(pts))
+            first = j + 1
+        else:
+            queue[:, queued:queued + n] = pts
+            qkey[queued:queued + n] = 4 * (j - first)
+            queued += n
+    stage3(queue[:, :queued], qkey[:queued], first, tiles - first, bufs[0])
+    # the tiles' sums in tile order, each added to the sum of those before it
+    return count, *(np.add.accumulate(x, axis=0)[-1] for x in (s1, s2, hits))
 
 
 @dataclass(frozen=True)
@@ -439,16 +507,27 @@ def _children(ss: np.random.SeedSequence, n: int) -> list:
                                    pool_size=ss.pool_size) for i in range(n)]
 
 
+def _is_int(x) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _check_seed(seed) -> None:
     """An integer seed must be >= 0; ``mc_joint_volumes`` also takes a SeedSequence."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (_is_int(seed) and seed >= 0):
         raise InvalidArgumentError("seed must be an integer >= 0")
 
 
-def _check_pass(streams: int, tol: float, sampler: str) -> None:
-    """The checks of a pass's streams, tol and sampler, shared with ``IntegrationRequest``."""
-    if streams < 1:
-        raise InvalidArgumentError("streams must be >= 1")
+def _check_pass(n_samples: int, streams: int, tol: float, sampler: str,
+                min_samples: int = 1) -> None:
+    """The checks of a pass's sample count, streams, tol and sampler.
+
+    ``IntegrationRequest`` shares them, with at least 10_000 samples.
+    """
+    if not (_is_int(n_samples) and n_samples >= min_samples):
+        raise InvalidArgumentError(f"n_samples must be an integer >= {min_samples:_}")
+    if not (_is_int(streams) and streams >= 1):
+        raise InvalidArgumentError("streams must be an integer >= 1")
     if not math.isfinite(tol):
         raise InvalidArgumentError("tol must be finite")
     if sampler not in _SAMPLERS:
@@ -509,9 +588,7 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     does not raise, and each scored domain gets the bits that a pass scoring
     all four gives it (see ``JointVolumes`` for what can be read).
     """
-    _check_pass(streams, tol, sampler)
-    if n_samples < 1:
-        raise InvalidArgumentError("n_samples must be positive")
+    _check_pass(n_samples, streams, tol, sampler)
     labels = _labels_of(domains)
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
@@ -569,6 +646,8 @@ def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
     if not (kappa > 0.0):
         raise InvalidArgumentError("kappa must be positive")
     _check_eps_tail(eps_tail)
+    if not (_is_int(max_doublings) and max_doublings >= 0):
+        raise InvalidArgumentError("max_doublings must be an integer >= 0")
     domains = domain if isinstance(domain, tuple) else (domain,)
     _labels_of(domains)  # checks the tags
     from . import _quad  # here, not at the top: _quad takes regularizer_values from this module
@@ -628,10 +707,8 @@ class IntegrationRequest:
     def __post_init__(self):
         if not isinstance(self.domain, DomainTag):
             raise InvalidArgumentError("domain must be a DomainTag")
-        if self.n_samples < 10_000:
-            raise InvalidArgumentError("n_samples must be at least 10_000")
+        _check_pass(self.n_samples, self.streams, self.tol, self.sampler, min_samples=10_000)
         _check_seed(self.seed)
-        _check_pass(self.streams, self.tol, self.sampler)
         if self.regularizer.m != 4:
             raise InvalidArgumentError(
                 "volume integrals use the 4-parameter chart; regularizer m must be 4")

@@ -73,23 +73,29 @@ class RegularizerSpec:
         return cls(kind=RegKind.ADJUGATE_UPSILON, m=m, kappa=kappa)
 
 
-def log1p_det_pow(det_v, m: int):
+def log1p_det_pow(det_v, m: int, out=None, scratch=None):
     """log(1 + det_v**m) for positive det_v, stable for very large and tiny values.
 
     Works elementwise on arrays.  For m * log(det_v) > 700 the exact value and
     m * log(det_v) agree to below double precision, so the latter is returned.
+    ``out`` and ``scratch`` (a float and a bool array) are optional arrays of
+    det_v's shape to work in; with ``out`` an array is returned even for a
+    scalar det_v.
     """
     dv = np.asarray(det_v, dtype=float)
-    t = np.maximum(dv, 1e-300, out=np.empty(dv.shape))
+    if scratch is None:
+        scratch = (np.empty(dv.shape), np.empty(dv.shape, dtype=bool))
+    t, big = scratch
+    np.maximum(dv, 1e-300, out=t)
     np.log(t, out=t)
     t *= m
-    out = np.minimum(t, _LOG1P_EXP_CROSSOVER, out=np.empty(dv.shape))
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    np.copyto(out, t, where=t > _LOG1P_EXP_CROSSOVER)
-    if np.ndim(det_v) == 0:
-        return float(out)
-    return out
+    res = np.minimum(t, _LOG1P_EXP_CROSSOVER, out=np.empty(dv.shape) if out is None else out)
+    np.exp(res, out=res)
+    np.log1p(res, out=res)
+    np.copyto(res, t, where=np.greater(t, _LOG1P_EXP_CROSSOVER, out=big))
+    if out is None and np.ndim(det_v) == 0:
+        return float(res)
+    return res
 
 
 def _checked_det(V) -> float:

@@ -116,26 +116,43 @@ def _float_arrays(*xs):
     return np.broadcast_arrays(*xs)
 
 
-def canonical_det(a, b, c, d):
-    """det V = (ab - c^2)(ab - d^2), elementwise."""
+def _scratch(shape, floats, bools=0):
+    """A helper's scratch when none is given: ``floats`` float and ``bools`` bool arrays."""
+    return (*(np.empty(shape) for _ in range(floats)),
+            *(np.empty(shape, dtype=bool) for _ in range(bools)))
+
+
+def canonical_det(a, b, c, d, out=None, scratch=None):
+    """det V = (ab - c^2)(ab - d^2), elementwise.
+
+    ``out`` and ``scratch`` (two float arrays) are optional arrays of the
+    points' shape to work in, so that a caller running it in a loop
+    allocates nothing.
+    """
     a, b, c, d = _float_arrays(a, b, c, d)
-    ab = np.multiply(a, b, out=np.empty(a.shape))
-    det = np.square(c, out=np.empty(a.shape))
+    ab, d2 = scratch if scratch is not None else _scratch(a.shape, 2)
+    np.multiply(a, b, out=ab)
+    det = np.square(c, out=np.empty(a.shape) if out is None else out)
     np.subtract(ab, det, out=det)
-    ab -= np.square(d)
+    ab -= np.square(d, out=d2)
     det *= ab
-    return det[()]
+    return det[()] if out is None else det
 
 
-def canonical_trace_adjugate(a, b, c, d):
-    """tr[adj V] = (a + b)(2ab - c^2 - d^2), elementwise."""
+def canonical_trace_adjugate(a, b, c, d, out=None, scratch=None):
+    """tr[adj V] = (a + b)(2ab - c^2 - d^2), elementwise.
+
+    ``out`` and ``scratch`` (one float array) are optional arrays of the
+    points' shape to work in.
+    """
     a, b, c, d = _float_arrays(a, b, c, d)
-    tr = np.multiply(a, b, out=np.empty(a.shape))
+    (tmp,) = scratch if scratch is not None else _scratch(a.shape, 1)
+    tr = np.multiply(a, b, out=np.empty(a.shape) if out is None else out)
     tr *= 2.0
-    tr -= np.square(c)
-    tr -= np.square(d)
-    tr *= np.add(a, b)
-    return tr[()]
+    tr -= np.square(c, out=tmp)
+    tr -= np.square(d, out=tmp)
+    tr *= np.add(a, b, out=tmp)
+    return tr[()] if out is None else tr
 
 
 def metric_components(a, b, c, d) -> np.ndarray:
@@ -291,7 +308,7 @@ def _cd_inside(a, b, c, d, tol, out=None, scratch=None):
     allocates nothing.
     """
     if scratch is None:
-        scratch = (np.empty(a.shape), np.empty(a.shape), np.empty(a.shape, dtype=bool))
+        scratch = _scratch(a.shape, 2, 1)
     sab, abs_x, tmp = scratch
     np.multiply(a, b, out=sab)
     np.maximum(sab, 0.0, out=sab)
@@ -346,8 +363,7 @@ def _classical_labels(a, b, c, d, ab, tol, out=None, scratch=None):
     that a caller running it tile after tile allocates nothing.
     """
     if scratch is None:
-        scratch = (*(np.empty(a.shape) for _ in range(7)),
-                   *(np.empty(a.shape, dtype=bool) for _ in range(3)))
+        scratch = _scratch(a.shape, 7, 3)
     f0, f1, f2, f3, f4, f5, f6, quantum, m1, m2 = scratch
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         am1 = np.multiply(a, a, out=f0)
@@ -408,7 +424,7 @@ def _may_have_label(a, b, c, d, ab, tol, label, out=None, scratch=None):
     shape, allocated when omitted.
     """
     if scratch is None:
-        scratch = (np.empty(a.shape), np.empty(a.shape), np.empty(a.shape))
+        scratch = _scratch(a.shape, 3)
     y, cd, s = scratch
     # Y = (ab - c^2)(ab - d^2) + 1 - a^2 - b^2
     np.subtract(ab, np.multiply(c, c, out=y), out=y)
@@ -470,27 +486,29 @@ def domain_mask(a, b, c, d, tag: DomainTag, tol: float = DEFAULT_TOL) -> np.ndar
     return np.isin(domain_labels(a, b, c, d, tol), labels)
 
 
-def volume_density(a, b, c, d) -> np.ndarray:
+def volume_density(a, b, c, d, out=None, scratch=None) -> np.ndarray:
     """Closed-form sqrt(det g) of the (a, b, c, d) chart, elementwise.
 
     det g = (4 a^2 b^2 - (c^2 + d^2)^2) / (4 (ab - c^2)^3 (ab - d^2)^3); the
     numerator is evaluated as (pc + pd)(2ab + c^2 + d^2) with pc = ab - c^2 and
     pd = ab - d^2, which does not cancel near the singular surfaces.  The
     density is 0 off the classical domain, that is wherever a <= 0, pc <= 0
-    or pd <= 0, and wherever the numerator is <= 0.
+    or pd <= 0, and wherever the numerator is <= 0.  ``out`` and ``scratch``
+    (three float and two bool arrays) are optional arrays of the points'
+    shape to work in, so that a caller running it in a loop allocates nothing.
     """
     a, b, c, d = _float_arrays(a, b, c, d)
-    ab = np.multiply(a, b, out=np.empty(a.shape))
-    pc = np.square(c, out=np.empty(a.shape))
-    pd_ = np.square(d, out=np.empty(a.shape))
-    num = np.multiply(ab, 2.0, out=np.empty(a.shape))
+    ab, pc, pd_, ok, tmp = scratch if scratch is not None else _scratch(a.shape, 3, 2)
+    np.multiply(a, b, out=ab)
+    np.square(c, out=pc)
+    np.square(d, out=pd_)
+    num = np.multiply(ab, 2.0, out=np.empty(a.shape) if out is None else out)
     num += pc
     num += pd_
     np.subtract(ab, pc, out=pc)
     np.subtract(ab, pd_, out=pd_)
     num *= np.add(pc, pd_, out=ab)
-    ok = np.greater(a, 0.0, out=np.empty(a.shape, dtype=bool))
-    tmp = np.empty(a.shape, dtype=bool)
+    np.greater(a, 0.0, out=ok)
     for x in (pc, pd_, num):
         ok &= np.greater(x, 0.0, out=tmp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

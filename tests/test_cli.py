@@ -238,6 +238,28 @@ def test_volume_benchmark_rows_pinned(flags, capsys):
     assert lines[2:] == [_PINNED_ROWS[flags]]
 
 
+# one stream of 400k samples runs 7 tiles, so these rows cover a stream whose
+# labelling and sums span several tiles; recorded before the batched stage 3
+_PINNED_MULTI_TILE_ROWS = {
+    ("--set", "quantum", "--kappa", "5"):
+        "quantum,adj,kappa,5.0,4,0.4838525735691915,0.0330399743791264,0.184065,0,400000,1,1,"
+        "pseudo,0.0,6.324555320336758,0.0,6.324555320336758,-6.324555320336758,"
+        "6.324555320336758,-6.324555320336758,6.324555320336758",
+    ("--set", "classical", "--E", "8"):
+        "classical,energy,E,8.0,4,46.851757001968494,0.2181819410171119,0.1665,0,400000,1,1,"
+        "pseudo,0.0,4.0,0.0,4.0,-2.0,2.0,-2.0,2.0",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(_PINNED_MULTI_TILE_ROWS), ids=lambda flags: flags[1])
+def test_volume_multi_tile_rows_pinned(flags, capsys):
+    argv = ["volume", *flags, "--streams", "1", "--samples", "400000", "--seed", "1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == VOLUME_HEADER
+    assert lines[2:] == [_PINNED_MULTI_TILE_ROWS[flags]]
+
+
 def test_volume_out_file(tmp_path, capsys):
     out = tmp_path / "vol.csv"
     code = main(["volume", "--E", "6", "--samples", "20000", "--seed", "3", "--out", str(out)])

@@ -56,6 +56,16 @@ def test_box_validates_ordering():
         Box(lo=(0.0, 0.0), hi=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_box_rejects_non_finite_bounds(bad):
+    # an infinite box had an infinite volume, and a pass over it warned and
+    # then raised NumericError at an infinite point
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        Box(lo=(0.0, 0.0, -1.0, -1.0), hi=(bad, 1.0, 1.0, 1.0))
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        Box(lo=(0.0, 0.0, bad, -1.0), hi=(1.0, 1.0, 1.0, 1.0))
+
+
 def test_phi_box_frozen():
     box = phi_box(8.0)
     assert box.lo == (0.0, 0.0, -2.0, -2.0)
@@ -222,6 +232,16 @@ def test_upsilon_box_validates():
     for bad in ("classical", None, (), (DomainTag.CLASSICAL, "entangled")):
         with pytest.raises(InvalidArgumentError):
             upsilon_box(1.0, domain=bad)
+
+
+def test_upsilon_box_validates_max_doublings():
+    # -1 used to raise NumericError "after -1 doublings" with an empty history
+    for bad in (-1, 1.5, True):
+        with pytest.raises(InvalidArgumentError, match="max_doublings"):
+            upsilon_box(5.0, max_doublings=bad)
+    # no doubling at all stays legal: the entangled box passes at the first sides
+    assert upsilon_box(5.0, domain=DomainTag.ENTANGLED, max_doublings=0) == upsilon_box(
+        5.0, domain=DomainTag.ENTANGLED)
 
 
 def test_upsilon_box_failure_reports_history():
@@ -392,40 +412,46 @@ def test_entangled_empty_just_above_threshold():
 
 
 def test_non_finite_weight_raises(monkeypatch):
-    monkeypatch.setattr(integrate, "regularizer_values", lambda a, *rest: np.full(np.shape(a), np.nan))
+    monkeypatch.setattr(integrate, "regularizer_values",
+                        lambda a, *rest, **scratch: np.full(np.shape(a), np.nan))
     spec = RegularizerSpec.energy(6.0)
     with pytest.raises(NumericError, match="non-finite"):
         mc_joint_volumes(phi_box(6.0), spec, 20_000, seed=3)
 
 
 def test_first_bad_point_named_across_tiles(monkeypatch):
-    real, calls = integrate.regularizer_values, []
-
-    def nan_after_first_tile(a, b, c, d, spec):
-        calls.append(len(a))
-        vals = real(a, b, c, d, spec)
-        return vals if len(calls) == 1 else np.full_like(vals, np.nan)
-
-    monkeypatch.setattr(integrate, "regularizer_values", nan_after_first_tile)
     box, spec, tile = phi_box(8.0), RegularizerSpec.energy(8.0), integrate._TILE
     ss = np.random.SeedSequence(8)
-    with pytest.raises(NumericError) as err:
-        integrate._stream_partial(ss, 3 * tile, box, spec, 1e-9, "pseudo", None, (1, 2, 3))
-    assert len(calls) == 2
-    # the first classical point of the second tile, in draw order
     rng = np.random.default_rng(ss)
     _reference_tile(rng, tile, box, spec, 1e-9)
     a, b, c, d = _reference_tile(rng, tile, box, spec, 1e-9)
+    real = integrate.regularizer_values
+
+    def nan_in_second_tile(a2, b2, c2, d2, spec, **scratch):
+        # the weight is non-finite at the second tile's points, matched by
+        # coordinates, in whichever batch they are weighted
+        vals = real(a2, b2, c2, d2, spec, **scratch)
+        vals[np.isin(a2, a) & np.isin(c2, c)] = np.nan
+        return vals
+
+    monkeypatch.setattr(integrate, "regularizer_values", nan_in_second_tile)
+    # the first classical point of the second tile, in draw order
     i = np.flatnonzero(domain_labels(a, b, c, d, 1e-9))[0]
-    assert str(err.value) == f"non-finite integrand weight at (a, b, c, d) = {(a[i], b[i], c[i], d[i])}"
+    want = f"non-finite integrand weight at (a, b, c, d) = {(a[i], b[i], c[i], d[i])}"
+    # each tile weighted alone, and all three tiles in one batch
+    for batch in (integrate._BATCH, 3 * tile):
+        monkeypatch.setattr(integrate, "_BATCH", batch)
+        with pytest.raises(NumericError) as err:
+            integrate._stream_partial(ss, 3 * tile, box, spec, 1e-9, "pseudo", None, (1, 2, 3))
+        assert str(err.value) == want, batch
 
 
 def test_non_finite_weight_outside_scored_domain(monkeypatch):
     # a volume weights only its own domain's points; a full pass weights them all
     real = integrate.regularizer_values
 
-    def nan_off_entangled(a, b, c, d, spec):
-        vals = real(a, b, c, d, spec)
+    def nan_off_entangled(a, b, c, d, spec, **scratch):
+        vals = real(a, b, c, d, spec, **scratch)
         vals[domain_labels(a, b, c, d, 1e-9) != 3] = np.nan
         return vals
 
@@ -639,6 +665,61 @@ def test_tiled_kernel_matches_untiled_reference(count, sampler, reg, excl, tol):
             assert g.dtype == w.dtype and np.array_equal(g, w), labels
 
 
+_BATCH_CASES = {
+    "E8": (phi_box(8.0), RegularizerSpec.energy(8.0)),
+    "kappa2": (integrate._sym_box(8.0), RegularizerSpec.adjugate(2.0)),
+}
+
+
+@pytest.mark.parametrize("reg", list(_BATCH_CASES))
+@pytest.mark.parametrize("sampler", ["pseudo", "qmc"])
+def test_batch_size_changes_no_bit(monkeypatch, sampler, reg):
+    # stage 3 runs once per batch of tiles, and each tile keeps its own sums:
+    # a batch of one point (every tile alone), of one tile and of more than
+    # the stream gives the bits of the shipped batch size.  So do the sizes
+    # between 2 and 3 times a tile's stage-3 points, at which two tiles are
+    # queued and the third runs them first: for each case and label set
+    # below, one of 1500 to 33000 is such a size
+    box, spec = _BATCH_CASES[reg]
+    count = 3 * integrate._TILE + 5
+    for labels in ((1, 2, 3), (2, 3), (2,), (3,)):
+        # a fresh SeedSequence for each run: scipy's Sobol spawns from the one it is given
+        run = lambda: integrate._stream_partial(np.random.SeedSequence(11), count, box, spec,
+                                                1e-9, sampler, None, labels)
+        want = run()
+        for batch in (1, 1500, 2000, 3000, 12000, 24000, 33000, integrate._TILE, 2 * count):
+            monkeypatch.setattr(integrate, "_BATCH", batch)
+            got = run()
+            for g, w in zip(got[1:], want[1:]):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (labels, batch)
+        monkeypatch.undo()
+
+
+def test_weights_computed_once_per_batch(monkeypatch):
+    # one 2M-sample stream of the damped workload's entangled pass runs 31
+    # tiles, each bringing at most 1100 points to stage 3, so weighting once
+    # per tile would call regularizer_values 31 times
+    real, calls = integrate.regularizer_values, []
+
+    def counting(*args, **scratch):
+        calls.append(len(args[0]))
+        return real(*args, **scratch)
+
+    count = 2_000_000
+    tiles = -(-count // integrate._TILE)
+    run = lambda: integrate._stream_partial(np.random.SeedSequence(5), count,
+                                            integrate._sym_box(6.324555320336758),
+                                            RegularizerSpec.adjugate(5.0), 1e-9, "pseudo", None,
+                                            (3,))
+    monkeypatch.setattr(integrate, "regularizer_values", counting)
+    got = run()
+    assert tiles == 31 and len(calls) <= math.ceil(tiles / (integrate._BATCH // 1100)) + 1, calls
+    # with the bits of weighting each tile alone
+    monkeypatch.setattr(integrate, "_BATCH", 1)
+    for g, w in zip(got, run()):
+        assert np.array_equal(g, w)
+
+
 def test_stream_partial_traced_peak_is_small():
     # the scratch is a few tiles; before the tiled kernel one stream of 1M
     # samples peaked at 36.6 MiB
@@ -719,6 +800,29 @@ def test_mc_volume_validates():
         mc_volume(IntegrationRequest(**{**good, "regularizer": RegularizerSpec.energy(8.0, m=3)}))
     with pytest.raises(InvalidArgumentError):
         mc_volume(IntegrationRequest(**{**good, "sampler": "sobol"}))
+
+
+@pytest.mark.parametrize("field,bad", [("n_samples", 20000.5), ("n_samples", 20000.0),
+                                       ("streams", 2.5), ("streams", 2.0), ("streams", True),
+                                       ("seed", True)])
+def test_request_rejects_non_integer_counts(field, bad):
+    # numpy used to fail later with a bare TypeError, or take True for 1
+    good = dict(domain=DomainTag.CLASSICAL, regularizer=RegularizerSpec.energy(8.0),
+                n_samples=20_000, seed=1)
+    with pytest.raises(InvalidArgumentError, match=field):
+        IntegrationRequest(**{**good, field: bad})
+
+
+@pytest.mark.parametrize("field,bad", [("n_samples", 20000.5), ("streams", 2.5),
+                                       ("streams", True), ("seed", True)])
+def test_mc_joint_volumes_rejects_non_integer_counts(field, bad):
+    args = dict(box=phi_box(8.0), spec=RegularizerSpec.energy(8.0), n_samples=20_000, seed=1,
+                streams=2)
+    with pytest.raises(InvalidArgumentError, match=field):
+        mc_joint_volumes(**{**args, field: bad})
+    # numpy integers stay legal
+    jv = mc_joint_volumes(**{**args, "n_samples": np.int64(20_000), "streams": np.int32(2)})
+    assert jv.n_samples == 20_000 and jv.streams == 2
 
 
 def test_mc_joint_volumes_validates_seed():
