@@ -8,11 +8,11 @@ sampled uniformly over an axis-aligned box that contains the support of the
 weighted domain.  A pass scores a set of domains in three stages per tile of
 draws.  Every sample draws a and b and must pass min(a, b) > -tol and, for
 the energy cutoff, tr V <= E.  Only the survivors draw c and d and must pass
-|c|, |d| < sqrt(ab) + tol and miss any ``exclude`` box.  Only points that
-can carry a scored label are labelled: when the classical-only label is not
-scored, points with min(a, b) <= 1 - tol are dropped, and when separable or
-entangled alone is scored, a necessary test on Simon's invariant drops the
-points that cannot be.  One labelling pass then gives each point left the
+|c|, |d| < sqrt(ab) + tol.  Only points that can carry a scored label are
+labelled: when the classical-only label is not scored, points with
+min(a, b) <= 1 - tol are dropped, and when separable or entangled alone is
+scored, a necessary test on Simon's invariant drops the points that cannot
+be.  One labelling pass then gives each point left the
 innermost domain holding it (classical only, separable or entangled), and
 only points with a scored label are weighted, with the closed-form
 sqrt(det g).  Weighted sums and hits are kept per label and every domain is
@@ -41,7 +41,10 @@ batch, keyed by tile and label, adds each tile's weights in draw order, as
 a ``bincount`` of that tile alone does, and the tiles' sums are added up in
 tile order.  So the batch size changes no bit.  A pseudo stream is consumed
 per tile as a(t) and b(t), then c(k) and d(k) for the k stage-1 survivors.
-So ``_TILE`` alone fixes the bits, for pseudo and qmc alike.
+A qmc stream draws each tile's t points in full, as the first t of a block
+of 2^k >= t Sobol points: scipy warns about a first draw of any other size,
+and the first t points of a block do not depend on its size.  So ``_TILE``
+alone fixes the bits, for pseudo and qmc alike.
 The substreams of a pass run on at most one thread per usable core, from a
 pool kept between passes, so the core count sets the speed but never the
 bits.
@@ -50,7 +53,6 @@ bits.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 import warnings
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
-from .metric import _pairwise_reduce, _partition
+from .metric import _check_seed, _is_int, _pairwise_reduce, _partition
 from .regularizers import RegKind, RegularizerSpec, log1p_det_pow
 from .twomode import (
     DOMAIN_LABELS,
@@ -106,9 +108,6 @@ _SAMPLERS = ("pseudo", "qmc")
 # Gauss-Legendre order per axis of the support-box rule: its tail ratios
 # agree with the rule at twice the order to a few percent near the threshold
 _BOX_ORDER = 12
-# warnings.catch_warnings swaps the process-wide filter list, so two pool
-# threads inside it at once can leave one thread's filter installed for good
-_WARNINGS_LOCK = threading.Lock()
 _POOL_LOCK = threading.Lock()
 _pool = None  # ((pid, cores), ThreadPoolExecutor) of _stream_pool
 
@@ -136,20 +135,9 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
-    def contains(self, pts: np.ndarray, out=None, tmp=None) -> np.ndarray:
-        """Membership of (..., 4) points in the half-open box (lo, hi], one column at a time.
-
-        ``out`` and ``tmp`` are optional bool arrays of the points' leading
-        shape to work in, so that a caller running it in a loop allocates
-        nothing.
-        """
-        out = np.greater(pts[..., 0], self.lo[0], out=out)
-        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            x = pts[..., j]
-            if j:
-                out &= np.greater(x, lo, out=tmp)
-            out &= np.less_equal(x, hi, out=tmp)
-        return out
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        """Membership of (..., 4) points in the half-open box (lo, hi]."""
+        return ((pts > self.lo) & (pts <= self.hi)).all(axis=-1)
 
 
 def phi_box(bound_E: float) -> Box:
@@ -231,7 +219,7 @@ def _rows(buf, k, n):
 
 
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
-                    sampler: str, exclude: Box | None, labels: tuple):
+                    sampler: str, labels: tuple):
     lo = np.asarray(box.lo)[:, None]
     span = np.asarray(box.hi)[:, None] - lo
     tile = min(_TILE, count)
@@ -318,39 +306,34 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         # test and the energy cutoff
         pts = bufs[0][:4 * t].reshape(4, t)
         if sampler == "pseudo":
+            rows = 2
             rng.random(out=pts[:2])
         else:
-            # Sobol points are 4-d: the tile's c and d are drawn here and gathered in stage 2
-            with _WARNINGS_LOCK, warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                u = sob.random(t).T
-            np.copyto(pts[:2], u[:2])
-        pts[:2] *= span[:2]
-        pts[:2] += lo[:2]
+            # Sobol points are 4-d, so c and d come with a and b.  scipy warns
+            # about a first draw that is not a power of two, and the first t
+            # points of a block do not depend on its size
+            rows = 4
+            np.copyto(pts, sob.random(1 << (t - 1).bit_length())[:t].T)
+        pts[:rows] *= span[:rows]
+        pts[:rows] += lo[:rows]
         a, b = pts[:2]
         tmp = bufs[1][:t]
         _ab_above(a, b, -tol, out=keep, tmp=tmp)
         if energy:
             # a point outside the cutoff would add only +0.0 to s1 and s2
             keep &= _in_energy_support(a, b, spec.bound_E, out=inside, tmp=tmp)
-        pts, idx = _take(keep, pts, bufs[1], rows=2)
+        pts, _ = _take(keep, pts, bufs[1], rows=rows)
         # stage 2, the survivors: c and d, the c, d half of the classical
-        # test, exclude, and points sure to have an unscored label
+        # test, and points sure to have an unscored label
         n = pts.shape[1]
-        cd = pts[2:]
         if sampler == "pseudo":
+            cd = pts[2:]
             rng.random(out=cd)
-        elif idx is None:
-            np.copyto(cd, u[2:])
-        else:
-            np.take(u[2:], idx, axis=1, out=cd, mode="clip")
-        cd *= span[2:]
-        cd += lo[2:]
+            cd *= span[2:]
+            cd += lo[2:]
         keep, tmp, inside = b_buf[:, :n]
         f0, f1 = _rows(other(pts), 2, n)
         _cd_inside(*pts, tol, out=keep, scratch=(f0, f1, tmp))
-        if exclude is not None:
-            keep &= np.logical_not(exclude.contains(pts.T, out=inside, tmp=tmp), out=inside)
         if not scored[1]:
             # a classical point with min(a, b) <= 1 - tol has label 1
             keep &= _ab_above(*pts[:2], 1.0 - tol, out=inside, tmp=f0)
@@ -412,10 +395,9 @@ class JointVolumes:
     domains are ordered exactly, differences of estimates carry honest errors,
     and delta-method ratio errors include the correlation with the denominator.
     The per-label hits count the samples in the domain and inside the
-    regularizer's support, outside any ``exclude`` box.  Only the labels in
-    ``labels`` were weighted and counted; ``result``, ``difference`` and
-    ``ratio`` accept every domain made up of them and raise
-    ``InvalidArgumentError`` for any other.
+    regularizer's support.  Only the labels in ``labels`` were weighted and
+    counted; ``result``, ``difference`` and ``ratio`` accept every domain
+    made up of them and raise ``InvalidArgumentError`` for any other.
     """
 
     def __init__(self, box: Box, spec: RegularizerSpec, n_samples: int, seed_label, streams: int,
@@ -507,17 +489,6 @@ def _children(ss: np.random.SeedSequence, n: int) -> list:
                                    pool_size=ss.pool_size) for i in range(n)]
 
 
-def _is_int(x) -> bool:
-    """An integer, numpy's included, but not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _check_seed(seed) -> None:
-    """An integer seed must be >= 0; ``mc_joint_volumes`` also takes a SeedSequence."""
-    if not (_is_int(seed) and seed >= 0):
-        raise InvalidArgumentError("seed must be an integer >= 0")
-
-
 def _check_pass(n_samples: int, streams: int, tol: float, sampler: str,
                 min_samples: int = 1) -> None:
     """The checks of a pass's sample count, streams, tol and sampler.
@@ -577,7 +548,7 @@ def _stream_pool(cores: int) -> ThreadPoolExecutor:
 
 def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, streams: int = 1,
                      tol: float = 1e-9, sampler: str = "pseudo", seed_label: int | None = None,
-                     exclude: Box | None = None, *, domains=DOMAIN_ORDER) -> JointVolumes:
+                     *, domains=DOMAIN_ORDER) -> JointVolumes:
     """One uniform-sampling pass over ``box`` scoring ``domains`` (all four by default).
 
     ``seed`` may be an integer or a SeedSequence, which is not modified;
@@ -601,7 +572,7 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
 
     def run(task):
         child, count = task
-        return _stream_partial(child, count, box, spec, tol, sampler, exclude, labels)
+        return _stream_partial(child, count, box, spec, tol, sampler, labels)
 
     cores = _usable_cores()
     if min(streams, cores) == 1:
@@ -613,9 +584,8 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     return JointVolumes(box, spec, n, seed_label, streams, tol, sampler, s1, s2, hits, labels)
 
 
-def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
-                domain: DomainTag | tuple = DomainTag.CLASSICAL, n_probe: int = 100_000,
-                max_doublings: int = 12) -> Box:
+def upsilon_box(kappa: float, eps_tail: float = 1e-3, *,
+                domain: DomainTag | tuple = DomainTag.CLASSICAL, max_doublings: int = 12) -> Box:
     """Support box for the adjugate-damped integrand, fitted by quadrature.
 
     Boxes are a, b in (0, L], |c|, |d| <= L.  ``domain`` is one tag or a
@@ -639,9 +609,7 @@ def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
     max(a, b) > L, which is the whole outside of the box because
     |c|, |d| < sqrt(ab) <= max(a, b), and the mass inside is the whole
     volume minus the tail.  No samples are drawn, so the box depends only on
-    kappa, ``eps_tail``, ``m`` and the domains.  ``n_probe``, the sample
-    count of the Monte Carlo probe this rule replaced, is accepted and
-    ignored.
+    kappa, ``eps_tail`` and the domains.
     """
     if not (kappa > 0.0):
         raise InvalidArgumentError("kappa must be positive")
@@ -652,7 +620,7 @@ def upsilon_box(kappa: float, eps_tail: float = 1e-3, *, m: int = 4,
     _labels_of(domains)  # checks the tags
     from . import _quad  # here, not at the top: _quad takes regularizer_values from this module
 
-    spec = RegularizerSpec.adjugate(kappa, m)
+    spec = RegularizerSpec.adjugate(kappa)
     total = _quad.quad_volumes(spec, _BOX_ORDER, domains)
     L = max(4.0, 4.0 * math.sqrt(kappa))
     # a domain that passes at one side passes at every larger one, so only
@@ -691,7 +659,7 @@ class IntegrationRequest:
 
     The fields are checked here, so that ``mc_volume`` and ``sweep`` take
     only valid requests; ``eps_tail`` only where it fits a box, that is for
-    the damping without a given ``box``.
+    the damping.
     """
 
     domain: DomainTag
@@ -699,7 +667,6 @@ class IntegrationRequest:
     n_samples: int
     seed: int
     streams: int = 1
-    box: Box | None = None
     tol: float = 1e-9
     eps_tail: float = 1e-3
     sampler: str = "pseudo"
@@ -712,7 +679,7 @@ class IntegrationRequest:
         if self.regularizer.m != 4:
             raise InvalidArgumentError(
                 "volume integrals use the 4-parameter chart; regularizer m must be 4")
-        if self.box is None and self.regularizer.kind is RegKind.ADJUGATE_UPSILON:
+        if self.regularizer.kind is RegKind.ADJUGATE_UPSILON:
             _check_eps_tail(self.eps_tail)
 
 
@@ -720,7 +687,7 @@ def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float) -> Box:
     """``phi_box`` for the energy cutoff; for the damping, a box fitted to each of ``domains``."""
     if spec.kind is RegKind.ENERGY_PHI:
         return phi_box(spec.bound_E)
-    return upsilon_box(spec.kappa, eps_tail, m=spec.m, domain=domains)
+    return upsilon_box(spec.kappa, eps_tail, domain=domains)
 
 
 def mc_volume(req: IntegrationRequest) -> IntegrationResult:
@@ -730,8 +697,7 @@ def mc_volume(req: IntegrationRequest) -> IntegrationResult:
     same domain's result from a pass that scores all four: only this
     domain's points are weighted.
     """
-    box = req.box if req.box is not None else _default_box(req.regularizer, (req.domain,),
-                                                           req.eps_tail)
+    box = _default_box(req.regularizer, (req.domain,), req.eps_tail)
     jv = mc_joint_volumes(box, req.regularizer, req.n_samples, req.seed, req.streams,
                           req.tol, req.sampler, domains=(req.domain,))
     return jv.result(req.domain)
@@ -787,8 +753,7 @@ def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
     rows = []
     for i, (v, spec) in enumerate(_sweep_specs(param, values, template)):
         try:
-            box = template.box if template.box is not None else _default_box(
-                spec, DOMAIN_ORDER, template.eps_tail)
+            box = _default_box(spec, DOMAIN_ORDER, template.eps_tail)
             row_ss = np.random.SeedSequence([int(template.seed), i])
             jv = mc_joint_volumes(box, spec, template.n_samples, row_ss, template.streams,
                                   template.tol, template.sampler, seed_label=template.seed)

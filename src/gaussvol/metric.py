@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +184,17 @@ def metric_closed_form(V, chart: ParamChart) -> MetricAtPoint:
     return MetricAtPoint(g=g, det_g=det_g, chart=chart, point=None)
 
 
+def _is_int(x) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_seed(seed) -> None:
+    """An integer seed must be >= 0; ``mc_joint_volumes`` also takes a SeedSequence."""
+    if not (_is_int(seed) and seed >= 0):
+        raise InvalidArgumentError("seed must be an integer >= 0")
+
+
 def _partition(n: int, k: int) -> list[int]:
     base, extra = divmod(n, k)
     return [base + 1 if i < extra else base for i in range(k)]
@@ -245,7 +257,7 @@ def metric_mc_oracle(V, chart: ParamChart, n_samples: int, seed, streams: int = 
     n_samples : int
         Total number of samples, at least 1000.
     seed : int
-        Root seed for the substreams.
+        Root seed for the substreams, at least 0.
     streams : int
         Number of deterministic substreams.
 
@@ -254,10 +266,11 @@ def metric_mc_oracle(V, chart: ParamChart, n_samples: int, seed, streams: int = 
     MetricAtPoint
         Estimated metric with per-entry standard errors in ``std_errors``.
     """
-    if n_samples < 1000:
-        raise InvalidArgumentError("n_samples must be at least 1000")
-    if streams < 1:
-        raise InvalidArgumentError("streams must be >= 1")
+    if not (_is_int(n_samples) and n_samples >= 1000):
+        raise InvalidArgumentError("n_samples must be an integer >= 1_000")
+    if not (_is_int(streams) and streams >= 1):
+        raise InvalidArgumentError("streams must be an integer >= 1")
+    _check_seed(seed)
     A = require_covariance(V)
     if A.shape[0] != 2 * chart.dim_modes:
         raise InvalidArgumentError("covariance size does not match the chart")

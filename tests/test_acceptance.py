@@ -267,7 +267,7 @@ def test_criterion_08_limits():
 def test_criterion_09_volume_hierarchies():
     # damped volumes at kappa = 5: separable < entangled < quantum at >= 3 sigma
     spec = RegularizerSpec.adjugate(5.0)
-    box = upsilon_box(5.0, domain=Q, n_probe=1_000_000)
+    box = upsilon_box(5.0, domain=Q)
     jv = mc_joint_volumes(box, spec, 10_000_000, seed=1905, streams=8)
     d_es, e_es = jv.difference(E, S)
     d_qe, e_qe = jv.difference(Q, E)

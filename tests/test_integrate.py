@@ -179,14 +179,12 @@ def test_upsilon_box_matches_tail_search(kappa, domain, passing, side):
         i, t = at_cap[DomainTag.CLASSICAL]
         assert cap == side and t > 1e-3 * i
         message = f"passes at L={passing:g}; outside the capped box lies classical {t / i:.3g} of"
-    # the box does not depend on the probe size, which is ignored
-    for n_probe in (10, 100_000, 10**9):
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            assert upsilon_box(kappa, n_probe=n_probe, domain=domain) == integrate._sym_box(side)
-        assert len(seen) == capped
-        if capped:
-            assert seen[0].category is RuntimeWarning and message in str(seen[0].message)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert upsilon_box(kappa, domain=domain) == integrate._sym_box(side)
+    assert len(seen) == capped
+    if capped:
+        assert seen[0].category is RuntimeWarning and message in str(seen[0].message)
 
 
 def test_upsilon_box_half_step_is_honest():
@@ -202,11 +200,17 @@ def test_upsilon_box_half_step_is_honest():
     estimates = [r.estimate for r in runs]
     spread = float(np.std(estimates, ddof=1))
     assert spread / float(np.mean([r.std_error for r in runs])) <= 1.5
-    # an independent pass over the L0 box outside the chosen one: the tail
-    # that the half-step cut is below eps_tail of the in-box estimate
-    tail = mc_joint_volumes(integrate._sym_box(_L5), spec, 1_000_000, seed=9099, streams=2,
-                            exclude=box, domains=(e,)).result(e)
-    assert tail.estimate < eps_tail * float(np.mean(estimates))
+    # independent passes over the L0 box outside the chosen one of side L:
+    # the tail that the half-step cut is below eps_tail of the in-box
+    # estimate.  The two boxes a > L and a <= L < b hold every point of the
+    # L0 box with max(a, b) > L, which is all of it outside the chosen box,
+    # because |c|, |d| < sqrt(ab) <= max(a, b)
+    L, L0 = box.hi[0], _L5
+    outside = (Box((L, 0.0, -L0, -L0), (L0, L0, L0, L0)), Box((0.0, L, -L0, -L0), (L, L0, L0, L0)))
+    tail = sum(mc_joint_volumes(part, spec, 1_000_000, seed=9099 + i, streams=2,
+                                domains=(e,)).result(e).estimate
+               for i, part in enumerate(outside))
+    assert tail < eps_tail * float(np.mean(estimates))
 
 
 def test_upsilon_box_failure_text_matches_tail_search():
@@ -219,7 +223,7 @@ def test_upsilon_box_failure_text_matches_tail_search():
 
 
 def test_upsilon_box_deterministic():
-    assert upsilon_box(1.0, n_probe=20_000) == upsilon_box(1.0, n_probe=20_000)
+    assert upsilon_box(1.0) == upsilon_box(1.0)
 
 
 def test_upsilon_box_validates():
@@ -330,11 +334,14 @@ def test_stream_pool_kept_between_passes(monkeypatch):
     assert integrate._stream_pool(3) is not pool
 
 
-def test_same_seed_sequence_twice_gives_same_bits():
+@pytest.mark.parametrize("sampler", ["pseudo", "qmc"])
+def test_same_seed_sequence_twice_gives_same_bits(sampler):
+    # scipy's Sobol(seed=Generator) spawns from the generator's SeedSequence,
+    # so each stream's Sobol engine must be seeded from a child made afresh
     spec = RegularizerSpec.energy(8.0)
     ss = np.random.SeedSequence(42)
-    first = mc_joint_volumes(phi_box(8.0), spec, 20_000, ss, streams=2)
-    second = mc_joint_volumes(phi_box(8.0), spec, 20_000, ss, streams=2)
+    first = mc_joint_volumes(phi_box(8.0), spec, 20_000, ss, streams=2, sampler=sampler)
+    second = mc_joint_volumes(phi_box(8.0), spec, 20_000, ss, streams=2, sampler=sampler)
     assert _joint_bits(second) == _joint_bits(first)
     assert ss.n_children_spawned == 0
     # the substreams are the ones spawn gives on a fresh SeedSequence
@@ -344,8 +351,8 @@ def test_same_seed_sequence_twice_gives_same_bits():
 
 
 def test_qmc_pool_leaves_warning_filters_alone(monkeypatch):
-    # more threads than cores and a short switch interval, so that unguarded
-    # warnings.catch_warnings blocks in pool threads interleave
+    # more threads than cores and a short switch interval, so that any
+    # warnings.catch_warnings block in a pool thread would interleave
     monkeypatch.setattr(integrate, "_usable_cores", lambda: 8)
     spec = RegularizerSpec.energy(8.0)
     # importing scipy.stats adds scipy's own filters; import it before the snapshot
@@ -442,7 +449,7 @@ def test_first_bad_point_named_across_tiles(monkeypatch):
     for batch in (integrate._BATCH, 3 * tile):
         monkeypatch.setattr(integrate, "_BATCH", batch)
         with pytest.raises(NumericError) as err:
-            integrate._stream_partial(ss, 3 * tile, box, spec, 1e-9, "pseudo", None, (1, 2, 3))
+            integrate._stream_partial(ss, 3 * tile, box, spec, 1e-9, "pseudo", (1, 2, 3))
         assert str(err.value) == want, batch
 
 
@@ -573,14 +580,14 @@ def _reference_tile(rng, t, box, spec, tol):
     return np.array([a, b, c, d])
 
 
-def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude):
+def _reference_stream_partial(child_ss, count, box, spec, tol, sampler):
     """The unstaged kernel, all labels scored: each tile of _TILE points is labelled and summed alone.
 
     The pseudo sampler completes only the points of each tile that pass the
     a, b tests and the cutoff; qmc draws every point in full.  Every
     classical point drawn is weighted, so for qmc the kernel's sums must show
     that dropping the points outside the energy cutoff changes no bits; only
-    hits leave those points out, as they leave out excluded points.
+    hits leave those points out.
     """
     lo = np.asarray(box.lo)
     span = np.asarray(box.hi) - lo
@@ -606,8 +613,6 @@ def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude)
     for done in range(0, count, integrate._TILE):
         cols = draw(min(integrate._TILE, count - done))
         lab = _reference_labels(*cols, tol)
-        if exclude is not None:
-            lab[exclude.contains(cols.T)] = 0
         idx = np.flatnonzero(lab)
         lab = lab[idx]
         a, b, c, d = np.take(cols, idx, axis=1)
@@ -622,12 +627,12 @@ def _reference_stream_partial(child_ss, count, box, spec, tol, sampler, exclude)
 
 _ORACLE_TOLS = (1e-9, 0.0, -1e-6, 1e-3)
 _ORACLE_COUNTS = (1, integrate._TILE - 1, integrate._TILE + 1, 5 * integrate._TILE + 3)
-# every count meets every (sampler, regularizer, exclude) triple, and every
+# every count meets every (sampler, regularizer, wide box) triple, and every
 # tolerance twice; the tolerance rotates with the count
 _ORACLE_CASES = [
-    (count, sampler, reg, excl, _ORACLE_TOLS[(i + ci) % 4])
+    (count, sampler, reg, wide, _ORACLE_TOLS[(i + ci) % 4])
     for ci, count in enumerate(_ORACLE_COUNTS)
-    for i, (sampler, reg, excl) in enumerate(
+    for i, (sampler, reg, wide) in enumerate(
         itertools.product(("pseudo", "qmc"), ("E", "kappa"), (False, True)))
 ] + [
     # near E = 4 the cutoff a + b <= E/2 cuts through the quantum labels: at
@@ -638,26 +643,25 @@ _ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("count,sampler,reg,excl,tol", _ORACLE_CASES)
-def test_tiled_kernel_matches_untiled_reference(count, sampler, reg, excl, tol):
+@pytest.mark.parametrize("count,sampler,reg,wide,tol", _ORACLE_CASES)
+def test_tiled_kernel_matches_untiled_reference(count, sampler, reg, wide, tol):
     if reg == "kappa":
         spec = RegularizerSpec.adjugate(2.0)
     else:
         spec = RegularizerSpec.energy(8.0 if reg == "E" else float(reg[1:]))
-    if excl:
-        # an inner box cut out of a box of twice its side
-        box, exclude = integrate._sym_box(8.0), integrate._sym_box(4.0)
+    if reg == "kappa":
+        box = integrate._sym_box(16.0 if wide else 8.0)
     else:
-        box = integrate._sym_box(8.0) if reg == "kappa" else phi_box(spec.bound_E)
-        exclude = None
+        # the wide box holds twice E = 8's phi_box in a and b, four times in c and d
+        box = integrate._sym_box(8.0) if wide else phi_box(spec.bound_E)
     # a fresh SeedSequence for each kernel: scipy's Sobol spawns from the one it is given
-    seed = [count, len(sampler), len(reg), int(excl)]
+    seed = [count, len(sampler), len(reg), int(wide)]
     want = _reference_stream_partial(np.random.SeedSequence(seed), count, box, spec, tol,
-                                     sampler, exclude)
+                                     sampler)
     # a kernel scoring some labels gives their bins bit for bit and 0 in the others
     for labels in ((1, 2, 3), (2, 3), (2,), (3,)):
         got = integrate._stream_partial(np.random.SeedSequence(seed), count, box, spec, tol,
-                                        sampler, exclude, labels)
+                                        sampler, labels)
         scored = np.isin(np.arange(4), labels)
         assert got[0] == want[0] == count and len(got) == len(want) == 4
         for g, w in zip(got[1:], want[1:]):
@@ -685,7 +689,7 @@ def test_batch_size_changes_no_bit(monkeypatch, sampler, reg):
     for labels in ((1, 2, 3), (2, 3), (2,), (3,)):
         # a fresh SeedSequence for each run: scipy's Sobol spawns from the one it is given
         run = lambda: integrate._stream_partial(np.random.SeedSequence(11), count, box, spec,
-                                                1e-9, sampler, None, labels)
+                                                1e-9, sampler, labels)
         want = run()
         for batch in (1, 1500, 2000, 3000, 12000, 24000, 33000, integrate._TILE, 2 * count):
             monkeypatch.setattr(integrate, "_BATCH", batch)
@@ -709,8 +713,7 @@ def test_weights_computed_once_per_batch(monkeypatch):
     tiles = -(-count // integrate._TILE)
     run = lambda: integrate._stream_partial(np.random.SeedSequence(5), count,
                                             integrate._sym_box(6.324555320336758),
-                                            RegularizerSpec.adjugate(5.0), 1e-9, "pseudo", None,
-                                            (3,))
+                                            RegularizerSpec.adjugate(5.0), 1e-9, "pseudo", (3,))
     monkeypatch.setattr(integrate, "regularizer_values", counting)
     got = run()
     assert tiles == 31 and len(calls) <= math.ceil(tiles / (integrate._BATCH // 1100)) + 1, calls
@@ -723,10 +726,10 @@ def test_weights_computed_once_per_batch(monkeypatch):
 def test_stream_partial_traced_peak_is_small():
     # the scratch is a few tiles; before the tiled kernel one stream of 1M
     # samples peaked at 36.6 MiB
-    energy = (phi_box(8.0), RegularizerSpec.energy(8.0), 1e-9, "pseudo", None, (1, 2, 3))
+    energy = (phi_box(8.0), RegularizerSpec.energy(8.0), 1e-9, "pseudo", (1, 2, 3))
     # the kappa = 5 box, scoring the entangled label only
     damped = (integrate._sym_box(8.0 * math.sqrt(5.0)), RegularizerSpec.adjugate(5.0), 1e-9,
-              "pseudo", None, (3,))
+              "pseudo", (3,))
     for args in (energy, damped):
         integrate._stream_partial(np.random.SeedSequence(0), 1_000_000, *args)
         tracemalloc.start()
@@ -736,15 +739,6 @@ def test_stream_partial_traced_peak_is_small():
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB for {args}"
-
-
-def test_exclude_removes_everything():
-    spec = RegularizerSpec.energy(6.0)
-    box = phi_box(6.0)
-    jv = mc_joint_volumes(box, spec, 20_000, seed=17, exclude=box)
-    for tag in DOMAIN_ORDER:
-        r = jv.result(tag)
-        assert r.estimate == 0.0 and r.empty_domain
 
 
 def test_enlarged_box_same_integral():

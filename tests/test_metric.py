@@ -206,3 +206,19 @@ def test_oracle_validates():
         metric_mc_oracle(np.eye(4), canonical_chart(), 5000, seed=1, streams=0)
     with pytest.raises(DomainError):
         metric_mc_oracle(np.diag([1.0, -1.0, 1.0, 1.0]), canonical_chart(), 5000, seed=1)
+
+
+@pytest.mark.parametrize("arg,value", [
+    ("n_samples", 2000.5),
+    ("streams", 1.5),
+    ("streams", True),
+    ("seed", -1),
+    ("seed", 1.5),
+    ("seed", None),
+])
+def test_oracle_rejects_bad_counts_and_seeds(arg, value):
+    # each used to raise numpy's bare TypeError or ValueError, or (streams=True) to run
+    kwargs = dict(n_samples=2000, seed=1, streams=1)
+    kwargs[arg] = value
+    with pytest.raises(InvalidArgumentError, match=arg):
+        metric_mc_oracle(np.eye(4), canonical_chart(), **kwargs)
