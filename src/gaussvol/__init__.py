@@ -34,7 +34,6 @@ _EXPORTS = {
         "mc_joint_volumes",
         "mc_volume",
         "phi_box",
-        "regularizer_values",
         "sweep",
         "upsilon_box",
     ),
@@ -50,7 +49,8 @@ _EXPORTS = {
         "param_index",
         "volume_element",
     ),
-    "regularizers": ("RegKind", "RegularizerSpec", "log1p_det_pow", "phi", "upsilon"),
+    "regularizers": ("RegKind", "RegularizerSpec", "log1p_det_pow", "phi", "regularizer_values",
+                     "upsilon"),
     "states": (
         "DEFAULT_TOL",
         "StateClass",

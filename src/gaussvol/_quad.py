@@ -41,8 +41,7 @@ import math
 
 import numpy as np
 
-from .integrate import regularizer_values
-from .regularizers import RegularizerSpec
+from .regularizers import RegularizerSpec, regularizer_values
 from .twomode import DomainTag, _c_bounds, _d_interval, volume_density
 
 # The pieces of each domain, as (name, lowest b, symmetry factor).

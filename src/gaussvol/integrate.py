@@ -21,12 +21,13 @@ not depend on the scored domains, so a pass scoring one domain gives it the
 bits of a pass scoring all four.
 
 The adjugate damping has unbounded support, so ``upsilon_box`` fits a box
-a, b in (0, L], |c|, |d| <= L: the smallest L on the grid L0 * 2^(k/2) for
-which every domain it checks has at most ``eps_tail`` of its mass outside
-the box, relative to the mass inside, but at most 2 L0.  Both masses come
-from the deterministic Gauss-Legendre rule of ``_quad``, which draws no
-samples, so the box depends on kappa, ``eps_tail`` and the domains, not on
-the sample budget.
+a, b in (0, L], |c|, |d| <= L: the first of the sides L0 / sqrt(2), L0,
+2 L0 / sqrt(2) and 2 L0 at which every domain it checks has at most
+``eps_tail`` of its mass outside the box, relative to the mass inside, and
+2 L0 with a warning when none does.  Both masses come from the
+deterministic Gauss-Legendre rule of ``_quad``, which draws no samples, so
+the box depends on kappa, ``eps_tail`` and the domains, not on the sample
+budget.
 
 Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from the children of the seed's SeedSequence, and partial sums are
@@ -61,21 +62,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _quad
 from .errors import InvalidArgumentError, NumericError
 from .metric import _check_seed, _is_int, _pairwise_reduce, _partition
-from .regularizers import RegKind, RegularizerSpec, log1p_det_pow
+# the kernel looks regularizer_values up here, where perfbench/tracing.py wraps it
+from .regularizers import RegKind, RegularizerSpec, _in_energy_support, regularizer_values
 from .twomode import (
     DOMAIN_LABELS,
     DomainTag,
-    canonical_det,
-    canonical_trace_adjugate,
     volume_density,
     _ab_above,
     _cd_inside,
     _classical_labels,
-    _float_arrays,
     _may_have_label,
-    _scratch,
 )
 # unused here, but perfbench/tracing.py wraps these two attributes of this module
 from .twomode import domain_mask, metric_components  # noqa: F401
@@ -89,7 +88,6 @@ __all__ = [
     "DOMAIN_ORDER",
     "phi_box",
     "upsilon_box",
-    "regularizer_values",
     "mc_joint_volumes",
     "mc_volume",
     "sweep",
@@ -154,46 +152,6 @@ def phi_box(bound_E: float) -> Box:
 
 def _sym_box(L: float) -> Box:
     return Box(lo=(0.0, 0.0, -L, -L), hi=(L, L, L, L))
-
-
-def _in_energy_support(a, b, bound_E: float, out=None, tmp=None) -> np.ndarray:
-    """The energy cutoff's closed Heaviside on the chart: tr V = 2(a + b) <= E.
-
-    The weight and the stream kernel's support filter both use this one float
-    test, so the points the kernel drops are exactly those whose weight is 0.
-    ``out`` (bool) and ``tmp`` (float) are optional scratch of a's shape.
-    """
-    e = np.add(a, b, out=tmp)
-    e *= 2.0
-    return np.less_equal(e, bound_E, out=out)
-
-
-def regularizer_values(a, b, c, d, spec: RegularizerSpec, out=None, scratch=None) -> np.ndarray:
-    """Vectorized regularizer weight at standard-form points.
-
-    Uses the standard-form closed forms det V = (ab - c^2)(ab - d^2) and
-    tr[adj V] = (a + b)(2ab - c^2 - d^2); agrees with the general matrix
-    evaluation on the classical domain.  ``out`` and ``scratch`` (two float
-    arrays and a bool array) are optional arrays of the points' shape to
-    work in, so that the stream kernel allocates nothing here.
-    """
-    a, b, c, d = _float_arrays(a, b, c, d)
-    f1, f2, mask = scratch if scratch is not None else _scratch(a.shape, 2, 1)
-    base = np.empty(a.shape) if out is None else out
-    detv = canonical_det(a, b, c, d, out=f1, scratch=(base, f2))
-    np.maximum(detv, 1e-300, out=detv)
-    log1p_det_pow(detv, spec.m, out=base, scratch=(f2, mask))
-    if spec.kind is RegKind.ENERGY_PHI:
-        inside = _in_energy_support(a, b, spec.bound_E, out=mask, tmp=f1)
-        np.copyto(base, 0.0, where=np.logical_not(inside, out=inside))
-        return base
-    damp = canonical_trace_adjugate(a, b, c, d, out=f1, scratch=(f2,))
-    np.negative(damp, out=damp)
-    damp /= spec.kappa
-    np.minimum(damp, 700.0, out=damp)
-    np.exp(damp, out=damp)
-    base *= damp
-    return base
 
 
 def _take(keep, cols, buf, rows=4):
@@ -585,24 +543,22 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
 
 
 def upsilon_box(kappa: float, eps_tail: float = 1e-3, *,
-                domain: DomainTag | tuple = DomainTag.CLASSICAL, max_doublings: int = 12) -> Box:
+                domain: DomainTag | tuple = DomainTag.CLASSICAL) -> Box:
     """Support box for the adjugate-damped integrand, fitted by quadrature.
 
     Boxes are a, b in (0, L], |c|, |d| <= L.  ``domain`` is one tag or a
-    tuple of tags, and every one of them is checked.  The tail test passes
-    at the smallest side on the grid L0 * 2^(k/2), k >= -1, with
-    L0 = max(4, 4 sqrt(kappa)), at which every checked domain's tail, its
-    mass outside the box, is at most ``eps_tail`` times its mass inside.
-    Sides are tried in increasing order up to L0 * 2^max_doublings; when
-    none passes, NumericError lists each side tried with the first checked
-    domain that failed there.
+    tuple of tags, and every one of them is checked.  With
+    L0 = max(4, 4 sqrt(kappa)), the sides L0 / sqrt(2), L0, 2 L0 / sqrt(2)
+    and 2 L0 are tried in this order, and the first at which every checked
+    domain's tail, its mass outside the box, is at most ``eps_tail`` times
+    its mass inside is returned.
 
-    The returned side is that side, but at most 2 L0: each doubling spreads
-    the uniform sampler's draws over 16 times the volume, and past one
-    doubling the estimate's error at practical sample counts dwarfs the tail
-    it would save.  When the cap binds, a RuntimeWarning names the side that
-    passes and, for each checked domain that fails at the cap, the share of
-    its mass left outside the box.
+    When none passes, the box of side 2 L0 is returned with a RuntimeWarning
+    that names, for each checked domain that fails there, the share of its
+    mass left outside the box.  The box stops at 2 L0 because each doubling
+    spreads the uniform sampler's draws over 16 times the volume, and past
+    one doubling the estimate's error at practical sample counts dwarfs the
+    tail it would save.
 
     Both masses come from ``_quad``'s Gauss-Legendre rule of order
     ``_BOX_ORDER`` on each axis.  The tail is integrated directly over
@@ -614,43 +570,24 @@ def upsilon_box(kappa: float, eps_tail: float = 1e-3, *,
     if not (kappa > 0.0):
         raise InvalidArgumentError("kappa must be positive")
     _check_eps_tail(eps_tail)
-    if not (_is_int(max_doublings) and max_doublings >= 0):
-        raise InvalidArgumentError("max_doublings must be an integer >= 0")
     domains = domain if isinstance(domain, tuple) else (domain,)
     _labels_of(domains)  # checks the tags
-    from . import _quad  # here, not at the top: _quad takes regularizer_values from this module
-
     spec = RegularizerSpec.adjugate(kappa)
     total = _quad.quad_volumes(spec, _BOX_ORDER, domains)
-    L = max(4.0, 4.0 * math.sqrt(kappa))
+    L0 = max(4.0, 4.0 * math.sqrt(kappa))
     # a domain that passes at one side passes at every larger one, so only
     # the domains still failing are integrated at the next side
-    failed, tried = domains, []  # tried: (side, {failed tag: (inside, tail)})
-    for _ in range(max_doublings + 1):
-        # the grid in order: the half-step below L, then L
-        for side in (L / math.sqrt(2.0), L):
-            tail = _quad.tail_masses(spec, failed, side, _BOX_ORDER)
-            failed = tuple(t for t in failed if not tail[t] <= eps_tail * (total[t] - tail[t]))
-            tried.append((side, {t: (total[t] - tail[t], tail[t]) for t in failed}))
-            if failed:
-                continue
-            if len(tried) <= 4:
-                return _sym_box(side)
-            # past 2 L0, the fourth side of the grid
-            cap, left = tried[3]
-            shares = ", ".join(f"{t.value} {tl / i:.3g}" for t, (i, tl) in left.items())
-            warnings.warn(f"support box capped at L={cap:g} (kappa={kappa:g}): the tail test "
-                          f"passes at L={side:g}; outside the capped box lies {shares} of the "
-                          f"mass inside (eps_tail={eps_tail:g})", RuntimeWarning, stacklevel=2)
-            return _sym_box(cap)
-        L *= 2.0
-    # the failure text reports the first checked domain that failed at each side
-    detail = "; ".join(f"L={l:g}: inside={i:.6g}, tail={t:.6g}"
-                       for l, m in tried for i, t in [next(iter(m.values()))])
-    raise NumericError(
-        f"support box did not converge after {max_doublings} doublings (kappa={kappa:g}, "
-        f"eps_tail={eps_tail:g}): {detail}"
-    )
+    failed = domains
+    for side in (L0 / math.sqrt(2.0), L0, 2.0 * L0 / math.sqrt(2.0), 2.0 * L0):
+        tail = _quad.tail_masses(spec, failed, side, _BOX_ORDER)
+        failed = tuple(t for t in failed if not tail[t] <= eps_tail * (total[t] - tail[t]))
+        if not failed:
+            return _sym_box(side)
+    shares = ", ".join(f"{t.value} {tail[t] / (total[t] - tail[t]):.3g}" for t in failed)
+    warnings.warn(f"support box capped at L={side:g} (kappa={kappa:g}): outside the capped "
+                  f"box lies {shares} of the mass inside (eps_tail={eps_tail:g})",
+                  RuntimeWarning, stacklevel=2)
+    return _sym_box(side)
 
 
 @dataclass(frozen=True)

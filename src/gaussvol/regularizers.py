@@ -4,6 +4,8 @@ Both weights multiply the volume density by log(1 + (det V)^m), which cancels
 the (det V)^{-m} blow-up of sqrt(det g) near the boundary of the classical
 domain.  The energy weight additionally cuts off at a total-energy bound E via
 a Heaviside factor; the adjugate weight damps exponentially in tr[adj V].
+``phi`` and ``upsilon`` weigh one covariance matrix; ``regularizer_values``
+weighs arrays of standard-form points (a, b, c, d) in closed form.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgumentError
 from .states import require_covariance, trace_adjugate
+from .twomode import _float_arrays, _scratch, canonical_det, canonical_trace_adjugate
 
 __all__ = [
     "RegKind",
     "RegularizerSpec",
     "log1p_det_pow",
     "phi",
+    "regularizer_values",
     "upsilon",
 ]
 
@@ -96,6 +100,46 @@ def log1p_det_pow(det_v, m: int, out=None, scratch=None):
     if out is None and np.ndim(det_v) == 0:
         return float(res)
     return res
+
+
+def _in_energy_support(a, b, bound_E: float, out=None, tmp=None) -> np.ndarray:
+    """The energy cutoff's closed Heaviside on the chart: tr V = 2(a + b) <= E.
+
+    The weight and the stream kernel's support filter both use this one float
+    test, so the points the kernel drops are exactly those whose weight is 0.
+    ``out`` (bool) and ``tmp`` (float) are optional scratch of a's shape.
+    """
+    e = np.add(a, b, out=tmp)
+    e *= 2.0
+    return np.less_equal(e, bound_E, out=out)
+
+
+def regularizer_values(a, b, c, d, spec: RegularizerSpec, out=None, scratch=None) -> np.ndarray:
+    """Vectorized regularizer weight at standard-form points.
+
+    Uses the standard-form closed forms det V = (ab - c^2)(ab - d^2) and
+    tr[adj V] = (a + b)(2ab - c^2 - d^2); agrees with the general matrix
+    evaluation on the classical domain.  ``out`` and ``scratch`` (two float
+    arrays and a bool array) are optional arrays of the points' shape to
+    work in, so that the stream kernel allocates nothing here.
+    """
+    a, b, c, d = _float_arrays(a, b, c, d)
+    f1, f2, mask = scratch if scratch is not None else _scratch(a.shape, 2, 1)
+    base = np.empty(a.shape) if out is None else out
+    detv = canonical_det(a, b, c, d, out=f1, scratch=(base, f2))
+    np.maximum(detv, 1e-300, out=detv)
+    log1p_det_pow(detv, spec.m, out=base, scratch=(f2, mask))
+    if spec.kind is RegKind.ENERGY_PHI:
+        inside = _in_energy_support(a, b, spec.bound_E, out=mask, tmp=f1)
+        np.copyto(base, 0.0, where=np.logical_not(inside, out=inside))
+        return base
+    damp = canonical_trace_adjugate(a, b, c, d, out=f1, scratch=(f2,))
+    np.negative(damp, out=damp)
+    damp /= spec.kappa
+    np.minimum(damp, 700.0, out=damp)
+    np.exp(damp, out=damp)
+    base *= damp
+    return base
 
 
 def _checked_det(V) -> float:

@@ -456,6 +456,37 @@ def test_optimized_interpreter_same_bytes(flags):
     assert optimized.stdout == plain.stdout and plain.stdout.startswith(b"# gaussvol-volume-csv")
 
 
+def test_optimized_interpreter_rejects_bad_input():
+    # the argument checks raise typed errors, not asserts, so -O still exits 2
+    proc = subprocess.run([sys.executable, "-O", "-m", "gaussvol", "volume", "--E", "inf",
+                           "--samples", "10000"], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("error: ")
+
+
+def test_volume_capped_box_exits_zero():
+    # no side passes at eps_tail 1e-300, so the box stops at 2 L0 = 8 sqrt(5)
+    # with a warning instead of failing the run
+    proc = subprocess.run([sys.executable, "-m", "gaussvol", "volume", "--set", "classical",
+                           "--kappa", "5", "--samples", "10000", "--eps-tail", "1e-300"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    L = "17.88854381999832"
+    assert proc.stdout.splitlines()[2].split(",")[13:] == ["0.0", L, "0.0", L,
+                                                           "-" + L, L, "-" + L, L]
+    assert "support box capped at L=17.8885 (kappa=5)" in proc.stderr
+
+
+def test_sweep_capped_boxes_keep_every_row():
+    proc = subprocess.run([sys.executable, "-m", "gaussvol", "sweep", "--kappa", "1,5",
+                           "--samples", "10000", "--eps-tail", "1e-300"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[1] == SWEEP_HEADER
+    assert [line.split(",")[:2] for line in lines[2:]] == [["kappa", "1.0"], ["kappa", "5.0"]]
+    assert proc.stderr.count("support box capped") == 2 and "failed" not in proc.stderr
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "gaussvol", "volume", "--sampler", "random"],

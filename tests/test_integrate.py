@@ -119,72 +119,90 @@ def test_upsilon_box_small_kappa():
     assert box.lo == (0.0, 0.0, -L, -L)
 
 
-def _tail_search(kappa, domain, eps_tail=1e-3, max_doublings=12):
-    """The support-box search replayed side by side on the grid L0 * 2^(k/2), k >= -1.
+def _tail_search(kappa, domain, eps_tail=1e-3):
+    """The support-box search replayed side by side over its four sides.
 
-    ``domain`` is one tag or a tuple of tags.  Returns the first side at
-    which every domain passes its tail test, or the NumericError message when
-    the sides run out, with each side tried and its per-domain
-    (inside, tail) masses from the quadrature rule.
+    ``domain`` is one tag or a tuple of tags.  Returns the first of
+    L0 / sqrt(2), L0, 2 L0 / sqrt(2) and 2 L0 at which every domain passes
+    its tail test, or None when none does, with each side tried and its
+    per-domain (inside, tail) masses from the quadrature rule.
     """
     domains = domain if isinstance(domain, tuple) else (domain,)
     spec, order = RegularizerSpec.adjugate(kappa, 4), integrate._BOX_ORDER
     total = _quad.quad_volumes(spec, order, domains)
     L0 = max(4.0, 4.0 * math.sqrt(kappa))
-    tried, history = [], []
-    for j in range(max_doublings + 1):
-        for side in (L0 * 2.0 ** j / math.sqrt(2.0), L0 * 2.0 ** j):
-            tail = _quad.tail_masses(spec, domains, side, order)
-            masses = {t: (total[t] - tail[t], tail[t]) for t in domains}
-            tried.append((side, masses))
-            failed = [m for m in masses.values() if m[1] > eps_tail * m[0]]
-            if not failed:
-                return side, tried
-            history.append((side, *failed[0]))
-    detail = "; ".join(f"L={l:g}: inside={i:.6g}, tail={t:.6g}" for l, i, t in history)
-    return (f"support box did not converge after {max_doublings} doublings (kappa={kappa:g}, "
-            f"eps_tail={eps_tail:g}): {detail}"), tried
+    tried = []
+    for side in (L0 / math.sqrt(2.0), L0, 2.0 * L0 / math.sqrt(2.0), 2.0 * L0):
+        tail = _quad.tail_masses(spec, domains, side, order)
+        masses = {t: (total[t] - tail[t], tail[t]) for t in domains}
+        tried.append((side, masses))
+        if all(t <= eps_tail * i for i, t in masses.values()):
+            return side, tried
+    return None, tried
 
 
-_L5 = 8.94427190999916  # the initial L = 4 sqrt(5) at kappa = 5
-_L50 = 4.0 * math.sqrt(50.0)  # the initial L at kappa = 50
+_L5 = 8.94427190999916  # L0 = 4 sqrt(5) at kappa = 5
+_L50 = 4.0 * math.sqrt(50.0)  # L0 at kappa = 50
 
 
-@pytest.mark.parametrize("kappa,domain,passing,side", [
-    # the classical tail passes at 2 L0 for kappa = 1 and 5, and at 4 L0 for
-    # 50, where the box stops at 2 L0
-    pytest.param(1.0, DomainTag.CLASSICAL, 8.0, 8.0, id="1.0"),
-    pytest.param(5.0, DomainTag.CLASSICAL, 2.0 * _L5, 2.0 * _L5, id="5.0"),
-    pytest.param(50.0, DomainTag.CLASSICAL, 4.0 * _L50, 2.0 * _L50, id="50.0"),
+@pytest.mark.parametrize("kappa,domain,side", [
+    # the classical tail passes at 2 L0 for kappa = 1 and 5; for 50 it fails
+    # at every side, and the box is 2 L0 with a warning
+    pytest.param(1.0, DomainTag.CLASSICAL, 8.0, id="1.0"),
+    pytest.param(5.0, DomainTag.CLASSICAL, 2.0 * _L5, id="5.0"),
+    pytest.param(50.0, DomainTag.CLASSICAL, None, id="50.0"),
     # the entangled tail is 2.3e-4 of the mass inside the first side tried
-    pytest.param(5.0, DomainTag.ENTANGLED, _L5 / math.sqrt(2.0), _L5 / math.sqrt(2.0),
-                 id="5.0-entangled"),
-    pytest.param(50.0, DomainTag.ENTANGLED, _L50, _L50, id="50.0-entangled"),
+    pytest.param(5.0, DomainTag.ENTANGLED, _L5 / math.sqrt(2.0), id="5.0-entangled"),
+    pytest.param(50.0, DomainTag.ENTANGLED, _L50, id="50.0-entangled"),
     # a sweep checks all four domains, and the classical tail decides
-    pytest.param(5.0, DOMAIN_ORDER, 2.0 * _L5, 2.0 * _L5, id="5.0-all"),
+    pytest.param(5.0, DOMAIN_ORDER, 2.0 * _L5, id="5.0-all"),
 ])
-def test_upsilon_box_matches_tail_search(kappa, domain, passing, side):
+def test_upsilon_box_matches_tail_search(kappa, domain, side):
     found, tried = _tail_search(kappa, domain)
-    assert found == passing
-    # every side tried before fails for some domain, and the last passes for all
-    *before, (last, masses) = tried
-    assert all(t <= 1e-3 * i for i, t in masses.values())
-    for _, m in before:
+    assert found == side
+    # every side tried before the last fails for some domain
+    for _, m in tried[:-1]:
         assert any(t > 1e-3 * i for i, t in m.values())
-    capped = side != passing
+    last, at_last = tried[-1]
+    capped = found is None
     if capped:
-        # the cap is the fourth side of the grid, 2 L0, and the warning
-        # reports the share of the classical mass its box leaves out
-        cap, at_cap = tried[3]
-        i, t = at_cap[DomainTag.CLASSICAL]
-        assert cap == side and t > 1e-3 * i
-        message = f"passes at L={passing:g}; outside the capped box lies classical {t / i:.3g} of"
+        # the cap is the fourth side, 2 L0, and the warning reports the share
+        # of each failing domain's mass that its box leaves out
+        assert len(tried) == 4 and last == 2.0 * max(4.0, 4.0 * math.sqrt(kappa))
+        shares = ", ".join(f"{t.value} {tl / i:.3g}" for t, (i, tl) in at_last.items()
+                           if tl > 1e-3 * i)
+        message = f"capped at L={last:g} (kappa={kappa:g}): outside the capped box lies {shares} of"
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert upsilon_box(kappa, domain=domain) == integrate._sym_box(side)
+        assert upsilon_box(kappa, domain=domain) == integrate._sym_box(last)
     assert len(seen) == capped
     if capped:
         assert seen[0].category is RuntimeWarning and message in str(seen[0].message)
+
+
+@pytest.mark.parametrize("kappa,eps_tail,domain,L0", [
+    # no side passes: the classical tail at kappa = 1e6 and at kappa = 100
+    # with 1e-12, and every tail at 1e-300
+    pytest.param(1e6, 1e-12, DomainTag.CLASSICAL, 4000.0, id="1e6-classical"),
+    pytest.param(100.0, 1e-12, DOMAIN_ORDER, 40.0, id="100-all-1e-12"),
+    pytest.param(5.0, 1e-300, DOMAIN_ORDER, _L5, id="5.0-all-1e-300"),
+])
+def test_upsilon_box_caps_where_no_side_passes(kappa, eps_tail, domain, L0, monkeypatch):
+    real, sides = _quad.tail_masses, []
+
+    def counting(spec, domains, side, order):
+        sides.append(side)
+        return real(spec, domains, side, order)
+
+    monkeypatch.setattr(_quad, "tail_masses", counting)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        box = upsilon_box(kappa, eps_tail, domain=domain)
+    assert box == integrate._sym_box(2.0 * L0)
+    assert len(seen) == 1 and seen[0].category is RuntimeWarning
+    assert str(seen[0].message).startswith(f"support box capped at L={2.0 * L0:g} ")
+    # the whole volume, then one tail per side: no side past the cap is tried
+    assert sides == [0.0, L0 / math.sqrt(2.0), L0, 2.0 * L0 / math.sqrt(2.0), 2.0 * L0]
 
 
 def test_upsilon_box_half_step_is_honest():
@@ -213,15 +231,6 @@ def test_upsilon_box_half_step_is_honest():
     assert tail < eps_tail * float(np.mean(estimates))
 
 
-def test_upsilon_box_failure_text_matches_tail_search():
-    for domain in (DomainTag.CLASSICAL, DOMAIN_ORDER):
-        message, tried = _tail_search(5.0, domain, max_doublings=0)
-        assert [side for side, _ in tried] == [_L5 / math.sqrt(2.0), _L5]
-        with pytest.raises(NumericError) as err:
-            upsilon_box(5.0, max_doublings=0, domain=domain)
-        assert str(err.value) == message
-
-
 def test_upsilon_box_deterministic():
     assert upsilon_box(1.0) == upsilon_box(1.0)
 
@@ -236,26 +245,6 @@ def test_upsilon_box_validates():
     for bad in ("classical", None, (), (DomainTag.CLASSICAL, "entangled")):
         with pytest.raises(InvalidArgumentError):
             upsilon_box(1.0, domain=bad)
-
-
-def test_upsilon_box_validates_max_doublings():
-    # -1 used to raise NumericError "after -1 doublings" with an empty history
-    for bad in (-1, 1.5, True):
-        with pytest.raises(InvalidArgumentError, match="max_doublings"):
-            upsilon_box(5.0, max_doublings=bad)
-    # no doubling at all stays legal: the entangled box passes at the first sides
-    assert upsilon_box(5.0, domain=DomainTag.ENTANGLED, max_doublings=0) == upsilon_box(
-        5.0, domain=DomainTag.ENTANGLED)
-
-
-def test_upsilon_box_failure_reports_history():
-    # with zero doublings allowed, the kappa = 5 classical tail fails at both
-    # sides tried, L0 / sqrt(2) and L0
-    with pytest.raises(NumericError) as err:
-        upsilon_box(5.0, max_doublings=0)
-    msg = str(err.value)
-    assert "did not converge" in msg
-    assert msg.count("inside=") == 2 and msg.count(", tail=") == 2
 
 
 def test_joint_volumes_deterministic():
@@ -899,13 +888,13 @@ def test_sweep_records_row_failure_and_continues(monkeypatch):
 
     def flaky(kappa, eps_tail=1e-3, **kw):
         if kappa == 2.0:
-            raise NumericError("support box did not converge (synthetic)")
+            raise NumericError("non-finite integrand weight (synthetic)")
         return real(kappa, eps_tail, **kw)
 
     monkeypatch.setattr(integrate, "upsilon_box", flaky)
     template = _template(regularizer=RegularizerSpec.adjugate(1.0))
     table = sweep("kappa", [1.0, 2.0, 3.0], template)
     assert [row.error is None for row in table.rows] == [True, False, True]
-    assert "did not converge" in table.rows[1].error
+    assert "synthetic" in table.rows[1].error
     assert table.rows[1].results == {}
     assert table.rows[2].results[DomainTag.CLASSICAL].estimate > 0.0
