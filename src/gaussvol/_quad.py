@@ -67,9 +67,16 @@ _BLOCK = 1 << 13
 
 @functools.cache
 def _gauss_legendre(order: int):
-    """Nodes and weights of the order-point Gauss-Legendre rule on (0, 1)."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
+    """Nodes and weights of the order-point Gauss-Legendre rule on (0, 1).
+
+    Golub-Welsch: the nodes on (-1, 1) are the eigenvalues of the Jacobi
+    matrix of the Legendre recurrence, with off-diagonal k / sqrt(4k^2 - 1),
+    and each weight is 2 v0^2 for the first component v0 of its unit
+    eigenvector.  This avoids importing numpy.polynomial for ``leggauss``.
+    """
+    k = np.arange(1.0, order)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    return (x + 1.0) / 2.0, v[0] ** 2
 
 
 def _from_end(length, lam, y):

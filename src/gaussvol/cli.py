@@ -11,6 +11,7 @@ import argparse
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -22,16 +23,17 @@ from .errors import (
     NumericError,
 )
 from .integrate import DOMAIN_ORDER, IntegrationRequest, _sweep_specs, mc_volume, sweep
-from .metric import bound_matrix, metric_closed_form
 from .regularizers import RegularizerSpec
-from .states import (
+# states and metric are imported inside cmd_classify and cmd_metric, so that a
+# volume or sweep run loads neither
+from .twomode import (
     DEFAULT_TOL,
-    classify,
-    partial_transpose_two_mode,
-    require_covariance,
-    symplectic_eigenvalues,
+    CanonicalPoint,
+    DomainTag,
+    canonical_chart,
+    canonical_embed,
+    in_domain,
 )
-from .twomode import CanonicalPoint, DomainTag, canonical_chart, canonical_embed, in_domain
 
 _FMT = "%.12g"
 
@@ -174,8 +176,7 @@ def _write_config(path: str, merged: dict) -> None:
         if val is None:
             continue
         out.append(f"{key} = {val}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+    _write(path, "\n".join(out) + "\n")
 
 
 def parse_value_list(text: str) -> list[float]:
@@ -222,15 +223,29 @@ def _regularizer_inputs(merged: dict) -> tuple[str, list[float]]:
     return param, e_vals if e_vals is not None else k_vals
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .states import (
+        classify,
+        partial_transpose_two_mode,
+        require_covariance,
+        symplectic_eigenvalues,
+    )
+
     V = require_covariance(parse_matrix_file(args.matrix))
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     tag = classify(V, tol=tol)
@@ -252,6 +267,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_metric(args: argparse.Namespace) -> int:
+    from .metric import bound_matrix, metric_closed_form
+
     missing = [name for name in ("a", "b", "c", "d") if getattr(args, name) is None]
     if missing:
         raise InvalidArgumentError("metric needs --a --b --c --d")
@@ -417,11 +434,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one plain stderr line, like the ``error:`` lines."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except MatrixParseError as exc:
         print(f"error: {exc} (line {exc.line}, column {exc.column})", file=sys.stderr)
         return 2

@@ -46,25 +46,25 @@ A qmc stream draws each tile's t points in full, as the first t of a block
 of 2^k >= t Sobol points: scipy warns about a first draw of any other size,
 and the first t points of a block do not depend on its size.  So ``_TILE``
 alone fixes the bits, for pseudo and qmc alike.
-The substreams of a pass run on at most one thread per usable core, from a
-pool kept between passes, so the core count sets the speed but never the
-bits.
+The substreams of a pass run on min(streams, usable cores) threads: the
+caller runs one share and starts the others for that pass alone, and the
+partial sums are reduced in stream order, so the core count sets the speed
+but never the bits.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _quad
 from .errors import InvalidArgumentError, NumericError
-from .metric import _check_seed, _is_int, _pairwise_reduce, _partition
 # the kernel looks regularizer_values up here, where perfbench/tracing.py wraps it
 from .regularizers import RegKind, RegularizerSpec, _in_energy_support, regularizer_values
 from .twomode import (
@@ -106,8 +106,6 @@ _SAMPLERS = ("pseudo", "qmc")
 # Gauss-Legendre order per axis of the support-box rule: its tail ratios
 # agree with the rule at twice the order to a few percent near the threshold
 _BOX_ORDER = 12
-_POOL_LOCK = threading.Lock()
-_pool = None  # ((pid, cores), ThreadPoolExecutor) of _stream_pool
 
 
 @dataclass(frozen=True)
@@ -429,6 +427,35 @@ class JointVolumes:
         return r, math.sqrt(max(var, 0.0))
 
 
+def _is_int(x) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_seed(seed) -> None:
+    """An integer seed must be >= 0; ``mc_joint_volumes`` also takes a SeedSequence."""
+    if not (_is_int(seed) and seed >= 0):
+        raise InvalidArgumentError("seed must be an integer >= 0")
+
+
+def _partition(n: int, k: int) -> list[int]:
+    base, extra = divmod(n, k)
+    return [base + 1 if i < extra else base for i in range(k)]
+
+
+def _pairwise_reduce(items, combine):
+    items = list(items)
+    while len(items) > 1:
+        nxt = []
+        for i in range(0, len(items), 2):
+            if i + 1 < len(items):
+                nxt.append(combine(items[i], items[i + 1]))
+            else:
+                nxt.append(items[i])
+        items = nxt
+    return items[0]
+
+
 def _usable_cores() -> int:
     """Cores this process may run on: its CPU affinity set where the OS has one."""
     try:
@@ -479,29 +506,42 @@ def _labels_of(domains) -> tuple:
     return tuple(sorted(labels))
 
 
-def _stream_pool(cores: int) -> ThreadPoolExecutor:
-    """The process's pool of at most ``cores`` stream threads, kept between passes.
+def _run_shares(run, tasks: list, threads: int) -> list:
+    """``run(task)`` of every task, in task order, on ``threads`` threads.
 
-    A pass would otherwise pay for starting and joining its threads, which
-    for a short pass takes as long as its streams.  All ``cores`` threads
-    start with the pool, each held by one task until every one runs, so no
-    later pass starts a thread: the executor's count of idle threads lags
-    behind a task's result, and a pass submitted at once after another
-    would otherwise start one more.  A new pool replaces it when the core
-    count or the process (after a fork) changes; the old one's idle threads
-    exit once it is no longer referenced.
+    The caller is one of them and starts the other threads - 1 (none for one
+    thread); each takes the next task no thread has taken until none is
+    left or a task has raised.  Once every thread is done, the first task
+    in task order that raised raises again.
     """
-    global _pool
-    key = (os.getpid(), cores)
-    with _POOL_LOCK:
-        if _pool is None or _pool[0] != key:
-            pool = ThreadPoolExecutor(max_workers=cores)
-            started = threading.Barrier(cores + 1)
-            for _ in range(cores):
-                pool.submit(started.wait)
-            started.wait()
-            _pool = (key, pool)
-        return _pool[1]
+    results = [None] * len(tasks)
+    failures = {}  # task index: the exception it raised
+    untaken = iter(range(len(tasks)))
+    lock = threading.Lock()
+
+    def share():
+        while True:
+            with lock:
+                # every task before a failed one is taken, so no task left
+                # can be the first to fail in task order
+                i = None if failures else next(untaken, None)
+            if i is None:
+                return
+            try:
+                results[i] = run(tasks[i])
+            except Exception as exc:
+                with lock:
+                    failures[i] = exc
+
+    others = [threading.Thread(target=share) for _ in range(threads - 1)]
+    for t in others:
+        t.start()
+    share()
+    for t in others:
+        t.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, streams: int = 1,
@@ -512,10 +552,11 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     ``seed`` may be an integer or a SeedSequence, which is not modified;
     ``seed_label`` is what gets reported in results when the seed is not a
     plain integer.  ``streams`` is the number of substreams and part of the
-    determinism key; they run on min(streams, usable cores) threads.  Only
-    points in ``domains`` are weighted, so a non-finite weight outside them
-    does not raise, and each scored domain gets the bits that a pass scoring
-    all four gives it (see ``JointVolumes`` for what can be read).
+    determinism key; they run on min(streams, usable cores) threads, the
+    caller's among them.  Only points in ``domains`` are weighted, so a
+    non-finite weight outside them does not raise, and each scored domain
+    gets the bits that a pass scoring all four gives it (see
+    ``JointVolumes`` for what can be read).
     """
     _check_pass(n_samples, streams, tol, sampler)
     labels = _labels_of(domains)
@@ -532,12 +573,7 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
         child, count = task
         return _stream_partial(child, count, box, spec, tol, sampler, labels)
 
-    cores = _usable_cores()
-    if min(streams, cores) == 1:
-        partials = [run(t) for t in tasks]
-    else:
-        # map returns the partials in stream order, whichever thread ran them
-        partials = list(_stream_pool(cores).map(run, tasks))
+    partials = _run_shares(run, tasks, min(streams, _usable_cores()))
     n, s1, s2, hits = _pairwise_reduce(partials, lambda u, v: tuple(x + y for x, y in zip(u, v)))
     return JointVolumes(box, spec, n, seed_label, streams, tol, sampler, s1, s2, hits, labels)
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, NumericError
+from .integrate import _check_seed, _is_int, _pairwise_reduce, _partition
 from .states import require_covariance
 
 __all__ = [
@@ -184,22 +184,6 @@ def metric_closed_form(V, chart: ParamChart) -> MetricAtPoint:
     return MetricAtPoint(g=g, det_g=det_g, chart=chart, point=None)
 
 
-def _is_int(x) -> bool:
-    """An integer, numpy's included, but not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _check_seed(seed) -> None:
-    """An integer seed must be >= 0; ``mc_joint_volumes`` also takes a SeedSequence."""
-    if not (_is_int(seed) and seed >= 0):
-        raise InvalidArgumentError("seed must be an integer >= 0")
-
-
-def _partition(n: int, k: int) -> list[int]:
-    base, extra = divmod(n, k)
-    return [base + 1 if i < extra else base for i in range(k)]
-
-
 _ORACLE_BLOCK = 1 << 17
 
 
@@ -222,19 +206,6 @@ def _oracle_stream(ss, count: int, L: np.ndarray, C: np.ndarray, t: np.ndarray):
         s2 += (prod * prod).sum(axis=0)
         done += k
     return count, s1, s2
-
-
-def _pairwise_reduce(items, combine):
-    items = list(items)
-    while len(items) > 1:
-        nxt = []
-        for i in range(0, len(items), 2):
-            if i + 1 < len(items):
-                nxt.append(combine(items[i], items[i + 1]))
-            else:
-                nxt.append(items[i])
-        items = nxt
-    return items[0]
 
 
 def metric_mc_oracle(V, chart: ParamChart, n_samples: int, seed, streams: int = 1) -> MetricAtPoint:

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InvalidArgumentError
-from .states import require_covariance, trace_adjugate
+# states is imported inside the matrix-form weights, so that a volume run does not load it
 from .twomode import _float_arrays, _scratch, canonical_det, canonical_trace_adjugate
 
 __all__ = [
@@ -143,6 +143,8 @@ def regularizer_values(a, b, c, d, spec: RegularizerSpec, out=None, scratch=None
 
 
 def _checked_det(V) -> float:
+    from .states import require_covariance
+
     A = require_covariance(V)
     sign, logdet = np.linalg.slogdet(A)
     if sign <= 0.0:
@@ -172,6 +174,8 @@ def upsilon(V, spec: RegularizerSpec) -> float:
     """
     if spec.kind is not RegKind.ADJUGATE_UPSILON:
         raise InvalidArgumentError("upsilon requires an adjugate-kind spec")
+    from .states import trace_adjugate
+
     det = _checked_det(V)
     damping = math.exp(-trace_adjugate(V) / spec.kappa)
     return damping * float(log1p_det_pow(det, spec.m))

@@ -17,8 +17,8 @@ from .errors import (
     InvalidArgumentError,
     NumericError,
 )
+from .twomode import DEFAULT_TOL
 
-DEFAULT_TOL = 1e-9
 SYMMETRY_RTOL = 1e-12
 
 __all__ = [

@@ -25,8 +25,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, NumericError
-from .metric import MetricAtPoint, ParamChart
-from .states import DEFAULT_TOL, require_covariance
+# metric and states are imported inside the chart and matrix-form functions
+# that use them, so that a volume run loads neither
+
+# the default domain tolerance; ``states`` and the package export this object
+DEFAULT_TOL = 1e-9
 
 __all__ = [
     "CanonicalPoint",
@@ -83,6 +86,8 @@ def canonical_embed(p: CanonicalPoint) -> np.ndarray:
 
 def canonical_extract(V, atol: float = 1e-12) -> CanonicalPoint:
     """Inverse of :func:`canonical_embed`; rejects matrices off the standard form."""
+    from .states import require_covariance
+
     A = require_covariance(V)
     if A.shape[0] != 4:
         raise InvalidArgumentError("standard form is defined for two modes (4x4)")
@@ -99,6 +104,8 @@ def canonical_chart() -> ParamChart:
     The basis directions are dV/da, dV/db, dV/dc, dV/dd; together with the
     determinant exponent m = 4 this is the chart all volume integrals use.
     """
+    from .metric import ParamChart
+
     Ba = np.diag([1.0, 1.0, 0.0, 0.0])
     Bb = np.diag([0.0, 0.0, 1.0, 1.0])
     Bc = np.zeros((4, 4))
@@ -201,6 +208,8 @@ def metric_components(a, b, c, d) -> np.ndarray:
 
 def closed_form_metric(p: CanonicalPoint) -> MetricAtPoint:
     """Explicit metric at a standard-form point, with its determinant."""
+    from .metric import MetricAtPoint
+
     a, b, c, d = (float(x) for x in p)
     ab = a * b
     if abs(ab - c * c) < _SINGULAR_ATOL or abs(ab - d * d) < _SINGULAR_ATOL:

@@ -204,6 +204,12 @@ def test_criterion_06_domain_equivalence():
     assert disagreements == 0
 
 
+def _capped_box(kappa):
+    """``upsilon_box(kappa)`` where the classical tail fails eps_tail even at the 2 L0 cap."""
+    with pytest.warns(RuntimeWarning, match="support box capped"):
+        return upsilon_box(kappa)
+
+
 def test_criterion_07_inclusion_chains():
     t0 = time.perf_counter()
     worst_z = 0.0
@@ -213,7 +219,8 @@ def test_criterion_07_inclusion_chains():
         configs.append((f"E={bound_e:g}", phi_box(bound_e), spec, 8800 + int(bound_e)))
     for kappa in (1.0, 5.0, 10.0, 50.0):
         spec = RegularizerSpec.adjugate(kappa)
-        configs.append((f"kappa={kappa:g}", upsilon_box(kappa), spec, 8900 + int(kappa)))
+        box = upsilon_box(kappa) if kappa <= 5.0 else _capped_box(kappa)
+        configs.append((f"kappa={kappa:g}", box, spec, 8900 + int(kappa)))
     ordered = True
     for label, box, spec, seed in configs:
         jv = mc_joint_volumes(box, spec, 1_000_000, seed=seed, streams=8)
@@ -248,7 +255,9 @@ def test_criterion_08_limits():
     # large-damping asymptote: quantum/classical ratio settles
     r_tail = []
     for kappa, seed in ((50.0, 802), (100.0, 803)):
-        box = upsilon_box(kappa)
+        # both boxes are capped at 2 L0; with uncapped boxes, far larger, the
+        # uniform sampler's estimates scatter too widely for this check
+        box = _capped_box(kappa)
         jv_k = mc_joint_volumes(box, RegularizerSpec.adjugate(kappa), 1_000_000, seed=seed, streams=8)
         r_tail.append(jv_k.ratio(Q))
     (r50, s50), (r100, s100) = r_tail

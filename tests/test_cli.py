@@ -3,11 +3,13 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from gaussvol.cli import main, parse_matrix_file, parse_value_list
 from gaussvol.errors import InvalidArgumentError, MatrixParseError
+from gaussvol.integrate import upsilon_box
 
 VOLUME_HEADER = (
     "set,reg,param_name,param_value,m,estimate,std_error,acceptance_fraction,"
@@ -374,6 +376,48 @@ def test_write_config_only_after_validation(argv, tmp_path, capsys):
     assert main(argv + ["--samples", "10000", "--write-config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not cfg.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--E", "8", "--out"],
+    ["sweep", "--E", "4,8", "--out"],
+    ["volume", "--E", "8", "--write-config"],
+], ids=["volume_out", "sweep_out", "write_config"])
+def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    assert main(argv + [str(path), "--samples", "10000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------- warnings
+
+_CAPPED_50 = ("warning: support box capped at L=56.5685 (kappa=50): outside the capped box "
+              "lies classical 0.011 of the mass inside (eps_tail=0.001)")
+_CAPPED_100 = ("warning: support box capped at L=80 (kappa=100): outside the capped box "
+               "lies classical 0.0234 of the mass inside (eps_tail=0.001)")
+
+
+def test_capped_box_warning_is_one_plain_line(capsys):
+    shown = warnings.showwarning
+    argv = ["volume", "--set", "classical", "--kappa", "50", "--samples", "20000", "--seed", "8"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [_CAPPED_50]
+    assert captured.out.startswith("# gaussvol-volume-csv v1\n")
+    # the CLI's warning format ends with the run; library callers get the RuntimeWarning
+    assert warnings.showwarning is shown
+    with pytest.warns(RuntimeWarning, match="support box capped at L=56.5685"):
+        upsilon_box(50.0)
+
+
+def test_sweep_prints_one_warning_per_capped_row(capsys):
+    assert main(["sweep", "--kappa", "1,50,100", "--samples", "10000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [_CAPPED_50, _CAPPED_100]
+    assert len(captured.out.splitlines()) == 5
 
 
 # ------------------------------------------------------------- value lists

@@ -291,36 +291,64 @@ def test_core_count_does_not_change_bits(monkeypatch):
 
 
 def test_pool_threads_capped_at_usable_cores(monkeypatch):
-    real_stream, threads = integrate._stream_partial, set()
+    real_stream, threads, streams = integrate._stream_partial, set(), []
 
-    def recording_stream(*args):
+    def recording_stream(child_ss, *args):
         threads.add(threading.get_ident())
-        return real_stream(*args)
+        streams.append(child_ss.spawn_key[-1])
+        return real_stream(child_ss, *args)
 
     monkeypatch.setattr(integrate, "_stream_partial", recording_stream)
     spec = RegularizerSpec.energy(6.0)
-    for cores in (1, 2, 8):
-        threads.clear()
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    # a short switch interval, so that threads taking tasks would interleave
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 2, 8):
+            threads.clear()
+            streams.clear()
+            monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
+            mc_joint_volumes(phi_box(6.0), spec, 64_000, seed=405, streams=64)
+            # the caller runs a share, one thread per core at most runs streams,
+            # and every stream runs once
+            assert threading.get_ident() in threads and len(threads) <= cores
+            assert sorted(streams) == list(range(64))
+            # a pass joins every thread it starts
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+    threads.clear()
+    mc_joint_volumes(phi_box(6.0), spec, 20_000, seed=405, streams=1)
+    assert threads == {threading.get_ident()}
+
+
+def test_first_failing_stream_in_stream_order_raises(monkeypatch):
+    real_stream, ran, second_failed = integrate._stream_partial, [], threading.Event()
+
+    def failing_stream(child_ss, *args):
+        i = child_ss.spawn_key[-1]
+        ran.append(i)
+        if i == 2:
+            second_failed.set()
+            raise NumericError("stream 2 failed")
+        partial = real_stream(child_ss, *args)
+        if i == 1:
+            if cores > 1:
+                # the thread that ran stream 0 takes stream 2, which fails first
+                assert second_failed.wait(timeout=30)
+            raise NumericError("stream 1 failed")
+        return partial
+
+    monkeypatch.setattr(integrate, "_stream_partial", failing_stream)
+    for cores, started in ((1, [0, 1]), (2, [0, 1, 2])):
+        ran.clear()
         monkeypatch.setattr(integrate, "_usable_cores", lambda: cores)
-        mc_joint_volumes(phi_box(6.0), spec, 64_000, seed=405, streams=64)
-        if cores == 1:
-            assert threads == {threading.get_ident()}
-        else:
-            assert 1 <= len(threads) <= cores
-            assert integrate._stream_pool(cores)._max_workers == cores
-
-
-def test_stream_pool_kept_between_passes(monkeypatch):
-    monkeypatch.setattr(integrate, "_usable_cores", lambda: 2)
-    spec = RegularizerSpec.energy(6.0)
-    mc_joint_volumes(phi_box(6.0), spec, 20_000, seed=406, streams=2)
-    pool = integrate._stream_pool(2)
-    threads = set(pool._threads)
-    mc_joint_volumes(phi_box(6.0), spec, 20_000, seed=407, streams=2)
-    # the second pass starts and joins no threads
-    assert integrate._stream_pool(2) is pool and set(pool._threads) == threads
-    # a new core count gets a pool of its own size
-    assert integrate._stream_pool(3) is not pool
+        with pytest.raises(NumericError, match="stream 1 failed"):
+            mc_joint_volumes(phi_box(6.0), RegularizerSpec.energy(6.0), 20_000, seed=406,
+                             streams=4)
+        # no stream starts once one has failed
+        assert sorted(ran) == started
 
 
 @pytest.mark.parametrize("sampler", ["pseudo", "qmc"])

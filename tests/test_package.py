@@ -1,4 +1,4 @@
-"""The lazy package namespace and the CLI's one-thread BLAS default."""
+"""The lazy package namespace, what a CLI run loads, and its one-thread BLAS default."""
 
 import importlib
 import os
@@ -54,6 +54,28 @@ def test_private_submodule_still_imports():
     from gaussvol import _quad
 
     assert _quad.__name__ == "gaussvol._quad"
+
+
+# ---------------------------------------------------------------- what a run loads
+
+# modules that no volume or sweep run uses
+_UNUSED_BY_RUNS = ("gaussvol.states", "gaussvol.metric", "concurrent.futures", "logging")
+
+
+def _loaded(code, names):
+    """Which of ``names`` are in sys.modules after ``code`` runs in a fresh interpreter."""
+    return run_child(f"import sys; {code}; print(*[n for n in {names!r} if n in sys.modules])")
+
+
+def test_parser_loads_only_the_volume_path():
+    assert _loaded("import gaussvol.cli as cli; cli.build_parser()", _UNUSED_BY_RUNS) == []
+
+
+def test_volume_run_loads_only_the_volume_path():
+    argv = ["volume", "--set", "entangled", "--kappa", "5", "--samples", "10000", "--seed", "1",
+            "--out", os.devnull]
+    code = f"import gaussvol.cli as cli; assert cli.main({argv!r}) == 0"
+    assert _loaded(code, (*_UNUSED_BY_RUNS, "numpy.polynomial")) == []
 
 
 # ---------------------------------------------------------------- BLAS default
