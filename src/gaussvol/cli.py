@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 import warnings
@@ -231,6 +232,24 @@ def _write(path: str, text: str) -> None:
         raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _check_out(path: str | None) -> None:
+    """Fail now, before any pass runs, when the CSV cannot be written to ``path``.
+
+    The file is opened to append, which truncates nothing, and one that did
+    not exist is removed again, so a run that fails later leaves ``path`` as
+    it was.
+    """
+    if not path:
+        return
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}")
+    if not existed:
+        os.remove(path)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         _write(out_path, text)
@@ -313,6 +332,7 @@ def cmd_volume(args: argparse.Namespace) -> int:
     if len(vals) != 1:
         raise InvalidArgumentError("volume takes a single --E or --kappa value; use sweep for lists")
     req = _request(merged, param, vals[0])
+    _check_out(merged["out"])
     # only a configuration that passed every check is recorded
     if args.write_config:
         _write_config(args.write_config, merged)
@@ -345,6 +365,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     param, vals = _regularizer_inputs(merged)
     template = _request(merged, param, vals[0])
     _sweep_specs(param, vals, template)  # checks every value before anything is written
+    _check_out(merged["out"])
     if args.write_config:
         _write_config(args.write_config, merged)
     table = sweep(param, vals, template)

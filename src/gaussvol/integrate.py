@@ -4,15 +4,24 @@ The integrand over the standard-form chart (a, b, c, d) is
 
     1_domain(p) * weight(V(p)) * sqrt(det g(p)),
 
-sampled uniformly over an axis-aligned box that contains the support of the
-weighted domain.  A pass scores a set of domains in three stages per tile of
-draws.  Every sample draws a and b and must pass min(a, b) > -tol and, for
-the energy cutoff, tr V <= E.  Only the survivors draw c and d and must pass
-|c|, |d| < sqrt(ab) + tol.  Only points that can carry a scored label are
-labelled: when the classical-only label is not scored, points with
-min(a, b) <= 1 - tol are dropped, and when separable or entangled alone is
-scored, a necessary test on Simon's invariant drops the points that cannot
-be.  One labelling pass then gives each point left the
+integrated over an axis-aligned box that contains the support of the
+weighted domain.  a and b are drawn uniformly over the box's a, b sides; c
+and d are drawn uniformly on the classical slice |c|, |d| < sqrt(ab) + tol,
+each clipped to its box side, so that no draw falls outside the classical
+domain.  Each weight is multiplied by the lengths of its two slices over the
+box's c and d spans, so an estimate is still box.volume times the mean
+weight, an unbiased estimate of the integral over the box's classical
+part, and its iid error bar stays honest.  A pass scores
+a set of domains in three stages per tile of draws.  Every sample draws a
+and b and must pass min(a, b) > -tol (a test skipped when the box's lower
+a, b bounds already exceed -tol) and, for the energy cutoff, tr V <= E.
+Only the survivors draw c and d.  Only points that can carry a scored label
+are labelled: when the classical-only label is not scored, points with
+min(a, b) <= 1 - tol are dropped before c and d are put on their slices;
+points whose slice is empty are dropped; and when separable or entangled
+alone is scored, a necessary test on Simon's invariant drops the points
+that cannot be, after a cheaper sign test on cd for entangled.  One
+labelling pass then gives each point left the
 innermost domain holding it (classical only, separable or entangled), and
 only points with a scored label are weighted, with the closed-form
 sqrt(det g).  Weighted sums and hits are kept per label and every domain is
@@ -41,10 +50,11 @@ Each tile still keeps its own sums: one ``bincount`` per sum over the
 batch, keyed by tile and label, adds each tile's weights in draw order, as
 a ``bincount`` of that tile alone does, and the tiles' sums are added up in
 tile order.  So the batch size changes no bit.  A pseudo stream is consumed
-per tile as a(t) and b(t), then c(k) and d(k) for the k stage-1 survivors.
-A qmc stream draws each tile's t points in full, as the first t of a block
-of 2^k >= t Sobol points: scipy warns about a first draw of any other size,
-and the first t points of a block do not depend on its size.  So ``_TILE``
+per tile as a(t) and b(t), then the uniforms of c(k) and d(k) for the k
+stage-1 survivors.  A qmc stream draws each tile's t points in full, as the
+first t of a block of 2^k >= t Sobol points, whose 3rd and 4th coordinates
+are the uniforms of c and d: scipy warns about a first draw of any other
+size, and the first t points of a block do not depend on its size.  So ``_TILE``
 alone fixes the bits, for pseudo and qmc alike.
 The substreams of a pass run on min(streams, usable cores) threads: the
 caller runs one share and starts the others for that pass alone, and the
@@ -72,8 +82,8 @@ from .twomode import (
     DomainTag,
     volume_density,
     _ab_above,
-    _cd_inside,
     _classical_labels,
+    _label_slack,
     _may_have_label,
 )
 # unused here, but perfbench/tracing.py wraps these two attributes of this module
@@ -174,10 +184,37 @@ def _rows(buf, k, n):
     return buf[:k * n].reshape(k, n)
 
 
+def _half_width(a, b, tol, out):
+    """h = sqrt(max(ab, 0)) + tol: the classical slice is |c|, |d| < h."""
+    h = np.multiply(a, b, out=out)
+    np.maximum(h, 0.0, out=h)
+    np.sqrt(h, out=h)
+    h += tol
+    return h
+
+
+def _slice(h, lo, hi, out):
+    """Start and length of the slice (-h, h) clipped to the box side (lo, hi], elementwise.
+
+    ``out`` is two float arrays of h's shape; the length is <= 0 where the
+    clipped slice is empty.
+    """
+    start, length = out
+    np.negative(h, out=start)
+    np.maximum(start, lo, out=start)
+    np.minimum(h, hi, out=length)
+    length -= start
+    return start, length
+
+
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
                     sampler: str, labels: tuple):
     lo = np.asarray(box.lo)[:, None]
     span = np.asarray(box.hi)[:, None] - lo
+    # c and d are drawn on the same slice when their box sides agree
+    same_cd = box.lo[2] == box.lo[3] and box.hi[2] == box.hi[3]
+    # a slice-drawn point's weight is scaled by its slice lengths over the c, d spans
+    per_cd = 1.0 / (span[2, 0] * span[3, 0])
     tile = min(_TILE, count)
     cap = min(_BATCH, count)
     size = max(tile, cap)
@@ -206,6 +243,14 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     scored = np.isin(np.arange(4), labels)  # scored[l]: label l is weighted and counted
     # a single scored quantum label has a cheap necessary test (_may_have_label)
     prefilter = labels in ((2,), (3,))
+    # ... and entangled alone a cheaper one before it: 2cd < the test's slack,
+    # which is largest at a corner of the box's a, b rectangle
+    cd_max = None
+    if labels == (3,):
+        corners = np.outer((box.lo[0], box.hi[0]), (box.lo[1], box.hi[1]))
+        cd_max = _label_slack(corners, tol).max() / 2.0
+    # a and b are drawn at or above their lower bounds, so above -tol when those are
+    ab_test = not (box.lo[0] > -tol and box.lo[1] > -tol)
     # each tile's sums, one row per tile, added up in tile order at the end
     tiles = -(-count // _TILE)
     s1 = np.zeros((max(tiles, 1), 4))
@@ -241,6 +286,12 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         m1, m2 = b_buf[:2, :n]
         w = np.multiply(regularizer_values(a, b, c, d, spec, out=w, scratch=(f1, f2, m1)),
                         volume_density(a, b, c, d, out=dens, scratch=(f1, f2, f3, m1, m2)), out=w)
+        # times the lengths of the slices c and d were drawn on, over the box's spans
+        h = _half_width(a, b, tol, out=dens)
+        f = _slice(h, box.lo[2], box.hi[2], out=(f1, f2))[1]
+        f *= f if same_cd else _slice(h, box.lo[3], box.hi[3], out=(f1, f3))[1]
+        f *= per_cd
+        w *= f
         finite = np.isfinite(w, out=m1)
         if not finite.all():
             i = int(np.argmin(finite))
@@ -257,7 +308,6 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     first = queued = 0  # the queue holds tiles first, ..., j - 1 with queued points
     for j, done in enumerate(range(0, count, _TILE)):
         t = min(_TILE, count - done)
-        keep, inside = b_buf[:2, :t]
         # stage 1, every sample: a and b, the a, b half of the classical
         # test and the energy cutoff
         pts = bufs[0][:4 * t].reshape(4, t)
@@ -265,34 +315,58 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
             rows = 2
             rng.random(out=pts[:2])
         else:
-            # Sobol points are 4-d, so c and d come with a and b.  scipy warns
-            # about a first draw that is not a power of two, and the first t
-            # points of a block do not depend on its size
+            # Sobol points are 4-d, so the uniforms of c and d come with a
+            # and b.  scipy warns about a first draw that is not a power of
+            # two, and the first t points of a block do not depend on its size
             rows = 4
             np.copyto(pts, sob.random(1 << (t - 1).bit_length())[:t].T)
-        pts[:rows] *= span[:rows]
-        pts[:rows] += lo[:rows]
+        pts[:2] *= span[:2]
+        pts[:2] += lo[:2]
         a, b = pts[:2]
         tmp = bufs[1][:t]
-        _ab_above(a, b, -tol, out=keep, tmp=tmp)
+        keep = _ab_above(a, b, -tol, out=b_buf[0, :t], tmp=tmp) if ab_test else None
         if energy:
             # a point outside the cutoff would add only +0.0 to s1 and s2
-            keep &= _in_energy_support(a, b, spec.bound_E, out=inside, tmp=tmp)
-        pts, _ = _take(keep, pts, bufs[1], rows=rows)
-        # stage 2, the survivors: c and d, the c, d half of the classical
-        # test, and points sure to have an unscored label
-        n = pts.shape[1]
+            inside = _in_energy_support(a, b, spec.bound_E, out=b_buf[1, :t], tmp=tmp)
+            keep = inside if keep is None else np.logical_and(keep, inside, out=keep)
+        if keep is not None:
+            pts, _ = _take(keep, pts, bufs[1], rows=rows)
+        # stage 2, the survivors: the uniforms of c and d, which every
+        # survivor draws.  The points sure to have an unscored label are
+        # dropped, and the rest get c and d uniform on the classical slice
+        # |c|, |d| < sqrt(ab) + tol clipped to the box
         if sampler == "pseudo":
-            cd = pts[2:]
-            rng.random(out=cd)
-            cd *= span[2:]
-            cd += lo[2:]
-        keep, tmp, inside = b_buf[:, :n]
-        f0, f1 = _rows(other(pts), 2, n)
-        _cd_inside(*pts, tol, out=keep, scratch=(f0, f1, tmp))
+            rng.random(out=pts[2:])
+        above = None
         if not scored[1]:
-            # a classical point with min(a, b) <= 1 - tol has label 1
-            keep &= _ab_above(*pts[:2], 1.0 - tol, out=inside, tmp=f0)
+            # a classical point with min(a, b) <= 1 - tol has label 1.  The
+            # points are gathered here only if this drops most of them, and
+            # else dropped with the rest below
+            n = pts.shape[1]
+            above = _ab_above(*pts[:2], 1.0 - tol, out=b_buf[2, :n], tmp=other(pts)[:n])
+            if 2 * np.count_nonzero(above) < n:
+                pts, _ = _take(above, pts, other(pts))
+                above = None
+        n = pts.shape[1]
+        a, b, c, d = pts
+        keep, inside = b_buf[:2, :n]
+        h, start, length = _rows(other(pts), 3, n)
+        _half_width(a, b, tol, out=h)
+        _slice(h, box.lo[2], box.hi[2], out=(start, length))
+        np.greater(length, 0.0, out=keep)
+        c *= length
+        c += start
+        if not same_cd:
+            _slice(h, box.lo[3], box.hi[3], out=(start, length))
+            keep &= np.greater(length, 0.0, out=inside)
+        d *= length
+        d += start
+        # a point whose slice is empty goes, as does one that fails the
+        # entangled pre-test
+        if above is not None:
+            keep &= above
+        if cd_max is not None:
+            keep &= np.less(np.multiply(c, d, out=h), cd_max, out=inside)
         pts, _ = _take(keep, pts, other(pts))
         if prefilter:
             # only the points that may carry the scored label go on to stage 3
@@ -329,6 +403,9 @@ class IntegrationResult:
     in the domain and inside the regularizer's support (tr V <= E for the
     energy cutoff; the adjugate damping has unbounded support), that is the
     share that carries weight; ``empty_domain`` is true when none does.
+    c and d are drawn on the classical slice, not across the box, so this is
+    a share of draws, not of the box's volume: for the damping, whose box
+    holds the slices whole, nearly every draw is classical.
     """
 
     estimate: float
@@ -350,10 +427,14 @@ class JointVolumes:
     Because every domain is evaluated on the same weighted samples, nested
     domains are ordered exactly, differences of estimates carry honest errors,
     and delta-method ratio errors include the correlation with the denominator.
-    The per-label hits count the samples in the domain and inside the
-    regularizer's support.  Only the labels in ``labels`` were weighted and
-    counted; ``result``, ``difference`` and ``ratio`` accept every domain
-    made up of them and raise ``InvalidArgumentError`` for any other.
+    Every weight carries its point's slice factor (see the module docstring),
+    so each estimate is box.volume times a mean over all ``n_samples``.
+    The per-label hits count the draws in the domain and inside the
+    regularizer's support; c and d are drawn on the classical slice, so a
+    share of hits is a share of draws, not of the box's volume.  Only the
+    labels in ``labels`` were weighted and counted; ``result``,
+    ``difference`` and ``ratio`` accept every domain made up of them and
+    raise ``InvalidArgumentError`` for any other.
     """
 
     def __init__(self, box: Box, spec: RegularizerSpec, n_samples: int, seed_label, streams: int,
@@ -547,7 +628,12 @@ def _run_shares(run, tasks: list, threads: int) -> list:
 def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, streams: int = 1,
                      tol: float = 1e-9, sampler: str = "pseudo", seed_label: int | None = None,
                      *, domains=DOMAIN_ORDER) -> JointVolumes:
-    """One uniform-sampling pass over ``box`` scoring ``domains`` (all four by default).
+    """One sampling pass over ``box`` scoring ``domains`` (all four by default).
+
+    a and b are uniform over the box's a, b sides, and c and d uniform on the
+    classical slice |c|, |d| < sqrt(ab) + tol clipped to the box, each weight
+    scaled by the slices' lengths over the box's c and d spans, so the pass
+    estimates the integrals over the box that uniform sampling estimates.
 
     ``seed`` may be an integer or a SeedSequence, which is not modified;
     ``seed_label`` is what gets reported in results when the seed is not a
@@ -592,9 +678,10 @@ def upsilon_box(kappa: float, eps_tail: float = 1e-3, *,
     When none passes, the box of side 2 L0 is returned with a RuntimeWarning
     that names, for each checked domain that fails there, the share of its
     mass left outside the box.  The box stops at 2 L0 because each doubling
-    spreads the uniform sampler's draws over 16 times the volume, and past
-    one doubling the estimate's error at practical sample counts dwarfs the
-    tail it would save.
+    spreads the a, b draws over 4 times the area (c and d are drawn on the
+    classical slice, which the box holds whole), and past one doubling the
+    estimate's error at practical sample counts outweighs the tail it would
+    save.
 
     Both masses come from ``_quad``'s Gauss-Legendre rule of order
     ``_BOX_ORDER`` on each axis.  The tail is integrated directly over

@@ -309,25 +309,6 @@ def _ab_above(a, b, x, out=None, tmp=None):
     return np.greater(np.minimum(a, b, out=tmp), x, out=out)
 
 
-def _cd_inside(a, b, c, d, tol, out=None, scratch=None):
-    """|c|, |d| < sqrt(ab) + tol on 1-d float arrays: the c, d half of the classical test.
-
-    ``out`` receives the bool mask; ``scratch`` is two float arrays and one
-    bool array of a's length, so that a caller running it tile after tile
-    allocates nothing.
-    """
-    if scratch is None:
-        scratch = _scratch(a.shape, 2, 1)
-    sab, abs_x, tmp = scratch
-    np.multiply(a, b, out=sab)
-    np.maximum(sab, 0.0, out=sab)
-    np.sqrt(sab, out=sab)
-    sab += tol
-    out = np.less(np.abs(c, out=abs_x), sab, out=out)
-    out &= np.less(np.abs(d, out=abs_x), sab, out=tmp)
-    return out
-
-
 def _c_bounds(a, b, ab, am1, bm1, out=None):
     """The quantum c-bound cb and the separability c-bound sqrt(c3), elementwise.
 
@@ -407,6 +388,19 @@ def _classical_labels(a, b, c, d, ab, tol, out=None, scratch=None):
     return out
 
 
+def _label_slack(ab, tol, out=None):
+    """The slack s = (1e-9 + 8|tol|(1 + |tol|))(1 + ab)^2 of :func:`_may_have_label`, elementwise.
+
+    It grows with |1 + ab|, and so does its float value: at any point of a
+    rectangle in (a, b) it is at most its largest value at the four corners.
+    """
+    t = abs(tol)
+    s = np.add(ab, 1.0, out=out)
+    s *= s
+    s *= 1e-9 + 8.0 * t * (1.0 + t)
+    return s
+
+
 def _may_have_label(a, b, c, d, ab, tol, label, out=None, scratch=None):
     """A necessary test for ``label`` 2 or 3 of :func:`_classical_labels`, given ab = a*b.
 
@@ -419,7 +413,7 @@ def _may_have_label(a, b, c, d, ab, tol, label, out=None, scratch=None):
     :func:`_classical_labels` spell this out.  So entangled (label 3) needs
     |Y| < -2cd and separable (label 2) needs Y >= 2|cd|.
 
-    Both tests allow the slack s = (1e-9 + 8|tol|(1 + |tol|))(1 + ab)^2.
+    Both tests allow the slack s of :func:`_label_slack`.
     The labels need p > 0, so c^2 < ab, and then sqrt(Delta) <= (1 + ab)^2.
     With t = |tol|: moving an end of [d1, d2] out by t lowers X there by at
     most t(2 sqrt(Delta) + p t) <= 2t(1 + t)(1 + ab)^2.  A point that the
@@ -441,10 +435,7 @@ def _may_have_label(a, b, c, d, ab, tol, label, out=None, scratch=None):
     y -= np.multiply(a, a, out=cd)
     y -= np.multiply(b, b, out=cd)
     y += 1.0
-    t = abs(tol)
-    np.add(ab, 1.0, out=s)
-    s *= s
-    s *= 1e-9 + 8.0 * t * (1.0 + t)
+    s = _label_slack(ab, tol, out=s)
     np.multiply(c, d, out=cd)
     cd += cd
     if label == 3:
@@ -475,8 +466,8 @@ def domain_labels(a, b, c, d, tol: float = DEFAULT_TOL) -> np.ndarray:
     a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, d)))
     shape = a.shape
     a, b, c, d = (x.ravel() for x in (a, b, c, d))
-    classical = _ab_above(a, b, -tol)
-    classical &= _cd_inside(a, b, c, d, tol)
+    sab = np.sqrt(np.maximum(a * b, 0.0)) + tol
+    classical = _ab_above(a, b, -tol) & (np.abs(c) < sab) & (np.abs(d) < sab)
     lab = classical.astype(np.uint8)
     idx = np.flatnonzero(classical)
     a, b, c, d = a[idx], b[idx], c[idx], d[idx]

@@ -7,8 +7,9 @@ import warnings
 
 import pytest
 
+import gaussvol.cli as cli
 from gaussvol.cli import main, parse_matrix_file, parse_value_list
-from gaussvol.errors import InvalidArgumentError, MatrixParseError
+from gaussvol.errors import InvalidArgumentError, MatrixParseError, NumericError
 from gaussvol.integrate import upsilon_box
 
 VOLUME_HEADER = (
@@ -220,14 +221,15 @@ def test_volume_rejects_out_of_range_input(flags, capsys):
 
 
 # the data row of each benchmark workload at 200k samples and seed 1, recorded
-# before the labelling prefilter; a kernel speed-up must keep these bytes
+# when c and d were first drawn on the classical slice; a kernel speed-up must
+# keep these bytes
 _PINNED_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
-        "entangled,adj,kappa,5.0,4,0.28278397797539917,0.04056085617269509,0.014765,0,200000,"
+        "entangled,adj,kappa,5.0,4,0.30792443751505333,0.010900892475236009,0.047965,0,200000,"
         "1,4,pseudo,0.0,6.324555320336758,0.0,6.324555320336758,-6.324555320336758,"
         "6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "separable", "--E", "8"):
-        "separable,energy,E,8.0,4,5.27211904480058,0.08887613500546214,0.0178,0,200000,1,4,"
+        "separable,energy,E,8.0,4,5.320990753223119,0.07710493086603686,0.023835,0,200000,1,4,"
         "pseudo,0.0,4.0,0.0,4.0,-2.0,2.0,-2.0,2.0",
 }
 
@@ -241,14 +243,15 @@ def test_volume_benchmark_rows_pinned(flags, capsys):
 
 
 # one stream of 400k samples runs 7 tiles, so these rows cover a stream whose
-# labelling and sums span several tiles; recorded before the batched stage 3
+# labelling and sums span several tiles; recorded with the slice draw, like
+# the rows above
 _PINNED_MULTI_TILE_ROWS = {
     ("--set", "quantum", "--kappa", "5"):
-        "quantum,adj,kappa,5.0,4,0.4838525735691915,0.0330399743791264,0.184065,0,400000,1,1,"
+        "quantum,adj,kappa,5.0,4,0.4675754138882343,0.008295633642229258,0.4691,0,400000,1,1,"
         "pseudo,0.0,6.324555320336758,0.0,6.324555320336758,-6.324555320336758,"
         "6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "classical", "--E", "8"):
-        "classical,energy,E,8.0,4,46.851757001968494,0.2181819410171119,0.1665,0,400000,1,1,"
+        "classical,energy,E,8.0,4,46.96024098709306,0.17550442441542016,0.5015025,0,400000,1,1,"
         "pseudo,0.0,4.0,0.0,4.0,-2.0,2.0,-2.0,2.0",
 }
 
@@ -383,13 +386,38 @@ def test_write_config_only_after_validation(argv, tmp_path, capsys):
     ["sweep", "--E", "4,8", "--out"],
     ["volume", "--E", "8", "--write-config"],
 ], ids=["volume_out", "sweep_out", "write_config"])
-def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+def test_unwritable_output_exits_2(argv, tmp_path, capsys, monkeypatch):
+    # the path is checked before any pass runs, so a typo costs no estimate
+    def never(*args, **kwargs):
+        raise AssertionError("a pass ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "mc_volume", never)
+    monkeypatch.setattr(cli, "sweep", never)
     path = tmp_path / "missing" / "x.csv"
     assert main(argv + [str(path), "--samples", "10000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {path}: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["volume", "--E", "8"], ["sweep", "--E", "4,8"]],
+                         ids=["volume", "sweep"])
+def test_failed_run_leaves_output_path_alone(argv, tmp_path, capsys, monkeypatch):
+    # checking the path before the run neither truncates an existing file nor
+    # leaves a new one behind when the run then fails
+    def fail(*args, **kwargs):
+        raise NumericError("the pass failed")
+
+    monkeypatch.setattr(cli, "mc_volume", fail)
+    monkeypatch.setattr(cli, "sweep", fail)
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("earlier results\n", encoding="utf-8")
+    for path in (old, new):
+        assert main(argv + ["--samples", "10000", "--out", str(path)]) == 5
+        assert capsys.readouterr().err == "error: the pass failed\n"
+    assert old.read_text(encoding="utf-8") == "earlier results\n"
+    assert not new.exists()
 
 
 # ---------------------------------------------------------------- warnings

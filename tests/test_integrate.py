@@ -448,7 +448,7 @@ def test_first_bad_point_named_across_tiles(monkeypatch):
     ss = np.random.SeedSequence(8)
     rng = np.random.default_rng(ss)
     _reference_tile(rng, tile, box, spec, 1e-9)
-    a, b, c, d = _reference_tile(rng, tile, box, spec, 1e-9)
+    (a, b, c, d), _ = _reference_tile(rng, tile, box, spec, 1e-9)
     real = integrate.regularizer_values
 
     def nan_in_second_tile(a2, b2, c2, d2, spec, **scratch):
@@ -582,10 +582,30 @@ def _reference_weights(a, b, c, d, spec):
     return reg * dens
 
 
+def _reference_cd(a, b, u, box, tol):
+    """c and d from the uniforms u (2, n), each uniform on its classical slice.
+
+    The slice is |x| < sqrt(ab) + tol clipped to the box's side.  Also
+    returns each point's weight factor, the product of the two slices'
+    lengths over the box's c and d spans, which is 0 where a slice is empty.
+    """
+    h = np.sqrt(np.maximum(a * b, 0.0)) + tol
+    cd, lengths = [], []
+    for i, x in zip((2, 3), u):
+        start = np.maximum(-h, box.lo[i])
+        length = np.minimum(h, box.hi[i]) - start
+        cd.append(start + x * length)
+        lengths.append(length)
+    lc, ld = lengths
+    per = 1.0 / ((box.hi[2] - box.lo[2]) * (box.hi[3] - box.lo[3]))
+    return (*cd, np.where((lc > 0.0) & (ld > 0.0), lc * ld * per, 0.0))
+
+
 def _reference_tile(rng, t, box, spec, tol):
     """One pseudo tile's points that pass the a, b tests and the energy cutoff, as (4, n).
 
-    a(t) and b(t) come first in the stream, then c and d for the n survivors.
+    a(t) and b(t) come first in the stream, then the uniforms of c and d for
+    the n survivors.  Also returns each point's weight factor (_reference_cd).
     """
     lo, span = np.asarray(box.lo)[:, None], np.subtract(box.hi, box.lo)[:, None]
     a, b = lo[:2] + rng.random((2, t)) * span[:2]
@@ -593,8 +613,8 @@ def _reference_tile(rng, t, box, spec, tol):
     if spec.kind is RegKind.ENERGY_PHI:
         first &= 2.0 * (a + b) <= spec.bound_E
     a, b = a[first], b[first]
-    c, d = lo[2:] + rng.random((2, a.size)) * span[2:]
-    return np.array([a, b, c, d])
+    c, d, f = _reference_cd(a, b, rng.random((2, a.size)), box, tol)
+    return np.array([a, b, c, d]), f
 
 
 def _reference_stream_partial(child_ss, count, box, spec, tol, sampler):
@@ -604,7 +624,8 @@ def _reference_stream_partial(child_ss, count, box, spec, tol, sampler):
     a, b tests and the cutoff; qmc draws every point in full.  Every
     classical point drawn is weighted, so for qmc the kernel's sums must show
     that dropping the points outside the energy cutoff changes no bits; only
-    hits leave those points out.
+    hits leave those points out.  A point whose c or d slice is empty is not
+    classical.
     """
     lo = np.asarray(box.lo)
     span = np.asarray(box.hi) - lo
@@ -620,20 +641,18 @@ def _reference_stream_partial(child_ss, count, box, spec, tol, sampler):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 u = sob.random(t)
-            cols = np.empty((4, t))
-            for j in range(4):
-                np.multiply(u[:, j], span[j], out=cols[j])
-                cols[j] += lo[j]
-            return cols
+            a, b = (u[:, j] * span[j] + lo[j] for j in range(2))
+            c, d, f = _reference_cd(a, b, u[:, 2:].T, box, tol)
+            return np.array([a, b, c, d]), f
 
     s1, s2, hits = np.zeros(4), np.zeros(4), np.zeros(4, dtype=np.int64)
     for done in range(0, count, integrate._TILE):
-        cols = draw(min(integrate._TILE, count - done))
-        lab = _reference_labels(*cols, tol)
+        cols, f = draw(min(integrate._TILE, count - done))
+        lab = np.where(f > 0.0, _reference_labels(*cols, tol), 0)
         idx = np.flatnonzero(lab)
         lab = lab[idx]
         a, b, c, d = np.take(cols, idx, axis=1)
-        w = _reference_weights(a, b, c, d, spec)
+        w = _reference_weights(a, b, c, d, spec) * f[idx]
         s1 += np.bincount(lab, weights=w, minlength=4)
         s2 += np.bincount(lab, weights=w * w, minlength=4)
         if spec.kind is RegKind.ENERGY_PHI:
@@ -657,7 +676,18 @@ _ORACLE_CASES = [
     # inside it and tens of thousands outside
     (5 * integrate._TILE + 3, sampler, "E4.5", False, tol)
     for sampler, tol in (("pseudo", 1e-9), ("qmc", 1e-3))
+] + [
+    # c and d on different sides that leave out 0, so that the slices
+    # differ and some are empty: the c slice where sqrt(ab) + tol <= 0.5 in
+    # the first box, the d slice in the second
+    (2 * integrate._TILE + 3, sampler, reg, skew, tol)
+    for sampler, reg, skew, tol in (("pseudo", "E", "skew_c", 1e-9),
+                                    ("qmc", "kappa", "skew_d", 0.0))
 ]
+_SKEW_BOXES = {
+    "skew_c": Box(lo=(0.0, 0.0, 0.5, -3.0), hi=(4.0, 4.0, 2.0, -0.25)),
+    "skew_d": Box(lo=(0.0, 0.0, 0.25, -3.0), hi=(4.0, 4.0, 2.0, -0.5)),
+}
 
 
 @pytest.mark.parametrize("count,sampler,reg,wide,tol", _ORACLE_CASES)
@@ -666,13 +696,15 @@ def test_tiled_kernel_matches_untiled_reference(count, sampler, reg, wide, tol):
         spec = RegularizerSpec.adjugate(2.0)
     else:
         spec = RegularizerSpec.energy(8.0 if reg == "E" else float(reg[1:]))
-    if reg == "kappa":
+    if wide in _SKEW_BOXES:
+        box = _SKEW_BOXES[wide]
+    elif reg == "kappa":
         box = integrate._sym_box(16.0 if wide else 8.0)
     else:
         # the wide box holds twice E = 8's phi_box in a and b, four times in c and d
         box = integrate._sym_box(8.0) if wide else phi_box(spec.bound_E)
     # a fresh SeedSequence for each kernel: scipy's Sobol spawns from the one it is given
-    seed = [count, len(sampler), len(reg), int(wide)]
+    seed = [count, len(sampler), len(reg), len(wide) if wide in _SKEW_BOXES else int(wide)]
     want = _reference_stream_partial(np.random.SeedSequence(seed), count, box, spec, tol,
                                      sampler)
     # a kernel scoring some labels gives their bins bit for bit and 0 in the others
@@ -718,7 +750,7 @@ def test_batch_size_changes_no_bit(monkeypatch, sampler, reg):
 
 def test_weights_computed_once_per_batch(monkeypatch):
     # one 2M-sample stream of the damped workload's entangled pass runs 31
-    # tiles, each bringing at most 1100 points to stage 3, so weighting once
+    # tiles, each bringing at most 3400 points to stage 3, so weighting once
     # per tile would call regularizer_values 31 times
     real, calls = integrate.regularizer_values, []
 
@@ -733,7 +765,7 @@ def test_weights_computed_once_per_batch(monkeypatch):
                                             RegularizerSpec.adjugate(5.0), 1e-9, "pseudo", (3,))
     monkeypatch.setattr(integrate, "regularizer_values", counting)
     got = run()
-    assert tiles == 31 and len(calls) <= math.ceil(tiles / (integrate._BATCH // 1100)) + 1, calls
+    assert tiles == 31 and len(calls) <= math.ceil(tiles / (integrate._BATCH // 3400)) + 1, calls
     # with the bits of weighting each tile alone
     monkeypatch.setattr(integrate, "_BATCH", 1)
     for g, w in zip(got, run()):
@@ -766,6 +798,29 @@ def test_enlarged_box_same_integral():
     big = mc_joint_volumes(big_box, spec, 120_000, seed=23).result(DomainTag.CLASSICAL)
     sigma = math.hypot(small.std_error, big.std_error)
     assert abs(small.estimate - big.estimate) < 4.0 * sigma
+
+
+# the two benchmark cases with exact values: kappa = 5 entangled inside its
+# support box (side 4 sqrt(5/2) = 6.3246), from _quad's rule at order 32,
+# where orders 24 and 40 agree to 2e-9; and E = 8 separable, from a 3-d rule
+# exact to 1e-10
+_EXACT_CASES = {
+    "kappa5_entangled": (DomainTag.ENTANGLED, RegularizerSpec.adjugate(5.0), 0.2965308),
+    "E8_separable": (DomainTag.SEPARABLE, RegularizerSpec.energy(8.0), 5.1866948377),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXACT_CASES))
+def test_error_bars_honest_against_exact_values(case):
+    # over 50 seeds the estimates spread as their reported errors say, and
+    # their mean lies within 4 standard errors of the exact value
+    tag, spec, exact = _EXACT_CASES[case]
+    runs = [mc_volume(IntegrationRequest(tag, spec, 200_000, seed=seed, streams=4))
+            for seed in range(50)]
+    est = np.array([r.estimate for r in runs])
+    se = math.sqrt(np.mean([r.std_error ** 2 for r in runs]))
+    assert 0.75 <= est.std(ddof=1) / se <= 1.33, est.std(ddof=1) / se
+    assert abs(est.mean() - exact) <= 4.0 * se / math.sqrt(len(runs)), (est.mean(), se)
 
 
 def test_qmc_sampler_agrees():

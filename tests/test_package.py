@@ -60,6 +60,9 @@ def test_private_submodule_still_imports():
 
 # modules that no volume or sweep run uses
 _UNUSED_BY_RUNS = ("gaussvol.states", "gaussvol.metric", "concurrent.futures", "logging")
+# and what a pseudo run does not use either: scipy, which only --sampler qmc
+# needs, takes most of a second to import
+_UNUSED_BY_PSEUDO_RUNS = (*_UNUSED_BY_RUNS, "numpy.polynomial", "scipy")
 
 
 def _loaded(code, names):
@@ -75,7 +78,13 @@ def test_volume_run_loads_only_the_volume_path():
     argv = ["volume", "--set", "entangled", "--kappa", "5", "--samples", "10000", "--seed", "1",
             "--out", os.devnull]
     code = f"import gaussvol.cli as cli; assert cli.main({argv!r}) == 0"
-    assert _loaded(code, (*_UNUSED_BY_RUNS, "numpy.polynomial")) == []
+    assert _loaded(code, _UNUSED_BY_PSEUDO_RUNS) == []
+
+
+def test_energy_sweep_loads_only_the_volume_path():
+    argv = ["sweep", "--E", "4,8", "--samples", "10000", "--seed", "1", "--out", os.devnull]
+    code = f"import gaussvol.cli as cli; assert cli.main({argv!r}) == 0"
+    assert _loaded(code, _UNUSED_BY_PSEUDO_RUNS) == []
 
 
 # ---------------------------------------------------------------- BLAS default

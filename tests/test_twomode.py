@@ -34,6 +34,7 @@ from gaussvol.twomode import (
     volume_density,
     _c_bounds,
     _d_interval,
+    _label_slack,
     _may_have_label,
 )
 
@@ -480,6 +481,12 @@ def test_may_have_label_keeps_every_labelled_point(tol):
         assert np.count_nonzero(at) > 10_000, label
         kept = _may_have_label(a[at], b[at], c[at], d[at], a[at] * b[at], tol, label)
         assert kept.all(), (label, np.flatnonzero(at)[~kept][:5])
+    # and so is the stream kernel's entangled pre-test cd < s_max / 2, here
+    # with the slack at each point's own ab, which is at most the slack s_max
+    # at the largest ab of the box
+    at = lab == 3
+    kept = c[at] * d[at] < _label_slack(a[at] * b[at], tol) / 2.0
+    assert kept.all(), np.flatnonzero(at)[~kept][:5]
 
 
 def test_may_have_label_entangled_is_selective():
@@ -489,7 +496,7 @@ def test_may_have_label_entangled_is_selective():
     box = upsilon_box(5.0, domain=DomainTag.ENTANGLED)
     lo = np.asarray(box.lo)[:, None]
     a, b, c, d = lo + np.random.default_rng(2).random((4, 400_000)) * (np.asarray(box.hi)[:, None] - lo)
-    # the stage-3 points of the stream kernel: classical, min(a, b) > 1 - tol
+    # the box's classical points with min(a, b) > 1 - tol
     stage3 = (domain_labels(a, b, c, d, 1e-9) > 0) & (np.minimum(a, b) > 1.0 - 1e-9)
     a, b, c, d = a[stage3], b[stage3], c[stage3], d[stage3]
     kept = _may_have_label(a, b, c, d, a * b, 1e-9, 3)
