@@ -235,19 +235,22 @@ def _write(path: str, text: str) -> None:
 def _check_out(path: str | None) -> None:
     """Fail now, before any pass runs, when the CSV cannot be written to ``path``.
 
-    The file is opened to append, which truncates nothing, and one that did
-    not exist is removed again, so a run that fails later leaves ``path`` as
-    it was.
+    A regular file is opened to append, which truncates nothing, and one that
+    did not exist is removed again (through a dangling link, the file it
+    made), so a run that fails later leaves ``path`` as it was.  A named pipe
+    or a device is not opened, since its reader would see the probe.
     """
     if not path:
         return
-    existed = os.path.lexists(path)
+    existed = os.path.exists(path)
+    if existed and not (os.path.isfile(path) or os.path.isdir(path)):
+        return
     try:
         open(path, "a", encoding="utf-8").close()
     except OSError as exc:
         raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}")
     if not existed:
-        os.remove(path)
+        os.remove(os.path.realpath(path))
 
 
 def _emit(text: str, out_path: str | None) -> None:

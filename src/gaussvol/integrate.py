@@ -16,11 +16,12 @@ a set of domains in three stages per tile of draws.  Every sample draws a
 and b and must pass min(a, b) > -tol (a test skipped when the box's lower
 a, b bounds already exceed -tol) and, for the energy cutoff, tr V <= E.
 Only the survivors draw c and d.  Only points that can carry a scored label
-are labelled: when the classical-only label is not scored, points with
-min(a, b) <= 1 - tol are dropped before c and d are put on their slices;
-points whose slice is empty are dropped; and when separable or entangled
+are labelled: points with min(a, b) <= 1 - tol have the classical-only
+label, and are dropped when that label is not scored and given it without
+a labelling pass when it is; points whose slice is empty are dropped; and
+when separable or entangled
 alone is scored, a necessary test on Simon's invariant drops the points
-that cannot be, after a cheaper sign test on cd for entangled.  One
+that cannot be, after a cheaper bound on cd for entangled.  One
 labelling pass then gives each point left the
 innermost domain holding it (classical only, separable or entangled), and
 only points with a scored label are weighted, with the closed-form
@@ -211,8 +212,6 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
                     sampler: str, labels: tuple):
     lo = np.asarray(box.lo)[:, None]
     span = np.asarray(box.hi)[:, None] - lo
-    # c and d are drawn on the same slice when their box sides agree
-    same_cd = box.lo[2] == box.lo[3] and box.hi[2] == box.hi[3]
     # a slice-drawn point's weight is scaled by its slice lengths over the c, d spans
     per_cd = 1.0 / (span[2, 0] * span[3, 0])
     tile = min(_TILE, count)
@@ -234,13 +233,17 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     # below the 4 MiB from which numpy asks for huge pages, which a few
     # touched bytes would make resident in full
     f_buf = np.empty((5, size))
-    lab_buf = np.empty(size, dtype=np.intp)
+    # the labels of a stage-3 batch, and of the points of it that are labelled
+    lab_buf = np.empty((2, size), dtype=np.intp)
     b_buf = np.empty((3, size), dtype=bool)
     # the stage-3 points queued from tiles first, first + 1, ..., each with
     # the key 4 * (its tile - first)
     queue = np.empty((4, cap))
     qkey = np.empty(cap, dtype=np.intp)
     scored = np.isin(np.arange(4), labels)  # scored[l]: label l is weighted and counted
+    # a pass that scores label 1 scores every classical label, and labels
+    # only the points with min(a, b) > 1 - tol, gathered here
+    sub_buf = np.empty(4 * size) if scored[1] else None
     # a single scored quantum label has a cheap necessary test (_may_have_label)
     prefilter = labels in ((2,), (3,))
     # ... and entangled alone a cheaper one before it: 2cd < the test's slack,
@@ -268,9 +271,18 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
             return
         a, b, c, d = pts
         rows = _rows(spare, 9, n) if 9 * n <= spare.size else (*_rows(spare, 4, n), *f_buf[:, :n])
-        ab = np.multiply(a, b, out=rows[0])
-        lab = _classical_labels(a, b, c, d, ab, tol, out=lab_buf[:n],
-                                scratch=(*rows[1:8], *b_buf[:, :n]))
+        lab = lab_buf[0, :n]
+        todo, idx = pts, None
+        if scored[1]:
+            # a classical point with min(a, b) <= 1 - tol has label 1
+            lab.fill(1)
+            todo, idx = _take(_ab_above(a, b, 1.0 - tol, out=b_buf[0, :n], tmp=rows[0]), pts, sub_buf)
+        m = todo.shape[1]
+        _classical_labels(*todo, np.multiply(*todo[:2], out=rows[0][:m]), tol,
+                          out=lab if idx is None else lab_buf[1, :m],
+                          scratch=(*(x[:m] for x in rows[1:8]), *b_buf[:, :m]))
+        if idx is not None:
+            lab[idx] = lab_buf[1, :m]
         keep = np.take(scored, lab, out=b_buf[0, :n], mode="clip")
         if key is not None:
             lab += key
@@ -289,7 +301,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         # times the lengths of the slices c and d were drawn on, over the box's spans
         h = _half_width(a, b, tol, out=dens)
         f = _slice(h, box.lo[2], box.hi[2], out=(f1, f2))[1]
-        f *= f if same_cd else _slice(h, box.lo[3], box.hi[3], out=(f1, f3))[1]
+        f *= _slice(h, box.lo[3], box.hi[3], out=(f1, f3))[1]
         f *= per_cd
         w *= f
         finite = np.isfinite(w, out=m1)
@@ -332,21 +344,11 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         if keep is not None:
             pts, _ = _take(keep, pts, bufs[1], rows=rows)
         # stage 2, the survivors: the uniforms of c and d, which every
-        # survivor draws.  The points sure to have an unscored label are
-        # dropped, and the rest get c and d uniform on the classical slice
-        # |c|, |d| < sqrt(ab) + tol clipped to the box
+        # survivor draws and which put c and d uniformly on the classical
+        # slice |c|, |d| < sqrt(ab) + tol clipped to the box.  Then the
+        # points sure to have an unscored label are dropped
         if sampler == "pseudo":
             rng.random(out=pts[2:])
-        above = None
-        if not scored[1]:
-            # a classical point with min(a, b) <= 1 - tol has label 1.  The
-            # points are gathered here only if this drops most of them, and
-            # else dropped with the rest below
-            n = pts.shape[1]
-            above = _ab_above(*pts[:2], 1.0 - tol, out=b_buf[2, :n], tmp=other(pts)[:n])
-            if 2 * np.count_nonzero(above) < n:
-                pts, _ = _take(above, pts, other(pts))
-                above = None
         n = pts.shape[1]
         a, b, c, d = pts
         keep, inside = b_buf[:2, :n]
@@ -356,15 +358,15 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         np.greater(length, 0.0, out=keep)
         c *= length
         c += start
-        if not same_cd:
-            _slice(h, box.lo[3], box.hi[3], out=(start, length))
-            keep &= np.greater(length, 0.0, out=inside)
+        _slice(h, box.lo[3], box.hi[3], out=(start, length))
+        keep &= np.greater(length, 0.0, out=inside)
         d *= length
         d += start
-        # a point whose slice is empty goes, as does one that fails the
-        # entangled pre-test
-        if above is not None:
-            keep &= above
+        # a point whose slice is empty goes, as does one sure to have label
+        # 1 when that is not scored (min(a, b) <= 1 - tol), and one that
+        # fails the entangled pre-test
+        if not scored[1]:
+            keep &= _ab_above(a, b, 1.0 - tol, out=inside, tmp=h)
         if cd_max is not None:
             keep &= np.less(np.multiply(c, d, out=h), cd_max, out=inside)
         pts, _ = _take(keep, pts, other(pts))

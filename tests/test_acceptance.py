@@ -255,8 +255,10 @@ def test_criterion_08_limits():
     # large-damping asymptote: quantum/classical ratio settles
     r_tail = []
     for kappa, seed in ((50.0, 802), (100.0, 803)):
-        # both boxes are capped at 2 L0; with uncapped boxes, far larger, the
-        # uniform sampler's estimates scatter too widely for this check
+        # both boxes are capped at 2 L0.  The uncapped boxes are far larger,
+        # and with c and d drawn across them the estimates scattered too
+        # widely for this check; the slice draw spreads only a and b over
+        # them, which has not been re-measured (ROADMAP item 8)
         box = _capped_box(kappa)
         jv_k = mc_joint_volumes(box, RegularizerSpec.adjugate(kappa), 1_000_000, seed=seed, streams=8)
         r_tail.append(jv_k.ratio(Q))

@@ -1,6 +1,7 @@
 """CLI surface: reports, CSV shapes, exit codes, config round trips."""
 
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -409,15 +410,33 @@ def test_failed_run_leaves_output_path_alone(argv, tmp_path, capsys, monkeypatch
     def fail(*args, **kwargs):
         raise NumericError("the pass failed")
 
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
     monkeypatch.setattr(cli, "mc_volume", fail)
     monkeypatch.setattr(cli, "sweep", fail)
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
     old, new = tmp_path / "old.csv", tmp_path / "new.csv"
     old.write_text("earlier results\n", encoding="utf-8")
-    for path in (old, new):
-        assert main(argv + ["--samples", "10000", "--out", str(path)]) == 5
-        assert capsys.readouterr().err == "error: the pass failed\n"
+    # a dangling link stays dangling, and a named pipe is not opened, which
+    # would hand its reader an end of file before the run
+    link, pipe = tmp_path / "link.csv", tmp_path / "pipe"
+    link.symlink_to(tmp_path / "target.csv")
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # so that opening it to write cannot block
+    try:
+        for path in (old, new, link, pipe):
+            assert main(argv + ["--samples", "10000", "--out", str(path)]) == 5
+            assert capsys.readouterr().err == "error: the pass failed\n"
+    finally:
+        os.close(reader)
     assert old.read_text(encoding="utf-8") == "earlier results\n"
     assert not new.exists()
+    assert link.is_symlink() and not (tmp_path / "target.csv").exists()
+    assert opened == [str(old), str(new), str(link)]
 
 
 # ---------------------------------------------------------------- warnings
