@@ -15,16 +15,14 @@ part, and its iid error bar stays honest.  A pass scores
 a set of domains in three stages per tile of draws.  Every sample draws a
 and b and must pass min(a, b) > -tol (a test skipped when the box's lower
 a, b bounds already exceed -tol) and, for the energy cutoff, tr V <= E.
-Only the survivors draw c and d.  Only points that can carry a scored label
-are labelled: points with min(a, b) <= 1 - tol have the classical-only
-label, and are dropped when that label is not scored and given it without
-a labelling pass when it is; points whose slice is empty are dropped; and
-when separable or entangled
-alone is scored, a necessary test on Simon's invariant drops the points
-that cannot be, after a cheaper bound on cd for entangled.  One
-labelling pass then gives each point left the
-innermost domain holding it (classical only, separable or entangled), and
-only points with a scored label are weighted, with the closed-form
+Only the survivors draw c and d.  Points whose slice is empty are dropped,
+and so are points sure to carry an unscored label: those with
+min(a, b) < 1 - tol, which are classical only, when that label is not
+scored, and those with fl(c*d) >= 0, which are PPT, when entangled alone
+is scored.  One labelling pass, Simon's test on the smallest symplectic
+eigenvalue of V and of its partial transpose, then gives each point left
+the innermost domain holding it (classical only, separable or entangled),
+and only points with a scored label are weighted, with the closed-form
 sqrt(det g).  Weighted sums and hits are kept per label and every domain is
 a fixed set of labels, so nested domains are ordered exactly.  The draws do
 not depend on the scored domains, so a pass scoring one domain gives it the
@@ -43,12 +41,12 @@ Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from the children of the seed's SeedSequence, and partial sums are
 combined by a fixed-order pairwise reduction; results are bit-identical for
 a fixed (seed, streams, n_samples).  A stream works in tiles of ``_TILE``
-points on scratch it allocates once.  Stages 1 and 2 and the Simon test run
-per tile; the points left queue up, and the labelling, weighting and
-summing run once per batch of consecutive tiles, so that a rare domain
-pays the fixed cost of those numpy calls once per batch, not per tile.
-Each tile still keeps its own sums: one ``bincount`` per sum over the
-batch, keyed by tile and label, adds each tile's weights in draw order, as
+points on scratch it allocates once.  Stages 1 and 2 and the labelling run
+per tile; the points with a scored label queue up, keyed by tile and label,
+and the weighting and summing run once per batch of consecutive tiles, so
+that a rare domain pays the fixed cost of those numpy calls once per batch,
+not per tile.  Each tile still keeps its own sums: one ``bincount`` per sum
+over the batch adds each tile's weights in draw order, as
 a ``bincount`` of that tile alone does, and the tiles' sums are added up in
 tile order.  So the batch size changes no bit.  A pseudo stream is consumed
 per tile as a(t) and b(t), then the uniforms of c(k) and d(k) for the k
@@ -78,15 +76,8 @@ from . import _quad
 from .errors import InvalidArgumentError, NumericError
 # the kernel looks regularizer_values up here, where perfbench/tracing.py wraps it
 from .regularizers import RegKind, RegularizerSpec, _in_energy_support, regularizer_values
-from .twomode import (
-    DOMAIN_LABELS,
-    DomainTag,
-    volume_density,
-    _ab_above,
-    _classical_labels,
-    _label_slack,
-    _may_have_label,
-)
+from .twomode import (DOMAIN_LABELS, DomainTag, volume_density, _ab_above, _ab_quantum,
+                      _classical_labels)
 # unused here, but perfbench/tracing.py wraps these two attributes of this module
 from .twomode import domain_mask, metric_components  # noqa: F401
 
@@ -109,7 +100,7 @@ DOMAIN_ORDER = (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE, Dom
 # _TILE is the working set of a stream and fixes its bits: the pseudo
 # stream's layout and the summation order of every sum
 _TILE = 1 << 16
-# stage 3 (labelling, weighting and summing) runs once per batch of at most
+# stage 3 (weighting and summing) runs once per batch of at most
 # _BATCH points from consecutive tiles; a tile keeps its own sums, so the
 # batch size changes no bit
 _BATCH = 1 << 13
@@ -197,8 +188,8 @@ def _half_width(a, b, tol, out):
 def _slice(h, lo, hi, out):
     """Start and length of the slice (-h, h) clipped to the box side (lo, hi], elementwise.
 
-    ``out`` is two float arrays of h's shape; the length is <= 0 where the
-    clipped slice is empty.
+    ``out`` is two float arrays of h's shape, the second of which may be h;
+    the length is <= 0 where the clipped slice is empty.
     """
     start, length = out
     np.negative(h, out=start)
@@ -218,7 +209,9 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     cap = min(_BATCH, count)
     size = max(tile, cap)
     # a tile's points live in one of two flat buffers; each stage works in the
-    # other one and then gathers its survivors into it
+    # other one and then gathers its survivors into it.  Every buffer stays
+    # below the 4 MiB from which numpy asks for huge pages, which a few
+    # touched bytes would make resident in full
     bufs = (np.empty(4 * size), np.empty(4 * size))
     other = lambda pts: bufs[np.may_share_memory(pts, bufs[0])]
     if sampler == "pseudo":
@@ -227,31 +220,14 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         from scipy.stats import qmc
 
         sob = qmc.Sobol(d=4, scramble=True, seed=np.random.default_rng(child_ss))
-    # stage 3 works in nine rows: the labelling in the first eight, the
-    # weighting in the last five.  A batch finds them in the other buffer; a
-    # tile that runs alone takes four there and five here.  Every buffer stays
-    # below the 4 MiB from which numpy asks for huge pages, which a few
-    # touched bytes would make resident in full
-    f_buf = np.empty((5, size))
-    # the labels of a stage-3 batch, and of the points of it that are labelled
-    lab_buf = np.empty((2, size), dtype=np.intp)
+    # the labels of a tile's stage-2 survivors
+    lab_buf = np.empty(tile, dtype=np.uint8)
     b_buf = np.empty((3, size), dtype=bool)
     # the stage-3 points queued from tiles first, first + 1, ..., each with
-    # the key 4 * (its tile - first)
+    # the key 4 * (its tile - first) + its label
     queue = np.empty((4, cap))
     qkey = np.empty(cap, dtype=np.intp)
     scored = np.isin(np.arange(4), labels)  # scored[l]: label l is weighted and counted
-    # a pass that scores label 1 scores every classical label, and labels
-    # only the points with min(a, b) > 1 - tol, gathered here
-    sub_buf = np.empty(4 * size) if scored[1] else None
-    # a single scored quantum label has a cheap necessary test (_may_have_label)
-    prefilter = labels in ((2,), (3,))
-    # ... and entangled alone a cheaper one before it: 2cd < the test's slack,
-    # which is largest at a corner of the box's a, b rectangle
-    cd_max = None
-    if labels == (3,):
-        corners = np.outer((box.lo[0], box.hi[0]), (box.lo[1], box.hi[1]))
-        cd_max = _label_slack(corners, tol).max() / 2.0
     # a and b are drawn at or above their lower bounds, so above -tol when those are
     ab_test = not (box.lo[0] > -tol and box.lo[1] > -tol)
     # each tile's sums, one row per tile, added up in tile order at the end
@@ -261,47 +237,23 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     hits = np.zeros(s1.shape, dtype=np.int64)
 
     def stage3(pts, key, j0, k, spare):
-        """Label, weight and sum the (4, n) points of tiles j0, ..., j0 + k - 1.
+        """Weight and sum the (4, n) points of tiles j0, ..., j0 + k - 1.
 
-        ``key`` holds 4 * (tile - j0) per point (None for a single tile);
-        ``spare`` is a free flat buffer to work in.
+        ``key`` holds 4 * (tile - j0) + label per point; ``spare`` is a free
+        flat buffer to work in.
         """
         n = pts.shape[1]
         if n == 0:
             return
         a, b, c, d = pts
-        rows = _rows(spare, 9, n) if 9 * n <= spare.size else (*_rows(spare, 4, n), *f_buf[:, :n])
-        lab = lab_buf[0, :n]
-        todo, idx = pts, None
-        if scored[1]:
-            # a classical point with min(a, b) <= 1 - tol has label 1
-            lab.fill(1)
-            todo, idx = _take(_ab_above(a, b, 1.0 - tol, out=b_buf[0, :n], tmp=rows[0]), pts, sub_buf)
-        m = todo.shape[1]
-        _classical_labels(*todo, np.multiply(*todo[:2], out=rows[0][:m]), tol,
-                          out=lab if idx is None else lab_buf[1, :m],
-                          scratch=(*(x[:m] for x in rows[1:8]), *b_buf[:, :m]))
-        if idx is not None:
-            lab[idx] = lab_buf[1, :m]
-        keep = np.take(scored, lab, out=b_buf[0, :n], mode="clip")
-        if key is not None:
-            lab += key
-        pts, idx = _take(keep, pts, spare)
-        n = pts.shape[1]
-        if n == 0:
-            return
-        if idx is not None:
-            lab = lab[idx]
-        a, b, c, d = pts
-        # the points' n columns lie in the first four rows' space
-        w, dens, f1, f2, f3 = (x[:n] for x in rows[4:])
+        w, h, f1, f2 = _rows(spare, 4, n)
         m1, m2 = b_buf[:2, :n]
-        w = np.multiply(regularizer_values(a, b, c, d, spec, out=w, scratch=(f1, f2, m1)),
-                        volume_density(a, b, c, d, out=dens, scratch=(f1, f2, f3, m1, m2)), out=w)
+        w = volume_density(a, b, c, d, out=w, scratch=(h, f1, f2, m1, m2))
+        w *= regularizer_values(a, b, c, d, spec, out=h, scratch=(f1, f2, m1))
         # times the lengths of the slices c and d were drawn on, over the box's spans
-        h = _half_width(a, b, tol, out=dens)
+        h = _half_width(a, b, tol, out=h)
         f = _slice(h, box.lo[2], box.hi[2], out=(f1, f2))[1]
-        f *= _slice(h, box.lo[3], box.hi[3], out=(f1, f3))[1]
+        f *= _slice(h, box.lo[3], box.hi[3], out=(f1, h))[1]
         f *= per_cd
         w *= f
         finite = np.isfinite(w, out=m1)
@@ -312,9 +264,9 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         # one bincount per sum over the batch, keyed by tile: each tile's
         # row adds its weights in draw order, as a bincount of that tile alone does
         own = slice(j0, j0 + k)
-        s1[own] = np.bincount(lab, weights=w, minlength=4 * k).reshape(k, 4)
-        s2[own] = np.bincount(lab, weights=np.multiply(w, w, out=w), minlength=4 * k).reshape(k, 4)
-        hits[own] = np.bincount(lab, minlength=4 * k).reshape(k, 4)
+        s1[own] = np.bincount(key, weights=w, minlength=4 * k).reshape(k, 4)
+        s2[own] = np.bincount(key, weights=np.multiply(w, w, out=w), minlength=4 * k).reshape(k, 4)
+        hits[own] = np.bincount(key, minlength=4 * k).reshape(k, 4)
 
     energy = spec.kind is RegKind.ENERGY_PHI
     first = queued = 0  # the queue holds tiles first, ..., j - 1 with queued points
@@ -342,7 +294,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
             inside = _in_energy_support(a, b, spec.bound_E, out=b_buf[1, :t], tmp=tmp)
             keep = inside if keep is None else np.logical_and(keep, inside, out=keep)
         if keep is not None:
-            pts, _ = _take(keep, pts, bufs[1], rows=rows)
+            pts = _take(keep, pts, bufs[1], rows=rows)[0]
         # stage 2, the survivors: the uniforms of c and d, which every
         # survivor draws and which put c and d uniformly on the classical
         # slice |c|, |d| < sqrt(ab) + tol clipped to the box.  Then the
@@ -363,20 +315,23 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         d *= length
         d += start
         # a point whose slice is empty goes, as does one sure to have label
-        # 1 when that is not scored (min(a, b) <= 1 - tol), and one that
-        # fails the entangled pre-test
+        # 1 when that is not scored (min(a, b) < 1 - tol), and, when
+        # entangled alone is scored, one with fl(c*d) >= 0, which is PPT
         if not scored[1]:
-            keep &= _ab_above(a, b, 1.0 - tol, out=inside, tmp=h)
-        if cd_max is not None:
-            keep &= np.less(np.multiply(c, d, out=h), cd_max, out=inside)
-        pts, _ = _take(keep, pts, other(pts))
-        if prefilter:
-            # only the points that may carry the scored label go on to stage 3
-            n = pts.shape[1]
-            ab, *f = _rows(other(pts), 4, n)
-            keep = _may_have_label(*pts, np.multiply(*pts[:2], out=ab), tol, labels[0],
-                                   out=b_buf[0, :n], scratch=f)
-            pts, _ = _take(keep, pts, other(pts))
+            keep &= _ab_quantum(a, b, tol, out=inside, tmp=h)
+        if labels == (3,):
+            keep &= np.less(np.multiply(c, d, out=h), 0.0, out=inside)
+        # the gather's index array is not kept: held to the next tile's gather,
+        # it would double that gather's memory
+        pts = _take(keep, pts, other(pts))[0]
+        # the labels of the points left; those with a scored label go on
+        n = pts.shape[1]
+        ab, *f = _rows(other(pts), 4, n)
+        lab = _classical_labels(*pts, np.multiply(*pts[:2], out=ab), tol, out=lab_buf[:n],
+                                scratch=(*f, *b_buf[:, :n]))
+        pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts, other(pts))
+        if idx is not None:
+            lab = lab[idx]
         # stage 3 once per batch of tiles: a tile that fills more than half
         # the queue runs alone, straight from its buffer, and any other
         # joins the queue, which runs first when it would overflow
@@ -386,11 +341,11 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
             stage3(queue[:, :queued], qkey[:queued], first, j - first, other(pts))
             first, queued = j, 0
         if alone:
-            stage3(pts, None, j, 1, other(pts))
+            stage3(pts, lab, j, 1, other(pts))
             first = j + 1
         else:
             queue[:, queued:queued + n] = pts
-            qkey[queued:queued + n] = 4 * (j - first)
+            np.add(lab, 4 * (j - first), out=qkey[queued:queued + n], dtype=np.intp)
             queued += n
     stage3(queue[:, :queued], qkey[:queued], first, tiles - first, bufs[0])
     # the tiles' sums in tile order, each added to the sum of those before it

@@ -127,7 +127,6 @@ def regularizer_values(a, b, c, d, spec: RegularizerSpec, out=None, scratch=None
     f1, f2, mask = scratch if scratch is not None else _scratch(a.shape, 2, 1)
     base = np.empty(a.shape) if out is None else out
     detv = canonical_det(a, b, c, d, out=f1, scratch=(base, f2))
-    np.maximum(detv, 1e-300, out=detv)
     log1p_det_pow(detv, spec.m, out=base, scratch=(f2, mask))
     if spec.kind is RegKind.ENERGY_PHI:
         inside = _in_energy_support(a, b, spec.bound_E, out=mask, tmp=f1)

@@ -302,11 +302,20 @@ def _ab_above(a, b, x, out=None, tmp=None):
     """min(a, b) > x on 1-d float arrays.
 
     With x = -tol this is the a, b half of the classical test of
-    :func:`domain_labels`; with x = 1 - tol it is the quantum threshold of
-    :func:`_classical_labels`, so a classical point it rejects has label 1.
-    ``out`` (bool) and ``tmp`` (float) are optional scratch of a's length.
+    :func:`domain_labels`.  ``out`` (bool) and ``tmp`` (float) are optional
+    scratch of a's length.
     """
     return np.greater(np.minimum(a, b, out=tmp), x, out=out)
+
+
+def _ab_quantum(a, b, tol, out=None, tmp=None):
+    """min(a, b) >= 1 - tol on 1-d float arrays: the a, b half of the quantum test.
+
+    A classical point it rejects has label 1 in :func:`_classical_labels`,
+    which takes the test from here.  ``out`` (bool) and ``tmp`` (float) are
+    optional scratch of a's length.
+    """
+    return np.greater_equal(np.minimum(a, b, out=tmp), 1.0 - tol, out=out)
 
 
 def _c_bounds(a, b, ab, am1, bm1, out=None):
@@ -317,7 +326,8 @@ def _c_bounds(a, b, ab, am1, bm1, out=None):
     radicands are clipped at 0.  Takes ab = a*b, am1 = a*a - 1 and
     bm1 = b*b - 1 precomputed; ``out`` is three float arrays and one bool
     array of a's shape for cb, sqrt(c3) and scratch, allocated when omitted.
-    The labelling and the quadrature both take their c-limits from here.
+    These are the c-limits of the quadrature's pieces; the labels do not
+    use them.
     """
     if out is None:
         shape = np.shape(a)
@@ -345,108 +355,47 @@ def _c_bounds(a, b, ab, am1, bm1, out=None):
 def _classical_labels(a, b, c, d, ab, tol, out=None, scratch=None):
     """Labels 1-3 of classical points (see :func:`domain_labels`), given ab = a*b.
 
-    The quantum and separability bounds can hold only where a, b > 1 - tol.
-    They are evaluated at every point and masked there, so a caller that has
-    gathered its classical points once needs no second gather.  ``out``
-    receives the labels (uint8 when omitted); ``scratch`` is seven float
-    arrays and three bool arrays of a's length, allocated when omitted, so
-    that a caller running it tile after tile allocates nothing.
+    The squared symplectic eigenvalues of V are the roots of
+    x^2 - D x + det V, with Simon's invariant D = s + 2cd, s = a^2 + b^2 and
+    det V = (ab - c^2)(ab - d^2).  Both roots are >= mu = (1 - tol)^2, that is
+    nu_- >= 1 - tol, exactly when det V + mu^2 - mu D >= 0 and D >= 2 mu;
+    with min(a, b) >= 1 - tol (:func:`_ab_quantum`) this is the quantum
+    test.  Partial transposition flips the sign of d, so the PPT test is the
+    same with -d, and a state with cd >= 0 is PPT (R. Simon, PRL 84, 2726
+    (2000)); so label 3 needs fl(c*d) < 0.  The tests are evaluated as
+    y = det V + (mu^2 - mu s) >= g and s + 2cd >= 2 mu, with g = 2 mu cd, and
+    for PPT as y >= -g and s - 2cd >= 2 mu, or cd >= 0.
+
+    ``out`` receives the labels (uint8 when omitted); ``scratch`` is three
+    float arrays and three bool arrays of a's length, allocated when
+    omitted, so that a caller running it tile after tile allocates nothing.
     """
     if scratch is None:
-        scratch = _scratch(a.shape, 7, 3)
-    f0, f1, f2, f3, f4, f5, f6, quantum, m1, m2 = scratch
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        am1 = np.multiply(a, a, out=f0)
-        am1 -= 1.0
-        bm1 = np.multiply(b, b, out=f2)
-        bm1 -= 1.0
-        d1, d2, _, _ = _d_interval(c, ab, np.multiply(c, c, out=f3), am1, bm1,
-                                   out=(f4, f5, f6, f3, quantum, m1))
-        cbound, c3 = _c_bounds(a, b, ab, am1, bm1, out=(f4, f1, f5, m1))
-        cbound += tol
-        abs_c = np.abs(c, out=f5)
-        quantum &= np.less(abs_c, cbound, out=m1)
-        c3 += tol
-        ppt = np.less(abs_c, c3, out=m1)
-    quantum &= _ab_above(a, b, 1.0 - tol, out=m2, tmp=f4)
-    # separability: d in [d1, -d1] where c <= 0 and in [-d2, d2] where c > 0,
-    # that is |d| <= hi with hi = -d1 or d2.  At c = 0 the two intervals
-    # coincide, which covers that slice by closure.
-    hi = np.negative(d1, out=f4)
-    np.copyto(hi, d2, where=np.logical_not(np.less_equal(c, 0.0, out=m2), out=m2))
-    d1 -= tol
-    quantum &= np.greater_equal(d, d1, out=m2)
-    d2 += tol
-    quantum &= np.less_equal(d, d2, out=m2)
-    hi += tol
-    ppt &= np.less_equal(np.abs(d, out=f5), hi, out=m2)
-    if out is None:
-        out = np.add(quantum, 1, dtype=np.uint8)
-    else:
-        np.add(quantum, 1, out=out)
-    out += np.greater(quantum, ppt, out=m2)  # quantum and not PPT
+        scratch = _scratch(a.shape, 3, 3)
+    f0, f1, f2, quantum, ppt, m = scratch
+    mu = (1.0 - tol) ** 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = np.multiply(a, a, out=f0)
+        s += np.multiply(b, b, out=f1)
+        cd2 = np.multiply(c, d, out=f1)
+        cd2 += cd2
+        np.greater_equal(np.add(s, cd2, out=f2), 2.0 * mu, out=quantum)
+        np.greater_equal(np.subtract(s, cd2, out=f2), 2.0 * mu, out=ppt)
+        # y = det V + (mu^2 - mu s)
+        y = np.multiply(s, mu, out=f0)
+        np.subtract(mu * mu, y, out=y)
+        det = np.subtract(ab, np.multiply(c, c, out=f1), out=f1)
+        det *= np.subtract(ab, np.multiply(d, d, out=f2), out=f2)
+        y += det
+        cd = np.multiply(c, d, out=f1)
+        g = np.multiply(cd, 2.0 * mu, out=f2)
+        quantum &= np.greater_equal(y, g, out=m)
+        ppt &= np.greater_equal(y, np.negative(g, out=g), out=m)
+        ppt |= np.greater_equal(cd, 0.0, out=m)
+    quantum &= _ab_quantum(a, b, tol, out=m, tmp=f2)
+    out = np.add(quantum, 1, out=out, dtype=np.uint8)
+    out += np.greater(quantum, ppt, out=m)  # quantum and not PPT
     return out
-
-
-def _label_slack(ab, tol, out=None):
-    """The slack s = (1e-9 + 8|tol|(1 + |tol|))(1 + ab)^2 of :func:`_may_have_label`, elementwise.
-
-    It grows with |1 + ab|, and so does its float value: at any point of a
-    rectangle in (a, b) it is at most its largest value at the four corners.
-    """
-    t = abs(tol)
-    s = np.add(ab, 1.0, out=out)
-    s *= s
-    s *= 1e-9 + 8.0 * t * (1.0 + t)
-    return s
-
-
-def _may_have_label(a, b, c, d, ab, tol, label, out=None, scratch=None):
-    """A necessary test for ``label`` 2 or 3 of :func:`_classical_labels`, given ab = a*b.
-
-    With Y = det V + 1 - a^2 - b^2 and p = ab - c^2, Simon's invariant
-    X(d) = Y - 2cd = -p d^2 - 2cd + K, with K = p ab + 1 - a^2 - b^2, obeys
-    p X(d) = Delta - (p d + c)^2, so X(d) >= 0 exactly on the d-interval
-    [d1, d2] of :func:`_d_interval`: the quantum test.  Partial transposition
-    flips the sign of d, so PPT is X(-d) >= 0, and a state with cd >= 0 is
-    always PPT (R. Simon, PRL 84, 2726 (2000)); the separability bounds of
-    :func:`_classical_labels` spell this out.  So entangled (label 3) needs
-    |Y| < -2cd and separable (label 2) needs Y >= 2|cd|.
-
-    Both tests allow the slack s of :func:`_label_slack`.
-    The labels need p > 0, so c^2 < ab, and then sqrt(Delta) <= (1 + ab)^2.
-    With t = |tol|: moving an end of [d1, d2] out by t lowers X there by at
-    most t(2 sqrt(Delta) + p t) <= 2t(1 + t)(1 + ab)^2.  A point that the
-    shrunken d-interval or the moved c-limit sqrt(c3) labels entangled has
-    X(-d) <= 4t sqrt(Delta) or X(-d) <= 4K <= 8t (ab)^(3/2), both at most
-    4t(1 + ab)^2.  The labels need |c| < cb + tol with cb^2 <= ab - 1, so p
-    is of order 1 or more where they hold; then the labelling's roundoff and
-    this test's move X by a few ulp of (1 + ab)^2, far below the 1e-9 term.
-
-    ``out`` receives the bool mask; ``scratch`` is three float arrays of a's
-    shape, allocated when omitted.
-    """
-    if scratch is None:
-        scratch = _scratch(a.shape, 3)
-    y, cd, s = scratch
-    # Y = (ab - c^2)(ab - d^2) + 1 - a^2 - b^2
-    np.subtract(ab, np.multiply(c, c, out=y), out=y)
-    y *= np.subtract(ab, np.multiply(d, d, out=cd), out=cd)
-    y -= np.multiply(a, a, out=cd)
-    y -= np.multiply(b, b, out=cd)
-    y += 1.0
-    s = _label_slack(ab, tol, out=s)
-    np.multiply(c, d, out=cd)
-    cd += cd
-    if label == 3:
-        # |Y| + 2cd < s
-        y = np.abs(y, out=y)
-        y += cd
-        return np.less(y, s, out=out)
-    # 2|cd| - Y <= s
-    cd = np.abs(cd, out=cd)
-    cd -= y
-    return np.less_equal(cd, s, out=out)
 
 
 def domain_labels(a, b, c, d, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -454,14 +403,13 @@ def domain_labels(a, b, c, d, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Returns uint8 labels: 0 outside the classical domain, 1 classical but not
     quantum, 2 separable, 3 entangled.  The domains are nested, so a label
-    determines every membership (see ``DOMAIN_LABELS``).  ``tol`` moves the
-    classical test, the a, b > 1 thresholds, the c-bounds and the ends of the
-    d-intervals outward, so those boundaries count as inside; a negative
-    ``tol`` shrinks them instead, which is how boundary bands are detected.
-    The d-interval exists only where Delta >= 0 and ab - c^2 > 0, and these
-    two conditions are not slackened: a point with Delta slightly below 0 is
-    labelled classical only even when it lies within ``tol`` of a quantum
-    point.
+    determines every membership (see ``DOMAIN_LABELS``).  A point is
+    classical when a, b > -tol and |c|, |d| < sqrt(ab) + tol; a classical
+    point is quantum when the smallest symplectic eigenvalue of V is
+    >= 1 - tol, and separable when that of its partial transpose is too,
+    which is the convention of ``states.classify``.  So a positive ``tol``
+    counts the boundaries as inside, and a negative one shrinks the domains,
+    which is how boundary bands are detected.
     """
     a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, d)))
     shape = a.shape

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import record_criterion, sample_canonical
 
+from gaussvol import _quad
 from gaussvol.cli import main as cli_main
 from gaussvol.integrate import IntegrationRequest, mc_joint_volumes, phi_box, upsilon_box
 from gaussvol.metric import (
@@ -252,27 +253,33 @@ def test_criterion_08_limits():
     jv = mc_joint_volumes(phi_box(0.5), spec, 200_000, seed=801, streams=4)
     zeros = [jv.ratio(tag) for tag in (Q, S, E)]
     all_zero = all(r == (0.0, 0.0) for r in zeros)
-    # large-damping asymptote: quantum/classical ratio settles
-    r_tail = []
+    # large damping: each quantum/classical ratio against its exact value over
+    # the same box, from the Gauss-Legendre rule of _quad at order 24 (the
+    # volume minus the tail outside the box), which is within 3e-5 of order
+    # 32.  Q/C drifts by 7% from kappa = 50 to 100, so the two ratios are not
+    # compared with each other (tests/test_quad.py pins the drift)
+    checks = []
     for kappa, seed in ((50.0, 802), (100.0, 803)):
         # both boxes are capped at 2 L0.  The uncapped boxes are far larger,
         # and with c and d drawn across them the estimates scattered too
         # widely for this check; the slice draw spreads only a and b over
         # them, which has not been re-measured (ROADMAP item 8)
         box = _capped_box(kappa)
-        jv_k = mc_joint_volumes(box, RegularizerSpec.adjugate(kappa), 1_000_000, seed=seed, streams=8)
-        r_tail.append(jv_k.ratio(Q))
-    (r50, s50), (r100, s100) = r_tail
-    sigma = math.hypot(s50, s100)
-    z = abs(r50 - r100) / sigma
-    ok = all_zero and z <= 3.0
+        spec = RegularizerSpec.adjugate(kappa)
+        r, s = mc_joint_volumes(box, spec, 1_000_000, seed=seed, streams=8).ratio(Q)
+        total = _quad.quad_volumes(spec, 24, (C, Q))
+        tail = _quad.tail_masses(spec, (C, Q), box.hi[0], 24)
+        exact = (total[Q] - tail[Q]) / (total[C] - tail[C])
+        checks.append((kappa, r, exact, abs(r - exact) / s))
+    ok = all_zero and all(z <= 3.0 for *_, z in checks)
     record_criterion(
         8, ok,
-        f"E=0.5 ratios all exactly 0: {all_zero}; kappa 50 vs 100 quantum/classical "
-        f"{r50:.4f} vs {r100:.4f}, z = {z:.2f} (<= 3)",
+        f"E=0.5 ratios all exactly 0: {all_zero}; quantum/classical vs exact in the capped box: "
+        + ", ".join(f"kappa {k:g} {r:.4f} vs {x:.4f}, z = {z:.2f}" for k, r, x, z in checks)
+        + " (each <= 3)",
     )
     assert all_zero
-    assert z <= 3.0
+    assert all(z <= 3.0 for *_, z in checks), checks
 
 
 def test_criterion_09_volume_hierarchies():

@@ -536,30 +536,25 @@ def test_unscored_domain_raises():
 
 
 def _reference_labels(a, b, c, d, tol):
-    """domain_labels as it was before the tiled kernel, without its helpers."""
+    """domain_labels written out in plain numpy, without its helpers.
+
+    A classical point is quantum when both symplectic eigenvalues of V are
+    >= 1 - tol, and separable when those of its partial transpose, which
+    flips the sign of d, are too.  With mu = (1 - tol)^2, s = a^2 + b^2 and
+    Simon's Delta = s + 2cd, the squared eigenvalues are the roots of
+    x^2 - Delta x + det V, both >= mu exactly when det V + mu^2 - mu Delta >= 0
+    and Delta >= 2 mu; a state with cd >= 0 is PPT.
+    """
     ab = a * b
     sab = np.sqrt(np.maximum(ab, 0.0))
     classical = (a > -tol) & (b > -tol) & (np.abs(c) < sab + tol) & (np.abs(d) < sab + tol)
-    lab = classical.astype(np.uint8)
-    idx = np.flatnonzero(classical & (a > 1.0 - tol) & (b > 1.0 - tol))
-    a, b, c, d, ab = a[idx], b[idx], c[idx], d[idx], ab[idx]
-    a2, b2, c2 = a * a, b * b, c * c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = ab - c2
-        delta = c2 - denom * (ab * c * c - (a * a - 1.0) * (b * b - 1.0))
-        ok = (delta >= 0.0) & (denom > 0.0)
-        root = np.sqrt(np.where(ok, delta, 0.0))
-        d1 = np.where(ok, (-c - root) / denom, np.inf)
-        d2 = np.where(ok, (-c + root) / denom, -np.inf)
-        cbound_sq = np.where(b <= a, (a / b) * (b2 - 1.0), (b / a) * (a2 - 1.0))
-        quantum = np.abs(c) < np.sqrt(np.maximum(cbound_sq, 0.0)) + tol
-        c3 = (1.0 - a2 - b2 + ab * ab) / ab
-        ppt = np.abs(c) < np.sqrt(np.maximum(c3, 0.0)) + tol
-    quantum &= (d >= d1 - tol) & (d <= d2 + tol)
-    neg = c <= 0.0
-    ppt &= (d >= np.where(neg, d1, -d2) - tol) & (d <= np.where(neg, -d1, d2) + tol)
-    lab[idx] += quantum.astype(np.uint8) + (quantum & ~ppt)
-    return lab
+    mu = (1.0 - tol) ** 2
+    s = a * a + b * b
+    y = (ab - c * c) * (ab - d * d) + (mu * mu - s * mu)
+    g = c * d * (2.0 * mu)
+    quantum = (np.minimum(a, b) >= 1.0 - tol) & (y >= g) & (s + 2.0 * c * d >= 2.0 * mu)
+    ppt = ((y >= -g) & (s - 2.0 * c * d >= 2.0 * mu)) | (c * d >= 0.0)
+    return np.where(classical, 1 + quantum + (quantum & ~ppt), 0).astype(np.uint8)
 
 
 def _reference_weights(a, b, c, d, spec):

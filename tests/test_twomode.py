@@ -34,8 +34,6 @@ from gaussvol.twomode import (
     volume_density,
     _c_bounds,
     _d_interval,
-    _label_slack,
-    _may_have_label,
 )
 
 from conftest import sample_canonical
@@ -240,6 +238,10 @@ def test_volume_density_zero_off_classical():
         ((0.5, 0.5, 0.0, 0.0), 1),     # classical, violates the uncertainty relation
         ((2.0, 2.0, 0.5, -0.5), 2),    # separable
         ((2.0, 2.0, 1.6, -1.6), 3),    # entangled
+        # a fifth entry is tol: at tol = 0 the boundary nu_- = 1 is quantum
+        ((1.0, 1.0, 0.0, 0.0, 0.0), 2),  # the vacuum
+        ((1.0, 4.0, 0.0, 0.0, 0.0), 2),  # min(a, b) = 1
+        ((1.0, 4.0, 1.19e-116, 0.0, 0.0), 2),  # 1.2e-116 from the last one
     ],
 )
 def test_domain_labels_frozen(point, label):
@@ -426,16 +428,13 @@ def _standard_form_points(draw):
 @example((0.5, 0.5, 0.0, 0.0))
 @example((2.0, 3.0, 1.0, -1.0))
 @example((2.0, 2.0, 1.5, -1.5))
+@example((1.0, 4.0, 1.19e-116, 0.0))
 def test_labels_match_spectral_classify(p):
     # labels vs eigenvalue, symplectic-spectrum and PPT tests, away from 1e-8 boundary bands
     a, b, c, d = p
     label = int(domain_labels(a, b, c, d, 0.0))
     assume(int(domain_labels(a, b, c, d, 1e-8)) == int(domain_labels(a, b, c, d, -1e-8)))
     V = canonical_embed(CanonicalPoint(a, b, c, d))
-    # the spectral side has its own roundoff band: at (1, 4, 1e-116, 0) the smallest
-    # symplectic eigenvalue is 1 - O(c^2), which rounds to 1, while the labels'
-    # tol does not widen the d-interval's Delta >= 0 condition
-    assume(classify(V, tol=1e-9) is classify(V, tol=-1e-9))
     assert classify(V, tol=0.0) is _LABEL_CLASS[label]
 
 
@@ -470,34 +469,45 @@ def _near_label_surfaces(rng, n, tol):
     return a, b, c, np.where(np.isfinite(d), d, 0.0)
 
 
+def _closed_form_nu2(a, b, c, d):
+    """nu_-^2 = (Delta - sqrt(Delta^2 - 4 det V)) / 2, and a bound on its roundoff.
+
+    Delta = a^2 + b^2 + 2cd and det V carry a few ulp of S = a^2 + b^2 + 2|cd|
+    and of (ab)^2, so the discriminant carries e = 8 eps (Delta^2 + 4 |det V|)
+    and its root at most min(sqrt(e), e / (2 root)); nu_-^2 carries half of
+    that, plus 4 eps S.  The discriminant is clipped at 0 as in
+    ``simon_invariants``.
+    """
+    eps = np.finfo(float).eps
+    delta = a * a + b * b + 2.0 * c * d
+    det = (a * b - c * c) * (a * b - d * d)
+    disc = np.maximum(delta * delta - 4.0 * det, 0.0)
+    root = np.sqrt(disc)
+    e = 8.0 * eps * (delta * delta + 4.0 * np.abs(det))
+    with np.errstate(divide="ignore"):
+        err_root = np.minimum(np.sqrt(e), e / (2.0 * root))
+    s = a * a + b * b + 2.0 * np.abs(c * d)
+    return (delta - root) / 2.0, err_root / 2.0 + 4.0 * eps * s
+
+
 @pytest.mark.parametrize("tol", (-1e-6, -1e-9, 0.0, 1e-9, 1e-3, 0.1))
-def test_may_have_label_keeps_every_labelled_point(tol):
-    # the prefilter is a necessary test: every point labelled 2 or 3 passes it
+def test_labels_match_closed_form_eigenvalues(tol):
+    # near every surface that bounds labels 2 and 3, the labels are those of
+    # nu_- >= 1 - tol for V and for its partial transpose (d -> -d), by the
+    # closed form, wherever its margin exceeds its roundoff
     rng = np.random.default_rng(int(1e9 * abs(tol)) + (tol < 0))
     a, b, c, d = _near_label_surfaces(rng, 400_000, tol)
     lab = domain_labels(a, b, c, d, tol)
+    mu = (1.0 - tol) ** 2
+    nu2, err = _closed_form_nu2(a, b, c, d)
+    nu2_pt, err_pt = _closed_form_nu2(a, b, c, -d)
+    sure = (np.abs(nu2 - mu) > err) & (np.abs(nu2_pt - mu) > err_pt)
+    quantum = nu2 >= mu
+    want = np.where(lab > 0, 1 + quantum + (quantum & (nu2_pt < mu)), 0)
     for label in (2, 3):
-        at = lab == label
-        assert np.count_nonzero(at) > 10_000, label
-        kept = _may_have_label(a[at], b[at], c[at], d[at], a[at] * b[at], tol, label)
-        assert kept.all(), (label, np.flatnonzero(at)[~kept][:5])
-    # and so is the stream kernel's entangled pre-test cd < s_max / 2, here
-    # with the slack at each point's own ab, which is at most the slack s_max
-    # at the largest ab of the box
+        assert np.count_nonzero(sure & (lab == label)) > 10_000, label
+    bad = np.flatnonzero(sure & (lab != want))
+    assert bad.size == 0, [(a[i], b[i], c[i], d[i], lab[i], want[i]) for i in bad[:5]]
+    # the stream kernel's entangled pre-test fl(c*d) < 0 drops no entangled point
     at = lab == 3
-    kept = c[at] * d[at] < _label_slack(a[at] * b[at], tol) / 2.0
-    assert kept.all(), np.flatnonzero(at)[~kept][:5]
-
-
-def test_may_have_label_entangled_is_selective():
-    # a slack grown until the test drops nothing would keep every point
-    from gaussvol.integrate import upsilon_box
-
-    box = upsilon_box(5.0, domain=DomainTag.ENTANGLED)
-    lo = np.asarray(box.lo)[:, None]
-    a, b, c, d = lo + np.random.default_rng(2).random((4, 400_000)) * (np.asarray(box.hi)[:, None] - lo)
-    # the box's classical points with min(a, b) > 1 - tol
-    stage3 = (domain_labels(a, b, c, d, 1e-9) > 0) & (np.minimum(a, b) > 1.0 - 1e-9)
-    a, b, c, d = a[stage3], b[stage3], c[stage3], d[stage3]
-    kept = _may_have_label(a, b, c, d, a * b, 1e-9, 3)
-    assert np.count_nonzero(kept) <= 0.10 * a.size
+    assert np.all(c[at] * d[at] < 0.0)
