@@ -2,11 +2,12 @@
 
 The integrand is the stream kernel's own, ``regularizer_values`` times
 ``volume_density``, and the domain limits are ``twomode``'s: the c-bounds
-cb and sqrt(c3) of ``_c_bounds`` and the d-interval [d1, d2] of
-``_d_interval``.  The integrand and every domain are invariant under
-a <-> b and (c, d) -> (-c, -d), so the rule covers b <= a and c >= 0 and
-multiplies by 4; the classical and separable domains are also even in d
-alone, so there it covers d >= 0 and multiplies by 8.
+cb and sqrt(c3) of ``_c_bounds(a, b)`` and the d-interval [d1, d2] of
+``_d_interval(a, b, c)``, each a plain function of the point.  The
+integrand and every domain are invariant under a <-> b and
+(c, d) -> (-c, -d), so the rule covers b <= a and c >= 0 and multiplies by
+4; the classical and separable domains are also even in d alone, so there
+it covers d >= 0 and multiplies by 8.
 
 Each domain is a sum of pieces over which the d-interval has one formula
 (the entangled one splits at c = sqrt(c3), where its upper end changes from
@@ -104,23 +105,22 @@ def _piece_block(spec: RegularizerSpec, piece: str, lo: float, a, wa, order: int
     b = lo + (a[:, None] - lo) * np.square(sin_x)
     wab = (wa[:, None] * (a[:, None] - lo) * (2.0 * half_pi) * sin_x * cos_x * w).ravel()
     a, b = np.broadcast_to(a[:, None], b.shape).ravel(), b.ravel()
-    ab = a * b
     slope = (2.0 * _RATE_SHARE / spec.kappa) * (a + b)  # lam = slope * |end|
     if piece == "classical":
-        c_lo, c_hi = 0.0, np.sqrt(ab)
+        c_lo, c_hi = 0.0, np.sqrt(a * b)
     else:
-        cb, sc3 = _c_bounds(a, b, ab, a * a - 1.0, b * b - 1.0)
+        cb, sc3 = _c_bounds(a, b)
         c_lo, c_hi = (sc3, cb) if piece == "entangled above" else (0.0, sc3)
     # the (a, b, c) grid, flat; c runs down from c_hi
     u, du = _from_end(c_hi - c_lo, slope * c_hi, y)
     grid = lambda v: np.repeat(v, order)
-    a, b, ab, slope = grid(a), grid(b), grid(ab), grid(slope)
+    a, b, slope = grid(a), grid(b), grid(slope)
     c, wabc = (c_hi[:, None] - u).ravel(), (wab[:, None] * du * wy).ravel()
     # the d-interval as its heavy end and its other end
     if piece == "classical":
-        heavy, other = np.sqrt(ab), 0.0
+        heavy, other = np.sqrt(a * b), 0.0
     else:
-        d1, d2, _, ok = _d_interval(c, ab, c * c, a * a - 1.0, b * b - 1.0)
+        d1, d2, _, ok = _d_interval(a, b, c)
         if piece == "separable":
             heavy, other = d2, 0.0
         elif piece == "entangled below":

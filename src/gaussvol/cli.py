@@ -23,7 +23,8 @@ from .errors import (
     MatrixParseError,
     NumericError,
 )
-from .integrate import DOMAIN_ORDER, IntegrationRequest, _sweep_specs, mc_volume, sweep
+from .integrate import (DEFAULT_EPS_TAIL, DOMAIN_ORDER, IntegrationRequest, _SAMPLERS,
+                        _sweep_specs, mc_volume, sweep)
 from .regularizers import RegularizerSpec
 # states and metric are imported inside cmd_classify and cmd_metric, so that a
 # volume or sweep run loads neither
@@ -48,8 +49,8 @@ _DEFAULTS = {
     "samples": 100_000,
     "seed": 12345,
     "streams": 4,
-    "eps-tail": 1e-3,
-    "tol": 1e-9,
+    "eps-tail": DEFAULT_EPS_TAIL,
+    "tol": DEFAULT_TOL,
     "sampler": "pseudo",
     "out": None,
 }
@@ -62,9 +63,9 @@ _CONVERT = {
     "tol": float,
 }
 _CHOICES = {
-    "set": ("classical", "quantum", "separable", "entangled"),
+    "set": tuple(tag.value for tag in DomainTag),
     "reg": ("energy", "adj"),
-    "sampler": ("pseudo", "qmc"),
+    "sampler": _SAMPLERS,
 }
 
 _VOLUME_COLUMNS = (
@@ -399,8 +400,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--set", choices=_CHOICES["set"], default=None,
-                   help="domain to integrate (default classical)")
     p.add_argument("--reg", choices=_CHOICES["reg"], default=None,
                    help="regularizer kind; inferred from --E/--kappa if omitted")
     p.add_argument("--E", default=None,
@@ -448,6 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.set_defaults(func=cmd_metric)
 
     p_vol = sub.add_parser("volume", help="one regularized volume estimate, CSV out")
+    # sweep reports all four domains, so only volume takes --set
+    p_vol.add_argument("--set", choices=_CHOICES["set"], default=None,
+                       help="domain to integrate (default classical)")
     _add_run_flags(p_vol)
     p_vol.set_defaults(func=cmd_volume)
 

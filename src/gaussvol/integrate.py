@@ -11,7 +11,8 @@ each clipped to its box side, so that no draw falls outside the classical
 domain.  Each weight is multiplied by the lengths of its two slices over the
 box's c and d spans, so an estimate is still box.volume times the mean
 weight, an unbiased estimate of the integral over the box's classical
-part, and its iid error bar stays honest.  A pass scores
+part, and its iid error bar stays honest.  The slice's half-width is
+``twomode._half_width``, which ``domain_labels`` shares.  A pass scores
 a set of domains in three stages per tile of draws.  Every sample draws a
 and b and must pass min(a, b) > -tol (a test skipped when the box's lower
 a, b bounds already exceed -tol) and, for the energy cutoff, tr V <= E.
@@ -43,18 +44,20 @@ combined by a fixed-order pairwise reduction; results are bit-identical for
 a fixed (seed, streams, n_samples).  A stream works in tiles of ``_TILE``
 points on scratch it allocates once.  Stages 1 and 2 and the labelling run
 per tile; the points with a scored label queue up, keyed by tile and label,
-and the weighting and summing run once per batch of consecutive tiles, so
-that a rare domain pays the fixed cost of those numpy calls once per batch,
-not per tile.  Each tile still keeps its own sums: one ``bincount`` per sum
-over the batch adds each tile's weights in draw order, as
-a ``bincount`` of that tile alone does, and the tiles' sums are added up in
-tile order.  So the batch size changes no bit.  A pseudo stream is consumed
-per tile as a(t) and b(t), then the uniforms of c(k) and d(k) for the k
-stage-1 survivors.  A qmc stream draws each tile's t points in full, as the
-first t of a block of 2^k >= t Sobol points, whose 3rd and 4th coordinates
-are the uniforms of c and d: scipy warns about a first draw of any other
-size, and the first t points of a block do not depend on its size.  So ``_TILE``
-alone fixes the bits, for pseudo and qmc alike.
+and the weighting and summing run once per batch of consecutive tiles.
+Each of those numpy calls costs about 50 us whatever its size; batches cut
+a 2M-sample stream's stage-3 calls from 31 to 15 (kappa = 5 entangled) or
+7 (E = 8 separable), and with 4 streams on 2 cores stage 3 per tile made
+the damped workload 10% slower end to end.  Each tile keeps its own sums:
+one ``bincount`` per sum over the batch adds each tile's weights in draw
+order, as a ``bincount`` of that tile alone does, and the tiles' sums are
+added up in tile order, so the batch size changes no bit.  A pseudo stream
+is consumed per tile as a(t) and b(t), then the uniforms of c(k) and d(k)
+for the k stage-1 survivors.  A qmc stream draws each tile's t points in
+full, as the first t of a block of 2^k >= t Sobol points, whose 3rd and
+4th coordinates are the uniforms of c and d: scipy warns about a first
+draw of any other size, and the first t points of a block do not depend on
+its size.  So ``_TILE`` alone fixes the bits, for pseudo and qmc alike.
 The substreams of a pass run on min(streams, usable cores) threads: the
 caller runs one share and starts the others for that pass alone, and the
 partial sums are reduced in stream order, so the core count sets the speed
@@ -76,8 +79,8 @@ from . import _quad
 from .errors import InvalidArgumentError, NumericError
 # the kernel looks regularizer_values up here, where perfbench/tracing.py wraps it
 from .regularizers import RegKind, RegularizerSpec, _in_energy_support, regularizer_values
-from .twomode import (DOMAIN_LABELS, DomainTag, volume_density, _ab_above, _ab_quantum,
-                      _classical_labels)
+from .twomode import (DEFAULT_TOL, DOMAIN_LABELS, DomainTag, volume_density, _ab_above,
+                      _ab_quantum, _classical_labels, _half_width)
 # unused here, but perfbench/tracing.py wraps these two attributes of this module
 from .twomode import domain_mask, metric_components  # noqa: F401
 
@@ -100,11 +103,11 @@ DOMAIN_ORDER = (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE, Dom
 # _TILE is the working set of a stream and fixes its bits: the pseudo
 # stream's layout and the summation order of every sum
 _TILE = 1 << 16
-# stage 3 (weighting and summing) runs once per batch of at most
-# _BATCH points from consecutive tiles; a tile keeps its own sums, so the
-# batch size changes no bit
+# the most points in one stage-3 batch (see the module docstring)
 _BATCH = 1 << 13
 _SAMPLERS = ("pseudo", "qmc")
+# upsilon_box's default bound on each domain's tail, relative to its mass inside
+DEFAULT_EPS_TAIL = 1e-3
 # Gauss-Legendre order per axis of the support-box rule: its tail ratios
 # agree with the rule at twice the order to a few percent near the threshold
 _BOX_ORDER = 12
@@ -174,15 +177,6 @@ def _take(keep, cols, buf, rows=4):
 def _rows(buf, k, n):
     """k rows of n floats at the start of the flat scratch ``buf``."""
     return buf[:k * n].reshape(k, n)
-
-
-def _half_width(a, b, tol, out):
-    """h = sqrt(max(ab, 0)) + tol: the classical slice is |c|, |d| < h."""
-    h = np.multiply(a, b, out=out)
-    np.maximum(h, 0.0, out=h)
-    np.sqrt(h, out=h)
-    h += tol
-    return h
 
 
 def _slice(h, lo, hi, out):
@@ -326,9 +320,8 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         pts = _take(keep, pts, other(pts))[0]
         # the labels of the points left; those with a scored label go on
         n = pts.shape[1]
-        ab, *f = _rows(other(pts), 4, n)
-        lab = _classical_labels(*pts, np.multiply(*pts[:2], out=ab), tol, out=lab_buf[:n],
-                                scratch=(*f, *b_buf[:, :n]))
+        lab = _classical_labels(*pts, tol, out=lab_buf[:n],
+                                scratch=(*_rows(other(pts), 4, n), *b_buf[:, :n]))
         pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts, other(pts))
         if idx is not None:
             lab = lab[idx]
@@ -583,8 +576,8 @@ def _run_shares(run, tasks: list, threads: int) -> list:
 
 
 def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, streams: int = 1,
-                     tol: float = 1e-9, sampler: str = "pseudo", seed_label: int | None = None,
-                     *, domains=DOMAIN_ORDER) -> JointVolumes:
+                     tol: float = DEFAULT_TOL, sampler: str = "pseudo",
+                     seed_label: int | None = None, *, domains=DOMAIN_ORDER) -> JointVolumes:
     """One sampling pass over ``box`` scoring ``domains`` (all four by default).
 
     a and b are uniform over the box's a, b sides, and c and d uniform on the
@@ -621,7 +614,7 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     return JointVolumes(box, spec, n, seed_label, streams, tol, sampler, s1, s2, hits, labels)
 
 
-def upsilon_box(kappa: float, eps_tail: float = 1e-3, *,
+def upsilon_box(kappa: float, eps_tail: float = DEFAULT_EPS_TAIL, *,
                 domain: DomainTag | tuple = DomainTag.CLASSICAL) -> Box:
     """Support box for the adjugate-damped integrand, fitted by quadrature.
 
@@ -684,8 +677,8 @@ class IntegrationRequest:
     n_samples: int
     seed: int
     streams: int = 1
-    tol: float = 1e-9
-    eps_tail: float = 1e-3
+    tol: float = DEFAULT_TOL
+    eps_tail: float = DEFAULT_EPS_TAIL
     sampler: str = "pseudo"
 
     def __post_init__(self):

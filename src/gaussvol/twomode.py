@@ -244,48 +244,31 @@ def domain_bounds(p: CanonicalPoint) -> DomainBounds:
     a, b, c = float(p.a), float(p.b), float(p.c)
     if not (a > 0.0 and b > 0.0):
         raise InvalidArgumentError("domain bounds need a > 0 and b > 0")
-    ab = a * b
     c1 = (a / b) * (b * b - 1.0)
     c2 = (b / a) * (a * a - 1.0)
-    c3 = (1.0 - a * a - b * b + a * a * b * b) / ab
-    d1, d2, delta, ok = _d_interval(c, ab, c * c, a * a - 1.0, b * b - 1.0)
+    c3 = (1.0 - a * a - b * b + a * a * b * b) / (a * b)
+    d1, d2, delta, ok = _d_interval(a, b, c)
     if not ok:
         d1, d2 = math.inf, -math.inf
     return DomainBounds(c1=c1, c2=c2, c3=c3, d1=float(d1), d2=float(d2), delta=float(delta))
 
 
-def _d_interval(c, ab, c2, am1, bm1, out=None):
+def _d_interval(a, b, c):
     """d-interval [d1, d2] of the quantum domain and its discriminant Delta, elementwise.
 
-    Takes ab = a*b, c2 = c*c, am1 = a*a - 1 and bm1 = b*b - 1 precomputed and
-    returns (d1, d2, delta, ok).  The interval exists only where ``ok``, that
+    Returns (d1, d2, delta, ok).  The interval exists only where ``ok``, that
     is where Delta >= 0 and ab - c^2 > 0; elsewhere d1 and d2 carry no
-    meaning.  ``out`` is four float arrays and two bool arrays of c's shape
-    for denom = ab - c^2, delta, d1, d2, ok and scratch, allocated when
-    omitted; d2 may be the array that holds c2, which is read before d2 is
-    written.
+    meaning.
     """
-    if out is None:
-        shape = np.shape(c)
-        out = (*(np.empty(shape) for _ in range(4)), *(np.empty(shape, dtype=bool) for _ in range(2)))
-    denom, delta, d1, d2, ok, tmp = out
-    np.subtract(ab, c2, out=denom)
-    # delta = c2 - denom * (ab c c - am1 bm1)
-    np.multiply(ab, c, out=delta)
-    delta *= c
-    delta -= np.multiply(am1, bm1, out=d1)
-    delta *= denom
-    np.subtract(c2, delta, out=delta)
-    np.greater_equal(delta, 0.0, out=ok)
-    ok &= np.greater(denom, 0.0, out=tmp)
+    a, b, c = _float_arrays(a, b, c)
+    ab, c2 = a * b, c * c
+    denom = ab - c2
+    delta = c2 - (ab * c * c - (a * a - 1.0) * (b * b - 1.0)) * denom
+    ok = (delta >= 0.0) & (denom > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(delta, out=d2)
-        # d1 = (-c - root) / denom, d2 = (-c + root) / denom = (root - c) / denom
-        np.negative(c, out=d1)
-        d1 -= root
-        np.subtract(root, c, out=d2)
-        d1 /= denom
-        d2 /= denom
+        root = np.sqrt(delta)
+        d1 = (-c - root) / denom
+        d2 = (root - c) / denom
     return d1, d2, delta, ok
 
 
@@ -318,42 +301,34 @@ def _ab_quantum(a, b, tol, out=None, tmp=None):
     return np.greater_equal(np.minimum(a, b, out=tmp), 1.0 - tol, out=out)
 
 
-def _c_bounds(a, b, ab, am1, bm1, out=None):
+def _c_bounds(a, b):
     """The quantum c-bound cb and the separability c-bound sqrt(c3), elementwise.
 
     cb = sqrt((a/b)(b^2 - 1)) where b <= a and sqrt((b/a)(a^2 - 1)) elsewhere,
     and c3 = (1 - a^2 - b^2 + (ab)^2) / ab = (a^2 - 1)(b^2 - 1) / ab; both
-    radicands are clipped at 0.  Takes ab = a*b, am1 = a*a - 1 and
-    bm1 = b*b - 1 precomputed; ``out`` is three float arrays and one bool
-    array of a's shape for cb, sqrt(c3) and scratch, allocated when omitted.
-    These are the c-limits of the quadrature's pieces; the labels do not
-    use them.
+    radicands are clipped at 0.  These are the c-limits of the quadrature's
+    pieces; the labels do not use them.
     """
-    if out is None:
-        shape = np.shape(a)
-        out = (np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
-    cb, c3, tmp, mask = out
+    ab, am1 = a * b, a * a - 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # branch by mode ordering; at a = b the two c-bounds coincide
-        np.divide(a, b, out=cb)
-        cb *= bm1
-        np.copyto(cb, np.multiply(np.divide(b, a, out=tmp), am1, out=tmp),
-                  where=np.logical_not(np.less_equal(b, a, out=mask), out=mask))
-        np.maximum(cb, 0.0, out=cb)
-        np.sqrt(cb, out=cb)
+        cb = np.where(b <= a, a / b * (b * b - 1.0), b / a * am1)
         # 1 - a^2 - b^2 = -(am1 + b^2) exactly
-        s = np.multiply(b, b, out=tmp)
-        s += am1
-        np.multiply(ab, ab, out=c3)
-        c3 -= s
-        c3 /= ab
-        np.maximum(c3, 0.0, out=c3)
-        np.sqrt(c3, out=c3)
-    return cb, c3
+        c3 = (ab * ab - (b * b + am1)) / ab
+        return np.sqrt(np.maximum(cb, 0.0)), np.sqrt(np.maximum(c3, 0.0))
 
 
-def _classical_labels(a, b, c, d, ab, tol, out=None, scratch=None):
-    """Labels 1-3 of classical points (see :func:`domain_labels`), given ab = a*b.
+def _half_width(a, b, tol, out=None):
+    """h = sqrt(max(ab, 0)) + tol, in ``out`` if given: the classical slice is |c|, |d| < h."""
+    h = np.multiply(a, b, out=out)
+    np.maximum(h, 0.0, out=h)
+    np.sqrt(h, out=h)
+    h += tol
+    return h
+
+
+def _classical_labels(a, b, c, d, tol, out=None, scratch=None):
+    """Labels 1-3 of classical points (see :func:`domain_labels`).
 
     The squared symplectic eigenvalues of V are the roots of
     x^2 - D x + det V, with Simon's invariant D = s + 2cd, s = a^2 + b^2 and
@@ -366,15 +341,16 @@ def _classical_labels(a, b, c, d, ab, tol, out=None, scratch=None):
     y = det V + (mu^2 - mu s) >= g and s + 2cd >= 2 mu, with g = 2 mu cd, and
     for PPT as y >= -g and s - 2cd >= 2 mu, or cd >= 0.
 
-    ``out`` receives the labels (uint8 when omitted); ``scratch`` is three
+    ``out`` receives the labels (uint8 when omitted); ``scratch`` is four
     float arrays and three bool arrays of a's length, allocated when
     omitted, so that a caller running it tile after tile allocates nothing.
     """
     if scratch is None:
-        scratch = _scratch(a.shape, 3, 3)
-    f0, f1, f2, quantum, ppt, m = scratch
+        scratch = _scratch(a.shape, 4, 3)
+    f0, f1, f2, ab, quantum, ppt, m = scratch
     mu = (1.0 - tol) ** 2
     with np.errstate(invalid="ignore", over="ignore"):
+        np.multiply(a, b, out=ab)
         s = np.multiply(a, a, out=f0)
         s += np.multiply(b, b, out=f1)
         cd2 = np.multiply(c, d, out=f1)
@@ -414,12 +390,11 @@ def domain_labels(a, b, c, d, tol: float = DEFAULT_TOL) -> np.ndarray:
     a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, d)))
     shape = a.shape
     a, b, c, d = (x.ravel() for x in (a, b, c, d))
-    sab = np.sqrt(np.maximum(a * b, 0.0)) + tol
+    sab = _half_width(a, b, tol)
     classical = _ab_above(a, b, -tol) & (np.abs(c) < sab) & (np.abs(d) < sab)
     lab = classical.astype(np.uint8)
     idx = np.flatnonzero(classical)
-    a, b, c, d = a[idx], b[idx], c[idx], d[idx]
-    lab[idx] = _classical_labels(a, b, c, d, a * b, tol)
+    lab[idx] = _classical_labels(a[idx], b[idx], c[idx], d[idx], tol)
     return lab.reshape(shape)
 
 

@@ -523,6 +523,24 @@ def test_sweep_rejects_bad_ranges(capsys):
     capsys.readouterr()
 
 
+def test_sweep_takes_no_set_flag(tmp_path, capsys):
+    # a sweep reports all four domains, so --set is a usage error there
+    argv = ["sweep", "--E", "4,8", "--samples", "20000", "--seed", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--set", "entangled"])
+    assert exc.value.code == 2
+    assert "--set" in capsys.readouterr().err
+    # but the set key of a recorded configuration is still read
+    cfg = tmp_path / "run.cfg"
+    assert main(argv + ["--write-config", str(cfg)]) == 0
+    first = capsys.readouterr().out
+    assert "set = classical" in cfg.read_text(encoding="utf-8")
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace("classical", "entangled"),
+                   encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == first
+
+
 # -------------------------------------------------------------- subprocess
 
 

@@ -270,6 +270,19 @@ def test_stream_count_changes_bits_not_value():
     assert abs(r1.estimate - r6.estimate) < 5.0 * sigma
 
 
+def test_streams_without_samples():
+    # 2 samples over 5 streams leave three streams with none to draw
+    spec, box = RegularizerSpec.energy(8.0), phi_box(8.0)
+    jv = mc_joint_volumes(box, spec, 2, 3, streams=5)
+    assert jv.n_samples == 2
+    for sampler in integrate._SAMPLERS:
+        count, *sums = integrate._stream_partial(np.random.SeedSequence(3), 0, box, spec, 1e-9,
+                                                 sampler, (1, 2, 3))
+        assert count == 0
+        assert [x.dtype for x in sums] == [np.float64, np.float64, np.int64]
+        assert all(x.shape == (4,) and not x.any() for x in sums)
+
+
 def _joint_bits(jv, tags=DOMAIN_ORDER):
     return [(r.estimate, r.std_error, r.acceptance_fraction)
             for r in (jv.result(tag) for tag in tags)]

@@ -455,17 +455,15 @@ def _near_label_surfaces(rng, n, tol):
     near1 = rng.random(n) < 0.25
     a = np.where(near1 & (a <= b), 1.0 + jitter(), a)
     b = np.where(near1 & (b < a), 1.0 + jitter(), b)
-    ab = a * b
-    am1, bm1 = a * a - 1.0, b * b - 1.0
     sign = lambda: rng.choice([-1.0, 1.0], n)
     with np.errstate(invalid="ignore"):
-        cb, sc3 = _c_bounds(a, b, ab, am1, bm1)
+        cb, sc3 = _c_bounds(a, b)
         c = np.choose(rng.integers(0, 3, n), [rng.uniform(-1.0, 1.0, n) * cb,
                                               sign() * cb + jitter(), sign() * sc3 + jitter()])
-        d1, d2, _, _ = _d_interval(c, ab, c * c, am1, bm1)
+        d1, d2, _, _ = _d_interval(a, b, c)
         root = np.where(rng.random(n) < 0.5, d1, d2) * sign()
         d = np.where(rng.random(n) < 0.75, root + jitter(),
-                     rng.uniform(-1.0, 1.0, n) * np.sqrt(np.maximum(ab, 0.0)))
+                     rng.uniform(-1.0, 1.0, n) * np.sqrt(np.maximum(a * b, 0.0)))
     return a, b, c, np.where(np.isfinite(d), d, 0.0)
 
 
