@@ -39,33 +39,28 @@ from .twomode import (
 
 _FMT = "%.12g"
 
-# config keys mirror the long flag names
-_DEFAULTS = {
-    "set": "classical",
-    "reg": None,
-    "E": None,
-    "kappa": None,
-    "m": 4,
-    "samples": 100_000,
-    "seed": 12345,
-    "streams": 4,
-    "eps-tail": DEFAULT_EPS_TAIL,
-    "tol": DEFAULT_TOL,
-    "sampler": "pseudo",
-    "out": None,
-}
-_CONVERT = {
-    "m": int,
-    "samples": int,
-    "seed": int,
-    "streams": int,
-    "eps-tail": float,
-    "tol": float,
-}
-_CHOICES = {
-    "set": tuple(tag.value for tag in DomainTag),
-    "reg": ("energy", "adj"),
-    "sampler": _SAMPLERS,
+# Every run setting of volume and sweep, in --write-config order: the config
+# key, which is also the long flag, and its (type, default, choices, help).
+_SETTINGS = {
+    "set": (str, "classical", tuple(tag.value for tag in DomainTag),
+            "domain to integrate (default classical)"),
+    "reg": (str, None, ("energy", "adj"),
+            "regularizer kind; inferred from --E/--kappa if omitted"),
+    "E": (str, None, None, "energy bound; sweep accepts a list or start:stop:lin|log:count"),
+    "kappa": (str, None, None, "damping scale; sweep accepts a list or start:stop:lin|log:count"),
+    "m": (int, 4, None, "regularizer exponent (default 4)"),
+    "samples": (int, 100_000, None, "sample count (default 100000)"),
+    "seed": (int, 12345, None, "integer seed (default 12345)"),
+    "streams": (int, 4, None,
+                "substream count, part of the determinism key; the substreams run on at most "
+                "one thread per usable core (default 4)"),
+    "eps-tail": (float, DEFAULT_EPS_TAIL, None,
+                 "--kappa only: the largest fraction of each checked class's mass, relative to "
+                 "the mass inside, that the support box may leave out; the box side stops at "
+                 "max(8, 8 sqrt(kappa)), with a warning if more is left out there (default 1e-3)"),
+    "tol": (float, DEFAULT_TOL, None, "domain tolerance (default 1e-9)"),
+    "sampler": (str, "pseudo", _SAMPLERS, "pseudo (default) or qmc"),
+    "out": (str, None, None, "write CSV here instead of stdout"),
 }
 
 _VOLUME_COLUMNS = (
@@ -145,7 +140,7 @@ def _read_config(path: str) -> dict:
         key, _, val = stripped.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _DEFAULTS:
+        if key not in _SETTINGS:
             raise InvalidArgumentError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = val
     return values
@@ -153,27 +148,26 @@ def _read_config(path: str) -> dict:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags"""
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    merged = {key: default for key, (_, default, _, _) in _SETTINGS.items()}
+    if args.config:
         for key, raw in _read_config(args.config).items():
-            conv = _CONVERT.get(key, str)
+            conv = _SETTINGS[key][0]
             try:
                 merged[key] = conv(raw)
             except ValueError:
                 raise InvalidArgumentError(f"config key {key!r}: bad value {raw!r}") from None
-    for key in _DEFAULTS:
+    for key, (_, _, choices, _) in _SETTINGS.items():
         flag_val = getattr(args, key.replace("-", "_"), None)
         if flag_val is not None:
             merged[key] = flag_val
-    for key, choices in _CHOICES.items():
-        if merged[key] is not None and merged[key] not in choices:
+        if choices and merged[key] is not None and merged[key] not in choices:
             raise InvalidArgumentError(f"{key} must be one of {choices}, got {merged[key]!r}")
     return merged
 
 
 def _write_config(path: str, merged: dict) -> None:
     out = ["# gaussvol config v1"]
-    for key in _DEFAULTS:
+    for key in _SETTINGS:
         val = merged[key]
         if val is None:
             continue
@@ -270,8 +264,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     )
 
     V = require_covariance(parse_matrix_file(args.matrix))
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-    tag = classify(V, tol=tol)
+    tag = classify(V, tol=args.tol)
     lines = []
     head = tag.value
     if np.linalg.eigvalsh(V)[0] > 0.0:
@@ -296,8 +289,7 @@ def cmd_metric(args: argparse.Namespace) -> int:
     if missing:
         raise InvalidArgumentError("metric needs --a --b --c --d")
     p = CanonicalPoint(args.a, args.b, args.c, args.d)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-    if not in_domain(p, DomainTag.CLASSICAL, tol=tol):
+    if not in_domain(p, DomainTag.CLASSICAL, tol=args.tol):
         raise DomainError(f"point (a={p.a:g}, b={p.b:g}, c={p.c:g}, d={p.d:g}) "
                           "is outside the classical domain")
     chart = canonical_chart()
@@ -399,28 +391,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--reg", choices=_CHOICES["reg"], default=None,
-                   help="regularizer kind; inferred from --E/--kappa if omitted")
-    p.add_argument("--E", default=None,
-                   help="energy bound; sweep accepts a list or start:stop:lin|log:count")
-    p.add_argument("--kappa", default=None,
-                   help="damping scale; sweep accepts a list or start:stop:lin|log:count")
-    p.add_argument("--m", type=int, default=None, help="regularizer exponent (default 4)")
-    p.add_argument("--samples", type=int, default=None, help="sample count (default 100000)")
-    p.add_argument("--seed", type=int, default=None, help="integer seed (default 12345)")
-    p.add_argument("--streams", type=int, default=None,
-                   help="substream count, part of the determinism key; the substreams run on "
-                        "at most one thread per usable core (default 4)")
-    p.add_argument("--eps-tail", type=float, default=None,
-                   help="--kappa only: the largest fraction of each checked class's mass, "
-                        "relative to the mass inside, that the support box may leave out; the "
-                        "box side stops at max(8, 8 sqrt(kappa)), with a warning if more is "
-                        "left out there (default 1e-3)")
-    p.add_argument("--tol", type=float, default=None, help="domain tolerance (default 1e-9)")
-    p.add_argument("--sampler", choices=_CHOICES["sampler"], default=None,
-                   help="pseudo (default) or qmc")
-    p.add_argument("--out", default=None, help="write CSV here instead of stdout")
+def _add_run_flags(p: argparse.ArgumentParser, with_set: bool) -> None:
+    for key, (conv, _, choices, text) in _SETTINGS.items():
+        # sweep reports all four domains, so only volume takes --set
+        if key != "set" or with_set:
+            p.add_argument("--" + key, type=conv, choices=choices, default=None, help=text)
     p.add_argument("--config", default=None, help="key = value file; flags override it")
     p.add_argument("--write-config", default=None, metavar="PATH",
                    help="record the effective configuration to PATH")
@@ -435,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="classify a covariance matrix file")
     p_cls.add_argument("matrix", help="matrix file: whitespace rows, '#' comments")
-    p_cls.add_argument("--tol", type=float, default=None, help="classification tolerance")
+    p_cls.add_argument("--tol", type=float, default=DEFAULT_TOL, help="classification tolerance")
     p_cls.set_defaults(func=cmd_classify)
 
     p_met = sub.add_parser("metric", help="metric at a standard-form point")
@@ -443,18 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--b", type=float, default=None)
     p_met.add_argument("--c", type=float, default=None)
     p_met.add_argument("--d", type=float, default=None)
-    p_met.add_argument("--tol", type=float, default=None, help="domain tolerance")
+    p_met.add_argument("--tol", type=float, default=DEFAULT_TOL, help="domain tolerance")
     p_met.set_defaults(func=cmd_metric)
 
     p_vol = sub.add_parser("volume", help="one regularized volume estimate, CSV out")
-    # sweep reports all four domains, so only volume takes --set
-    p_vol.add_argument("--set", choices=_CHOICES["set"], default=None,
-                       help="domain to integrate (default classical)")
-    _add_run_flags(p_vol)
+    _add_run_flags(p_vol, with_set=True)
     p_vol.set_defaults(func=cmd_volume)
 
     p_swp = sub.add_parser("sweep", help="volumes and ratios across parameter values, CSV out")
-    _add_run_flags(p_swp)
+    _add_run_flags(p_swp, with_set=False)
     p_swp.set_defaults(func=cmd_sweep)
 
     return parser

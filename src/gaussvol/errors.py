@@ -1,5 +1,13 @@
 """Exception taxonomy shared by all modules."""
 
+__all__ = [
+    "AsymmetricMatrixError",
+    "DomainError",
+    "InvalidArgumentError",
+    "MatrixParseError",
+    "NumericError",
+]
+
 
 class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition."""

@@ -88,6 +88,7 @@ __all__ = [
     "Box",
     "IntegrationRequest",
     "IntegrationResult",
+    "JointVolumes",
     "SweepRow",
     "SweepTable",
     "DOMAIN_ORDER",
@@ -384,7 +385,9 @@ class JointVolumes:
     share of hits is a share of draws, not of the box's volume.  Only the
     labels in ``labels`` were weighted and counted; ``result``,
     ``difference`` and ``ratio`` accept every domain made up of them and
-    raise ``InvalidArgumentError`` for any other.
+    raise ``InvalidArgumentError`` for any other.  They raise
+    ``NumericError`` for a domain with hits but a weight sum or squared-weight
+    sum of 0, whose weights underflowed.
     """
 
     def __init__(self, box: Box, spec: RegularizerSpec, n_samples: int, seed_label, streams: int,
@@ -404,9 +407,18 @@ class JointVolumes:
 
     def _mean(self, tag: DomainTag) -> float:
         # every reader of a domain goes through here
-        if not set(DOMAIN_LABELS[tag]) <= set(self.labels):
+        labels = DOMAIN_LABELS[tag]
+        if not set(labels) <= set(self.labels):
             raise InvalidArgumentError(f"the {tag.value} domain was not scored in this pass")
-        return sum(float(self._s1[l]) for l in DOMAIN_LABELS[tag]) / self.n_samples
+        s1 = sum(float(self._s1[l]) for l in labels)
+        # weights are positive, so hits with a zero sum mean that the weights
+        # underflowed, and the estimate or its error bar would read 0; one label
+        # may underflow where the domain's other labels carry its sums
+        hits, s2 = sum(int(self._hits[l]) for l in labels), sum(float(self._s2[l]) for l in labels)
+        if hits and not (s1 and s2):
+            raise NumericError(f"integrand weights of the {tag.value} domain underflow: {hits} "
+                               f"hits, weight sum {s1:.3g}, squared-weight sum {s2:.3g}")
+        return s1 / self.n_samples
 
     def _mean_cov(self, tag_a: DomainTag, tag_b: DomainTag) -> float:
         """Covariance of the two domains' sample means, from the labels they share."""

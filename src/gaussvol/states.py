@@ -268,31 +268,16 @@ def random_symplectic(n_modes: int, scale: float, seed) -> np.ndarray:
 
 
 def adjugate(V) -> np.ndarray:
-    """Adjugate matrix adj(V) = det(V) * V^{-1}, valid also for singular V.
+    """Adjugate matrix adj(V), valid also for singular V.
 
-    Uses det(V) * inv(V) on well-conditioned input and falls back to the
-    cofactor expansion when |det V| < 1e-300 or the condition number exceeds
-    1e12.
+    With V = Q diag(w) Q^T, adj(V) = Q diag(prod_{j != i} w_j) Q^T, which
+    equals det(V) V^{-1} wherever V is invertible.
     """
     A = require_covariance(V)
-    det = float(np.linalg.det(A))
-    if abs(det) < 1e-300 or np.linalg.cond(A) > 1e12:
-        adj = _adjugate_cofactor(A)
-    else:
-        adj = det * np.linalg.inv(A)
+    w, Q = np.linalg.eigh(0.5 * (A + A.T))
+    cofactors = np.prod(np.where(np.eye(w.size, dtype=bool), 1.0, w), axis=1)
+    adj = (Q * cofactors) @ Q.T
     return 0.5 * (adj + adj.T)
-
-
-def _adjugate_cofactor(A: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    adj = np.empty_like(A)
-    idx = np.arange(n)
-    for i in range(n):
-        rows = idx != i
-        for j in range(n):
-            minor = A[np.ix_(rows, idx != j)]
-            adj[j, i] = (-1.0) ** (i + j) * float(np.linalg.det(minor))
-    return adj
 
 
 def trace_adjugate(V) -> float:

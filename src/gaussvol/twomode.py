@@ -244,9 +244,7 @@ def domain_bounds(p: CanonicalPoint) -> DomainBounds:
     a, b, c = float(p.a), float(p.b), float(p.c)
     if not (a > 0.0 and b > 0.0):
         raise InvalidArgumentError("domain bounds need a > 0 and b > 0")
-    c1 = (a / b) * (b * b - 1.0)
-    c2 = (b / a) * (a * a - 1.0)
-    c3 = (1.0 - a * a - b * b + a * a * b * b) / (a * b)
+    c1, c2, c3 = _c_limits(a, b)
     d1, d2, delta, ok = _d_interval(a, b, c)
     if not ok:
         d1, d2 = math.inf, -math.inf
@@ -301,20 +299,27 @@ def _ab_quantum(a, b, tol, out=None, tmp=None):
     return np.greater_equal(np.minimum(a, b, out=tmp), 1.0 - tol, out=out)
 
 
+def _c_limits(a, b):
+    """c1 = (a/b)(b^2 - 1), c2 = (b/a)(a^2 - 1) and c3 = (a^2 - 1)(b^2 - 1) / ab.
+
+    c3 is evaluated as ((ab)^2 - (b^2 + (a^2 - 1))) / ab, since
+    1 - a^2 - b^2 = -((a^2 - 1) + b^2) exactly.
+    """
+    ab, am1 = a * b, a * a - 1.0
+    return a / b * (b * b - 1.0), b / a * am1, (ab * ab - (b * b + am1)) / ab
+
+
 def _c_bounds(a, b):
     """The quantum c-bound cb and the separability c-bound sqrt(c3), elementwise.
 
-    cb = sqrt((a/b)(b^2 - 1)) where b <= a and sqrt((b/a)(a^2 - 1)) elsewhere,
-    and c3 = (1 - a^2 - b^2 + (ab)^2) / ab = (a^2 - 1)(b^2 - 1) / ab; both
-    radicands are clipped at 0.  These are the c-limits of the quadrature's
-    pieces; the labels do not use them.
+    cb = sqrt(c1) where b <= a and sqrt(c2) elsewhere, with c1, c2 and c3 of
+    :func:`_c_limits`; the radicands are clipped at 0.  These are the
+    c-limits of the quadrature's pieces; the labels do not use them.
     """
-    ab, am1 = a * b, a * a - 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c1, c2, c3 = _c_limits(a, b)
         # branch by mode ordering; at a = b the two c-bounds coincide
-        cb = np.where(b <= a, a / b * (b * b - 1.0), b / a * am1)
-        # 1 - a^2 - b^2 = -(am1 + b^2) exactly
-        c3 = (ab * ab - (b * b + am1)) / ab
+        cb = np.where(b <= a, c1, c2)
         return np.sqrt(np.maximum(cb, 0.0)), np.sqrt(np.maximum(c3, 0.0))
 
 
@@ -460,7 +465,7 @@ def simon_invariants(p: CanonicalPoint) -> SimonInvariants:
     """Two-mode invariants and symplectic eigenvalues from the standard form.
 
     delta = a^2 + b^2 + 2cd and det V determine the symplectic eigenvalues via
-    nu_(-/+)^2 = (delta -/+ sqrt(delta^2 - 4 det V)) / 2 ... with the minus
+    nu_(-/+)^2 = (delta -/+ sqrt(delta^2 - 4 det V)) / 2, with the minus
     branch giving the smaller eigenvalue.
     """
     a, b, c, d = (float(x) for x in p)

@@ -326,17 +326,44 @@ def test_volume_box_does_not_depend_on_samples(capsys):
 # ------------------------------------------------------------------ config
 
 
-def test_config_round_trip(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    argv = ["volume", "--E", "6", "--samples", "20000", "--seed", "11", "--streams", "2"]
-    assert main(argv + ["--write-config", str(cfg)]) == 0
-    first = capsys.readouterr().out
-    text = cfg.read_text(encoding="utf-8")
-    assert text.startswith("# gaussvol config v1\n")
-    assert "seed = 11" in text
-    assert main(["volume", "--config", str(cfg)]) == 0
-    second = capsys.readouterr().out
-    assert first == second
+# the config keys, in the order in which --write-config lists them
+_CONFIG_KEYS = ("set", "reg", "E", "kappa", "m", "samples", "seed", "streams", "eps-tail", "tol",
+                "sampler", "out")
+_OPTIONAL_KEYS = ("reg", "E", "kappa", "out")
+
+
+# one non-default value of each setting; m has none, since only m = 4 runs
+@pytest.mark.parametrize("flags", [
+    ["--E", "6", "--set", "separable"],
+    ["--E", "6", "--reg", "energy"],
+    ["--E", "7"],
+    ["--kappa", "2"],
+    ["--E", "6", "--samples", "30000"],
+    ["--E", "6", "--seed", "11"],
+    ["--E", "6", "--streams", "2"],
+    ["--kappa", "2", "--eps-tail", "0.01"],
+    ["--E", "6", "--tol", "1e-6"],
+    ["--E", "6", "--sampler", "qmc"],
+    ["--E", "6", "--out"],
+], ids=["set", "reg", "E", "kappa", "samples", "seed", "streams", "eps-tail", "tol", "sampler",
+        "out"])
+def test_config_round_trip(flags, tmp_path, capsys):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+    argv = ["volume", *flags] + ([str(out)] if flags[-1] == "--out" else [])
+    if "--samples" not in argv:
+        argv += ["--samples", "20000"]
+
+    def run(argv):
+        out.unlink(missing_ok=True)
+        assert main(argv) == 0
+        return capsys.readouterr().out, out.read_text(encoding="utf-8") if out.exists() else None
+
+    first = run(argv + ["--write-config", str(cfg)])
+    lines = cfg.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "# gaussvol config v1"
+    keys = [line.partition(" = ")[0] for line in lines[1:]]
+    assert keys == [k for k in _CONFIG_KEYS if k not in _OPTIONAL_KEYS or "--" + k in argv]
+    assert run(["volume", "--config", str(cfg)]) == first
 
 
 def test_config_flag_overrides_file(tmp_path, capsys):
@@ -361,11 +388,16 @@ def test_config_malformed_line(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
-def test_config_bad_value(tmp_path, capsys):
+@pytest.mark.parametrize("key, message", [
+    *((key, f"config key {key!r}: bad value 'many'")
+      for key in ("m", "samples", "seed", "streams", "eps-tail", "tol")),
+    *((key, f"{key} must be one of") for key in ("set", "reg", "sampler")),
+], ids=["m", "samples", "seed", "streams", "eps-tail", "tol", "set", "reg", "sampler"])
+def test_config_bad_value(key, message, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("samples = many\n", encoding="utf-8")
+    cfg.write_text(f"{key} = many\n", encoding="utf-8")
     assert main(["volume", "--E", "6", "--config", str(cfg)]) == 2
-    assert "bad value" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -400,6 +432,28 @@ def test_unwritable_output_exits_2(argv, tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {path}: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--E", "1e70", "--samples", "10000"],
+    ["volume", "--E", "1e45", "--samples", "100000"],
+    ["volume", "--kappa", "1e30", "--samples", "10000"],
+], ids=["E1e70", "E1e45", "kappa1e30"])
+def test_underflowed_weights_exit_5(argv, capsys):
+    # the run prints no row rather than an estimate or error bar of 0
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("error: ") and "underflow" in last
+
+
+def test_sweep_records_underflowed_row_as_failed(capsys):
+    assert main(["sweep", "--E", "8,1e70", "--samples", "10000"]) == 5
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[2:]
+    assert [row.split(",")[:2] for row in rows] == [["E", "8.0"]]
+    assert captured.err.startswith("sweep row E=1e+70 failed: ") and "underflow" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["volume", "--E", "8"], ["sweep", "--E", "4,8"]],

@@ -456,6 +456,31 @@ def test_non_finite_weight_raises(monkeypatch):
         mc_joint_volumes(phi_box(6.0), spec, 20_000, seed=3)
 
 
+@pytest.mark.parametrize("spec, box, n", [
+    # every weight underflows to 0
+    (RegularizerSpec.energy(1e70), phi_box(1e70), 10_000),
+    # the weights stay above 0, but every square of one underflows
+    (RegularizerSpec.energy(1e45), phi_box(1e45), 100_000),
+    (RegularizerSpec.adjugate(1e30), integrate._sym_box(8e15), 10_000),
+], ids=["E1e70", "E1e45", "kappa1e30"])
+def test_underflowed_weight_sums_raise(spec, box, n):
+    # a domain with hits but a zero sum would report 0 or a 0 error bar
+    jv = mc_joint_volumes(box, spec, n, seed=12345, streams=4)
+    with pytest.raises(NumericError, match="classical domain underflow"):
+        jv.result(DomainTag.CLASSICAL)
+
+
+def test_one_underflowed_label_leaves_its_domains_other_labels():
+    # at kappa = 0.01 every squared separable weight underflows, but the
+    # classical domain's sums are carried by its other labels
+    spec = RegularizerSpec.adjugate(0.01)
+    jv = mc_joint_volumes(upsilon_box(0.01), spec, 20_000, seed=12345, streams=4)
+    classical = jv.result(DomainTag.CLASSICAL)
+    assert classical.estimate > 0.0 and classical.std_error > 0.0
+    with pytest.raises(NumericError, match="separable domain underflow"):
+        jv.result(DomainTag.SEPARABLE)
+
+
 def test_first_bad_point_named_across_tiles(monkeypatch):
     box, spec, tile = phi_box(8.0), RegularizerSpec.energy(8.0), integrate._TILE
     ss = np.random.SeedSequence(8)

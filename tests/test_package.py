@@ -41,6 +41,13 @@ def test_every_exported_name_is_its_submodules_object():
     assert isinstance(gaussvol.__version__, str)
 
 
+def test_every_exported_name_is_in_its_submodules_all():
+    for module, names in gaussvol._EXPORTS.items():
+        sub = importlib.import_module(f"gaussvol.{module}")
+        missing = set(names) - set(getattr(sub, "__all__", ()))
+        assert not missing, f"gaussvol.{module}.__all__ lacks {sorted(missing)}"
+
+
 def test_dir_lists_all():
     assert set(gaussvol.__all__) <= set(dir(gaussvol))
 

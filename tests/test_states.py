@@ -256,7 +256,7 @@ def test_adjugate_identity_det_times_inverse():
 
 
 def test_adjugate_singular_fallback():
-    # rank-deficient input: det * inv is unusable, the cofactor path is exact
+    # rank-deficient input: det * inv is unusable, the eigenvalue formula is exact
     V = np.diag([1.0, 2.0, 3.0, 0.0])
     assert_allclose(adjugate(V), np.diag([0.0, 0.0, 0.0, 6.0]), atol=1e-12)
     assert trace_adjugate(V) == pytest.approx(6.0)
