@@ -48,7 +48,8 @@ _SETTINGS = {
             "regularizer kind; inferred from --E/--kappa if omitted"),
     "E": (str, None, None, "energy bound; sweep accepts a list or start:stop:lin|log:count"),
     "kappa": (str, None, None, "damping scale; sweep accepts a list or start:stop:lin|log:count"),
-    "m": (int, 4, None, "regularizer exponent (default 4)"),
+    "m": (int, 4, (4,), "regularizer exponent; volume integrals take only 4, the chart's "
+                        "parameter count (default 4)"),
     "samples": (int, 100_000, None, "sample count (default 100000)"),
     "seed": (int, 12345, None, "integer seed (default 12345)"),
     "streams": (int, 4, None,
@@ -433,8 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """A warning as one plain stderr line, like the ``error:`` lines."""
-    print(f"warning: {message}", file=sys.stderr)
+    """A warning as one plain stderr line, like the ``error:`` lines.
+
+    The line goes out in one write, which keeps it whole when the stream
+    threads warn at once; ``print`` writes the newline separately.
+    """
+    sys.stderr.write(f"warning: {message}\n")
 
 
 def main(argv=None) -> int:

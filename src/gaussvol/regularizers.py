@@ -5,7 +5,11 @@ the (det V)^{-m} blow-up of sqrt(det g) near the boundary of the classical
 domain.  The energy weight additionally cuts off at a total-energy bound E via
 a Heaviside factor; the adjugate weight damps exponentially in tr[adj V].
 ``phi`` and ``upsilon`` weigh one covariance matrix; ``regularizer_values``
-weighs arrays of standard-form points (a, b, c, d) in closed form.
+weighs arrays of standard-form points (a, b, c, d) in closed form, as a plain
+numpy expression that broadcasts its inputs and allocates its result; the
+stream kernel calls it once per batch of points, not per tile of draws.
+``_in_energy_support`` takes optional ``out`` and ``tmp`` arrays, because
+the kernel's first stage runs it on every tile of 2^16 draws.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgumentError
 # states is imported inside the matrix-form weights, so that a volume run does not load it
-from .twomode import _float_arrays, _scratch, canonical_det, canonical_trace_adjugate
+from .twomode import canonical_det, canonical_trace_adjugate
 
 __all__ = [
     "RegKind",
@@ -77,29 +81,17 @@ class RegularizerSpec:
         return cls(kind=RegKind.ADJUGATE_UPSILON, m=m, kappa=kappa)
 
 
-def log1p_det_pow(det_v, m: int, out=None, scratch=None):
+def log1p_det_pow(det_v, m: int):
     """log(1 + det_v**m) for positive det_v, stable for very large and tiny values.
 
-    Works elementwise on arrays.  For m * log(det_v) > 700 the exact value and
-    m * log(det_v) agree to below double precision, so the latter is returned.
-    ``out`` and ``scratch`` (a float and a bool array) are optional arrays of
-    det_v's shape to work in; with ``out`` an array is returned even for a
-    scalar det_v.
+    Works elementwise on arrays, and returns a float for a scalar det_v.  For
+    m * log(det_v) > 700 the exact value and m * log(det_v) agree to below
+    double precision, so the latter is returned.
     """
-    dv = np.asarray(det_v, dtype=float)
-    if scratch is None:
-        scratch = (np.empty(dv.shape), np.empty(dv.shape, dtype=bool))
-    t, big = scratch
-    np.maximum(dv, 1e-300, out=t)
-    np.log(t, out=t)
-    t *= m
-    res = np.minimum(t, _LOG1P_EXP_CROSSOVER, out=np.empty(dv.shape) if out is None else out)
-    np.exp(res, out=res)
-    np.log1p(res, out=res)
-    np.copyto(res, t, where=np.greater(t, _LOG1P_EXP_CROSSOVER, out=big))
-    if out is None and np.ndim(det_v) == 0:
-        return float(res)
-    return res
+    t = np.log(np.maximum(np.asarray(det_v, dtype=float), 1e-300)) * m
+    res = np.log1p(np.exp(np.minimum(t, _LOG1P_EXP_CROSSOVER)))
+    res = np.where(t > _LOG1P_EXP_CROSSOVER, t, res)
+    return float(res) if res.ndim == 0 else res
 
 
 def _in_energy_support(a, b, bound_E: float, out=None, tmp=None) -> np.ndarray:
@@ -114,31 +106,21 @@ def _in_energy_support(a, b, bound_E: float, out=None, tmp=None) -> np.ndarray:
     return np.less_equal(e, bound_E, out=out)
 
 
-def regularizer_values(a, b, c, d, spec: RegularizerSpec, out=None, scratch=None) -> np.ndarray:
+def regularizer_values(a, b, c, d, spec: RegularizerSpec) -> np.ndarray:
     """Vectorized regularizer weight at standard-form points.
 
     Uses the standard-form closed forms det V = (ab - c^2)(ab - d^2) and
     tr[adj V] = (a + b)(2ab - c^2 - d^2); agrees with the general matrix
-    evaluation on the classical domain.  ``out`` and ``scratch`` (two float
-    arrays and a bool array) are optional arrays of the points' shape to
-    work in, so that the stream kernel allocates nothing here.
+    evaluation on the classical domain.
     """
-    a, b, c, d = _float_arrays(a, b, c, d)
-    f1, f2, mask = scratch if scratch is not None else _scratch(a.shape, 2, 1)
-    base = np.empty(a.shape) if out is None else out
-    detv = canonical_det(a, b, c, d, out=f1, scratch=(base, f2))
-    log1p_det_pow(detv, spec.m, out=base, scratch=(f2, mask))
+    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
+    base = log1p_det_pow(canonical_det(a, b, c, d), spec.m)
     if spec.kind is RegKind.ENERGY_PHI:
-        inside = _in_energy_support(a, b, spec.bound_E, out=mask, tmp=f1)
-        np.copyto(base, 0.0, where=np.logical_not(inside, out=inside))
-        return base
-    damp = canonical_trace_adjugate(a, b, c, d, out=f1, scratch=(f2,))
-    np.negative(damp, out=damp)
-    damp /= spec.kappa
-    np.minimum(damp, 700.0, out=damp)
-    np.exp(damp, out=damp)
-    base *= damp
-    return base
+        return np.where(_in_energy_support(a, b, spec.bound_E), base, 0.0)
+    # a named factor, not a temporary, which numpy may reuse as the product's
+    # buffer with the operands swapped, so that a NaN keeps base's sign bit
+    damp = np.exp(np.minimum(-canonical_trace_adjugate(a, b, c, d) / spec.kappa, 700.0))
+    return base * damp
 
 
 def _checked_det(V) -> float:

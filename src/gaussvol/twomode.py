@@ -12,6 +12,12 @@ so the four parameters (a, b, c, d) chart the classes of interest.  This
 module provides the embedding, the explicit metric components, the inequality
 description of the classical/quantum/separable/entangled domains, and the
 standard two-mode invariants used by the PPT test.
+
+The closed forms (``canonical_det``, ``canonical_trace_adjugate``,
+``volume_density``) are plain numpy expressions that broadcast their inputs.
+The private labelling helpers take optional ``out`` and scratch arrays,
+because the stream kernel's stages 1 and 2 run them on every tile of 2^16
+points, where allocating doubled a pass's time (see ``integrate``).
 """
 
 from __future__ import annotations
@@ -115,51 +121,17 @@ def canonical_chart() -> ParamChart:
     return ParamChart(dim_modes=2, basis=(Ba, Bb, Bc, Bd), names=("a", "b", "c", "d"))
 
 
-def _float_arrays(*xs):
-    """The inputs as float arrays broadcast to one shape (views, not copies)."""
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    if all(x.shape == xs[0].shape for x in xs):
-        return xs
-    return np.broadcast_arrays(*xs)
+def canonical_det(a, b, c, d):
+    """det V = (ab - c^2)(ab - d^2), elementwise."""
+    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
+    ab = a * b
+    return (ab - np.square(c)) * (ab - np.square(d))
 
 
-def _scratch(shape, floats, bools=0):
-    """A helper's scratch when none is given: ``floats`` float and ``bools`` bool arrays."""
-    return (*(np.empty(shape) for _ in range(floats)),
-            *(np.empty(shape, dtype=bool) for _ in range(bools)))
-
-
-def canonical_det(a, b, c, d, out=None, scratch=None):
-    """det V = (ab - c^2)(ab - d^2), elementwise.
-
-    ``out`` and ``scratch`` (two float arrays) are optional arrays of the
-    points' shape to work in, so that a caller running it in a loop
-    allocates nothing.
-    """
-    a, b, c, d = _float_arrays(a, b, c, d)
-    ab, d2 = scratch if scratch is not None else _scratch(a.shape, 2)
-    np.multiply(a, b, out=ab)
-    det = np.square(c, out=np.empty(a.shape) if out is None else out)
-    np.subtract(ab, det, out=det)
-    ab -= np.square(d, out=d2)
-    det *= ab
-    return det[()] if out is None else det
-
-
-def canonical_trace_adjugate(a, b, c, d, out=None, scratch=None):
-    """tr[adj V] = (a + b)(2ab - c^2 - d^2), elementwise.
-
-    ``out`` and ``scratch`` (one float array) are optional arrays of the
-    points' shape to work in.
-    """
-    a, b, c, d = _float_arrays(a, b, c, d)
-    (tmp,) = scratch if scratch is not None else _scratch(a.shape, 1)
-    tr = np.multiply(a, b, out=np.empty(a.shape) if out is None else out)
-    tr *= 2.0
-    tr -= np.square(c, out=tmp)
-    tr -= np.square(d, out=tmp)
-    tr *= np.add(a, b, out=tmp)
-    return tr[()] if out is None else tr
+def canonical_trace_adjugate(a, b, c, d):
+    """tr[adj V] = (a + b)(2ab - c^2 - d^2), elementwise."""
+    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
+    return (a * b * 2.0 - np.square(c) - np.square(d)) * (a + b)
 
 
 def metric_components(a, b, c, d) -> np.ndarray:
@@ -168,12 +140,7 @@ def metric_components(a, b, c, d) -> np.ndarray:
     Broadcasts over array inputs; no domain checks are performed, so entries
     are meaningful only where ab != c^2 and ab != d^2.
     """
-    a, b, c, d = np.broadcast_arrays(
-        np.asarray(a, dtype=float),
-        np.asarray(b, dtype=float),
-        np.asarray(c, dtype=float),
-        np.asarray(d, dtype=float),
-    )
+    a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, d)))
     ab = a * b
     c2 = c * c
     d2 = d * d
@@ -258,7 +225,7 @@ def _d_interval(a, b, c):
     is where Delta >= 0 and ab - c^2 > 0; elsewhere d1 and d2 carry no
     meaning.
     """
-    a, b, c = _float_arrays(a, b, c)
+    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
     ab, c2 = a * b, c * c
     denom = ab - c2
     delta = c2 - (ab * c * c - (a * a - 1.0) * (b * b - 1.0)) * denom
@@ -348,10 +315,11 @@ def _classical_labels(a, b, c, d, tol, out=None, scratch=None):
 
     ``out`` receives the labels (uint8 when omitted); ``scratch`` is four
     float arrays and three bool arrays of a's length, allocated when
-    omitted, so that a caller running it tile after tile allocates nothing.
+    omitted, so that the stream kernel reuses its own tile after tile.
     """
     if scratch is None:
-        scratch = _scratch(a.shape, 4, 3)
+        scratch = (*(np.empty(a.shape) for _ in range(4)),
+                   *(np.empty(a.shape, dtype=bool) for _ in range(3)))
     f0, f1, f2, ab, quantum, ppt, m = scratch
     mu = (1.0 - tol) ** 2
     with np.errstate(invalid="ignore", over="ignore"):
@@ -414,39 +382,24 @@ def domain_mask(a, b, c, d, tag: DomainTag, tol: float = DEFAULT_TOL) -> np.ndar
     return np.isin(domain_labels(a, b, c, d, tol), labels)
 
 
-def volume_density(a, b, c, d, out=None, scratch=None) -> np.ndarray:
+def volume_density(a, b, c, d) -> np.ndarray:
     """Closed-form sqrt(det g) of the (a, b, c, d) chart, elementwise.
 
     det g = (4 a^2 b^2 - (c^2 + d^2)^2) / (4 (ab - c^2)^3 (ab - d^2)^3); the
-    numerator is evaluated as (pc + pd)(2ab + c^2 + d^2) with pc = ab - c^2 and
+    numerator is evaluated as (2ab + c^2 + d^2)(pc + pd) with pc = ab - c^2 and
     pd = ab - d^2, which does not cancel near the singular surfaces.  The
     density is 0 off the classical domain, that is wherever a <= 0, pc <= 0
-    or pd <= 0, and wherever the numerator is <= 0.  ``out`` and ``scratch``
-    (three float and two bool arrays) are optional arrays of the points'
-    shape to work in, so that a caller running it in a loop allocates nothing.
+    or pd <= 0, and wherever the numerator is <= 0.
     """
-    a, b, c, d = _float_arrays(a, b, c, d)
-    ab, pc, pd_, ok, tmp = scratch if scratch is not None else _scratch(a.shape, 3, 2)
-    np.multiply(a, b, out=ab)
-    np.square(c, out=pc)
-    np.square(d, out=pd_)
-    num = np.multiply(ab, 2.0, out=np.empty(a.shape) if out is None else out)
-    num += pc
-    num += pd_
-    np.subtract(ab, pc, out=pc)
-    np.subtract(ab, pd_, out=pd_)
-    num *= np.add(pc, pd_, out=ab)
-    np.greater(a, 0.0, out=ok)
-    for x in (pc, pd_, num):
-        ok &= np.greater(x, 0.0, out=tmp)
+    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
+    ab, c2, d2 = a * b, np.square(c), np.square(d)
+    pc, pd_ = ab - c2, ab - d2
+    num = (ab * 2.0 + c2 + d2) * (pc + pd_)
+    ok = (a > 0.0) & (pc > 0.0) & (pd_ > 0.0) & (num > 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p = np.multiply(pc, pd_, out=pc)
-        den = np.multiply(p, 2.0, out=pd_)
-        den *= np.sqrt(p, out=p)
-        dens = np.sqrt(num, out=num)
-        dens /= den
-    np.copyto(dens, 0.0, where=np.logical_not(ok, out=ok))
-    return dens
+        p = pc * pd_
+        dens = np.sqrt(num) / (p * 2.0 * np.sqrt(p))
+    return np.where(ok, dens, 0.0)
 
 
 def in_domain(p: CanonicalPoint, tag: DomainTag, tol: float = DEFAULT_TOL) -> bool:

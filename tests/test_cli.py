@@ -388,16 +388,25 @@ def test_config_malformed_line(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, message", [
-    *((key, f"config key {key!r}: bad value 'many'")
+@pytest.mark.parametrize("key, value, message", [
+    *((key, "many", f"config key {key!r}: bad value 'many'")
       for key in ("m", "samples", "seed", "streams", "eps-tail", "tol")),
-    *((key, f"{key} must be one of") for key in ("set", "reg", "sampler")),
-], ids=["m", "samples", "seed", "streams", "eps-tail", "tol", "set", "reg", "sampler"])
-def test_config_bad_value(key, message, tmp_path, capsys):
+    *((key, "many", f"{key} must be one of") for key in ("set", "reg", "sampler")),
+    ("m", "3", "m must be one of (4,), got 3"),
+], ids=["m", "samples", "seed", "streams", "eps-tail", "tol", "set", "reg", "sampler", "m3"])
+def test_config_bad_value(key, value, message, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"{key} = many\n", encoding="utf-8")
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
     assert main(["volume", "--E", "6", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_m_flag_takes_only_4(capsys):
+    # volume integrals use the 4-parameter chart, so any other m is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["volume", "--E", "7", "--m", "3"])
+    assert exc.value.code == 2
+    assert "--m: invalid choice: 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -512,6 +521,33 @@ def test_capped_box_warning_is_one_plain_line(capsys):
     assert warnings.showwarning is shown
     with pytest.warns(RuntimeWarning, match="support box capped at L=56.5685"):
         upsilon_box(50.0)
+
+
+def test_warning_is_one_write(monkeypatch):
+    # a line written in pieces can be split by another stream thread's warning
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stderr", Sink())
+    cli._show_warning(RuntimeWarning("overflow encountered in square"), RuntimeWarning, "f.py", 1)
+    assert writes == ["warning: overflow encountered in square\n"]
+
+
+def test_overflowing_run_writes_whole_stderr_lines():
+    # every stream thread of this run warns about overflows before the weight
+    # check fails; the bad point is named with plain floats
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-m", "gaussvol", "volume", "--E", "1e300",
+                               "--samples", "10000"], capture_output=True, text=True)
+        assert proc.returncode == 5 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert all(line.startswith(("warning: ", "error: ")) for line in lines), lines
+        assert lines[-1] == ("error: non-finite integrand weight at (a, b, c, d) = "
+                             "(2.804409201209971e+299, 2.6449144872805975e+298, "
+                             "-2.390066700775611e+299, -1.8731263599459175e+299)")
 
 
 def test_sweep_prints_one_warning_per_capped_row(capsys):

@@ -450,7 +450,7 @@ def test_entangled_empty_just_above_threshold():
 
 def test_non_finite_weight_raises(monkeypatch):
     monkeypatch.setattr(integrate, "regularizer_values",
-                        lambda a, *rest, **scratch: np.full(np.shape(a), np.nan))
+                        lambda a, *rest: np.full(np.shape(a), np.nan))
     spec = RegularizerSpec.energy(6.0)
     with pytest.raises(NumericError, match="non-finite"):
         mc_joint_volumes(phi_box(6.0), spec, 20_000, seed=3)
@@ -489,17 +489,18 @@ def test_first_bad_point_named_across_tiles(monkeypatch):
     (a, b, c, d), _ = _reference_tile(rng, tile, box, spec, 1e-9)
     real = integrate.regularizer_values
 
-    def nan_in_second_tile(a2, b2, c2, d2, spec, **scratch):
+    def nan_in_second_tile(a2, b2, c2, d2, spec):
         # the weight is non-finite at the second tile's points, matched by
         # coordinates, in whichever batch they are weighted
-        vals = real(a2, b2, c2, d2, spec, **scratch)
+        vals = real(a2, b2, c2, d2, spec)
         vals[np.isin(a2, a) & np.isin(c2, c)] = np.nan
         return vals
 
     monkeypatch.setattr(integrate, "regularizer_values", nan_in_second_tile)
     # the first classical point of the second tile, in draw order
     i = np.flatnonzero(domain_labels(a, b, c, d, 1e-9))[0]
-    want = f"non-finite integrand weight at (a, b, c, d) = {(a[i], b[i], c[i], d[i])}"
+    bad = tuple(float(x[i]) for x in (a, b, c, d))
+    want = f"non-finite integrand weight at (a, b, c, d) = {bad}"
     # each tile weighted alone, and all three tiles in one batch
     for batch in (integrate._BATCH, 3 * tile):
         monkeypatch.setattr(integrate, "_BATCH", batch)
@@ -512,8 +513,8 @@ def test_non_finite_weight_outside_scored_domain(monkeypatch):
     # a volume weights only its own domain's points; a full pass weights them all
     real = integrate.regularizer_values
 
-    def nan_off_entangled(a, b, c, d, spec, **scratch):
-        vals = real(a, b, c, d, spec, **scratch)
+    def nan_off_entangled(a, b, c, d, spec):
+        vals = real(a, b, c, d, spec)
         vals[domain_labels(a, b, c, d, 1e-9) != 3] = np.nan
         return vals
 
@@ -787,9 +788,9 @@ def test_weights_computed_once_per_batch(monkeypatch):
     # per tile would call regularizer_values 31 times
     real, calls = integrate.regularizer_values, []
 
-    def counting(*args, **scratch):
+    def counting(*args):
         calls.append(len(args[0]))
-        return real(*args, **scratch)
+        return real(*args)
 
     count = 2_000_000
     tiles = -(-count // integrate._TILE)

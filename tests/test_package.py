@@ -1,5 +1,7 @@
-"""The lazy package namespace, what a CLI run loads, and its one-thread BLAS default."""
+"""The lazy package namespace, what a CLI run loads, its one-thread BLAS default,
+and the package source's rules."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -132,3 +134,15 @@ def test_installed_script_gets_the_default():
         "import gaussvol.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'), main is gaussvol.cli.main)"
     )
     assert out == ["1", "True"]
+
+
+# ---------------------------------------------------------------- source rules
+
+
+def test_package_source_has_no_assert():
+    # python -O strips assert statements, so no check in the package may be one
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "gaussvol").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

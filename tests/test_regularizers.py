@@ -12,10 +12,12 @@ from gaussvol.regularizers import (
     RegularizerSpec,
     log1p_det_pow,
     phi,
+    regularizer_values,
     upsilon,
 )
 from gaussvol.states import apply_congruence, mode_permutation_matrix, random_symplectic
-from gaussvol.twomode import DomainTag, canonical_chart, canonical_embed
+from gaussvol.twomode import (DomainTag, canonical_chart, canonical_det, canonical_embed,
+                              canonical_trace_adjugate, volume_density)
 
 
 def test_spec_construction():
@@ -181,3 +183,36 @@ def test_regularized_volume_element_bounded():
         assert math.isfinite(phi(V, phis) * ve)
         assert math.isfinite(upsilon(V, upss) * ve)
     assert worst_det < 1e-6  # near-singular points are genuinely exercised
+
+
+# ------------------------------------------------- closed forms on any shape
+
+_CLOSED_FORMS = {
+    "canonical_det": canonical_det,
+    "canonical_trace_adjugate": canonical_trace_adjugate,
+    "volume_density": volume_density,
+    "energy": lambda a, b, c, d: regularizer_values(a, b, c, d, RegularizerSpec.energy(8.0)),
+    "adj": lambda a, b, c, d: regularizer_values(a, b, c, d, RegularizerSpec.adjugate(5.0)),
+    # ab = 1e80 at the last a, b row puts m log(ab - cd) past the 700 crossover
+    "log1p_det_pow": lambda a, b, c, d: log1p_det_pow(np.multiply(a, b) - np.multiply(c, d), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLOSED_FORMS))
+def test_closed_forms_broadcast_bit_for_bit(name):
+    f = _CLOSED_FORMS[name]
+    # classical points inside and outside the energy cutoff, points off the
+    # classical domain (density 0) and one far out (tr V > E, damping 0)
+    a = np.array([[0.5], [1.5], [3.0], [1e40]])
+    b = np.array([[2.0], [1.2], [3.5], [1e40]])
+    c = np.array([0.0, 0.3, -0.9, 1.7, 5.0])
+    d = np.array([0.1, -0.4, 0.8, -1.6, 0.0])
+    grid = f(a, b, c, d)
+    assert grid.shape == (4, 5)
+    flat = f(*(x.ravel() for x in np.broadcast_arrays(a, b, c, d)))
+    assert flat.shape == (20,) and flat.tobytes() == grid.ravel().tobytes()
+    for i in range(4):
+        for j in range(5):
+            one = f(float(a[i, 0]), float(b[i, 0]), float(c[j]), float(d[j]))
+            assert np.ndim(one) == 0, type(one)
+            assert np.float64(one).tobytes() == grid[i, j].tobytes(), (i, j)
