@@ -5,15 +5,17 @@ The integrand over the standard-form chart (a, b, c, d) is
     1_domain(p) * weight(V(p)) * sqrt(det g(p)),
 
 integrated over an axis-aligned box that contains the support of the
-weighted domain.  a and b are drawn uniformly over the box's a, b sides; c
-and d are drawn uniformly on the classical slice |c|, |d| < sqrt(ab) + tol,
-each clipped to its box side, so that no draw falls outside the classical
-domain.  Each weight is multiplied by the lengths of its two slices over the
-box's c and d spans, so an estimate is still box.volume times the mean
-weight, an unbiased estimate of the integral over the box's classical
-part, and its iid error bar stays honest.  The slice's half-width is
-``twomode._half_width``, which ``domain_labels`` shares.  A pass scores
-a set of domains in three stages per tile of draws.  Every sample draws a
+weighted domain: for the energy cutoff ``phi_box``, with the a and b sides
+fitted to [1 - tol, E/2 - (1 - tol)] when only the quantum classes are
+scored (``_default_box``), and ``upsilon_box`` for the damping.  a and b
+are drawn uniformly over the box's a, b sides; c and d are drawn uniformly
+on the classical slice |c|, |d| < sqrt(ab) + tol, each clipped to its box
+side, so that no draw falls outside the classical domain.  Each weight is
+multiplied by the lengths of its two slices over the box's c and d spans,
+so an estimate is still box.volume times the mean weight, an unbiased
+estimate of the integral over the box's classical part, and its iid error
+bar stays honest.  The slice's half-width is ``twomode._half_width``, which
+``domain_labels`` shares.  A pass scores a set of domains in three stages per tile of draws.  Every sample draws a
 and b and must pass min(a, b) > -tol (a test skipped when the box's lower
 a, b bounds already exceed -tol) and, for the energy cutoff, tr V <= E.
 Only the survivors draw c and d.  Points whose slice is empty are dropped,
@@ -360,7 +362,9 @@ class IntegrationResult:
     share that carries weight; ``empty_domain`` is true when none does.
     c and d are drawn on the classical slice, not across the box, so this is
     a share of draws, not of the box's volume: for the damping, whose box
-    holds the slices whole, nearly every draw is classical.
+    holds the slices whole, nearly every draw is classical, and for the
+    energy cutoff every draw inside tr V <= E is, half of them; in the box of
+    the quantum classes each of those has min(a, b) >= 1 - tol too.
     """
 
     estimate: float
@@ -623,7 +627,10 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
 
     def run(task):
         child, count = task
-        return _stream_partial(child, count, box, spec, tol, sampler, labels)
+        # a non-finite weight raises NumericError, which names the point;
+        # numpy's overflow warnings on the way there would only name its internals
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _stream_partial(child, count, box, spec, tol, sampler, labels)
 
     partials = _run_shares(run, tasks, min(streams, _usable_cores()))
     n, s1, s2, hits = _pairwise_reduce(partials, lambda u, v: tuple(x + y for x, y in zip(u, v)))
@@ -709,21 +716,36 @@ class IntegrationRequest:
             _check_eps_tail(self.eps_tail)
 
 
-def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float) -> Box:
-    """``phi_box`` for the energy cutoff; for the damping, a box fitted to each of ``domains``."""
-    if spec.kind is RegKind.ENERGY_PHI:
-        return phi_box(spec.bound_E)
-    return upsilon_box(spec.kappa, eps_tail, domain=domains)
+def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float, tol: float) -> Box:
+    """The support box of ``domains`` under ``spec``.
+
+    For the damping, ``upsilon_box`` fitted to each of ``domains``.  For the
+    energy cutoff, ``phi_box``, whose a and b sides are fitted to the quantum
+    classes when no domain holds label 1 (classical only): each of their
+    points has min(a, b) >= q = max(0, 1 - tol) (``_ab_quantum``) and
+    a + b <= E/2, so a, b lie in [q, E/2 - q].  When E/2 - q <= q those
+    classes have no volume, and ``phi_box`` is kept.
+    """
+    if spec.kind is RegKind.ADJUGATE_UPSILON:
+        return upsilon_box(spec.kappa, eps_tail, domain=domains)
+    box = phi_box(spec.bound_E)
+    q, top = max(0.0, 1.0 - tol), box.hi[0]
+    if 1 in _labels_of(domains) or top - q <= q:
+        return box
+    return Box(lo=(q, q, *box.lo[2:]), hi=(top - q, top - q, *box.hi[2:]))
 
 
 def mc_volume(req: IntegrationRequest) -> IntegrationResult:
     """Monte Carlo volume of one domain under the requested regularizer.
 
-    Bit-identical for a fixed (seed, streams, n_samples) request, and to the
-    same domain's result from a pass that scores all four: only this
-    domain's points are weighted.
+    The pass runs over ``_default_box``: under the energy cutoff a quantum,
+    separable or entangled run draws a and b on [q, E/2 - q] with
+    q = max(0, 1 - tol), where that holds any volume, and a classical run
+    over ``phi_box``.  Bit-identical for a fixed (seed, streams, n_samples)
+    request, and to the same domain's result from a pass over the same box
+    that scores all four: only this domain's points are weighted.
     """
-    box = _default_box(req.regularizer, (req.domain,), req.eps_tail)
+    box = _default_box(req.regularizer, (req.domain,), req.eps_tail, req.tol)
     jv = mc_joint_volumes(box, req.regularizer, req.n_samples, req.seed, req.streams,
                           req.tol, req.sampler, domains=(req.domain,))
     return jv.result(req.domain)
@@ -779,7 +801,7 @@ def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
     rows = []
     for i, (v, spec) in enumerate(_sweep_specs(param, values, template)):
         try:
-            box = _default_box(spec, DOMAIN_ORDER, template.eps_tail)
+            box = _default_box(spec, DOMAIN_ORDER, template.eps_tail, template.tol)
             row_ss = np.random.SeedSequence([int(template.seed), i])
             jv = mc_joint_volumes(box, spec, template.n_samples, row_ss, template.streams,
                                   template.tol, template.sampler, seed_label=template.seed)

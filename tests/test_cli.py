@@ -221,17 +221,18 @@ def test_volume_rejects_out_of_range_input(flags, capsys):
     assert err.startswith("error: ")
 
 
-# the data row of each benchmark workload at 200k samples and seed 1, recorded
-# when c and d were first drawn on the classical slice; a kernel speed-up must
-# keep these bytes
+# the data row of each benchmark workload at 200k samples and seed 1: the
+# kappa row recorded when c and d were first drawn on the classical slice, the
+# E row when its box's a and b sides were fitted to the quantum classes; a
+# kernel speed-up must keep these bytes
 _PINNED_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
         "entangled,adj,kappa,5.0,4,0.30792443751505333,0.010900892475236009,0.047965,0,200000,"
         "1,4,pseudo,0.0,6.324555320336758,0.0,6.324555320336758,-6.324555320336758,"
         "6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "separable", "--E", "8"):
-        "separable,energy,E,8.0,4,5.320990753223119,0.07710493086603686,0.023835,0,200000,1,4,"
-        "pseudo,0.0,4.0,0.0,4.0,-2.0,2.0,-2.0,2.0",
+        "separable,energy,E,8.0,4,5.217588048106451,0.03674019095938848,0.093865,0,200000,1,4,"
+        "pseudo,0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
 }
 
 
@@ -293,15 +294,33 @@ def test_volume_quantum_empty_at_small_energy(capsys):
 
 
 def test_volume_entangled_empty_just_above_threshold(capsys):
-    # entangled points lie in phi_box(4.05) but none inside tr V <= 4.05, so
-    # the run must report an empty domain, not the share that passed the box
-    code = main(["volume", "--set", "entangled", "--E", "4.05", "--samples", "100000",
+    # below E = 4 the run keeps phi_box(3.9), which holds points with
+    # min(a, b) >= 1 - tol, but none inside tr V <= 3.9: the run must report
+    # an empty domain, not the share that passed the box
+    code = main(["volume", "--set", "entangled", "--E", "3.9", "--samples", "100000",
                  "--seed", "3"])
     assert code == 0
     fields = capsys.readouterr().out.splitlines()[2].split(",")
     assert float(fields[5]) == 0.0
     assert float(fields[7]) == 0.0
     assert fields[8] == "1"
+    assert fields[13:15] == ["0.0", "1.95"]
+    # just above the threshold the box fitted to the quantum classes finds
+    # the entangled points inside tr V <= 4.05 that phi_box(4.05) missed
+    code = main(["volume", "--set", "entangled", "--E", "4.05", "--samples", "100000",
+                 "--seed", "3"])
+    assert code == 0
+    fields = capsys.readouterr().out.splitlines()[2].split(",")
+    assert float(fields[5]) > 0.0 and float(fields[7]) > 0.0
+    assert fields[8] == "0"
+
+
+def test_volume_tol_sets_the_fitted_box(capsys):
+    # the a and b sides of a quantum class's E box start at 1 - tol
+    assert main(["volume", "--set", "quantum", "--E", "8", "--tol", "1e-3", "--samples", "20000",
+                 "--seed", "1"]) == 0
+    fields = capsys.readouterr().out.splitlines()[2].split(",")
+    assert fields[13:17] == ["0.999", "3.001", "0.999", "3.001"]
 
 
 def test_volume_adjugate_kind(capsys):
@@ -537,17 +556,17 @@ def test_warning_is_one_write(monkeypatch):
 
 
 def test_overflowing_run_writes_whole_stderr_lines():
-    # every stream thread of this run warns about overflows before the weight
-    # check fails; the bad point is named with plain floats
+    # the weights of this run overflow in every stream thread; numpy's
+    # overflow warnings are silenced there, and the one error line names the
+    # bad point with plain floats
     for _ in range(2):
         proc = subprocess.run([sys.executable, "-m", "gaussvol", "volume", "--E", "1e300",
                                "--samples", "10000"], capture_output=True, text=True)
         assert proc.returncode == 5 and proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert all(line.startswith(("warning: ", "error: ")) for line in lines), lines
-        assert lines[-1] == ("error: non-finite integrand weight at (a, b, c, d) = "
-                             "(2.804409201209971e+299, 2.6449144872805975e+298, "
-                             "-2.390066700775611e+299, -1.8731263599459175e+299)")
+        assert proc.stderr.splitlines() == [
+            "error: non-finite integrand weight at (a, b, c, d) = "
+            "(2.804409201209971e+299, 2.6449144872805975e+298, "
+            "-2.390066700775611e+299, -1.8731263599459175e+299)"]
 
 
 def test_sweep_prints_one_warning_per_capped_row(capsys):

@@ -15,6 +15,7 @@ import gaussvol.integrate as integrate
 from gaussvol.errors import InvalidArgumentError, NumericError
 from gaussvol.integrate import (
     Box,
+    DEFAULT_EPS_TAIL,
     DOMAIN_ORDER,
     IntegrationRequest,
     mc_joint_volumes,
@@ -83,6 +84,39 @@ def test_phi_box_covers_energy_support():
     tr = 2.0 * (pts[:, 0] + pts[:, 1])
     inside = box.contains(pts)
     assert np.all(inside[tr <= E])
+
+
+def test_fitted_energy_box_covers_quantum_support():
+    # every quantum point with tr V <= E lies inside the box fitted to the
+    # quantum classes, whose a and b sides start at 1 - tol
+    rng = np.random.default_rng(107)
+    E = 6.0
+    a, b = rng.uniform(0.5, 2.5, (2, 400_000))
+    c, d = rng.uniform(-1.5, 1.5, (2, 400_000))
+    for tol in _ORACLE_TOLS:
+        box = integrate._default_box(RegularizerSpec.energy(E), (DomainTag.QUANTUM,),
+                                     DEFAULT_EPS_TAIL, tol)
+        assert box.lo == (1.0 - tol, 1.0 - tol, -1.5, -1.5), tol
+        assert box.hi == (3.0 - (1.0 - tol), 3.0 - (1.0 - tol), 1.5, 1.5), tol
+        support = (domain_labels(a, b, c, d, tol) >= 2) & (2.0 * (a + b) <= E)
+        pts = np.column_stack([a, b, c, d])[support]
+        assert len(pts) > 1000 and box.contains(pts).all(), tol
+
+
+@pytest.mark.parametrize("E,tol,domains", [
+    # no quantum point lies inside the cutoff: E/2 - (1 - tol) <= 1 - tol
+    (4.0 * (1.0 - 1e-9), 1e-9, (DomainTag.QUANTUM,)),
+    (3.9, 1e-3, (DomainTag.ENTANGLED,)),
+    # 1 - tol <= 0: the a, b floor of phi_box
+    (8.0, 1.0, (DomainTag.SEPARABLE,)),
+    (8.0, 2.5, (DomainTag.QUANTUM,)),
+    # the classical-only label is scored
+    (8.0, 1e-9, (DomainTag.CLASSICAL,)),
+    (8.0, 1e-9, DOMAIN_ORDER),
+])
+def test_fitted_energy_box_falls_back_to_phi_box(E, tol, domains):
+    spec = RegularizerSpec.energy(E)
+    assert integrate._default_box(spec, domains, DEFAULT_EPS_TAIL, tol) == phi_box(E)
 
 
 def test_regularizer_values_match_matrix_forms():
@@ -834,13 +868,15 @@ def test_enlarged_box_same_integral():
     assert abs(small.estimate - big.estimate) < 4.0 * sigma
 
 
-# the two benchmark cases with exact values: kappa = 5 entangled inside its
-# support box (side 4 sqrt(5/2) = 6.3246), from _quad's rule at order 32,
-# where orders 24 and 40 agree to 2e-9; and E = 8 separable, from a 3-d rule
-# exact to 1e-10
+# the cases with exact values: kappa = 5 entangled inside its support box
+# (side 4 sqrt(5/2) = 6.3246), from _quad's rule at order 32, where orders 24
+# and 40 agree to 2e-9; and the three quantum classes at E = 8, whose box is
+# fitted to them, from a 3-d rule exact to 1e-10
 _EXACT_CASES = {
     "kappa5_entangled": (DomainTag.ENTANGLED, RegularizerSpec.adjugate(5.0), 0.2965308),
     "E8_separable": (DomainTag.SEPARABLE, RegularizerSpec.energy(8.0), 5.1866948377),
+    "E8_quantum": (DomainTag.QUANTUM, RegularizerSpec.energy(8.0), 8.3216937604),
+    "E8_entangled": (DomainTag.ENTANGLED, RegularizerSpec.energy(8.0), 3.1349989227),
 }
 
 
