@@ -15,21 +15,23 @@ multiplied by the lengths of its two slices over the box's c and d spans,
 so an estimate is still box.volume times the mean weight, an unbiased
 estimate of the integral over the box's classical part, and its iid error
 bar stays honest.  The slice's half-width is ``twomode._half_width``, which
-``domain_labels`` shares.  A pass scores a set of domains in three stages per tile of draws.  Every sample draws a
-and b and must pass min(a, b) > -tol (a test skipped when the box's lower
-a, b bounds already exceed -tol) and, for the energy cutoff, tr V <= E.
-Only the survivors draw c and d.  Points whose slice is empty are dropped,
-and so are points sure to carry an unscored label: those with
-min(a, b) < 1 - tol, which are classical only, when that label is not
-scored, and those with fl(c*d) >= 0, which are PPT, when entangled alone
-is scored.  One labelling pass, Simon's test on the smallest symplectic
-eigenvalue of V and of its partial transpose, then gives each point left
-the innermost domain holding it (classical only, separable or entangled),
-and only points with a scored label are weighted, with the closed-form
-sqrt(det g).  Weighted sums and hits are kept per label and every domain is
-a fixed set of labels, so nested domains are ordered exactly.  The draws do
-not depend on the scored domains, so a pass scoring one domain gives it the
-bits of a pass scoring all four.
+``domain_labels`` shares.  A pass scores a set of domains in three stages
+per tile of draws.  Every sample draws a and b and must pass
+min(a, b) > -tol (a test skipped when the box's lower a, b bounds already
+exceed -tol) and, for the energy cutoff, tr V <= E.  Only the survivors
+draw c and d.  Points whose slice is empty are dropped, and so are points
+sure to carry an unscored label: those with min(a, b) < 1 - tol, which are
+classical only, when that label is not scored (a test skipped when the
+box's lower a, b bounds are at least 1 - tol), and those with
+fl(c*d) >= 0, which are PPT, when entangled alone is scored.  One
+labelling pass, Simon's test on the smallest symplectic eigenvalue of V
+and of its partial transpose, then gives each point left the innermost
+domain holding it (classical only, separable or entangled), and only
+points with a scored label are weighted, with the closed-form
+sqrt(det g).  Weighted sums and hits are kept per label and every domain
+is a fixed set of labels, so nested domains are ordered exactly.  The
+draws do not depend on the scored domains, so a pass scoring one domain
+gives it the bits of a pass scoring all four.
 
 The adjugate damping has unbounded support, so ``upsilon_box`` fits a box
 a, b in (0, L], |c|, |d| <= L: the first of the sides L0 / sqrt(2), L0,
@@ -44,32 +46,32 @@ Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from the children of the seed's SeedSequence, and partial sums are
 combined by a fixed-order pairwise reduction; results are bit-identical for
 a fixed (seed, streams, n_samples).  A stream works in tiles of ``_TILE``
-points.  Stages 1 and 2 and the labelling run per tile, in scratch that the
-stream allocates once: on 2 cores, a version of them that allocated its
-arrays took a warm E = 8 pass from 0.060 to 0.121 s and peak RSS up by
-10-14 MB.  The points with a scored label queue up, keyed by tile and label,
-and the weighting and summing run once per batch of consecutive tiles.
-Each of those numpy calls costs about 50 us whatever its size; batches cut
-a 2M-sample stream's stage-3 calls from 31 to 15 (kappa = 5 entangled) or
-7 (E = 8 separable), and with 4 streams on 2 cores stage 3 per tile made
-the damped workload 10% slower end to end.  Each tile keeps its own sums:
-one ``bincount`` per sum over the batch adds each tile's weights in draw
-order, as a ``bincount`` of that tile alone does, and the tiles' sums are
-added up in tile order, so the batch size changes no bit.  Stage 3 calls
-the closed forms ``volume_density`` and ``regularizer_values``, which
-allocate their arrays: once per batch, that costs 1-2% of a stream's
-time and 0.4 MB of peak RSS, inside the run-to-run spread end to end.  Only
-the slice factor (``_half_width``, ``_slice``) works in scratch there.  A
+points.  Stages 1 and 3 allocate their arrays, at no measured cost; each
+mechanism that stays has a reason measured on 2 cores (ROADMAP item 14).
+Two flat buffers, filled in turn by each stage's gather, hold stage 2's
+float rows (allocating them raised the energy workload's peak RSS by
+3.4 MB) and the labeller's scratch (1 MB and 2-4% of cpu).  Drawing c and d
+for stage-1 survivors only saves the energy workload 10% of its time and
+2 MB, and the two stage-2 drops save the damped one 13%.  The points with
+a scored label queue up, keyed by tile and label, and are weighted and
+summed once per batch of consecutive tiles, as each such numpy call costs
+about 50 us whatever its size.  A tile that brings more than half a batch
+runs alone, as every E = 8 separable tile does (5.8k-6.0k points: 31 calls
+per 2M-sample stream); kappa = 5 entangled tiles share 15 calls, where
+stage 3 per tile made the damped workload 6% slower.  Each tile keeps its
+own sums: one ``bincount`` per sum over the batch adds each tile's weights
+in draw order, as a ``bincount`` of that tile alone does, and the tiles'
+sums are added up in tile order, so the batch size changes no bit.  A
 pseudo stream is consumed per tile as a(t) and b(t), then the uniforms of
-c(k) and d(k) for the k stage-1 survivors.  A qmc stream draws each tile's t points in
-full, as the first t of a block of 2^k >= t Sobol points, whose 3rd and
-4th coordinates are the uniforms of c and d: scipy warns about a first
-draw of any other size, and the first t points of a block do not depend on
-its size.  So ``_TILE`` alone fixes the bits, for pseudo and qmc alike.
-The substreams of a pass run on min(streams, usable cores) threads: the
-caller runs one share and starts the others for that pass alone, and the
-partial sums are reduced in stream order, so the core count sets the speed
-but never the bits.
+c(k) and d(k) for the k stage-1 survivors.  A qmc stream draws each tile's
+t points in full, as the first t of a block of 2^k >= t Sobol points,
+whose 3rd and 4th coordinates are the uniforms of c and d: scipy warns
+about a first draw of any other size, and the first t points of a block
+do not depend on its size.  So ``_TILE`` alone fixes the bits, for pseudo
+and qmc alike.  The substreams of a pass run on min(streams, usable cores)
+threads: the caller runs one share and starts the others for that pass
+alone, and the partial sums are reduced in stream order, so the core count
+sets the speed but never the bits.
 """
 
 from __future__ import annotations
@@ -183,21 +185,16 @@ def _take(keep, cols, buf, rows=4):
     return out, idx
 
 
-def _rows(buf, k, n):
-    """k rows of n floats at the start of the flat scratch ``buf``."""
-    return buf[:k * n].reshape(k, n)
-
-
-def _slice(h, lo, hi, out):
+def _slice(h, lo, hi, out=(None, None)):
     """Start and length of the slice (-h, h) clipped to the box side (lo, hi], elementwise.
 
-    ``out`` is two float arrays of h's shape, the second of which may be h;
-    the length is <= 0 where the clipped slice is empty.
+    ``out`` is two float arrays of h's shape, allocated when omitted; the
+    length is <= 0 where the clipped slice is empty.
     """
     start, length = out
-    np.negative(h, out=start)
+    start = np.negative(h, out=start)
     np.maximum(start, lo, out=start)
-    np.minimum(h, hi, out=length)
+    length = np.minimum(h, hi, out=length)
     length -= start
     return start, length
 
@@ -210,12 +207,11 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     per_cd = 1.0 / (span[2, 0] * span[3, 0])
     tile = min(_TILE, count)
     cap = min(_BATCH, count)
-    size = max(tile, cap)
     # a tile's points live in one of two flat buffers; each stage works in the
     # other one and then gathers its survivors into it.  Every buffer stays
     # below the 4 MiB from which numpy asks for huge pages, which a few
     # touched bytes would make resident in full
-    bufs = (np.empty(4 * size), np.empty(4 * size))
+    bufs = (np.empty(4 * tile), np.empty(4 * tile))
     other = lambda pts: bufs[np.may_share_memory(pts, bufs[0])]
     if sampler == "pseudo":
         rng = np.random.default_rng(child_ss)
@@ -225,36 +221,32 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         sob = qmc.Sobol(d=4, scramble=True, seed=np.random.default_rng(child_ss))
     # the labels of a tile's stage-2 survivors
     lab_buf = np.empty(tile, dtype=np.uint8)
-    b_buf = np.empty((3, size), dtype=bool)
+    b_buf = np.empty((3, tile), dtype=bool)
     # the stage-3 points queued from tiles first, first + 1, ..., each with
     # the key 4 * (its tile - first) + its label
     queue = np.empty((4, cap))
     qkey = np.empty(cap, dtype=np.intp)
     scored = np.isin(np.arange(4), labels)  # scored[l]: label l is weighted and counted
-    # a and b are drawn at or above their lower bounds, so above -tol when those are
-    ab_test = not (box.lo[0] > -tol and box.lo[1] > -tol)
+    # a and b are drawn at or above their lower bounds, so above -tol, or
+    # at least 1 - tol (_ab_quantum), when those are
+    ab_test = not min(box.lo[:2]) > -tol
+    quantum_test = not (scored[1] or min(box.lo[:2]) >= 1.0 - tol)
     # each tile's sums, one row per tile, added up in tile order at the end
     tiles = -(-count // _TILE)
     s1 = np.zeros((max(tiles, 1), 4))
     s2 = np.zeros_like(s1)
     hits = np.zeros(s1.shape, dtype=np.int64)
 
-    def stage3(pts, key, j0, k, spare):
-        """Weight and sum the (4, n) points of tiles j0, ..., j0 + k - 1.
-
-        ``key`` holds 4 * (tile - j0) + label per point; ``spare`` is a free
-        flat buffer to work in.
-        """
-        n = pts.shape[1]
-        if n == 0:
+    def stage3(pts, key, j0, k):
+        """Weight and sum the points of tiles j0, ..., j0 + k - 1, keyed 4 * (tile - j0) + label."""
+        if pts.shape[1] == 0:
             return
         a, b, c, d = pts
-        h, f1, f2 = _rows(spare, 3, n)
         w = volume_density(a, b, c, d) * regularizer_values(a, b, c, d, spec)
         # times the lengths of the slices c and d were drawn on, over the box's spans
-        h = _half_width(a, b, tol, out=h)
-        f = _slice(h, box.lo[2], box.hi[2], out=(f1, f2))[1]
-        f *= _slice(h, box.lo[3], box.hi[3], out=(f1, h))[1]
+        h = _half_width(a, b, tol)
+        f = _slice(h, box.lo[2], box.hi[2])[1]
+        f *= _slice(h, box.lo[3], box.hi[3])[1]
         f *= per_cd
         w *= f
         finite = np.isfinite(w)
@@ -288,12 +280,11 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         pts[:2] *= span[:2]
         pts[:2] += lo[:2]
         a, b = pts[:2]
-        tmp = bufs[1][:t]
-        keep = _ab_above(a, b, -tol, out=b_buf[0, :t], tmp=tmp) if ab_test else None
+        keep = _ab_above(a, b, -tol) if ab_test else None
         if energy:
             # a point outside the cutoff would add only +0.0 to s1 and s2
-            inside = _in_energy_support(a, b, spec.bound_E, out=b_buf[1, :t], tmp=tmp)
-            keep = inside if keep is None else np.logical_and(keep, inside, out=keep)
+            inside = _in_energy_support(a, b, spec.bound_E)
+            keep = inside if keep is None else keep & inside
         if keep is not None:
             pts = _take(keep, pts, bufs[1], rows=rows)[0]
         # stage 2, the survivors: the uniforms of c and d, which every
@@ -305,7 +296,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         n = pts.shape[1]
         a, b, c, d = pts
         keep, inside = b_buf[:2, :n]
-        h, start, length = _rows(other(pts), 3, n)
+        h, start, length = other(pts)[:3 * n].reshape(3, n)
         _half_width(a, b, tol, out=h)
         _slice(h, box.lo[2], box.hi[2], out=(start, length))
         np.greater(length, 0.0, out=keep)
@@ -318,7 +309,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         # a point whose slice is empty goes, as does one sure to have label
         # 1 when that is not scored (min(a, b) < 1 - tol), and, when
         # entangled alone is scored, one with fl(c*d) >= 0, which is PPT
-        if not scored[1]:
+        if quantum_test:
             keep &= _ab_quantum(a, b, tol, out=inside, tmp=h)
         if labels == (3,):
             keep &= np.less(np.multiply(c, d, out=h), 0.0, out=inside)
@@ -328,7 +319,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         # the labels of the points left; those with a scored label go on
         n = pts.shape[1]
         lab = _classical_labels(*pts, tol, out=lab_buf[:n],
-                                scratch=(*_rows(other(pts), 4, n), *b_buf[:, :n]))
+                                scratch=(*other(pts)[:4 * n].reshape(4, n), *b_buf[:, :n]))
         pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts, other(pts))
         if idx is not None:
             lab = lab[idx]
@@ -338,16 +329,16 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         n = pts.shape[1]
         alone = 2 * n > cap
         if alone or queued + n > cap:
-            stage3(queue[:, :queued], qkey[:queued], first, j - first, other(pts))
+            stage3(queue[:, :queued], qkey[:queued], first, j - first)
             first, queued = j, 0
         if alone:
-            stage3(pts, lab, j, 1, other(pts))
+            stage3(pts, lab, j, 1)
             first = j + 1
         else:
             queue[:, queued:queued + n] = pts
             np.add(lab, 4 * (j - first), out=qkey[queued:queued + n], dtype=np.intp)
             queued += n
-    stage3(queue[:, :queued], qkey[:queued], first, tiles - first, bufs[0])
+    stage3(queue[:, :queued], qkey[:queued], first, tiles - first)
     # the tiles' sums in tile order, each added to the sum of those before it
     return count, *(np.add.accumulate(x, axis=0)[-1] for x in (s1, s2, hits))
 

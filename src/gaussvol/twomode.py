@@ -15,9 +15,9 @@ standard two-mode invariants used by the PPT test.
 
 The closed forms (``canonical_det``, ``canonical_trace_adjugate``,
 ``volume_density``) are plain numpy expressions that broadcast their inputs.
-The private labelling helpers take optional ``out`` and scratch arrays,
-because the stream kernel's stages 1 and 2 run them on every tile of 2^16
-points, where allocating doubled a pass's time (see ``integrate``).
+``_ab_quantum``, ``_half_width`` and ``_classical_labels`` take optional
+``out`` and scratch arrays, because the stream kernel's stage 2 and its
+labelling run them on every tile of 2^16 points (see ``integrate``).
 """
 
 from __future__ import annotations
@@ -246,14 +246,13 @@ DOMAIN_LABELS = {
 }
 
 
-def _ab_above(a, b, x, out=None, tmp=None):
+def _ab_above(a, b, x):
     """min(a, b) > x on 1-d float arrays.
 
     With x = -tol this is the a, b half of the classical test of
-    :func:`domain_labels`.  ``out`` (bool) and ``tmp`` (float) are optional
-    scratch of a's length.
+    :func:`domain_labels`.
     """
-    return np.greater(np.minimum(a, b, out=tmp), x, out=out)
+    return np.minimum(a, b) > x
 
 
 def _ab_quantum(a, b, tol, out=None, tmp=None):

@@ -128,6 +128,13 @@ def test_classify_missing_file(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "nope.txt")]) == 2
 
 
+def test_classify_comments_only(tmp_path, capsys):
+    path = tmp_path / "comments.txt"
+    path.write_text("# a header\n\n# and nothing else\n", encoding="utf-8")
+    assert main(["classify", str(path)]) == 2
+    assert "no matrix rows found" in capsys.readouterr().err
+
+
 def test_classify_asymmetric_exit_code(tmp_path, capsys):
     path = write_matrix(tmp_path / "asym.txt", [[1, 0.2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert main(["classify", path]) == 3
@@ -398,6 +405,11 @@ def test_config_unknown_key(tmp_path, capsys):
     cfg.write_text("samples = 20000\nbogus = 1\n", encoding="utf-8")
     assert main(["volume", "--E", "6", "--config", str(cfg)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_unreadable_path(tmp_path, capsys):
+    assert main(["volume", "--E", "6", "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config")
 
 
 def test_config_malformed_line(tmp_path, capsys):

@@ -309,6 +309,9 @@ def test_streams_without_samples():
     spec, box = RegularizerSpec.energy(8.0), phi_box(8.0)
     jv = mc_joint_volumes(box, spec, 2, 3, streams=5)
     assert jv.n_samples == 2
+    # one sample has no spread to report
+    one = mc_joint_volumes(box, spec, 1, 3)
+    assert [one.result(tag).std_error for tag in DOMAIN_ORDER] == [0.0] * 4
     for sampler in integrate._SAMPLERS:
         count, *sums = integrate._stream_partial(np.random.SeedSequence(3), 0, box, spec, 1e-9,
                                                  sampler, (1, 2, 3))
@@ -469,6 +472,8 @@ def test_empty_domain_flagged():
     assert q.empty_domain
     assert not jv.result(DomainTag.CLASSICAL).empty_domain
     assert jv.ratio(DomainTag.QUANTUM) == (0.0, 0.0)
+    # a ratio to an empty domain is undefined
+    assert all(map(math.isnan, jv.ratio(DomainTag.ENTANGLED, DomainTag.QUANTUM)))
 
 
 def test_entangled_empty_just_above_threshold():
@@ -817,9 +822,10 @@ def test_batch_size_changes_no_bit(monkeypatch, sampler, reg):
 
 
 def test_weights_computed_once_per_batch(monkeypatch):
-    # one 2M-sample stream of the damped workload's entangled pass runs 31
-    # tiles, each bringing at most 3400 points to stage 3, so weighting once
-    # per tile would call regularizer_values 31 times
+    # one 2M-sample stream runs 31 tiles.  Those of the damped workload's
+    # entangled pass each bring at most 3400 points to stage 3, so batches
+    # call regularizer_values 15 times; those of the energy workload's
+    # separable pass bring 5.8k-6.0k, more than half a batch, so each runs alone
     real, calls = integrate.regularizer_values, []
 
     def counting(*args):
@@ -828,16 +834,54 @@ def test_weights_computed_once_per_batch(monkeypatch):
 
     count = 2_000_000
     tiles = -(-count // integrate._TILE)
-    run = lambda: integrate._stream_partial(np.random.SeedSequence(5), count,
-                                            integrate._sym_box(6.324555320336758),
-                                            RegularizerSpec.adjugate(5.0), 1e-9, "pseudo", (3,))
-    monkeypatch.setattr(integrate, "regularizer_values", counting)
-    got = run()
-    assert tiles == 31 and len(calls) <= math.ceil(tiles / (integrate._BATCH // 3400)) + 1, calls
-    # with the bits of weighting each tile alone
-    monkeypatch.setattr(integrate, "_BATCH", 1)
-    for g, w in zip(got, run()):
-        assert np.array_equal(g, w)
+    energy = RegularizerSpec.energy(8.0)
+    cases = [
+        (integrate._sym_box(6.324555320336758), RegularizerSpec.adjugate(5.0), (3,), 15),
+        (integrate._default_box(energy, (DomainTag.SEPARABLE,), DEFAULT_EPS_TAIL, 1e-9), energy,
+         (2,), tiles),
+    ]
+    for box, spec, labels, want in cases:
+        run = lambda: integrate._stream_partial(np.random.SeedSequence(5), count, box, spec,
+                                                1e-9, "pseudo", labels)
+        calls.clear()
+        monkeypatch.setattr(integrate, "regularizer_values", counting)
+        got = run()
+        assert tiles == 31 and len(calls) == want, calls
+        # with the bits of weighting each tile alone
+        monkeypatch.setattr(integrate, "_BATCH", 1)
+        for g, w in zip(got, run()):
+            assert np.array_equal(g, w)
+        monkeypatch.undo()
+
+
+def test_quantum_test_skipped_where_the_box_passes_it(monkeypatch):
+    # when label 1 is not scored, stage 2 drops the points with
+    # min(a, b) < 1 - tol, once per tile; the energy box fitted to the
+    # quantum classes draws none, so there the test is skipped
+    real, calls = integrate._ab_quantum, []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "_ab_quantum", counting)
+    count = 3 * integrate._TILE + 5
+    energy, damped = RegularizerSpec.energy(8.0), RegularizerSpec.adjugate(5.0)
+    cases = [
+        *((integrate._default_box(energy, (DomainTag.SEPARABLE,), DEFAULT_EPS_TAIL, tol), energy,
+           tol, (2,), 0) for tol in (1e-9, -1e-6, 1e-3)),
+        (upsilon_box(5.0, domain=DomainTag.ENTANGLED), damped, 1e-9, (3,), 4),
+    ]
+    for (box, spec, tol, labels, want), sampler in itertools.product(cases, ("pseudo", "qmc")):
+        calls.clear()
+        got = integrate._stream_partial(np.random.SeedSequence(6), count, box, spec, tol,
+                                        sampler, labels)
+        assert len(calls) == want, (box, tol, sampler)
+        # the sums of the untiled reference, which runs no such test
+        ref = _reference_stream_partial(np.random.SeedSequence(6), count, box, spec, tol, sampler)
+        scored = np.isin(np.arange(4), labels)
+        for g, w in zip(got[1:], ref[1:]):
+            assert np.array_equal(g, np.where(scored, w, 0).astype(w.dtype)), (box, tol, sampler)
 
 
 def test_stream_partial_traced_peak_is_small():
