@@ -5,33 +5,33 @@ The integrand over the standard-form chart (a, b, c, d) is
     1_domain(p) * weight(V(p)) * sqrt(det g(p)),
 
 integrated over an axis-aligned box that contains the support of the
-weighted domain: for the energy cutoff ``phi_box``, with the a and b sides
-fitted to [1 - tol, E/2 - (1 - tol)] when only the quantum classes are
-scored (``_default_box``), and ``upsilon_box`` for the damping.  a and b
-are drawn uniformly over the box's a, b sides; c and d are drawn uniformly
-on the classical slice |c|, |d| < sqrt(ab) + tol, each clipped to its box
-side, so that no draw falls outside the classical domain.  Each weight is
-multiplied by the lengths of its two slices over the box's c and d spans,
-so an estimate is still box.volume times the mean weight, an unbiased
-estimate of the integral over the box's classical part, and its iid error
+weighted domain: ``phi_box`` for the energy cutoff and ``upsilon_box`` for
+the damping, fitted by ``_default_box`` when only the quantum classes are
+scored: the a and b sides start at 1 - tol, and a box of the entangled
+class alone is cut to the quadrant c >= 0 >= d and counts its mirror image
+under (c, d) -> (-c, -d) (``Box.images``).  a and b are drawn uniformly over
+the box's a, b sides; c and d are drawn uniformly on the classical slice
+|c|, |d| < sqrt(ab) + tol, each clipped to its box side, so that no draw
+falls outside the classical domain.  Each weight is multiplied by the
+lengths of its two slices over the box's c and d spans, so an estimate is
+still box.volume times the mean weight, an unbiased estimate of the
+integral over the box's classical part and its images, and its iid error
 bar stays honest.  The slice's half-width is ``twomode._half_width``, which
 ``domain_labels`` shares.  A pass scores a set of domains in three stages
 per tile of draws.  Every sample draws a and b and must pass
 min(a, b) > -tol (a test skipped when the box's lower a, b bounds already
 exceed -tol) and, for the energy cutoff, tr V <= E.  Only the survivors
-draw c and d.  Points whose slice is empty are dropped, and so are points
-sure to carry an unscored label: those with min(a, b) < 1 - tol, which are
-classical only, when that label is not scored (a test skipped when the
-box's lower a, b bounds are at least 1 - tol), and those with
-fl(c*d) >= 0, which are PPT, when entangled alone is scored.  One
-labelling pass, Simon's test on the smallest symplectic eigenvalue of V
-and of its partial transpose, then gives each point left the innermost
-domain holding it (classical only, separable or entangled), and only
-points with a scored label are weighted, with the closed-form
-sqrt(det g).  Weighted sums and hits are kept per label and every domain
-is a fixed set of labels, so nested domains are ordered exactly.  The
-draws do not depend on the scored domains, so a pass scoring one domain
-gives it the bits of a pass scoring all four.
+draw c and d, and those whose slice is empty are dropped.  One labelling
+pass, Simon's test on the smallest symplectic eigenvalue of V and of its
+partial transpose, then gives each point left the innermost domain holding
+it (classical only, separable or entangled), and only points with a
+scored label are weighted, with the closed-form sqrt(det g).  A pass
+scoring entangled alone runs ``twomode._entangled`` instead, Simon's test
+reduced to that label in the same floats, on every survivor.  Weighted
+sums and hits are kept per label and every domain is a fixed set of
+labels, so nested domains are ordered exactly.  The draws do not depend on
+the scored domains, so a pass scoring one domain gives it the bits of a
+pass over the same box scoring all four.
 
 The adjugate damping has unbounded support, so ``upsilon_box`` fits a box
 a, b in (0, L], |c|, |d| <= L: the first of the sides L0 / sqrt(2), L0,
@@ -52,13 +52,14 @@ Two flat buffers, filled in turn by each stage's gather, hold stage 2's
 float rows (allocating them raised the energy workload's peak RSS by
 3.4 MB) and the labeller's scratch (1 MB and 2-4% of cpu).  Drawing c and d
 for stage-1 survivors only saves the energy workload 10% of its time and
-2 MB, and the two stage-2 drops save the damped one 13%.  The points with
-a scored label queue up, keyed by tile and label, and are weighted and
-summed once per batch of consecutive tiles, as each such numpy call costs
-about 50 us whatever its size.  A tile that brings more than half a batch
-runs alone, as every E = 8 separable tile does (5.8k-6.0k points: 31 calls
-per 2M-sample stream); kappa = 5 entangled tiles share 15 calls, where
-stage 3 per tile made the damped workload 6% slower.  Each tile keeps its
+2 MB.  The points with a scored label queue up, keyed by tile and label,
+and are weighted and summed once per batch of consecutive tiles, as each
+such numpy call costs about 50 us whatever its size.  A tile that brings
+more than half a batch runs alone, as every E = 8 separable tile does
+(5.8k-6.0k points: 31 calls per 2M-sample stream) and every kappa = 5
+entangled tile of the fitted box (8.7k-9.0k).  Rarer passes share calls:
+over the unfitted kappa = 5 box, entangled tiles shared 15 calls, and stage
+3 per tile made the damped workload 6% slower there.  Each tile keeps its
 own sums: one ``bincount`` per sum over the batch adds each tile's weights
 in draw order, as a ``bincount`` of that tile alone does, and the tiles'
 sums are added up in tile order, so the batch size changes no bit.  A
@@ -77,7 +78,6 @@ sets the speed but never the bits.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 import warnings
@@ -88,9 +88,10 @@ import numpy as np
 from . import _quad
 from .errors import InvalidArgumentError, NumericError
 # the kernel looks regularizer_values up here, where perfbench/tracing.py wraps it
-from .regularizers import RegKind, RegularizerSpec, _in_energy_support, regularizer_values
+from .regularizers import (RegKind, RegularizerSpec, _in_energy_support, _is_int,
+                           regularizer_values)
 from .twomode import (DEFAULT_TOL, DOMAIN_LABELS, DomainTag, volume_density, _ab_above,
-                      _ab_quantum, _classical_labels, _half_width)
+                      _classical_labels, _entangled, _half_width)
 # unused here, but perfbench/tracing.py wraps these two attributes of this module
 from .twomode import domain_mask, metric_components  # noqa: F401
 
@@ -126,10 +127,18 @@ _BOX_ORDER = 12
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned sampling box over (a, b, c, d)."""
+    """Axis-aligned sampling box over (a, b, c, d), counted ``images`` times.
+
+    ``images`` is the number of disjoint mirror images of the box over which
+    the integral is the same, each counted in ``volume``: 2 for a box cut to
+    the c >= 0 >= d quadrant, whose image under (c, d) -> (-c, -d) holds the
+    same integral, since the integrand and every domain are even under that
+    map (``_default_box``).  The draws lie in the box itself.
+    """
 
     lo: tuple
     hi: tuple
+    images: int = 1
 
     def __post_init__(self):
         lo = tuple(float(x) for x in self.lo)
@@ -140,12 +149,16 @@ class Box:
             raise InvalidArgumentError("box bounds must be finite")
         if any(not (h > l) for l, h in zip(lo, hi)):
             raise InvalidArgumentError("box upper bounds must exceed lower bounds")
+        if not (_is_int(self.images) and self.images >= 1):
+            raise InvalidArgumentError("box images must be an integer >= 1")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "images", int(self.images))
 
     @property
     def volume(self) -> float:
-        return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
+        """The box's volume times ``images``."""
+        return self.images * float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Membership of (..., 4) points in the half-open box (lo, hi]."""
@@ -227,10 +240,9 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     queue = np.empty((4, cap))
     qkey = np.empty(cap, dtype=np.intp)
     scored = np.isin(np.arange(4), labels)  # scored[l]: label l is weighted and counted
-    # a and b are drawn at or above their lower bounds, so above -tol, or
-    # at least 1 - tol (_ab_quantum), when those are
+    entangled = labels == (3,)
+    # a and b are drawn at or above their lower bounds, so above -tol when those are
     ab_test = not min(box.lo[:2]) > -tol
-    quantum_test = not (scored[1] or min(box.lo[:2]) >= 1.0 - tol)
     # each tile's sums, one row per tile, added up in tile order at the end
     tiles = -(-count // _TILE)
     s1 = np.zeros((max(tiles, 1), 4))
@@ -289,8 +301,8 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
             pts = _take(keep, pts, bufs[1], rows=rows)[0]
         # stage 2, the survivors: the uniforms of c and d, which every
         # survivor draws and which put c and d uniformly on the classical
-        # slice |c|, |d| < sqrt(ab) + tol clipped to the box.  Then the
-        # points sure to have an unscored label are dropped
+        # slice |c|, |d| < sqrt(ab) + tol clipped to the box.  Then each point
+        # whose slice is not empty is labelled, and those with a scored label go on
         if sampler == "pseudo":
             rng.random(out=pts[2:])
         n = pts.shape[1]
@@ -306,23 +318,25 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         keep &= np.greater(length, 0.0, out=inside)
         d *= length
         d += start
-        # a point whose slice is empty goes, as does one sure to have label
-        # 1 when that is not scored (min(a, b) < 1 - tol), and, when
-        # entangled alone is scored, one with fl(c*d) >= 0, which is PPT
-        if quantum_test:
-            keep &= _ab_quantum(a, b, tol, out=inside, tmp=h)
-        if labels == (3,):
-            keep &= np.less(np.multiply(c, d, out=h), 0.0, out=inside)
         # the gather's index array is not kept: held to the next tile's gather,
         # it would double that gather's memory
-        pts = _take(keep, pts, other(pts))[0]
-        # the labels of the points left; those with a scored label go on
-        n = pts.shape[1]
-        lab = _classical_labels(*pts, tol, out=lab_buf[:n],
-                                scratch=(*other(pts)[:4 * n].reshape(4, n), *b_buf[:, :n]))
-        pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts, other(pts))
-        if idx is not None:
-            lab = lab[idx]
+        if entangled:
+            # an entangled-only pass tests label 3 alone, on every point at
+            # once, as a point whose slice is empty is dropped all the same
+            keep &= _entangled(a, b, c, d, tol,
+                               scratch=(*other(pts)[:4 * n].reshape(4, n), *b_buf[1:, :n]))
+            pts = _take(keep, pts, other(pts))[0]
+            lab = lab_buf[:pts.shape[1]]
+            lab.fill(3)
+        else:
+            pts = _take(keep, pts, other(pts))[0]
+            n = pts.shape[1]
+            lab = _classical_labels(*pts, tol, out=lab_buf[:n],
+                                    scratch=(*other(pts)[:4 * n].reshape(4, n), *b_buf[:, :n]))
+            pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts,
+                             other(pts))
+            if idx is not None:
+                lab = lab[idx]
         # stage 3 once per batch of tiles: a tile that fills more than half
         # the queue runs alone, straight from its buffer, and any other
         # joins the queue, which runs first when it would overflow
@@ -355,7 +369,10 @@ class IntegrationResult:
     a share of draws, not of the box's volume: for the damping, whose box
     holds the slices whole, nearly every draw is classical, and for the
     energy cutoff every draw inside tr V <= E is, half of them; in the box of
-    the quantum classes each of those has min(a, b) >= 1 - tol too.
+    the quantum classes each of those has min(a, b) >= 1 - tol too, and in
+    that of the entangled class c >= 0 >= d, the quadrant that holds half
+    of its points.  So at kappa = 5 the entangled class takes 13% of the
+    draws, against 4.8% in the unfitted box.
     """
 
     estimate: float
@@ -378,7 +395,9 @@ class JointVolumes:
     domains are ordered exactly, differences of estimates carry honest errors,
     and delta-method ratio errors include the correlation with the denominator.
     Every weight carries its point's slice factor (see the module docstring),
-    so each estimate is box.volume times a mean over all ``n_samples``.
+    so each estimate is box.volume times a mean over all ``n_samples``, and
+    its error box.volume times that mean's; box.volume counts the box's
+    mirror images.
     The per-label hits count the draws in the domain and inside the
     regularizer's support; c and d are drawn on the classical slice, so a
     share of hits is a share of draws, not of the box's volume.  Only the
@@ -467,11 +486,6 @@ class JointVolumes:
             - 2.0 * x * self._mean_cov(tag, base) / (y ** 3)
         )
         return r, math.sqrt(max(var, 0.0))
-
-
-def _is_int(x) -> bool:
-    """An integer, numpy's included, but not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _check_seed(seed) -> None:
@@ -708,31 +722,44 @@ class IntegrationRequest:
 
 
 def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float, tol: float) -> Box:
-    """The support box of ``domains`` under ``spec``.
+    """The support box of ``domains`` under ``spec``, fitted to the quantum classes.
 
-    For the damping, ``upsilon_box`` fitted to each of ``domains``.  For the
-    energy cutoff, ``phi_box``, whose a and b sides are fitted to the quantum
-    classes when no domain holds label 1 (classical only): each of their
-    points has min(a, b) >= q = max(0, 1 - tol) (``_ab_quantum``) and
-    a + b <= E/2, so a, b lie in [q, E/2 - q].  When E/2 - q <= q those
-    classes have no volume, and ``phi_box`` is kept.
+    The box is ``upsilon_box`` fitted to each of ``domains`` for the damping,
+    with a, b sides (0, L], and ``phi_box`` for the energy cutoff.  When no
+    domain holds label 1 (classical only), the a and b sides become [q, top]
+    with q = max(0, 1 - tol): every quantum point has min(a, b) >= q
+    (``_ab_quantum``), and top is L, or E/2 - q, since a + b <= E/2.  When
+    entangled alone is scored, the box is also cut to the quadrant
+    c >= 0 >= d and counts its mirror image (``Box.images`` = 2): an
+    entangled point has fl(c*d) < 0 (``_entangled``), and the integrand and
+    every domain are even under (c, d) -> (-c, -d).  When top <= q the
+    quantum classes have no volume in the box, and it is kept as it is.
     """
+    q = max(0.0, 1.0 - tol)
     if spec.kind is RegKind.ADJUGATE_UPSILON:
-        return upsilon_box(spec.kappa, eps_tail, domain=domains)
-    box = phi_box(spec.bound_E)
-    q, top = max(0.0, 1.0 - tol), box.hi[0]
-    if 1 in _labels_of(domains) or top - q <= q:
+        box = upsilon_box(spec.kappa, eps_tail, domain=domains)
+        top = box.hi[0]
+    else:
+        box = phi_box(spec.bound_E)
+        top = box.hi[0] - q
+    labels = _labels_of(domains)
+    if 1 in labels or top <= q:
         return box
-    return Box(lo=(q, q, *box.lo[2:]), hi=(top - q, top - q, *box.hi[2:]))
+    lo, hi = [q, q, *box.lo[2:]], [top, top, *box.hi[2:]]
+    if labels != (3,):
+        return Box(lo, hi)
+    lo[2], hi[3] = 0.0, 0.0
+    return Box(lo, hi, images=2)
 
 
 def mc_volume(req: IntegrationRequest) -> IntegrationResult:
     """Monte Carlo volume of one domain under the requested regularizer.
 
-    The pass runs over ``_default_box``: under the energy cutoff a quantum,
-    separable or entangled run draws a and b on [q, E/2 - q] with
-    q = max(0, 1 - tol), where that holds any volume, and a classical run
-    over ``phi_box``.  Bit-identical for a fixed (seed, streams, n_samples)
+    The pass runs over ``_default_box``: a quantum, separable or entangled
+    run draws a and b from q = max(0, 1 - tol), where that leaves the box any
+    volume, and an entangled run draws c >= 0 >= d and counts the mirror
+    image of that quadrant; a classical run keeps ``phi_box`` or
+    ``upsilon_box``.  Bit-identical for a fixed (seed, streams, n_samples)
     request, and to the same domain's result from a pass over the same box
     that scores all four: only this domain's points are weighted.
     """

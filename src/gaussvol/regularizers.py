@@ -13,6 +13,7 @@ stream kernel calls it once per batch of points, not per tile of draws.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,6 +36,11 @@ __all__ = [
 _LOG1P_EXP_CROSSOVER = 700.0
 
 
+def _is_int(x) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 class RegKind(Enum):
     ENERGY_PHI = "energy"
     ADJUGATE_UPSILON = "adj"
@@ -55,8 +61,9 @@ class RegularizerSpec:
     kappa: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if not (_is_int(self.m) and self.m >= 1):
             raise InvalidArgumentError("m must be a positive integer")
+        object.__setattr__(self, "m", int(self.m))
         if self.kind is RegKind.ENERGY_PHI:
             if self.bound_E is None or not (0.0 < self.bound_E < math.inf):
                 raise InvalidArgumentError("energy regularizer needs a finite bound_E > 0")

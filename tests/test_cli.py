@@ -229,14 +229,14 @@ def test_volume_rejects_out_of_range_input(flags, capsys):
 
 
 # the data row of each benchmark workload at 200k samples and seed 1: the
-# kappa row recorded when c and d were first drawn on the classical slice, the
-# E row when its box's a and b sides were fitted to the quantum classes; a
-# kernel speed-up must keep these bytes
+# kappa row recorded when its box was fitted to the entangled class (a and b
+# from 1 - tol, folded onto c >= 0 >= d), the E row when its box's a and b
+# sides were fitted to the quantum classes; a kernel speed-up must keep these bytes
 _PINNED_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
-        "entangled,adj,kappa,5.0,4,0.30792443751505333,0.010900892475236009,0.047965,0,200000,"
-        "1,4,pseudo,0.0,6.324555320336758,0.0,6.324555320336758,-6.324555320336758,"
-        "6.324555320336758,-6.324555320336758,6.324555320336758",
+        "entangled,adj,kappa,5.0,4,0.29296449788956763,0.006100604194518928,0.13437,0,200000,"
+        "1,4,pseudo,0.999999999,6.324555320336758,0.999999999,6.324555320336758,0.0,"
+        "6.324555320336758,-6.324555320336758,0.0",
     ("--set", "separable", "--E", "8"):
         "separable,energy,E,8.0,4,5.217588048106451,0.03674019095938848,0.093865,0,200000,1,4,"
         "pseudo,0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
@@ -252,13 +252,13 @@ def test_volume_benchmark_rows_pinned(flags, capsys):
 
 
 # one stream of 400k samples runs 7 tiles, so these rows cover a stream whose
-# labelling and sums span several tiles; recorded with the slice draw, like
-# the rows above
+# labelling and sums span several tiles; recorded with the slice draw, the
+# kappa row when its box's a and b sides were fitted to the quantum classes
 _PINNED_MULTI_TILE_ROWS = {
     ("--set", "quantum", "--kappa", "5"):
-        "quantum,adj,kappa,5.0,4,0.4675754138882343,0.008295633642229258,0.4691,0,400000,1,1,"
-        "pseudo,0.0,6.324555320336758,0.0,6.324555320336758,-6.324555320336758,"
-        "6.324555320336758,-6.324555320336758,6.324555320336758",
+        "quantum,adj,kappa,5.0,4,0.484186782450569,0.00708107124287872,0.6626075,0,400000,1,1,"
+        "pseudo,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
+        "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "classical", "--E", "8"):
         "classical,energy,E,8.0,4,46.96024098709306,0.17550442441542016,0.5015025,0,400000,1,1,"
         "pseudo,0.0,4.0,0.0,4.0,-2.0,2.0,-2.0,2.0",
@@ -322,12 +322,30 @@ def test_volume_entangled_empty_just_above_threshold(capsys):
     assert fields[8] == "0"
 
 
+def test_volume_entangled_empty_where_no_damped_box_is_fitted(capsys):
+    # at tol = -10 the quantum classes start at a, b = 11, past the kappa = 5
+    # box's side: the run keeps the unfitted box and reports an empty class
+    code = main(["volume", "--set", "entangled", "--kappa", "5", "--tol=-10", "--samples",
+                 "20000", "--seed", "1"])
+    assert code == 0
+    fields = capsys.readouterr().out.splitlines()[2].split(",")
+    assert float(fields[5]) == 0.0 and fields[8] == "1"
+    L = "6.324555320336758"
+    assert fields[13:] == ["0.0", L, "0.0", L, "-" + L, L, "-" + L, L]
+
+
 def test_volume_tol_sets_the_fitted_box(capsys):
     # the a and b sides of a quantum class's E box start at 1 - tol
     assert main(["volume", "--set", "quantum", "--E", "8", "--tol", "1e-3", "--samples", "20000",
                  "--seed", "1"]) == 0
     fields = capsys.readouterr().out.splitlines()[2].split(",")
     assert fields[13:17] == ["0.999", "3.001", "0.999", "3.001"]
+    # and those of its kappa box; an entangled box is cut to c >= 0 >= d
+    assert main(["volume", "--set", "entangled", "--kappa", "5", "--tol", "1e-3", "--samples",
+                 "20000", "--seed", "1"]) == 0
+    fields = capsys.readouterr().out.splitlines()[2].split(",")
+    L = "6.324555320336758"
+    assert fields[13:] == ["0.999", L, "0.999", L, "0.0", L, "-" + L, "0.0"]
 
 
 def test_volume_adjugate_kind(capsys):

@@ -57,6 +57,16 @@ def test_box_validates_ordering():
         Box(lo=(0.0, 0.0), hi=(1.0, 1.0))
 
 
+def test_box_counts_its_mirror_images():
+    lo, hi = (0.0, 0.0, 0.0, -1.0), (2.0, 1.0, 1.0, 0.0)
+    assert Box(lo, hi).volume == 2.0
+    assert Box(lo, hi, images=2).volume == 4.0
+    assert Box(lo, hi, images=np.int64(2)) == Box(lo, hi, images=2)
+    for bad in (0, -1, 1.5, True, "2"):
+        with pytest.raises(InvalidArgumentError, match="images"):
+            Box(lo, hi, images=bad)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_box_rejects_non_finite_bounds(bad):
     # an infinite box had an infinite volume, and a pass over it warned and
@@ -101,6 +111,53 @@ def test_fitted_energy_box_covers_quantum_support():
         support = (domain_labels(a, b, c, d, tol) >= 2) & (2.0 * (a + b) <= E)
         pts = np.column_stack([a, b, c, d])[support]
         assert len(pts) > 1000 and box.contains(pts).all(), tol
+
+
+@pytest.mark.parametrize("kappa", [1.0, 5.0, 50.0])
+def test_fitted_damped_box_covers_quantum_support(kappa):
+    # under the damping the box of the quantum classes has a and b sides
+    # from 1 - tol, and that of the entangled class alone is also cut to
+    # c >= 0 >= d and counts its mirror image: every point with label >= 2
+    # has min(a, b) >= 1 - tol, and every point with label 3 has fl(c*d) < 0
+    rng = np.random.default_rng(int(kappa) + 109)
+    a, b = rng.uniform(0.0, 4.0, (2, 400_000))
+    h = np.sqrt(a * b) + 1e-3
+    c, d = rng.uniform(-1.0, 1.0, (2, 400_000)) * h
+    spec = RegularizerSpec.adjugate(kappa)
+    for tol in _ORACLE_TOLS:
+        lab = domain_labels(a, b, c, d, tol)
+        assert np.count_nonzero(lab == 2) > 1000 and np.count_nonzero(lab == 3) > 1000, tol
+        for domains in ((DomainTag.QUANTUM,), (DomainTag.SEPARABLE,), (DomainTag.ENTANGLED,)):
+            box = integrate._default_box(spec, domains, DEFAULT_EPS_TAIL, tol)
+            L = upsilon_box(kappa, domain=domains).hi[0]
+            assert box.lo[:2] == (1.0 - tol, 1.0 - tol) and box.hi[:2] == (L, L), (tol, domains)
+            assert np.minimum(a, b)[lab >= 2].min() >= box.lo[0], (tol, domains)
+            if domains == (DomainTag.ENTANGLED,):
+                assert box.lo[2:] == (0.0, -L) and box.hi[2:] == (L, 0.0) and box.images == 2
+            else:
+                assert box.lo[2:] == (-L, -L) and box.hi[2:] == (L, L) and box.images == 1
+        assert np.all(c[lab == 3] * d[lab == 3] < 0.0), tol
+
+
+@pytest.mark.parametrize("spec,tol,domains", [
+    # no quantum point lies in the box: 1 - tol >= L
+    (RegularizerSpec.adjugate(5.0), -10.0, (DomainTag.ENTANGLED,)),
+    (RegularizerSpec.adjugate(1.0), -10.0, (DomainTag.QUANTUM,)),
+    # the classical-only label is scored
+    (RegularizerSpec.adjugate(5.0), 1e-9, (DomainTag.CLASSICAL,)),
+    (RegularizerSpec.adjugate(5.0), 1e-9, DOMAIN_ORDER),
+])
+def test_fitted_damped_box_falls_back_to_upsilon_box(spec, tol, domains):
+    box = upsilon_box(spec.kappa, domain=domains)
+    assert integrate._default_box(spec, domains, DEFAULT_EPS_TAIL, tol) == box
+
+
+def test_fitted_energy_box_folds_entangled_passes():
+    E, tol = 8.0, 1e-9
+    box = integrate._default_box(RegularizerSpec.energy(E), (DomainTag.ENTANGLED,),
+                                 DEFAULT_EPS_TAIL, tol)
+    q = 1.0 - tol
+    assert box == Box(lo=(q, q, 0.0, -2.0), hi=(4.0 - q, 4.0 - q, 2.0, 0.0), images=2)
 
 
 @pytest.mark.parametrize("E,tol,domains", [
@@ -756,10 +813,19 @@ _ORACLE_CASES = [
     (2 * integrate._TILE + 3, sampler, reg, skew, tol)
     for sampler, reg, skew, tol in (("pseudo", "E", "skew_c", 1e-9),
                                     ("qmc", "kappa", "skew_d", 0.0))
+] + [
+    # the boxes fitted to the quantum classes: E = 8's at tol = 1e-3, and
+    # kappa's entangled quadrant with a and b from 1 - 1e-9, which at
+    # tol = -1e-6 draws points of every label
+    (2 * integrate._TILE + 3, sampler, reg, fitted, tol)
+    for sampler, reg, fitted, tol in (("qmc", "E", "fit_E", 1e-3),
+                                      ("pseudo", "kappa", "fold_kappa", -1e-6))
 ]
 _SKEW_BOXES = {
     "skew_c": Box(lo=(0.0, 0.0, 0.5, -3.0), hi=(4.0, 4.0, 2.0, -0.25)),
     "skew_d": Box(lo=(0.0, 0.0, 0.25, -3.0), hi=(4.0, 4.0, 2.0, -0.5)),
+    "fit_E": Box(lo=(0.999, 0.999, -2.0, -2.0), hi=(3.001, 3.001, 2.0, 2.0)),
+    "fold_kappa": Box(lo=(1.0 - 1e-9, 1.0 - 1e-9, 0.0, -8.0), hi=(8.0, 8.0, 8.0, 0.0), images=2),
 }
 
 
@@ -822,10 +888,12 @@ def test_batch_size_changes_no_bit(monkeypatch, sampler, reg):
 
 
 def test_weights_computed_once_per_batch(monkeypatch):
-    # one 2M-sample stream runs 31 tiles.  Those of the damped workload's
-    # entangled pass each bring at most 3400 points to stage 3, so batches
-    # call regularizer_values 15 times; those of the energy workload's
-    # separable pass bring 5.8k-6.0k, more than half a batch, so each runs alone
+    # one 2M-sample stream runs 31 tiles.  Those of an entangled pass over
+    # the kappa = 5 box of side 6.32 each bring at most 3400 points to stage
+    # 3, so batches call regularizer_values 15 times; those of the damped
+    # workload's pass, over that box fitted to the entangled class, bring
+    # 8.7k-9.0k, and those of the energy workload's separable pass 5.8k-6.0k,
+    # more than half a batch, so each runs alone
     real, calls = integrate.regularizer_values, []
 
     def counting(*args):
@@ -834,9 +902,11 @@ def test_weights_computed_once_per_batch(monkeypatch):
 
     count = 2_000_000
     tiles = -(-count // integrate._TILE)
-    energy = RegularizerSpec.energy(8.0)
+    energy, damped = RegularizerSpec.energy(8.0), RegularizerSpec.adjugate(5.0)
     cases = [
-        (integrate._sym_box(6.324555320336758), RegularizerSpec.adjugate(5.0), (3,), 15),
+        (integrate._sym_box(6.324555320336758), damped, (3,), 15),
+        (integrate._default_box(damped, (DomainTag.ENTANGLED,), DEFAULT_EPS_TAIL, 1e-9), damped,
+         (3,), tiles),
         (integrate._default_box(energy, (DomainTag.SEPARABLE,), DEFAULT_EPS_TAIL, 1e-9), energy,
          (2,), tiles),
     ]
@@ -852,36 +922,6 @@ def test_weights_computed_once_per_batch(monkeypatch):
         for g, w in zip(got, run()):
             assert np.array_equal(g, w)
         monkeypatch.undo()
-
-
-def test_quantum_test_skipped_where_the_box_passes_it(monkeypatch):
-    # when label 1 is not scored, stage 2 drops the points with
-    # min(a, b) < 1 - tol, once per tile; the energy box fitted to the
-    # quantum classes draws none, so there the test is skipped
-    real, calls = integrate._ab_quantum, []
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[0]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(integrate, "_ab_quantum", counting)
-    count = 3 * integrate._TILE + 5
-    energy, damped = RegularizerSpec.energy(8.0), RegularizerSpec.adjugate(5.0)
-    cases = [
-        *((integrate._default_box(energy, (DomainTag.SEPARABLE,), DEFAULT_EPS_TAIL, tol), energy,
-           tol, (2,), 0) for tol in (1e-9, -1e-6, 1e-3)),
-        (upsilon_box(5.0, domain=DomainTag.ENTANGLED), damped, 1e-9, (3,), 4),
-    ]
-    for (box, spec, tol, labels, want), sampler in itertools.product(cases, ("pseudo", "qmc")):
-        calls.clear()
-        got = integrate._stream_partial(np.random.SeedSequence(6), count, box, spec, tol,
-                                        sampler, labels)
-        assert len(calls) == want, (box, tol, sampler)
-        # the sums of the untiled reference, which runs no such test
-        ref = _reference_stream_partial(np.random.SeedSequence(6), count, box, spec, tol, sampler)
-        scored = np.isin(np.arange(4), labels)
-        for g, w in zip(got[1:], ref[1:]):
-            assert np.array_equal(g, np.where(scored, w, 0).astype(w.dtype)), (box, tol, sampler)
 
 
 def test_stream_partial_traced_peak_is_small():
@@ -912,12 +952,17 @@ def test_enlarged_box_same_integral():
     assert abs(small.estimate - big.estimate) < 4.0 * sigma
 
 
-# the cases with exact values: kappa = 5 entangled inside its support box
-# (side 4 sqrt(5/2) = 6.3246), from _quad's rule at order 32, where orders 24
-# and 40 agree to 2e-9; and the three quantum classes at E = 8, whose box is
-# fitted to them, from a 3-d rule exact to 1e-10
+# the cases with exact values: the three quantum classes at kappa = 5 inside
+# their support boxes (side 4 sqrt(5/2) = 6.3246 for each), whose a, b sides
+# are fitted to them and, for entangled, folded onto c >= 0 >= d: each the
+# volume minus the tail outside the box, from _quad's rule at order 32, where
+# orders 24, 32 and 40 agree to 1.3e-8 relative or better; and the three
+# quantum classes at E = 8, whose boxes are fitted likewise, from a 3-d rule
+# exact to 1e-10
 _EXACT_CASES = {
-    "kappa5_entangled": (DomainTag.ENTANGLED, RegularizerSpec.adjugate(5.0), 0.2965308),
+    "kappa5_quantum": (DomainTag.QUANTUM, RegularizerSpec.adjugate(5.0), 0.4738284762),
+    "kappa5_separable": (DomainTag.SEPARABLE, RegularizerSpec.adjugate(5.0), 0.1772976858),
+    "kappa5_entangled": (DomainTag.ENTANGLED, RegularizerSpec.adjugate(5.0), 0.2965307904),
     "E8_separable": (DomainTag.SEPARABLE, RegularizerSpec.energy(8.0), 5.1866948377),
     "E8_quantum": (DomainTag.QUANTUM, RegularizerSpec.energy(8.0), 8.3216937604),
     "E8_entangled": (DomainTag.ENTANGLED, RegularizerSpec.energy(8.0), 3.1349989227),

@@ -37,6 +37,15 @@ def test_spec_construction():
         RegularizerSpec.adjugate(5.0, m=0)
 
 
+def test_spec_m_is_an_integer_not_a_bool():
+    # m=True was taken as m = 1, and numpy's integers were refused
+    for bad in (True, False, 4.0, "4", 0, np.int64(0)):
+        with pytest.raises(InvalidArgumentError, match="m must be"):
+            RegularizerSpec.energy(8.0, m=bad)
+    spec = RegularizerSpec.adjugate(5.0, m=np.int64(4))
+    assert spec == RegularizerSpec.adjugate(5.0) and type(spec.m) is int
+
+
 def test_log1p_det_pow_values():
     assert log1p_det_pow(1.0, 4) == pytest.approx(math.log(2.0), rel=1e-14)
     assert log1p_det_pow(16.0, 4) == pytest.approx(math.log(65537.0), rel=1e-14)

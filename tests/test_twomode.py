@@ -34,6 +34,7 @@ from gaussvol.twomode import (
     volume_density,
     _c_bounds,
     _d_interval,
+    _entangled,
 )
 
 from conftest import sample_canonical
@@ -506,6 +507,45 @@ def test_labels_match_closed_form_eigenvalues(tol):
         assert np.count_nonzero(sure & (lab == label)) > 10_000, label
     bad = np.flatnonzero(sure & (lab != want))
     assert bad.size == 0, [(a[i], b[i], c[i], d[i], lab[i], want[i]) for i in bad[:5]]
-    # the stream kernel's entangled pre-test fl(c*d) < 0 drops no entangled point
+    # every entangled point has fl(c*d) < 0, so the entangled box's quadrant
+    # c >= 0 >= d and its mirror image hold them all
     at = lab == 3
     assert np.all(c[at] * d[at] < 0.0)
+
+
+@pytest.mark.parametrize("tol", (1e-9, 0.0, -1e-6, 1e-3))
+def test_entangled_is_label_3_on_classical_points(tol):
+    # the stream kernel's entangled-only test gives label 3 bit for bit on
+    # classical points: near the surfaces that bound labels 2 and 3, crowded
+    # at the ends of the slice |c|, |d| < sqrt(ab) + tol, at a = 1, on d = -c,
+    # and with c*d of either sign and 0
+    rng = np.random.default_rng(int(1e9 * abs(tol)) + 7 * (tol < 0))
+    n = 300_000
+    near = _near_label_surfaces(rng, n, tol)
+    a, b = rng.uniform(0.3, 6.0, (2, n))
+    # a fifth of a at 1 or at the quantum floor 1 - tol
+    a = np.where(rng.random(n) < 0.2, rng.choice([1.0, 1.0 - tol], n), a)
+    h = np.sqrt(a * b) + tol
+
+    def crowded():
+        # a quarter within a few ulp or a few |tol| of either end of the slice, or on it
+        inset = np.array([abs(tol), 1e-15, 0.0])[rng.integers(0, 3, n)] * rng.uniform(0.0, 3.0, n)
+        end = rng.choice([-1.0, 1.0], n) * h * (1.0 - inset)
+        return np.where(rng.random(n) < 0.25, end, rng.uniform(-1.0, 1.0, n) * h)
+
+    c, d = crowded(), crowded()
+    d = np.where(rng.random(n) < 0.2, -c, d)
+    c[rng.random(n) < 0.05] = 0.0
+    d[rng.random(n) < 0.05] = -0.0
+    pts = [np.concatenate(x) for x in zip(near, (a, b, c, d))]
+    lab = domain_labels(*pts, tol)
+    classical = lab > 0
+    a, b, c, d = (x[classical] for x in pts)
+    lab = lab[classical]
+    cd = c * d
+    for sign in (np.less, np.equal, np.greater):
+        assert np.count_nonzero(sign(cd, 0.0)) > 10_000
+    assert np.count_nonzero(lab == 3) > 20_000 and np.count_nonzero(lab == 2) > 20_000
+    assert np.count_nonzero(a == 1.0) > 10_000 and np.count_nonzero(a == 1.0 - tol) > 10_000
+    got = _entangled(a, b, c, d, tol)
+    assert got.dtype == bool and np.array_equal(got, lab == 3)
