@@ -1,0 +1,139 @@
+"""Scrambled 4-d Sobol' points at 32 bits, in numpy.
+
+The direction numbers are Joe and Kuo's (2008) for dimensions 1-4.  The
+unscrambled point of index i is the XOR of the direction numbers at the set
+bits of i: natural order, not Gray-code order, which gives the same set of
+points in every aligned block of 2^m indices.  A ``Scramble`` applies a
+random linear matrix scramble, one lower-triangular binary matrix with unit
+diagonal per dimension, to the direction numbers, and XORs a random digital
+shift onto every point: Owen's random linear scramble, which is what
+``scipy.stats.qmc.Sobol(scramble=True)`` does.  Every aligned block of 2^m
+points keeps the stratification of the unscrambled one, and each point is
+uniform over the 2^32 grid.
+
+A point is the XOR of four table words, one per byte of its index, so the
+2^16 points of a tile at an aligned index are one constant XORed with the
+outer XOR of two 256-entry tables.  The words are kept shifted into the
+mantissa of a float64 in [1, 2), so that the XOR writes the floats 1 + u and
+one subtraction gives the uniforms u, with no integer-to-float conversion.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+BITS = 32
+# Joe and Kuo's dimensions 2-4: each primitive polynomial's degree s, its
+# interior coefficients a (a_1 the most significant bit) and m_1, ..., m_s
+_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+_BYTE = 8
+# a word w in the top of a float64 mantissa, under the exponent of 1.0, is 1 + w 2^-BITS
+_MANTISSA_SHIFT = np.uint64(52 - BITS)
+_ONE = np.float64(1.0).view(np.uint64)
+
+
+def _direction_numbers() -> np.ndarray:
+    """The (4, BITS) direction numbers v_k = m_k 2^(BITS - 1 - k), k = 0, ..., BITS - 1."""
+    rows = [[1] * BITS]
+    for s, a, m in _JOE_KUO:
+        m = list(m)
+        for k in range(s, BITS):
+            new = m[k - s] ^ (m[k - s] << s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    new ^= m[k - i] << i
+            m.append(new)
+        rows.append(m)
+    return np.array([[mk << (BITS - 1 - k) for k, mk in enumerate(m)] for m in rows],
+                    dtype=np.uint32)
+
+
+_V = _direction_numbers()
+_PLACES = np.arange(BITS - 1, -1, -1, dtype=np.uint64)  # bit p of a word, most significant first
+
+
+def _xor_table(v: np.ndarray) -> np.ndarray:
+    """(d, 2^k) table of the XOR of ``v``'s (d, k) columns at the set bits of each index."""
+    table = np.zeros((v.shape[0], 1), dtype=v.dtype)
+    for col in v.T:
+        table = np.concatenate([table, table ^ col[:, None]], axis=1)
+    return table
+
+
+class Scramble:
+    """One random linear matrix scramble plus digital shift of the 4-d sequence.
+
+    ``rng`` draws the four matrices' entries below their diagonals, then
+    the four shifts.  ``words`` gives any point's words from its index, bit
+    by bit; ``tile`` and ``gather`` give uniforms from the byte tables, and
+    ``words`` is their reference.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        lower = np.tril(rng.integers(0, 2, size=(4, BITS, BITS), dtype=np.uint8), -1)
+        lower[:, np.arange(BITS), np.arange(BITS)] = 1
+        self.shift = rng.integers(0, 1 << BITS, size=4, dtype=np.uint64).astype(np.uint32)
+        # bit p of a scrambled direction number is the parity of row p of
+        # the matrix ANDed with the direction number's bits
+        bits = (_V[:, :, None].astype(np.uint64) >> _PLACES) & 1
+        out = np.einsum("dpq,dkq->dkp", lower.astype(np.uint64), bits) & 1
+        self.v = (out << _PLACES).sum(axis=2).astype(np.uint32)
+        # the table of index byte j, each word in a float mantissa
+        v = self.v.astype(np.uint64) << _MANTISSA_SHIFT
+        self._bytes = [_xor_table(v[:, j:j + _BYTE]) for j in range(0, BITS, _BYTE)]
+
+    def words(self, index) -> np.ndarray:
+        """(4, n) uint32 words of the points at the given indices."""
+        index = np.asarray(index, dtype=np.uint64).reshape(-1)
+        out = np.repeat(self.shift[:, None], index.size, axis=1)
+        for k in range(BITS):
+            out ^= np.where((index >> np.uint64(k)) & 1 == 1, self.v[:, k:k + 1], 0)
+        return out
+
+    def _base(self, start: int, dims: slice) -> np.ndarray:
+        """The float bits of 1 + the point at the aligned tile index ``start``, one per dim."""
+        base = (self.shift[dims].astype(np.uint64) << _MANTISSA_SHIFT) | _ONE
+        for j in range(2, BITS // _BYTE):
+            base ^= self._bytes[j][dims, (start >> (_BYTE * j)) & 0xFF]
+        return base
+
+    def tile(self, start: int, out: np.ndarray, dims: slice) -> None:
+        """Fill ``out`` with the uniforms of the first points of tile ``start`` in ``dims``.
+
+        ``start`` is a multiple of 2^16 below 2^32, and ``out`` is a
+        C-contiguous float array with one row per dim, of at most 2^16 points.
+        """
+        # point j of the tile is row j >> 8 of the high table XOR column j & 255 of the low one
+        rows, rest = divmod(out.shape[1], 256)
+        low = self._bytes[0][dims]
+        high = self._bytes[1][dims, :rows + 1] ^ self._base(start, dims)[:, None]
+        bits = out.view(np.uint64)
+        np.bitwise_xor(high[:, :rows, None], low[:, None, :],
+                       out=bits[:, :rows * 256].reshape(len(bits), rows, 256))
+        np.bitwise_xor(high[:, rows:], low[:, :rest], out=bits[:, rows * 256:])
+        out -= 1.0
+
+    def gather(self, start: int, index, out: np.ndarray, dims: slice,
+               scratch: np.ndarray) -> None:
+        """Fill ``out`` with the uniforms of tile ``start``'s points at ``index`` in ``dims``.
+
+        ``index`` holds offsets into the tile, and None means every point of
+        the tile, as for ``tile``.  ``scratch`` is an intp array of at least
+        3 * len(index) entries.
+        """
+        if index is None:
+            self.tile(start, out, dims)
+            return
+        n = index.size
+        high, low = scratch[:n], scratch[n:2 * n]
+        np.right_shift(index, _BYTE, out=high)
+        np.bitwise_and(index, 0xFF, out=low)
+        word = scratch[2 * n:3 * n].view(np.uint64)
+        for row, base, lo_table, hi_table in zip(out.view(np.uint64), self._base(start, dims),
+                                                 self._bytes[0][dims], self._bytes[1][dims]):
+            # the indices are in range; "clip" skips the copy of out that "raise" makes
+            np.take(hi_table, high, out=row, mode="clip")
+            np.take(lo_table, low, out=word, mode="clip")
+            row ^= word
+            row ^= base
+        out -= 1.0

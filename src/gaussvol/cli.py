@@ -53,14 +53,15 @@ _SETTINGS = {
     "samples": (int, 100_000, None, "sample count (default 100000)"),
     "seed": (int, 12345, None, "integer seed (default 12345)"),
     "streams": (int, 4, None,
-                "substream count, part of the determinism key; the substreams run on at most "
-                "one thread per usable core (default 4)"),
+                "substream count, part of the determinism key; for qmc also half the replicate "
+                "count, so the error bar has 2 * streams - 1 degrees of freedom; the substreams "
+                "run on at most one thread per usable core (default 4)"),
     "eps-tail": (float, DEFAULT_EPS_TAIL, None,
                  "--kappa only: the largest fraction of each checked class's mass, relative to "
                  "the mass inside, that the support box may leave out; the box side stops at "
                  "max(8, 8 sqrt(kappa)), with a warning if more is left out there (default 1e-3)"),
     "tol": (float, DEFAULT_TOL, None, "domain tolerance (default 1e-9)"),
-    "sampler": (str, "pseudo", _SAMPLERS, "pseudo (default) or qmc"),
+    "sampler": (str, "qmc", _SAMPLERS, "qmc (default) or pseudo"),
     "out": (str, None, None, "write CSV here instead of stdout"),
 }
 

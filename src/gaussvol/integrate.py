@@ -42,6 +42,14 @@ deterministic Gauss-Legendre rule of ``_quad``, which draws no samples, so
 the box depends on kappa, ``eps_tail`` and the domains, not on the sample
 budget.
 
+Error bars: a pseudo pass reports the iid formula over its n_samples
+draws.  A qmc pass reports the spread of its R = 2 * streams replicates:
+each replicate's mean is an independent unbiased estimate, so their sample
+variance over R estimates the variance of the pooled estimate (Owen, Ann.
+Stat. 1997), with R - 1 degrees of freedom; estimate +- t(0.975, R - 1) *
+std_error is a 95% interval.  The iid formula would overstate a qmc
+estimate's error 2-5 times.
+
 Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from the children of the seed's SeedSequence, and partial sums are
 combined by a fixed-order pairwise reduction; results are bit-identical for
@@ -51,10 +59,12 @@ mechanism that stays has a reason measured on 2 cores (ROADMAP item 14).
 Two flat buffers, filled in turn by each stage's gather, hold stage 2's
 float rows (allocating them raised the energy workload's peak RSS by
 3.4 MB) and the labeller's scratch (1 MB and 2-4% of cpu).  Drawing c and d
-for stage-1 survivors only saves the energy workload 10% of its time and
-2 MB.  The points with a scored label queue up, keyed by tile and label,
-and are weighted and summed once per batch of consecutive tiles, as each
-such numpy call costs about 50 us whatever its size.  A tile that brings
+for stage-1 survivors only saved the pseudo energy workload 10% of its time
+and 2 MB; for qmc it costs what drawing all four coordinates at stage 1
+does, and keeps one draw path for both samplers.  The points with a scored
+label queue up, keyed by tile and label, and are weighted and summed once
+per batch of consecutive tiles, as each such numpy call costs about 50 us
+whatever its size.  A tile that brings
 more than half a batch runs alone, as every E = 8 separable tile does
 (5.8k-6.0k points: 31 calls per 2M-sample stream) and every kappa = 5
 entangled tile of the fitted box (8.7k-9.0k).  Rarer passes share calls:
@@ -63,16 +73,18 @@ over the unfitted kappa = 5 box, entangled tiles shared 15 calls, and stage
 own sums: one ``bincount`` per sum over the batch adds each tile's weights
 in draw order, as a ``bincount`` of that tile alone does, and the tiles'
 sums are added up in tile order, so the batch size changes no bit.  A
-pseudo stream is consumed per tile as a(t) and b(t), then the uniforms of
-c(k) and d(k) for the k stage-1 survivors.  A qmc stream draws each tile's
-t points in full, as the first t of a block of 2^k >= t Sobol points,
-whose 3rd and 4th coordinates are the uniforms of c and d: scipy warns
-about a first draw of any other size, and the first t points of a block
-do not depend on its size.  So ``_TILE`` alone fixes the bits, for pseudo
-and qmc alike.  The substreams of a pass run on min(streams, usable cores)
-threads: the caller runs one share and starts the others for that pass
-alone, and the partial sums are reduced in stream order, so the core count
-sets the speed but never the bits.
+pseudo stream is one replicate, consumed per tile as a(t) and b(t), then
+the uniforms of c(k) and d(k) for the k stage-1 survivors.  A qmc stream
+is two replicates: independent random linear scrambles of the 4-d Sobol'
+sequence (``_sobol``), drawn from the stream's generator in turn, over the
+first ceil(count / 2) and floor(count / 2) points of their sequences.  Its
+tiles are aligned blocks of 2^16 points: stage 1 draws a tile's 1st and
+2nd coordinates, a and b, and stage 2 gathers the 3rd and 4th, the uniforms
+of c and d, for the stage-1 survivors only.  So ``_TILE`` alone fixes the
+bits, for pseudo and qmc alike.  The substreams of a pass run on
+min(streams, usable cores) threads: the caller runs one share and starts
+the others for that pass alone, and the partial sums are reduced in stream
+order, so the core count sets the speed but never the bits.
 """
 
 from __future__ import annotations
@@ -85,7 +97,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _quad
+from . import _quad, _sobol
 from .errors import InvalidArgumentError, NumericError
 # the kernel looks regularizer_values up here, where perfbench/tracing.py wraps it
 from .regularizers import (RegKind, RegularizerSpec, _in_energy_support, _is_int,
@@ -113,7 +125,8 @@ __all__ = [
 DOMAIN_ORDER = (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE, DomainTag.ENTANGLED)
 
 # _TILE is the working set of a stream and fixes its bits: the pseudo
-# stream's layout and the summation order of every sum
+# stream's layout and the summation order of every sum.  A qmc tile is the
+# aligned block of 2^16 points that ``_sobol.Scramble.tile`` draws
 _TILE = 1 << 16
 # the most points in one stage-3 batch (see the module docstring)
 _BATCH = 1 << 13
@@ -212,13 +225,52 @@ def _slice(h, lo, hi, out=(None, None)):
     return start, length
 
 
+class _PseudoUniforms:
+    """A pseudo stream's uniforms: each tile's a(t) and b(t), then c(k) and d(k) of its survivors.
+
+    ``tile`` and ``gather`` take the arguments of ``_sobol.Scramble``'s, and
+    draw the next uniforms of the stream whatever the tile or offsets.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+
+    def tile(self, start, out, dims):
+        self._rng.random(out=out)
+
+    def gather(self, start, index, out, dims, scratch):
+        self._rng.random(out=out)
+
+
+def _replicates(child_ss, count: int, sampler: str) -> tuple:
+    """A stream's replicate counts and the uniforms of each.
+
+    A pseudo stream is one replicate of ``count`` iid points.  A qmc stream
+    is two independent scrambles of the Sobol' sequence, drawn from the
+    stream's generator in turn, over the first ceil(count / 2) and
+    floor(count / 2) of their points.
+    """
+    rng = np.random.default_rng(child_ss)
+    if sampler == "pseudo":
+        return [count], [_PseudoUniforms(rng)]
+    counts = _partition(count, 2)
+    return counts, [_sobol.Scramble(rng) for _ in counts]
+
+
+_AB, _CD = slice(0, 2), slice(2, 4)
+
+
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
                     sampler: str, labels: tuple):
     lo = np.asarray(box.lo)[:, None]
     span = np.asarray(box.hi)[:, None] - lo
     # a slice-drawn point's weight is scaled by its slice lengths over the c, d spans
     per_cd = 1.0 / (span[2, 0] * span[3, 0])
-    tile = min(_TILE, count)
+    counts, sources = _replicates(child_ss, count, sampler)
+    # each replicate's tiles in turn: (replicate, index of the tile's first point, points)
+    chunks = [(r, done, min(_TILE, c - done))
+              for r, c in enumerate(counts) for done in range(0, c, _TILE)]
+    tile = min(_TILE, max(counts))
     cap = min(_BATCH, count)
     # a tile's points live in one of two flat buffers; each stage works in the
     # other one and then gathers its survivors into it.  Every buffer stays
@@ -226,12 +278,6 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     # touched bytes would make resident in full
     bufs = (np.empty(4 * tile), np.empty(4 * tile))
     other = lambda pts: bufs[np.may_share_memory(pts, bufs[0])]
-    if sampler == "pseudo":
-        rng = np.random.default_rng(child_ss)
-    else:
-        from scipy.stats import qmc
-
-        sob = qmc.Sobol(d=4, scramble=True, seed=np.random.default_rng(child_ss))
     # the labels of a tile's stage-2 survivors
     lab_buf = np.empty(tile, dtype=np.uint8)
     b_buf = np.empty((3, tile), dtype=bool)
@@ -244,7 +290,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     # a and b are drawn at or above their lower bounds, so above -tol when those are
     ab_test = not min(box.lo[:2]) > -tol
     # each tile's sums, one row per tile, added up in tile order at the end
-    tiles = -(-count // _TILE)
+    tiles = len(chunks)
     s1 = np.zeros((max(tiles, 1), 4))
     s2 = np.zeros_like(s1)
     hits = np.zeros(s1.shape, dtype=np.int64)
@@ -275,37 +321,28 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
 
     energy = spec.kind is RegKind.ENERGY_PHI
     first = queued = 0  # the queue holds tiles first, ..., j - 1 with queued points
-    for j, done in enumerate(range(0, count, _TILE)):
-        t = min(_TILE, count - done)
+    for j, (r, done, t) in enumerate(chunks):
         # stage 1, every sample: a and b, the a, b half of the classical
         # test and the energy cutoff
         pts = bufs[0][:4 * t].reshape(4, t)
-        if sampler == "pseudo":
-            rows = 2
-            rng.random(out=pts[:2])
-        else:
-            # Sobol points are 4-d, so the uniforms of c and d come with a
-            # and b.  scipy warns about a first draw that is not a power of
-            # two, and the first t points of a block do not depend on its size
-            rows = 4
-            np.copyto(pts, sob.random(1 << (t - 1).bit_length())[:t].T)
-        pts[:2] *= span[:2]
-        pts[:2] += lo[:2]
-        a, b = pts[:2]
+        sources[r].tile(done, pts[_AB], _AB)
+        pts[_AB] *= span[_AB]
+        pts[_AB] += lo[_AB]
+        a, b = pts[_AB]
         keep = _ab_above(a, b, -tol) if ab_test else None
         if energy:
             # a point outside the cutoff would add only +0.0 to s1 and s2
             inside = _in_energy_support(a, b, spec.bound_E)
             keep = inside if keep is None else keep & inside
+        idx = None
         if keep is not None:
-            pts = _take(keep, pts, bufs[1], rows=rows)[0]
+            pts, idx = _take(keep, pts, bufs[1], rows=2)
         # stage 2, the survivors: the uniforms of c and d, which every
         # survivor draws and which put c and d uniformly on the classical
         # slice |c|, |d| < sqrt(ab) + tol clipped to the box.  Then each point
         # whose slice is not empty is labelled, and those with a scored label go on
-        if sampler == "pseudo":
-            rng.random(out=pts[2:])
         n = pts.shape[1]
+        sources[r].gather(done, idx, pts[_CD], _CD, other(pts)[:3 * n].view(np.intp))
         a, b, c, d = pts
         keep, inside = b_buf[:2, :n]
         h, start, length = other(pts)[:3 * n].reshape(3, n)
@@ -353,13 +390,26 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
             np.add(lab, 4 * (j - first), out=qkey[queued:queued + n], dtype=np.intp)
             queued += n
     stage3(queue[:, :queued], qkey[:queued], first, tiles - first)
-    # the tiles' sums in tile order, each added to the sum of those before it
-    return count, *(np.add.accumulate(x, axis=0)[-1] for x in (s1, s2, hits))
+    # each replicate's sums: its tiles' sums in tile order, each added to the
+    # sum of those before it
+    sums, j = [], 0
+    for c in counts:
+        k = -(-c // _TILE)
+        sums.append([np.add.accumulate(x[j:j + k], axis=0)[-1] if k else np.zeros_like(x[0])
+                     for x in (s1, s2, hits)])
+        j += k
+    return np.array(counts, dtype=np.int64), *(np.array(x) for x in zip(*sums))
 
 
 @dataclass(frozen=True)
 class IntegrationResult:
     """One domain's volume estimate with its sampling error.
+
+    ``std_error`` is the iid formula's for the pseudo sampler.  For qmc it
+    is the spread of the 2 * ``streams`` replicate means, with
+    2 * streams - 1 degrees of freedom, so estimate +- t(0.975,
+    2 * streams - 1) * std_error is its 95% interval (2.36 std_errors at 4
+    streams, 12.7 at one).
 
     ``acceptance_fraction`` is the share of the ``n_samples`` draws that lie
     in the domain and inside the regularizer's support (tr V <= E for the
@@ -397,7 +447,11 @@ class JointVolumes:
     Every weight carries its point's slice factor (see the module docstring),
     so each estimate is box.volume times a mean over all ``n_samples``, and
     its error box.volume times that mean's; box.volume counts the box's
-    mirror images.
+    mirror images.  The sums are kept per replicate, in stream order: one
+    per stream for pseudo, whose variances and covariances come from the
+    pooled sums by the iid formulas, and two per stream for qmc, whose come
+    from the R = 2 * streams replicate means (their sample covariance over
+    R; see the module docstring).
     The per-label hits count the draws in the domain and inside the
     regularizer's support; c and d are drawn on the classical slice, so a
     share of hits is a share of draws, not of the box's volume.  Only the
@@ -408,19 +462,22 @@ class JointVolumes:
     sum of 0, whose weights underflowed.
     """
 
-    def __init__(self, box: Box, spec: RegularizerSpec, n_samples: int, seed_label, streams: int,
-                 tol: float, sampler: str, s1: np.ndarray, s2: np.ndarray, hits: np.ndarray,
-                 labels: tuple):
+    def __init__(self, box: Box, spec: RegularizerSpec, counts: np.ndarray, seed_label,
+                 streams: int, tol: float, sampler: str, s1: np.ndarray, s2: np.ndarray,
+                 hits: np.ndarray, labels: tuple):
         self.box = box
         self.regularizer = spec
-        self.n_samples = n_samples
+        self.n_samples = int(counts.sum())
         self.seed = seed_label
         self.streams = streams
         self.tol = tol
         self.sampler = sampler
-        self._s1 = s1
-        self._s2 = s2
-        self._hits = hits
+        # one row per replicate, in stream order: a stream's for pseudo, a scramble's for qmc
+        self._counts = counts
+        self._replicate_s1 = s1
+        # the pooled sums, added up pairwise over the rows
+        self._s1, self._s2, self._hits = (_pairwise_reduce(list(x), lambda u, v: u + v)
+                                          for x in (s1, s2, hits))
         self.labels = labels
 
     def _mean(self, tag: DomainTag) -> float:
@@ -438,8 +495,21 @@ class JointVolumes:
                                f"hits, weight sum {s1:.3g}, squared-weight sum {s2:.3g}")
         return s1 / self.n_samples
 
+    def _replicate_means(self, tag: DomainTag) -> np.ndarray:
+        self._mean(tag)
+        return self._replicate_s1[:, list(DOMAIN_LABELS[tag])].sum(axis=1) / self._counts
+
     def _mean_cov(self, tag_a: DomainTag, tag_b: DomainTag) -> float:
-        """Covariance of the two domains' sample means, from the labels they share."""
+        """Covariance of the two domains' sample means.
+
+        For qmc, from the spread of the R replicates' means, each an
+        independent estimate: their sample covariance over R.  For pseudo,
+        from the labels the domains share, as the iid formula has it.
+        """
+        if self.sampler == "qmc":
+            x, y = self._replicate_means(tag_a), self._replicate_means(tag_b)
+            r = x.size
+            return float(np.dot(x - x.mean(), y - y.mean())) / (r * (r - 1.0))
         n = self.n_samples
         if n < 2:
             return 0.0
@@ -544,6 +614,11 @@ def _check_pass(n_samples: int, streams: int, tol: float, sampler: str,
         raise InvalidArgumentError("tol must be finite")
     if sampler not in _SAMPLERS:
         raise InvalidArgumentError(f"sampler must be one of {_SAMPLERS}")
+    # a qmc stream's two replicates each draw at least one point and at most
+    # the 2^32 of the sequence
+    if sampler == "qmc" and not 2 * streams <= n_samples <= 2 ** (_sobol.BITS + 1) * streams:
+        raise InvalidArgumentError("the qmc sampler draws two replicates per stream: n_samples "
+                                   "must lie in [2 * streams, 2^33 * streams]")
 
 
 def _check_eps_tail(eps_tail: float) -> None:
@@ -614,7 +689,9 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     ``seed_label`` is what gets reported in results when the seed is not a
     plain integer.  ``streams`` is the number of substreams and part of the
     determinism key; they run on min(streams, usable cores) threads, the
-    caller's among them.  Only points in ``domains`` are weighted, so a
+    caller's among them.  ``sampler`` is "pseudo" (iid draws) or "qmc"
+    (two scrambled Sobol' replicates per stream, so it needs
+    n_samples >= 2 * streams).  Only points in ``domains`` are weighted, so a
     non-finite weight outside them does not raise, and each scored domain
     gets the bits that a pass scoring all four gives it (see
     ``JointVolumes`` for what can be read).
@@ -638,8 +715,8 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
             return _stream_partial(child, count, box, spec, tol, sampler, labels)
 
     partials = _run_shares(run, tasks, min(streams, _usable_cores()))
-    n, s1, s2, hits = _pairwise_reduce(partials, lambda u, v: tuple(x + y for x, y in zip(u, v)))
-    return JointVolumes(box, spec, n, seed_label, streams, tol, sampler, s1, s2, hits, labels)
+    counts, s1, s2, hits = (np.concatenate(x) for x in zip(*partials))
+    return JointVolumes(box, spec, counts, seed_label, streams, tol, sampler, s1, s2, hits, labels)
 
 
 def upsilon_box(kappa: float, eps_tail: float = DEFAULT_EPS_TAIL, *,

@@ -206,7 +206,7 @@ def test_volume_csv_shape(capsys):
     assert fields[4] == "4"
     assert float(fields[5]) > 0.0
     assert fields[8] == "0"
-    assert fields[9:13] == ["20000", "77", "2", "pseudo"]
+    assert fields[9:13] == ["20000", "77", "2", "qmc"]
     assert fields[13:] == ["0.0", "3.0", "0.0", "3.0", "-1.5", "1.5", "-1.5", "1.5"]
 
 
@@ -228,10 +228,11 @@ def test_volume_rejects_out_of_range_input(flags, capsys):
     assert err.startswith("error: ")
 
 
-# the data row of each benchmark workload at 200k samples and seed 1: the
-# kappa row recorded when its box was fitted to the entangled class (a and b
-# from 1 - tol, folded onto c >= 0 >= d), the E row when its box's a and b
-# sides were fitted to the quantum classes; a kernel speed-up must keep these bytes
+# the data row of each benchmark workload at 200k samples and seed 1, with
+# the pseudo sampler: the kappa row recorded when its box was fitted to the
+# entangled class (a and b from 1 - tol, folded onto c >= 0 >= d), the E row
+# when its box's a and b sides were fitted to the quantum classes; a kernel
+# speed-up must keep these bytes
 _PINNED_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
         "entangled,adj,kappa,5.0,4,0.29296449788956763,0.006100604194518928,0.13437,0,200000,"
@@ -245,10 +246,32 @@ _PINNED_ROWS = {
 
 @pytest.mark.parametrize("flags", sorted(_PINNED_ROWS), ids=lambda flags: flags[1])
 def test_volume_benchmark_rows_pinned(flags, capsys):
-    assert main(["volume", *flags, "--samples", "200000", "--seed", "1"]) == 0
+    argv = ["volume", *flags, "--sampler", "pseudo", "--samples", "200000", "--seed", "1"]
+    assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == VOLUME_HEADER
     assert lines[2:] == [_PINNED_ROWS[flags]]
+
+
+# the same rows with the default sampler, qmc: 8 replicates, two scrambles
+# of the numpy Sobol' generator per stream
+_PINNED_QMC_ROWS = {
+    ("--set", "entangled", "--kappa", "5"):
+        "entangled,adj,kappa,5.0,4,0.29545879512193063,0.003287755321494398,0.134905,0,200000,"
+        "1,4,qmc,0.999999999,6.324555320336758,0.999999999,6.324555320336758,0.0,"
+        "6.324555320336758,-6.324555320336758,0.0",
+    ("--set", "separable", "--E", "8"):
+        "separable,energy,E,8.0,4,5.18999366703085,0.01351114873145911,0.09345,0,200000,1,4,"
+        "qmc,0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(_PINNED_QMC_ROWS), ids=lambda flags: flags[1])
+def test_volume_benchmark_rows_pinned_qmc(flags, capsys):
+    assert main(["volume", *flags, "--samples", "200000", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == VOLUME_HEADER
+    assert lines[2:] == [_PINNED_QMC_ROWS[flags]]
 
 
 # one stream of 400k samples runs 7 tiles, so these rows cover a stream whose
@@ -267,7 +290,8 @@ _PINNED_MULTI_TILE_ROWS = {
 
 @pytest.mark.parametrize("flags", sorted(_PINNED_MULTI_TILE_ROWS), ids=lambda flags: flags[1])
 def test_volume_multi_tile_rows_pinned(flags, capsys):
-    argv = ["volume", *flags, "--streams", "1", "--samples", "400000", "--seed", "1"]
+    argv = ["volume", *flags, "--sampler", "pseudo", "--streams", "1", "--samples", "400000",
+            "--seed", "1"]
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == VOLUME_HEADER
@@ -387,7 +411,7 @@ _OPTIONAL_KEYS = ("reg", "E", "kappa", "out")
     ["--E", "6", "--streams", "2"],
     ["--kappa", "2", "--eps-tail", "0.01"],
     ["--E", "6", "--tol", "1e-6"],
-    ["--E", "6", "--sampler", "qmc"],
+    ["--E", "6", "--sampler", "pseudo"],
     ["--E", "6", "--out"],
 ], ids=["set", "reg", "E", "kappa", "samples", "seed", "streams", "eps-tail", "tol", "sampler",
         "out"])
@@ -595,8 +619,8 @@ def test_overflowing_run_writes_whole_stderr_lines():
         assert proc.returncode == 5 and proc.stdout == ""
         assert proc.stderr.splitlines() == [
             "error: non-finite integrand weight at (a, b, c, d) = "
-            "(2.804409201209971e+299, 2.6449144872805975e+298, "
-            "-2.390066700775611e+299, -1.8731263599459175e+299)"]
+            "(1.99120803270489e+299, 6.131174392066896e+298, "
+            "1.822875731159002e+298, 1.6848627338185906e+299)"]
 
 
 def test_sweep_prints_one_warning_per_capped_row(capsys):

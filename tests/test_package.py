@@ -67,16 +67,20 @@ def test_private_submodule_still_imports():
 
 # ---------------------------------------------------------------- what a run loads
 
-# modules that no volume or sweep run uses
-_UNUSED_BY_RUNS = ("gaussvol.states", "gaussvol.metric", "concurrent.futures", "logging")
-# and what a pseudo run does not use either: scipy, which only --sampler qmc
-# needs, takes most of a second to import
-_UNUSED_BY_PSEUDO_RUNS = (*_UNUSED_BY_RUNS, "numpy.polynomial", "scipy")
+# modules that no volume or sweep run uses, whatever its sampler: scipy
+# takes most of a second to import
+_UNUSED_BY_RUNS = ("gaussvol.states", "gaussvol.metric", "concurrent.futures", "logging",
+                   "numpy.polynomial", "scipy")
 
 
 def _loaded(code, names):
     """Which of ``names`` are in sys.modules after ``code`` runs in a fresh interpreter."""
     return run_child(f"import sys; {code}; print(*[n for n in {names!r} if n in sys.modules])")
+
+
+def _run_loads(argv):
+    """Which of ``_UNUSED_BY_RUNS`` a CLI run of ``argv`` loads."""
+    return _loaded(f"import gaussvol.cli as cli; assert cli.main({argv!r}) == 0", _UNUSED_BY_RUNS)
 
 
 def test_parser_loads_only_the_volume_path():
@@ -86,14 +90,15 @@ def test_parser_loads_only_the_volume_path():
 def test_volume_run_loads_only_the_volume_path():
     argv = ["volume", "--set", "entangled", "--kappa", "5", "--samples", "10000", "--seed", "1",
             "--out", os.devnull]
-    code = f"import gaussvol.cli as cli; assert cli.main({argv!r}) == 0"
-    assert _loaded(code, _UNUSED_BY_PSEUDO_RUNS) == []
+    # the default sampler, qmc, and pseudo
+    assert _run_loads(argv) == []
+    assert _run_loads(argv + ["--sampler", "pseudo"]) == []
 
 
 def test_energy_sweep_loads_only_the_volume_path():
     argv = ["sweep", "--E", "4,8", "--samples", "10000", "--seed", "1", "--out", os.devnull]
-    code = f"import gaussvol.cli as cli; assert cli.main({argv!r}) == 0"
-    assert _loaded(code, _UNUSED_BY_PSEUDO_RUNS) == []
+    for sampler in ("qmc", "pseudo"):
+        assert _run_loads(argv + ["--sampler", sampler]) == [], sampler
 
 
 # ---------------------------------------------------------------- BLAS default
