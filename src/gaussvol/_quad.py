@@ -1,13 +1,12 @@
 """Tensor Gauss-Legendre volumes of the damped integrand over the standard-form chart.
 
-The integrand is the stream kernel's own, ``regularizer_values`` times
-``volume_density``, and the domain limits are ``twomode``'s: the c-bounds
-cb and sqrt(c3) of ``_c_bounds(a, b)`` and the d-interval [d1, d2] of
-``_d_interval(a, b, c)``, each a plain function of the point.  The
-integrand and every domain are invariant under a <-> b and
-(c, d) -> (-c, -d), so the rule covers b <= a and c >= 0 and multiplies by
-4; the classical and separable domains are also even in d alone, so there
-it covers d >= 0 and multiplies by 8.
+The integrand is ``regularizer_values`` times ``volume_density``, and the
+domain limits are those the stream kernel draws in: the c-ends cb and
+sqrt(c3) and the d-intervals of ``twomode._class_limits`` at mu = 1, each a
+plain function of the point.  The integrand and every domain are invariant
+under a <-> b and (c, d) -> (-c, -d), so the rule covers b <= a and c >= 0
+and multiplies by 4; the classical and separable domains are also even in
+d alone, so there it covers d >= 0 and multiplies by 8.
 
 Each domain is a sum of pieces over which the d-interval has one formula
 (the entangled one splits at c = sqrt(c3), where its upper end changes from
@@ -43,7 +42,7 @@ import math
 import numpy as np
 
 from .regularizers import RegularizerSpec, regularizer_values
-from .twomode import DomainTag, _c_bounds, _d_interval, volume_density
+from .twomode import DomainTag, _class_limits, volume_density
 
 # The pieces of each domain, as (name, lowest b, symmetry factor).
 _CLASSICAL = ("classical", 0.0, 8.0)
@@ -109,8 +108,11 @@ def _piece_block(spec: RegularizerSpec, piece: str, lo: float, a, wa, order: int
     if piece == "classical":
         c_lo, c_hi = 0.0, np.sqrt(a * b)
     else:
-        cb, sc3 = _c_bounds(a, b)
-        c_lo, c_hi = (sc3, cb) if piece == "entangled above" else (0.0, sc3)
+        zero = np.zeros_like(a)
+        sc3 = _class_limits(DomainTag.SEPARABLE, a, b, zero, 1.0)[0]
+        c_lo, c_hi = 0.0, sc3
+        if piece == "entangled above":
+            c_lo, c_hi = sc3, _class_limits(DomainTag.QUANTUM, a, b, zero, 1.0)[0]
     # the (a, b, c) grid, flat; c runs down from c_hi
     u, du = _from_end(c_hi - c_lo, slope * c_hi, y)
     grid = lambda v: np.repeat(v, order)
@@ -120,16 +122,14 @@ def _piece_block(spec: RegularizerSpec, piece: str, lo: float, a, wa, order: int
     if piece == "classical":
         heavy, other = np.sqrt(a * b), 0.0
     else:
-        d1, d2, _, ok = _d_interval(a, b, c)
-        if piece == "separable":
-            heavy, other = d2, 0.0
-        elif piece == "entangled below":
-            heavy, other = d1, -d2
+        tag = DomainTag.SEPARABLE if piece == "separable" else DomainTag.ENTANGLED
+        start, length = _class_limits(tag, a, b, c, 1.0)[1:3]
+        # separable: [0, d2] of the class's |d| <= d2; entangled: [d1, -d2]
+        # below sqrt(c3) and [d1, d2] above
+        if tag is DomainTag.SEPARABLE:
+            heavy, other = start + length, 0.0
         else:
-            heavy, other = d1, d2
-        # no interval where Delta < 0 or ab <= c^2, as rounding may give at the c-bounds
-        heavy = np.where(ok, heavy, 0.0)
-        other = np.where(ok, other, 0.0)
+            heavy, other = start, start + length
     length = np.abs(other - heavy)
     v, dv = _from_end(length, slope * np.abs(heavy), x)
     d = (heavy[:, None] + np.sign(other - heavy)[:, None] * v).ravel()

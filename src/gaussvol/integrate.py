@@ -9,29 +9,47 @@ weighted domain: ``phi_box`` for the energy cutoff and ``upsilon_box`` for
 the damping, fitted by ``_default_box`` when only the quantum classes are
 scored: the a and b sides start at 1 - tol, and a box of the entangled
 class alone is cut to the quadrant c >= 0 >= d and counts its mirror image
-under (c, d) -> (-c, -d) (``Box.images``).  a and b are drawn uniformly over
-the box's a, b sides; c and d are drawn uniformly on the classical slice
+under (c, d) -> (-c, -d) (``Box.images``).  Every sample draws a and b
+uniformly over the box's a, b sides, and only those that pass the a, b half
+of the domain test and, for the energy cutoff, tr V <= E draw c and d.
+How they do depends on the scored labels and the box.
+
+A pass that scores no classical-only label, over a box that holds the slice
+|c|, |d| < sqrt(ab) of every point in its support (every box
+``_default_box`` fits), draws inside the scored class and needs no labels
+(``_in_class_copies``).  c is uniform on [0, c-end] of the class at (a, b)
+and d uniform on its d-interval at (a, b, c), both from
+``twomode._class_limits`` at mu = (1 - tol)^2, the limits ``_quad``
+integrates over; a, b must pass min(a, b) >= 1 - tol.  Each weight is
+multiplied by the two interval lengths over the box's c and d spans, and
+by 2 for the mirror image c < 0 of what is drawn, or 1 in the entangled
+quadrant, whose images ``Box.images`` counts.  So an estimate is still
+box.volume times the mean weight, and its integrand over the unit cube is
+smooth rather than an indicator with a curved edge, which keeps the
+convergence rate of qmc (Owen, Ann. Stat. 1997; He and Wang, SIAM J.
+Numer. Anal. 2015).  A quantum pass reports its separable and entangled
+parts too: a quantum point with c >= 0 is entangled where d < -d2, the
+mirror image of the d-interval's lower end under partial transposition.
+The weight is fused with the interval arithmetic (``_class_weight``).
+
+Any other pass, one scoring classical (every ``sweep`` row) or over a box
+that cuts the slice, draws c and d uniformly on the classical slice
 |c|, |d| < sqrt(ab) + tol, each clipped to its box side, so that no draw
-falls outside the classical domain.  Each weight is multiplied by the
-lengths of its two slices over the box's c and d spans, so an estimate is
-still box.volume times the mean weight, an unbiased estimate of the
-integral over the box's classical part and its images, and its iid error
-bar stays honest.  The slice's half-width is ``twomode._half_width``, which
-``domain_labels`` shares.  A pass scores a set of domains in three stages
-per tile of draws.  Every sample draws a and b and must pass
-min(a, b) > -tol (a test skipped when the box's lower a, b bounds already
-exceed -tol) and, for the energy cutoff, tr V <= E.  Only the survivors
-draw c and d, and those whose slice is empty are dropped.  One labelling
-pass, Simon's test on the smallest symplectic eigenvalue of V and of its
-partial transpose, then gives each point left the innermost domain holding
-it (classical only, separable or entangled), and only points with a
-scored label are weighted, with the closed-form sqrt(det g).  A pass
-scoring entangled alone runs ``twomode._entangled`` instead, Simon's test
-reduced to that label in the same floats, on every survivor.  Weighted
-sums and hits are kept per label and every domain is a fixed set of
-labels, so nested domains are ordered exactly.  The draws do not depend on
-the scored domains, so a pass scoring one domain gives it the bits of a
-pass over the same box scoring all four.
+falls outside the classical domain, and labels them.  Each weight is
+multiplied by the lengths of its two slices over the box's c and d spans,
+so an estimate is again box.volume times the mean weight, an unbiased
+estimate of the integral over the box's classical part and its images.
+The slice's half-width is ``twomode._half_width``, which ``domain_labels``
+shares; a, b must pass min(a, b) > -tol (skipped when the box's lower a, b
+bounds already exceed -tol), and points whose slice is empty are dropped.
+One labelling pass, Simon's test on the smallest symplectic eigenvalue of V
+and of its partial transpose, gives each point the innermost domain holding
+it (classical only, separable or entangled), and only points with a scored
+label are weighted, with the closed-form sqrt(det g).  Weighted sums and
+hits are kept per label and every domain is a fixed set of labels, so
+nested domains are ordered exactly.  The draws of such a pass do not depend
+on the scored domains, so a labelled pass scoring one domain gives it the
+bits of a pass over the same box scoring all four.
 
 The adjugate damping has unbounded support, so ``upsilon_box`` fits a box
 a, b in (0, L], |c|, |d| <= L: the first of the sides L0 / sqrt(2), L0,
@@ -54,25 +72,19 @@ Determinism: the sample budget is split by index into ``streams`` substreams
 seeded from the children of the seed's SeedSequence, and partial sums are
 combined by a fixed-order pairwise reduction; results are bit-identical for
 a fixed (seed, streams, n_samples).  A stream works in tiles of ``_TILE``
-points.  Stages 1 and 3 allocate their arrays, at no measured cost; each
-mechanism that stays has a reason measured on 2 cores (ROADMAP item 14).
-Two flat buffers, filled in turn by each stage's gather, hold stage 2's
-float rows (allocating them raised the energy workload's peak RSS by
-3.4 MB) and the labeller's scratch (1 MB and 2-4% of cpu).  Drawing c and d
+points and keeps each tile's sums, added up in tile order.  Stage 1 and a
+labelled pass's weights allocate their arrays, at no measured cost.  Two
+flat buffers, filled in turn by each stage's gather, hold stage 2's float
+rows (allocating them raised the energy workload's peak RSS by 3.4 MB), the
+labeller's scratch (1 MB and 2-4% of cpu) and an in-class pass's weights
+and block scratch.  An in-class pass runs its interval arithmetic and
+weights in blocks of at most ``_BLOCK`` points, so that its scratch fits
+beside the weights in the part of a buffer the labels would use, and sums
+each tile's weights at once, so the blocks change no bit.  Drawing c and d
 for stage-1 survivors only saved the pseudo energy workload 10% of its time
 and 2 MB; for qmc it costs what drawing all four coordinates at stage 1
-does, and keeps one draw path for both samplers.  The points with a scored
-label queue up, keyed by tile and label, and are weighted and summed once
-per batch of consecutive tiles, as each such numpy call costs about 50 us
-whatever its size.  A tile that brings
-more than half a batch runs alone, as every E = 8 separable tile does
-(5.8k-6.0k points: 31 calls per 2M-sample stream) and every kappa = 5
-entangled tile of the fitted box (8.7k-9.0k).  Rarer passes share calls:
-over the unfitted kappa = 5 box, entangled tiles shared 15 calls, and stage
-3 per tile made the damped workload 6% slower there.  Each tile keeps its
-own sums: one ``bincount`` per sum over the batch adds each tile's weights
-in draw order, as a ``bincount`` of that tile alone does, and the tiles'
-sums are added up in tile order, so the batch size changes no bit.  A
+does, and keeps one draw path for both samplers.  A labelled tile's scored
+points are weighted in one call and summed per label by ``bincount``.  A
 pseudo stream is one replicate, consumed per tile as a(t) and b(t), then
 the uniforms of c(k) and d(k) for the k stage-1 survivors.  A qmc stream
 is two replicates: independent random linear scrambles of the 4-d Sobol'
@@ -103,7 +115,7 @@ from .errors import InvalidArgumentError, NumericError
 from .regularizers import (RegKind, RegularizerSpec, _in_energy_support, _is_int,
                            regularizer_values)
 from .twomode import (DEFAULT_TOL, DOMAIN_LABELS, DomainTag, volume_density, _ab_above,
-                      _classical_labels, _entangled, _half_width)
+                      _ab_quantum, _class_limits, _classical_labels, _half_width)
 # unused here, but perfbench/tracing.py wraps these two attributes of this module
 from .twomode import domain_mask, metric_components  # noqa: F401
 
@@ -128,8 +140,10 @@ DOMAIN_ORDER = (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE, Dom
 # stream's layout and the summation order of every sum.  A qmc tile is the
 # aligned block of 2^16 points that ``_sobol.Scramble.tile`` draws
 _TILE = 1 << 16
-# the most points in one stage-3 batch (see the module docstring)
-_BATCH = 1 << 13
+# the most points in a block of an in-class pass's stage 2, and the
+# scratch rows of a block (see _stream_partial)
+_BLOCK = 1 << 15
+_CLASS_ROWS = 6
 _SAMPLERS = ("pseudo", "qmc")
 # upsilon_box's default bound on each domain's tail, relative to its mass inside
 DEFAULT_EPS_TAIL = 1e-3
@@ -260,89 +274,169 @@ def _replicates(child_ss, count: int, sampler: str) -> tuple:
 _AB, _CD = slice(0, 2), slice(2, 4)
 
 
+def _in_class_copies(box: Box, spec: RegularizerSpec, labels: tuple, tol: float) -> int:
+    """How many times an in-class draw over ``box`` counts each point; 0 where the pass must label.
+
+    A pass that scores no classical-only label draws c >= 0 and d inside the
+    scored class, which needs the box to hold the class of every point in
+    its support.  A quantum class lies within the classical slice
+    |c|, |d| < sqrt(ab), and sqrt(ab) <= r = sqrt(hi_a hi_b) in the box, or
+    r = E/4 inside tr V <= E.  A box whose c and d sides hold [-r, r]
+    holds each class whole, and the c < 0 half, the mirror image of the
+    c >= 0 half under (c, d) -> (-c, -d), counts 2; a box of the entangled
+    class alone whose c side starts at 0 and whose d side holds [-r, 0]
+    holds its c >= 0 half (c d < 0 there), which counts 1.  At tol >= 1 the
+    classical slice |c| < sqrt(ab) + tol holds points of the labels' quantum
+    class beyond the limits of ``twomode._class_limits``, so such passes label.
+    """
+    if 1 in labels or not tol < 1.0:
+        return 0
+    r = math.sqrt(max(box.hi[0] * box.hi[1], 0.0))
+    if spec.kind is RegKind.ENERGY_PHI:
+        r = min(r, spec.bound_E / 4.0)
+    (_, _, lo_c, lo_d), (_, _, hi_c, hi_d) = box.lo, box.hi
+    if not (hi_c >= r and lo_d <= -r):
+        return 0
+    if lo_c <= -r and hi_d >= r:
+        return 2
+    return int(labels == (3,) and lo_c == 0.0 and hi_d >= 0.0)
+
+
+def _class_weight(a, b, pc, d, spec: RegularizerSpec, big: bool, out, scratch):
+    """2 volume_density * regularizer_values at points of the quantum classes, elementwise.
+
+    Takes pc = ab - c^2 from ``twomode._class_limits`` and writes the weight
+    to ``out``; ``scratch`` is three float arrays of a's length.  With
+    pd = ab - d^2, q = pc + pd and p = pc pd = det V, twice the density is
+    sqrt((2ab + c^2 + d^2) q / p) / p with 2ab + c^2 + d^2 = 4ab - q, the
+    regularizer is log(1 + p^m) and the damping exp(-(a + b) q / kappa), at
+    most 1.  Points outside the energy cutoff were dropped before.  p^m
+    overflows only where ``big``, and there log(1 + p^m) is m log p, as in
+    ``log1p_det_pow``.
+    """
+    t0, t1, t2 = scratch
+    ab = np.multiply(a, b, out=t0)
+    pd = np.subtract(ab, np.multiply(d, d, out=t1), out=t1)
+    q = np.add(pc, pd, out=t2)
+    p = np.multiply(pc, pd, out=t1)
+    num = np.multiply(ab, 4.0, out=ab)
+    num -= q
+    num *= q
+    w = np.divide(num, p, out=out)
+    np.sqrt(w, out=w)
+    w /= p
+    if spec.m == 4:
+        reg = np.multiply(p, p, out=t0)
+        reg *= reg
+    else:
+        reg = np.power(p, spec.m, out=t0)
+    np.log1p(reg, out=reg)
+    if big:
+        np.multiply(np.log(p), spec.m, out=reg, where=np.isinf(reg))
+    w *= reg
+    if spec.kind is RegKind.ADJUGATE_UPSILON:
+        damp = np.add(a, b, out=t0)
+        damp *= q
+        damp *= -1.0 / spec.kappa
+        w *= np.exp(damp, out=damp)
+    return w
+
+
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
                     sampler: str, labels: tuple):
     lo = np.asarray(box.lo)[:, None]
     span = np.asarray(box.hi)[:, None] - lo
-    # a slice-drawn point's weight is scaled by its slice lengths over the c, d spans
+    # a weight is scaled by the lengths of the c and d intervals it was drawn
+    # on, over the box's c and d spans
     per_cd = 1.0 / (span[2, 0] * span[3, 0])
     counts, sources = _replicates(child_ss, count, sampler)
     # each replicate's tiles in turn: (replicate, index of the tile's first point, points)
     chunks = [(r, done, min(_TILE, c - done))
               for r, c in enumerate(counts) for done in range(0, c, _TILE)]
     tile = min(_TILE, max(counts))
-    cap = min(_BATCH, count)
+    copies = _in_class_copies(box, spec, labels, tol)
     # a tile's points live in one of two flat buffers; each stage works in the
     # other one and then gathers its survivors into it.  Every buffer stays
     # below the 4 MiB from which numpy asks for huge pages, which a few
-    # touched bytes would make resident in full
-    bufs = (np.empty(4 * tile), np.empty(4 * tile))
+    # touched bytes would make resident in full.  An in-class pass keeps a
+    # tile's n weights and then the scratch rows of its blocks of at most
+    # n / 2 points in the other one, so that it touches no more of it than
+    # the labels do; the pad holds the rows of a tile of one point
+    bufs = (np.empty(4 * tile + _CLASS_ROWS), np.empty(4 * tile + _CLASS_ROWS))
     other = lambda pts: bufs[np.may_share_memory(pts, bufs[0])]
-    # the labels of a tile's stage-2 survivors
-    lab_buf = np.empty(tile, dtype=np.uint8)
-    b_buf = np.empty((3, tile), dtype=bool)
-    # the stage-3 points queued from tiles first, first + 1, ..., each with
-    # the key 4 * (its tile - first) + its label
-    queue = np.empty((4, cap))
-    qkey = np.empty(cap, dtype=np.intp)
-    scored = np.isin(np.arange(4), labels)  # scored[l]: label l is weighted and counted
-    entangled = labels == (3,)
-    # a and b are drawn at or above their lower bounds, so above -tol when those are
-    ab_test = not min(box.lo[:2]) > -tol
+    energy = spec.kind is RegKind.ENERGY_PHI
+    if copies:
+        mu = (1.0 - tol) ** 2
+        # p = det V <= (ab)^2, whose m-th power overflows only in huge boxes
+        big = 2 * spec.m * math.log(max(box.hi[0] * box.hi[1], 1.0)) > 700.0
+        # the class drawn; a quantum pass splits its points at d = -d2
+        tag = {(2,): DomainTag.SEPARABLE, (3,): DomainTag.ENTANGLED}.get(labels, DomainTag.QUANTUM)
+        split = np.empty(tile, dtype=bool) if tag is DomainTag.QUANTUM else None
+        # the a, b half of the quantum test, where the box reaches below it
+        ab_test = min(box.lo[:2]) < 1.0 - tol
+        # 2 volume_density, as _class_weight gives it
+        scale = 0.5 * per_cd * copies
+    else:
+        # the labels of a tile's stage-2 survivors
+        lab_buf = np.empty(tile, dtype=np.uint8)
+        b_buf = np.empty((3, tile), dtype=bool)
+        scored = np.isin(np.arange(4), labels)  # scored[l]: label l is weighted and counted
+        # a and b are drawn at or above their lower bounds, so above -tol when those are
+        ab_test = not min(box.lo[:2]) > -tol
     # each tile's sums, one row per tile, added up in tile order at the end
-    tiles = len(chunks)
-    s1 = np.zeros((max(tiles, 1), 4))
+    s1 = np.zeros((max(len(chunks), 1), 4))
     s2 = np.zeros_like(s1)
     hits = np.zeros(s1.shape, dtype=np.int64)
 
-    def stage3(pts, key, j0, k):
-        """Weight and sum the points of tiles j0, ..., j0 + k - 1, keyed 4 * (tile - j0) + label."""
-        if pts.shape[1] == 0:
-            return
-        a, b, c, d = pts
-        w = volume_density(a, b, c, d) * regularizer_values(a, b, c, d, spec)
-        # times the lengths of the slices c and d were drawn on, over the box's spans
-        h = _half_width(a, b, tol)
-        f = _slice(h, box.lo[2], box.hi[2])[1]
-        f *= _slice(h, box.lo[3], box.hi[3])[1]
-        f *= per_cd
-        w *= f
-        finite = np.isfinite(w)
-        if not finite.all():
-            i = int(np.argmin(finite))
+    def non_finite(w, pts):
+        if not np.isfinite(w).all():
+            i = int(np.argmin(np.isfinite(w)))
             bad = tuple(float(x[i]) for x in pts)
             raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
-        # one bincount per sum over the batch, keyed by tile: each tile's
-        # row adds its weights in draw order, as a bincount of that tile alone does
-        own = slice(j0, j0 + k)
-        s1[own] = np.bincount(key, weights=w, minlength=4 * k).reshape(k, 4)
-        s2[own] = np.bincount(key, weights=w * w, minlength=4 * k).reshape(k, 4)
-        hits[own] = np.bincount(key, minlength=4 * k).reshape(k, 4)
 
-    energy = spec.kind is RegKind.ENERGY_PHI
-    first = queued = 0  # the queue holds tiles first, ..., j - 1 with queued points
-    for j, (r, done, t) in enumerate(chunks):
-        # stage 1, every sample: a and b, the a, b half of the classical
-        # test and the energy cutoff
-        pts = bufs[0][:4 * t].reshape(4, t)
-        sources[r].tile(done, pts[_AB], _AB)
-        pts[_AB] *= span[_AB]
-        pts[_AB] += lo[_AB]
-        a, b = pts[_AB]
-        keep = _ab_above(a, b, -tol) if ab_test else None
-        if energy:
-            # a point outside the cutoff would add only +0.0 to s1 and s2
-            inside = _in_energy_support(a, b, spec.bound_E)
-            keep = inside if keep is None else keep & inside
-        idx = None
-        if keep is not None:
-            pts, idx = _take(keep, pts, bufs[1], rows=2)
-        # stage 2, the survivors: the uniforms of c and d, which every
-        # survivor draws and which put c and d uniformly on the classical
-        # slice |c|, |d| < sqrt(ab) + tol clipped to the box.  Then each point
-        # whose slice is not empty is labelled, and those with a scored label go on
+    def in_class(pts, j):
+        """Tile j's stage 2 in the class: c uniform on [0, c-end], d on the d-interval at c.
+
+        In blocks whose scratch rows follow the weights in the idle buffer.
+        """
         n = pts.shape[1]
-        sources[r].gather(done, idx, pts[_CD], _CD, other(pts)[:3 * n].view(np.intp))
+        block = max(1, min(_BLOCK, n // 2))
+        w_row = other(pts)[:n]
+        rows = other(pts)[n:n + _CLASS_ROWS * block].reshape(_CLASS_ROWS, block)
+        for k in range(0, n, block):
+            a, b, c, d = pts[:, k:k + block]
+            f = rows[:, :a.size]
+            end, start, length, pc, _ = _class_limits(tag, a, b, c, mu, draw=True, scratch=f)
+            d *= length
+            d += start
+            if split is not None:
+                # entangled where d < -d2 = -(start + length)
+                start += length
+                start += d
+                np.less(start, 0.0, out=split[k:k + a.size])
+            w = _class_weight(a, b, pc, d, spec, big, w_row[k:k + block], (f[1], f[4], f[5]))
+            w *= length
+            w *= end
+        # per label: its points' weights, or those of either side of the split
+        parts = [(labels[0], True)] if split is None else [(2, ~split[:n]), (3, split[:n])]
+        for label, where in parts:
+            s1[j, label] = np.sum(w_row, where=where) * scale
+            hits[j, label] = n if where is True else np.count_nonzero(where)
+        # a non-finite weight makes its sum non-finite
+        if not np.isfinite(s1[j]).all():
+            non_finite(w_row, pts)
+        sq = np.square(w_row, out=pts[2])
+        for label, where in parts:
+            s2[j, label] = np.sum(sq, where=where) * (scale * scale)
+
+    def labelled(pts, j):
+        """Tile j's stages 2 and 3 on the classical slice: labels, then the scored points' weights.
+
+        c and d are uniform on the slice |c|, |d| < sqrt(ab) + tol clipped to
+        the box; each point whose slice is not empty is labelled, and those
+        with a scored label are weighted.
+        """
+        n = pts.shape[1]
         a, b, c, d = pts
         keep, inside = b_buf[:2, :n]
         h, start, length = other(pts)[:3 * n].reshape(3, n)
@@ -355,41 +449,52 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         keep &= np.greater(length, 0.0, out=inside)
         d *= length
         d += start
-        # the gather's index array is not kept: held to the next tile's gather,
-        # it would double that gather's memory
-        if entangled:
-            # an entangled-only pass tests label 3 alone, on every point at
-            # once, as a point whose slice is empty is dropped all the same
-            keep &= _entangled(a, b, c, d, tol,
-                               scratch=(*other(pts)[:4 * n].reshape(4, n), *b_buf[1:, :n]))
-            pts = _take(keep, pts, other(pts))[0]
-            lab = lab_buf[:pts.shape[1]]
-            lab.fill(3)
-        else:
-            pts = _take(keep, pts, other(pts))[0]
-            n = pts.shape[1]
-            lab = _classical_labels(*pts, tol, out=lab_buf[:n],
-                                    scratch=(*other(pts)[:4 * n].reshape(4, n), *b_buf[:, :n]))
-            pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts,
-                             other(pts))
-            if idx is not None:
-                lab = lab[idx]
-        # stage 3 once per batch of tiles: a tile that fills more than half
-        # the queue runs alone, straight from its buffer, and any other
-        # joins the queue, which runs first when it would overflow
+        pts = _take(keep, pts, other(pts))[0]
         n = pts.shape[1]
-        alone = 2 * n > cap
-        if alone or queued + n > cap:
-            stage3(queue[:, :queued], qkey[:queued], first, j - first)
-            first, queued = j, 0
-        if alone:
-            stage3(pts, lab, j, 1)
-            first = j + 1
-        else:
-            queue[:, queued:queued + n] = pts
-            np.add(lab, 4 * (j - first), out=qkey[queued:queued + n], dtype=np.intp)
-            queued += n
-    stage3(queue[:, :queued], qkey[:queued], first, tiles - first)
+        lab = _classical_labels(*pts, tol, out=lab_buf[:n],
+                                scratch=(*other(pts)[:4 * n].reshape(4, n), *b_buf[:, :n]))
+        pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts, other(pts))
+        if idx is not None:
+            lab = lab[idx]
+        if pts.shape[1] == 0:
+            return
+        a, b, c, d = pts
+        w = volume_density(a, b, c, d) * regularizer_values(a, b, c, d, spec)
+        # times the lengths of the slices c and d were drawn on, over the box's spans
+        h = _half_width(a, b, tol)
+        f = _slice(h, box.lo[2], box.hi[2])[1]
+        f *= _slice(h, box.lo[3], box.hi[3])[1]
+        f *= per_cd
+        w *= f
+        non_finite(w, pts)
+        s1[j] = np.bincount(lab, weights=w, minlength=4)
+        s2[j] = np.bincount(lab, weights=w * w, minlength=4)
+        hits[j] = np.bincount(lab, minlength=4)
+
+    for j, (r, done, t) in enumerate(chunks):
+        # stage 1, every sample: a and b, the a, b half of the domain's test
+        # and the energy cutoff
+        pts = bufs[0][:4 * t].reshape(4, t)
+        sources[r].tile(done, pts[_AB], _AB)
+        pts[_AB] *= span[_AB]
+        pts[_AB] += lo[_AB]
+        a, b = pts[_AB]
+        keep = None
+        if ab_test:
+            keep = _ab_quantum(a, b, tol) if copies else _ab_above(a, b, -tol)
+        if energy:
+            # a point outside the cutoff would add only +0.0 to s1 and s2
+            inside = _in_energy_support(a, b, spec.bound_E)
+            keep = inside if keep is None else keep & inside
+        idx = None
+        if keep is not None:
+            pts, idx = _take(keep, pts, bufs[1], rows=2)
+        # stage 2, the survivors: the uniforms of c and d, which every survivor
+        # draws.  The gather's index array is not kept: held to the next
+        # tile's gather, it would double that gather's memory
+        n = pts.shape[1]
+        sources[r].gather(done, idx, pts[_CD], _CD, other(pts)[:3 * n].view(np.intp))
+        (in_class if copies else labelled)(pts, j)
     # each replicate's sums: its tiles' sums in tile order, each added to the
     # sum of those before it
     sums, j = [], 0
@@ -415,14 +520,14 @@ class IntegrationResult:
     in the domain and inside the regularizer's support (tr V <= E for the
     energy cutoff; the adjugate damping has unbounded support), that is the
     share that carries weight; ``empty_domain`` is true when none does.
-    c and d are drawn on the classical slice, not across the box, so this is
-    a share of draws, not of the box's volume: for the damping, whose box
-    holds the slices whole, nearly every draw is classical, and for the
-    energy cutoff every draw inside tr V <= E is, half of them; in the box of
-    the quantum classes each of those has min(a, b) >= 1 - tol too, and in
-    that of the entangled class c >= 0 >= d, the quadrant that holds half
-    of its points.  So at kappa = 5 the entangled class takes 13% of the
-    draws, against 4.8% in the unfitted box.
+    c and d are not drawn across the box, so this is a share of draws, not
+    of the box's volume.  A quantum-class pass over its fitted box draws
+    them inside the class, so every draw whose a and b pass counts: all of
+    them under the damping, and the half inside tr V <= E under the energy
+    cutoff (0.500 for E = 8 separable and 1.0 for kappa = 5 entangled,
+    against 0.094 and 0.134 with the slice draw).  A labelled pass draws
+    them on the classical slice, which holds nearly every draw under the
+    damping and every draw inside tr V <= E under the energy cutoff.
     """
 
     estimate: float
@@ -439,13 +544,14 @@ class IntegrationResult:
 
 
 class JointVolumes:
-    """All four domain volumes from one sampling pass, with cross-covariances.
+    """The scored domain volumes from one sampling pass, with cross-covariances.
 
     Because every domain is evaluated on the same weighted samples, nested
     domains are ordered exactly, differences of estimates carry honest errors,
     and delta-method ratio errors include the correlation with the denominator.
-    Every weight carries its point's slice factor (see the module docstring),
-    so each estimate is box.volume times a mean over all ``n_samples``, and
+    Every weight carries the lengths of the intervals its c and d were drawn
+    on (see the module docstring), so each estimate is box.volume times a
+    mean over all ``n_samples``, and
     its error box.volume times that mean's; box.volume counts the box's
     mirror images.  The sums are kept per replicate, in stream order: one
     per stream for pseudo, whose variances and covariances come from the
@@ -453,8 +559,9 @@ class JointVolumes:
     from the R = 2 * streams replicate means (their sample covariance over
     R; see the module docstring).
     The per-label hits count the draws in the domain and inside the
-    regularizer's support; c and d are drawn on the classical slice, so a
-    share of hits is a share of draws, not of the box's volume.  Only the
+    regularizer's support; c and d are drawn on the classical slice, or
+    inside the scored class, so a share of hits is a share of draws, not of
+    the box's volume.  Only the
     labels in ``labels`` were weighted and counted; ``result``,
     ``difference`` and ``ratio`` accept every domain made up of them and
     raise ``InvalidArgumentError`` for any other.  They raise
@@ -680,10 +787,14 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
                      seed_label: int | None = None, *, domains=DOMAIN_ORDER) -> JointVolumes:
     """One sampling pass over ``box`` scoring ``domains`` (all four by default).
 
-    a and b are uniform over the box's a, b sides, and c and d uniform on the
-    classical slice |c|, |d| < sqrt(ab) + tol clipped to the box, each weight
-    scaled by the slices' lengths over the box's c and d spans, so the pass
-    estimates the integrals over the box that uniform sampling estimates.
+    a and b are uniform over the box's a, b sides.  When ``domains`` hold no
+    classical-only point and the box holds the slice |c|, |d| < sqrt(ab) of
+    its support, c and d are uniform on the scored class's intervals, and
+    no point is labelled; otherwise they are uniform on the classical slice
+    |c|, |d| < sqrt(ab) + tol clipped to the box, and labelled.  Each weight
+    is scaled by its intervals' lengths over the box's c and d spans, so
+    either pass estimates the integrals over the box that uniform sampling
+    estimates.
 
     ``seed`` may be an integer or a SeedSequence, which is not modified;
     ``seed_label`` is what gets reported in results when the seed is not a
@@ -692,9 +803,10 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     caller's among them.  ``sampler`` is "pseudo" (iid draws) or "qmc"
     (two scrambled Sobol' replicates per stream, so it needs
     n_samples >= 2 * streams).  Only points in ``domains`` are weighted, so a
-    non-finite weight outside them does not raise, and each scored domain
-    gets the bits that a pass scoring all four gives it (see
-    ``JointVolumes`` for what can be read).
+    non-finite weight outside them does not raise.  A labelled pass gives
+    each scored domain the bits that a pass scoring all four gives it; an
+    in-class pass draws other points (see ``JointVolumes`` for what can be
+    read).
     """
     _check_pass(n_samples, streams, tol, sampler)
     labels = _labels_of(domains)
@@ -808,9 +920,12 @@ def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float, tol: fl
     (``_ab_quantum``), and top is L, or E/2 - q, since a + b <= E/2.  When
     entangled alone is scored, the box is also cut to the quadrant
     c >= 0 >= d and counts its mirror image (``Box.images`` = 2): an
-    entangled point has fl(c*d) < 0 (``_entangled``), and the integrand and
-    every domain are even under (c, d) -> (-c, -d).  When top <= q the
-    quantum classes have no volume in the box, and it is kept as it is.
+    entangled point has c d < 0, and the integrand and every domain are even
+    under (c, d) -> (-c, -d).  When top <= q the quantum classes have no
+    volume in the box, and it is kept as it is.  Every box returned holds the
+    slice |c|, |d| < sqrt(ab) of each point in its support, so a pass over
+    it that scores only quantum classes draws inside them
+    (``_in_class_copies``).
     """
     q = max(0.0, 1.0 - tol)
     if spec.kind is RegKind.ADJUGATE_UPSILON:
@@ -834,11 +949,11 @@ def mc_volume(req: IntegrationRequest) -> IntegrationResult:
 
     The pass runs over ``_default_box``: a quantum, separable or entangled
     run draws a and b from q = max(0, 1 - tol), where that leaves the box any
-    volume, and an entangled run draws c >= 0 >= d and counts the mirror
-    image of that quadrant; a classical run keeps ``phi_box`` or
-    ``upsilon_box``.  Bit-identical for a fixed (seed, streams, n_samples)
-    request, and to the same domain's result from a pass over the same box
-    that scores all four: only this domain's points are weighted.
+    volume, and c and d inside its class (for tol < 1), an entangled run
+    with c >= 0 and its mirror image counted by the box; a classical run
+    keeps ``phi_box`` or ``upsilon_box`` and labels its slice draws, with the
+    bits of the same domain's result from a pass over that box scoring all
+    four.  Bit-identical for a fixed (seed, streams, n_samples) request.
     """
     box = _default_box(req.regularizer, (req.domain,), req.eps_tail, req.tol)
     jv = mc_joint_volumes(box, req.regularizer, req.n_samples, req.seed, req.streams,

@@ -7,7 +7,9 @@ a Heaviside factor; the adjugate weight damps exponentially in tr[adj V].
 ``phi`` and ``upsilon`` weigh one covariance matrix; ``regularizer_values``
 weighs arrays of standard-form points (a, b, c, d) in closed form, as a plain
 numpy expression that broadcasts its inputs and allocates its result; the
-stream kernel calls it once per batch of points, not per tile of draws.
+stream kernel calls it once per tile on the scored points of a labelled
+pass, and an in-class pass fuses the same weight with its interval
+arithmetic.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ standard two-mode invariants used by the PPT test.
 
 The closed forms (``canonical_det``, ``canonical_trace_adjugate``,
 ``volume_density``) are plain numpy expressions that broadcast their inputs.
-``_ab_quantum``, ``_half_width``, ``_classical_labels`` and ``_entangled``
-take optional ``out`` and scratch arrays, because the stream kernel's
-stage 2 and its labelling run them on every tile of 2^16 points (see
-``integrate``).
+``_class_limits`` holds the c- and d-limits of the quantum classes, which
+the stream kernel draws in and ``_quad`` integrates over.  It,
+``_ab_quantum``, ``_half_width`` and ``_classical_labels`` take optional
+``out`` and scratch arrays, because the stream kernel's stage 2 and its
+labelling run them on every tile of 2^16 points (see ``integrate``).
 """
 
 from __future__ import annotations
@@ -208,34 +209,25 @@ class DomainBounds:
 
 
 def domain_bounds(p: CanonicalPoint) -> DomainBounds:
-    """Bound quantities c1, c2, c3, Delta and the d-interval [d1, d2] at (a, b, c)."""
+    """Bound quantities c1, c2, c3, Delta and the d-interval [d1, d2] at (a, b, c).
+
+    c1 = (a/b)(b^2 - 1), c2 = (b/a)(a^2 - 1) and c3 = (a^2 - 1)(b^2 - 1)/ab:
+    the quantum c-bound is the smaller of c1 and c2, and the separable one
+    c3.  Delta, d1 and d2 are those of :func:`_class_limits` at mu = 1.
+    """
     a, b, c = float(p.a), float(p.b), float(p.c)
     if not (a > 0.0 and b > 0.0):
         raise InvalidArgumentError("domain bounds need a > 0 and b > 0")
-    c1, c2, c3 = _c_limits(a, b)
-    d1, d2, delta, ok = _d_interval(a, b, c)
-    if not ok:
-        d1, d2 = math.inf, -math.inf
-    return DomainBounds(c1=c1, c2=c2, c3=c3, d1=float(d1), d2=float(d2), delta=float(delta))
-
-
-def _d_interval(a, b, c):
-    """d-interval [d1, d2] of the quantum domain and its discriminant Delta, elementwise.
-
-    Returns (d1, d2, delta, ok).  The interval exists only where ``ok``, that
-    is where Delta >= 0 and ab - c^2 > 0; elsewhere d1 and d2 carry no
-    meaning.
-    """
-    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
-    ab, c2 = a * b, c * c
-    denom = ab - c2
-    delta = c2 - (ab * c * c - (a * a - 1.0) * (b * b - 1.0)) * denom
-    ok = (delta >= 0.0) & (denom > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(delta)
-        d1 = (-c - root) / denom
-        d2 = (root - c) / denom
-    return d1, d2, delta, ok
+    _, start, length, pc, delta = (float(x[0]) for x in _class_limits(
+        DomainTag.QUANTUM, np.array([a]), np.array([b]), np.array([abs(c)]), 1.0))
+    d1, d2 = math.inf, -math.inf
+    if delta >= 0.0 and pc > 0.0:
+        d1, d2 = start, start + length
+        # the interval at -c is the mirror image of that at |c|
+        if c < 0.0:
+            d1, d2 = -d2, -d1
+    return DomainBounds(c1=a / b * (b * b - 1.0), c2=b / a * (a * a - 1.0),
+                        c3=(a * a - 1.0) * (b * b - 1.0) / (a * b), d1=d1, d2=d2, delta=delta)
 
 
 # The labels of domain_labels that make up each domain.
@@ -266,28 +258,80 @@ def _ab_quantum(a, b, tol, out=None, tmp=None):
     return np.greater_equal(np.minimum(a, b, out=tmp), 1.0 - tol, out=out)
 
 
-def _c_limits(a, b):
-    """c1 = (a/b)(b^2 - 1), c2 = (b/a)(a^2 - 1) and c3 = (a^2 - 1)(b^2 - 1) / ab.
+def _class_limits(tag, a, b, c, mu, draw=False, scratch=None):
+    """The c-end of the quantum class ``tag`` at (a, b) and its d-interval at c, elementwise.
 
-    c3 is evaluated as ((ab)^2 - (b^2 + (a^2 - 1))) / ab, since
-    1 - a^2 - b^2 = -((a^2 - 1) + b^2) exactly.
+    For c >= 0 and mu = (1 - tol)^2.  With P = ab, m = min(a, b),
+    M = max(a, b), X = (m^2 - mu) M/m = P - mu M/m and
+    Y = (M^2 - mu) m/M = P - mu m/M, the quantum and entangled classes take
+    c^2 <= X and the separable class c^2 <= XY/P
+    = P - mu (a^2 + b^2 - mu)/P; at mu = 1 these are c1 or c2 and c3 of
+    :func:`domain_bounds`.  A classical point is quantum when Simon's
+    y = det V + mu^2 - mu (a^2 + b^2) >= g = 2 mu cd (see
+    :func:`_classical_labels`), a quadratic in d with the roots
+    d1 = (-mu c - root) / pc and d2 = (root - mu c) / pc, where pc = P - c^2,
+    root = sqrt(Delta) and Delta = mu^2 c^2 + pc (P pc + mu^2 - mu (a^2 + b^2))
+    = P (X - c^2)(Y - c^2).  So the quantum class is [d1, d2] where
+    c^2 <= X.  Partial transposition maps d to -d, and a quantum point with
+    c >= 0 is entangled when d < -d2: the separable class is |d| <= d2, and
+    the entangled one [d1, min(-d2, d2)] = [d1, d1 + 2 min(mu c, root) / pc].
+
+    Returns (end, start, length, pc, delta): the class holds c in [0, end]
+    (end = sqrt of the c-bound clipped at 0) and d in [start, start +
+    length]; Delta is clipped at 0 for root, as rounding at the ends of the
+    c-interval can leave it below.  Where m >= 1 - tol, the quantum side of
+    :func:`_ab_quantum`, the c-bounds are >= 0 in floats as well.  With
+    ``draw``, c holds uniforms in [0, 1) and is first scaled onto [0, end]
+    in place.  Takes 1-d float arrays; ``scratch`` is six float arrays of
+    a's length, allocated when omitted, that hold the results.
     """
-    ab, am1 = a * b, a * a - 1.0
-    return a / b * (b * b - 1.0), b / a * am1, (ab * ab - (b * b + am1)) / ab
-
-
-def _c_bounds(a, b):
-    """The quantum c-bound cb and the separability c-bound sqrt(c3), elementwise.
-
-    cb = sqrt(c1) where b <= a and sqrt(c2) elsewhere, with c1, c2 and c3 of
-    :func:`_c_limits`; the radicands are clipped at 0.  These are the
-    c-limits of the quadrature's pieces; the labels do not use them.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c1, c2, c3 = _c_limits(a, b)
-        # branch by mode ordering; at a = b the two c-bounds coincide
-        cb = np.where(b <= a, c1, c2)
-        return np.sqrt(np.maximum(cb, 0.0)), np.sqrt(np.maximum(c3, 0.0))
+    if scratch is None:
+        scratch = np.empty((6, a.size))
+    end, start, length, pc, t0, t1 = scratch
+    m = np.minimum(a, b, out=t0)
+    r = np.maximum(a, b, out=t1)
+    r /= m
+    x = np.multiply(m, m, out=t0)
+    x -= mu
+    x *= r
+    ab = np.multiply(a, b, out=pc)
+    y = np.divide(mu, r, out=t1)
+    np.subtract(ab, y, out=y)
+    if tag is DomainTag.SEPARABLE:
+        np.multiply(x, y, out=end)
+        end /= ab
+        np.maximum(end, 0.0, out=end)
+    else:
+        np.maximum(x, 0.0, out=end)
+    np.sqrt(end, out=end)
+    if draw:
+        c *= end
+    c2 = np.multiply(c, c, out=start)
+    x -= c2
+    y -= c2
+    delta = np.multiply(y, x, out=t1)
+    delta *= ab
+    pc = np.subtract(ab, c2, out=pc)
+    root = np.maximum(delta, 0.0, out=t0)
+    np.sqrt(root, out=root)
+    mc = np.multiply(c, mu, out=start)
+    if tag is DomainTag.SEPARABLE:
+        # start -d2, length 2 d2
+        np.subtract(root, mc, out=length)
+        length /= pc
+        np.negative(length, out=start)
+        length += length
+        return end, start, length, pc, delta
+    if tag is DomainTag.QUANTUM:
+        np.add(root, root, out=length)
+    else:
+        np.minimum(mc, root, out=length)
+        length += length
+    length /= pc
+    start += root
+    np.negative(start, out=start)
+    start /= pc
+    return end, start, length, pc, delta
 
 
 def _half_width(a, b, tol, out=None):
@@ -345,50 +389,6 @@ def _classical_labels(a, b, c, d, tol, out=None, scratch=None):
     out = np.add(quantum, 1, out=out, dtype=np.uint8)
     out += np.greater(quantum, ppt, out=m)  # quantum and not PPT
     return out
-
-
-def _entangled(a, b, c, d, tol, scratch=None):
-    """``_classical_labels(a, b, c, d, tol) == 3``, in its floats, for classical points.
-
-    Label 3 is quantum and not PPT, in the notation of
-    :func:`_classical_labels`.  Not PPT needs fl(c*d) < 0, and there
-    s - 2cd >= s + 2cd and -g > g, so the quantum test implies the PPT
-    test's s - 2cd >= 2 mu and leaves y >= -g of it.  Label 3 is then
-    min(a, b) >= 1 - tol, s + 2cd >= 2 mu and g <= y < -g; the last holds
-    only where g < 0, that is where fl(c*d) < 0, so c*d needs no test of its
-    own (an underflowed g = -0.0 fails it too).  25 array operations,
-    against 33 for the labels.
-
-    ``scratch`` is four float arrays and two bool arrays of a's length,
-    allocated when omitted; the mask is returned in the first bool array.
-    """
-    if scratch is None:
-        scratch = (*(np.empty(a.shape) for _ in range(4)),
-                   *(np.empty(a.shape, dtype=bool) for _ in range(2)))
-    f0, f1, f2, f3, ent, m = scratch
-    mu = (1.0 - tol) ** 2
-    # the floats of _classical_labels (x * x is square(x) and cd + cd is
-    # 2 cd, exactly), mostly by in-place and one-operand ufuncs, which cost
-    # about half of a two-operand one with its own output
-    with np.errstate(invalid="ignore", over="ignore"):
-        ab = np.multiply(a, b, out=f3)
-        det = np.subtract(ab, np.square(c, out=f0), out=f0)
-        det *= np.subtract(ab, np.square(d, out=f1), out=f1)
-        s = np.square(a, out=f1)
-        s += np.square(b, out=f2)
-        cd = np.multiply(c, d, out=f2)
-        cd2 = np.multiply(cd, 2.0, out=f3)
-        cd2 += s
-        np.greater_equal(cd2, 2.0 * mu, out=ent)
-        # y = det V + (mu^2 - mu s)
-        y = np.multiply(s, mu, out=s)
-        np.subtract(mu * mu, y, out=y)
-        y += det
-        g = np.multiply(cd, 2.0 * mu, out=cd)
-        ent &= np.greater_equal(y, g, out=m)
-        ent &= np.less(y, np.negative(g, out=g), out=m)
-    ent &= _ab_quantum(a, b, tol, out=m, tmp=f3)
-    return ent
 
 
 def domain_labels(a, b, c, d, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -229,17 +229,16 @@ def test_volume_rejects_out_of_range_input(flags, capsys):
 
 
 # the data row of each benchmark workload at 200k samples and seed 1, with
-# the pseudo sampler: the kappa row recorded when its box was fitted to the
-# entangled class (a and b from 1 - tol, folded onto c >= 0 >= d), the E row
-# when its box's a and b sides were fitted to the quantum classes; a kernel
-# speed-up must keep these bytes
+# the pseudo sampler, recorded when their passes began to draw c and d inside
+# the scored class, over the boxes fitted to it (the kappa row's folded onto
+# c >= 0 >= d); a kernel speed-up must keep these bytes
 _PINNED_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
-        "entangled,adj,kappa,5.0,4,0.29296449788956763,0.006100604194518928,0.13437,0,200000,"
+        "entangled,adj,kappa,5.0,4,0.2919487395767134,0.0036779189660585054,1.0,0,200000,"
         "1,4,pseudo,0.999999999,6.324555320336758,0.999999999,6.324555320336758,0.0,"
         "6.324555320336758,-6.324555320336758,0.0",
     ("--set", "separable", "--E", "8"):
-        "separable,energy,E,8.0,4,5.217588048106451,0.03674019095938848,0.093865,0,200000,1,4,"
+        "separable,energy,E,8.0,4,5.193507038844113,0.017504252359814548,0.500105,0,200000,1,4,"
         "pseudo,0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
 }
 
@@ -257,11 +256,11 @@ def test_volume_benchmark_rows_pinned(flags, capsys):
 # of the numpy Sobol' generator per stream
 _PINNED_QMC_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
-        "entangled,adj,kappa,5.0,4,0.29545879512193063,0.003287755321494398,0.134905,0,200000,"
+        "entangled,adj,kappa,5.0,4,0.29559956278976335,0.00074628845099116,1.0,0,200000,"
         "1,4,qmc,0.999999999,6.324555320336758,0.999999999,6.324555320336758,0.0,"
         "6.324555320336758,-6.324555320336758,0.0",
     ("--set", "separable", "--E", "8"):
-        "separable,energy,E,8.0,4,5.18999366703085,0.01351114873145911,0.09345,0,200000,1,4,"
+        "separable,energy,E,8.0,4,5.1901640461083085,0.0018729094389481793,0.50005,0,200000,1,4,"
         "qmc,0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
 }
 
@@ -275,11 +274,11 @@ def test_volume_benchmark_rows_pinned_qmc(flags, capsys):
 
 
 # one stream of 400k samples runs 7 tiles, so these rows cover a stream whose
-# labelling and sums span several tiles; recorded with the slice draw, the
-# kappa row when its box's a and b sides were fitted to the quantum classes
+# sums span several tiles: the classical row labels its slice draws, and the
+# quantum row draws inside its class and splits it at d = -d2
 _PINNED_MULTI_TILE_ROWS = {
     ("--set", "quantum", "--kappa", "5"):
-        "quantum,adj,kappa,5.0,4,0.484186782450569,0.00708107124287872,0.6626075,0,400000,1,1,"
+        "quantum,adj,kappa,5.0,4,0.47561416336978984,0.003439444812276747,1.0,0,400000,1,1,"
         "pseudo,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
         "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "classical", "--E", "8"):

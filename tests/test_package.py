@@ -151,3 +151,19 @@ def test_package_source_has_no_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_tracer_hooks_exist():
+    # perfbench/tracing.py swaps each attribute its LAYERS names for a timing
+    # wrapper; one that a refactor drops would break `perfbench/run.py --trace 1`
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        tracing = importlib.import_module("tracing")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    missing = []
+    for path, _ in tracing.LAYERS.values():
+        module, attr = path.rsplit(".", 1)
+        if not hasattr(importlib.import_module(module), attr):
+            missing.append(path)
+    assert missing == [] and len(tracing.LAYERS) >= 7

@@ -85,3 +85,43 @@ def test_quantum_share_still_drifts_at_large_kappa():
     assert ratio[50.0] == pytest.approx(0.05989, abs=2e-4)
     assert ratio[100.0] == pytest.approx(0.05572, abs=2e-4)
     assert ratio[50.0] > 1.06 * ratio[100.0]
+
+
+# the rule's order-12 masses per domain (classical, quantum, separable,
+# entangled) as (all of it, beyond L0, beyond 2 L0), and upsilon_box's side
+# per domain, recorded before the class limits moved into
+# twomode._class_limits, which the stream kernel shares
+_ORDER12 = {
+    1.0: (((0.040457637296056975, 0.000528731227826325, 8.503972333143866e-06),
+           (0.0002308483339365503, 1.599547957142866e-11, 9.785212465033313e-20),
+           (6.290700273558724e-05, 7.817799230834717e-21, 2.2235277670398998e-67),
+           (0.00016794133120096304, 1.599547956361086e-11, 9.785212465033313e-20)),
+          (8.0, 2.82842712474619, 2.82842712474619, 2.82842712474619)),
+    5.0: (((10.969863084448432, 0.1922935036371342, 0.006328497840440978),
+           (0.47391261568886783, 2.2008659456158073e-06, 1.1711399396307178e-10),
+           (0.17730918793498554, 3.1941936287241763e-18, 4.620347009220232e-63),
+           (0.29660342775388226, 2.200865945612613e-06, 1.1711399396307178e-10)),
+          (17.88854381999832, 6.324555320336758, 6.324555320336758, 6.324555320336758)),
+    50.0: (((1064.99255828949, 77.99193192730762, 11.54622032269119),
+            (63.78317864793872, 0.014031072741181448, 0.0001530661748363258),
+            (29.118916542670185, 1.6227861014298774e-16, 1.3925980632530034e-60),
+            (34.664262105268534, 0.014031072741181285, 0.0001530661748363258)),
+           (56.568542494923804, 28.284271247461902, 20.0, 28.284271247461902)),
+}
+
+
+@pytest.mark.parametrize("kappa", sorted(_ORDER12))
+def test_shared_class_limits_move_no_mass(kappa):
+    # each domain's mass moves by less than 1e-12 of it, and each tail by
+    # less than 1e-12 of its domain's mass, so no support box side moves
+    spec = RegularizerSpec.adjugate(kappa)
+    L0 = max(4.0, 4.0 * math.sqrt(kappa))
+    masses, sides = _ORDER12[kappa]
+    got = [_quad.quad_volumes(spec, 12), _quad.tail_masses(spec, DOMAIN_ORDER, L0, 12),
+           _quad.tail_masses(spec, DOMAIN_ORDER, 2.0 * L0, 12)]
+    for tag, want in zip(DOMAIN_ORDER, masses):
+        for g, w in zip(got, want):
+            assert abs(g[tag] - w) <= 1e-12 * want[0], (tag, g[tag], w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert tuple(upsilon_box(kappa, domain=tag).hi[0] for tag in DOMAIN_ORDER) == sides

@@ -32,9 +32,7 @@ from gaussvol.twomode import (
     metric_components,
     simon_invariants,
     volume_density,
-    _c_bounds,
-    _d_interval,
-    _entangled,
+    _class_limits,
 )
 
 from conftest import sample_canonical
@@ -458,11 +456,14 @@ def _near_label_surfaces(rng, n, tol):
     b = np.where(near1 & (b < a), 1.0 + jitter(), b)
     sign = lambda: rng.choice([-1.0, 1.0], n)
     with np.errstate(invalid="ignore"):
-        cb, sc3 = _c_bounds(a, b)
+        zero = np.zeros(n)
+        cb = _class_limits(DomainTag.QUANTUM, a, b, zero, 1.0)[0]
+        sc3 = _class_limits(DomainTag.SEPARABLE, a, b, zero, 1.0)[0]
         c = np.choose(rng.integers(0, 3, n), [rng.uniform(-1.0, 1.0, n) * cb,
                                               sign() * cb + jitter(), sign() * sc3 + jitter()])
-        d1, d2, _, _ = _d_interval(a, b, c)
-        root = np.where(rng.random(n) < 0.5, d1, d2) * sign()
+        # the quantum d-interval's formulas hold for c of either sign
+        d1, length = _class_limits(DomainTag.QUANTUM, a, b, c, 1.0)[1:3]
+        root = np.where(rng.random(n) < 0.5, d1, d1 + length) * sign()
         d = np.where(rng.random(n) < 0.75, root + jitter(),
                      rng.uniform(-1.0, 1.0, n) * np.sqrt(np.maximum(a * b, 0.0)))
     return a, b, c, np.where(np.isfinite(d), d, 0.0)
@@ -513,39 +514,84 @@ def test_labels_match_closed_form_eigenvalues(tol):
     assert np.all(c[at] * d[at] < 0.0)
 
 
-@pytest.mark.parametrize("tol", (1e-9, 0.0, -1e-6, 1e-3))
-def test_entangled_is_label_3_on_classical_points(tol):
-    # the stream kernel's entangled-only test gives label 3 bit for bit on
-    # classical points: near the surfaces that bound labels 2 and 3, crowded
-    # at the ends of the slice |c|, |d| < sqrt(ab) + tol, at a = 1, on d = -c,
-    # and with c*d of either sign and 0
-    rng = np.random.default_rng(int(1e9 * abs(tol)) + 7 * (tol < 0))
-    n = 300_000
-    near = _near_label_surfaces(rng, n, tol)
-    a, b = rng.uniform(0.3, 6.0, (2, n))
-    # a fifth of a at 1 or at the quantum floor 1 - tol
-    a = np.where(rng.random(n) < 0.2, rng.choice([1.0, 1.0 - tol], n), a)
-    h = np.sqrt(a * b) + tol
+# the labels of the classes that _class_limits draws in
+_CLASS_LABELS = {DomainTag.SEPARABLE: (2,), DomainTag.ENTANGLED: (3,), DomainTag.QUANTUM: (2, 3)}
+
+
+def _drawn_in_class(rng, n, tag, tol):
+    """Points that _class_limits draws in the class ``tag``, crowded at its surfaces.
+
+    a and b from 1 - tol, a fifth of a at that floor or at 1 above it; each uniform
+    is 0, within 1e-12 of either end of [0, 1) or uniform, so that c lies
+    at 0 or at its c-end and d at either end of its interval.  Returns the
+    point and the quantum class's d2 = start + length at it.
+    """
+    q = 1.0 - tol
+    a, b = rng.uniform(q, 8.0, (2, n))
+    a = np.where(rng.random(n) < 0.2, rng.choice([max(1.0, q), q], n), a)
 
     def crowded():
-        # a quarter within a few ulp or a few |tol| of either end of the slice, or on it
-        inset = np.array([abs(tol), 1e-15, 0.0])[rng.integers(0, 3, n)] * rng.uniform(0.0, 3.0, n)
-        end = rng.choice([-1.0, 1.0], n) * h * (1.0 - inset)
-        return np.where(rng.random(n) < 0.25, end, rng.uniform(-1.0, 1.0, n) * h)
+        x = rng.random(n)
+        return np.choose(rng.integers(0, 4, n), [x, 1.0 - 1e-12 * x, 1e-12 * x, 0.0 * x])
 
-    c, d = crowded(), crowded()
-    d = np.where(rng.random(n) < 0.2, -c, d)
-    c[rng.random(n) < 0.05] = 0.0
-    d[rng.random(n) < 0.05] = -0.0
-    pts = [np.concatenate(x) for x in zip(near, (a, b, c, d))]
-    lab = domain_labels(*pts, tol)
-    classical = lab > 0
-    a, b, c, d = (x[classical] for x in pts)
-    lab = lab[classical]
-    cd = c * d
-    for sign in (np.less, np.equal, np.greater):
-        assert np.count_nonzero(sign(cd, 0.0)) > 10_000
-    assert np.count_nonzero(lab == 3) > 20_000 and np.count_nonzero(lab == 2) > 20_000
-    assert np.count_nonzero(a == 1.0) > 10_000 and np.count_nonzero(a == 1.0 - tol) > 10_000
-    got = _entangled(a, b, c, d, tol)
-    assert got.dtype == bool and np.array_equal(got, lab == 3)
+    c, v = crowded(), crowded()
+    _, start, length, _, _ = _class_limits(tag, a, b, c, q * q, draw=True)
+    d = start + v * length
+    d2 = _class_limits(DomainTag.QUANTUM, a, b, c.copy(), q * q)
+    return a, b, c, d, d2[1] + d2[2]
+
+
+@pytest.mark.parametrize("tol", (1e-9, 0.0, -1e-6, 1e-3))
+@pytest.mark.parametrize("tag", list(_CLASS_LABELS), ids=lambda tag: tag.value)
+def test_class_draw_gets_the_class_labels(tag, tol):
+    # every point drawn in a class gets one of the class's labels, wherever
+    # the closed-form eigenvalues put it further from a surface than their
+    # roundoff, and a quantum point is entangled exactly where d < -d2, the
+    # stream kernel's split; every drawn point lies inside the slice
+    # |c|, |d| < sqrt(ab) that a fitted box holds
+    rng = np.random.default_rng(int(1e9 * abs(tol)) + 11 * (tol < 0) + len(tag.value))
+    a, b, c, d, d2 = _drawn_in_class(rng, 200_000, tag, tol)
+    ab = a * b
+    assert np.all((c >= 0.0) & (c * c < ab) & (d * d < ab))
+    lab = domain_labels(a, b, c, d, tol)
+    assert np.all(lab >= 1)
+    sure = _beyond_label_roundoff(a, b, c, d, tol)
+    assert np.count_nonzero(sure) > 30_000
+    want = np.isin(lab, _CLASS_LABELS[tag])
+    if tag is DomainTag.QUANTUM:
+        want &= (lab == 3) == (d < -d2)
+    bad = np.flatnonzero(sure & ~want)
+    assert bad.size == 0, [(a[i], b[i], c[i], d[i], lab[i]) for i in bad[:5]]
+
+
+def _beyond_label_roundoff(a, b, c, d, tol):
+    """Where each test of the labels is decided by more than its roundoff.
+
+    The labels compare y = det V + mu^2 - mu s with +-g = +-2 mu cd and
+    s +- 2cd with 2 mu (see ``_classical_labels``); each side carries a few
+    ulp of the sum of its terms' magnitudes, bounded here by 16 eps times
+    that sum.  min(a, b) >= 1 - tol is exact.
+    """
+    eps = np.finfo(float).eps
+    mu = (1.0 - tol) ** 2
+    ab, c2, d2, cd = a * b, c * c, d * d, c * d
+    s = a * a + b * b
+    y = (ab - c2) * (ab - d2) + (mu * mu - mu * s)
+    g = 2.0 * mu * cd
+    terms = ab * ab + c2 * d2 + ab * (c2 + d2) + mu * s + abs(g) + mu * mu
+    err, err_s = 16.0 * eps * terms, 16.0 * eps * (s + 2.0 * np.abs(cd))
+    return ((np.abs(y - g) > err) & ((np.abs(y + g) > err) | (cd >= 0.0))
+            & (np.abs(s + 2.0 * cd - 2.0 * mu) > err_s) & (np.abs(s - 2.0 * cd - 2.0 * mu) > err_s))
+
+
+@pytest.mark.parametrize("tol", (1.0, 2.0))
+def test_labels_leave_the_class_limits_at_tol_1_and_above(tol):
+    # from tol = 1 the classical slice |c|, |d| < sqrt(ab) + tol holds points
+    # that the labels call quantum but that lie outside |c| < sqrt(ab),
+    # where no class limit reaches; passes at such tol keep the labels
+    rng = np.random.default_rng(int(tol))
+    a, b = rng.uniform(0.5, 3.0, (2, 200_000))
+    h = np.sqrt(a * b) + tol
+    c, d = rng.uniform(-1.0, 1.0, (2, 200_000)) * h
+    lab = domain_labels(a, b, c, d, tol)
+    assert np.count_nonzero((lab >= 2) & (c * c >= a * b)) > 100
