@@ -60,7 +60,7 @@ _SETTINGS = {
                  "--kappa only: the largest fraction of each checked class's mass, relative to "
                  "the mass inside, that the support box may leave out; the box side stops at "
                  "max(8, 8 sqrt(kappa)), with a warning if more is left out there (default 1e-3)"),
-    "tol": (float, DEFAULT_TOL, None, "domain tolerance (default 1e-9)"),
+    "tol": (float, DEFAULT_TOL, None, "domain tolerance, below 1 (default 1e-9)"),
     "sampler": (str, "qmc", _SAMPLERS, "qmc (default) or pseudo"),
     "out": (str, None, None, "write CSV here instead of stdout"),
 }
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--b", type=float, default=None)
     p_met.add_argument("--c", type=float, default=None)
     p_met.add_argument("--d", type=float, default=None)
-    p_met.add_argument("--tol", type=float, default=DEFAULT_TOL, help="domain tolerance")
+    p_met.add_argument("--tol", type=float, default=DEFAULT_TOL, help="domain tolerance, below 1")
     p_met.set_defaults(func=cmd_metric)
 
     p_vol = sub.add_parser("volume", help="one regularized volume estimate, CSV out")

@@ -7,23 +7,21 @@ The integrand over the standard-form chart (a, b, c, d) is
 integrated over an axis-aligned box that contains the support of the
 weighted domain: ``phi_box`` for the energy cutoff and ``upsilon_box`` for
 the damping, fitted by ``_default_box`` when only the quantum classes are
-scored: the a and b sides start at 1 - tol, and a box of the entangled
-class alone is cut to the quadrant c >= 0 >= d and counts its mirror image
-under (c, d) -> (-c, -d) (``Box.images``).  Every sample draws a and b
-uniformly over the box's a, b sides, and only those that pass the a, b half
-of the domain test and, for the energy cutoff, tr V <= E draw c and d.
-How they do depends on the scored labels and the box.
+scored, with a and b sides from 1 - tol.  Every pass takes tol < 1
+(``twomode._check_tol``).  Every sample draws a and b uniformly over the
+box's a, b sides, and only those that pass the a, b half of the domain test
+and, for the energy cutoff, tr V <= E draw c and d.  How they do depends on
+the scored labels and the box.
 
 A pass that scores no classical-only label, over a box that holds the slice
 |c|, |d| < sqrt(ab) of every point in its support (every box
 ``_default_box`` fits), draws inside the scored class and needs no labels
-(``_in_class_copies``).  c is uniform on [0, c-end] of the class at (a, b)
+(``_draws_in_class``).  c is uniform on [0, c-end] of the class at (a, b)
 and d uniform on its d-interval at (a, b, c), both from
 ``twomode._class_limits`` at mu = (1 - tol)^2, the limits ``_quad``
 integrates over; a, b must pass min(a, b) >= 1 - tol.  Each weight is
 multiplied by the two interval lengths over the box's c and d spans, and
-by 2 for the mirror image c < 0 of what is drawn, or 1 in the entangled
-quadrant, whose images ``Box.images`` counts.  So an estimate is still
+by 2 for the mirror image c < 0 of what is drawn.  So an estimate is still
 box.volume times the mean weight, and its integrand over the unit cube is
 smooth rather than an indicator with a curved edge, which keeps the
 convergence rate of qmc (Owen, Ann. Stat. 1997; He and Wang, SIAM J.
@@ -38,7 +36,7 @@ that cuts the slice, draws c and d uniformly on the classical slice
 falls outside the classical domain, and labels them.  Each weight is
 multiplied by the lengths of its two slices over the box's c and d spans,
 so an estimate is again box.volume times the mean weight, an unbiased
-estimate of the integral over the box's classical part and its images.
+estimate of the integral over the box's classical part.
 The slice's half-width is ``twomode._half_width``, which ``domain_labels``
 shares; a, b must pass min(a, b) > -tol (skipped when the box's lower a, b
 bounds already exceed -tol), and points whose slice is empty are dropped.
@@ -115,7 +113,7 @@ from .errors import InvalidArgumentError, NumericError
 from .regularizers import (RegKind, RegularizerSpec, _in_energy_support, _is_int,
                            regularizer_values)
 from .twomode import (DEFAULT_TOL, DOMAIN_LABELS, DomainTag, volume_density, _ab_above,
-                      _ab_quantum, _class_limits, _classical_labels, _half_width)
+                      _ab_quantum, _check_tol, _class_limits, _classical_labels, _half_width)
 # unused here, but perfbench/tracing.py wraps these two attributes of this module
 from .twomode import domain_mask, metric_components  # noqa: F401
 
@@ -154,18 +152,10 @@ _BOX_ORDER = 12
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned sampling box over (a, b, c, d), counted ``images`` times.
-
-    ``images`` is the number of disjoint mirror images of the box over which
-    the integral is the same, each counted in ``volume``: 2 for a box cut to
-    the c >= 0 >= d quadrant, whose image under (c, d) -> (-c, -d) holds the
-    same integral, since the integrand and every domain are even under that
-    map (``_default_box``).  The draws lie in the box itself.
-    """
+    """Axis-aligned sampling box over (a, b, c, d)."""
 
     lo: tuple
     hi: tuple
-    images: int = 1
 
     def __post_init__(self):
         lo = tuple(float(x) for x in self.lo)
@@ -176,16 +166,12 @@ class Box:
             raise InvalidArgumentError("box bounds must be finite")
         if any(not (h > l) for l, h in zip(lo, hi)):
             raise InvalidArgumentError("box upper bounds must exceed lower bounds")
-        if not (_is_int(self.images) and self.images >= 1):
-            raise InvalidArgumentError("box images must be an integer >= 1")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "images", int(self.images))
 
     @property
     def volume(self) -> float:
-        """The box's volume times ``images``."""
-        return self.images * float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
+        return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Membership of (..., 4) points in the half-open box (lo, hi]."""
@@ -274,32 +260,22 @@ def _replicates(child_ss, count: int, sampler: str) -> tuple:
 _AB, _CD = slice(0, 2), slice(2, 4)
 
 
-def _in_class_copies(box: Box, spec: RegularizerSpec, labels: tuple, tol: float) -> int:
-    """How many times an in-class draw over ``box`` counts each point; 0 where the pass must label.
+def _draws_in_class(box: Box, spec: RegularizerSpec, labels: tuple) -> bool:
+    """Whether a pass over ``box`` scoring ``labels`` draws c and d inside the scored class.
 
-    A pass that scores no classical-only label draws c >= 0 and d inside the
-    scored class, which needs the box to hold the class of every point in
-    its support.  A quantum class lies within the classical slice
-    |c|, |d| < sqrt(ab), and sqrt(ab) <= r = sqrt(hi_a hi_b) in the box, or
-    r = E/4 inside tr V <= E.  A box whose c and d sides hold [-r, r]
-    holds each class whole, and the c < 0 half, the mirror image of the
-    c >= 0 half under (c, d) -> (-c, -d), counts 2; a box of the entangled
-    class alone whose c side starts at 0 and whose d side holds [-r, 0]
-    holds its c >= 0 half (c d < 0 there), which counts 1.  At tol >= 1 the
-    classical slice |c| < sqrt(ab) + tol holds points of the labels' quantum
-    class beyond the limits of ``twomode._class_limits``, so such passes label.
+    It does when it scores no classical-only label and the box holds the
+    class of every point in its support.  A quantum class lies within the
+    classical slice |c|, |d| < sqrt(ab), and sqrt(ab) <= r = sqrt(hi_a hi_b)
+    in the box, or r = E/4 inside tr V <= E, so a box whose c and d sides
+    hold [-r, r] holds each class whole.  The pass draws c >= 0 and counts
+    the c < 0 half as its mirror image under (c, d) -> (-c, -d); any other
+    pass labels.
     """
-    if 1 in labels or not tol < 1.0:
-        return 0
     r = math.sqrt(max(box.hi[0] * box.hi[1], 0.0))
     if spec.kind is RegKind.ENERGY_PHI:
         r = min(r, spec.bound_E / 4.0)
     (_, _, lo_c, lo_d), (_, _, hi_c, hi_d) = box.lo, box.hi
-    if not (hi_c >= r and lo_d <= -r):
-        return 0
-    if lo_c <= -r and hi_d >= r:
-        return 2
-    return int(labels == (3,) and lo_c == 0.0 and hi_d >= 0.0)
+    return 1 not in labels and min(hi_c, hi_d) >= r and max(lo_c, lo_d) <= -r
 
 
 def _class_weight(a, b, pc, d, spec: RegularizerSpec, big: bool, out, scratch):
@@ -354,7 +330,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     chunks = [(r, done, min(_TILE, c - done))
               for r, c in enumerate(counts) for done in range(0, c, _TILE)]
     tile = min(_TILE, max(counts))
-    copies = _in_class_copies(box, spec, labels, tol)
+    in_class_pass = _draws_in_class(box, spec, labels)
     # a tile's points live in one of two flat buffers; each stage works in the
     # other one and then gathers its survivors into it.  Every buffer stays
     # below the 4 MiB from which numpy asks for huge pages, which a few
@@ -365,7 +341,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     bufs = (np.empty(4 * tile + _CLASS_ROWS), np.empty(4 * tile + _CLASS_ROWS))
     other = lambda pts: bufs[np.may_share_memory(pts, bufs[0])]
     energy = spec.kind is RegKind.ENERGY_PHI
-    if copies:
+    if in_class_pass:
         mu = (1.0 - tol) ** 2
         # p = det V <= (ab)^2, whose m-th power overflows only in huge boxes
         big = 2 * spec.m * math.log(max(box.hi[0] * box.hi[1], 1.0)) > 700.0
@@ -374,8 +350,6 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         split = np.empty(tile, dtype=bool) if tag is DomainTag.QUANTUM else None
         # the a, b half of the quantum test, where the box reaches below it
         ab_test = min(box.lo[:2]) < 1.0 - tol
-        # 2 volume_density, as _class_weight gives it
-        scale = 0.5 * per_cd * copies
     else:
         # the labels of a tile's stage-2 survivors
         lab_buf = np.empty(tile, dtype=np.uint8)
@@ -417,17 +391,18 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
             w = _class_weight(a, b, pc, d, spec, big, w_row[k:k + block], (f[1], f[4], f[5]))
             w *= length
             w *= end
-        # per label: its points' weights, or those of either side of the split
+        # per label: its points' weights, or those of either side of the split;
+        # the factor 2 of _class_weight counts each point's mirror image c < 0
         parts = [(labels[0], True)] if split is None else [(2, ~split[:n]), (3, split[:n])]
         for label, where in parts:
-            s1[j, label] = np.sum(w_row, where=where) * scale
+            s1[j, label] = np.sum(w_row, where=where) * per_cd
             hits[j, label] = n if where is True else np.count_nonzero(where)
         # a non-finite weight makes its sum non-finite
         if not np.isfinite(s1[j]).all():
             non_finite(w_row, pts)
         sq = np.square(w_row, out=pts[2])
         for label, where in parts:
-            s2[j, label] = np.sum(sq, where=where) * (scale * scale)
+            s2[j, label] = np.sum(sq, where=where) * (per_cd * per_cd)
 
     def labelled(pts, j):
         """Tile j's stages 2 and 3 on the classical slice: labels, then the scored points' weights.
@@ -481,7 +456,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         a, b = pts[_AB]
         keep = None
         if ab_test:
-            keep = _ab_quantum(a, b, tol) if copies else _ab_above(a, b, -tol)
+            keep = _ab_quantum(a, b, tol) if in_class_pass else _ab_above(a, b, -tol)
         if energy:
             # a point outside the cutoff would add only +0.0 to s1 and s2
             inside = _in_energy_support(a, b, spec.bound_E)
@@ -494,7 +469,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         # tile's gather, it would double that gather's memory
         n = pts.shape[1]
         sources[r].gather(done, idx, pts[_CD], _CD, other(pts)[:3 * n].view(np.intp))
-        (in_class if copies else labelled)(pts, j)
+        (in_class if in_class_pass else labelled)(pts, j)
     # each replicate's sums: its tiles' sums in tile order, each added to the
     # sum of those before it
     sums, j = [], 0
@@ -551,9 +526,8 @@ class JointVolumes:
     and delta-method ratio errors include the correlation with the denominator.
     Every weight carries the lengths of the intervals its c and d were drawn
     on (see the module docstring), so each estimate is box.volume times a
-    mean over all ``n_samples``, and
-    its error box.volume times that mean's; box.volume counts the box's
-    mirror images.  The sums are kept per replicate, in stream order: one
+    mean over all ``n_samples``, and its error box.volume times that
+    mean's.  The sums are kept per replicate, in stream order: one
     per stream for pseudo, whose variances and covariances come from the
     pooled sums by the iid formulas, and two per stream for qmc, whose come
     from the R = 2 * streams replicate means (their sample covariance over
@@ -717,8 +691,7 @@ def _check_pass(n_samples: int, streams: int, tol: float, sampler: str,
         raise InvalidArgumentError(f"n_samples must be an integer >= {min_samples:_}")
     if not (_is_int(streams) and streams >= 1):
         raise InvalidArgumentError("streams must be an integer >= 1")
-    if not math.isfinite(tol):
-        raise InvalidArgumentError("tol must be finite")
+    _check_tol(tol)
     if sampler not in _SAMPLERS:
         raise InvalidArgumentError(f"sampler must be one of {_SAMPLERS}")
     # a qmc stream's two replicates each draw at least one point and at most
@@ -845,8 +818,9 @@ def upsilon_box(kappa: float, eps_tail: float = DEFAULT_EPS_TAIL, *,
     When none passes, the box of side 2 L0 is returned with a RuntimeWarning
     that names, for each checked domain that fails there, the share of its
     mass left outside the box.  The box stops at 2 L0 because each doubling
-    spreads the a, b draws over 4 times the area (c and d are drawn on the
-    classical slice, which the box holds whole), and past one doubling the
+    spreads the a, b draws over 4 times the area (c and d are drawn inside
+    the class, or on the classical slice in a labelled pass, which the box
+    holds whole), and past one doubling the
     estimate's error at practical sample counts outweighs the tail it would
     save.
 
@@ -916,44 +890,33 @@ def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float, tol: fl
     The box is ``upsilon_box`` fitted to each of ``domains`` for the damping,
     with a, b sides (0, L], and ``phi_box`` for the energy cutoff.  When no
     domain holds label 1 (classical only), the a and b sides become [q, top]
-    with q = max(0, 1 - tol): every quantum point has min(a, b) >= q
+    with q = 1 - tol: every quantum point has min(a, b) >= q
     (``_ab_quantum``), and top is L, or E/2 - q, since a + b <= E/2.  When
-    entangled alone is scored, the box is also cut to the quadrant
-    c >= 0 >= d and counts its mirror image (``Box.images`` = 2): an
-    entangled point has c d < 0, and the integrand and every domain are even
-    under (c, d) -> (-c, -d).  When top <= q the quantum classes have no
-    volume in the box, and it is kept as it is.  Every box returned holds the
-    slice |c|, |d| < sqrt(ab) of each point in its support, so a pass over
-    it that scores only quantum classes draws inside them
-    (``_in_class_copies``).
+    top <= q the quantum classes have no volume in the box, and it is kept
+    as it is.  Every box returned holds the slice |c|, |d| < sqrt(ab) of
+    each point in its support, so a pass over it that scores only quantum
+    classes draws inside them (``_draws_in_class``).
     """
-    q = max(0.0, 1.0 - tol)
+    q = 1.0 - tol
     if spec.kind is RegKind.ADJUGATE_UPSILON:
         box = upsilon_box(spec.kappa, eps_tail, domain=domains)
         top = box.hi[0]
     else:
         box = phi_box(spec.bound_E)
         top = box.hi[0] - q
-    labels = _labels_of(domains)
-    if 1 in labels or top <= q:
+    if 1 in _labels_of(domains) or top <= q:
         return box
-    lo, hi = [q, q, *box.lo[2:]], [top, top, *box.hi[2:]]
-    if labels != (3,):
-        return Box(lo, hi)
-    lo[2], hi[3] = 0.0, 0.0
-    return Box(lo, hi, images=2)
+    return Box((q, q, *box.lo[2:]), (top, top, *box.hi[2:]))
 
 
 def mc_volume(req: IntegrationRequest) -> IntegrationResult:
     """Monte Carlo volume of one domain under the requested regularizer.
 
     The pass runs over ``_default_box``: a quantum, separable or entangled
-    run draws a and b from q = max(0, 1 - tol), where that leaves the box any
-    volume, and c and d inside its class (for tol < 1), an entangled run
-    with c >= 0 and its mirror image counted by the box; a classical run
-    keeps ``phi_box`` or ``upsilon_box`` and labels its slice draws, with the
-    bits of the same domain's result from a pass over that box scoring all
-    four.  Bit-identical for a fixed (seed, streams, n_samples) request.
+    run draws a and b from q = 1 - tol, where that leaves the box any
+    volume, and c and d inside its class; a classical run keeps ``phi_box``
+    or ``upsilon_box`` and labels its slice draws, with the bits of the same
+    domain's result from a pass over that box scoring all four.  Bit-identical for a fixed (seed, streams, n_samples) request.
     """
     box = _default_box(req.regularizer, (req.domain,), req.eps_tail, req.tol)
     jv = mc_joint_volumes(box, req.regularizer, req.n_samples, req.seed, req.streams,

@@ -239,6 +239,17 @@ DOMAIN_LABELS = {
 }
 
 
+def _check_tol(tol) -> None:
+    """A domain tolerance must be finite and below 1.
+
+    The quantum test compares nu_-^2 with mu = (1 - tol)^2, which falls as
+    tol grows to 1 and grows again beyond it, so the labels would no longer
+    widen with tol there.
+    """
+    if not (math.isfinite(tol) and tol < 1.0):
+        raise InvalidArgumentError("tol must be finite and below 1")
+
+
 def _ab_above(a, b, x):
     """min(a, b) > x on 1-d float arrays.
 
@@ -402,8 +413,10 @@ def domain_labels(a, b, c, d, tol: float = DEFAULT_TOL) -> np.ndarray:
     >= 1 - tol, and separable when that of its partial transpose is too,
     which is the convention of ``states.classify``.  So a positive ``tol``
     counts the boundaries as inside, and a negative one shrinks the domains,
-    which is how boundary bands are detected.
+    which is how boundary bands are detected.  ``tol`` must be finite and
+    below 1 (``InvalidArgumentError``).
     """
+    _check_tol(tol)
     a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, d)))
     shape = a.shape
     a, b, c, d = (x.ravel() for x in (a, b, c, d))

@@ -230,13 +230,13 @@ def test_volume_rejects_out_of_range_input(flags, capsys):
 
 # the data row of each benchmark workload at 200k samples and seed 1, with
 # the pseudo sampler, recorded when their passes began to draw c and d inside
-# the scored class, over the boxes fitted to it (the kappa row's folded onto
-# c >= 0 >= d); a kernel speed-up must keep these bytes
+# the scored class, over the boxes fitted to it; a kernel speed-up must keep
+# these bytes
 _PINNED_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
         "entangled,adj,kappa,5.0,4,0.2919487395767134,0.0036779189660585054,1.0,0,200000,"
-        "1,4,pseudo,0.999999999,6.324555320336758,0.999999999,6.324555320336758,0.0,"
-        "6.324555320336758,-6.324555320336758,0.0",
+        "1,4,pseudo,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
+        "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "separable", "--E", "8"):
         "separable,energy,E,8.0,4,5.193507038844113,0.017504252359814548,0.500105,0,200000,1,4,"
         "pseudo,0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
@@ -257,8 +257,8 @@ def test_volume_benchmark_rows_pinned(flags, capsys):
 _PINNED_QMC_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
         "entangled,adj,kappa,5.0,4,0.29559956278976335,0.00074628845099116,1.0,0,200000,"
-        "1,4,qmc,0.999999999,6.324555320336758,0.999999999,6.324555320336758,0.0,"
-        "6.324555320336758,-6.324555320336758,0.0",
+        "1,4,qmc,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
+        "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "separable", "--E", "8"):
         "separable,energy,E,8.0,4,5.1901640461083085,0.0018729094389481793,0.50005,0,200000,1,4,"
         "qmc,0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
@@ -363,12 +363,12 @@ def test_volume_tol_sets_the_fitted_box(capsys):
                  "--seed", "1"]) == 0
     fields = capsys.readouterr().out.splitlines()[2].split(",")
     assert fields[13:17] == ["0.999", "3.001", "0.999", "3.001"]
-    # and those of its kappa box; an entangled box is cut to c >= 0 >= d
+    # and those of its kappa box, whose c and d sides are upsilon_box's
     assert main(["volume", "--set", "entangled", "--kappa", "5", "--tol", "1e-3", "--samples",
                  "20000", "--seed", "1"]) == 0
     fields = capsys.readouterr().out.splitlines()[2].split(",")
     L = "6.324555320336758"
-    assert fields[13:] == ["0.999", L, "0.999", L, "0.0", L, "-" + L, "0.0"]
+    assert fields[13:] == ["0.999", L, "0.999", L, "-" + L, L, "-" + L, L]
 
 
 def test_volume_adjugate_kind(capsys):
