@@ -587,28 +587,29 @@ def _beyond_label_roundoff(a, b, c, d, tol):
             & (np.abs(s + 2.0 * cd - 2.0 * mu) > err_s) & (np.abs(s - 2.0 * cd - 2.0 * mu) > err_s))
 
 
-def test_tol_of_1_and_above_is_refused(tmp_path, capsys):
+@pytest.mark.parametrize("tol", (1.0, 2.0))
+def test_tol_of_1_and_above_is_refused(tol, tmp_path, capsys):
     # from tol = 1 on, mu = (1 - tol)^2 grows again with tol, and the labels
     # shrink: (0.6, 0.6, 0.1, 0.1) read 2 at tol = 1 and 1 at tol = 1.5, and
     # (1.2, 1.2, 1.0, -1.0) read 2, 3 and 1 at tol = 1, 1.5 and 2.  The
     # labeller, a pass and a request refuse such a tol, and the CLI exits 2
     # before it records the configuration
     spec = RegularizerSpec.energy(8.0)
-    for tol in (1.0, 1.5, 2.0):
-        for call in (lambda: domain_labels(0.6, 0.6, 0.1, 0.1, tol),
-                     lambda: in_domain(CanonicalPoint(1.2, 1.2, 1.0, -1.0), DomainTag.QUANTUM, tol),
-                     lambda: mc_joint_volumes(phi_box(8.0), spec, 1_000, 1, tol=tol),
-                     lambda: IntegrationRequest(DomainTag.SEPARABLE, spec, 10_000, 1, tol=tol)):
+    for t in (tol, tol + 0.5):
+        for call in (lambda: domain_labels(0.6, 0.6, 0.1, 0.1, t),
+                     lambda: in_domain(CanonicalPoint(1.2, 1.2, 1.0, -1.0), DomainTag.QUANTUM, t),
+                     lambda: mc_joint_volumes(phi_box(8.0), spec, 1_000, 1, tol=t),
+                     lambda: IntegrationRequest(DomainTag.SEPARABLE, spec, 10_000, 1, tol=t)):
             with pytest.raises(InvalidArgumentError, match="tol must be finite and below 1"):
                 call()
     assert domain_labels(0.6, 0.6, 0.1, 0.1, np.nextafter(1.0, 0.0)) == 2
     cfg = tmp_path / "tol.cfg"
-    cfg.write_text("# gaussvol config v1\ntol = 1.5\n", encoding="utf-8")
+    cfg.write_text(f"# gaussvol config v1\ntol = {tol + 0.5}\n", encoding="utf-8")
     written = tmp_path / "written.cfg"
-    for argv in (["volume", "--set", "separable", "--E", "8", "--tol", "1"],
+    for argv in (["volume", "--set", "separable", "--E", "8", "--tol", str(tol)],
                  ["volume", "--set", "separable", "--E", "8", "--config", str(cfg)]):
         assert main(argv + ["--samples", "10000", "--write-config", str(written)]) == 2
         assert capsys.readouterr().err == "error: tol must be finite and below 1\n"
         assert not written.exists()
-    assert main(["metric", "--a", "1", "--b", "1", "--c", "0", "--d", "0", "--tol", "1"]) == 2
+    assert main(["metric", "--a", "1", "--b", "1", "--c", "0", "--d", "0", "--tol", str(tol)]) == 2
     assert capsys.readouterr().err == "error: tol must be finite and below 1\n"
