@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="classify a covariance matrix file")
     p_cls.add_argument("matrix", help="matrix file: whitespace rows, '#' comments")
-    p_cls.add_argument("--tol", type=float, default=DEFAULT_TOL, help="classification tolerance")
+    p_cls.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="classification tolerance, below 1")
     p_cls.set_defaults(func=cmd_classify)
 
     p_met = sub.add_parser("metric", help="metric at a standard-form point")

@@ -8,46 +8,37 @@ integrated over an axis-aligned box that contains the support of the
 weighted domain: ``phi_box`` for the energy cutoff and ``upsilon_box`` for
 the damping, fitted by ``_default_box`` when only the quantum classes are
 scored, with a and b sides from 1 - tol.  Every pass takes tol < 1
-(``twomode._check_tol``).  Every sample draws a and b uniformly over the
-box's a, b sides, and only those that pass the a, b half of the domain test
-and, for the energy cutoff, tr V <= E draw c and d.  How they do depends on
-the scored labels and the box.
+(``twomode._check_tol``) and a box whose c and d sides hold the slice
+|c|, |d| < sqrt(ab) of every point in its support (``_check_box``), as
+every box ``_default_box`` fits does.
 
-A pass that scores no classical-only label, over a box that holds the slice
-|c|, |d| < sqrt(ab) of every point in its support (every box
-``_default_box`` fits), draws inside the scored class and needs no labels
-(``_draws_in_class``).  c is uniform on [0, c-end] of the class at (a, b)
-and d uniform on its d-interval at (a, b, c), both from
-``twomode._class_limits`` at mu = (1 - tol)^2, the limits ``_quad``
-integrates over; a, b must pass min(a, b) >= 1 - tol.  Each weight is
+Every pass draws inside one class and labels nothing: the classical class,
+or the quantum, separable or entangled one.  a and b are uniform over the
+box's a, b sides, and only those that pass the a, b half of the class's
+test, min(a, b) > -tol for classical (skipped when the box's lower a, b
+bounds already pass it) and min(a, b) >= 1 - tol for the quantum classes,
+and for the energy cutoff tr V <= E, draw c and d.  c is uniform on
+[0, c-end] of the class at (a, b) and d on its d-interval at (a, b, c).
+For classical these are [0, h] and [-h, h], with the slice's half-width
+h = sqrt(ab) + tol (``twomode._half_width``, which ``domain_labels``
+shares); for a quantum class they come from ``twomode._class_limits`` at
+mu = (1 - tol)^2, the limits ``_quad`` integrates over.  Each weight is
 multiplied by the two interval lengths over the box's c and d spans, and
-by 2 for the mirror image c < 0 of what is drawn.  So an estimate is still
-box.volume times the mean weight, and its integrand over the unit cube is
-smooth rather than an indicator with a curved edge, which keeps the
-convergence rate of qmc (Owen, Ann. Stat. 1997; He and Wang, SIAM J.
-Numer. Anal. 2015).  A quantum pass reports its separable and entangled
-parts too: a quantum point with c >= 0 is entangled where d < -d2, the
-mirror image of the d-interval's lower end under partial transposition.
-The weight is fused with the interval arithmetic (``_class_weight``).
+by 2 for the mirror image c < 0 of what is drawn.  So an estimate is box.volume
+times the mean weight, and its integrand over the unit cube is smooth
+rather than an indicator with a curved edge, which keeps the convergence
+rate of qmc (Owen, Ann. Stat. 1997; He and Wang, SIAM J. Numer. Anal.
+2015).  A quantum pass reports its separable and entangled parts too: a
+quantum point with c >= 0 is entangled where d < -d2, the mirror image of
+the d-interval's lower end under partial transposition.  The weight is
+fused with the interval arithmetic (``_class_weight``); it is 0 off the
+open classical domain, where pc = ab - c^2 <= 0 or pd = ab - d^2 <= 0,
+which the classical draw reaches where |c| or |d| >= sqrt(ab).
 
-Any other pass, one scoring classical (every ``sweep`` row) or over a box
-that cuts the slice, draws c and d uniformly on the classical slice
-|c|, |d| < sqrt(ab) + tol, each clipped to its box side, so that no draw
-falls outside the classical domain, and labels them.  Each weight is
-multiplied by the lengths of its two slices over the box's c and d spans,
-so an estimate is again box.volume times the mean weight, an unbiased
-estimate of the integral over the box's classical part.
-The slice's half-width is ``twomode._half_width``, which ``domain_labels``
-shares; a, b must pass min(a, b) > -tol (skipped when the box's lower a, b
-bounds already exceed -tol), and points whose slice is empty are dropped.
-One labelling pass, Simon's test on the smallest symplectic eigenvalue of V
-and of its partial transpose, gives each point the innermost domain holding
-it (classical only, separable or entangled), and only points with a scored
-label are weighted, with the closed-form sqrt(det g).  Weighted sums and
-hits are kept per label and every domain is a fixed set of labels, so
-nested domains are ordered exactly.  The draws of such a pass do not depend
-on the scored domains, so a labelled pass scoring one domain gives it the
-bits of a pass over the same box scoring all four.
+A call that scores the classical class and a quantum class runs two
+passes of n_samples each over the same box, on independent streams
+(``mc_joint_volumes``), so estimates from different passes have
+covariance 0.  Q = S + E still holds exactly, within the quantum pass.
 
 The adjugate damping has unbounded support, so ``upsilon_box`` fits a box
 a, b in (0, L], |c|, |d| <= L: the first of the sides L0 / sqrt(2), L0,
@@ -66,35 +57,33 @@ Stat. 1997), with R - 1 degrees of freedom; estimate +- t(0.975, R - 1) *
 std_error is a 95% interval.  The iid formula would overstate a qmc
 estimate's error 2-5 times.
 
-Determinism: the sample budget is split by index into ``streams`` substreams
-seeded from the children of the seed's SeedSequence, and partial sums are
-combined by a fixed-order pairwise reduction; results are bit-identical for
-a fixed (seed, streams, n_samples).  A stream works in tiles of ``_TILE``
-points and keeps each tile's sums, added up in tile order.  Stage 1 and a
-labelled pass's weights allocate their arrays, at no measured cost.  Two
-flat buffers, filled in turn by each stage's gather, hold stage 2's float
-rows (allocating them raised the energy workload's peak RSS by 3.4 MB), the
-labeller's scratch (1 MB and 2-4% of cpu) and an in-class pass's weights
-and block scratch.  An in-class pass runs its interval arithmetic and
+Determinism: the sample budget of a pass is split by index into
+``streams`` substreams seeded from children of the seed's SeedSequence,
+and partial sums are combined by a fixed-order pairwise reduction; results
+are bit-identical for a fixed (seed, streams, n_samples).  A stream works
+in tiles of ``_TILE`` points and keeps each tile's sums, added up in tile
+order.  Stage 1 allocates its arrays, at no measured cost.  Two flat
+buffers, filled in turn by each stage's gather, hold stage 2's float rows
+(allocating them raised the energy workload's peak RSS by 3.4 MB) and a
+tile's weights and block scratch.  A pass runs its interval arithmetic and
 weights in blocks of at most ``_BLOCK`` points, so that its scratch fits
-beside the weights in the part of a buffer the labels would use, and sums
-each tile's weights at once, so the blocks change no bit.  Drawing c and d
-for stage-1 survivors only saved the pseudo energy workload 10% of its time
-and 2 MB; for qmc it costs what drawing all four coordinates at stage 1
-does, and keeps one draw path for both samplers.  A labelled tile's scored
-points are weighted in one call and summed per label by ``bincount``.  A
-pseudo stream is one replicate, consumed per tile as a(t) and b(t), then
-the uniforms of c(k) and d(k) for the k stage-1 survivors.  A qmc stream
-is two replicates: independent random linear scrambles of the 4-d Sobol'
-sequence (``_sobol``), drawn from the stream's generator in turn, over the
-first ceil(count / 2) and floor(count / 2) points of their sequences.  Its
-tiles are aligned blocks of 2^16 points: stage 1 draws a tile's 1st and
-2nd coordinates, a and b, and stage 2 gathers the 3rd and 4th, the uniforms
-of c and d, for the stage-1 survivors only.  So ``_TILE`` alone fixes the
-bits, for pseudo and qmc alike.  The substreams of a pass run on
-min(streams, usable cores) threads: the caller runs one share and starts
-the others for that pass alone, and the partial sums are reduced in stream
-order, so the core count sets the speed but never the bits.
+beside the weights in the idle buffer, and sums each tile's weights at
+once, so the blocks change no bit.  Drawing c and d for stage-1 survivors
+only saved the pseudo energy workload 10% of its time and 2 MB; for qmc it
+costs what drawing all four coordinates at stage 1 does, and keeps one
+draw path for both samplers.  A pseudo stream is one replicate, consumed
+per tile as a(t) and b(t), then the uniforms of c(k) and d(k) for the k
+stage-1 survivors.  A qmc stream is two replicates: independent random
+linear scrambles of the 4-d Sobol' sequence (``_sobol``), drawn from the
+stream's generator in turn, over the first ceil(count / 2) and
+floor(count / 2) points of their sequences.  Its tiles are aligned blocks
+of 2^16 points: stage 1 draws a tile's 1st and 2nd coordinates, a and b,
+and stage 2 gathers the 3rd and 4th, the uniforms of c and d, for the
+stage-1 survivors only.  So ``_TILE`` alone fixes the bits, for pseudo and
+qmc alike.  The substreams of a call run on min(streams, usable cores)
+threads: the caller runs one share and starts the others for that call
+alone, and the partial sums are reduced in stream order, so the core count
+sets the speed but never the bits.
 """
 
 from __future__ import annotations
@@ -109,12 +98,11 @@ import numpy as np
 
 from . import _quad, _sobol
 from .errors import InvalidArgumentError, NumericError
-# the kernel looks regularizer_values up here, where perfbench/tracing.py wraps it
-from .regularizers import (RegKind, RegularizerSpec, _in_energy_support, _is_int,
-                           regularizer_values)
-from .twomode import (DEFAULT_TOL, DOMAIN_LABELS, DomainTag, volume_density, _ab_above,
-                      _ab_quantum, _check_tol, _class_limits, _classical_labels, _half_width)
-# unused here, but perfbench/tracing.py wraps these two attributes of this module
+from .regularizers import RegKind, RegularizerSpec, _in_energy_support, _is_int
+from .twomode import (DEFAULT_TOL, DomainTag, _ab_above, _ab_quantum, _check_tol, _class_limits,
+                      _half_width)
+# unused here, but perfbench/tracing.py wraps these attributes of this module
+from .regularizers import regularizer_values  # noqa: F401
 from .twomode import domain_mask, metric_components  # noqa: F401
 
 __all__ = [
@@ -133,13 +121,18 @@ __all__ = [
 ]
 
 DOMAIN_ORDER = (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE, DomainTag.ENTANGLED)
+# the columns of a pass's sums that make up each domain: a classical pass
+# sums its class in column 0, and a quantum-class pass its separable and
+# entangled points in columns 1 and 2
+_COLUMNS = {DomainTag.CLASSICAL: (0,), DomainTag.QUANTUM: (1, 2), DomainTag.SEPARABLE: (1,),
+            DomainTag.ENTANGLED: (2,)}
 
 # _TILE is the working set of a stream and fixes its bits: the pseudo
 # stream's layout and the summation order of every sum.  A qmc tile is the
 # aligned block of 2^16 points that ``_sobol.Scramble.tile`` draws
 _TILE = 1 << 16
-# the most points in a block of an in-class pass's stage 2, and the
-# scratch rows of a block (see _stream_partial)
+# the most points in a block of a pass's stage 2, and the scratch rows of a
+# block (see _stream_partial)
 _BLOCK = 1 << 15
 _CLASS_ROWS = 6
 _SAMPLERS = ("pseudo", "qmc")
@@ -211,20 +204,6 @@ def _take(keep, cols, buf, rows=4):
     return out, idx
 
 
-def _slice(h, lo, hi, out=(None, None)):
-    """Start and length of the slice (-h, h) clipped to the box side (lo, hi], elementwise.
-
-    ``out`` is two float arrays of h's shape, allocated when omitted; the
-    length is <= 0 where the clipped slice is empty.
-    """
-    start, length = out
-    start = np.negative(h, out=start)
-    np.maximum(start, lo, out=start)
-    length = np.minimum(h, hi, out=length)
-    length -= start
-    return start, length
-
-
 class _PseudoUniforms:
     """A pseudo stream's uniforms: each tile's a(t) and b(t), then c(k) and d(k) of its survivors.
 
@@ -260,39 +239,46 @@ def _replicates(child_ss, count: int, sampler: str) -> tuple:
 _AB, _CD = slice(0, 2), slice(2, 4)
 
 
-def _draws_in_class(box: Box, spec: RegularizerSpec, labels: tuple) -> bool:
-    """Whether a pass over ``box`` scoring ``labels`` draws c and d inside the scored class.
+def _check_box(box: Box, spec: RegularizerSpec) -> None:
+    """Refuse a box that cuts the class of a point in its support.
 
-    It does when it scores no classical-only label and the box holds the
-    class of every point in its support.  A quantum class lies within the
-    classical slice |c|, |d| < sqrt(ab), and sqrt(ab) <= r = sqrt(hi_a hi_b)
-    in the box, or r = E/4 inside tr V <= E, so a box whose c and d sides
-    hold [-r, r] holds each class whole.  The pass draws c >= 0 and counts
-    the c < 0 half as its mirror image under (c, d) -> (-c, -d); any other
-    pass labels.
+    Every class lies within the classical slice |c|, |d| < sqrt(ab), and
+    sqrt(ab) <= r = sqrt(hi_a hi_b) in the box, or r = E/4 inside
+    tr V <= E, so a box whose c and d sides hold [-r, r] holds each class
+    whole, and a pass draws c >= 0 and counts the c < 0 half as its mirror
+    image under (c, d) -> (-c, -d).  Any other box raises
+    ``InvalidArgumentError``.
     """
     r = math.sqrt(max(box.hi[0] * box.hi[1], 0.0))
     if spec.kind is RegKind.ENERGY_PHI:
         r = min(r, spec.bound_E / 4.0)
     (_, _, lo_c, lo_d), (_, _, hi_c, hi_d) = box.lo, box.hi
-    return 1 not in labels and min(hi_c, hi_d) >= r and max(lo_c, lo_d) <= -r
+    if not (min(hi_c, hi_d) >= r and max(lo_c, lo_d) <= -r):
+        raise InvalidArgumentError(f"the box's c and d sides must hold [-{r:g}, {r:g}], "
+                                   "the slice |c|, |d| < sqrt(ab) of its support")
 
 
-def _class_weight(a, b, pc, d, spec: RegularizerSpec, big: bool, out, scratch):
-    """2 volume_density * regularizer_values at points of the quantum classes, elementwise.
+def _class_weight(a, b, pc, d, spec: RegularizerSpec, big: bool, out, scratch, edges=False):
+    """2 volume_density * regularizer_values at points of a class, elementwise.
 
-    Takes pc = ab - c^2 from ``twomode._class_limits`` and writes the weight
-    to ``out``; ``scratch`` is three float arrays of a's length.  With
-    pd = ab - d^2, q = pc + pd and p = pc pd = det V, twice the density is
-    sqrt((2ab + c^2 + d^2) q / p) / p with 2ab + c^2 + d^2 = 4ab - q, the
-    regularizer is log(1 + p^m) and the damping exp(-(a + b) q / kappa), at
-    most 1.  Points outside the energy cutoff were dropped before.  p^m
+    Takes pc = ab - c^2 and writes the weight to ``out``; ``scratch`` is
+    three float arrays of a's length.  With pd = ab - d^2, q = pc + pd and
+    p = pc pd = det V, twice the density is sqrt((2ab + c^2 + d^2) q / p) / p
+    with 2ab + c^2 + d^2 = 4ab - q, the regularizer is log(1 + p^m) and the
+    damping exp(-(a + b) q / kappa).  With ``edges``, for the classical
+    draw, which reaches them, the weight is 0 where pc <= 0 or pd <= 0, off
+    the open classical domain, as ``volume_density`` is; the arithmetic
+    there may divide by 0 or overflow, so the caller silences those
+    warnings.  A quantum class lies inside it, so there pc, pd <= 0 can
+    only come from rounding, and the weight is left non-finite, which
+    raises.  Points outside the energy cutoff were dropped before.  p^m
     overflows only where ``big``, and there log(1 + p^m) is m log p, as in
     ``log1p_det_pow``.
     """
     t0, t1, t2 = scratch
     ab = np.multiply(a, b, out=t0)
     pd = np.subtract(ab, np.multiply(d, d, out=t1), out=t1)
+    off = np.minimum(pc, pd, out=out) <= 0.0 if edges else None
     q = np.add(pc, pd, out=t2)
     p = np.multiply(pc, pd, out=t1)
     num = np.multiply(ab, 4.0, out=ab)
@@ -315,11 +301,13 @@ def _class_weight(a, b, pc, d, spec: RegularizerSpec, big: bool, out, scratch):
         damp *= q
         damp *= -1.0 / spec.kappa
         w *= np.exp(damp, out=damp)
+    if edges:
+        w[off] = 0.0
     return w
 
 
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
-                    sampler: str, labels: tuple):
+                    sampler: str, tag: DomainTag):
     lo = np.asarray(box.lo)[:, None]
     span = np.asarray(box.hi)[:, None] - lo
     # a weight is scaled by the lengths of the c and d intervals it was drawn
@@ -330,46 +318,35 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     chunks = [(r, done, min(_TILE, c - done))
               for r, c in enumerate(counts) for done in range(0, c, _TILE)]
     tile = min(_TILE, max(counts))
-    in_class_pass = _draws_in_class(box, spec, labels)
     # a tile's points live in one of two flat buffers; each stage works in the
     # other one and then gathers its survivors into it.  Every buffer stays
     # below the 4 MiB from which numpy asks for huge pages, which a few
-    # touched bytes would make resident in full.  An in-class pass keeps a
-    # tile's n weights and then the scratch rows of its blocks of at most
-    # n / 2 points in the other one, so that it touches no more of it than
-    # the labels do; the pad holds the rows of a tile of one point
+    # touched bytes would make resident in full.  Stage 2 keeps a tile's n
+    # weights and then the scratch rows of its blocks of at most n / 2
+    # points in the other one; the pad holds the rows of a tile of one point
     bufs = (np.empty(4 * tile + _CLASS_ROWS), np.empty(4 * tile + _CLASS_ROWS))
     other = lambda pts: bufs[np.may_share_memory(pts, bufs[0])]
     energy = spec.kind is RegKind.ENERGY_PHI
-    if in_class_pass:
-        mu = (1.0 - tol) ** 2
-        # p = det V <= (ab)^2, whose m-th power overflows only in huge boxes
-        big = 2 * spec.m * math.log(max(box.hi[0] * box.hi[1], 1.0)) > 700.0
-        # the class drawn; a quantum pass splits its points at d = -d2
-        tag = {(2,): DomainTag.SEPARABLE, (3,): DomainTag.ENTANGLED}.get(labels, DomainTag.QUANTUM)
-        split = np.empty(tile, dtype=bool) if tag is DomainTag.QUANTUM else None
-        # the a, b half of the quantum test, where the box reaches below it
-        ab_test = min(box.lo[:2]) < 1.0 - tol
-    else:
-        # the labels of a tile's stage-2 survivors
-        lab_buf = np.empty(tile, dtype=np.uint8)
-        b_buf = np.empty((3, tile), dtype=bool)
-        scored = np.isin(np.arange(4), labels)  # scored[l]: label l is weighted and counted
-        # a and b are drawn at or above their lower bounds, so above -tol when those are
+    classical = tag is DomainTag.CLASSICAL
+    mu = (1.0 - tol) ** 2
+    # p = det V <= (ab)^2, whose m-th power overflows only in huge boxes; the
+    # class limits' Delta <= (ab)^3 overflows in larger ones still
+    log_ab = math.log(max(box.hi[0] * box.hi[1], 1.0))
+    big, huge = 2 * spec.m * log_ab > 700.0, 3 * log_ab > 700.0
+    # a quantum pass splits its points at d = -d2
+    split = np.empty(tile, dtype=bool) if tag is DomainTag.QUANTUM else None
+    # the a, b half of the class's test, where the box reaches below it
+    if classical:
         ab_test = not min(box.lo[:2]) > -tol
+    else:
+        ab_test = min(box.lo[:2]) < 1.0 - tol
     # each tile's sums, one row per tile, added up in tile order at the end
-    s1 = np.zeros((max(len(chunks), 1), 4))
+    s1 = np.zeros((max(len(chunks), 1), 3))
     s2 = np.zeros_like(s1)
     hits = np.zeros(s1.shape, dtype=np.int64)
 
-    def non_finite(w, pts):
-        if not np.isfinite(w).all():
-            i = int(np.argmin(np.isfinite(w)))
-            bad = tuple(float(x[i]) for x in pts)
-            raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
-
-    def in_class(pts, j):
-        """Tile j's stage 2 in the class: c uniform on [0, c-end], d on the d-interval at c.
+    def stage2(pts, j):
+        """Tile j's stage 2: c uniform on [0, c-end], d on the d-interval at c, and the weights.
 
         In blocks whose scratch rows follow the weights in the idle buffer.
         """
@@ -380,7 +357,17 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         for k in range(0, n, block):
             a, b, c, d = pts[:, k:k + block]
             f = rows[:, :a.size]
-            end, start, length, pc, _ = _class_limits(tag, a, b, c, mu, draw=True, scratch=f)
+            if classical:
+                # the slice: c on [0, h] and d on [-h, h]
+                end = _half_width(a, b, tol)
+                c *= end
+                pc = np.multiply(a, b, out=f[3])
+                pc -= np.multiply(c, c, out=f[4])
+                start = np.negative(end, out=f[1])
+                length = np.add(end, end, out=f[2])
+            else:
+                end, start, length, pc, _ = _class_limits(tag, a, b, c, mu, draw=True, scratch=f,
+                                                          huge=huge)
             d *= length
             d += start
             if split is not None:
@@ -388,66 +375,27 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
                 start += length
                 start += d
                 np.less(start, 0.0, out=split[k:k + a.size])
-            w = _class_weight(a, b, pc, d, spec, big, w_row[k:k + block], (f[1], f[4], f[5]))
+            w = _class_weight(a, b, pc, d, spec, big, w_row[k:k + block], (f[1], f[4], f[5]),
+                              classical)
             w *= length
             w *= end
-        # per label: its points' weights, or those of either side of the split;
+        # per column: its points' weights, or those of either side of the split;
         # the factor 2 of _class_weight counts each point's mirror image c < 0
-        parts = [(labels[0], True)] if split is None else [(2, ~split[:n]), (3, split[:n])]
-        for label, where in parts:
-            s1[j, label] = np.sum(w_row, where=where) * per_cd
-            hits[j, label] = n if where is True else np.count_nonzero(where)
+        parts = [(_COLUMNS[tag][0], True)] if split is None else [(1, ~split[:n]), (2, split[:n])]
+        for col, where in parts:
+            s1[j, col] = np.sum(w_row, where=where) * per_cd
+            hits[j, col] = n if where is True else np.count_nonzero(where)
         # a non-finite weight makes its sum non-finite
         if not np.isfinite(s1[j]).all():
-            non_finite(w_row, pts)
+            i = int(np.argmin(np.isfinite(w_row)))
+            bad = tuple(float(x[i]) for x in pts)
+            raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
         sq = np.square(w_row, out=pts[2])
-        for label, where in parts:
-            s2[j, label] = np.sum(sq, where=where) * (per_cd * per_cd)
-
-    def labelled(pts, j):
-        """Tile j's stages 2 and 3 on the classical slice: labels, then the scored points' weights.
-
-        c and d are uniform on the slice |c|, |d| < sqrt(ab) + tol clipped to
-        the box; each point whose slice is not empty is labelled, and those
-        with a scored label are weighted.
-        """
-        n = pts.shape[1]
-        a, b, c, d = pts
-        keep, inside = b_buf[:2, :n]
-        h, start, length = other(pts)[:3 * n].reshape(3, n)
-        _half_width(a, b, tol, out=h)
-        _slice(h, box.lo[2], box.hi[2], out=(start, length))
-        np.greater(length, 0.0, out=keep)
-        c *= length
-        c += start
-        _slice(h, box.lo[3], box.hi[3], out=(start, length))
-        keep &= np.greater(length, 0.0, out=inside)
-        d *= length
-        d += start
-        pts = _take(keep, pts, other(pts))[0]
-        n = pts.shape[1]
-        lab = _classical_labels(*pts, tol, out=lab_buf[:n],
-                                scratch=(*other(pts)[:4 * n].reshape(4, n), *b_buf[:, :n]))
-        pts, idx = _take(np.take(scored, lab, out=b_buf[0, :n], mode="clip"), pts, other(pts))
-        if idx is not None:
-            lab = lab[idx]
-        if pts.shape[1] == 0:
-            return
-        a, b, c, d = pts
-        w = volume_density(a, b, c, d) * regularizer_values(a, b, c, d, spec)
-        # times the lengths of the slices c and d were drawn on, over the box's spans
-        h = _half_width(a, b, tol)
-        f = _slice(h, box.lo[2], box.hi[2])[1]
-        f *= _slice(h, box.lo[3], box.hi[3])[1]
-        f *= per_cd
-        w *= f
-        non_finite(w, pts)
-        s1[j] = np.bincount(lab, weights=w, minlength=4)
-        s2[j] = np.bincount(lab, weights=w * w, minlength=4)
-        hits[j] = np.bincount(lab, minlength=4)
+        for col, where in parts:
+            s2[j, col] = np.sum(sq, where=where) * (per_cd * per_cd)
 
     for j, (r, done, t) in enumerate(chunks):
-        # stage 1, every sample: a and b, the a, b half of the domain's test
+        # stage 1, every sample: a and b, the a, b half of the class's test
         # and the energy cutoff
         pts = bufs[0][:4 * t].reshape(4, t)
         sources[r].tile(done, pts[_AB], _AB)
@@ -456,7 +404,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         a, b = pts[_AB]
         keep = None
         if ab_test:
-            keep = _ab_quantum(a, b, tol) if in_class_pass else _ab_above(a, b, -tol)
+            keep = _ab_above(a, b, -tol) if classical else _ab_quantum(a, b, tol)
         if energy:
             # a point outside the cutoff would add only +0.0 to s1 and s2
             inside = _in_energy_support(a, b, spec.bound_E)
@@ -469,7 +417,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         # tile's gather, it would double that gather's memory
         n = pts.shape[1]
         sources[r].gather(done, idx, pts[_CD], _CD, other(pts)[:3 * n].view(np.intp))
-        (in_class if in_class_pass else labelled)(pts, j)
+        stage2(pts, j)
     # each replicate's sums: its tiles' sums in tile order, each added to the
     # sum of those before it
     sums, j = [], 0
@@ -491,18 +439,17 @@ class IntegrationResult:
     2 * streams - 1) * std_error is its 95% interval (2.36 std_errors at 4
     streams, 12.7 at one).
 
-    ``acceptance_fraction`` is the share of the ``n_samples`` draws that lie
-    in the domain and inside the regularizer's support (tr V <= E for the
-    energy cutoff; the adjugate damping has unbounded support), that is the
-    share that carries weight; ``empty_domain`` is true when none does.
-    c and d are not drawn across the box, so this is a share of draws, not
-    of the box's volume.  A quantum-class pass over its fitted box draws
-    them inside the class, so every draw whose a and b pass counts: all of
-    them under the damping, and the half inside tr V <= E under the energy
-    cutoff (0.500 for E = 8 separable and 1.0 for kappa = 5 entangled,
-    against 0.094 and 0.134 with the slice draw).  A labelled pass draws
-    them on the classical slice, which holds nearly every draw under the
-    damping and every draw inside tr V <= E under the energy cutoff.
+    ``acceptance_fraction`` is the share of the ``n_samples`` draws of the
+    domain's pass that lie in the domain and inside the regularizer's
+    support (tr V <= E for the energy cutoff; the adjugate damping has
+    unbounded support), that is the share that carries weight;
+    ``empty_domain`` is true when none does.  c and d are drawn inside the
+    class, not across the box, so every draw whose a and b pass counts, and
+    this is a share of draws, not of the box's volume: all of them under the
+    damping, and the half inside tr V <= E under the energy cutoff (0.500
+    for E = 8 separable and 1.0 for kappa = 5 entangled, against 0.094 and
+    0.134 when c and d were drawn on the classical slice and labelled).  A
+    separable or entangled part of a quantum pass counts its own draws.
     """
 
     estimate: float
@@ -519,58 +466,61 @@ class IntegrationResult:
 
 
 class JointVolumes:
-    """The scored domain volumes from one sampling pass, with cross-covariances.
+    """The scored domain volumes of one or two sampling passes, with their covariances.
 
-    Because every domain is evaluated on the same weighted samples, nested
-    domains are ordered exactly, differences of estimates carry honest errors,
-    and delta-method ratio errors include the correlation with the denominator.
-    Every weight carries the lengths of the intervals its c and d were drawn
-    on (see the module docstring), so each estimate is box.volume times a
-    mean over all ``n_samples``, and its error box.volume times that
-    mean's.  The sums are kept per replicate, in stream order: one
-    per stream for pseudo, whose variances and covariances come from the
-    pooled sums by the iid formulas, and two per stream for qmc, whose come
-    from the R = 2 * streams replicate means (their sample covariance over
-    R; see the module docstring).
-    The per-label hits count the draws in the domain and inside the
-    regularizer's support; c and d are drawn on the classical slice, or
-    inside the scored class, so a share of hits is a share of draws, not of
-    the box's volume.  Only the
-    labels in ``labels`` were weighted and counted; ``result``,
-    ``difference`` and ``ratio`` accept every domain made up of them and
-    raise ``InvalidArgumentError`` for any other.  They raise
-    ``NumericError`` for a domain with hits but a weight sum or squared-weight
-    sum of 0, whose weights underflowed.
+    A pass draws inside one class (see the module docstring): the classical
+    one, or a quantum class, whose separable and entangled parts come from
+    the same draws, so Q = S + E holds exactly, differences of estimates
+    carry honest errors, and delta-method ratio errors include the
+    correlation with the denominator.  Estimates from different passes are
+    independent, with covariance 0.  Every weight carries the lengths of the
+    intervals its c and d were drawn on, so each estimate is box.volume
+    times a mean over the pass's ``n_samples`` draws, and its error
+    box.volume times that mean's.  The sums are kept per replicate, in
+    stream order: one per stream for pseudo, whose variances and covariances
+    come from the pooled sums by the iid formulas, and two per stream for
+    qmc, whose come from the R = 2 * streams replicate means (their sample
+    covariance over R; see the module docstring).  The hits count the draws
+    in the domain and inside the regularizer's support, a share of draws,
+    not of the box's volume.  ``result``, ``difference`` and ``ratio``
+    accept every domain made up of the drawn classes and parts (a quantum
+    pass gives all three quantum domains) and raise ``InvalidArgumentError``
+    for any other.  They raise ``NumericError`` for a domain with hits but
+    a weight sum or squared-weight sum of 0, whose weights underflowed.
     """
 
-    def __init__(self, box: Box, spec: RegularizerSpec, counts: np.ndarray, seed_label,
-                 streams: int, tol: float, sampler: str, s1: np.ndarray, s2: np.ndarray,
-                 hits: np.ndarray, labels: tuple):
+    def __init__(self, box: Box, spec: RegularizerSpec, seed_label, streams: int, tol: float,
+                 sampler: str, passes: list):
         self.box = box
         self.regularizer = spec
-        self.n_samples = int(counts.sum())
         self.seed = seed_label
         self.streams = streams
         self.tol = tol
         self.sampler = sampler
-        # one row per replicate, in stream order: a stream's for pseudo, a scramble's for qmc
-        self._counts = counts
-        self._replicate_s1 = s1
-        # the pooled sums, added up pairwise over the rows
-        self._s1, self._s2, self._hits = (_pairwise_reduce(list(x), lambda u, v: u + v)
-                                          for x in (s1, s2, hits))
-        self.labels = labels
+        # passes: (class drawn, counts, s1, s2, hits) of each pass, one row per
+        # replicate in stream order (a stream's for pseudo, a scramble's for
+        # qmc) and one column per part (_COLUMNS); each draws n_samples
+        self.n_samples = int(passes[0][1].sum())
+        self._pass = {}  # column: (counts, replicate s1 rows) of the pass that drew it
+        pooled = []
+        for tag, counts, s1, s2, hits in passes:
+            # the pooled sums, added up pairwise over the rows
+            pooled.append([_pairwise_reduce(list(x), lambda u, v: u + v) for x in (s1, s2, hits)])
+            entry = (counts, s1)
+            self._pass.update((col, entry) for col in _COLUMNS[tag])
+        # a column is 0 in every pass but the one that drew it
+        self._s1, self._s2, self._hits = (sum(x) for x in zip(*pooled))
 
     def _mean(self, tag: DomainTag) -> float:
         # every reader of a domain goes through here
-        labels = DOMAIN_LABELS[tag]
-        if not set(labels) <= set(self.labels):
-            raise InvalidArgumentError(f"the {tag.value} domain was not scored in this pass")
-        s1 = sum(float(self._s1[l]) for l in labels)
+        cols = _COLUMNS[tag]
+        if not all(col in self._pass for col in cols):
+            raise InvalidArgumentError(f"the {tag.value} domain was not scored in this call")
+        s1 = sum(float(self._s1[c]) for c in cols)
         # weights are positive, so hits with a zero sum mean that the weights
-        # underflowed, and the estimate or its error bar would read 0; one label
-        # may underflow where the domain's other labels carry its sums
-        hits, s2 = sum(int(self._hits[l]) for l in labels), sum(float(self._s2[l]) for l in labels)
+        # underflowed, and the estimate or its error bar would read 0; one part
+        # may underflow where the domain's other part carries its sums
+        hits, s2 = sum(int(self._hits[c]) for c in cols), sum(float(self._s2[c]) for c in cols)
         if hits and not (s1 and s2):
             raise NumericError(f"integrand weights of the {tag.value} domain underflow: {hits} "
                                f"hits, weight sum {s1:.3g}, squared-weight sum {s2:.3g}")
@@ -578,15 +528,23 @@ class JointVolumes:
 
     def _replicate_means(self, tag: DomainTag) -> np.ndarray:
         self._mean(tag)
-        return self._replicate_s1[:, list(DOMAIN_LABELS[tag])].sum(axis=1) / self._counts
+        cols = _COLUMNS[tag]
+        counts, rows = self._pass[cols[0]]
+        return rows[:, list(cols)].sum(axis=1) / counts
 
     def _mean_cov(self, tag_a: DomainTag, tag_b: DomainTag) -> float:
         """Covariance of the two domains' sample means.
 
-        For qmc, from the spread of the R replicates' means, each an
-        independent estimate: their sample covariance over R.  For pseudo,
-        from the labels the domains share, as the iid formula has it.
+        0 for domains of different passes, which draw independent streams.
+        Within one pass: for qmc, from the spread of the R replicates' means,
+        each an independent estimate, as their sample covariance over R; for
+        pseudo, from the columns the domains share, as the iid formula has
+        it.
         """
+        mean_a, mean_b = self._mean(tag_a), self._mean(tag_b)
+        cols_a, cols_b = _COLUMNS[tag_a], _COLUMNS[tag_b]
+        if self._pass[cols_a[0]] is not self._pass[cols_b[0]]:
+            return 0.0
         if self.sampler == "qmc":
             x, y = self._replicate_means(tag_a), self._replicate_means(tag_b)
             r = x.size
@@ -594,18 +552,18 @@ class JointVolumes:
         n = self.n_samples
         if n < 2:
             return 0.0
-        shared = [l for l in DOMAIN_LABELS[tag_a] if l in DOMAIN_LABELS[tag_b]]
-        cross = sum(float(self._s2[l]) for l in shared) / n
-        return (cross - self._mean(tag_a) * self._mean(tag_b)) * (n / (n - 1.0)) / n
+        cross = sum(float(self._s2[c]) for c in cols_a if c in cols_b) / n
+        return (cross - mean_a * mean_b) * (n / (n - 1.0)) / n
 
     def _mean_var(self, tag: DomainTag) -> float:
         return max(self._mean_cov(tag, tag), 0.0)
 
     def result(self, tag: DomainTag) -> IntegrationResult:
         vol = self.box.volume
-        hits = sum(int(self._hits[l]) for l in DOMAIN_LABELS[tag])
+        estimate = vol * self._mean(tag)
+        hits = sum(int(self._hits[c]) for c in _COLUMNS[tag])
         return IntegrationResult(
-            estimate=vol * self._mean(tag),
+            estimate=estimate,
             std_error=vol * math.sqrt(self._mean_var(tag)),
             n_samples=self.n_samples,
             seed=self.seed,
@@ -706,15 +664,24 @@ def _check_eps_tail(eps_tail: float) -> None:
         raise InvalidArgumentError("eps_tail must lie in (0, 1)")
 
 
-def _labels_of(domains) -> tuple:
-    """The sorted labels of ``domain_labels`` that make up the given domains."""
+def _draws(domains) -> tuple:
+    """The classes that passes scoring ``domains`` draw in: classical, a quantum class, or both.
+
+    The quantum class is the one whose parts (``_COLUMNS``) make up the
+    scored quantum domains: separable, entangled, or quantum for both.
+    """
     try:
-        labels = {l for tag in domains for l in DOMAIN_LABELS[tag]}
+        tags = set(domains)
+        cols = {col for tag in tags for col in _COLUMNS[tag]}
     except (KeyError, TypeError):
         raise InvalidArgumentError("domains must be a collection of DomainTags") from None
-    if not labels:
+    if not tags:
         raise InvalidArgumentError("domains must be non-empty")
-    return tuple(sorted(labels))
+    draws = (DomainTag.CLASSICAL,) if DomainTag.CLASSICAL in tags else ()
+    parts = tuple(sorted(cols - {0}))
+    if parts:
+        draws += (next(tag for tag in DOMAIN_ORDER[1:] if _COLUMNS[tag] == parts),)
+    return draws
 
 
 def _run_shares(run, tasks: list, threads: int) -> list:
@@ -758,31 +725,35 @@ def _run_shares(run, tasks: list, threads: int) -> list:
 def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, streams: int = 1,
                      tol: float = DEFAULT_TOL, sampler: str = "pseudo",
                      seed_label: int | None = None, *, domains=DOMAIN_ORDER) -> JointVolumes:
-    """One sampling pass over ``box`` scoring ``domains`` (all four by default).
+    """Sampling passes over ``box`` scoring ``domains`` (all four by default).
 
-    a and b are uniform over the box's a, b sides.  When ``domains`` hold no
-    classical-only point and the box holds the slice |c|, |d| < sqrt(ab) of
-    its support, c and d are uniform on the scored class's intervals, and
-    no point is labelled; otherwise they are uniform on the classical slice
-    |c|, |d| < sqrt(ab) + tol clipped to the box, and labelled.  Each weight
-    is scaled by its intervals' lengths over the box's c and d spans, so
-    either pass estimates the integrals over the box that uniform sampling
-    estimates.
+    Each pass draws inside one class (see the module docstring): the
+    classical class when ``domains`` hold it, and the quantum class whose
+    parts make up the scored quantum domains when they hold any.  a and b
+    are uniform over the box's a, b sides, c and d uniform on the class's
+    intervals, and each weight is scaled by its intervals' lengths over the
+    box's c and d spans, so a pass estimates the integrals over the box that
+    uniform sampling estimates.  The box must hold the slice
+    |c|, |d| < sqrt(ab) of its support (``InvalidArgumentError``
+    otherwise).  Each pass draws ``n_samples``; with both classes scored,
+    the classical pass runs on the substreams that a pass scoring only
+    classical takes, so it gives that pass's bits, and the quantum-class
+    pass on the next ``streams`` children of the seed, so the two are
+    independent.
 
     ``seed`` may be an integer or a SeedSequence, which is not modified;
     ``seed_label`` is what gets reported in results when the seed is not a
-    plain integer.  ``streams`` is the number of substreams and part of the
-    determinism key; they run on min(streams, usable cores) threads, the
-    caller's among them.  ``sampler`` is "pseudo" (iid draws) or "qmc"
-    (two scrambled Sobol' replicates per stream, so it needs
-    n_samples >= 2 * streams).  Only points in ``domains`` are weighted, so a
-    non-finite weight outside them does not raise.  A labelled pass gives
-    each scored domain the bits that a pass scoring all four gives it; an
-    in-class pass draws other points (see ``JointVolumes`` for what can be
-    read).
+    plain integer.  ``streams`` is the number of substreams per pass and
+    part of the determinism key; every pass's substreams run on
+    min(streams, usable cores) threads, the caller's among them.
+    ``sampler`` is "pseudo" (iid draws) or "qmc" (two scrambled Sobol'
+    replicates per stream, so it needs n_samples >= 2 * streams).  Only
+    points of the drawn classes are weighted, so a non-finite weight
+    elsewhere does not raise (see ``JointVolumes`` for what can be read).
     """
     _check_pass(n_samples, streams, tol, sampler)
-    labels = _labels_of(domains)
+    draws = _draws(domains)
+    _check_box(box, spec)
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
@@ -790,18 +761,23 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
         ss = np.random.SeedSequence(seed)
         if seed_label is None:
             seed_label = int(seed)
-    tasks = list(zip(_children(ss, streams), _partition(n_samples, streams)))
+    counts = _partition(n_samples, streams)
+    children = _children(ss, streams * len(draws))
+    # pass k's streams are children k * streams to (k + 1) * streams - 1
+    tasks = [(child, count, tag) for k, tag in enumerate(draws)
+             for child, count in zip(children[k * streams:], counts)]
 
     def run(task):
-        child, count = task
+        child, count, tag = task
         # a non-finite weight raises NumericError, which names the point;
-        # numpy's overflow warnings on the way there would only name its internals
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _stream_partial(child, count, box, spec, tol, sampler, labels)
+        # numpy's warnings on the way there would only name its internals
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _stream_partial(child, count, box, spec, tol, sampler, tag)
 
     partials = _run_shares(run, tasks, min(streams, _usable_cores()))
-    counts, s1, s2, hits = (np.concatenate(x) for x in zip(*partials))
-    return JointVolumes(box, spec, counts, seed_label, streams, tol, sampler, s1, s2, hits, labels)
+    passes = [(tag, *(np.concatenate(x) for x in zip(*partials[k * streams:(k + 1) * streams])))
+              for k, tag in enumerate(draws)]
+    return JointVolumes(box, spec, seed_label, streams, tol, sampler, passes)
 
 
 def upsilon_box(kappa: float, eps_tail: float = DEFAULT_EPS_TAIL, *,
@@ -819,8 +795,7 @@ def upsilon_box(kappa: float, eps_tail: float = DEFAULT_EPS_TAIL, *,
     that names, for each checked domain that fails there, the share of its
     mass left outside the box.  The box stops at 2 L0 because each doubling
     spreads the a, b draws over 4 times the area (c and d are drawn inside
-    the class, or on the classical slice in a labelled pass, which the box
-    holds whole), and past one doubling the
+    the class, which the box holds whole), and past one doubling the
     estimate's error at practical sample counts outweighs the tail it would
     save.
 
@@ -835,7 +810,7 @@ def upsilon_box(kappa: float, eps_tail: float = DEFAULT_EPS_TAIL, *,
         raise InvalidArgumentError("kappa must be positive")
     _check_eps_tail(eps_tail)
     domains = domain if isinstance(domain, tuple) else (domain,)
-    _labels_of(domains)  # checks the tags
+    _draws(domains)  # checks the tags
     spec = RegularizerSpec.adjugate(kappa)
     total = _quad.quad_volumes(spec, _BOX_ORDER, domains)
     L0 = max(4.0, 4.0 * math.sqrt(kappa))
@@ -888,14 +863,13 @@ def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float, tol: fl
     """The support box of ``domains`` under ``spec``, fitted to the quantum classes.
 
     The box is ``upsilon_box`` fitted to each of ``domains`` for the damping,
-    with a, b sides (0, L], and ``phi_box`` for the energy cutoff.  When no
-    domain holds label 1 (classical only), the a and b sides become [q, top]
+    with a, b sides (0, L], and ``phi_box`` for the energy cutoff.  When the
+    classical domain is not among them, the a and b sides become [q, top]
     with q = 1 - tol: every quantum point has min(a, b) >= q
     (``_ab_quantum``), and top is L, or E/2 - q, since a + b <= E/2.  When
     top <= q the quantum classes have no volume in the box, and it is kept
     as it is.  Every box returned holds the slice |c|, |d| < sqrt(ab) of
-    each point in its support, so a pass over it that scores only quantum
-    classes draws inside them (``_draws_in_class``).
+    each point in its support (``_check_box``).
     """
     q = 1.0 - tol
     if spec.kind is RegKind.ADJUGATE_UPSILON:
@@ -904,7 +878,7 @@ def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float, tol: fl
     else:
         box = phi_box(spec.bound_E)
         top = box.hi[0] - q
-    if 1 in _labels_of(domains) or top <= q:
+    if DomainTag.CLASSICAL in _draws(domains) or top <= q:
         return box
     return Box((q, q, *box.lo[2:]), (top, top, *box.hi[2:]))
 
@@ -912,11 +886,12 @@ def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float, tol: fl
 def mc_volume(req: IntegrationRequest) -> IntegrationResult:
     """Monte Carlo volume of one domain under the requested regularizer.
 
-    The pass runs over ``_default_box``: a quantum, separable or entangled
-    run draws a and b from q = 1 - tol, where that leaves the box any
-    volume, and c and d inside its class; a classical run keeps ``phi_box``
-    or ``upsilon_box`` and labels its slice draws, with the bits of the same
-    domain's result from a pass over that box scoring all four.  Bit-identical for a fixed (seed, streams, n_samples) request.
+    One pass over ``_default_box`` draws inside the domain's class: a
+    quantum, separable or entangled run draws a and b from q = 1 - tol,
+    where that leaves the box any volume; a classical run keeps ``phi_box``
+    or ``upsilon_box``, and gives the bits of the classical column of
+    ``mc_joint_volumes`` over that box scoring all four.  Bit-identical for
+    a fixed (seed, streams, n_samples) request.
     """
     box = _default_box(req.regularizer, (req.domain,), req.eps_tail, req.tol)
     jv = mc_joint_volumes(box, req.regularizer, req.n_samples, req.seed, req.streams,
@@ -968,8 +943,12 @@ def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
     ``param`` is "E" (energy regularizer) or "kappa" (adjugate regularizer);
     each row re-derives its support box, fitted to all four domains it
     reports (``template.domain`` does not enter), and gets its own
-    deterministic substream of the template seed.  Rows that fail
-    numerically are recorded and the sweep continues.
+    deterministic substream of the template seed.  A row is two passes of
+    ``template.n_samples`` over that box (``mc_joint_volumes``): one inside
+    the classical class and one inside the quantum class, which gives the
+    separable and entangled columns too, so the ratios to classical have
+    independent numerator and denominator.  Rows that fail numerically are
+    recorded and the sweep continues.
     """
     rows = []
     for i, (v, spec) in enumerate(_sweep_specs(param, values, template)):

@@ -6,10 +6,10 @@ domain.  The energy weight additionally cuts off at a total-energy bound E via
 a Heaviside factor; the adjugate weight damps exponentially in tr[adj V].
 ``phi`` and ``upsilon`` weigh one covariance matrix; ``regularizer_values``
 weighs arrays of standard-form points (a, b, c, d) in closed form, as a plain
-numpy expression that broadcasts its inputs and allocates its result; the
-stream kernel calls it once per tile on the scored points of a labelled
-pass, and an in-class pass fuses the same weight with its interval
-arithmetic.
+numpy expression that broadcasts its inputs and allocates its result.  The
+stream kernel does not call it: it fuses the same weight with its interval
+arithmetic (``integrate._class_weight``), and the tests check the two
+against each other.
 """
 
 from __future__ import annotations

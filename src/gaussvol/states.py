@@ -17,7 +17,7 @@ from .errors import (
     InvalidArgumentError,
     NumericError,
 )
-from .twomode import DEFAULT_TOL
+from .twomode import DEFAULT_TOL, _check_tol
 
 SYMMETRY_RTOL = 1e-12
 
@@ -99,16 +99,19 @@ def _as_batch(V) -> np.ndarray:
 
 
 def is_classical(V, tol: float = DEFAULT_TOL):
-    """True where V is positive definite (smallest eigenvalue exceeds +tol).
+    """True where V is positive definite up to tol: its smallest eigenvalue exceeds -tol.
 
-    Accepts a single matrix or a stacked (..., 2N, 2N) array; returns a bool
-    or a boolean array accordingly.
+    A larger tol widens the set, as it widens every class of
+    ``twomode.domain_labels``; tol must be finite and below 1
+    (``InvalidArgumentError``).  Accepts a single matrix or a stacked
+    (..., 2N, 2N) array; returns a bool or a boolean array accordingly.
     """
+    _check_tol(tol)
     A = _as_batch(V)
     if A.ndim == 2:
         A = require_covariance(A)
     w = np.linalg.eigvalsh(A)
-    out = w[..., 0] > tol
+    out = w[..., 0] > -tol
     return bool(out) if A.ndim == 2 else out
 
 
@@ -146,9 +149,10 @@ def symplectic_eigenvalues(V) -> np.ndarray:
 def is_quantum(V, tol: float = DEFAULT_TOL):
     """True where V is positive definite and its smallest symplectic eigenvalue is >= 1 - tol.
 
-    Equivalent to the uncertainty condition V + i*Omega >= 0.  Accepts stacked
-    input like :func:`is_classical`.
+    Equivalent to the uncertainty condition V + i*Omega >= 0.  tol must be
+    finite and below 1.  Accepts stacked input like :func:`is_classical`.
     """
+    _check_tol(tol)
     A = _as_batch(V)
     if A.ndim == 2:
         A = require_covariance(A)
@@ -179,7 +183,7 @@ def is_separable_two_mode(V, tol: float = DEFAULT_TOL) -> bool:
 
     For two modes the positive-partial-transpose condition is necessary and
     sufficient: the state is separable iff the partial transpose is again a
-    valid quantum covariance matrix.
+    valid quantum covariance matrix.  tol is checked as in :func:`is_quantum`.
     """
     A = require_covariance(V)
     if A.shape[0] != 4:
@@ -192,9 +196,13 @@ def is_separable_two_mode(V, tol: float = DEFAULT_TOL) -> bool:
 def classify(V, tol: float = DEFAULT_TOL) -> StateClass:
     """Classify a symmetric matrix as a Gaussian state covariance.
 
-    Returns NOT_A_STATE when V is not positive definite, CLASSICAL_ONLY when
-    positive definite but violating the uncertainty condition, and for quantum
-    states the PPT verdict when N = 2 or QUANTUM_UNDETERMINED otherwise.
+    Returns NOT_A_STATE when V is not positive definite up to tol (its
+    smallest eigenvalue is at most -tol), CLASSICAL_ONLY when it is but
+    violates the uncertainty condition, and for quantum states the PPT
+    verdict when N = 2 or QUANTUM_UNDETERMINED otherwise.  So a singular
+    positive semidefinite matrix is CLASSICAL_ONLY at the default tol.  tol
+    must be finite and below 1 (``InvalidArgumentError``), as for
+    ``twomode.domain_labels``, whose classes it widens the same way.
     """
     A = require_covariance(V)
     if not is_classical(A, tol):

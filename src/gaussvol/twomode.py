@@ -16,10 +16,10 @@ standard two-mode invariants used by the PPT test.
 The closed forms (``canonical_det``, ``canonical_trace_adjugate``,
 ``volume_density``) are plain numpy expressions that broadcast their inputs.
 ``_class_limits`` holds the c- and d-limits of the quantum classes, which
-the stream kernel draws in and ``_quad`` integrates over.  It,
-``_ab_quantum``, ``_half_width`` and ``_classical_labels`` take optional
-``out`` and scratch arrays, because the stream kernel's stage 2 and its
-labelling run them on every tile of 2^16 points (see ``integrate``).
+the stream kernel draws in and ``_quad`` integrates over; it takes optional
+scratch arrays, because the stream kernel runs it on every block of a tile
+(see ``integrate``).  ``_half_width`` gives the classical slice, which
+``domain_labels`` tests and the kernel's classical draw draws in.
 """
 
 from __future__ import annotations
@@ -259,17 +259,16 @@ def _ab_above(a, b, x):
     return np.minimum(a, b) > x
 
 
-def _ab_quantum(a, b, tol, out=None, tmp=None):
+def _ab_quantum(a, b, tol):
     """min(a, b) >= 1 - tol on 1-d float arrays: the a, b half of the quantum test.
 
     A classical point it rejects has label 1 in :func:`_classical_labels`,
-    which takes the test from here.  ``out`` (bool) and ``tmp`` (float) are
-    optional scratch of a's length.
+    which takes the test from here.
     """
-    return np.greater_equal(np.minimum(a, b, out=tmp), 1.0 - tol, out=out)
+    return np.minimum(a, b) >= 1.0 - tol
 
 
-def _class_limits(tag, a, b, c, mu, draw=False, scratch=None):
+def _class_limits(tag, a, b, c, mu, draw=False, scratch=None, huge=False):
     """The c-end of the quantum class ``tag`` at (a, b) and its d-interval at c, elementwise.
 
     For c >= 0 and mu = (1 - tol)^2.  With P = ab, m = min(a, b),
@@ -294,7 +293,10 @@ def _class_limits(tag, a, b, c, mu, draw=False, scratch=None):
     :func:`_ab_quantum`, the c-bounds are >= 0 in floats as well.  With
     ``draw``, c holds uniforms in [0, 1) and is first scaled onto [0, end]
     in place.  Takes 1-d float arrays; ``scratch`` is six float arrays of
-    a's length, allocated when omitted, that hold the results.
+    a's length, allocated when omitted, that hold the results.  Delta is of
+    order P^3, which overflows from P ~ 1e102 on; with ``huge`` the Delta
+    returned is (X - c^2)(Y - c^2), Delta / P, and root its square root times
+    sqrt(P).
     """
     if scratch is None:
         scratch = np.empty((6, a.size))
@@ -321,10 +323,13 @@ def _class_limits(tag, a, b, c, mu, draw=False, scratch=None):
     x -= c2
     y -= c2
     delta = np.multiply(y, x, out=t1)
-    delta *= ab
+    if not huge:
+        delta *= ab
     pc = np.subtract(ab, c2, out=pc)
     root = np.maximum(delta, 0.0, out=t0)
     np.sqrt(root, out=root)
+    if huge:
+        root *= np.sqrt(a * b)
     mc = np.multiply(c, mu, out=start)
     if tag is DomainTag.SEPARABLE:
         # start -d2, length 2 d2
@@ -345,16 +350,12 @@ def _class_limits(tag, a, b, c, mu, draw=False, scratch=None):
     return end, start, length, pc, delta
 
 
-def _half_width(a, b, tol, out=None):
-    """h = sqrt(max(ab, 0)) + tol, in ``out`` if given: the classical slice is |c|, |d| < h."""
-    h = np.multiply(a, b, out=out)
-    np.maximum(h, 0.0, out=h)
-    np.sqrt(h, out=h)
-    h += tol
-    return h
+def _half_width(a, b, tol):
+    """h = sqrt(max(ab, 0)) + tol: the classical slice is |c|, |d| < h."""
+    return np.sqrt(np.maximum(a * b, 0.0)) + tol
 
 
-def _classical_labels(a, b, c, d, tol, out=None, scratch=None):
+def _classical_labels(a, b, c, d, tol):
     """Labels 1-3 of classical points (see :func:`domain_labels`).
 
     The squared symplectic eigenvalues of V are the roots of
@@ -366,40 +367,26 @@ def _classical_labels(a, b, c, d, tol, out=None, scratch=None):
     same with -d, and a state with cd >= 0 is PPT (R. Simon, PRL 84, 2726
     (2000)); so label 3 needs fl(c*d) < 0.  The tests are evaluated as
     y = det V + (mu^2 - mu s) >= g and s + 2cd >= 2 mu, with g = 2 mu cd, and
-    for PPT as y >= -g and s - 2cd >= 2 mu, or cd >= 0.
-
-    ``out`` receives the labels (uint8 when omitted); ``scratch`` is four
-    float arrays and three bool arrays of a's length, allocated when
-    omitted, so that the stream kernel reuses its own tile after tile.
+    for PPT as y >= -g and s - 2cd >= 2 mu, or cd >= 0.  Returns uint8.
     """
-    if scratch is None:
-        scratch = (*(np.empty(a.shape) for _ in range(4)),
-                   *(np.empty(a.shape, dtype=bool) for _ in range(3)))
-    f0, f1, f2, ab, quantum, ppt, m = scratch
     mu = (1.0 - tol) ** 2
     with np.errstate(invalid="ignore", over="ignore"):
-        np.multiply(a, b, out=ab)
-        s = np.multiply(a, a, out=f0)
-        s += np.multiply(b, b, out=f1)
-        cd2 = np.multiply(c, d, out=f1)
-        cd2 += cd2
-        np.greater_equal(np.add(s, cd2, out=f2), 2.0 * mu, out=quantum)
-        np.greater_equal(np.subtract(s, cd2, out=f2), 2.0 * mu, out=ppt)
-        # y = det V + (mu^2 - mu s)
-        y = np.multiply(s, mu, out=f0)
-        np.subtract(mu * mu, y, out=y)
-        det = np.subtract(ab, np.multiply(c, c, out=f1), out=f1)
-        det *= np.subtract(ab, np.multiply(d, d, out=f2), out=f2)
-        y += det
-        cd = np.multiply(c, d, out=f1)
-        g = np.multiply(cd, 2.0 * mu, out=f2)
-        quantum &= np.greater_equal(y, g, out=m)
-        ppt &= np.greater_equal(y, np.negative(g, out=g), out=m)
-        ppt |= np.greater_equal(cd, 0.0, out=m)
-    quantum &= _ab_quantum(a, b, tol, out=m, tmp=f2)
-    out = np.add(quantum, 1, out=out, dtype=np.uint8)
-    out += np.greater(quantum, ppt, out=m)  # quantum and not PPT
-    return out
+        ab = a * b
+        s = a * a + b * b
+        cd = c * d
+        cd2 = cd + cd
+        quantum = s + cd2 >= 2.0 * mu
+        ppt = s - cd2 >= 2.0 * mu
+        y = mu * mu - s * mu
+        y += (ab - c * c) * (ab - d * d)
+        g = cd * (2.0 * mu)
+        quantum &= y >= g
+        ppt &= y >= -g
+        ppt |= cd >= 0.0
+    quantum &= _ab_quantum(a, b, tol)
+    lab = quantum.astype(np.uint8) + np.uint8(1)
+    lab += quantum > ppt  # quantum and not PPT
+    return lab
 
 
 def domain_labels(a, b, c, d, tol: float = DEFAULT_TOL) -> np.ndarray:

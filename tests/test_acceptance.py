@@ -231,7 +231,8 @@ def test_criterion_07_inclusion_chains():
         d_qs, e_qs = jv.difference(Q, S)
         d_cq, e_cq = jv.difference(C, Q)
         ordered &= vol_s <= vol_q + 2.0 * e_qs and vol_q <= vol_c + 2.0 * e_cq
-        # one-pass nesting makes the ordering exact, not just within 2 sigma
+        # S <= Q holds exactly within the quantum-class pass; Q <= C holds
+        # across the two independent passes by a wide margin (Q/C <= 0.22)
         ordered &= vol_s <= vol_q <= vol_c
         if e_qs > 0:
             worst_z = max(worst_z, -d_qs / e_qs)
@@ -262,7 +263,7 @@ def test_criterion_08_limits():
     for kappa, seed in ((50.0, 802), (100.0, 803)):
         # both boxes are capped at 2 L0.  The uncapped boxes are far larger,
         # and with c and d drawn across them the estimates scattered too
-        # widely for this check; the slice draw spreads only a and b over
+        # widely for this check; the in-class draws spread only a and b over
         # them, which has not been re-measured (ROADMAP item 8)
         box = _capped_box(kappa)
         spec = RegularizerSpec.adjugate(kappa)

@@ -85,6 +85,20 @@ def test_classify_indefinite(tmp_path, capsys):
     assert out.splitlines()[0] == "NotAState"
 
 
+def test_classify_tol_widens_the_classes(tmp_path, capsys):
+    # a larger tol widens the classes, as in the volume commands' labels:
+    # the positive definite standard form (0.6, 0.6, 0.1, 0.1) is never
+    # NotAState, and classify refuses a tol of 1 or more, as they do
+    path = write_matrix(tmp_path / "sf.txt", [[0.6, 0, 0.1, 0], [0, 0.6, 0, 0.1],
+                                              [0.1, 0, 0.6, 0], [0, 0.1, 0, 0.6]])
+    for tol in ("0", "1e-9", "0.5"):
+        assert main(["classify", path, "--tol", tol]) == 0
+        assert capsys.readouterr().out.startswith("ClassicalOnly, nu=(0.5,0.7)\n"), tol
+    assert main(["classify", path, "--tol", "1.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: tol must be finite and below 1\n"
+
+
 def test_classify_parse_error_position(tmp_path, capsys):
     path = tmp_path / "junk.txt"
     path.write_text("1 0\n0 oops\n", encoding="utf-8")
@@ -274,15 +288,15 @@ def test_volume_benchmark_rows_pinned_qmc(flags, capsys):
 
 
 # one stream of 400k samples runs 7 tiles, so these rows cover a stream whose
-# sums span several tiles: the classical row labels its slice draws, and the
-# quantum row draws inside its class and splits it at d = -d2
+# sums span several tiles: the classical row draws inside the classical
+# slice, and the quantum row inside its class, which it splits at d = -d2
 _PINNED_MULTI_TILE_ROWS = {
     ("--set", "quantum", "--kappa", "5"):
         "quantum,adj,kappa,5.0,4,0.47561416336978984,0.003439444812276747,1.0,0,400000,1,1,"
         "pseudo,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
         "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "classical", "--E", "8"):
-        "classical,energy,E,8.0,4,46.96024098709306,0.17550442441542016,0.5015025,0,400000,1,1,"
+        "classical,energy,E,8.0,4,46.94372662953762,0.17552083838035876,0.5015025,0,400000,1,1,"
         "pseudo,0.0,4.0,0.0,4.0,-2.0,2.0,-2.0,2.0",
 }
 
@@ -611,15 +625,15 @@ def test_warning_is_one_write(monkeypatch):
 def test_overflowing_run_writes_whole_stderr_lines():
     # the weights of this run overflow in every stream thread; numpy's
     # overflow warnings are silenced there, and the one error line names the
-    # bad point with plain floats
+    # bad point with plain floats.  There ab overflows, and so do the slice
+    # half-width h and c, drawn on [0, h]
     for _ in range(2):
         proc = subprocess.run([sys.executable, "-m", "gaussvol", "volume", "--E", "1e300",
                                "--samples", "10000"], capture_output=True, text=True)
         assert proc.returncode == 5 and proc.stdout == ""
         assert proc.stderr.splitlines() == [
             "error: non-finite integrand weight at (a, b, c, d) = "
-            "(1.99120803270489e+299, 6.131174392066896e+298, "
-            "1.822875731159002e+298, 1.6848627338185906e+299)"]
+            "(1.99120803270489e+299, 6.131174392066896e+298, inf, nan)"]
 
 
 def test_sweep_prints_one_warning_per_capped_row(capsys):
@@ -669,6 +683,85 @@ def test_sweep_csv_shape(capsys):
         assert fields[17] == "21"
         # classical volume dominates the nested ones
         assert float(fields[2]) >= float(fields[4]) > 0.0
+
+
+# every row of two sweeps at 200k samples and seed 8, under each sampler,
+# recorded when each row became two passes drawn inside the classical and
+# the quantum class; a kernel change must keep these bytes or re-record them
+_PINNED_SWEEP_ROWS = {
+    (("--kappa", "1:16:log:3"), "qmc"): [
+        "kappa,1.0,0.03920099204778679,0.00010604242163263031,0.00023342297317165887,"
+        "1.4063751348658964e-06,6.259797565141512e-05,1.4752544762603855e-06,"
+        "0.00017082499752024376,1.8890805510274889e-06,0.005954516989955551,"
+        "3.932608206593856e-05,0.0015968467220193545,3.7880187836851565e-05,"
+        "0.004357670267936196,4.961041724858351e-05,200000,8",
+        "kappa,4.0,5.943284408356673,0.03992121673414756,0.2295785360437664,"
+        "0.002943235053366668,0.08062224193745383,0.0013001131752080222,0.14895629410631256,"
+        "0.003521938234910745,0.03862822646026546,0.0005590762301845522,0.013565267350169769,"
+        "0.00023697164021081139,0.025062959110095692,0.0006160402847874763,200000,8",
+        "kappa,16.0,150.30576375728464,2.6825174553574223,8.664030764107162,"
+        "0.18558875140249442,3.745558884629254,0.06745926393981563,4.918471879477908,"
+        "0.18390322549614155,0.057642704760796346,0.0016071464984294384,0.024919595835843144,"
+        "0.0006318455857161449,0.0327231089249532,0.0013557613881662394,200000,8",
+    ],
+    (("--kappa", "1:16:log:3"), "pseudo"): [
+        "kappa,1.0,0.03943372044099305,0.0005124161029205005,0.00022776462877684565,"
+        "8.664312562081e-06,6.75358317022617e-05,4.44075191845788e-06,0.00016022879707458396,"
+        "7.4470294053360695e-06,0.005775884857673092,0.00023218366617801023,"
+        "0.0017126416413921547,0.00011479099437258249,0.004063243216280938,"
+        "0.00019609132937204888,200000,8",
+        "kappa,4.0,5.968747334501896,0.09714594792646553,0.23300072915154,"
+        "0.008239919337283672,0.08338453097104484,0.0037355997670087066,0.14961619818049518,"
+        "0.007352980515040302,0.03903678880905157,0.0015196986692500932,0.013970189438083066,"
+        "0.0006658830939395361,0.025066599370968508,0.001297712252491614,200000,8",
+        "kappa,16.0,148.75620325296651,4.217673824215129,8.575583791951276,"
+        "0.3897562511679328,3.6499695396242418,0.14472269856014222,4.925614252327033,"
+        "0.362139558961351,0.057648579383060186,0.003088128584296451,0.02453658711238621,"
+        "0.0011960275120438829,0.03311199227067397,0.0026092018007116634,200000,8",
+    ],
+    (("--E", "4:16:log:4"), "qmc"): [
+        "E,4.0,0.07099090164110004,0.0003294396492602916,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,"
+        "0.0,0.0,0.0,200000,8",
+        "E,6.3496042078727974,10.974852927732751,0.016765858248983953,1.4276160169248258,"
+        "0.002611375513825514,0.8117594616457059,0.0029586585713264565,0.6158565552791196,"
+        "0.0039837458286408,0.13008065131491023,0.0003100089995889779,0.07396540682512853,"
+        "0.0002923078454248484,0.05611524448978168,0.0003729738195854817,200000,8",
+        "E,10.079368399158986,144.4674449143846,0.23336155423860563,29.345781431644287,"
+        "0.02512786402706573,19.264382715509495,0.027033081163093116,10.081398716134794,"
+        "0.041177488001023825,0.20313075689152948,0.00037137186789769306,0.1333475699450911,"
+        "0.0002853272576767697,0.06978318694643841,0.00030650965117778986,200000,8",
+        "E,16.0,832.3363950958735,2.391796996380742,179.2556867088424,0.1505410258439567,"
+        "124.9073159691776,0.22281077771509045,54.34837073966481,0.33597866932905895,"
+        "0.21536447014093943,0.0006447577414328489,0.15006830976649774,0.0005075663744290233,"
+        "0.06529616037444168,0.00044513592344612224,200000,8",
+    ],
+    (("--E", "4:16:log:4"), "pseudo"): [
+        "E,4.0,0.07172499188304603,0.0010163492611005571,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,"
+        "0.0,0.0,0.0,200000,8",
+        "E,6.3496042078727974,10.917708834622196,0.07364002457958088,1.419839868716753,"
+        "0.015069399765488233,0.8015782320272298,0.0116711213939058,0.6182616366895233,"
+        "0.009789157786902147,0.13004925211177662,0.001635420136288005,0.07342000452377591,"
+        "0.0011781426371040168,0.05662924758800073,0.0009745996259050045,200000,8",
+        "E,10.079368399158986,144.78851935623496,0.6973283749306896,29.11124494445041,"
+        "0.17928937084304877,19.30112724270546,0.1353128254630531,9.81011770174495,"
+        "0.12541367760391364,0.20106045060676148,0.0015719539774867151,0.13330564694302405,"
+        "0.001133838032329369,0.06775480366373746,0.00092561407261734,200000,8",
+        "E,16.0,834.3662609398315,4.929557131910408,179.86304734513507,0.9818964512600442,"
+        "123.61922225467063,0.6348164269881424,56.24382509046444,0.7941393277056743,"
+        "0.21556845688191784,0.0017340646611947188,0.1481594211580724,0.0011597868162670278,"
+        "0.06740903572384543,0.00103175203155626,200000,8",
+    ],
+}
+
+
+@pytest.mark.parametrize("flags,sampler", sorted(_PINNED_SWEEP_ROWS),
+                         ids=lambda x: x if isinstance(x, str) else x[0].lstrip("-"))
+def test_sweep_rows_pinned(flags, sampler, capsys):
+    argv = ["sweep", *flags, "--sampler", sampler, "--samples", "200000", "--seed", "8"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# gaussvol-sweep-csv v1"
+    assert lines[2:] == _PINNED_SWEEP_ROWS[(flags, sampler)]
 
 
 def test_sweep_deterministic_bytes(tmp_path):

@@ -125,10 +125,22 @@ def test_symplectic_invariance_of_spectrum():
 
 
 def test_is_classical_tolerance_is_on_eigenvalues():
-    V = np.diag([1.0, 1.0, 1.0, 5e-10])
-    assert not is_classical(V, tol=1e-9)
-    assert is_classical(V, tol=1e-10)
+    # the smallest eigenvalue must exceed -tol, so a larger tol widens the
+    # set, as it widens the classes of twomode.domain_labels
+    V = np.diag([1.0, 1.0, 1.0, -5e-10])
+    assert is_classical(V, tol=1e-9)
+    assert not is_classical(V, tol=1e-10)
     assert not is_classical(np.diag([1.0, 1.0, 1.0, -1e-6]), tol=0.0)
+    # a singular positive semidefinite matrix is classical at the default
+    # tol, and classify calls it classical only
+    singular = np.diag([1.0, 1.0, 1.0, 0.0])
+    assert is_classical(singular) and not is_classical(singular, tol=0.0)
+    assert classify(singular) is StateClass.CLASSICAL_ONLY
+    # every test refuses a tol that is not finite and below 1
+    for bad in (1.0, 1.5, math.nan, math.inf):
+        for test in (is_classical, is_quantum, is_separable_two_mode, classify):
+            with pytest.raises(InvalidArgumentError, match="tol"):
+                test(np.eye(4), tol=bad)
 
 
 def test_is_quantum_matches_uncertainty_embedding():

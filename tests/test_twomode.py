@@ -587,6 +587,26 @@ def _beyond_label_roundoff(a, b, c, d, tol):
             & (np.abs(s + 2.0 * cd - 2.0 * mu) > err_s) & (np.abs(s - 2.0 * cd - 2.0 * mu) > err_s))
 
 
+@pytest.mark.parametrize("tag", list(_CLASS_LABELS), ids=lambda tag: tag.value)
+def test_huge_class_limits_keep_the_d_interval_finite(tag):
+    # Delta is of order (ab)^3 and overflows from ab ~ 1e102 on; with huge
+    # the d-interval comes from Delta / ab, and it agrees with the plain form
+    # to rounding on the scale sqrt(ab) of d wherever that form is finite
+    rng = np.random.default_rng(len(tag.value))
+    mu = (1.0 - 1e-9) ** 2
+    for scale, finite in ((1.0, True), (1e30, True), (1e70, False)):
+        a, b = rng.uniform(1.0, 8.0, (2, 10_000)) * scale
+        c = rng.uniform(0.0, 1.0, a.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = _class_limits(tag, a, b, c.copy(), mu, draw=True)
+        huge = _class_limits(tag, a, b, c.copy(), mu, draw=True, huge=True)
+        assert all(np.isfinite(x).all() for x in huge[:4]), scale
+        assert np.isfinite(plain[1]).all() == finite, scale
+        if finite:
+            for h, p in zip(huge[:4], plain[:4]):
+                assert np.all(np.abs(h - p) <= 1e-13 * np.sqrt(a * b)), scale
+
+
 @pytest.mark.parametrize("tol", (1.0, 2.0))
 def test_tol_of_1_and_above_is_refused(tol, tmp_path, capsys):
     # from tol = 1 on, mu = (1 - tol)^2 grows again with tol, and the labels
