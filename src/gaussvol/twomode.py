@@ -268,7 +268,7 @@ def _ab_quantum(a, b, tol):
     return np.minimum(a, b) >= 1.0 - tol
 
 
-def _class_limits(tag, a, b, c, mu, draw=False, scratch=None, huge=False):
+def _class_limits(tag, a, b, c, mu, draw=None, scratch=None, huge=False, ordered=False):
     """The c-end of the quantum class ``tag`` at (a, b) and its d-interval at c, elementwise.
 
     For c >= 0 and mu = (1 - tol)^2.  With P = ab, m = min(a, b),
@@ -291,19 +291,25 @@ def _class_limits(tag, a, b, c, mu, draw=False, scratch=None, huge=False):
     length]; Delta is clipped at 0 for root, as rounding at the ends of the
     c-interval can leave it below.  Where m >= 1 - tol, the quantum side of
     :func:`_ab_quantum`, the c-bounds are >= 0 in floats as well.  With
-    ``draw``, c holds uniforms in [0, 1) and is first scaled onto [0, end]
-    in place.  Takes 1-d float arrays; ``scratch`` is six float arrays of
-    a's length, allocated when omitted, that hold the results.  Delta is of
-    order P^3, which overflows from P ~ 1e102 on; with ``huge`` the Delta
-    returned is (X - c^2)(Y - c^2), Delta / P, and root its square root times
-    sqrt(P).
+    ``draw``, c holds uniforms y in [0, 1) and is first mapped onto
+    [0, end] in place, and the first result is the map's Jacobian dc/dy:
+    c = end y and end for "uniform", and for "end", which crowds c at the
+    c-end, c = end (1 - y^2) and half its Jacobian, end y.  Takes 1-d
+    float arrays; ``scratch`` is six float arrays of a's length, allocated
+    when omitted, that hold the results.  ``ordered`` says that a >= b
+    elementwise, so m = b and M = a.  Delta is of order P^3, which
+    overflows from P ~ 1e102 on; with ``huge`` the Delta returned is
+    (X - c^2)(Y - c^2), Delta / P, and root its square root times sqrt(P).
     """
     if scratch is None:
         scratch = np.empty((6, a.size))
     end, start, length, pc, t0, t1 = scratch
-    m = np.minimum(a, b, out=t0)
-    r = np.maximum(a, b, out=t1)
-    r /= m
+    if ordered:
+        m, r = b, np.divide(a, b, out=t1)
+    else:
+        m = np.minimum(a, b, out=t0)
+        r = np.maximum(a, b, out=t1)
+        r /= m
     x = np.multiply(m, m, out=t0)
     x -= mu
     x *= r
@@ -317,7 +323,13 @@ def _class_limits(tag, a, b, c, mu, draw=False, scratch=None, huge=False):
     else:
         np.maximum(x, 0.0, out=end)
     np.sqrt(end, out=end)
-    if draw:
+    if draw == "end":
+        # c = end - (end y) y, and end y takes end's place in the results
+        dc = np.multiply(end, c, out=length)
+        c *= dc
+        np.subtract(end, c, out=c)
+        end, length = dc, end
+    elif draw:
         c *= end
     c2 = np.multiply(c, c, out=start)
     x -= c2

@@ -244,11 +244,12 @@ def test_volume_rejects_out_of_range_input(flags, capsys):
 
 # the data row of each benchmark workload at 200k samples and seed 1, with
 # the pseudo sampler, recorded when their passes began to draw c and d inside
-# the scored class, over the boxes fitted to it; a kernel speed-up must keep
-# these bytes
+# the scored class, over the boxes fitted to it; the kappa row re-recorded
+# when damped quantum-class passes began to draw through the polynomial maps
+# (integrate._fold_ab).  A kernel speed-up must keep these bytes
 _PINNED_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
-        "entangled,adj,kappa,5.0,4,0.2919487395767134,0.0036779189660585054,1.0,0,200000,"
+        "entangled,adj,kappa,5.0,4,0.2980692495117169,0.00184580484944417,1.0,0,200000,"
         "1,4,pseudo,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
         "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "separable", "--E", "8"):
@@ -270,7 +271,7 @@ def test_volume_benchmark_rows_pinned(flags, capsys):
 # of the numpy Sobol' generator per stream
 _PINNED_QMC_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
-        "entangled,adj,kappa,5.0,4,0.29559956278976335,0.00074628845099116,1.0,0,200000,"
+        "entangled,adj,kappa,5.0,4,0.29670201556319126,0.00015043639381577743,1.0,0,200000,"
         "1,4,qmc,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
         "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "separable", "--E", "8"):
@@ -289,10 +290,11 @@ def test_volume_benchmark_rows_pinned_qmc(flags, capsys):
 
 # one stream of 400k samples runs 7 tiles, so these rows cover a stream whose
 # sums span several tiles: the classical row draws inside the classical
-# slice, and the quantum row inside its class, which it splits at d = -d2
+# slice, and the quantum row inside its class, through the polynomial maps,
+# and splits it at d = -d2
 _PINNED_MULTI_TILE_ROWS = {
     ("--set", "quantum", "--kappa", "5"):
-        "quantum,adj,kappa,5.0,4,0.47561416336978984,0.003439444812276747,1.0,0,400000,1,1,"
+        "quantum,adj,kappa,5.0,4,0.4751166983538574,0.0022598369861947863,1.0,0,400000,1,1,"
         "pseudo,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
         "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "classical", "--E", "8"):
@@ -687,37 +689,39 @@ def test_sweep_csv_shape(capsys):
 
 # every row of two sweeps at 200k samples and seed 8, under each sampler,
 # recorded when each row became two passes drawn inside the classical and
-# the quantum class; a kernel change must keep these bytes or re-record them
+# the quantum class; the kappa rows' quantum columns and ratios re-recorded
+# when the damped quantum pass began to draw through the polynomial maps.  A
+# kernel change must keep these bytes or re-record them
 _PINNED_SWEEP_ROWS = {
     (("--kappa", "1:16:log:3"), "qmc"): [
-        "kappa,1.0,0.03920099204778679,0.00010604242163263031,0.00023342297317165887,"
-        "1.4063751348658964e-06,6.259797565141512e-05,1.4752544762603855e-06,"
-        "0.00017082499752024376,1.8890805510274889e-06,0.005954516989955551,"
-        "3.932608206593856e-05,0.0015968467220193545,3.7880187836851565e-05,"
-        "0.004357670267936196,4.961041724858351e-05,200000,8",
-        "kappa,4.0,5.943284408356673,0.03992121673414756,0.2295785360437664,"
-        "0.002943235053366668,0.08062224193745383,0.0013001131752080222,0.14895629410631256,"
-        "0.003521938234910745,0.03862822646026546,0.0005590762301845522,0.013565267350169769,"
-        "0.00023697164021081139,0.025062959110095692,0.0006160402847874763,200000,8",
-        "kappa,16.0,150.30576375728464,2.6825174553574223,8.664030764107162,"
-        "0.18558875140249442,3.745558884629254,0.06745926393981563,4.918471879477908,"
-        "0.18390322549614155,0.057642704760796346,0.0016071464984294384,0.024919595835843144,"
-        "0.0006318455857161449,0.0327231089249532,0.0013557613881662394,200000,8",
+        "kappa,1.0,0.03920099204778679,0.00010604242163263031,0.00023077078431989434,"
+        "1.9680254388311515e-07,6.339681729935494e-05,4.641894693989425e-07,"
+        "0.00016737396702053942,5.450013221318253e-07,0.00588686082328172,1.6697131720941323e-05,"
+        "0.0016172248197717282,1.2623551494737789e-05,0.004269636003509993,1.80743882778767e-05,"
+        "200000,8",
+        "kappa,4.0,5.943284408356673,0.03992121673414756,0.2283266501952192,"
+        "0.00031358473240083654,0.0821908464703993,0.0002519657113244398,0.14613580372481988,"
+        "0.00040728187788655165,0.03841758773552482,0.00026339094762961606,0.013829196252973058,"
+        "0.00010210826839286234,0.024588391482551757,0.00017881341591503608,200000,8",
+        "kappa,16.0,150.30576375728464,2.6825174553574223,8.860998138163335,0.025308624982095237,"
+        "3.7375790493438084,0.022737771936960034,5.123419088819527,0.022827903345042918,"
+        "0.05895314934477277,0.0010655293337833345,0.024866505155313214,0.00046886885483305715,"
+        "0.03408664418945956,0.0006270184845828751,200000,8",
     ],
     (("--kappa", "1:16:log:3"), "pseudo"): [
-        "kappa,1.0,0.03943372044099305,0.0005124161029205005,0.00022776462877684565,"
-        "8.664312562081e-06,6.75358317022617e-05,4.44075191845788e-06,0.00016022879707458396,"
-        "7.4470294053360695e-06,0.005775884857673092,0.00023218366617801023,"
-        "0.0017126416413921547,0.00011479099437258249,0.004063243216280938,"
-        "0.00019609132937204888,200000,8",
-        "kappa,4.0,5.968747334501896,0.09714594792646553,0.23300072915154,"
-        "0.008239919337283672,0.08338453097104484,0.0037355997670087066,0.14961619818049518,"
-        "0.007352980515040302,0.03903678880905157,0.0015196986692500932,0.013970189438083066,"
-        "0.0006658830939395361,0.025066599370968508,0.001297712252491614,200000,8",
-        "kappa,16.0,148.75620325296651,4.217673824215129,8.575583791951276,"
-        "0.3897562511679328,3.6499695396242418,0.14472269856014222,4.925614252327033,"
-        "0.362139558961351,0.057648579383060186,0.003088128584296451,0.02453658711238621,"
-        "0.0011960275120438829,0.03311199227067397,0.0026092018007116634,200000,8",
+        "kappa,1.0,0.03943372044099305,0.0005124161029205005,0.00022820219429792388,"
+        "2.763058343894905e-06,6.021893763888238e-05,1.530074556097109e-06,"
+        "0.00016798325665904148,2.322610923705035e-06,0.005786981084866085,"
+        "0.00010278298847475946,0.001527092472266,4.358094974290299e-05,0.004259888612600084,"
+        "8.082839910616132e-05,200000,8",
+        "kappa,4.0,5.968747334501896,0.09714594792646553,0.2307935934900149,"
+        "0.0028486381434122353,0.08038794842135791,0.0015690172555816626,0.15040564506865697,"
+        "0.0024028800928705915,0.038667006752979786,0.0007898347652600646,0.013468143969955205,"
+        "0.0003422752032600584,0.025198862783024578,0.0005746960182368378,200000,8",
+        "kappa,16.0,148.75620325296651,4.217673824215129,8.750741895564984,0.12640463872905483,"
+        "3.6703931227130595,0.06242534435039719,5.080348772851924,0.11075955389615072,"
+        "0.058826063748642195,0.0018718774072266535,0.02467388278572419,0.0008157896312214907,"
+        "0.034152180962918,0.0012214821151763076,200000,8",
     ],
     (("--E", "4:16:log:4"), "qmc"): [
         "E,4.0,0.07099090164110004,0.0003294396492602916,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,"

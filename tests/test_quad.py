@@ -125,3 +125,23 @@ def test_shared_class_limits_move_no_mass(kappa):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert tuple(upsilon_box(kappa, domain=tag).hi[0] for tag in DOMAIN_ORDER) == sides
+
+
+def test_entangled_and_separable_volumes_cross_at_kappa_star():
+    # the paper's inclusion chains compare the class volumes across the
+    # damping scale: below kappa* the entangled volume exceeds the separable
+    # one, above it the separable one is larger.  Bisecting E/S - 1 on
+    # [1000, 1100] at order 16 reads kappa* = 1048.89; orders 24 and 32 read
+    # 1049.053 and 1049.024, so order 16 is 1.3e-4 from the finer rules
+    def excess(kappa):
+        vols = _quad.quad_volumes(RegularizerSpec.adjugate(kappa), 16, (S, E))
+        return vols[E] / vols[S] - 1.0
+
+    lo, hi = 1000.0, 1100.0
+    assert excess(lo) > 0.0 > excess(hi)
+    for _ in range(16):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    kappa_star = 0.5 * (lo + hi)
+    assert kappa_star == pytest.approx(1048.89, abs=0.01)
+    assert kappa_star == pytest.approx(1049.02, rel=2e-4)

@@ -538,7 +538,7 @@ def _drawn_in_class(rng, n, tag, tol):
         return np.choose(rng.integers(0, 4, n), [x, 1.0 - 1e-12 * x, 1e-12 * x, 0.0 * x])
 
     c, v = crowded(), crowded()
-    _, start, length, _, _ = _class_limits(tag, a, b, c, q * q, draw=True)
+    _, start, length, _, _ = _class_limits(tag, a, b, c, q * q, draw="uniform")
     d = start + v * length
     d2 = _class_limits(DomainTag.QUANTUM, a, b, c.copy(), q * q)
     return a, b, c, d, d2[1] + d2[2]
@@ -598,8 +598,8 @@ def test_huge_class_limits_keep_the_d_interval_finite(tag):
         a, b = rng.uniform(1.0, 8.0, (2, 10_000)) * scale
         c = rng.uniform(0.0, 1.0, a.size)
         with np.errstate(over="ignore", invalid="ignore"):
-            plain = _class_limits(tag, a, b, c.copy(), mu, draw=True)
-        huge = _class_limits(tag, a, b, c.copy(), mu, draw=True, huge=True)
+            plain = _class_limits(tag, a, b, c.copy(), mu, draw="uniform")
+        huge = _class_limits(tag, a, b, c.copy(), mu, draw="uniform", huge=True)
         assert all(np.isfinite(x).all() for x in huge[:4]), scale
         assert np.isfinite(plain[1]).all() == finite, scale
         if finite:
