@@ -13,11 +13,12 @@ scored, with a and b sides from 1 - tol.  Every pass takes tol < 1
 every box ``_default_box`` fits does.
 
 Every pass draws inside one class and labels nothing: the classical class,
-or the quantum, separable or entangled one.  a and b are uniform over the
-box's a, b sides, and only those that pass the a, b half of the class's
-test, min(a, b) > -tol for classical (skipped when the box's lower a, b
-bounds already pass it) and min(a, b) >= 1 - tol for the quantum classes,
-and for the energy cutoff tr V <= E, draw c and d.  c is uniform on
+or the quantum, separable or entangled one.  a and b are drawn inside the
+class where the box allows it (the maps below); elsewhere they are uniform
+over the box's a, b sides, and only those that pass the a, b half of the
+class's test, min(a, b) > -tol for classical (skipped when the box's lower
+a, b bounds already pass it) and min(a, b) >= 1 - tol for the quantum
+classes, and for the energy cutoff tr V <= E, draw c and d.  c is uniform on
 [0, c-end] of the class at (a, b) and d on its d-interval at (a, b, c).
 For classical these are [0, h] and [-h, h], with the slice's half-width
 h = sqrt(ab) + tol (``twomode._half_width``, which ``domain_labels``
@@ -29,6 +30,24 @@ times the mean weight, and its integrand over the unit cube is smooth
 rather than an indicator with a curved edge, which keeps the convergence
 rate of qmc (Owen, Ann. Stat. 1997; He and Wang, SIAM J. Numer. Anal.
 2015).
+
+Under the energy cutoff a pass over a box with equal a and b sides draws
+a >= b on its class's triangle T = {a, b >= q, a + b <= E/2}, with
+q = max(lo, 1 - tol) for the quantum classes and max(lo, -tol) for
+classical, wherever H = E/2 - 2q > 0 and the box holds T
+(``_triangle_ab``): a = q + (H u / 2)(1 + y) and b = q + (H u / 2)(1 - y),
+smooth in the uniforms (u, y), with the mirror image a <-> b counted
+twice, so the Jacobian is H^2 u over the box's a, b area.  So every draw
+passes the a, b test and the cutoff, and none is dropped: the uniform
+draw kept half of them in a ``volume --E`` pass and an eighth in an E
+sweep row's quantum pass, and its kept draws made an indicator with a
+straight edge.  At E = 8 under qmc the error of the separable class falls
+about 25 times at equal samples, of the quantum and entangled classes
+about 22 and 16 times, and of the classical one about 6 times.  c and d
+stay uniform on the class's intervals; c crowded at its c-end, or a and b
+at a = b, measured no better here.  Boxes that fail either condition, such
+as those with E <= 4 (1 - tol) for the quantum classes, keep the uniform
+draw.
 
 Under the damping most of a quantum class's mass lies on a thin ridge of
 near two-mode squeezed states: a close to b, c near its c-end and, for
@@ -45,9 +64,9 @@ weight carries the maps' Jacobians over the box's a, b area, so an
 estimate is still box.volume times the mean weight.  At kappa = 5 the
 entangled error at 8M qmc samples falls about 7 times, and at kappa = 50
 and 1000 about 25 and 30 times at 200k, where the uniform draw's error
-bars missed the volume in a third of the kappa = 1000 runs.  Passes under
-the energy cutoff, classical passes and boxes with unequal a and b sides
-keep the uniform draw.
+bars missed the volume in a third of the kappa = 1000 runs.  Classical
+passes and boxes with unequal a and b sides keep the uniform draw under
+the damping.
 
 A quantum pass reports its separable and entangled parts too: a
 quantum point with c >= 0 is entangled where d < -d2, the mirror image of
@@ -89,25 +108,27 @@ buffers, filled in turn by each stage's gather, hold stage 2's float rows
 tile's weights and block scratch.  A pass runs its interval arithmetic and
 weights in blocks of at most ``_BLOCK`` points, so that its scratch fits
 beside the weights in the idle buffer, and sums each tile's weights at
-once, so the blocks change no bit.  A pass through the polynomial maps
-writes a and b to the other buffer in stage 1 and leaves their Jacobian
-in the row where stage 2 keeps the weights, which reads it before it
-writes the weights, so it needs no row more.  Drawing c and d for stage-1 survivors
-only saved the pseudo energy workload 10% of its time and 2 MB; for qmc it
-costs what drawing all four coordinates at stage 1 does, and keeps one
-draw path for both samplers.  A pseudo stream is one replicate, consumed
-per tile as a(t) and b(t), then the uniforms of c(k) and d(k) for the k
-stage-1 survivors.  A qmc stream is two replicates: independent random
+once, so the blocks change no bit.  A pass through the fold or on the
+triangle writes a and b to the other buffer in stage 1 and leaves their
+Jacobian in the row where stage 2 keeps the weights, which reads it before
+it writes the weights, so it needs no row more; it drops no draw, so stage
+1 runs no filter and no gather.  Where the uniform draw drops some, drawing
+c and d for stage-1 survivors only saved the pseudo energy workload 10% of
+its time and 2 MB; for qmc it costs what drawing all four coordinates at
+stage 1 does, and keeps one draw path for both samplers.  A pseudo stream
+is one replicate, consumed per tile as a(t) and b(t), then the uniforms of
+c(k) and d(k) for the k stage-1 survivors.  A qmc stream is two replicates: independent random
 linear scrambles of the 4-d Sobol' sequence (``_sobol``), drawn from the
 stream's generator in turn, over the first ceil(count / 2) and
 floor(count / 2) points of their sequences.  Its tiles are aligned blocks
 of 2^16 points: stage 1 draws a tile's 1st and 2nd coordinates, a and b,
 and stage 2 gathers the 3rd and 4th, the uniforms of c and d, for the
-stage-1 survivors only.  So ``_TILE`` alone fixes the bits, for pseudo and
-qmc alike.  The substreams of a call run on min(streams, usable cores)
-threads: the caller runs one share and starts the others for that call
-alone, and the partial sums are reduced in stream order, so the core count
-sets the speed but never the bits.
+stage-1 survivors only, or draws them for the whole tile where none is
+dropped.  So ``_TILE`` alone fixes the bits, for pseudo and qmc alike.
+The substreams of a call run on min(streams, usable cores) threads: the
+caller runs one share and starts the others for that call alone, and the
+partial sums are reduced in stream order, so the core count sets the
+speed but never the bits.
 """
 
 from __future__ import annotations
@@ -295,7 +316,8 @@ def _class_weight(a, b, pc, d, spec: RegularizerSpec, big: bool, out, scratch, e
     there may divide by 0 or overflow, so the caller silences those
     warnings.  A quantum class lies inside it, so there pc, pd <= 0 can
     only come from rounding, and the weight is left non-finite, which
-    raises.  Points outside the energy cutoff were dropped before.  p^m
+    raises.  Every point lies inside the energy cutoff: drawn on its
+    class's triangle a + b <= E/2, or kept by stage 1's filter.  p^m
     overflows only where ``big``, and there log(1 + p^m) is m log p, as in
     ``log1p_det_pow``.
     """
@@ -355,6 +377,49 @@ def _fold_ab(uv, q: float, top: float, out, scratch) -> None:
     out[0] += q
 
 
+def _triangle_side(q: float, half_e: float) -> float:
+    """H = E/2 - 2q, lowered until q + H <= top in floats, top <= E/2 - q exactly.
+
+    top is E/2 - q in floats, one ulp lower where that rounded up, which
+    ``math.fsum`` tells exactly.  So every a that ``_triangle_ab`` draws, at
+    most q + H in floats, keeps E/2 - a >= q.  top - q is exact where H <= q,
+    and elsewhere H's ulp is within a few times top's, so a few steps at
+    most.  A value <= 0 means that the triangle is empty.
+    """
+    top = half_e - q
+    if math.fsum((top, q, -half_e)) > 0.0:
+        top = math.nextafter(top, -math.inf)
+    h = top - q
+    while h > 0.0 and q + h > top:
+        h = math.nextafter(h, 0.0)
+    return h
+
+
+def _triangle_ab(uv, q: float, h: float, half_e: float, out, scratch) -> None:
+    """a >= b over the triangle a, b >= q, a + b <= E/2 from the uniforms (u, y) in ``uv``.
+
+    With H = h from ``_triangle_side`` and t = H u / 2, a = q + (t + t y)
+    and b = q + (t - t y): a + b = 2 (q + t) and a - b = 2 t y.
+    da db = H^2 u / 2 du dy, and the mirror image a <-> b doubles it, so
+    the map's Jacobian is H^2 u = 2 H t.  Writes a and b to the rows of
+    ``out`` and t to u's row; y's row and ``scratch``, a float array of u's
+    length, are left as scratch.  In floats a <= q + H, so b >= q, and b is
+    lowered to E/2 - a where that is smaller, which keeps the closed cutoff
+    2 (a + b) <= E exact: E/2 - a is exact where a >= E/4, and elsewhere
+    b <= a < E/4.  Mostly only u within a few ulps of 1, which the pseudo
+    sampler can draw, reaches that bound.
+    """
+    u, y = uv
+    t = np.multiply(u, 0.5 * h, out=u)
+    ty = np.multiply(y, t, out=y)
+    np.add(t, ty, out=out[0])
+    out[0] += q
+    np.subtract(t, ty, out=out[1])
+    out[1] += q
+    np.subtract(half_e, out[0], out=scratch)
+    np.minimum(out[1], scratch, out=out[1])
+
+
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
                     sampler: str, tag: DomainTag):
     lo = np.asarray(box.lo)[:, None]
@@ -384,23 +449,35 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     big, huge = 2 * spec.m * log_ab > 700.0, 3 * log_ab > 700.0
     # a quantum pass splits its points at d = -d2
     split = np.empty(tile, dtype=bool) if tag is DomainTag.QUANTUM else None
-    # a damped quantum-class pass over equal a and b sides draws a >= b from
-    # q = max(lo, 1 - tol) on (_fold_ab), c through end (1 - y^2) and, for
-    # the entangled class, d through d1 + length y^2.  The weights carry the
-    # Jacobians' varying parts, and the sums their constants: 8 (top - q)
-    # over the box's a, b area, 2 and 2
-    q = max(box.lo[0], 1.0 - tol)
-    fold = (spec.kind is RegKind.ADJUGATE_UPSILON and not classical
-            and box.lo[0] == box.lo[1] and box.hi[0] == box.hi[1] > q)
+    # a pass over equal a and b sides draws a >= b from q = max(lo, 1 - tol)
+    # for a quantum class, max(lo, -tol) for classical.  Damped, a quantum
+    # class folds [q, top]^2 (_fold_ab), and draws c through end (1 - y^2)
+    # and, for the entangled class, d through d1 + length y^2.  Under the
+    # energy cutoff, every class draws on the triangle a + b <= E/2
+    # (_triangle_ab) where the box holds it, with c and d uniform.  The
+    # weights carry the Jacobians' varying parts, and the sums their
+    # constants over the box's a, b area: 8 (top - q), 2 and 2 for the fold,
+    # 2 H for the triangle
+    q = max(box.lo[0], -tol if classical else 1.0 - tol)
+    equal = box.lo[0] == box.lo[1] and box.hi[0] == box.hi[1]
+    fold = spec.kind is RegKind.ADJUGATE_UPSILON and not classical and equal and box.hi[0] > q
     d_map = fold and tag is DomainTag.ENTANGLED
+    h = _triangle_side(q, spec.bound_E / 2.0) if energy and equal else 0.0
+    triangle = h > 0.0 and q + h <= box.hi[0]
+    area = span[0, 0] * span[1, 0]
     if fold:
-        per_cd *= 8.0 * (box.hi[0] - q) / (span[0, 0] * span[1, 0]) * (4.0 if d_map else 2.0)
+        per_cd *= 8.0 * (box.hi[0] - q) / area * (4.0 if d_map else 2.0)
+    elif triangle:
+        per_cd *= 2.0 * h / area
+    mapped = fold or triangle
     # the a, b half of the class's test, where the box reaches below it and
-    # the fold does not draw above it
-    if classical:
+    # no map draws above it
+    if mapped:
+        ab_test = False
+    elif classical:
         ab_test = not min(box.lo[:2]) > -tol
     else:
-        ab_test = min(box.lo[:2]) < 1.0 - tol and not fold
+        ab_test = min(box.lo[:2]) < 1.0 - tol
     # each tile's sums, one row per tile, added up in tile order at the end
     s1 = np.zeros((max(len(chunks), 1), 3))
     s2 = np.zeros_like(s1)
@@ -426,19 +503,19 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
                 pc -= np.multiply(c, c, out=f[4])
                 start = np.negative(end, out=f[1])
                 length = np.add(end, end, out=f[2])
-            elif fold:
-                # the Jacobians of c and d over 2 take the places of end and
-                # length, and end takes that of a, b over 8 (top - q) too,
-                # which stage 1 left in the weights' row
-                end, start, length, pc, _ = _class_limits(tag, a, b, c, mu, draw="end", scratch=f,
-                                                          huge=huge, ordered=True)
-                end *= w_row[k:k + a.size]
+            else:
+                # through the fold, the Jacobians of c and d over 2 take the
+                # places of end and length
+                end, start, length, pc, _ = _class_limits(
+                    tag, a, b, c, mu, draw="end" if fold else "uniform", scratch=f, huge=huge,
+                    ordered=mapped)
                 if d_map:
                     # d = d1 + (length y) y
                     length *= d
-            else:
-                end, start, length, pc, _ = _class_limits(tag, a, b, c, mu, draw="uniform",
-                                                          scratch=f, huge=huge)
+            if mapped:
+                # end takes the place of the a, b Jacobian over its constant
+                # too, which stage 1 left in the weights' row
+                end *= w_row[k:k + a.size]
             d *= length
             d += start
             if split is not None:
@@ -450,32 +527,48 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
                               classical)
             w *= length
             w *= end
-        # per column: its points' weights, or those of either side of the split;
-        # the factor 2 of _class_weight counts each point's mirror image c < 0
-        parts = [(_COLUMNS[tag][0], True)] if split is None else [(1, ~split[:n]), (2, split[:n])]
-        for col, where in parts:
-            s1[j, col] = np.sum(w_row, where=where) * per_cd
-            hits[j, col] = n if where is True else np.count_nonzero(where)
+        # per column: its points' weights, or those of either side of the
+        # split, the entangled side's times the mask and the separable side's
+        # the rest, which a masked sum would take ten times as long over; the
+        # factor 2 of _class_weight counts each point's mirror image c < 0
+        side = None if split is None else other(pts)[n:2 * n]
+
+        def add_up(x, sums, scale):
+            if side is None:
+                sums[j, _COLUMNS[tag][0]] = np.sum(x) * scale
+                return
+            np.multiply(x, split[:n], out=side)
+            sums[j, 2] = np.sum(side) * scale
+            np.subtract(x, side, out=side)
+            sums[j, 1] = np.sum(side) * scale
+
+        add_up(w_row, s1, per_cd)
+        if split is None:
+            hits[j, _COLUMNS[tag][0]] = n
+        else:
+            hits[j, 2] = np.count_nonzero(split[:n])
+            hits[j, 1] = n - hits[j, 2]
         # a non-finite weight makes its sum non-finite
         if not np.isfinite(s1[j]).all():
             i = int(np.argmin(np.isfinite(w_row)))
             bad = tuple(float(x[i]) for x in pts)
             raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
-        sq = np.square(w_row, out=pts[2])
-        for col, where in parts:
-            s2[j, col] = np.sum(sq, where=where) * (per_cd * per_cd)
+        add_up(np.square(w_row, out=pts[2]), s2, per_cd * per_cd)
 
     for j, (r, done, t) in enumerate(chunks):
         # stage 1, every sample: a and b, the a, b half of the class's test
         # and the energy cutoff
         pts = bufs[0][:4 * t].reshape(4, t)
         sources[r].tile(done, pts[_AB], _AB)
-        if fold:
+        if mapped:
             # a and b go to the other buffer, and their Jacobian to the row
             # where stage 2 keeps the weights; no draw is dropped, so the
             # gather takes no scratch from that row
             uv, pts = pts[_AB], bufs[1][:4 * t].reshape(4, t)
-            _fold_ab(uv, q, box.hi[0], pts[_AB], bufs[0][2 * t:3 * t])
+            if fold:
+                _fold_ab(uv, q, box.hi[0], pts[_AB], bufs[0][2 * t:3 * t])
+            else:
+                _triangle_ab(uv, q, h, spec.bound_E / 2.0, pts[_AB], bufs[0][2 * t:3 * t])
         else:
             pts[_AB] *= span[_AB]
             pts[_AB] += lo[_AB]
@@ -483,7 +576,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         keep = None
         if ab_test:
             keep = _ab_above(a, b, -tol) if classical else _ab_quantum(a, b, tol)
-        if energy:
+        if energy and not triangle:
             # a point outside the cutoff would add only +0.0 to s1 and s2
             inside = _in_energy_support(a, b, spec.bound_E)
             keep = inside if keep is None else keep & inside
@@ -523,14 +616,16 @@ class IntegrationResult:
     unbounded support), that is the share that carries weight;
     ``empty_domain`` is true when none does.  c and d are drawn inside the
     class, not across the box, so every draw whose a and b pass counts, and
-    this is a share of draws, not of the box's volume: all of them under the
-    damping, and the half inside tr V <= E under the energy cutoff (0.500
-    for E = 8 separable and 1.0 for kappa = 5 entangled, against 0.094 and
-    0.134 when c and d were drawn on the classical slice and labelled).
-    Under the damping a quantum-class pass draws a and b inside the class
-    too (see the module docstring), so the quantum pass of a kappa sweep
-    row, whose box starts at a, b = 0, reads 1.0 as well.  A separable or
-    entangled part of a quantum pass counts its own draws.
+    this is a share of draws, not of the box's volume.  Over a box with
+    equal a and b sides a and b are drawn inside the class too (see the
+    module docstring), through the fold under the damping and on the
+    class's triangle under the energy cutoff, so every pass of ``volume``
+    and of a sweep row reads 1.0 (E = 8 separable read 0.500 when a and b
+    were uniform over the box, and 0.094 when c and d were drawn on the
+    classical slice and labelled).  A box with unequal a and b sides, or
+    one below E = 4 (1 - tol) for the quantum classes, keeps the uniform
+    draw, which counts only the draws that pass.  A separable or entangled
+    part of a quantum pass counts its own draws.
     """
 
     estimate: float
@@ -815,9 +910,11 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     are uniform over the box's a, b sides, c and d uniform on the class's
     intervals, and each weight is scaled by its intervals' lengths over the
     box's c and d spans, so a pass estimates the integrals over the box that
-    uniform sampling estimates.  Under the damping a quantum-class pass over
-    equal a and b sides draws through polynomial maps instead, and each
-    weight carries their Jacobians over the box's a, b area.  The box must
+    uniform sampling estimates.  Over equal a and b sides, a and b are
+    drawn inside the class instead: on its triangle a + b <= E/2 under the
+    energy cutoff, every class, where the box holds it, and through
+    polynomial maps under the damping, a quantum class; each weight then
+    carries the maps' Jacobians over the box's a, b area.  The box must
     hold the slice |c|, |d| < sqrt(ab) of its support
     (``InvalidArgumentError`` otherwise).  Each pass draws ``n_samples``; with both classes scored,
     the classical pass runs on the substreams that a pass scoring only

@@ -246,15 +246,17 @@ def test_volume_rejects_out_of_range_input(flags, capsys):
 # the pseudo sampler, recorded when their passes began to draw c and d inside
 # the scored class, over the boxes fitted to it; the kappa row re-recorded
 # when damped quantum-class passes began to draw through the polynomial maps
-# (integrate._fold_ab).  A kernel speed-up must keep these bytes
+# (integrate._fold_ab), and the E row when passes under the energy cutoff
+# began to draw a and b on their class's triangle (integrate._triangle_ab).
+# A kernel speed-up must keep these bytes
 _PINNED_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
         "entangled,adj,kappa,5.0,4,0.2980692495117169,0.00184580484944417,1.0,0,200000,"
         "1,4,pseudo,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
         "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "separable", "--E", "8"):
-        "separable,energy,E,8.0,4,5.193507038844113,0.017504252359814548,0.500105,0,200000,1,4,"
-        "pseudo,0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
+        "separable,energy,E,8.0,4,5.18879976790259,0.015046458189722178,1.0,0,200000,1,4,pseudo,"
+        "0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
 }
 
 
@@ -275,8 +277,8 @@ _PINNED_QMC_ROWS = {
         "1,4,qmc,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
         "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "separable", "--E", "8"):
-        "separable,energy,E,8.0,4,5.1901640461083085,0.0018729094389481793,0.50005,0,200000,1,4,"
-        "qmc,0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
+        "separable,energy,E,8.0,4,5.186675102982909,0.0001559303038436243,1.0,0,200000,1,4,qmc,"
+        "0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
 }
 
 
@@ -290,16 +292,17 @@ def test_volume_benchmark_rows_pinned_qmc(flags, capsys):
 
 # one stream of 400k samples runs 7 tiles, so these rows cover a stream whose
 # sums span several tiles: the classical row draws inside the classical
-# slice, and the quantum row inside its class, through the polynomial maps,
-# and splits it at d = -d2
+# slice, on its triangle a + b <= E/2, and the quantum row inside its class,
+# through the polynomial maps, and splits it at d = -d2.  Both re-recorded
+# when the triangle draw came in and the split sums became plain sums
 _PINNED_MULTI_TILE_ROWS = {
     ("--set", "quantum", "--kappa", "5"):
-        "quantum,adj,kappa,5.0,4,0.4751166983538574,0.0022598369861947863,1.0,0,400000,1,1,"
-        "pseudo,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
-        "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
+        "quantum,adj,kappa,5.0,4,0.47511669835385867,0.00225983698619479,1.0,0,400000,1,1,pseudo,"
+        "0.999999999,6.324555320336758,0.999999999,6.324555320336758,-6.324555320336758,"
+        "6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "classical", "--E", "8"):
-        "classical,energy,E,8.0,4,46.94372662953762,0.17552083838035876,0.5015025,0,400000,1,1,"
-        "pseudo,0.0,4.0,0.0,4.0,-2.0,2.0,-2.0,2.0",
+        "classical,energy,E,8.0,4,46.559535228584146,0.16337616149206463,1.0,0,400000,1,1,pseudo,"
+        "0.0,4.0,0.0,4.0,-2.0,2.0,-2.0,2.0",
 }
 
 
@@ -628,14 +631,15 @@ def test_overflowing_run_writes_whole_stderr_lines():
     # the weights of this run overflow in every stream thread; numpy's
     # overflow warnings are silenced there, and the one error line names the
     # bad point with plain floats.  There ab overflows, and so do the slice
-    # half-width h and c, drawn on [0, h]
+    # half-width h and c, drawn on [0, h]; the point re-recorded when a and
+    # b began to be drawn on the triangle a + b <= E/2
     for _ in range(2):
         proc = subprocess.run([sys.executable, "-m", "gaussvol", "volume", "--E", "1e300",
                                "--samples", "10000"], capture_output=True, text=True)
         assert proc.returncode == 5 and proc.stdout == ""
         assert proc.stderr.splitlines() == [
             "error: non-finite integrand weight at (a, b, c, d) = "
-            "(1.99120803270489e+299, 6.131174392066896e+298, inf, nan)"]
+            "(1.1176884533464262e+299, 8.735195793584637e+298, inf, nan)"]
 
 
 def test_sweep_prints_one_warning_per_capped_row(capsys):
@@ -690,70 +694,78 @@ def test_sweep_csv_shape(capsys):
 # every row of two sweeps at 200k samples and seed 8, under each sampler,
 # recorded when each row became two passes drawn inside the classical and
 # the quantum class; the kappa rows' quantum columns and ratios re-recorded
-# when the damped quantum pass began to draw through the polynomial maps.  A
-# kernel change must keep these bytes or re-record them
+# when the damped quantum pass began to draw through the polynomial maps,
+# and again when its split sums became plain sums; the E rows when both
+# passes began to draw on their class's triangle, where E = 4's quantum
+# classes, a, b >= 1 - tol with a + b <= 2, read about 1e-31 rather than 0.
+# A kernel change must keep these bytes or re-record them
 _PINNED_SWEEP_ROWS = {
     (("--kappa", "1:16:log:3"), "qmc"): [
-        "kappa,1.0,0.03920099204778679,0.00010604242163263031,0.00023077078431989434,"
-        "1.9680254388311515e-07,6.339681729935494e-05,4.641894693989425e-07,"
-        "0.00016737396702053942,5.450013221318253e-07,0.00588686082328172,1.6697131720941323e-05,"
-        "0.0016172248197717282,1.2623551494737789e-05,0.004269636003509993,1.80743882778767e-05,"
-        "200000,8",
-        "kappa,4.0,5.943284408356673,0.03992121673414756,0.2283266501952192,"
-        "0.00031358473240083654,0.0821908464703993,0.0002519657113244398,0.14613580372481988,"
-        "0.00040728187788655165,0.03841758773552482,0.00026339094762961606,0.013829196252973058,"
-        "0.00010210826839286234,0.024588391482551757,0.00017881341591503608,200000,8",
-        "kappa,16.0,150.30576375728464,2.6825174553574223,8.860998138163335,0.025308624982095237,"
-        "3.7375790493438084,0.022737771936960034,5.123419088819527,0.022827903345042918,"
-        "0.05895314934477277,0.0010655293337833345,0.024866505155313214,0.00046886885483305715,"
-        "0.03408664418945956,0.0006270184845828751,200000,8",
+        "kappa,1.0,0.03920099204778679,0.00010604242163263031,0.00023077078431989477,"
+        "1.9680254388309077e-07,6.3396817299355e-05,4.6418946939894554e-07,0.00016737396702053977,"
+        "5.450013221317952e-07,0.005886860823281732,1.6697131720941164e-05,0.0016172248197717295,"
+        "1.2623551494737862e-05,0.0042696360035100024,1.8074388277876122e-05,200000,8",
+        "kappa,4.0,5.943284408356673,0.03992121673414756,0.22832665019521944,"
+        "0.0003135847324008167,0.08219084647039937,0.00025196571132446015,0.14613580372482007,"
+        "0.0004072818778865344,0.03841758773552486,0.0002633909476296157,0.01382919625297307,"
+        "0.00010210826839286385,0.024588391482551788,0.00017881341591503518,200000,8",
+        "kappa,16.0,150.30576375728464,2.6825174553574223,8.860998138163334,0.025308624982094158,"
+        "3.7375790493438084,0.02273777193696037,5.123419088819526,0.02282790334504289,"
+        "0.058953149344772755,0.0010655293337833332,0.024866505155313214,0.00046886885483305785,"
+        "0.03408664418945955,0.0006270184845828749,200000,8",
     ],
     (("--kappa", "1:16:log:3"), "pseudo"): [
-        "kappa,1.0,0.03943372044099305,0.0005124161029205005,0.00022820219429792388,"
-        "2.763058343894905e-06,6.021893763888238e-05,1.530074556097109e-06,"
-        "0.00016798325665904148,2.322610923705035e-06,0.005786981084866085,"
-        "0.00010278298847475946,0.001527092472266,4.358094974290299e-05,0.004259888612600084,"
-        "8.082839910616132e-05,200000,8",
-        "kappa,4.0,5.968747334501896,0.09714594792646553,0.2307935934900149,"
-        "0.0028486381434122353,0.08038794842135791,0.0015690172555816626,0.15040564506865697,"
-        "0.0024028800928705915,0.038667006752979786,0.0007898347652600646,0.013468143969955205,"
-        "0.0003422752032600584,0.025198862783024578,0.0005746960182368378,200000,8",
-        "kappa,16.0,148.75620325296651,4.217673824215129,8.750741895564984,0.12640463872905483,"
-        "3.6703931227130595,0.06242534435039719,5.080348772851924,0.11075955389615072,"
-        "0.058826063748642195,0.0018718774072266535,0.02467388278572419,0.0008157896312214907,"
-        "0.034152180962918,0.0012214821151763076,200000,8",
+        "kappa,1.0,0.03943372044099305,0.0005124161029205005,0.00022820219429792432,"
+        "2.7630583438949077e-06,6.021893763888245e-05,1.5300745560971098e-06,"
+        "0.00016798325665904186,2.322610923705037e-06,0.005786981084866096,0.00010278298847475961,"
+        "0.0015270924722660018,4.3580949742903015e-05,0.004259888612600094,8.082839910616146e-05,"
+        "200000,8",
+        "kappa,4.0,5.968747334501896,0.09714594792646553,0.23079359349001513,"
+        "0.0028486381434122358,0.0803879484213579,0.0015690172555816637,0.15040564506865722,"
+        "0.0024028800928705915,0.03866700675297982,0.0007898347652600651,0.013468143969955201,"
+        "0.0003422752032600585,0.02519886278302462,0.0005746960182368382,200000,8",
+        "kappa,16.0,148.75620325296651,4.217673824215129,8.75074189556499,0.12640463872905489,"
+        "3.6703931227130595,0.06242534435039722,5.080348772851932,0.11075955389615078,"
+        "0.05882606374864224,0.0018718774072266548,0.02467388278572419,0.0008157896312214909,"
+        "0.034152180962918055,0.0012214821151763089,200000,8",
     ],
     (("--E", "4:16:log:4"), "qmc"): [
-        "E,4.0,0.07099090164110004,0.0003294396492602916,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,"
-        "0.0,0.0,0.0,200000,8",
-        "E,6.3496042078727974,10.974852927732751,0.016765858248983953,1.4276160169248258,"
-        "0.002611375513825514,0.8117594616457059,0.0029586585713264565,0.6158565552791196,"
-        "0.0039837458286408,0.13008065131491023,0.0003100089995889779,0.07396540682512853,"
-        "0.0002923078454248484,0.05611524448978168,0.0003729738195854817,200000,8",
-        "E,10.079368399158986,144.4674449143846,0.23336155423860563,29.345781431644287,"
-        "0.02512786402706573,19.264382715509495,0.027033081163093116,10.081398716134794,"
-        "0.041177488001023825,0.20313075689152948,0.00037137186789769306,0.1333475699450911,"
-        "0.0002853272576767697,0.06978318694643841,0.00030650965117778986,200000,8",
-        "E,16.0,832.3363950958735,2.391796996380742,179.2556867088424,0.1505410258439567,"
-        "124.9073159691776,0.22281077771509045,54.34837073966481,0.33597866932905895,"
-        "0.21536447014093943,0.0006447577414328489,0.15006830976649774,0.0005075663744290233,"
-        "0.06529616037444168,0.00044513592344612224,200000,8",
+        "E,4.0,0.07057469593613724,8.817519870178303e-05,1.1871671902287554e-31,"
+        "4.1750955090566405e-36,3.9593178520811145e-36,3.528743878255543e-36,"
+        "1.1871275970502346e-31,5.512492671085497e-36,1.6821428338891013e-30,"
+        "2.1024820101111916e-33,5.610109685295542e-35,5.000017780734688e-35,"
+        "1.6820867327922484e-30,2.103030483748994e-33,200000,8",
+        "E,6.3496042078727974,11.007837724943931,0.003772955607842418,1.4274711416277654,"
+        "3.569219878602322e-05,0.8096144424052407,0.0005041084475873619,0.6178566992225247,"
+        "0.0005215273264332235,0.12967770576714568,4.45653713207171e-05,0.07354890784505679,"
+        "5.227536843115083e-05,0.0561287979220889,5.113479834686797e-05,200000,8",
+        "E,10.079368399158986,144.3127162623346,0.07387107974015895,29.364858031230877,"
+        "0.0016780599980772298,19.27486893532984,0.014298488378153326,10.089989095901034,"
+        "0.014500727127733733,0.20348073816205384,0.00010480517116781757,0.13356320520148476,"
+        "0.00012037894472788931,0.06991753296056909,0.00010666479604909625,200000,8",
+        "E,16.0,831.7450489481134,0.7645971287146375,179.700469050222,0.03420293329563847,"
+        "124.69379338026732,0.07912872326538162,55.00667566995469,0.08200972988636414,"
+        "0.21605234594120468,0.00020282258094428076,0.14991828750644726,0.0001674629574268651,"
+        "0.0661340584347574,0.000115835698627499,200000,8",
     ],
     (("--E", "4:16:log:4"), "pseudo"): [
-        "E,4.0,0.07172499188304603,0.0010163492611005571,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,"
-        "0.0,0.0,0.0,200000,8",
-        "E,6.3496042078727974,10.917708834622196,0.07364002457958088,1.419839868716753,"
-        "0.015069399765488233,0.8015782320272298,0.0116711213939058,0.6182616366895233,"
-        "0.009789157786902147,0.13004925211177662,0.001635420136288005,0.07342000452377591,"
-        "0.0011781426371040168,0.05662924758800073,0.0009745996259050045,200000,8",
-        "E,10.079368399158986,144.78851935623496,0.6973283749306896,29.11124494445041,"
-        "0.17928937084304877,19.30112724270546,0.1353128254630531,9.81011770174495,"
-        "0.12541367760391364,0.20106045060676148,0.0015719539774867151,0.13330564694302405,"
-        "0.001133838032329369,0.06775480366373746,0.00092561407261734,200000,8",
-        "E,16.0,834.3662609398315,4.929557131910408,179.86304734513507,0.9818964512600442,"
-        "123.61922225467063,0.6348164269881424,56.24382509046444,0.7941393277056743,"
-        "0.21556845688191784,0.0017340646611947188,0.1481594211580724,0.0011597868162670278,"
-        "0.06740903572384543,0.00103175203155626,200000,8",
+        "E,4.0,0.0716920622017161,0.0009954004385592508,1.1889577589011951e-31,"
+        "3.6114940908976325e-34,3.5647658934677974e-36,1.6579905731931455e-36,"
+        "1.1889221112422604e-31,3.611514709970427e-34,1.6584231536761888e-30,2.35707865782213e-32,"
+        "4.97232996790887e-35,2.3136859478302755e-35,1.6583734303765095e-30,"
+        "2.3570118298887688e-32,200000,8",
+        "E,6.3496042078727974,11.012416306697627,0.07072274924710922,1.4199640262289288,"
+        "0.004138532994960028,0.8048656259737196,0.0035760754991379243,0.6150984002552093,"
+        "0.0030479303991575017,0.1289420946940884,0.0009093642543962669,0.07308710491485954,"
+        "0.000570754362762938,0.05585498977922887,0.00045307034940127476,200000,8",
+        "E,10.079368399158986,145.04140386614907,0.6455620300527395,29.349905253274937,"
+        "0.08056824056707966,19.331133709883204,0.06313445412375199,10.018771543391733,"
+        "0.06664858511229248,0.20235535833864643,0.001058182733929046,0.13328010619452407,"
+        "0.0007357828449160515,0.06907525214412237,0.0005528798951849984,200000,8",
+        "E,16.0,827.3129928539895,4.435130538789997,179.49767870003504,0.5713375869100429,"
+        "124.79043272476407,0.36208544173701207,54.70724597527096,0.5134106752215005,"
+        "0.21696465575962998,0.0013526917443330711,0.15083823631763998,0.000919471073396981,"
+        "0.06612641944198996,0.0007146903176809769,200000,8",
     ],
 }
 

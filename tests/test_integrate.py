@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from gaussvol.integrate import (
     sweep,
     upsilon_box,
 )
-from gaussvol.regularizers import RegKind, RegularizerSpec, phi, upsilon
+from gaussvol.regularizers import RegKind, RegularizerSpec, _in_energy_support, phi, upsilon
 from gaussvol.twomode import (
     DEFAULT_TOL,
     CanonicalPoint,
@@ -531,16 +532,18 @@ def test_empty_domain_flagged():
 
 def test_entangled_empty_just_above_threshold():
     # below E = 4 no point of phi_box(3.9) with min(a, b) >= 1 - tol lies
-    # inside tr V <= 3.9: the result is empty, and acceptance counts only
-    # weighted samples.  Just above the threshold the entangled pass draws
-    # inside its class and finds the points inside tr V <= 4.05, all of them
-    # weighted, which the slice draw, labelling points of all four domains,
-    # missed at this seed
+    # inside tr V <= 3.9: the triangle a, b >= 1 - tol, a + b <= E/2 is
+    # empty, so the pass keeps the uniform draw and drops every point, and
+    # the result is empty.  Just above the threshold the entangled pass draws
+    # on the triangle, every draw weighted, which the slice draw, labelling
+    # points of all four domains, missed at this seed
     for E, empty in ((3.9, True), (4.05, False)):
         spec = RegularizerSpec.energy(E)
-        e = mc_joint_volumes(phi_box(E), spec, 100_000, seed=3).result(DomainTag.ENTANGLED)
+        e = mc_joint_volumes(phi_box(E), spec, 100_000, seed=3,
+                             domains=(DomainTag.ENTANGLED,)).result(DomainTag.ENTANGLED)
         assert e.empty_domain == empty and (e.estimate == 0.0) == empty, E
-        assert (e.acceptance_fraction == 0.0) == empty and (e.std_error == 0.0) == empty, E
+        assert e.acceptance_fraction == (0.0 if empty else 1.0), E
+        assert (e.std_error == 0.0) == empty, E
 
 
 def test_non_finite_weight_raises(monkeypatch):
@@ -738,6 +741,28 @@ def _fold_ab_reference(u, y, q, top):
     return q + (sigma + tau), q + (sigma - tau), 8.0 * h * m * y
 
 
+def _triangle_side_reference(q, half_e):
+    """H = E/2 - 2q in floats, lowered until the float sum q + H is at most E/2 - q exactly."""
+    top = half_e - q
+    if Fraction(top) > Fraction(half_e) - Fraction(q):
+        top = math.nextafter(top, -math.inf)
+    h = top - q
+    while h > 0.0 and Fraction(q + h) > Fraction(half_e) - Fraction(q):
+        h = math.nextafter(h, 0.0)
+    return h
+
+
+def _triangle_ab_reference(u, y, q, h, half_e):
+    """a >= b on the triangle a, b >= q, a + b <= E/2 at the uniforms u, y, and H^2 u.
+
+    a = q + (H u / 2)(1 + y) and b = q + (H u / 2)(1 - y), b at most
+    E/2 - a; the mirror image a <-> b counts twice.
+    """
+    t = u * (0.5 * h)
+    a = q + (t + t * y)
+    return a, np.minimum(q + (t - t * y), half_e - a), h * h * u
+
+
 def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
     """The untiled kernel: each tile's points drawn inside the class ``tag``.
 
@@ -756,36 +781,46 @@ def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
     polynomial maps: a >= b by ``_fold_ab_reference`` from
     q = max(lo, 1 - tol), which every point passes, c = end (1 - y^2) and,
     for the entangled class, d = d1 + length y^2, whose Jacobians are
-    2 end y and 2 length y.  Each point is weighted with the generic
-    ``volume_density`` and ``regularizer_values`` times the Jacobians of its
-    draw over the box's a, b area (for the maps) and c and d spans, times 2
-    for the c < 0 half.  A quantum point is entangled where d < -d2.  Returns
-    each replicate's count and sums, one row per replicate and one column
-    per part: classical, separable and entangled.
+    2 end y and 2 length y.  Under the energy cutoff, a box with equal a
+    and b sides that holds the triangle a, b >= q, a + b <= E/2, with
+    q = max(lo, -tol) for classical, has every class draw a >= b on it by
+    ``_triangle_ab_reference``, which every point passes, with c and d
+    uniform.  Each point is weighted with the generic ``volume_density``
+    and ``regularizer_values`` times the Jacobians of its draw over the
+    box's a, b area (for the maps) and c and d spans, times 2 for the c < 0
+    half.  A quantum point is entangled where d < -d2.  Returns each
+    replicate's count and sums, one row per replicate and one column per
+    part: classical, separable and entangled.
     """
     q = 1.0 - tol
     lo = np.asarray(box.lo)
     span = np.asarray(box.hi) - lo
     per = 2.0 / (span[2] * span[3])
     rng = np.random.default_rng(child_ss)
-    fold_q = max(lo[0], q)
-    fold = (spec.kind is RegKind.ADJUGATE_UPSILON and tag is not DomainTag.CLASSICAL
-            and lo[0] == lo[1] and box.hi[0] == box.hi[1] > fold_q)
+    classical = tag is DomainTag.CLASSICAL
+    map_q = max(lo[0], -tol if classical else q)
+    equal = lo[0] == lo[1] and box.hi[0] == box.hi[1]
+    fold = (spec.kind is RegKind.ADJUGATE_UPSILON and not classical and equal
+            and box.hi[0] > map_q)
+    energy = spec.kind is RegKind.ENERGY_PHI
+    half_e = spec.bound_E / 2.0 if energy else None
+    side = _triangle_side_reference(map_q, half_e) if energy and equal else 0.0
+    triangle = side > 0.0 and map_q + side <= box.hi[0]
 
     def survives(a, b):
-        if fold:
+        if fold or triangle:
             return np.ones(a.size, dtype=bool)
-        if tag is DomainTag.CLASSICAL:
+        if classical:
             keep = (a > -tol) & (b > -tol)
         else:
             keep = np.minimum(a, b) >= q
-        if spec.kind is RegKind.ENERGY_PHI:
+        if energy:
             keep &= 2.0 * (a + b) <= spec.bound_E
         return keep
 
     def ab_of(u):
-        # a and b at the uniforms of a tile's points; the fold maps them later
-        if fold:
+        # a and b at the uniforms of a tile's points; the maps map them later
+        if fold or triangle:
             return u[0], u[1]
         return u[0] * span[0] + lo[0], u[1] * span[1] + lo[1]
 
@@ -815,13 +850,17 @@ def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
         s1, s2, hits = np.zeros(3), np.zeros(3), np.zeros(3, dtype=np.int64)
         for done in range(0, n, integrate._TILE):
             a, b, (c, v) = draw(done, min(integrate._TILE, n - done))
-            if tag is DomainTag.CLASSICAL:
+            jac = 1.0
+            if triangle:
+                a, b, jac = _triangle_ab_reference(a, b, map_q, side, half_e)
+                jac /= span[0] * span[1]
+            if classical:
                 end = np.sqrt(np.maximum(a * b, 0.0)) + tol
                 c = c * end
                 d = v * (end + end) - end
-                jac = end * (end + end)
+                jac *= end * (end + end)
             elif fold:
-                a, b, jac = _fold_ab_reference(a, b, fold_q, box.hi[0])
+                a, b, jac = _fold_ab_reference(a, b, map_q, box.hi[0])
                 jac /= span[0] * span[1]
                 end = _class_limits(tag, a, b, np.zeros(a.size), q * q)[0]
                 jac *= 2.0 * end * c
@@ -836,7 +875,7 @@ def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
             else:
                 end, start, length = _class_limits(tag, a, b, c, q * q, draw="uniform")[:3]
                 d = start + v * length
-                jac = end * length
+                jac *= end * length
             w = volume_density(a, b, c, d) * regularizer_values(a, b, c, d, spec)
             w *= jac * per
             lab = np.full(a.size, _COLUMN[tag])
@@ -866,24 +905,28 @@ _ORACLE_CASES = [
     (5 * integrate._TILE + 3, sampler, "E4.5", False, tol)
     for sampler, tol in (("pseudo", 1e-9), ("qmc", 1e-3))
 ] + [
-    # at tol = -0.25 the classical draw's a, b test drops the draws with
-    # min(a, b) <= 0.25, some of whose slices would have a half-width
-    # h = sqrt(ab) - 0.25 below 0
-    (2 * integrate._TILE + 3, "pseudo", "E", False, -0.25),
+    # at tol = -0.25 the classical class starts at a, b = 0.25, below which
+    # the slice's half-width h = sqrt(ab) - 0.25 would fall below 0, and the
+    # triangle it draws on starts there; the sweep box of E = 16, (0, 8]^2,
+    # holds the quantum classes' triangle from a, b = 1 - tol
+    (2 * integrate._TILE + 3, sampler, reg, False, tol)
+    for sampler, reg, tol in (("pseudo", "E", -0.25), ("qmc", "E", -0.25), ("qmc", "E16", 1e-9))
 ] + [
     # the boxes fitted to the quantum classes: E = 8's at tol = 1e-3, and
     # kappa's with a and b from 1 - 1e-9, which a classical pass draws in too;
-    # a kappa box whose a and b sides differ, where the quantum classes keep
-    # the uniform draw, and one whose a and b sides start above 1 - tol,
-    # where the fold draws from their lower end
+    # an E and a kappa box whose a and b sides differ, where every class
+    # keeps the uniform draw, and a kappa box whose a and b sides start
+    # above 1 - tol, where the fold draws from their lower end
     (2 * integrate._TILE + 3, sampler, reg, fitted, tol)
     for sampler, reg, fitted, tol in (("qmc", "E", "fit_E", 1e-3),
+                                      ("pseudo", "E", "unequal_E", 1e-9),
                                       ("pseudo", "kappa", "fold_kappa", -1e-6),
                                       ("qmc", "kappa", "unequal_kappa", 1e-9),
                                       ("qmc", "kappa", "high_kappa", 1e-3))
 ]
 _FITTED_BOXES = {
     "fit_E": Box(lo=(0.999, 0.999, -2.0, -2.0), hi=(3.001, 3.001, 2.0, 2.0)),
+    "unequal_E": Box(lo=(0.0, 0.0, -2.0, -2.0), hi=(4.0, 3.5, 2.0, 2.0)),
     "fold_kappa": Box(lo=(1.0 - 1e-9, 1.0 - 1e-9, -8.0, -8.0), hi=(8.0, 8.0, 8.0, 8.0)),
     "unequal_kappa": Box(lo=(0.0, 0.0, -8.0, -8.0), hi=(8.0, 6.0, 8.0, 8.0)),
     "high_kappa": Box(lo=(2.0, 2.0, -8.0, -8.0), hi=(8.0, 8.0, 8.0, 8.0)),
@@ -995,6 +1038,73 @@ def test_fold_points_stay_in_their_class(kappa):
             w = integrate._class_weight(a, b, pc, d, spec, False, np.ones(a.size),
                                         np.empty((3, a.size)))
             assert np.all(np.isfinite(w)) and np.all(w >= 0.0), (tag, q, top)
+
+
+_TRIANGLE_ES = (4.5, 8.0, 1e6)
+
+
+@pytest.mark.parametrize("tol", _ORACLE_TOLS[:2] + (-0.25, 1e-3))
+@pytest.mark.parametrize("E", _TRIANGLE_ES)
+def test_triangle_points_keep_the_closed_cutoff(E, tol):
+    # at u = 1 - 2^-53, which the pseudo sampler can draw, and y = 0 and
+    # 1 - 2^-53, every class's triangle draw keeps 2 (a + b) <= E in floats,
+    # which a + b = 2q + H u alone would round past, and top >= a >= b >= q
+    # in the box fitted to the class.  At E = 4.5 and tol = -0.25 the
+    # quantum classes start at a, b = 1.25, past E/4, and have no triangle
+    spec = RegularizerSpec.energy(E)
+    ends = np.array([0.0, 0.5, 1.0 - 2.0 ** -53])
+    u, y = (g.ravel() for g in np.meshgrid(ends, [0.0, 0.5, 1.0 - 2.0 ** -53], indexing="ij"))
+    for tag in DOMAIN_ORDER:
+        box = integrate._default_box(spec, (tag,), DEFAULT_EPS_TAIL, tol)
+        q = max(box.lo[0], -tol if tag is DomainTag.CLASSICAL else 1.0 - tol)
+        h = integrate._triangle_side(q, E / 2.0)
+        if 4.0 * q >= E:
+            assert h <= 0.0, tag
+            continue
+        assert 0.0 < h <= E / 2.0 - 2.0 * q and q + h <= box.hi[0], (tag, h)
+        out = np.empty((2, u.size))
+        uv = np.array([u, y])
+        integrate._triangle_ab(uv, q, h, E / 2.0, out, np.empty(u.size))
+        a, b = out
+        assert _in_energy_support(a, b, E).all(), (tag, a + b - E / 2.0)
+        assert np.all(box.hi[0] >= a) and np.all(a >= b) and np.all(b >= q), tag
+        assert np.array_equal(uv[0], 0.5 * h * u), tag
+
+
+def test_triangle_lowers_b_where_a_plus_b_would_round_past_the_cutoff():
+    # a point found by search over q and E: at u = 1 - 2^-53 the float sum
+    # of q + (t + t y) and q + (t - t y) lies one ulp past E/2, and b =
+    # E/2 - a, one ulp lower, keeps the point inside
+    q, E, y = 1.9305792193301734, 7.93750050421288, 0.8246928516349002
+    u = 1.0 - 2.0 ** -53
+    h = integrate._triangle_side(q, E / 2.0)
+    t = u * (0.5 * h)
+    assert not _in_energy_support(np.array([q + (t + t * y)]), np.array([q + (t - t * y)]), E)
+    out = np.empty((2, 1))
+    integrate._triangle_ab(np.array([[u], [y]]), q, h, E / 2.0, out, np.empty(1))
+    (a,), (b,) = out
+    assert _in_energy_support(out[0], out[1], E).all() and a >= b >= q
+    assert b == math.nextafter(q + (t - t * y), 0.0)
+
+
+@pytest.mark.parametrize("q,E", [(1.0 - 1e-9, 8.0), (0.0, 8.0), (0.25, 4.5), (1.0 - 1e-9, 4.05)])
+def test_triangle_jacobian_integrates_to_the_triangle(q, E):
+    # the map's Jacobian 2 H t = H^2 u integrates over (u, y) to the area
+    # H^2 / 2 of T = {a, b >= q, a + b <= E/2} (a <-> b counted twice), and
+    # carries ab to its integral over T, to 1e-12
+    x, w = _quad._gauss_legendre(8)
+    u, y = (g.ravel() for g in np.meshgrid(x, x, indexing="ij"))
+    wgt = np.outer(w, w).ravel()
+    h = integrate._triangle_side(q, E / 2.0)
+    out = np.empty((2, u.size))
+    uv = np.array([u, y])
+    integrate._triangle_ab(uv, q, h, E / 2.0, out, np.empty(u.size))
+    (a, b), jac = out, 2.0 * h * uv[0]
+    assert np.allclose(jac, _triangle_ab_reference(u, y, q, h, E / 2.0)[2], rtol=1e-15, atol=0.0)
+    assert np.sum(wgt * jac) == pytest.approx(h * h / 2.0, rel=1e-12)
+    ab = q * q * h ** 2 / 2.0 + q * h ** 3 / 3.0 + h ** 4 / 24.0
+    assert np.sum(wgt * jac * a * b) == pytest.approx(ab, rel=1e-12)
+    assert np.sum(wgt * jac * (a - b) ** 2) == pytest.approx(h ** 4 / 12.0, rel=1e-12)
 
 
 def test_weights_computed_once_per_tile(monkeypatch):
@@ -1321,6 +1431,48 @@ def test_sweep_quantum_columns_match_quadrature(sampler):
     bound = {"pseudo": 0.5, "qmc": 1.0 / 3.0}[sampler]
     error = row.results[DomainTag.ENTANGLED].std_error
     assert error < bound * _LABELLED_SWEEP_ENTANGLED_ERROR[sampler], error
+
+
+# an E = 8 sweep row's quantum std_error at 200k samples and seed 1 when
+# the quantum pass drew a and b uniformly over phi_box(8) and dropped the
+# 87.5% of draws off the class's triangle
+_SQUARE_SWEEP_QUANTUM_ERROR = {"pseudo": 0.06257647051234419, "qmc": 0.014571878334055209}
+_E8_EXACT = {DomainTag.CLASSICAL: 46.75948148550673, DomainTag.QUANTUM: 8.3216937604,
+             DomainTag.SEPARABLE: 5.1866948377, DomainTag.ENTANGLED: 3.1349989227}
+
+
+@pytest.mark.parametrize("sampler", ["pseudo", "qmc"])
+def test_energy_sweep_row_matches_exact_values(sampler):
+    # both passes of an E = 8 sweep row draw on their classes' triangles in
+    # phi_box(8): every column lies within 4 standard errors of its exact
+    # volume, and the quantum error bar fell to 0.37 (pseudo) and 0.022 (qmc)
+    # of the square draw's
+    spec = RegularizerSpec.energy(8.0)
+    template = IntegrationRequest(DomainTag.CLASSICAL, spec, 200_000, seed=1, streams=4,
+                                  sampler=sampler)
+    row = sweep("E", [8.0], template).rows[0]
+    for tag, exact in _E8_EXACT.items():
+        r = row.results[tag]
+        assert abs(r.estimate - exact) <= 4.0 * r.std_error, r
+    # the passes weight every draw; a part of the quantum pass counts its own
+    assert row.results[DomainTag.CLASSICAL].acceptance_fraction == 1.0
+    assert row.results[DomainTag.QUANTUM].acceptance_fraction == 1.0
+    bound = {"pseudo": 0.5, "qmc": 0.1}[sampler]
+    error = row.results[DomainTag.QUANTUM].std_error
+    assert error <= bound * _SQUARE_SWEEP_QUANTUM_ERROR[sampler], error
+
+
+def test_entangled_and_separable_volumes_cross_at_e_star():
+    # separate in-class qmc passes resolve the energy crossover E* ~ 5.408:
+    # entangled - separable read +1.2e-3 at E = 5.38 and -1.6e-3 at 5.44,
+    # each about 1e-5 in combined standard error
+    for E, sign in ((5.38, 1.0), (5.44, -1.0)):
+        spec = RegularizerSpec.energy(E)
+        ent, sep = (mc_volume(IntegrationRequest(tag, spec, 200_000, seed=1, streams=4,
+                                                 sampler="qmc"))
+                    for tag in (DomainTag.ENTANGLED, DomainTag.SEPARABLE))
+        diff, sigma = ent.estimate - sep.estimate, math.hypot(ent.std_error, sep.std_error)
+        assert sign * diff > 10.0 * sigma, (E, diff, sigma)
 
 
 def test_qmc_sampler_agrees():
