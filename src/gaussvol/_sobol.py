@@ -68,8 +68,8 @@ class Scramble:
 
     ``rng`` draws the four matrices' entries below their diagonals, then
     the four shifts.  ``words`` gives any point's words from its index, bit
-    by bit; ``tile`` and ``gather`` give uniforms from the byte tables, and
-    ``words`` is their reference.
+    by bit; ``tile`` gives a tile's uniforms from the byte tables, and
+    ``words`` is its reference.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -82,9 +82,9 @@ class Scramble:
         out = np.einsum("dpq,dkq->dkp", lower.astype(np.uint64), bits) & 1
         self.v = (out << _PLACES).sum(axis=2).astype(np.uint32)
         # the direction numbers and the table of index byte j, each word in a
-        # float mantissa
+        # float mantissa; ``tile`` reads byte 0's and ``_base`` bytes 2 and 3's
         self._words = self.v.astype(np.uint64) << _MANTISSA_SHIFT
-        self._bytes = [_xor_table(self._words[:, j:j + _BYTE]) for j in range(0, BITS, _BYTE)]
+        self._bytes = {j: _xor_table(self._words[:, _BYTE * j:_BYTE * (j + 1)]) for j in (0, 2, 3)}
 
     def words(self, index) -> np.ndarray:
         """(4, n) uint32 words of the points at the given indices."""
@@ -123,29 +123,4 @@ class Scramble:
             size = min(done, n - done)
             np.bitwise_xor(bits[:, :size], self._words[dims, k, None], out=bits[:, done:done + size])
             done += size
-        out -= 1.0
-
-    def gather(self, start: int, index, out: np.ndarray, dims: slice,
-               scratch: np.ndarray) -> None:
-        """Fill ``out`` with the uniforms of tile ``start``'s points at ``index`` in ``dims``.
-
-        ``index`` holds offsets into the tile, and None means every point of
-        the tile, as for ``tile``.  ``scratch`` is an intp array of at least
-        3 * len(index) entries.
-        """
-        if index is None:
-            self.tile(start, out, dims)
-            return
-        n = index.size
-        high, low = scratch[:n], scratch[n:2 * n]
-        np.right_shift(index, _BYTE, out=high)
-        np.bitwise_and(index, 0xFF, out=low)
-        word = scratch[2 * n:3 * n].view(np.uint64)
-        for row, base, lo_table, hi_table in zip(out.view(np.uint64), self._base(start, dims),
-                                                 self._bytes[0][dims], self._bytes[1][dims]):
-            # the indices are in range; "clip" skips the copy of out that "raise" makes
-            np.take(hi_table, high, out=row, mode="clip")
-            np.take(lo_table, low, out=word, mode="clip")
-            row ^= word
-            row ^= base
         out -= 1.0

@@ -13,28 +13,31 @@ scored, with a and b sides from 1 - tol.  Every pass takes tol < 1
 every box ``_default_box`` fits does.
 
 Every pass draws inside one class and labels nothing: the classical class,
-or the quantum, separable or entangled one.  a and b are drawn inside the
-class where the box allows it (the maps below); elsewhere they are uniform
-over the box's a, b sides, and only those that pass the a, b half of the
-class's test, min(a, b) > -tol for classical (skipped when the box's lower
-a, b bounds already pass it) and min(a, b) >= 1 - tol for the quantum
-classes, and for the energy cutoff tr V <= E, draw c and d.  c is uniform on
-[0, c-end] of the class at (a, b) and d on its d-interval at (a, b, c).
-For classical these are [0, h] and [-h, h], with the slice's half-width
-h = sqrt(ab) + tol (``twomode._half_width``, which ``domain_labels``
-shares); for a quantum class they come from ``twomode._class_limits`` at
-mu = (1 - tol)^2, the limits ``_quad`` integrates over.  Each weight is
-multiplied by the two interval lengths over the box's c and d spans, and
-by 2 for the mirror image c < 0 of what is drawn.  So an estimate is box.volume
-times the mean weight, and its integrand over the unit cube is smooth
-rather than an indicator with a curved edge, which keeps the convergence
-rate of qmc (Owen, Ann. Stat. 1997; He and Wang, SIAM J. Numer. Anal.
-2015).
+or the quantum, separable or entangled one, and it drops no draw.  a and b
+start at the class's floor, -tol for classical and 1 - tol for the
+quantum classes, whose tests take min(a, b) > -tol and
+min(a, b) >= 1 - tol.  Under the energy cutoff they are drawn on the
+class's triangle, and for a quantum class under the damping over equal a
+and b sides through a fold (both below); elsewhere they are uniform on the
+rectangle of the sides [max(lo, floor), hi], and each weight is multiplied
+by its area over the box's a, b area.  A pass whose class has no volume
+in the box, a quantum class at E <= 4 (1 - tol) or one with an a or b side
+that ends at or below the floor, draws nothing and returns zero sums.  c
+is uniform on [0, c-end] of the class at (a, b) and d on its d-interval at
+(a, b, c).  For classical these are [0, h] and [-h, h], with the slice's
+half-width h = sqrt(ab) + tol (``twomode._half_width``, which
+``domain_labels`` shares); for a quantum class they come from
+``twomode._class_limits`` at mu = (1 - tol)^2, the limits ``_quad``
+integrates over.  Each weight is multiplied by the two interval lengths
+over the box's c and d spans, and by 2 for the mirror image c < 0 of what
+is drawn.  So an estimate is box.volume times the mean weight, and its
+integrand over the unit cube is smooth rather than an indicator with a
+curved edge, which keeps the convergence rate of qmc (Owen, Ann. Stat.
+1997; He and Wang, SIAM J. Numer. Anal. 2015).
 
-Under the energy cutoff a pass over a box with equal a and b sides draws
-a >= b on its class's triangle T = {a, b >= q, a + b <= E/2}, with
-q = max(lo, 1 - tol) for the quantum classes and max(lo, -tol) for
-classical, wherever H = E/2 - 2q > 0 and the box holds T
+Under the energy cutoff every pass draws a >= b on its class's triangle
+T = {a, b >= q, a + b <= E/2}, with q = max(lo, 1 - tol) for the quantum
+classes and max(lo, -tol) for classical, wherever H = E/2 - 2q > 0
 (``_triangle_ab``): a = q + (H u / 2)(1 + y) and b = q + (H u / 2)(1 - y),
 smooth in the uniforms (u, y), with the mirror image a <-> b counted
 twice, so the Jacobian is H^2 u over the box's a, b area.  So every draw
@@ -45,9 +48,11 @@ straight edge.  At E = 8 under qmc the error of the separable class falls
 about 25 times at equal samples, of the quantum and entangled classes
 about 22 and 16 times, and of the classical one about 6 times.  c and d
 stay uniform on the class's intervals; c crowded at its c-end, or a and b
-at a = b, measured no better here.  Boxes that fail either condition, such
-as those with E <= 4 (1 - tol) for the quantum classes, keep the uniform
-draw.
+at a = b, measured no better here.  ``_check_box`` refuses an energy
+cutoff box whose a and b sides differ or that cuts a drawn class's
+nonempty triangle; ``phi_box`` and ``_default_box`` give neither.  Where
+H <= 0, as for the quantum classes at E <= 4 (1 - tol), the class has no
+volume inside the cutoff.
 
 Under the damping most of a quantum class's mass lies on a thin ridge of
 near two-mode squeezed states: a close to b, c near its c-end and, for
@@ -65,7 +70,7 @@ estimate is still box.volume times the mean weight.  At kappa = 5 the
 entangled error at 8M qmc samples falls about 7 times, and at kappa = 50
 and 1000 about 25 and 30 times at 200k, where the uniform draw's error
 bars missed the volume in a third of the kappa = 1000 runs.  Classical
-passes and boxes with unequal a and b sides keep the uniform draw under
+passes and boxes with unequal a and b sides draw on the rectangle under
 the damping.
 
 A quantum pass reports its separable and entangled parts too: a
@@ -102,33 +107,29 @@ Determinism: the sample budget of a pass is split by index into
 and partial sums are combined by a fixed-order pairwise reduction; results
 are bit-identical for a fixed (seed, streams, n_samples).  A stream works
 in tiles of ``_TILE`` points and keeps each tile's sums, added up in tile
-order.  Stage 1 allocates its arrays, at no measured cost.  Two flat
-buffers, filled in turn by each stage's gather, hold stage 2's float rows
-(allocating them raised the energy workload's peak RSS by 3.4 MB) and a
-tile's weights and block scratch.  A pass runs its interval arithmetic and
+order.  Two flat buffers hold a tile: stage 1 draws the uniforms (u, y)
+of its a and b into the first and maps them (the fold, the triangle or
+the rectangle) to a and b in the second, where stage 2 draws the uniforms
+of c and d for the whole tile.  The first then holds the tile's weights
+and stage 2's block scratch (allocating those rows raised the energy
+workload's peak RSS by 3.4 MB).  A pass runs its interval arithmetic and
 weights in blocks of at most ``_BLOCK`` points, so that its scratch fits
-beside the weights in the idle buffer, and sums each tile's weights at
-once, so the blocks change no bit.  A pass through the fold or on the
-triangle writes a and b to the other buffer in stage 1 and leaves their
-Jacobian in the row where stage 2 keeps the weights, which reads it before
-it writes the weights, so it needs no row more; it drops no draw, so stage
-1 runs no filter and no gather.  Where the uniform draw drops some, drawing
-c and d for stage-1 survivors only saved the pseudo energy workload 10% of
-its time and 2 MB; for qmc it costs what drawing all four coordinates at
-stage 1 does, and keeps one draw path for both samplers.  A pseudo stream
-is one replicate, consumed per tile as a(t) and b(t), then the uniforms of
-c(k) and d(k) for the k stage-1 survivors.  A qmc stream is two replicates: independent random
-linear scrambles of the 4-d Sobol' sequence (``_sobol``), drawn from the
+beside the weights in the first buffer, and sums each tile's weights at
+once, so the blocks change no bit.  The fold and the triangle leave their
+Jacobian in u's row, where stage 2 keeps the weights and reads it before
+it writes them, so they need no row more.  A pseudo stream is one
+replicate, consumed per tile as the uniforms of a(t) and b(t), then of
+c(t) and d(t).  A qmc stream is two replicates: independent random linear
+scrambles of the 4-d Sobol' sequence (``_sobol``), drawn from the
 stream's generator in turn, over the first ceil(count / 2) and
 floor(count / 2) points of their sequences.  Its tiles are aligned blocks
-of 2^16 points: stage 1 draws a tile's 1st and 2nd coordinates, a and b,
-and stage 2 gathers the 3rd and 4th, the uniforms of c and d, for the
-stage-1 survivors only, or draws them for the whole tile where none is
-dropped.  So ``_TILE`` alone fixes the bits, for pseudo and qmc alike.
+of 2^16 points: stage 1 draws a tile's 1st and 2nd coordinates, the
+uniforms of a and b, and stage 2 its 3rd and 4th, those of c and d.  So
+``_TILE`` alone fixes the bits, for pseudo and qmc alike.
 The substreams of a call run on min(streams, usable cores) threads: the
-caller runs one share and starts the others for that call alone, and the
-partial sums are reduced in stream order, so the core count sets the
-speed but never the bits.
+caller takes the first stream and then starts the others for that call
+alone, and the partial sums are reduced in stream order, so the core
+count sets the speed but never the bits.
 """
 
 from __future__ import annotations
@@ -143,9 +144,8 @@ import numpy as np
 
 from . import _quad, _sobol
 from .errors import InvalidArgumentError, NumericError
-from .regularizers import RegKind, RegularizerSpec, _in_energy_support, _is_int
-from .twomode import (DEFAULT_TOL, DomainTag, _ab_above, _ab_quantum, _check_tol, _class_limits,
-                      _half_width)
+from .regularizers import RegKind, RegularizerSpec, _is_int
+from .twomode import DEFAULT_TOL, DomainTag, _check_tol, _class_limits, _half_width
 # unused here, but perfbench/tracing.py wraps these attributes of this module
 from .regularizers import regularizer_values  # noqa: F401
 from .twomode import domain_mask, metric_components  # noqa: F401
@@ -232,37 +232,17 @@ def _sym_box(L: float) -> Box:
     return Box(lo=(0.0, 0.0, -L, -L), hi=(L, L, L, L))
 
 
-def _take(keep, cols, buf, rows=4):
-    """The first ``rows`` rows of ``cols`` at the columns where ``keep``, in draw order.
-
-    They fill the leading rows of a (4, n) view of the flat scratch ``buf``,
-    which is returned with the kept indices; when ``keep`` drops nothing,
-    ``cols`` itself and None are returned and nothing is copied.
-    """
-    n = int(np.count_nonzero(keep))
-    if n == keep.size:
-        return cols, None
-    idx = np.flatnonzero(keep)
-    out = buf[:4 * n].reshape(4, n)
-    # idx is in range; "clip" skips the copy of out that "raise" makes
-    np.take(cols[:rows], idx, axis=1, out=out[:rows], mode="clip")
-    return out, idx
-
-
 class _PseudoUniforms:
-    """A pseudo stream's uniforms: each tile's a(t) and b(t), then c(k) and d(k) of its survivors.
+    """A pseudo stream's uniforms: each tile's u(t) and y(t), then those of c(t) and d(t).
 
-    ``tile`` and ``gather`` take the arguments of ``_sobol.Scramble``'s, and
-    draw the next uniforms of the stream whatever the tile or offsets.
+    ``tile`` takes the arguments of ``_sobol.Scramble.tile``, and draws the
+    next uniforms of the stream whatever the tile.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
 
     def tile(self, start, out, dims):
-        self._rng.random(out=out)
-
-    def gather(self, start, index, out, dims, scratch):
         self._rng.random(out=out)
 
 
@@ -284,15 +264,23 @@ def _replicates(child_ss, count: int, sampler: str) -> tuple:
 _AB, _CD = slice(0, 2), slice(2, 4)
 
 
-def _check_box(box: Box, spec: RegularizerSpec) -> None:
+def _floor(tag: DomainTag, tol: float) -> float:
+    """The least min(a, b) of the class ``tag``: -tol for classical, 1 - tol for a quantum class."""
+    return -tol if tag is DomainTag.CLASSICAL else 1.0 - tol
+
+
+def _check_box(box: Box, spec: RegularizerSpec, draws: tuple, tol: float) -> None:
     """Refuse a box that cuts the class of a point in its support.
 
     Every class lies within the classical slice |c|, |d| < sqrt(ab), and
     sqrt(ab) <= r = sqrt(hi_a hi_b) in the box, or r = E/4 inside
     tr V <= E, so a box whose c and d sides hold [-r, r] holds each class
     whole, and a pass draws c >= 0 and counts the c < 0 half as its mirror
-    image under (c, d) -> (-c, -d).  Any other box raises
-    ``InvalidArgumentError``.
+    image under (c, d) -> (-c, -d).  Under the energy cutoff each class of
+    ``draws`` is drawn on its triangle a, b >= q, a + b <= E/2 (see the
+    module docstring), so the box's a and b sides must be equal and hold
+    every such triangle that is not empty; ``phi_box`` and ``_default_box``
+    give only such boxes.  Any other box raises ``InvalidArgumentError``.
     """
     r = math.sqrt(max(box.hi[0] * box.hi[1], 0.0))
     if spec.kind is RegKind.ENERGY_PHI:
@@ -301,6 +289,17 @@ def _check_box(box: Box, spec: RegularizerSpec) -> None:
     if not (min(hi_c, hi_d) >= r and max(lo_c, lo_d) <= -r):
         raise InvalidArgumentError(f"the box's c and d sides must hold [-{r:g}, {r:g}], "
                                    "the slice |c|, |d| < sqrt(ab) of its support")
+    if spec.kind is not RegKind.ENERGY_PHI:
+        return
+    if box.lo[0] != box.lo[1] or box.hi[0] != box.hi[1]:
+        raise InvalidArgumentError("under the energy cutoff the box's a and b sides must be equal")
+    for tag in draws:
+        q = max(box.lo[0], _floor(tag, tol))
+        h = _triangle_side(q, spec.bound_E / 2.0)
+        if h > 0.0 and q + h > box.hi[0]:
+            raise InvalidArgumentError(
+                f"the box's a and b sides must hold the {tag.value} class's triangle "
+                f"a, b >= {q:g}, a + b <= {spec.bound_E / 2.0:g}")
 
 
 def _class_weight(a, b, pc, d, spec: RegularizerSpec, big: bool, out, scratch, edges=False):
@@ -316,8 +315,8 @@ def _class_weight(a, b, pc, d, spec: RegularizerSpec, big: bool, out, scratch, e
     there may divide by 0 or overflow, so the caller silences those
     warnings.  A quantum class lies inside it, so there pc, pd <= 0 can
     only come from rounding, and the weight is left non-finite, which
-    raises.  Every point lies inside the energy cutoff: drawn on its
-    class's triangle a + b <= E/2, or kept by stage 1's filter.  p^m
+    raises.  Every point lies inside the energy cutoff, drawn on its
+    class's triangle a + b <= E/2.  p^m
     overflows only where ``big``, and there log(1 + p^m) is m log p, as in
     ``log1p_det_pow``.
     """
@@ -422,26 +421,52 @@ def _triangle_ab(uv, q: float, h: float, half_e: float, out, scratch) -> None:
 
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
                     sampler: str, tag: DomainTag):
-    lo = np.asarray(box.lo)[:, None]
-    span = np.asarray(box.hi)[:, None] - lo
+    lo, hi = np.asarray(box.lo)[:, None], np.asarray(box.hi)[:, None]
+    span = hi - lo
     # a weight is scaled by the lengths of the c and d intervals it was drawn
     # on, over the box's c and d spans
     per_cd = 1.0 / (span[2, 0] * span[3, 0])
     counts, sources = _replicates(child_ss, count, sampler)
+    energy = spec.kind is RegKind.ENERGY_PHI
+    classical = tag is DomainTag.CLASSICAL
+    # a and b are drawn inside the class, from ab_lo = max(lo, floor) on each
+    # side.  Under the energy cutoff every class draws a >= b on its triangle
+    # a, b >= q, a + b <= E/2 (_triangle_ab), which _check_box saw the box
+    # hold, with c and d uniform.  Damped, a quantum class over equal a and
+    # b sides folds [q, top]^2 (_fold_ab), and draws c through end (1 - y^2)
+    # and, for the entangled class, d through d1 + length y^2.  Any other
+    # pass draws a and b uniformly on the rectangle [ab_lo, hi].  The weights
+    # carry the Jacobians' varying parts, and the sums their constants over
+    # the box's a, b area: 8 (top - q), 2 and 2 for the fold, 2 H for the
+    # triangle and the rectangle's area for the rectangle
+    ab_lo = np.maximum(lo[_AB], _floor(tag, tol))
+    ab_span = hi[_AB] - ab_lo
+    q = ab_lo[0, 0]
+    h = _triangle_side(q, spec.bound_E / 2.0) if energy else 0.0
+    if (h <= 0.0) if energy else not (ab_span > 0.0).all():
+        # the class has no volume in the box, so nothing is drawn
+        zeros = np.zeros((len(counts), 3))
+        return np.array(counts, dtype=np.int64), zeros, zeros.copy(), zeros.astype(np.int64)
+    fold = not (energy or classical) and box.lo[0] == box.lo[1] and box.hi[0] == box.hi[1]
+    mapped = energy or fold
+    d_map = fold and tag is DomainTag.ENTANGLED
+    area = span[0, 0] * span[1, 0]
+    if fold:
+        per_cd *= 8.0 * ab_span[0, 0] / area * (4.0 if d_map else 2.0)
+    elif energy:
+        per_cd *= 2.0 * h / area
+    else:
+        per_cd *= ab_span[0, 0] * ab_span[1, 0] / area
     # each replicate's tiles in turn: (replicate, index of the tile's first point, points)
     chunks = [(r, done, min(_TILE, c - done))
               for r, c in enumerate(counts) for done in range(0, c, _TILE)]
     tile = min(_TILE, max(counts))
-    # a tile's points live in one of two flat buffers; each stage works in the
-    # other one and then gathers its survivors into it.  Every buffer stays
-    # below the 4 MiB from which numpy asks for huge pages, which a few
-    # touched bytes would make resident in full.  Stage 2 keeps a tile's n
-    # weights and then the scratch rows of its blocks of at most n / 2
-    # points in the other one; the pad holds the rows of a tile of one point
-    bufs = (np.empty(4 * tile + _CLASS_ROWS), np.empty(4 * tile + _CLASS_ROWS))
-    other = lambda pts: bufs[np.may_share_memory(pts, bufs[0])]
-    energy = spec.kind is RegKind.ENERGY_PHI
-    classical = tag is DomainTag.CLASSICAL
+    # a tile's points live in the flat buffer pbuf.  wbuf holds the uniforms
+    # of their a and b, then stage 2's n weights and the scratch rows of its
+    # blocks of at most n / 2 points; its pad holds the rows of a tile of one
+    # point.  Every buffer stays below the 4 MiB from which numpy asks for
+    # huge pages, which a few touched bytes would make resident in full
+    pbuf, wbuf = np.empty(4 * tile), np.empty(4 * tile + _CLASS_ROWS)
     mu = (1.0 - tol) ** 2
     # p = det V <= (ab)^2, whose m-th power overflows only in huge boxes; the
     # class limits' Delta <= (ab)^3 overflows in larger ones still
@@ -449,35 +474,6 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     big, huge = 2 * spec.m * log_ab > 700.0, 3 * log_ab > 700.0
     # a quantum pass splits its points at d = -d2
     split = np.empty(tile, dtype=bool) if tag is DomainTag.QUANTUM else None
-    # a pass over equal a and b sides draws a >= b from q = max(lo, 1 - tol)
-    # for a quantum class, max(lo, -tol) for classical.  Damped, a quantum
-    # class folds [q, top]^2 (_fold_ab), and draws c through end (1 - y^2)
-    # and, for the entangled class, d through d1 + length y^2.  Under the
-    # energy cutoff, every class draws on the triangle a + b <= E/2
-    # (_triangle_ab) where the box holds it, with c and d uniform.  The
-    # weights carry the Jacobians' varying parts, and the sums their
-    # constants over the box's a, b area: 8 (top - q), 2 and 2 for the fold,
-    # 2 H for the triangle
-    q = max(box.lo[0], -tol if classical else 1.0 - tol)
-    equal = box.lo[0] == box.lo[1] and box.hi[0] == box.hi[1]
-    fold = spec.kind is RegKind.ADJUGATE_UPSILON and not classical and equal and box.hi[0] > q
-    d_map = fold and tag is DomainTag.ENTANGLED
-    h = _triangle_side(q, spec.bound_E / 2.0) if energy and equal else 0.0
-    triangle = h > 0.0 and q + h <= box.hi[0]
-    area = span[0, 0] * span[1, 0]
-    if fold:
-        per_cd *= 8.0 * (box.hi[0] - q) / area * (4.0 if d_map else 2.0)
-    elif triangle:
-        per_cd *= 2.0 * h / area
-    mapped = fold or triangle
-    # the a, b half of the class's test, where the box reaches below it and
-    # no map draws above it
-    if mapped:
-        ab_test = False
-    elif classical:
-        ab_test = not min(box.lo[:2]) > -tol
-    else:
-        ab_test = min(box.lo[:2]) < 1.0 - tol
     # each tile's sums, one row per tile, added up in tile order at the end
     s1 = np.zeros((max(len(chunks), 1), 3))
     s2 = np.zeros_like(s1)
@@ -486,12 +482,12 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     def stage2(pts, j):
         """Tile j's stage 2: c on [0, c-end], d on the d-interval at c, and the weights.
 
-        In blocks whose scratch rows follow the weights in the idle buffer.
+        In blocks whose scratch rows follow the weights in wbuf.
         """
         n = pts.shape[1]
         block = max(1, min(_BLOCK, n // 2))
-        w_row = other(pts)[:n]
-        rows = other(pts)[n:n + _CLASS_ROWS * block].reshape(_CLASS_ROWS, block)
+        w_row = wbuf[:n]
+        rows = wbuf[n:n + _CLASS_ROWS * block].reshape(_CLASS_ROWS, block)
         for k in range(0, n, block):
             a, b, c, d = pts[:, k:k + block]
             f = rows[:, :a.size]
@@ -531,7 +527,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         # split, the entangled side's times the mask and the separable side's
         # the rest, which a masked sum would take ten times as long over; the
         # factor 2 of _class_weight counts each point's mirror image c < 0
-        side = None if split is None else other(pts)[n:2 * n]
+        side = None if split is None else wbuf[n:2 * n]
 
         def add_up(x, sums, scale):
             if side is None:
@@ -556,38 +552,20 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         add_up(np.square(w_row, out=pts[2]), s2, per_cd * per_cd)
 
     for j, (r, done, t) in enumerate(chunks):
-        # stage 1, every sample: a and b, the a, b half of the class's test
-        # and the energy cutoff
-        pts = bufs[0][:4 * t].reshape(4, t)
-        sources[r].tile(done, pts[_AB], _AB)
-        if mapped:
-            # a and b go to the other buffer, and their Jacobian to the row
-            # where stage 2 keeps the weights; no draw is dropped, so the
-            # gather takes no scratch from that row
-            uv, pts = pts[_AB], bufs[1][:4 * t].reshape(4, t)
-            if fold:
-                _fold_ab(uv, q, box.hi[0], pts[_AB], bufs[0][2 * t:3 * t])
-            else:
-                _triangle_ab(uv, q, h, spec.bound_E / 2.0, pts[_AB], bufs[0][2 * t:3 * t])
+        # stage 1: the tile's uniforms (u, y), mapped to its a and b in pbuf;
+        # the fold and the triangle leave their Jacobian in u's row, where
+        # stage 2 keeps the weights
+        uv, pts = wbuf[:2 * t].reshape(2, t), pbuf[:4 * t].reshape(4, t)
+        sources[r].tile(done, uv, _AB)
+        if fold:
+            _fold_ab(uv, q, box.hi[0], pts[_AB], wbuf[2 * t:3 * t])
+        elif energy:
+            _triangle_ab(uv, q, h, spec.bound_E / 2.0, pts[_AB], wbuf[2 * t:3 * t])
         else:
-            pts[_AB] *= span[_AB]
-            pts[_AB] += lo[_AB]
-        a, b = pts[_AB]
-        keep = None
-        if ab_test:
-            keep = _ab_above(a, b, -tol) if classical else _ab_quantum(a, b, tol)
-        if energy and not triangle:
-            # a point outside the cutoff would add only +0.0 to s1 and s2
-            inside = _in_energy_support(a, b, spec.bound_E)
-            keep = inside if keep is None else keep & inside
-        idx = None
-        if keep is not None:
-            pts, idx = _take(keep, pts, bufs[1], rows=2)
-        # stage 2, the survivors: the uniforms of c and d, which every survivor
-        # draws.  The gather's index array is not kept: held to the next
-        # tile's gather, it would double that gather's memory
-        n = pts.shape[1]
-        sources[r].gather(done, idx, pts[_CD], _CD, other(pts)[:3 * n].view(np.intp))
+            np.multiply(uv, ab_span, out=pts[_AB])
+            pts[_AB] += ab_lo
+        # stage 2: the uniforms of c and d for the whole tile, then the weights
+        sources[r].tile(done, pts[_CD], _CD)
         stage2(pts, j)
     # each replicate's sums: its tiles' sums in tile order, each added to the
     # sum of those before it
@@ -615,17 +593,13 @@ class IntegrationResult:
     support (tr V <= E for the energy cutoff; the adjugate damping has
     unbounded support), that is the share that carries weight;
     ``empty_domain`` is true when none does.  c and d are drawn inside the
-    class, not across the box, so every draw whose a and b pass counts, and
-    this is a share of draws, not of the box's volume.  Over a box with
-    equal a and b sides a and b are drawn inside the class too (see the
-    module docstring), through the fold under the damping and on the
-    class's triangle under the energy cutoff, so every pass of ``volume``
-    and of a sweep row reads 1.0 (E = 8 separable read 0.500 when a and b
-    were uniform over the box, and 0.094 when c and d were drawn on the
-    classical slice and labelled).  A box with unequal a and b sides, or
-    one below E = 4 (1 - tol) for the quantum classes, keeps the uniform
-    draw, which counts only the draws that pass.  A separable or entangled
-    part of a quantum pass counts its own draws.
+    class, not across the box, and so are a and b (see the module
+    docstring), so every draw counts, and this is a share of draws, not of
+    the box's volume: 1.0 for every pass whose class has volume in the box,
+    and 0.0 for one whose class has none, which draws nothing (E = 8
+    separable read 0.500 when a and b were uniform over the box, and 0.094
+    when c and d were drawn on the classical slice and labelled).  A
+    separable or entangled part of a quantum pass counts its own draws.
     """
 
     estimate: float
@@ -864,34 +838,36 @@ def _draws(domains) -> tuple:
 def _run_shares(run, tasks: list, threads: int) -> list:
     """``run(task)`` of every task, in task order, on ``threads`` threads.
 
-    The caller is one of them and starts the other threads - 1 (none for one
-    thread); each takes the next task no thread has taken until none is
-    left or a task has raised.  Once every thread is done, the first task
-    in task order that raised raises again.
+    The caller is one of them: it takes the first task and then starts the
+    other threads - 1 (none for one thread); each takes the next task no
+    thread has taken until none is left or a task has raised.  Once every
+    thread is done, the first task in task order that raised raises again.
     """
     results = [None] * len(tasks)
     failures = {}  # task index: the exception it raised
     untaken = iter(range(len(tasks)))
     lock = threading.Lock()
 
-    def share():
-        while True:
-            with lock:
-                # every task before a failed one is taken, so no task left
-                # can be the first to fail in task order
-                i = None if failures else next(untaken, None)
-            if i is None:
-                return
+    def take():
+        with lock:
+            # every task before a failed one is taken, so no task left can
+            # be the first to fail in task order
+            return None if failures else next(untaken, None)
+
+    def share(i):
+        while i is not None:
             try:
                 results[i] = run(tasks[i])
             except Exception as exc:
                 with lock:
                     failures[i] = exc
+            i = take()
 
-    others = [threading.Thread(target=share) for _ in range(threads - 1)]
+    first = take()
+    others = [threading.Thread(target=lambda: share(take())) for _ in range(threads - 1)]
     for t in others:
         t.start()
-    share()
+    share(first)
     for t in others:
         t.join()
     if failures:
@@ -907,16 +883,17 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     Each pass draws inside one class (see the module docstring): the
     classical class when ``domains`` hold it, and the quantum class whose
     parts make up the scored quantum domains when they hold any.  a and b
-    are uniform over the box's a, b sides, c and d uniform on the class's
-    intervals, and each weight is scaled by its intervals' lengths over the
-    box's c and d spans, so a pass estimates the integrals over the box that
-    uniform sampling estimates.  Over equal a and b sides, a and b are
-    drawn inside the class instead: on its triangle a + b <= E/2 under the
-    energy cutoff, every class, where the box holds it, and through
-    polynomial maps under the damping, a quantum class; each weight then
-    carries the maps' Jacobians over the box's a, b area.  The box must
-    hold the slice |c|, |d| < sqrt(ab) of its support
-    (``InvalidArgumentError`` otherwise).  Each pass draws ``n_samples``; with both classes scored,
+    are drawn inside the class: on its triangle a + b <= E/2 under the
+    energy cutoff, through polynomial maps for a quantum class under the
+    damping over equal a and b sides, and otherwise uniformly on the part
+    of the box's a, b sides from the class's floor on.  c and d are uniform
+    on the class's intervals, and each weight carries the Jacobians of its
+    draw over the box's a, b area and c and d spans, so a pass estimates
+    the integrals over the box that uniform sampling estimates.  The box
+    must hold the slice |c|, |d| < sqrt(ab) of its support, and under the
+    energy cutoff have equal a and b sides that hold each drawn class's
+    triangle (``InvalidArgumentError`` otherwise).  Each pass draws
+    ``n_samples``; with both classes scored,
     the classical pass runs on the substreams that a pass scoring only
     classical takes, so it gives that pass's bits, and the quantum-class
     pass on the next ``streams`` children of the seed, so the two are
@@ -934,7 +911,7 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     """
     _check_pass(n_samples, streams, tol, sampler)
     draws = _draws(domains)
-    _check_box(box, spec)
+    _check_box(box, spec, draws, tol)
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:

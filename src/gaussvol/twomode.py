@@ -250,15 +250,6 @@ def _check_tol(tol) -> None:
         raise InvalidArgumentError("tol must be finite and below 1")
 
 
-def _ab_above(a, b, x):
-    """min(a, b) > x on 1-d float arrays.
-
-    With x = -tol this is the a, b half of the classical test of
-    :func:`domain_labels`.
-    """
-    return np.minimum(a, b) > x
-
-
 def _ab_quantum(a, b, tol):
     """min(a, b) >= 1 - tol on 1-d float arrays: the a, b half of the quantum test.
 
@@ -420,7 +411,7 @@ def domain_labels(a, b, c, d, tol: float = DEFAULT_TOL) -> np.ndarray:
     shape = a.shape
     a, b, c, d = (x.ravel() for x in (a, b, c, d))
     sab = _half_width(a, b, tol)
-    classical = _ab_above(a, b, -tol) & (np.abs(c) < sab) & (np.abs(d) < sab)
+    classical = (np.minimum(a, b) > -tol) & (np.abs(c) < sab) & (np.abs(d) < sab)
     lab = classical.astype(np.uint8)
     idx = np.flatnonzero(classical)
     lab[idx] = _classical_labels(a[idx], b[idx], c[idx], d[idx], tol)

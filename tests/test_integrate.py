@@ -181,7 +181,7 @@ def test_regularizer_values_match_matrix_forms():
 
 
 def test_energy_support_boundary_is_closed():
-    # the kernel's support filter and the weight's Heaviside share one test:
+    # the weight's Heaviside and its support test share the closed cutoff:
     # 2(a + b) == E is inside, the next float above E is outside
     E = 8.0
     above = np.nextafter(E, math.inf)
@@ -189,7 +189,7 @@ def test_energy_support_boundary_is_closed():
     b = np.array([2.0, above / 2.0 - 2.0])
     assert 2.0 * (a[0] + b[0]) == E and 2.0 * (a[1] + b[1]) == above
     zeros = np.zeros(2)
-    assert list(integrate._in_energy_support(a, b, E)) == [True, False]
+    assert list(_in_energy_support(a, b, E)) == [True, False]
     vals = regularizer_values(a, b, zeros, zeros, RegularizerSpec.energy(E))
     assert vals[0] > 0.0 and vals[1] == 0.0
 
@@ -533,10 +533,10 @@ def test_empty_domain_flagged():
 def test_entangled_empty_just_above_threshold():
     # below E = 4 no point of phi_box(3.9) with min(a, b) >= 1 - tol lies
     # inside tr V <= 3.9: the triangle a, b >= 1 - tol, a + b <= E/2 is
-    # empty, so the pass keeps the uniform draw and drops every point, and
-    # the result is empty.  Just above the threshold the entangled pass draws
-    # on the triangle, every draw weighted, which the slice draw, labelling
-    # points of all four domains, missed at this seed
+    # empty, so the pass draws nothing and the result is empty.  Just above
+    # the threshold the entangled pass draws on the triangle, every draw
+    # weighted, which the slice draw, labelling points of all four domains,
+    # missed at this seed
     for E, empty in ((3.9, True), (4.05, False)):
         spec = RegularizerSpec.energy(E)
         e = mc_joint_volumes(phi_box(E), spec, 100_000, seed=3,
@@ -544,6 +544,35 @@ def test_entangled_empty_just_above_threshold():
         assert e.empty_domain == empty and (e.estimate == 0.0) == empty, E
         assert e.acceptance_fraction == (0.0 if empty else 1.0), E
         assert (e.std_error == 0.0) == empty, E
+
+
+@pytest.mark.parametrize("sampler", ["pseudo", "qmc"])
+def test_empty_passes_draw_nothing(sampler, monkeypatch):
+    # a quantum class has no volume inside tr V <= 3.9, where its triangle
+    # a, b >= 1 - tol, a + b <= E/2 is empty, nor in a kappa box whose a and
+    # b sides end below 1 - tol: such a pass returns zero sums and draws no
+    # tile.  The classical pass over the same box draws
+    tiles = []
+
+    def counting(real):
+        def tile(self, start, *args):
+            tiles.append(start)
+            return real(self, start, *args)
+        return tile
+
+    for source in (integrate._PseudoUniforms, _sobol.Scramble):
+        monkeypatch.setattr(source, "tile", counting(source.tile))
+    cases = ((phi_box(3.9), RegularizerSpec.energy(3.9)),
+             (integrate._sym_box(0.9), RegularizerSpec.adjugate(5.0)))
+    for (box, spec), tag in itertools.product(cases, DOMAIN_ORDER):
+        tiles.clear()
+        r = mc_joint_volumes(box, spec, 20_000, seed=7, sampler=sampler,
+                             domains=(tag,)).result(tag)
+        if tag is DomainTag.CLASSICAL:
+            assert tiles and r.estimate > 0.0, spec
+            continue
+        assert tiles == [] and r.empty_domain, (spec, tag)
+        assert (r.estimate, r.std_error, r.acceptance_fraction) == (0.0, 0.0, 0.0), (spec, tag)
 
 
 def test_non_finite_weight_raises(monkeypatch):
@@ -766,24 +795,25 @@ def _triangle_ab_reference(u, y, q, h, half_e):
 def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
     """The untiled kernel: each tile's points drawn inside the class ``tag``.
 
-    A pseudo stream is one replicate, whose tiles draw a and b for every
-    point and then the uniforms of c and d for those that pass the class's
-    a, b test, min(a, b) > -tol for classical and >= 1 - tol for the
-    quantum classes, inside the energy cutoff.  A qmc stream is two
+    A pseudo stream is one replicate, whose tiles draw the uniforms of a and
+    b and then those of c and d for every point.  A qmc stream is two
     scrambles, drawn from the stream's generator in turn, over the first
     ceil(count / 2) and floor(count / 2) of their points, each drawn in full
-    from the direct form, bit by bit from its index, so the kernel's sums
-    must show that drawing c and d only for the points that pass changes no
-    bits.  c is uniform on [0, c-end] and d on the class's d-interval at c:
+    from the direct form, bit by bit from its index.  a and b are uniform on
+    the rectangle of the sides [max(lo, floor), hi], with floor = -tol for
+    classical and 1 - tol for the quantum classes, and its area over the
+    box's a, b area as their Jacobian, unless a map below draws them; the
+    class must have volume in the box.  c is uniform on [0, c-end] and d on
+    the class's d-interval at c:
     [0, h] and [-h, h] with h = sqrt(max(ab, 0)) + tol for classical, and
     ``twomode._class_limits`` for the quantum classes.  A damped quantum
     class over a box with equal a and b sides draws instead through the
     polynomial maps: a >= b by ``_fold_ab_reference`` from
     q = max(lo, 1 - tol), which every point passes, c = end (1 - y^2) and,
     for the entangled class, d = d1 + length y^2, whose Jacobians are
-    2 end y and 2 length y.  Under the energy cutoff, a box with equal a
-    and b sides that holds the triangle a, b >= q, a + b <= E/2, with
-    q = max(lo, -tol) for classical, has every class draw a >= b on it by
+    2 end y and 2 length y.  Under the energy cutoff the box has equal a and
+    b sides and holds the triangle a, b >= q, a + b <= E/2, with
+    q = max(lo, -tol) for classical, and every class draws a >= b on it by
     ``_triangle_ab_reference``, which every point passes, with c and d
     uniform.  Each point is weighted with the generic ``volume_density``
     and ``regularizer_values`` times the Jacobians of its draw over the
@@ -798,39 +828,29 @@ def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
     per = 2.0 / (span[2] * span[3])
     rng = np.random.default_rng(child_ss)
     classical = tag is DomainTag.CLASSICAL
-    map_q = max(lo[0], -tol if classical else q)
+    ab_lo = np.maximum(lo[:2], -tol if classical else q)
+    ab_span = np.asarray(box.hi[:2]) - ab_lo
+    assert (ab_span > 0.0).all()
+    map_q = ab_lo[0]
     equal = lo[0] == lo[1] and box.hi[0] == box.hi[1]
-    fold = (spec.kind is RegKind.ADJUGATE_UPSILON and not classical and equal
-            and box.hi[0] > map_q)
     energy = spec.kind is RegKind.ENERGY_PHI
+    fold = not energy and not classical and equal
     half_e = spec.bound_E / 2.0 if energy else None
-    side = _triangle_side_reference(map_q, half_e) if energy and equal else 0.0
-    triangle = side > 0.0 and map_q + side <= box.hi[0]
-
-    def survives(a, b):
-        if fold or triangle:
-            return np.ones(a.size, dtype=bool)
-        if classical:
-            keep = (a > -tol) & (b > -tol)
-        else:
-            keep = np.minimum(a, b) >= q
-        if energy:
-            keep &= 2.0 * (a + b) <= spec.bound_E
-        return keep
+    side = _triangle_side_reference(map_q, half_e) if energy else 0.0
+    assert not energy or equal and 0.0 < side and map_q + side <= box.hi[0]
 
     def ab_of(u):
         # a and b at the uniforms of a tile's points; the maps map them later
-        if fold or triangle:
+        if fold or energy:
             return u[0], u[1]
-        return u[0] * span[0] + lo[0], u[1] * span[1] + lo[1]
+        return u[0] * ab_span[0] + ab_lo[0], u[1] * ab_span[1] + ab_lo[1]
 
     if sampler == "pseudo":
         counts = [count]
 
         def draw(done, t):
             a, b = ab_of(rng.random((2, t)))
-            keep = survives(a, b)
-            return a[keep], b[keep], rng.random((2, np.count_nonzero(keep)))
+            return a, b, rng.random((2, t))
 
         draws = [draw]
     else:
@@ -839,9 +859,7 @@ def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
         def direct(scramble):
             def draw(done, t):
                 u = scramble.words(np.arange(done, done + t)) * 2.0 ** -32
-                a, b = ab_of(u)
-                keep = survives(a, b)
-                return a[keep], b[keep], u[2:, keep]
+                return *ab_of(u), u[2:]
             return draw
 
         draws = [direct(_sobol.Scramble(rng)) for _ in counts]
@@ -850,8 +868,9 @@ def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
         s1, s2, hits = np.zeros(3), np.zeros(3), np.zeros(3, dtype=np.int64)
         for done in range(0, n, integrate._TILE):
             a, b, (c, v) = draw(done, min(integrate._TILE, n - done))
-            jac = 1.0
-            if triangle:
+            # the rectangle's Jacobian; the maps replace it with theirs
+            jac = ab_span[0] * ab_span[1] / (span[0] * span[1])
+            if energy:
                 a, b, jac = _triangle_ab_reference(a, b, map_q, side, half_e)
                 jac /= span[0] * span[1]
             if classical:
@@ -914,19 +933,17 @@ _ORACLE_CASES = [
 ] + [
     # the boxes fitted to the quantum classes: E = 8's at tol = 1e-3, and
     # kappa's with a and b from 1 - 1e-9, which a classical pass draws in too;
-    # an E and a kappa box whose a and b sides differ, where every class
-    # keeps the uniform draw, and a kappa box whose a and b sides start
-    # above 1 - tol, where the fold draws from their lower end
+    # a kappa box whose a and b sides differ, where every class draws on the
+    # rectangle, and a kappa box whose a and b sides start above 1 - tol,
+    # where the fold draws from their lower end
     (2 * integrate._TILE + 3, sampler, reg, fitted, tol)
     for sampler, reg, fitted, tol in (("qmc", "E", "fit_E", 1e-3),
-                                      ("pseudo", "E", "unequal_E", 1e-9),
                                       ("pseudo", "kappa", "fold_kappa", -1e-6),
                                       ("qmc", "kappa", "unequal_kappa", 1e-9),
                                       ("qmc", "kappa", "high_kappa", 1e-3))
 ]
 _FITTED_BOXES = {
     "fit_E": Box(lo=(0.999, 0.999, -2.0, -2.0), hi=(3.001, 3.001, 2.0, 2.0)),
-    "unequal_E": Box(lo=(0.0, 0.0, -2.0, -2.0), hi=(4.0, 3.5, 2.0, 2.0)),
     "fold_kappa": Box(lo=(1.0 - 1e-9, 1.0 - 1e-9, -8.0, -8.0), hi=(8.0, 8.0, 8.0, 8.0)),
     "unequal_kappa": Box(lo=(0.0, 0.0, -8.0, -8.0), hi=(8.0, 6.0, 8.0, 8.0)),
     "high_kappa": Box(lo=(2.0, 2.0, -8.0, -8.0), hi=(8.0, 8.0, 8.0, 8.0)),
@@ -1146,23 +1163,29 @@ def test_weights_computed_once_per_tile(monkeypatch):
 @pytest.mark.parametrize("tol", _ORACLE_TOLS + (0.5,))
 def test_in_class_draw_needs_a_box_holding_the_class(tol):
     # every pass draws inside its class, so its box must hold the slice
-    # |c|, |d| <= r of every point of its support.  Every box _default_box
-    # fits does, for any domains; a pass over a box whose c or d side cuts
-    # the slice, such as a quadrant c >= 0 >= d, raises instead of drawing
+    # |c|, |d| <= r of every point of its support, and under the energy
+    # cutoff have equal a and b sides that hold each drawn class's triangle.
+    # Every box _default_box fits does, for any domains, and every draw of a
+    # pass over it lies in its class; a pass over a box whose c or d side
+    # cuts the slice, such as a quadrant c >= 0 >= d, or that fails the
+    # energy cutoff's conditions raises instead of drawing
     E, K, T = RegularizerSpec.energy(8.0), RegularizerSpec.adjugate(5.0), DomainTag
 
     def run(box, spec, domains):
         return mc_joint_volumes(box, spec, 100, 1, tol=tol, domains=domains)
 
-    def refused(box, spec, domains):
-        with pytest.raises(InvalidArgumentError, match="c and d sides must hold"):
+    def refused(box, spec, domains, match="c and d sides must hold"):
+        with pytest.raises(InvalidArgumentError, match=match):
             run(box, spec, domains)
 
     one = ((T.CLASSICAL,), (T.QUANTUM,), (T.SEPARABLE,), (T.ENTANGLED,))
     for spec in (E, K):
         for domains in one + (DOMAIN_ORDER,):
             box = integrate._default_box(spec, domains, DEFAULT_EPS_TAIL, tol)
-            assert run(box, spec, domains).n_samples == 100, (spec, domains)
+            jv = run(box, spec, domains)
+            assert jv.n_samples == 100, (spec, domains)
+            for tag in integrate._draws(domains):
+                assert jv.result(tag).acceptance_fraction == 1.0, (spec, domains, tag)
     # phi_box(8) holds |c|, |d| <= E/4 = 2 inside tr V <= 8, though not sqrt(ab) <= 4
     run(phi_box(8.0), E, DOMAIN_ORDER)
     refused(phi_box(8.0), K, (T.SEPARABLE,))
@@ -1176,6 +1199,17 @@ def test_in_class_draw_needs_a_box_holding_the_class(tol):
     quadrant = Box(lo=(1.0, 1.0, 0.0, -4.0), hi=(4.0, 4.0, 4.0, 0.0))
     for domains in one:
         refused(quadrant, K, domains)
+    # under the energy cutoff: a, b sides that differ in either end, and a
+    # box that holds the quantum classes' triangles, from 1 - tol to at most
+    # 3.5, but not the classical one, a, b >= 0, a + b <= 4
+    unequal = (Box((0.0, 0.0, -2.0, -2.0), (4.0, 3.5, 2.0, 2.0)),
+               Box((0.0, 0.5, -2.0, -2.0), (4.0, 4.0, 2.0, 2.0)))
+    for box, domains in itertools.product(unequal, one + (DOMAIN_ORDER,)):
+        refused(box, E, domains, "a and b sides must be equal")
+    for domains in one[1:]:
+        assert run(integrate._sym_box(3.5), E, domains).n_samples == 100, domains
+    for domains in ((T.CLASSICAL,), DOMAIN_ORDER):
+        refused(integrate._sym_box(3.5), E, domains, "must hold the classical class's triangle")
 
 
 @pytest.mark.parametrize("spec", [RegularizerSpec.energy(8.0), RegularizerSpec.adjugate(5.0)],

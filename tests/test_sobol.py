@@ -88,11 +88,3 @@ def test_tile_and_gather_match_the_direct_form(start, t):
     scramble.tile(start, got[:2], slice(0, 2))
     scramble.tile(start, got[2:], slice(2, 4))
     assert np.array_equal(got, want)
-    index = np.flatnonzero(np.random.default_rng(t).random(t) < 0.4)
-    picked = np.empty((2, index.size))
-    scramble.gather(start, index, picked, slice(2, 4), np.empty(3 * index.size, dtype=np.intp))
-    assert np.array_equal(picked, want[2:, index])
-    # no offsets: every point of the tile
-    got[2:] = 0.0
-    scramble.gather(start, None, got[2:], slice(2, 4), None)
-    assert np.array_equal(got, want)
