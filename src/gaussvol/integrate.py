@@ -41,12 +41,11 @@ classes and max(lo, -tol) for classical, wherever H = E/2 - 2q > 0
 (``_triangle_ab``): a = q + (H u / 2)(1 + y) and b = q + (H u / 2)(1 - y),
 smooth in the uniforms (u, y), with the mirror image a <-> b counted
 twice, so the Jacobian is H^2 u over the box's a, b area.  So every draw
-passes the a, b test and the cutoff, and none is dropped: the uniform
-draw kept half of them in a ``volume --E`` pass and an eighth in an E
-sweep row's quantum pass, and its kept draws made an indicator with a
-straight edge.  At E = 8 under qmc the error of the separable class falls
-about 25 times at equal samples, of the quantum and entangled classes
-about 22 and 16 times, and of the classical one about 6 times.  c and d
+passes the a, b test and the cutoff, and none is dropped.  At E = 8 under
+qmc the error of the separable class is about 25 times smaller at equal
+samples than that of a uniform draw over the box, of the quantum and
+entangled classes about 22 and 16 times, and of the classical one about 6
+times.  c and d
 stay uniform on the class's intervals; c crowded at its c-end, or a and b
 at a = b, measured no better here.  ``_check_box`` refuses an energy
 cutoff box whose a and b sides differ or that cuts a drawn class's
@@ -66,10 +65,10 @@ image a <-> b counts twice.  c = end (1 - y^2) crowds the c-end, and for
 the entangled class d = d1 + length y^2 crowds d1; the separable and
 quantum classes keep a uniform d, which gave them the smaller error.  Each
 weight carries the maps' Jacobians over the box's a, b area, so an
-estimate is still box.volume times the mean weight.  At kappa = 5 the
-entangled error at 8M qmc samples falls about 7 times, and at kappa = 50
-and 1000 about 25 and 30 times at 200k, where the uniform draw's error
-bars missed the volume in a third of the kappa = 1000 runs.  Classical
+estimate is still box.volume times the mean weight.  Against a uniform
+draw over the box, the entangled error at kappa = 5 and 8M qmc samples is
+about 7 times smaller, and at kappa = 50 and 1000 and 200k about 25 and 30
+times.  Classical
 passes and boxes with unequal a and b sides draw on the rectangle under
 the damping.
 
@@ -106,19 +105,20 @@ Determinism: the sample budget of a pass is split by index into
 ``streams`` substreams seeded from children of the seed's SeedSequence,
 and partial sums are combined by a fixed-order pairwise reduction; results
 are bit-identical for a fixed (seed, streams, n_samples).  A stream works
-in tiles of ``_TILE`` points and keeps each tile's sums, added up in tile
-order.  Two flat buffers hold a tile: stage 1 draws the uniforms (u, y)
-of its a and b into the first and maps them (the fold, the triangle or
-the rectangle) to a and b in the second, where stage 2 draws the uniforms
-of c and d for the whole tile.  The first then holds the tile's weights
-and stage 2's block scratch (allocating those rows raised the energy
-workload's peak RSS by 3.4 MB).  A pass runs its interval arithmetic and
-weights in blocks of at most ``_BLOCK`` points, so that its scratch fits
-beside the weights in the first buffer, and sums each tile's weights at
-once, so the blocks change no bit.  The fold and the triangle leave their
-Jacobian in u's row, where stage 2 keeps the weights and reads it before
-it writes them, so they need no row more.  A pseudo stream is one
-replicate, consumed per tile as the uniforms of a(t) and b(t), then of
+in tiles of ``_TILE`` points, one replicate after the other, and each
+replicate keeps one row of sums, to which its tiles add their own sums in
+tile order.  Two flat buffers hold a tile: stage 1 draws the uniforms
+(u, y) of its a and b into the first and maps them (the fold, the
+triangle or the rectangle) to a and b in the second, where stage 2 draws
+the uniforms of c and d for the whole tile.  The first then holds the
+tile's weights and stage 2's block scratch (allocating those rows raised
+the energy workload's peak RSS by 3.4 MB).  A pass runs its interval
+arithmetic and weights in blocks of at most ``_BLOCK`` points, so that its
+scratch fits beside the weights in the first buffer, and sums each tile's
+weights at once, so the blocks change no bit.  The fold and the triangle
+leave their Jacobian in u's row, where stage 2 keeps the weights and reads
+it before it writes them, so they need no row more.  A pseudo stream is
+one replicate, consumed per tile as the uniforms of a(t) and b(t), then of
 c(t) and d(t).  A qmc stream is two replicates: independent random linear
 scrambles of the 4-d Sobol' sequence (``_sobol``), drawn from the
 stream's generator in turn, over the first ceil(count / 2) and
@@ -232,33 +232,20 @@ def _sym_box(L: float) -> Box:
     return Box(lo=(0.0, 0.0, -L, -L), hi=(L, L, L, L))
 
 
-class _PseudoUniforms:
-    """A pseudo stream's uniforms: each tile's u(t) and y(t), then those of c(t) and d(t).
-
-    ``tile`` takes the arguments of ``_sobol.Scramble.tile``, and draws the
-    next uniforms of the stream whatever the tile.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-
-    def tile(self, start, out, dims):
-        self._rng.random(out=out)
-
-
 def _replicates(child_ss, count: int, sampler: str) -> tuple:
-    """A stream's replicate counts and the uniforms of each.
+    """A stream's replicate counts, and each replicate's ``tile(start, out, dims)``.
 
-    A pseudo stream is one replicate of ``count`` iid points.  A qmc stream
-    is two independent scrambles of the Sobol' sequence, drawn from the
-    stream's generator in turn, over the first ceil(count / 2) and
-    floor(count / 2) of their points.
+    A pseudo stream is one replicate of ``count`` iid points, whose ``tile``
+    fills ``out`` with the stream's next uniforms whatever the tile.  A qmc
+    stream is two independent scrambles of the Sobol' sequence
+    (``_sobol.Scramble.tile``), drawn from the stream's generator in turn,
+    over the first ceil(count / 2) and floor(count / 2) of their points.
     """
     rng = np.random.default_rng(child_ss)
     if sampler == "pseudo":
-        return [count], [_PseudoUniforms(rng)]
+        return [count], [lambda start, out, dims: rng.random(out=out)]
     counts = _partition(count, 2)
-    return counts, [_sobol.Scramble(rng) for _ in counts]
+    return counts, [_sobol.Scramble(rng).tile for _ in counts]
 
 
 _AB, _CD = slice(0, 2), slice(2, 4)
@@ -426,7 +413,10 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     # a weight is scaled by the lengths of the c and d intervals it was drawn
     # on, over the box's c and d spans
     per_cd = 1.0 / (span[2, 0] * span[3, 0])
-    counts, sources = _replicates(child_ss, count, sampler)
+    counts, tiles = _replicates(child_ss, count, sampler)
+    # one row of sums per replicate, to which each of its tiles adds its own
+    s1, s2 = np.zeros((len(counts), 3)), np.zeros((len(counts), 3))
+    hits = np.zeros(s1.shape, dtype=np.int64)
     energy = spec.kind is RegKind.ENERGY_PHI
     classical = tag is DomainTag.CLASSICAL
     # a and b are drawn inside the class, from ab_lo = max(lo, floor) on each
@@ -445,8 +435,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     h = _triangle_side(q, spec.bound_E / 2.0) if energy else 0.0
     if (h <= 0.0) if energy else not (ab_span > 0.0).all():
         # the class has no volume in the box, so nothing is drawn
-        zeros = np.zeros((len(counts), 3))
-        return np.array(counts, dtype=np.int64), zeros, zeros.copy(), zeros.astype(np.int64)
+        return np.array(counts, dtype=np.int64), s1, s2, hits
     fold = not (energy or classical) and box.lo[0] == box.lo[1] and box.hi[0] == box.hi[1]
     mapped = energy or fold
     d_map = fold and tag is DomainTag.ENTANGLED
@@ -457,9 +446,6 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
         per_cd *= 2.0 * h / area
     else:
         per_cd *= ab_span[0, 0] * ab_span[1, 0] / area
-    # each replicate's tiles in turn: (replicate, index of the tile's first point, points)
-    chunks = [(r, done, min(_TILE, c - done))
-              for r, c in enumerate(counts) for done in range(0, c, _TILE)]
     tile = min(_TILE, max(counts))
     # a tile's points live in the flat buffer pbuf.  wbuf holds the uniforms
     # of their a and b, then stage 2's n weights and the scratch rows of its
@@ -472,110 +458,94 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     # class limits' Delta <= (ab)^3 overflows in larger ones still
     log_ab = math.log(max(box.hi[0] * box.hi[1], 1.0))
     big, huge = 2 * spec.m * log_ab > 700.0, 3 * log_ab > 700.0
-    # a quantum pass splits its points at d = -d2
+    # a quantum pass splits its points at d = -d2, into its entangled and
+    # separable columns in this order
     split = np.empty(tile, dtype=bool) if tag is DomainTag.QUANTUM else None
-    # each tile's sums, one row per tile, added up in tile order at the end
-    s1 = np.zeros((max(len(chunks), 1), 3))
-    s2 = np.zeros_like(s1)
-    hits = np.zeros(s1.shape, dtype=np.int64)
-
-    def stage2(pts, j):
-        """Tile j's stage 2: c on [0, c-end], d on the d-interval at c, and the weights.
-
-        In blocks whose scratch rows follow the weights in wbuf.
-        """
-        n = pts.shape[1]
-        block = max(1, min(_BLOCK, n // 2))
-        w_row = wbuf[:n]
-        rows = wbuf[n:n + _CLASS_ROWS * block].reshape(_CLASS_ROWS, block)
-        for k in range(0, n, block):
-            a, b, c, d = pts[:, k:k + block]
-            f = rows[:, :a.size]
-            if classical:
-                # the slice: c on [0, h] and d on [-h, h]
-                end = _half_width(a, b, tol)
-                c *= end
-                pc = np.multiply(a, b, out=f[3])
-                pc -= np.multiply(c, c, out=f[4])
-                start = np.negative(end, out=f[1])
-                length = np.add(end, end, out=f[2])
+    cols = _COLUMNS[tag] if split is None else (2, 1)
+    for r, (size, draw) in enumerate(zip(counts, tiles)):
+        for done in range(0, size, _TILE):
+            # stage 1: the tile's uniforms (u, y), mapped to its a and b in
+            # pbuf; the fold and the triangle leave their Jacobian in u's
+            # row, where stage 2 keeps the weights
+            n = min(_TILE, size - done)
+            uv, pts = wbuf[:2 * n].reshape(2, n), pbuf[:4 * n].reshape(4, n)
+            draw(done, uv, _AB)
+            if fold:
+                _fold_ab(uv, q, box.hi[0], pts[_AB], wbuf[2 * n:3 * n])
+            elif energy:
+                _triangle_ab(uv, q, h, spec.bound_E / 2.0, pts[_AB], wbuf[2 * n:3 * n])
             else:
-                # through the fold, the Jacobians of c and d over 2 take the
-                # places of end and length
-                end, start, length, pc, _ = _class_limits(
-                    tag, a, b, c, mu, draw="end" if fold else "uniform", scratch=f, huge=huge,
-                    ordered=mapped)
-                if d_map:
-                    # d = d1 + (length y) y
-                    length *= d
-            if mapped:
-                # end takes the place of the a, b Jacobian over its constant
-                # too, which stage 1 left in the weights' row
-                end *= w_row[k:k + a.size]
-            d *= length
-            d += start
-            if split is not None:
-                # entangled where d < -d2 = -(start + length)
-                start += length
-                start += d
-                np.less(start, 0.0, out=split[k:k + a.size])
-            w = _class_weight(a, b, pc, d, spec, big, w_row[k:k + block], (f[1], f[4], f[5]),
-                              classical)
-            w *= length
-            w *= end
-        # per column: its points' weights, or those of either side of the
-        # split, the entangled side's times the mask and the separable side's
-        # the rest, which a masked sum would take ten times as long over; the
-        # factor 2 of _class_weight counts each point's mirror image c < 0
-        side = None if split is None else wbuf[n:2 * n]
-
-        def add_up(x, sums, scale):
-            if side is None:
-                sums[j, _COLUMNS[tag][0]] = np.sum(x) * scale
-                return
-            np.multiply(x, split[:n], out=side)
-            sums[j, 2] = np.sum(side) * scale
-            np.subtract(x, side, out=side)
-            sums[j, 1] = np.sum(side) * scale
-
-        add_up(w_row, s1, per_cd)
-        if split is None:
-            hits[j, _COLUMNS[tag][0]] = n
-        else:
-            hits[j, 2] = np.count_nonzero(split[:n])
-            hits[j, 1] = n - hits[j, 2]
-        # a non-finite weight makes its sum non-finite
-        if not np.isfinite(s1[j]).all():
-            i = int(np.argmin(np.isfinite(w_row)))
-            bad = tuple(float(x[i]) for x in pts)
-            raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
-        add_up(np.square(w_row, out=pts[2]), s2, per_cd * per_cd)
-
-    for j, (r, done, t) in enumerate(chunks):
-        # stage 1: the tile's uniforms (u, y), mapped to its a and b in pbuf;
-        # the fold and the triangle leave their Jacobian in u's row, where
-        # stage 2 keeps the weights
-        uv, pts = wbuf[:2 * t].reshape(2, t), pbuf[:4 * t].reshape(4, t)
-        sources[r].tile(done, uv, _AB)
-        if fold:
-            _fold_ab(uv, q, box.hi[0], pts[_AB], wbuf[2 * t:3 * t])
-        elif energy:
-            _triangle_ab(uv, q, h, spec.bound_E / 2.0, pts[_AB], wbuf[2 * t:3 * t])
-        else:
-            np.multiply(uv, ab_span, out=pts[_AB])
-            pts[_AB] += ab_lo
-        # stage 2: the uniforms of c and d for the whole tile, then the weights
-        sources[r].tile(done, pts[_CD], _CD)
-        stage2(pts, j)
-    # each replicate's sums: its tiles' sums in tile order, each added to the
-    # sum of those before it
-    sums, j = [], 0
-    for c in counts:
-        k = -(-c // _TILE)
-        sums.append([np.add.accumulate(x[j:j + k], axis=0)[-1] if k else np.zeros_like(x[0])
-                     for x in (s1, s2, hits)])
-        j += k
-    return np.array(counts, dtype=np.int64), *(np.array(x) for x in zip(*sums))
+                np.multiply(uv, ab_span, out=pts[_AB])
+                pts[_AB] += ab_lo
+            # stage 2: the uniforms of c and d for the whole tile, then c on
+            # [0, c-end], d on the d-interval at c and the weights, in blocks
+            # whose scratch rows follow the weights in wbuf
+            draw(done, pts[_CD], _CD)
+            block = max(1, min(_BLOCK, n // 2))
+            w_row = wbuf[:n]
+            rows = wbuf[n:n + _CLASS_ROWS * block].reshape(_CLASS_ROWS, block)
+            for k in range(0, n, block):
+                a, b, c, d = pts[:, k:k + block]
+                f = rows[:, :a.size]
+                if classical:
+                    # the slice: c on [0, h] and d on [-h, h]
+                    end = _half_width(a, b, tol)
+                    c *= end
+                    pc = np.multiply(a, b, out=f[3])
+                    pc -= np.multiply(c, c, out=f[4])
+                    start = np.negative(end, out=f[1])
+                    length = np.add(end, end, out=f[2])
+                else:
+                    # through the fold, the Jacobians of c and d over 2 take
+                    # the places of end and length
+                    end, start, length, pc, _ = _class_limits(
+                        tag, a, b, c, mu, draw="end" if fold else "uniform", scratch=f,
+                        huge=huge, ordered=mapped)
+                    if d_map:
+                        # d = d1 + (length y) y
+                        length *= d
+                if mapped:
+                    # end takes the place of the a, b Jacobian over its
+                    # constant too, which stage 1 left in the weights' row
+                    end *= w_row[k:k + a.size]
+                d *= length
+                d += start
+                if split is not None:
+                    # entangled where d < -d2 = -(start + length)
+                    start += length
+                    start += d
+                    np.less(start, 0.0, out=split[k:k + a.size])
+                w = _class_weight(a, b, pc, d, spec, big, w_row[k:k + block],
+                                  (f[1], f[4], f[5]), classical)
+                w *= length
+                w *= end
+            # per column: its points' weights, or those of either side of the
+            # split, the entangled side's times the mask and the separable
+            # side's the rest, which a masked sum would take ten times as
+            # long over; the factor 2 of _class_weight counts each point's
+            # mirror image c < 0
+            if split is None:
+                hits[r, cols] += n
+            else:
+                side, entangled = wbuf[n:2 * n], np.count_nonzero(split[:n])
+                hits[r, cols] += entangled, n - entangled
+            x = w_row
+            for sums, scale in ((s1, per_cd), (s2, per_cd * per_cd)):
+                if split is None:
+                    part = [np.sum(x) * scale]
+                else:
+                    np.multiply(x, split[:n], out=side)
+                    part = [np.sum(side) * scale, np.sum(np.subtract(x, side, out=side)) * scale]
+                sums[r, cols] += part
+                if sums is s1:
+                    # a non-finite weight makes its sum non-finite; its point
+                    # is named before the squares overwrite c's row
+                    if not np.isfinite(part).all():
+                        i = int(np.argmin(np.isfinite(w_row)))
+                        bad = tuple(float(row[i]) for row in pts)
+                        raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
+                    x = np.square(w_row, out=pts[2])
+    return np.array(counts, dtype=np.int64), s1, s2, hits
 
 
 @dataclass(frozen=True)
@@ -596,10 +566,8 @@ class IntegrationResult:
     class, not across the box, and so are a and b (see the module
     docstring), so every draw counts, and this is a share of draws, not of
     the box's volume: 1.0 for every pass whose class has volume in the box,
-    and 0.0 for one whose class has none, which draws nothing (E = 8
-    separable read 0.500 when a and b were uniform over the box, and 0.094
-    when c and d were drawn on the classical slice and labelled).  A
-    separable or entangled part of a quantum pass counts its own draws.
+    and 0.0 for one whose class has none, which draws nothing.  A separable
+    or entangled part of a quantum pass counts its own draws.
     """
 
     estimate: float
@@ -1029,7 +997,7 @@ def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float, tol: fl
     as it is.  Every box returned holds the slice |c|, |d| < sqrt(ab) of
     each point in its support (``_check_box``).
     """
-    q = 1.0 - tol
+    q = _floor(DomainTag.QUANTUM, tol)
     if spec.kind is RegKind.ADJUGATE_UPSILON:
         box = upsilon_box(spec.kappa, eps_tail, domain=domains)
         top = box.hi[0]

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, NumericError
-from .integrate import _check_seed, _is_int, _pairwise_reduce, _partition
+from .integrate import _check_seed, _pairwise_reduce, _partition
+from .regularizers import _is_int
 from .states import require_covariance
 
 __all__ = [

@@ -104,9 +104,8 @@ def log1p_det_pow(det_v, m: int):
 def _in_energy_support(a, b, bound_E: float) -> np.ndarray:
     """The energy cutoff's closed Heaviside on the chart: tr V = 2(a + b) <= E.
 
-    The weight and the stream kernel's support filter both use this one float
-    test, so the points the kernel drops are exactly those whose weight is 0.
-    Doubling a + b in place saves the energy workload 0.8 MB of peak RSS.
+    ``regularizer_values`` weighs the energy cutoff with this one float
+    test, so a point on the boundary 2(a + b) = E keeps its weight.
     """
     e = a + b
     e *= 2.0
