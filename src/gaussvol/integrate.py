@@ -12,15 +12,15 @@ scored, with a and b sides from 1 - tol.  Every pass takes tol < 1
 |c|, |d| < sqrt(ab) of every point in its support (``_check_box``), as
 every box ``_default_box`` fits does.
 
-Every pass draws inside one class and labels nothing: the classical class,
-or the quantum, separable or entangled one, and it drops no draw.  a and b
-start at the class's floor, -tol for classical and 1 - tol for the
-quantum classes, whose tests take min(a, b) > -tol and
-min(a, b) >= 1 - tol.  Under the energy cutoff they are drawn on the
-class's triangle, and for a quantum class under the damping over equal a
-and b sides through a fold (both below); elsewhere they are uniform on the
-rectangle of the sides [max(lo, floor), hi], and each weight is multiplied
-by its area over the box's a, b area.  A pass whose class has no volume
+Every pass draws inside one class and labels nothing: the classical,
+separable or entangled class, and it drops no draw.  The quantum domain is
+separable plus entangled, from two passes.  a and b start at the class's
+floor, -tol for classical and 1 - tol for the quantum classes, whose tests
+take min(a, b) > -tol and min(a, b) >= 1 - tol.  Under the energy cutoff
+they are drawn on the class's triangle, and for a quantum class under the
+damping over equal a and b sides through a fold (both below); elsewhere
+they are uniform on the rectangle of the sides [max(lo, floor), hi], and
+each weight is multiplied by its area over the box's a, b area.  A pass whose class has no volume
 in the box, a quantum class at E <= 4 (1 - tol) or one with an a or b side
 that ends at or below the floor, draws nothing and returns zero sums.  c
 is uniform on [0, c-end] of the class at (a, b) and d on its d-interval at
@@ -43,10 +43,9 @@ smooth in the uniforms (u, y), with the mirror image a <-> b counted
 twice, so the Jacobian is H^2 u over the box's a, b area.  So every draw
 passes the a, b test and the cutoff, and none is dropped.  At E = 8 under
 qmc the error of the separable class is about 25 times smaller at equal
-samples than that of a uniform draw over the box, of the quantum and
-entangled classes about 22 and 16 times, and of the classical one about 6
-times.  c and d
-stay uniform on the class's intervals; c crowded at its c-end, or a and b
+samples than that of a uniform draw over the box, of the entangled class
+about 16 times, and of the classical one about 6 times.  c and d stay
+uniform on the class's intervals; c crowded at its c-end, or a and b
 at a = b, measured no better here.  ``_check_box`` refuses an energy
 cutoff box whose a and b sides differ or that cuts a drawn class's
 nonempty triangle; ``phi_box`` and ``_default_box`` give neither.  Where
@@ -62,27 +61,29 @@ a >= b covers [q, top]^2 with q = max(lo, 1 - tol), so every draw passes
 the a, b test: s = a + b is uniform and a - b = T(s) y^2, with T(s) the
 most that keeps the point in the square (``_fold_ab``), and the mirror
 image a <-> b counts twice.  c = end (1 - y^2) crowds the c-end, and for
-the entangled class d = d1 + length y^2 crowds d1; the separable and
-quantum classes keep a uniform d, which gave them the smaller error.  Each
-weight carries the maps' Jacobians over the box's a, b area, so an
-estimate is still box.volume times the mean weight.  Against a uniform
+the entangled class d = d1 + length y^2 crowds d1; the separable class
+keeps a uniform d, which gave it the smaller error.  Each weight carries
+the maps' Jacobians over the box's a, b area, so an estimate is still
+box.volume times the mean weight.  Against a uniform
 draw over the box, the entangled error at kappa = 5 and 8M qmc samples is
 about 7 times smaller, and at kappa = 50 and 1000 and 200k about 25 and 30
 times.  Classical
 passes and boxes with unequal a and b sides draw on the rectangle under
 the damping.
 
-A quantum pass reports its separable and entangled parts too: a
-quantum point with c >= 0 is entangled where d < -d2, the mirror image of
-the d-interval's lower end under partial transposition.  The weight is
-fused with the interval arithmetic (``_class_weight``); it is 0 off the
-open classical domain, where pc = ab - c^2 <= 0 or pd = ab - d^2 <= 0,
-which the classical draw reaches where |c| or |d| >= sqrt(ab).
+The weight is fused with the interval arithmetic (``_class_weight``); it
+is 0 off the open classical domain, where pc = ab - c^2 <= 0 or
+pd = ab - d^2 <= 0, which the classical draw reaches where |c| or
+|d| >= sqrt(ab).
 
-A call that scores the classical class and a quantum class runs two
-passes of n_samples each over the same box, on independent streams
-(``mc_joint_volumes``), so estimates from different passes have
-covariance 0.  Q = S + E still holds exactly, within the quantum pass.
+A call runs one pass of n_samples per class that its domains need, over
+the same box and on independent streams (``mc_joint_volumes``), so
+estimates from different passes have covariance 0.  The quantum estimate
+is the sum of the separable and entangled ones, and its variance the sum
+of theirs.  Splitting one quantum pass at d = -d2 instead put a jump in
+the uniforms, which qmc does not smooth: near E* its entangled - separable
+error was 17 times that of the two passes at 200k samples, and 85 times
+at 8M.
 
 The adjugate damping has unbounded support, so ``upsilon_box`` fits a box
 a, b in (0, L], |c|, |d| <= L: the first of the sides L0 / sqrt(2), L0,
@@ -166,11 +167,12 @@ __all__ = [
 ]
 
 DOMAIN_ORDER = (DomainTag.CLASSICAL, DomainTag.QUANTUM, DomainTag.SEPARABLE, DomainTag.ENTANGLED)
-# the columns of a pass's sums that make up each domain: a classical pass
-# sums its class in column 0, and a quantum-class pass its separable and
-# entangled points in columns 1 and 2
-_COLUMNS = {DomainTag.CLASSICAL: (0,), DomainTag.QUANTUM: (1, 2), DomainTag.SEPARABLE: (1,),
-            DomainTag.ENTANGLED: (2,)}
+# the classes whose passes make up each domain: quantum is separable plus
+# entangled, drawn in two independent passes
+_CLASSES = {DomainTag.CLASSICAL: (DomainTag.CLASSICAL,),
+            DomainTag.QUANTUM: (DomainTag.SEPARABLE, DomainTag.ENTANGLED),
+            DomainTag.SEPARABLE: (DomainTag.SEPARABLE,),
+            DomainTag.ENTANGLED: (DomainTag.ENTANGLED,)}
 
 # _TILE is the working set of a stream and fixes its bits: the pseudo
 # stream's layout and the summation order of every sum.  A qmc tile is the
@@ -414,9 +416,9 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     # on, over the box's c and d spans
     per_cd = 1.0 / (span[2, 0] * span[3, 0])
     counts, tiles = _replicates(child_ss, count, sampler)
-    # one row of sums per replicate, to which each of its tiles adds its own
-    s1, s2 = np.zeros((len(counts), 3)), np.zeros((len(counts), 3))
-    hits = np.zeros(s1.shape, dtype=np.int64)
+    # one weight sum and one squared-weight sum per replicate, to which each
+    # of its tiles adds its own
+    s1, s2 = np.zeros(len(counts)), np.zeros(len(counts))
     energy = spec.kind is RegKind.ENERGY_PHI
     classical = tag is DomainTag.CLASSICAL
     # a and b are drawn inside the class, from ab_lo = max(lo, floor) on each
@@ -435,7 +437,7 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     h = _triangle_side(q, spec.bound_E / 2.0) if energy else 0.0
     if (h <= 0.0) if energy else not (ab_span > 0.0).all():
         # the class has no volume in the box, so nothing is drawn
-        return np.array(counts, dtype=np.int64), s1, s2, hits
+        return np.array(counts, dtype=np.int64), s1, s2, False
     fold = not (energy or classical) and box.lo[0] == box.lo[1] and box.hi[0] == box.hi[1]
     mapped = energy or fold
     d_map = fold and tag is DomainTag.ENTANGLED
@@ -458,10 +460,6 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     # class limits' Delta <= (ab)^3 overflows in larger ones still
     log_ab = math.log(max(box.hi[0] * box.hi[1], 1.0))
     big, huge = 2 * spec.m * log_ab > 700.0, 3 * log_ab > 700.0
-    # a quantum pass splits its points at d = -d2, into its entangled and
-    # separable columns in this order
-    split = np.empty(tile, dtype=bool) if tag is DomainTag.QUANTUM else None
-    cols = _COLUMNS[tag] if split is None else (2, 1)
     for r, (size, draw) in enumerate(zip(counts, tiles)):
         for done in range(0, size, _TILE):
             # stage 1: the tile's uniforms (u, y), mapped to its a and b in
@@ -510,42 +508,22 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
                     end *= w_row[k:k + a.size]
                 d *= length
                 d += start
-                if split is not None:
-                    # entangled where d < -d2 = -(start + length)
-                    start += length
-                    start += d
-                    np.less(start, 0.0, out=split[k:k + a.size])
                 w = _class_weight(a, b, pc, d, spec, big, w_row[k:k + block],
                                   (f[1], f[4], f[5]), classical)
                 w *= length
                 w *= end
-            # per column: its points' weights, or those of either side of the
-            # split, the entangled side's times the mask and the separable
-            # side's the rest, which a masked sum would take ten times as
-            # long over; the factor 2 of _class_weight counts each point's
-            # mirror image c < 0
-            if split is None:
-                hits[r, cols] += n
-            else:
-                side, entangled = wbuf[n:2 * n], np.count_nonzero(split[:n])
-                hits[r, cols] += entangled, n - entangled
-            x = w_row
-            for sums, scale in ((s1, per_cd), (s2, per_cd * per_cd)):
-                if split is None:
-                    part = [np.sum(x) * scale]
-                else:
-                    np.multiply(x, split[:n], out=side)
-                    part = [np.sum(side) * scale, np.sum(np.subtract(x, side, out=side)) * scale]
-                sums[r, cols] += part
-                if sums is s1:
-                    # a non-finite weight makes its sum non-finite; its point
-                    # is named before the squares overwrite c's row
-                    if not np.isfinite(part).all():
-                        i = int(np.argmin(np.isfinite(w_row)))
-                        bad = tuple(float(row[i]) for row in pts)
-                        raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
-                    x = np.square(w_row, out=pts[2])
-    return np.array(counts, dtype=np.int64), s1, s2, hits
+            # the tile's weights and their squares, summed; the factor 2 of
+            # _class_weight counts each point's mirror image c < 0.  A
+            # non-finite weight makes its sum non-finite; its point is named
+            # before the squares overwrite c's row
+            part = np.sum(w_row) * per_cd
+            if not math.isfinite(part):
+                i = int(np.argmin(np.isfinite(w_row)))
+                bad = tuple(float(row[i]) for row in pts)
+                raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
+            s1[r] += part
+            s2[r] += np.sum(np.square(w_row, out=pts[2])) * (per_cd * per_cd)
+    return np.array(counts, dtype=np.int64), s1, s2, True
 
 
 @dataclass(frozen=True)
@@ -558,16 +536,11 @@ class IntegrationResult:
     2 * streams - 1) * std_error is its 95% interval (2.36 std_errors at 4
     streams, 12.7 at one).
 
-    ``acceptance_fraction`` is the share of the ``n_samples`` draws of the
-    domain's pass that lie in the domain and inside the regularizer's
-    support (tr V <= E for the energy cutoff; the adjugate damping has
-    unbounded support), that is the share that carries weight;
-    ``empty_domain`` is true when none does.  c and d are drawn inside the
-    class, not across the box, and so are a and b (see the module
-    docstring), so every draw counts, and this is a share of draws, not of
-    the box's volume: 1.0 for every pass whose class has volume in the box,
-    and 0.0 for one whose class has none, which draws nothing.  A separable
-    or entangled part of a quantum pass counts its own draws.
+    ``acceptance_fraction`` is the share of the domain's draws that carry
+    weight, and ``empty_domain`` is true when none does.  Every pass draws
+    inside its class (see the module docstring), so this is 1.0 for a
+    domain whose classes have volume in the box and 0.0 for one whose
+    classes have none, which draws nothing.
     """
 
     estimate: float
@@ -584,28 +557,27 @@ class IntegrationResult:
 
 
 class JointVolumes:
-    """The scored domain volumes of one or two sampling passes, with their covariances.
+    """The scored domain volumes of up to three sampling passes, with their covariances.
 
-    A pass draws inside one class (see the module docstring): the classical
-    one, or a quantum class, whose separable and entangled parts come from
-    the same draws, so Q = S + E holds exactly, differences of estimates
-    carry honest errors, and delta-method ratio errors include the
-    correlation with the denominator.  Estimates from different passes are
-    independent, with covariance 0.  Every weight carries the Jacobian of its
-    draw: the lengths of the intervals its c and d were drawn on, or the
-    polynomial maps' (see the module docstring), so each estimate is
-    box.volume times a mean over the pass's ``n_samples`` draws, and its error
-    box.volume times that mean's.  The sums are kept per replicate, in
-    stream order: one per stream for pseudo, whose variances and covariances
-    come from the pooled sums by the iid formulas, and two per stream for
-    qmc, whose come from the R = 2 * streams replicate means (their sample
-    covariance over R; see the module docstring).  The hits count the draws
-    in the domain and inside the regularizer's support, a share of draws,
-    not of the box's volume.  ``result``, ``difference`` and ``ratio``
-    accept every domain made up of the drawn classes and parts (a quantum
-    pass gives all three quantum domains) and raise ``InvalidArgumentError``
-    for any other.  They raise ``NumericError`` for a domain with hits but
-    a weight sum or squared-weight sum of 0, whose weights underflowed.
+    Each pass draws inside one class (see the module docstring): classical,
+    separable or entangled.  A domain is a set of classes, the quantum one
+    separable plus entangled, so its estimate is the sum of its classes'.
+    The passes draw independent streams, so the covariance of two domains'
+    estimates is the sum of the variances of the classes they share: Q - E
+    has S's error, and Q and S covary by S's variance in a ratio.  Every
+    weight carries the Jacobian of its draw: the lengths of the intervals
+    its c and d were drawn on, or the polynomial maps' (see the module
+    docstring), so each class's estimate is box.volume times a mean over
+    its pass's ``n_samples`` draws, and its error box.volume times that
+    mean's.  The sums are kept per replicate, in stream order: one per
+    stream for pseudo, whose variances come from the pooled sums by the iid
+    formula, and two per stream for qmc, whose come from the R =
+    2 * streams replicate means (their sample variance over R; see the
+    module docstring).  ``result``, ``difference`` and ``ratio`` accept
+    every domain whose classes were drawn and raise
+    ``InvalidArgumentError`` for any other.  They raise ``NumericError``
+    for a domain whose classes drew but whose weight sum or squared-weight
+    sum is 0, since its weights underflowed.
     """
 
     def __init__(self, box: Box, spec: RegularizerSpec, seed_label, streams: int, tol: float,
@@ -616,63 +588,61 @@ class JointVolumes:
         self.streams = streams
         self.tol = tol
         self.sampler = sampler
-        # passes: (class drawn, counts, s1, s2, hits) of each pass, one row per
-        # replicate in stream order (a stream's for pseudo, a scramble's for
-        # qmc) and one column per part (_COLUMNS); each draws n_samples
+        # passes: (class drawn, counts, s1, s2, drew) of each pass, one entry
+        # of counts and sums per replicate in stream order (a stream's for
+        # pseudo, a scramble's for qmc); each draws n_samples
         self.n_samples = int(passes[0][1].sum())
-        self._pass = {}  # column: (counts, replicate s1 rows) of the pass that drew it
-        pooled = []
-        for tag, counts, s1, s2, hits in passes:
-            # the pooled sums, added up pairwise over the rows
-            pooled.append([_pairwise_reduce(list(x), lambda u, v: u + v) for x in (s1, s2, hits)])
-            entry = (counts, s1)
-            self._pass.update((col, entry) for col in _COLUMNS[tag])
-        # a column is 0 in every pass but the one that drew it
-        self._s1, self._s2, self._hits = (sum(x) for x in zip(*pooled))
+        # class: (counts, replicate s1, pooled s1, pooled s2, drew), the
+        # pooled sums added up pairwise over the replicates
+        self._pass = {tag: (counts, s1, _pairwise_reduce(s1, lambda u, v: u + v),
+                            _pairwise_reduce(s2, lambda u, v: u + v), drew)
+                      for tag, counts, s1, s2, drew in passes}
+
+    def _classes(self, tag: DomainTag) -> tuple:
+        # every reader of a domain goes through here
+        classes = _CLASSES[tag]
+        if not all(c in self._pass for c in classes):
+            raise InvalidArgumentError(f"the {tag.value} domain was not scored in this call")
+        return classes
 
     def _mean(self, tag: DomainTag) -> float:
-        # every reader of a domain goes through here
-        cols = _COLUMNS[tag]
-        if not all(col in self._pass for col in cols):
-            raise InvalidArgumentError(f"the {tag.value} domain was not scored in this call")
-        s1 = sum(float(self._s1[c]) for c in cols)
-        # weights are positive, so hits with a zero sum mean that the weights
-        # underflowed, and the estimate or its error bar would read 0; one part
-        # may underflow where the domain's other part carries its sums
-        hits, s2 = sum(int(self._hits[c]) for c in cols), sum(float(self._s2[c]) for c in cols)
-        if hits and not (s1 and s2):
-            raise NumericError(f"integrand weights of the {tag.value} domain underflow: {hits} "
-                               f"hits, weight sum {s1:.3g}, squared-weight sum {s2:.3g}")
+        classes = self._classes(tag)
+        s1, s2 = (sum(float(self._pass[c][k]) for c in classes) for k in (2, 3))
+        # weights are positive, so a zero sum over draws means that the
+        # weights underflowed, and the estimate or its error bar would read 0
+        if self._drew(classes) and not (s1 and s2):
+            raise NumericError(f"integrand weights of the {tag.value} domain underflow: "
+                               f"weight sum {s1:.3g}, squared-weight sum {s2:.3g}")
         return s1 / self.n_samples
 
-    def _replicate_means(self, tag: DomainTag) -> np.ndarray:
-        self._mean(tag)
-        cols = _COLUMNS[tag]
-        counts, rows = self._pass[cols[0]]
-        return rows[:, list(cols)].sum(axis=1) / counts
+    def _drew(self, classes) -> bool:
+        return any(self._pass[c][4] for c in classes)
 
-    def _mean_cov(self, tag_a: DomainTag, tag_b: DomainTag) -> float:
-        """Covariance of the two domains' sample means.
+    def _class_var(self, tag: DomainTag) -> float:
+        """Variance of one class's sample mean.
 
-        0 for domains of different passes, which draw independent streams.
-        Within one pass: for qmc, from the spread of the R replicates' means,
-        each an independent estimate, as their sample covariance over R; for
-        pseudo, from the columns the domains share, as the iid formula has
-        it.
+        For qmc, from the spread of the R replicates' means, each an
+        independent estimate, as their sample variance over R; for pseudo,
+        by the iid formula.
         """
-        mean_a, mean_b = self._mean(tag_a), self._mean(tag_b)
-        cols_a, cols_b = _COLUMNS[tag_a], _COLUMNS[tag_b]
-        if self._pass[cols_a[0]] is not self._pass[cols_b[0]]:
-            return 0.0
+        counts, rows, s1, s2, _ = self._pass[tag]
         if self.sampler == "qmc":
-            x, y = self._replicate_means(tag_a), self._replicate_means(tag_b)
-            r = x.size
-            return float(np.dot(x - x.mean(), y - y.mean())) / (r * (r - 1.0))
+            x = rows / counts
+            dx = x - x.mean()
+            return float(np.dot(dx, dx)) / (x.size * (x.size - 1.0))
         n = self.n_samples
         if n < 2:
             return 0.0
-        cross = sum(float(self._s2[c]) for c in cols_a if c in cols_b) / n
-        return (cross - mean_a * mean_b) * (n / (n - 1.0)) / n
+        mean = float(s1) / n
+        return (float(s2) / n - mean * mean) * (n / (n - 1.0)) / n
+
+    def _mean_cov(self, tag_a: DomainTag, tag_b: DomainTag) -> float:
+        """Covariance of the two domains' sample means: their shared classes' variances, summed."""
+        # the checks of both domains
+        self._mean(tag_a)
+        self._mean(tag_b)
+        shared = self._classes(tag_b)
+        return sum(self._class_var(c) for c in self._classes(tag_a) if c in shared)
 
     def _mean_var(self, tag: DomainTag) -> float:
         return max(self._mean_cov(tag, tag), 0.0)
@@ -680,7 +650,7 @@ class JointVolumes:
     def result(self, tag: DomainTag) -> IntegrationResult:
         vol = self.box.volume
         estimate = vol * self._mean(tag)
-        hits = sum(int(self._hits[c]) for c in _COLUMNS[tag])
+        drew = self._drew(_CLASSES[tag])
         return IntegrationResult(
             estimate=estimate,
             std_error=vol * math.sqrt(self._mean_var(tag)),
@@ -688,11 +658,11 @@ class JointVolumes:
             seed=self.seed,
             streams=self.streams,
             box=self.box,
-            acceptance_fraction=hits / self.n_samples,
+            acceptance_fraction=float(drew),
             domain=tag,
             regularizer=self.regularizer,
             sampler=self.sampler,
-            empty_domain=hits == 0,
+            empty_domain=not drew,
         )
 
     def difference(self, tag_a: DomainTag, tag_b: DomainTag) -> tuple[float, float]:
@@ -784,23 +754,18 @@ def _check_eps_tail(eps_tail: float) -> None:
 
 
 def _draws(domains) -> tuple:
-    """The classes that passes scoring ``domains`` draw in: classical, a quantum class, or both.
+    """The classes that passes scoring ``domains`` draw in, in ``DOMAIN_ORDER``.
 
-    The quantum class is the one whose parts (``_COLUMNS``) make up the
-    scored quantum domains: separable, entangled, or quantum for both.
+    Each domain's classes (``_CLASSES``): the quantum domain draws the
+    separable and the entangled class.
     """
     try:
-        tags = set(domains)
-        cols = {col for tag in tags for col in _COLUMNS[tag]}
+        classes = {c for tag in set(domains) for c in _CLASSES[tag]}
     except (KeyError, TypeError):
         raise InvalidArgumentError("domains must be a collection of DomainTags") from None
-    if not tags:
+    if not classes:
         raise InvalidArgumentError("domains must be non-empty")
-    draws = (DomainTag.CLASSICAL,) if DomainTag.CLASSICAL in tags else ()
-    parts = tuple(sorted(cols - {0}))
-    if parts:
-        draws += (next(tag for tag in DOMAIN_ORDER[1:] if _COLUMNS[tag] == parts),)
-    return draws
+    return tuple(tag for tag in DOMAIN_ORDER if tag in classes)
 
 
 def _run_shares(run, tasks: list, threads: int) -> list:
@@ -848,24 +813,23 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
                      seed_label: int | None = None, *, domains=DOMAIN_ORDER) -> JointVolumes:
     """Sampling passes over ``box`` scoring ``domains`` (all four by default).
 
-    Each pass draws inside one class (see the module docstring): the
-    classical class when ``domains`` hold it, and the quantum class whose
-    parts make up the scored quantum domains when they hold any.  a and b
-    are drawn inside the class: on its triangle a + b <= E/2 under the
-    energy cutoff, through polynomial maps for a quantum class under the
-    damping over equal a and b sides, and otherwise uniformly on the part
-    of the box's a, b sides from the class's floor on.  c and d are uniform
+    Each pass draws inside one class (see the module docstring), in
+    ``DOMAIN_ORDER``: the classical class when ``domains`` hold it, the
+    separable class when they hold the separable or quantum domain, and
+    the entangled class when they hold the entangled or quantum domain.
+    a and b are drawn inside the class: on its triangle a + b <= E/2 under
+    the energy cutoff, through polynomial maps for a quantum class under
+    the damping over equal a and b sides, and otherwise uniformly on the
+    part of the box's a, b sides from the class's floor on.  c and d are uniform
     on the class's intervals, and each weight carries the Jacobians of its
     draw over the box's a, b area and c and d spans, so a pass estimates
     the integrals over the box that uniform sampling estimates.  The box
     must hold the slice |c|, |d| < sqrt(ab) of its support, and under the
     energy cutoff have equal a and b sides that hold each drawn class's
     triangle (``InvalidArgumentError`` otherwise).  Each pass draws
-    ``n_samples``; with both classes scored,
-    the classical pass runs on the substreams that a pass scoring only
-    classical takes, so it gives that pass's bits, and the quantum-class
-    pass on the next ``streams`` children of the seed, so the two are
-    independent.
+    ``n_samples``: the k-th pass runs on the seed's children k * streams
+    to (k + 1) * streams - 1, so the passes are independent, and the first
+    gives the bits of a call that scores only its class.
 
     ``seed`` may be an integer or a SeedSequence, which is not modified;
     ``seed_label`` is what gets reported in results when the seed is not a
@@ -901,8 +865,10 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
             return _stream_partial(child, count, box, spec, tol, sampler, tag)
 
     partials = _run_shares(run, tasks, min(streams, _usable_cores()))
-    passes = [(tag, *(np.concatenate(x) for x in zip(*partials[k * streams:(k + 1) * streams])))
-              for k, tag in enumerate(draws)]
+    passes = []
+    for k, tag in enumerate(draws):
+        counts, s1, s2, drew = zip(*partials[k * streams:(k + 1) * streams])
+        passes.append((tag, *map(np.concatenate, (counts, s1, s2)), any(drew)))
     return JointVolumes(box, spec, seed_label, streams, tol, sampler, passes)
 
 
@@ -1069,12 +1035,12 @@ def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
     ``param`` is "E" (energy regularizer) or "kappa" (adjugate regularizer);
     each row re-derives its support box, fitted to all four domains it
     reports (``template.domain`` does not enter), and gets its own
-    deterministic substream of the template seed.  A row is two passes of
-    ``template.n_samples`` over that box (``mc_joint_volumes``): one inside
-    the classical class and one inside the quantum class, which gives the
-    separable and entangled columns too, so the ratios to classical have
-    independent numerator and denominator.  Rows that fail numerically are
-    recorded and the sweep continues.
+    deterministic substream of the template seed.  A row is three passes
+    of ``template.n_samples`` over that box (``mc_joint_volumes``), inside
+    the classical, separable and entangled classes; its quantum column is
+    separable plus entangled, and the ratios to classical have independent
+    numerator and denominator.  Rows that fail numerically are recorded and
+    the sweep continues.
     """
     rows = []
     for i, (v, spec) in enumerate(_sweep_specs(param, values, template)):

@@ -231,8 +231,9 @@ def test_criterion_07_inclusion_chains():
         d_qs, e_qs = jv.difference(Q, S)
         d_cq, e_cq = jv.difference(C, Q)
         ordered &= vol_s <= vol_q + 2.0 * e_qs and vol_q <= vol_c + 2.0 * e_cq
-        # S <= Q holds exactly within the quantum-class pass; Q <= C holds
-        # across the two independent passes by a wide margin (Q/C <= 0.22)
+        # S <= Q holds exactly, Q being S + E from the separable and
+        # entangled passes; Q <= C holds across independent passes by a wide
+        # margin (Q/C <= 0.22)
         ordered &= vol_s <= vol_q <= vol_c
         if e_qs > 0:
             worst_z = max(worst_z, -d_qs / e_qs)
@@ -287,7 +288,7 @@ def test_criterion_09_volume_hierarchies():
     # damped volumes at kappa = 5: separable < entangled < quantum at >= 3 sigma
     spec = RegularizerSpec.adjugate(5.0)
     box = upsilon_box(5.0, domain=Q)
-    jv = mc_joint_volumes(box, spec, 10_000_000, seed=1905, streams=8)
+    jv = mc_joint_volumes(box, spec, 10_000_000, seed=1905, streams=8, domains=(Q,))
     d_es, e_es = jv.difference(E, S)
     d_qe, e_qe = jv.difference(Q, E)
     z_es = d_es / e_es if e_es > 0 else math.inf
@@ -295,7 +296,7 @@ def test_criterion_09_volume_hierarchies():
     hierarchy_ok = z_es >= 3.0 and z_qe >= 3.0
     # energy-cut volumes at E = 8: is entangled < separable?
     spec8 = RegularizerSpec.energy(8.0)
-    jv8 = mc_joint_volumes(phi_box(8.0), spec8, 10_000_000, seed=1906, streams=8)
+    jv8 = mc_joint_volumes(phi_box(8.0), spec8, 10_000_000, seed=1906, streams=8, domains=(S, E))
     d_se, e_se = jv8.difference(S, E)
     z_se = d_se / e_se if e_se > 0 else 0.0
     contradicted = z_se <= -3.0
@@ -322,7 +323,8 @@ def test_criterion_10_determinism_and_error_honesty(tmp_path):
     estimates = []
     reported = []
     for i in range(50):
-        res = mc_joint_volumes(box, spec, 100_000, seed=7000 + i, streams=2).result(C)
+        res = mc_joint_volumes(box, spec, 100_000, seed=7000 + i, streams=2,
+                               domains=(C,)).result(C)
         estimates.append(res.estimate)
         reported.append(res.std_error)
     spread = float(np.std(estimates, ddof=1))

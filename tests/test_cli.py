@@ -292,12 +292,13 @@ def test_volume_benchmark_rows_pinned_qmc(flags, capsys):
 
 # one stream of 400k samples runs 7 tiles, so these rows cover a stream whose
 # sums span several tiles: the classical row draws inside the classical
-# slice, on its triangle a + b <= E/2, and the quantum row inside its class,
-# through the polynomial maps, and splits it at d = -d2.  Both re-recorded
-# when the triangle draw came in and the split sums became plain sums
+# slice, on its triangle a + b <= E/2, and the quantum row is a separable
+# and an entangled pass, each through the polynomial maps.  Both re-recorded
+# when the triangle draw came in and the split sums became plain sums, and
+# the quantum row again when one quantum pass split at d = -d2 became two
 _PINNED_MULTI_TILE_ROWS = {
     ("--set", "quantum", "--kappa", "5"):
-        "quantum,adj,kappa,5.0,4,0.47511669835385867,0.00225983698619479,1.0,0,400000,1,1,pseudo,"
+        "quantum,adj,kappa,5.0,4,0.47230616740184644,0.001647484657504159,1.0,0,400000,1,1,pseudo,"
         "0.999999999,6.324555320336758,0.999999999,6.324555320336758,-6.324555320336758,"
         "6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "classical", "--E", "8"):
@@ -549,11 +550,18 @@ def test_underflowed_weights_exit_5(argv, capsys):
 
 
 def test_sweep_records_underflowed_row_as_failed(capsys):
-    assert main(["sweep", "--E", "8,1e70", "--samples", "10000"]) == 5
-    captured = capsys.readouterr()
-    rows = captured.out.splitlines()[2:]
-    assert [row.split(",")[:2] for row in rows] == [["E", "8.0"]]
-    assert captured.err.startswith("sweep row E=1e+70 failed: ") and "underflow" in captured.err
+    # at kappa = 0.01 every squared quantum-class weight underflows.  At
+    # E = 1e70 every weight underflows too, but the row's entangled pass
+    # fails first: pd = ab - d^2 cancels on its sliver at d1, about 1/ab
+    # wide, and leaves a non-finite weight
+    for argv, kept, failed, reason in (
+            (["--kappa", "0.01,1"], ["kappa", "1.0"], "kappa=0.01", "quantum domain underflow"),
+            (["--E", "8,1e70"], ["E", "8.0"], "E=1e+70", "non-finite integrand weight")):
+        assert main(["sweep", *argv, "--samples", "10000"]) == 5
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[2:]
+        assert [row.split(",")[:2] for row in rows] == [kept]
+        assert captured.err.startswith(f"sweep row {failed} failed: ") and reason in captured.err
 
 
 @pytest.mark.parametrize("argv", [["volume", "--E", "8"], ["sweep", "--E", "4,8"]],
@@ -692,80 +700,83 @@ def test_sweep_csv_shape(capsys):
 
 
 # every row of two sweeps at 200k samples and seed 8, under each sampler,
-# recorded when each row became two passes drawn inside the classical and
-# the quantum class; the kappa rows' quantum columns and ratios re-recorded
-# when the damped quantum pass began to draw through the polynomial maps,
-# and again when its split sums became plain sums; the E rows when both
-# passes began to draw on their class's triangle, where E = 4's quantum
-# classes, a, b >= 1 - tol with a + b <= 2, read about 1e-31 rather than 0.
-# A kernel change must keep these bytes or re-record them
+# recorded when each row became passes drawn inside their classes; the
+# kappa rows' quantum columns and ratios re-recorded when the damped quantum
+# pass began to draw through the polynomial maps, and again when its split
+# sums became plain sums; the E rows when every pass began to draw on its
+# class's triangle, where E = 4's quantum classes, a, b >= 1 - tol with
+# a + b <= 2, read about 1e-31 rather than 0; and the quantum, separable and
+# entangled columns and their ratios of every row when the quantum pass
+# became a separable and an entangled pass.  A kernel change must keep these
+# bytes or re-record them
 _PINNED_SWEEP_ROWS = {
     (("--kappa", "1:16:log:3"), "qmc"): [
-        "kappa,1.0,0.03920099204778679,0.00010604242163263031,0.00023077078431989477,"
-        "1.9680254388309077e-07,6.3396817299355e-05,4.6418946939894554e-07,0.00016737396702053977,"
-        "5.450013221317952e-07,0.005886860823281732,1.6697131720941164e-05,0.0016172248197717295,"
-        "1.2623551494737862e-05,0.0042696360035100024,1.8074388277876122e-05,200000,8",
-        "kappa,4.0,5.943284408356673,0.03992121673414756,0.22832665019521944,"
-        "0.0003135847324008167,0.08219084647039937,0.00025196571132446015,0.14613580372482007,"
-        "0.0004072818778865344,0.03841758773552486,0.0002633909476296157,0.01382919625297307,"
-        "0.00010210826839286385,0.024588391482551788,0.00017881341591503518,200000,8",
-        "kappa,16.0,150.30576375728464,2.6825174553574223,8.860998138163334,0.025308624982094158,"
-        "3.7375790493438084,0.02273777193696037,5.123419088819526,0.02282790334504289,"
-        "0.058953149344772755,0.0010655293337833332,0.024866505155313214,0.00046886885483305785,"
-        "0.03408664418945955,0.0006270184845828749,200000,8",
+        "kappa,1.0,0.03920099204778679,0.00010604242163263031,0.00023086621532531553,"
+        "2.3244162545705337e-07,6.299133021851992e-05,5.042696510774055e-08,"
+        "0.0001678748851067956,2.26905774353893e-07,0.005889295226097467,1.6998790656825776e-05,"
+        "0.0016068810233611495,4.533114261424134e-06,0.004282414202736317,1.2949939373099242e-05,"
+        "200000,8",
+        "kappa,4.0,5.943284408356673,0.03992121673414756,0.22811272357730042,"
+        "0.00016593647576485193,0.08273169354283871,7.322547214311229e-05,0.14538103003446168,"
+        "0.0001489058233202368,0.038381593055946975,0.00025931770739305555,0.013920197631214177,"
+        "9.43106281390341e-05,0.024461395424732794,0.00016620715145262852,200000,8",
+        "kappa,16.0,150.30576375728464,2.6825174553574223,8.850940138540004,0.01194386608626816,"
+        "3.744970634877258,0.003530885041390872,5.105969503662745,0.011410030145060479,"
+        "0.058886232419088046,0.0010539466114020902,0.024915682148587973,0.00044529199208498226,"
+        "0.03397055027050007,0.0006110088064286994,200000,8",
     ],
     (("--kappa", "1:16:log:3"), "pseudo"): [
-        "kappa,1.0,0.03943372044099305,0.0005124161029205005,0.00022820219429792432,"
-        "2.7630583438949077e-06,6.021893763888245e-05,1.5300745560971098e-06,"
-        "0.00016798325665904186,2.322610923705037e-06,0.005786981084866096,0.00010278298847475961,"
-        "0.0015270924722660018,4.3580949742903015e-05,0.004259888612600094,8.082839910616146e-05,"
-        "200000,8",
-        "kappa,4.0,5.968747334501896,0.09714594792646553,0.23079359349001513,"
-        "0.0028486381434122358,0.0803879484213579,0.0015690172555816637,0.15040564506865722,"
-        "0.0024028800928705915,0.03866700675297982,0.0007898347652600651,0.013468143969955201,"
-        "0.0003422752032600585,0.02519886278302462,0.0005746960182368382,200000,8",
-        "kappa,16.0,148.75620325296651,4.217673824215129,8.75074189556499,0.12640463872905489,"
-        "3.6703931227130595,0.06242534435039722,5.080348772851932,0.11075955389615078,"
-        "0.05882606374864224,0.0018718774072266548,0.02467388278572419,0.0008157896312214909,"
-        "0.034152180962918055,0.0012214821151763089,200000,8",
+        "kappa,1.0,0.03943372044099305,0.0005124161029205005,0.0002274810035408361,"
+        "2.301061014141152e-06,6.157144614848634e-05,1.0023011461503994e-06,"
+        "0.00016590955739234978,2.071297709945604e-06,0.0057686924032752385,"
+        "9.499527970654573e-05,0.0015613907452790119,3.25222560200301e-05,0.004207301657996227,"
+        "7.581508586854394e-05,200000,8",
+        "kappa,4.0,5.968747334501896,0.09714594792646553,0.22688717292407834,"
+        "0.0020822444718855884,0.08297905368979085,0.0012417680922493395,0.14390811923428745,"
+        "0.0016714526753005986,0.03801252762243328,0.0007102609203524986,0.013902256041252854,"
+        "0.00030737727920593865,0.024110271581180422,0.00048208629831823964,200000,8",
+        "kappa,16.0,148.75620325296651,4.217673824215129,8.782877159686564,0.08030060270646601,"
+        "3.693609878839446,0.05355826840881897,5.089267280847117,0.059830583150012835,"
+        "0.05904209012884586,0.0017588997875487358,0.02482995530988579,0.0007907261947681465,"
+        "0.03421213481896007,0.0010500937428086369,200000,8",
     ],
     (("--E", "4:16:log:4"), "qmc"): [
-        "E,4.0,0.07057469593613724,8.817519870178303e-05,1.1871671902287554e-31,"
-        "4.1750955090566405e-36,3.9593178520811145e-36,3.528743878255543e-36,"
-        "1.1871275970502346e-31,5.512492671085497e-36,1.6821428338891013e-30,"
-        "2.1024820101111916e-33,5.610109685295542e-35,5.000017780734688e-35,"
-        "1.6820867327922484e-30,2.103030483748994e-33,200000,8",
-        "E,6.3496042078727974,11.007837724943931,0.003772955607842418,1.4274711416277654,"
-        "3.569219878602322e-05,0.8096144424052407,0.0005041084475873619,0.6178566992225247,"
-        "0.0005215273264332235,0.12967770576714568,4.45653713207171e-05,0.07354890784505679,"
-        "5.227536843115083e-05,0.0561287979220889,5.113479834686797e-05,200000,8",
-        "E,10.079368399158986,144.3127162623346,0.07387107974015895,29.364858031230877,"
-        "0.0016780599980772298,19.27486893532984,0.014298488378153326,10.089989095901034,"
-        "0.014500727127733733,0.20348073816205384,0.00010480517116781757,0.13356320520148476,"
-        "0.00012037894472788931,0.06991753296056909,0.00010666479604909625,200000,8",
-        "E,16.0,831.7450489481134,0.7645971287146375,179.700469050222,0.03420293329563847,"
-        "124.69379338026732,0.07912872326538162,55.00667566995469,0.08200972988636414,"
-        "0.21605234594120468,0.00020282258094428076,0.14991828750644726,0.0001674629574268651,"
-        "0.0661340584347574,0.000115835698627499,200000,8",
+        "E,4.0,0.07057469593613724,8.817519870178303e-05,1.1870805484036423e-31,"
+        "5.69424697476044e-36,3.6968160549471686e-36,1.7186308062503887e-40,"
+        "1.1870435802430929e-31,5.694246972166865e-36,1.6820200677560506e-30,"
+        "2.103044480088385e-33,5.238160796742791e-35,6.549025849596428e-38,"
+        "1.6819676861480833e-30,2.1029790833027343e-33,200000,8",
+        "E,6.3496042078727974,11.007837724943931,0.003772955607842418,1.4273946791215355,"
+        "2.717054754508426e-05,0.8100886391559282,2.1160669305299217e-05,0.6173060399656075,"
+        "1.7043025800938394e-05,0.12967075957951643,4.4513366090942885e-05,0.07359198594654559,"
+        "2.5296926843312304e-05,0.05607877363297084,1.928335321791974e-05,200000,8",
+        "E,10.079368399158986,144.3127162623346,0.07387107974015895,29.365543023456432,"
+        "0.0015050747021221275,19.284644321774877,0.0010475076390426754,10.08089870168156,"
+        "0.0010807301259404456,0.20348548474463712,0.00010468137583088141,0.13363094272800505,"
+        "6.878731619865907e-05,0.06985454201663212,3.653307306116387e-05,200000,8",
+        "E,16.0,831.7450489481134,0.7645971287146375,179.66240260293432,0.0190595876351242,"
+        "124.68488013902325,0.012731625387243158,54.97752246391104,0.014183567809965334,"
+        "0.2160065789753107,0.0001998859283846624,0.14990757119228904,0.00013865286236497315,"
+        "0.06609900778302161,6.311028820386248e-05,200000,8",
     ],
     (("--E", "4:16:log:4"), "pseudo"): [
-        "E,4.0,0.0716920622017161,0.0009954004385592508,1.1889577589011951e-31,"
-        "3.6114940908976325e-34,3.5647658934677974e-36,1.6579905731931455e-36,"
-        "1.1889221112422604e-31,3.611514709970427e-34,1.6584231536761888e-30,2.35707865782213e-32,"
-        "4.97232996790887e-35,2.3136859478302755e-35,1.6583734303765095e-30,"
-        "2.3570118298887688e-32,200000,8",
-        "E,6.3496042078727974,11.012416306697627,0.07072274924710922,1.4199640262289288,"
-        "0.004138532994960028,0.8048656259737196,0.0035760754991379243,0.6150984002552093,"
-        "0.0030479303991575017,0.1289420946940884,0.0009093642543962669,0.07308710491485954,"
-        "0.000570754362762938,0.05585498977922887,0.00045307034940127476,200000,8",
-        "E,10.079368399158986,145.04140386614907,0.6455620300527395,29.349905253274937,"
-        "0.08056824056707966,19.331133709883204,0.06313445412375199,10.018771543391733,"
-        "0.06664858511229248,0.20235535833864643,0.001058182733929046,0.13328010619452407,"
-        "0.0007357828449160515,0.06907525214412237,0.0005528798951849984,200000,8",
-        "E,16.0,827.3129928539895,4.435130538789997,179.49767870003504,0.5713375869100429,"
-        "124.79043272476407,0.36208544173701207,54.70724597527096,0.5134106752215005,"
-        "0.21696465575962998,0.0013526917443330711,0.15083823631763998,0.000919471073396981,"
-        "0.06612641944198996,0.0007146903176809769,200000,8",
+        "E,4.0,0.0716920622017161,0.0009954004385592508,1.1833499940637605e-31,"
+        "3.6064702703493348e-34,3.7081021030410835e-36,1.3519336581892753e-38,"
+        "1.18331291304273e-31,3.6064702678153823e-34,1.650601137311732e-30,"
+        "2.3463199998957206e-32,5.172263133689467e-35,7.424833074324937e-37,"
+        "1.6505494146803955e-30,2.3462498561143287e-32,200000,8",
+        "E,6.3496042078727974,11.012416306697627,0.07072274924710922,1.419391159850865,"
+        "0.003378559590827429,0.8047118328813456,0.002599912827306342,0.6146793269695193,"
+        "0.0021575722929208993,0.12889007465033875,0.0008827703178992675,0.07307313948819107,"
+        "0.0005253228599010649,0.055816935162147675,0.00040850946581457397,200000,8",
+        "E,10.079368399158986,145.04140386614907,0.6455620300527395,29.3367060100645,"
+        "0.06647352003974068,19.30678021850044,0.051932204738945824,10.029925791564061,"
+        "0.041494276441769846,0.20226435506055754,0.0010101998786793858,0.13311219902640786,"
+        "0.0006922550599463437,0.06915215603414968,0.00042021245945890576,200000,8",
+        "E,16.0,827.3129928539895,4.435130538789997,179.7334528333272,0.43675738990610796,"
+        "124.59932893235985,0.3147199212271579,55.134123900967374,0.30283392944048976,"
+        "0.21724964358809232,0.0012787155175229934,0.15060724297648023,0.0008925184497494954,"
+        "0.06664240061161213,0.0005114933277379861,200000,8",
     ],
 }
 

@@ -550,8 +550,8 @@ def test_class_draw_gets_the_class_labels(tag, tol):
     # every point drawn in a class gets one of the class's labels, wherever
     # the closed-form eigenvalues put it further from a surface than their
     # roundoff, and a quantum point is entangled exactly where d < -d2, the
-    # stream kernel's split; every drawn point lies inside the slice
-    # |c|, |d| < sqrt(ab) that a fitted box holds
+    # upper end of the entangled class's d-interval; every drawn point lies
+    # inside the slice |c|, |d| < sqrt(ab) that a fitted box holds
     rng = np.random.default_rng(int(1e9 * abs(tol)) + 11 * (tol < 0) + len(tag.value))
     a, b, c, d, d2 = _drawn_in_class(rng, 200_000, tag, tol)
     ab = a * b
