@@ -8,21 +8,20 @@ integrated over an axis-aligned box that contains the support of the
 weighted domain: ``phi_box`` for the energy cutoff and ``upsilon_box`` for
 the damping, fitted by ``_default_box`` when only the quantum classes are
 scored, with a and b sides from 1 - tol.  Every pass takes tol < 1
-(``twomode._check_tol``) and a box whose c and d sides hold the slice
-|c|, |d| < sqrt(ab) of every point in its support (``_check_box``), as
-every box ``_default_box`` fits does.
+(``twomode._check_tol``), m = 4 (``_check_m``) and a box with equal a and b
+sides whose c and d sides hold the slice |c|, |d| < sqrt(ab) of every point
+in its support (``_check_box``), as every box ``_default_box`` fits does.
 
 Every pass draws inside one class and labels nothing: the classical,
 separable or entangled class, and it drops no draw.  The quantum domain is
-separable plus entangled, from two passes.  a and b start at the class's
-floor, -tol for classical and 1 - tol for the quantum classes, whose tests
-take min(a, b) > -tol and min(a, b) >= 1 - tol.  Under the energy cutoff
-they are drawn on the class's triangle, and for a quantum class under the
-damping over equal a and b sides through a fold (both below); elsewhere
-they are uniform on the rectangle of the sides [max(lo, floor), hi], and
-each weight is multiplied by its area over the box's a, b area.  A pass whose class has no volume
-in the box, a quantum class at E <= 4 (1 - tol) or one with an a or b side
-that ends at or below the floor, draws nothing and returns zero sums.  c
+separable plus entangled, from two passes.  a >= b are drawn from q, the
+larger of the box's lower a, b end and the class's floor, -tol for
+classical and 1 - tol for the quantum classes, whose tests take
+min(a, b) > -tol and min(a, b) >= 1 - tol: on the class's triangle under
+the energy cutoff and through a fold under the damping (both below), with
+the mirror image a <-> b counted twice.  A pass whose class has no volume in
+the box, a quantum class at E <= 4 (1 - tol) or one whose a, b side ends
+at or below the floor, draws nothing and returns zero sums.  c
 is uniform on [0, c-end] of the class at (a, b) and d on its d-interval at
 (a, b, c).  For classical these are [0, h] and [-h, h], with the slice's
 half-width h = sqrt(ab) + tol (``twomode._half_width``, which
@@ -47,29 +46,27 @@ samples than that of a uniform draw over the box, of the entangled class
 about 16 times, and of the classical one about 6 times.  c and d stay
 uniform on the class's intervals; c crowded at its c-end, or a and b
 at a = b, measured no better here.  ``_check_box`` refuses an energy
-cutoff box whose a and b sides differ or that cuts a drawn class's
-nonempty triangle; ``phi_box`` and ``_default_box`` give neither.  Where
-H <= 0, as for the quantum classes at E <= 4 (1 - tol), the class has no
-volume inside the cutoff.
+cutoff box that cuts a drawn class's nonempty triangle; ``phi_box`` and
+``_default_box`` give none.  Where H <= 0, as for the quantum classes at
+E <= 4 (1 - tol), the class has no volume inside the cutoff.
 
-Under the damping most of a quantum class's mass lies on a thin ridge of
-near two-mode squeezed states: a close to b, c near its c-end and, for
-the entangled class, d near d1.  So a quantum-class pass under the damping
-whose box has equal a and b sides, as every box ``_default_box`` and
-``upsilon_box`` fit does, draws through three polynomial maps instead.
-a >= b covers [q, top]^2 with q = max(lo, 1 - tol), so every draw passes
-the a, b test: s = a + b is uniform and a - b = T(s) y^2, with T(s) the
-most that keeps the point in the square (``_fold_ab``), and the mirror
-image a <-> b counts twice.  c = end (1 - y^2) crowds the c-end, and for
-the entangled class d = d1 + length y^2 crowds d1; the separable class
-keeps a uniform d, which gave it the smaller error.  Each weight carries
-the maps' Jacobians over the box's a, b area, so an estimate is still
-box.volume times the mean weight.  Against a uniform
+Under the damping most of a class's mass lies near a = b, and a quantum
+class's on a thin ridge of near two-mode squeezed states: a close to b, c
+near its c-end and, for the entangled class, d near d1.  So every pass
+under the damping draws a >= b through a fold of [q, top]^2, the box's
+a, b square from q on, so every draw passes the a, b test: s = a + b is
+uniform and a - b = T(s) y^2, with T(s) the most that keeps the point in
+the square (``_fold_ab``).  A quantum class draws c = end (1 - y^2),
+which crowds the c-end, and the entangled class d = d1 + length y^2,
+which crowds d1; the separable class keeps a uniform d, which gave it the
+smaller error, and the classical class uniform c and d on its slice.
+Each weight carries the maps' Jacobians over the box's a, b area, so an
+estimate is still box.volume times the mean weight.  Against a uniform
 draw over the box, the entangled error at kappa = 5 and 8M qmc samples is
 about 7 times smaller, and at kappa = 50 and 1000 and 200k about 25 and 30
-times.  Classical
-passes and boxes with unequal a and b sides draw on the rectangle under
-the damping.
+times, and the classical error at kappa = 1, 2 and 5 and 200k qmc samples
+is 1.5, 2.0 and 1.3 times smaller than that of a uniform draw on
+[q, top]^2.
 
 The weight is fused with the interval arithmetic (``_class_weight``); it
 is 0 off the open classical domain, where pc = ab - c^2 <= 0 or
@@ -109,8 +106,8 @@ are bit-identical for a fixed (seed, streams, n_samples).  A stream works
 in tiles of ``_TILE`` points, one replicate after the other, and each
 replicate keeps one row of sums, to which its tiles add their own sums in
 tile order.  Two flat buffers hold a tile: stage 1 draws the uniforms
-(u, y) of its a and b into the first and maps them (the fold, the
-triangle or the rectangle) to a and b in the second, where stage 2 draws
+(u, y) of its a and b into the first and maps them (the fold or the
+triangle) to a and b in the second, where stage 2 draws
 the uniforms of c and d for the whole tile.  The first then holds the
 tile's weights and stage 2's block scratch (allocating those rows raised
 the energy workload's peak RSS by 3.4 MB).  A pass runs its interval
@@ -259,19 +256,22 @@ def _floor(tag: DomainTag, tol: float) -> float:
 
 
 def _check_box(box: Box, spec: RegularizerSpec, draws: tuple, tol: float) -> None:
-    """Refuse a box that cuts the class of a point in its support.
+    """Refuse a box that a pass cannot draw its class over whole.
 
-    Every class lies within the classical slice |c|, |d| < sqrt(ab), and
-    sqrt(ab) <= r = sqrt(hi_a hi_b) in the box, or r = E/4 inside
-    tr V <= E, so a box whose c and d sides hold [-r, r] holds each class
-    whole, and a pass draws c >= 0 and counts the c < 0 half as its mirror
-    image under (c, d) -> (-c, -d).  Under the energy cutoff each class of
-    ``draws`` is drawn on its triangle a, b >= q, a + b <= E/2 (see the
-    module docstring), so the box's a and b sides must be equal and hold
-    every such triangle that is not empty; ``phi_box`` and ``_default_box``
+    Every pass draws a >= b over the box's a and b sides, so they must be
+    equal.  Every class lies within the classical slice |c|, |d| < sqrt(ab),
+    and sqrt(ab) <= r = hi_a in the box, or r = E/4 inside tr V <= E, so a
+    box whose c and d sides hold [-r, r] holds each class whole, and a pass
+    draws c >= 0 and counts the c < 0 half as its mirror image under
+    (c, d) -> (-c, -d).  Under the energy cutoff each class of ``draws`` is
+    drawn on its triangle a, b >= q, a + b <= E/2 (see the module
+    docstring), so the box's a and b sides must hold every such triangle
+    that is not empty.  ``phi_box``, ``upsilon_box`` and ``_default_box``
     give only such boxes.  Any other box raises ``InvalidArgumentError``.
     """
-    r = math.sqrt(max(box.hi[0] * box.hi[1], 0.0))
+    if box.lo[0] != box.lo[1] or box.hi[0] != box.hi[1]:
+        raise InvalidArgumentError("the box's a and b sides must be equal")
+    r = max(box.hi[0], 0.0)
     if spec.kind is RegKind.ENERGY_PHI:
         r = min(r, spec.bound_E / 4.0)
     (_, _, lo_c, lo_d), (_, _, hi_c, hi_d) = box.lo, box.hi
@@ -280,8 +280,6 @@ def _check_box(box: Box, spec: RegularizerSpec, draws: tuple, tol: float) -> Non
                                    "the slice |c|, |d| < sqrt(ab) of its support")
     if spec.kind is not RegKind.ENERGY_PHI:
         return
-    if box.lo[0] != box.lo[1] or box.hi[0] != box.hi[1]:
-        raise InvalidArgumentError("under the energy cutoff the box's a and b sides must be equal")
     for tag in draws:
         q = max(box.lo[0], _floor(tag, tol))
         h = _triangle_side(q, spec.bound_E / 2.0)
@@ -297,16 +295,17 @@ def _class_weight(a, b, pc, d, spec: RegularizerSpec, big: bool, out, scratch, e
     Takes pc = ab - c^2 and writes the weight to ``out``; ``scratch`` is
     three float arrays of a's length.  With pd = ab - d^2, q = pc + pd and
     p = pc pd = det V, twice the density is sqrt((2ab + c^2 + d^2) q / p) / p
-    with 2ab + c^2 + d^2 = 4ab - q, the regularizer is log(1 + p^m) and the
-    damping exp(-(a + b) q / kappa).  With ``edges``, for the classical
+    with 2ab + c^2 + d^2 = 4ab - q, the regularizer is log(1 + p^4), for the
+    m = 4 that every pass checks (``_check_m``), and the damping
+    exp(-(a + b) q / kappa).  With ``edges``, for the classical
     draw, which reaches them, the weight is 0 where pc <= 0 or pd <= 0, off
     the open classical domain, as ``volume_density`` is; the arithmetic
     there may divide by 0 or overflow, so the caller silences those
     warnings.  A quantum class lies inside it, so there pc, pd <= 0 can
     only come from rounding, and the weight is left non-finite, which
     raises.  Every point lies inside the energy cutoff, drawn on its
-    class's triangle a + b <= E/2.  p^m
-    overflows only where ``big``, and there log(1 + p^m) is m log p, as in
+    class's triangle a + b <= E/2.  p^4
+    overflows only where ``big``, and there log(1 + p^4) is 4 log p, as in
     ``log1p_det_pow``.
     """
     t0, t1, t2 = scratch
@@ -321,14 +320,11 @@ def _class_weight(a, b, pc, d, spec: RegularizerSpec, big: bool, out, scratch, e
     w = np.divide(num, p, out=out)
     np.sqrt(w, out=w)
     w /= p
-    if spec.m == 4:
-        reg = np.multiply(p, p, out=t0)
-        reg *= reg
-    else:
-        reg = np.power(p, spec.m, out=t0)
+    reg = np.multiply(p, p, out=t0)
+    reg *= reg
     np.log1p(reg, out=reg)
     if big:
-        np.multiply(np.log(p), spec.m, out=reg, where=np.isinf(reg))
+        np.multiply(np.log(p), 4.0, out=reg, where=np.isinf(reg))
     w *= reg
     if spec.kind is RegKind.ADJUGATE_UPSILON:
         damp = np.add(a, b, out=t0)
@@ -410,44 +406,37 @@ def _triangle_ab(uv, q: float, h: float, half_e: float, out, scratch) -> None:
 
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
                     sampler: str, tag: DomainTag):
-    lo, hi = np.asarray(box.lo)[:, None], np.asarray(box.hi)[:, None]
-    span = hi - lo
     # a weight is scaled by the lengths of the c and d intervals it was drawn
     # on, over the box's c and d spans
-    per_cd = 1.0 / (span[2, 0] * span[3, 0])
+    per_cd = 1.0 / ((box.hi[2] - box.lo[2]) * (box.hi[3] - box.lo[3]))
     counts, tiles = _replicates(child_ss, count, sampler)
     # one weight sum and one squared-weight sum per replicate, to which each
     # of its tiles adds its own
     s1, s2 = np.zeros(len(counts)), np.zeros(len(counts))
     energy = spec.kind is RegKind.ENERGY_PHI
     classical = tag is DomainTag.CLASSICAL
-    # a and b are drawn inside the class, from ab_lo = max(lo, floor) on each
-    # side.  Under the energy cutoff every class draws a >= b on its triangle
-    # a, b >= q, a + b <= E/2 (_triangle_ab), which _check_box saw the box
-    # hold, with c and d uniform.  Damped, a quantum class over equal a and
-    # b sides folds [q, top]^2 (_fold_ab), and draws c through end (1 - y^2)
-    # and, for the entangled class, d through d1 + length y^2.  Any other
-    # pass draws a and b uniformly on the rectangle [ab_lo, hi].  The weights
-    # carry the Jacobians' varying parts, and the sums their constants over
-    # the box's a, b area: 8 (top - q), 2 and 2 for the fold, 2 H for the
-    # triangle and the rectangle's area for the rectangle
-    ab_lo = np.maximum(lo[_AB], _floor(tag, tol))
-    ab_span = hi[_AB] - ab_lo
-    q = ab_lo[0, 0]
+    # a >= b is drawn inside the class, from q = max(lo, floor), over the
+    # box's equal a and b sides.  Under the energy cutoff every class draws
+    # on its triangle a, b >= q, a + b <= E/2 (_triangle_ab), which
+    # _check_box saw the box hold, with c and d uniform.  Under the damping
+    # every class folds [q, top]^2 (_fold_ab); a quantum class draws c
+    # through end (1 - y^2) and, the entangled one, d through
+    # d1 + length y^2, and the classical class keeps c and d uniform.  The
+    # weights carry the Jacobians' varying parts, and the sums their
+    # constants over the box's a, b area: 2 H for the triangle, 8 (top - q)
+    # for the fold and 2 for each of c and d drawn through y^2
+    q, top = max(box.lo[0], _floor(tag, tol)), box.hi[0]
     h = _triangle_side(q, spec.bound_E / 2.0) if energy else 0.0
-    if (h <= 0.0) if energy else not (ab_span > 0.0).all():
+    if (h <= 0.0) if energy else top <= q:
         # the class has no volume in the box, so nothing is drawn
         return np.array(counts, dtype=np.int64), s1, s2, False
-    fold = not (energy or classical) and box.lo[0] == box.lo[1] and box.hi[0] == box.hi[1]
-    mapped = energy or fold
-    d_map = fold and tag is DomainTag.ENTANGLED
-    area = span[0, 0] * span[1, 0]
-    if fold:
-        per_cd *= 8.0 * ab_span[0, 0] / area * (4.0 if d_map else 2.0)
-    elif energy:
+    d_map = not energy and tag is DomainTag.ENTANGLED
+    side = top - box.lo[0]
+    area = side * side
+    if energy:
         per_cd *= 2.0 * h / area
     else:
-        per_cd *= ab_span[0, 0] * ab_span[1, 0] / area
+        per_cd *= 8.0 * (top - q) / area * (1.0 if classical else 4.0 if d_map else 2.0)
     tile = min(_TILE, max(counts))
     # a tile's points live in the flat buffer pbuf.  wbuf holds the uniforms
     # of their a and b, then stage 2's n weights and the scratch rows of its
@@ -456,25 +445,22 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     # huge pages, which a few touched bytes would make resident in full
     pbuf, wbuf = np.empty(4 * tile), np.empty(4 * tile + _CLASS_ROWS)
     mu = (1.0 - tol) ** 2
-    # p = det V <= (ab)^2, whose m-th power overflows only in huge boxes; the
+    # p = det V <= (ab)^2, whose 4th power overflows only in huge boxes; the
     # class limits' Delta <= (ab)^3 overflows in larger ones still
-    log_ab = math.log(max(box.hi[0] * box.hi[1], 1.0))
-    big, huge = 2 * spec.m * log_ab > 700.0, 3 * log_ab > 700.0
+    log_ab = math.log(max(top * top, 1.0))
+    big, huge = 8 * log_ab > 700.0, 3 * log_ab > 700.0
     for r, (size, draw) in enumerate(zip(counts, tiles)):
         for done in range(0, size, _TILE):
             # stage 1: the tile's uniforms (u, y), mapped to its a and b in
-            # pbuf; the fold and the triangle leave their Jacobian in u's
-            # row, where stage 2 keeps the weights
+            # pbuf; the map leaves its Jacobian in u's row, where stage 2
+            # keeps the weights
             n = min(_TILE, size - done)
             uv, pts = wbuf[:2 * n].reshape(2, n), pbuf[:4 * n].reshape(4, n)
             draw(done, uv, _AB)
-            if fold:
-                _fold_ab(uv, q, box.hi[0], pts[_AB], wbuf[2 * n:3 * n])
-            elif energy:
+            if energy:
                 _triangle_ab(uv, q, h, spec.bound_E / 2.0, pts[_AB], wbuf[2 * n:3 * n])
             else:
-                np.multiply(uv, ab_span, out=pts[_AB])
-                pts[_AB] += ab_lo
+                _fold_ab(uv, q, top, pts[_AB], wbuf[2 * n:3 * n])
             # stage 2: the uniforms of c and d for the whole tile, then c on
             # [0, c-end], d on the d-interval at c and the weights, in blocks
             # whose scratch rows follow the weights in wbuf
@@ -497,15 +483,14 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
                     # through the fold, the Jacobians of c and d over 2 take
                     # the places of end and length
                     end, start, length, pc, _ = _class_limits(
-                        tag, a, b, c, mu, draw="end" if fold else "uniform", scratch=f,
-                        huge=huge, ordered=mapped)
+                        tag, a, b, c, mu, draw="uniform" if energy else "end", scratch=f,
+                        huge=huge)
                     if d_map:
                         # d = d1 + (length y) y
                         length *= d
-                if mapped:
-                    # end takes the place of the a, b Jacobian over its
-                    # constant too, which stage 1 left in the weights' row
-                    end *= w_row[k:k + a.size]
+                # end takes the place of the a, b Jacobian over its constant
+                # too, which stage 1 left in the weights' row
+                end *= w_row[k:k + a.size]
                 d *= length
                 d += start
                 w = _class_weight(a, b, pc, d, spec, big, w_row[k:k + block],
@@ -580,13 +565,12 @@ class JointVolumes:
     sum is 0, since its weights underflowed.
     """
 
-    def __init__(self, box: Box, spec: RegularizerSpec, seed_label, streams: int, tol: float,
-                 sampler: str, passes: list):
+    def __init__(self, box: Box, spec: RegularizerSpec, seed_label, streams: int, sampler: str,
+                 passes: list):
         self.box = box
         self.regularizer = spec
         self.seed = seed_label
         self.streams = streams
-        self.tol = tol
         self.sampler = sampler
         # passes: (class drawn, counts, s1, s2, drew) of each pass, one entry
         # of counts and sums per replicate in stream order (a stream's for
@@ -748,6 +732,13 @@ def _check_pass(n_samples: int, streams: int, tol: float, sampler: str,
                                    "must lie in [2 * streams, 2^33 * streams]")
 
 
+def _check_m(spec: RegularizerSpec) -> None:
+    """Refuse a regularizer whose m is not the 4 of the chart (a, b, c, d) of every pass."""
+    if spec.m != 4:
+        raise InvalidArgumentError(
+            "volume integrals use the 4-parameter chart; regularizer m must be 4")
+
+
 def _check_eps_tail(eps_tail: float) -> None:
     if not (0.0 < eps_tail < 1.0):
         raise InvalidArgumentError("eps_tail must lie in (0, 1)")
@@ -817,16 +808,16 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     ``DOMAIN_ORDER``: the classical class when ``domains`` hold it, the
     separable class when they hold the separable or quantum domain, and
     the entangled class when they hold the entangled or quantum domain.
-    a and b are drawn inside the class: on its triangle a + b <= E/2 under
-    the energy cutoff, through polynomial maps for a quantum class under
-    the damping over equal a and b sides, and otherwise uniformly on the
-    part of the box's a, b sides from the class's floor on.  c and d are uniform
-    on the class's intervals, and each weight carries the Jacobians of its
-    draw over the box's a, b area and c and d spans, so a pass estimates
-    the integrals over the box that uniform sampling estimates.  The box
-    must hold the slice |c|, |d| < sqrt(ab) of its support, and under the
-    energy cutoff have equal a and b sides that hold each drawn class's
-    triangle (``InvalidArgumentError`` otherwise).  Each pass draws
+    a >= b are drawn inside the class, from the class's floor on: on its
+    triangle a + b <= E/2 under the energy cutoff, and through a fold of
+    the box's a, b square under the damping, where a quantum class also
+    draws c, and the entangled class d, through polynomial maps.  Each
+    weight carries the Jacobians of its draw over the box's a, b area and
+    c and d spans, so a pass estimates the integrals over the box that
+    uniform sampling estimates.  The box must have equal a and b sides, and
+    hold the slice |c|, |d| < sqrt(ab) of its support and, under the
+    energy cutoff, each drawn class's triangle; ``spec`` must have m = 4
+    (``InvalidArgumentError`` otherwise).  Each pass draws
     ``n_samples``: the k-th pass runs on the seed's children k * streams
     to (k + 1) * streams - 1, so the passes are independent, and the first
     gives the bits of a call that scores only its class.
@@ -842,6 +833,7 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     elsewhere does not raise (see ``JointVolumes`` for what can be read).
     """
     _check_pass(n_samples, streams, tol, sampler)
+    _check_m(spec)
     draws = _draws(domains)
     _check_box(box, spec, draws, tol)
     if isinstance(seed, np.random.SeedSequence):
@@ -869,7 +861,7 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     for k, tag in enumerate(draws):
         counts, s1, s2, drew = zip(*partials[k * streams:(k + 1) * streams])
         passes.append((tag, *map(np.concatenate, (counts, s1, s2)), any(drew)))
-    return JointVolumes(box, spec, seed_label, streams, tol, sampler, passes)
+    return JointVolumes(box, spec, seed_label, streams, sampler, passes)
 
 
 def upsilon_box(kappa: float, eps_tail: float = DEFAULT_EPS_TAIL, *,
@@ -944,9 +936,7 @@ class IntegrationRequest:
             raise InvalidArgumentError("domain must be a DomainTag")
         _check_pass(self.n_samples, self.streams, self.tol, self.sampler, min_samples=10_000)
         _check_seed(self.seed)
-        if self.regularizer.m != 4:
-            raise InvalidArgumentError(
-                "volume integrals use the 4-parameter chart; regularizer m must be 4")
+        _check_m(self.regularizer)
         if self.regularizer.kind is RegKind.ADJUGATE_UPSILON:
             _check_eps_tail(self.eps_tail)
 
@@ -958,7 +948,7 @@ def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float, tol: fl
     with a, b sides (0, L], and ``phi_box`` for the energy cutoff.  When the
     classical domain is not among them, the a and b sides become [q, top]
     with q = 1 - tol: every quantum point has min(a, b) >= q
-    (``_ab_quantum``), and top is L, or E/2 - q, since a + b <= E/2.  When
+    (``twomode._classical_labels``), and top is L, or E/2 - q, since a + b <= E/2.  When
     top <= q the quantum classes have no volume in the box, and it is kept
     as it is.  Every box returned holds the slice |c|, |d| < sqrt(ab) of
     each point in its support (``_check_box``).

@@ -219,7 +219,7 @@ def domain_bounds(p: CanonicalPoint) -> DomainBounds:
     if not (a > 0.0 and b > 0.0):
         raise InvalidArgumentError("domain bounds need a > 0 and b > 0")
     _, start, length, pc, delta = (float(x[0]) for x in _class_limits(
-        DomainTag.QUANTUM, np.array([a]), np.array([b]), np.array([abs(c)]), 1.0))
+        DomainTag.QUANTUM, np.array([max(a, b)]), np.array([min(a, b)]), np.array([abs(c)]), 1.0))
     d1, d2 = math.inf, -math.inf
     if delta >= 0.0 and pc > 0.0:
         d1, d2 = start, start + length
@@ -250,26 +250,16 @@ def _check_tol(tol) -> None:
         raise InvalidArgumentError("tol must be finite and below 1")
 
 
-def _ab_quantum(a, b, tol):
-    """min(a, b) >= 1 - tol on 1-d float arrays: the a, b half of the quantum test.
-
-    A classical point it rejects has label 1 in :func:`_classical_labels`,
-    which takes the test from here.
-    """
-    return np.minimum(a, b) >= 1.0 - tol
-
-
-def _class_limits(tag, a, b, c, mu, draw=None, scratch=None, huge=False, ordered=False):
+def _class_limits(tag, a, b, c, mu, draw=None, scratch=None, huge=False):
     """The c-end of the quantum class ``tag`` at (a, b) and its d-interval at c, elementwise.
 
-    For c >= 0 and mu = (1 - tol)^2.  With P = ab, m = min(a, b),
-    M = max(a, b), X = (m^2 - mu) M/m = P - mu M/m and
-    Y = (M^2 - mu) m/M = P - mu m/M, the quantum and entangled classes take
-    c^2 <= X and the separable class c^2 <= XY/P
-    = P - mu (a^2 + b^2 - mu)/P; at mu = 1 these are c1 or c2 and c3 of
-    :func:`domain_bounds`.  A classical point is quantum when Simon's
-    y = det V + mu^2 - mu (a^2 + b^2) >= g = 2 mu cd (see
-    :func:`_classical_labels`), a quadratic in d with the roots
+    For a >= b, c >= 0 and mu = (1 - tol)^2.  With P = ab,
+    X = (b^2 - mu) a/b = P - mu a/b and Y = (a^2 - mu) b/a = P - mu b/a,
+    the quantum and entangled classes take c^2 <= X and the separable class
+    c^2 <= XY/P = P - mu (a^2 + b^2 - mu)/P; at mu = 1 these are
+    c1 = min(c1, c2) and c3 of :func:`domain_bounds`.  A classical point is
+    quantum when Simon's y = det V + mu^2 - mu (a^2 + b^2) >= g = 2 mu cd
+    (see :func:`_classical_labels`), a quadratic in d with the roots
     d1 = (-mu c - root) / pc and d2 = (root - mu c) / pc, where pc = P - c^2,
     root = sqrt(Delta) and Delta = mu^2 c^2 + pc (P pc + mu^2 - mu (a^2 + b^2))
     = P (X - c^2)(Y - c^2).  So the quantum class is [d1, d2] where
@@ -280,28 +270,22 @@ def _class_limits(tag, a, b, c, mu, draw=None, scratch=None, huge=False, ordered
     Returns (end, start, length, pc, delta): the class holds c in [0, end]
     (end = sqrt of the c-bound clipped at 0) and d in [start, start +
     length]; Delta is clipped at 0 for root, as rounding at the ends of the
-    c-interval can leave it below.  Where m >= 1 - tol, the quantum side of
-    :func:`_ab_quantum`, the c-bounds are >= 0 in floats as well.  With
-    ``draw``, c holds uniforms y in [0, 1) and is first mapped onto
-    [0, end] in place, and the first result is the map's Jacobian dc/dy:
-    c = end y and end for "uniform", and for "end", which crowds c at the
+    c-interval can leave it below.  Where b >= 1 - tol, the quantum side of
+    the a, b test of :func:`_classical_labels`, the c-bounds are >= 0 in
+    floats as well.  With ``draw``, c holds uniforms y in [0, 1) and is
+    first mapped onto [0, end] in place, and the first result is the map's
+    Jacobian dc/dy: c = end y and end for "uniform", and for "end", which crowds c at the
     c-end, c = end (1 - y^2) and half its Jacobian, end y.  Takes 1-d
     float arrays; ``scratch`` is six float arrays of a's length, allocated
-    when omitted, that hold the results.  ``ordered`` says that a >= b
-    elementwise, so m = b and M = a.  Delta is of order P^3, which
+    when omitted, that hold the results.  Delta is of order P^3, which
     overflows from P ~ 1e102 on; with ``huge`` the Delta returned is
     (X - c^2)(Y - c^2), Delta / P, and root its square root times sqrt(P).
     """
     if scratch is None:
         scratch = np.empty((6, a.size))
     end, start, length, pc, t0, t1 = scratch
-    if ordered:
-        m, r = b, np.divide(a, b, out=t1)
-    else:
-        m = np.minimum(a, b, out=t0)
-        r = np.maximum(a, b, out=t1)
-        r /= m
-    x = np.multiply(m, m, out=t0)
+    r = np.divide(a, b, out=t1)
+    x = np.multiply(b, b, out=t0)
     x -= mu
     x *= r
     ab = np.multiply(a, b, out=pc)
@@ -365,8 +349,9 @@ def _classical_labels(a, b, c, d, tol):
     x^2 - D x + det V, with Simon's invariant D = s + 2cd, s = a^2 + b^2 and
     det V = (ab - c^2)(ab - d^2).  Both roots are >= mu = (1 - tol)^2, that is
     nu_- >= 1 - tol, exactly when det V + mu^2 - mu D >= 0 and D >= 2 mu;
-    with min(a, b) >= 1 - tol (:func:`_ab_quantum`) this is the quantum
-    test.  Partial transposition flips the sign of d, so the PPT test is the
+    with the a, b half min(a, b) >= 1 - tol this is the quantum test, and a
+    classical point that fails only that half has label 1.  Partial
+    transposition flips the sign of d, so the PPT test is the
     same with -d, and a state with cd >= 0 is PPT (R. Simon, PRL 84, 2726
     (2000)); so label 3 needs fl(c*d) < 0.  The tests are evaluated as
     y = det V + (mu^2 - mu s) >= g and s + 2cd >= 2 mu, with g = 2 mu cd, and
@@ -386,7 +371,7 @@ def _classical_labels(a, b, c, d, tol):
         quantum &= y >= g
         ppt &= y >= -g
         ppt |= cd >= 0.0
-    quantum &= _ab_quantum(a, b, tol)
+    quantum &= np.minimum(a, b) >= 1.0 - tol
     lab = quantum.astype(np.uint8) + np.uint8(1)
     lab += quantum > ppt  # quantum and not PPT
     return lab

@@ -711,34 +711,33 @@ def test_sweep_csv_shape(capsys):
 # bytes or re-record them
 _PINNED_SWEEP_ROWS = {
     (("--kappa", "1:16:log:3"), "qmc"): [
-        "kappa,1.0,0.03920099204778679,0.00010604242163263031,0.00023086621532531553,"
-        "2.3244162545705337e-07,6.299133021851992e-05,5.042696510774055e-08,"
-        "0.0001678748851067956,2.26905774353893e-07,0.005889295226097467,1.6998790656825776e-05,"
-        "0.0016068810233611495,4.533114261424134e-06,0.004282414202736317,1.2949939373099242e-05,"
-        "200000,8",
-        "kappa,4.0,5.943284408356673,0.03992121673414756,0.22811272357730042,"
+        "kappa,1.0,0.03908378662744785,8.750587735176377e-05,0.00023086621532531553,"
+        "2.3244162545705337e-07,6.299133021851992e-05,5.042696510774055e-08,0.0001678748851067956,"
+        "2.26905774353893e-07,0.005906956189428746,1.4500950215164348e-05,0.0016116997776843408,"
+        "3.8322108702527175e-06,0.004295256411744404,1.1233331231970252e-05,200000,8",
+        "kappa,4.0,5.96295470056981,0.016690125407122464,0.22811272357730042,"
         "0.00016593647576485193,0.08273169354283871,7.322547214311229e-05,0.14538103003446168,"
-        "0.0001489058233202368,0.038381593055946975,0.00025931770739305555,0.013920197631214177,"
-        "9.43106281390341e-05,0.024461395424732794,0.00016620715145262852,200000,8",
-        "kappa,16.0,150.30576375728464,2.6825174553574223,8.850940138540004,0.01194386608626816,"
+        "0.0001489058233202368,0.03825498180549692,0.00011063156012952133,0.013874278390029193,"
+        "4.072903548835166e-05,0.024380703415467723,7.266638185154595e-05,200000,8",
+        "kappa,16.0,145.7270803657421,1.613785056085824,8.850940138540004,0.01194386608626816,"
         "3.744970634877258,0.003530885041390872,5.105969503662745,0.011410030145060479,"
-        "0.058886232419088046,0.0010539466114020902,0.024915682148587973,0.00044529199208498226,"
-        "0.03397055027050007,0.0006110088064286994,200000,8",
+        "0.060736413001112356,0.0006775717662351897,0.025698522371258838,0.0002856156061228801,"
+        "0.03503789062985352,0.0003958314523481115,200000,8",
     ],
     (("--kappa", "1:16:log:3"), "pseudo"): [
-        "kappa,1.0,0.03943372044099305,0.0005124161029205005,0.0002274810035408361,"
+        "kappa,1.0,0.0393413953089542,0.0003849870847313965,0.0002274810035408361,"
         "2.301061014141152e-06,6.157144614848634e-05,1.0023011461503994e-06,"
-        "0.00016590955739234978,2.071297709945604e-06,0.0057686924032752385,"
-        "9.499527970654573e-05,0.0015613907452790119,3.25222560200301e-05,0.004207301657996227,"
-        "7.581508586854394e-05,200000,8",
-        "kappa,4.0,5.968747334501896,0.09714594792646553,0.22688717292407834,"
+        "0.00016590955739234978,2.071297709945604e-06,0.005782230186661958,8.138028319817345e-05,"
+        "0.0015650549672922387,2.9726032563486487e-05,0.0042171752193697195,6.689570237017677e-05,"
+        "200000,8",
+        "kappa,4.0,5.953868645017526,0.07175592684204699,0.22688717292407834,"
         "0.0020822444718855884,0.08297905368979085,0.0012417680922493395,0.14390811923428745,"
-        "0.0016714526753005986,0.03801252762243328,0.0007102609203524986,0.013902256041252854,"
-        "0.00030737727920593865,0.024110271581180422,0.00048208629831823964,200000,8",
-        "kappa,16.0,148.75620325296651,4.217673824215129,8.782877159686564,0.08030060270646601,"
+        "0.0016714526753005986,0.03810752074853852,0.0005772701996178377,0.013936997713114073,"
+        "0.00026779232352731766,0.024170523035424444,0.000404560012491348,200000,8",
+        "kappa,16.0,149.46027676653378,3.411987734760278,8.782877159686564,0.08030060270646601,"
         "3.693609878839446,0.05355826840881897,5.089267280847117,0.059830583150012835,"
-        "0.05904209012884586,0.0017588997875487358,0.02482995530988579,0.0007907261947681465,"
-        "0.03421213481896007,0.0010500937428086369,200000,8",
+        "0.05876395621430544,0.0014450946990669888,0.024712987013994988,0.000668351758568412,"
+        "0.03405096920031044,0.0008743607452164197,200000,8",
     ],
     (("--E", "4:16:log:4"), "qmc"): [
         "E,4.0,0.07057469593613724,8.817519870178303e-05,1.1870805484036423e-31,"

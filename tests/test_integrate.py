@@ -36,6 +36,7 @@ from gaussvol.twomode import (
     _class_limits,
     canonical_embed,
     domain_labels,
+    domain_mask,
     volume_density,
 )
 
@@ -302,16 +303,22 @@ def test_upsilon_box_half_step_is_honest():
     estimates = [r.estimate for r in runs]
     spread = float(np.std(estimates, ddof=1))
     assert spread / float(np.mean([r.std_error for r in runs])) <= 1.5
-    # independent passes over the L0 box outside the chosen one of side L:
-    # the tail that the half-step cut is below eps_tail of the in-box
-    # estimate.  The two boxes a > L and a <= L < b hold every point of the
-    # L0 box with max(a, b) > L, which is all of it outside the chosen box,
-    # because |c|, |d| < sqrt(ab) <= max(a, b)
+    # the part of the L0 box outside the chosen one of side L, by plain
+    # Monte Carlo with the labels: the tail that the half-step cut is below
+    # eps_tail of the in-box estimate.  a in (L, L0] and b in (0, L0], and
+    # its mirror image a <-> b, hold every point of the L0 box with
+    # max(a, b) > L, which is all of it outside the chosen box, because
+    # |c|, |d| < sqrt(ab) <= max(a, b); c and d are uniform on that slice
     L, L0 = box.hi[0], _L5
-    outside = (Box((L, 0.0, -L0, -L0), (L0, L0, L0, L0)), Box((0.0, L, -L0, -L0), (L, L0, L0, L0)))
-    tail = sum(mc_joint_volumes(part, spec, 1_000_000, seed=9099 + i, streams=2,
-                                domains=(e,)).result(e).estimate
-               for i, part in enumerate(outside))
+    rng, n, tail = np.random.default_rng(9099), 250_000, 0.0
+    for _ in range(4):
+        a, b = rng.uniform(L, L0, n), rng.uniform(0.0, L0, n)
+        h = np.sqrt(a * b)
+        c, d = rng.uniform(-1.0, 1.0, (2, n)) * h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = volume_density(a, b, c, d) * regularizer_values(a, b, c, d, spec)
+        w = np.where(domain_mask(a, b, c, d, e), w, 0.0) * (2.0 * h) ** 2
+        tail += 2.0 * (L0 - L) * L0 * float(np.mean(w)) / 4
     assert tail < eps_tail * float(np.mean(estimates))
 
 
@@ -809,57 +816,42 @@ def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
     b and then those of c and d for every point.  A qmc stream is two
     scrambles, drawn from the stream's generator in turn, over the first
     ceil(count / 2) and floor(count / 2) of their points, each drawn in full
-    from the direct form, bit by bit from its index.  a and b are uniform on
-    the rectangle of the sides [max(lo, floor), hi], with floor = -tol for
-    classical and 1 - tol for the quantum classes, and its area over the
-    box's a, b area as their Jacobian, unless a map below draws them; the
-    class must have volume in the box.  c is uniform on [0, c-end] and d on
-    the class's d-interval at c:
-    [0, h] and [-h, h] with h = sqrt(max(ab, 0)) + tol for classical, and
-    ``twomode._class_limits`` for the quantum classes.  A damped quantum
-    class over a box with equal a and b sides draws instead through the
-    polynomial maps: a >= b by ``_fold_ab_reference`` from
-    q = max(lo, 1 - tol), which every point passes, c = end (1 - y^2) and,
+    from the direct form, bit by bit from its index.  The box has equal a
+    and b sides, and a >= b are drawn from q = max(lo, floor), with
+    floor = -tol for classical and 1 - tol for the quantum classes; the
+    class must have volume in the box.  Under the energy cutoff the box
+    holds the triangle a, b >= q, a + b <= E/2, and every class draws on it
+    by ``_triangle_ab_reference``, with c uniform on [0, c-end] and d on
+    the class's d-interval at c.  Under the damping every class draws by
+    ``_fold_ab_reference``; a quantum class draws c = end (1 - y^2) and,
     for the entangled class, d = d1 + length y^2, whose Jacobians are
-    2 end y and 2 length y.  Under the energy cutoff the box has equal a and
-    b sides and holds the triangle a, b >= q, a + b <= E/2, with
-    q = max(lo, -tol) for classical, and every class draws a >= b on it by
-    ``_triangle_ab_reference``, which every point passes, with c and d
-    uniform.  Each point is weighted with the generic ``volume_density``
-    and ``regularizer_values`` times the Jacobians of its draw over the
-    box's a, b area (for the maps) and c and d spans, times 2 for the c < 0
+    2 end y and 2 length y, and the classical class keeps c and d uniform.
+    The c-end and the d-interval are [0, h] and [-h, h] with
+    h = sqrt(max(ab, 0)) + tol for classical, and ``twomode._class_limits``
+    for the quantum classes.  Each point is weighted with the generic
+    ``volume_density`` and ``regularizer_values`` times the Jacobians of its
+    draw over the box's a, b area and c and d spans, times 2 for the c < 0
     half.  Returns each replicate's count, weight sum and squared-weight
     sum, and that the class drew.
     """
-    q = 1.0 - tol
+    mu = (1.0 - tol) ** 2
     lo = np.asarray(box.lo)
     span = np.asarray(box.hi) - lo
-    per = 2.0 / (span[2] * span[3])
+    per = 2.0 / (span[0] * span[1] * span[2] * span[3])
     rng = np.random.default_rng(child_ss)
     classical = tag is DomainTag.CLASSICAL
-    ab_lo = np.maximum(lo[:2], -tol if classical else q)
-    ab_span = np.asarray(box.hi[:2]) - ab_lo
-    assert (ab_span > 0.0).all()
-    map_q = ab_lo[0]
-    equal = lo[0] == lo[1] and box.hi[0] == box.hi[1]
+    q, top = max(lo[0], -tol if classical else 1.0 - tol), box.hi[0]
+    assert lo[0] == lo[1] and top == box.hi[1] and q < top
     energy = spec.kind is RegKind.ENERGY_PHI
-    fold = not energy and not classical and equal
     half_e = spec.bound_E / 2.0 if energy else None
-    side = _triangle_side_reference(map_q, half_e) if energy else 0.0
-    assert not energy or equal and 0.0 < side and map_q + side <= box.hi[0]
-
-    def ab_of(u):
-        # a and b at the uniforms of a tile's points; the maps map them later
-        if fold or energy:
-            return u[0], u[1]
-        return u[0] * ab_span[0] + ab_lo[0], u[1] * ab_span[1] + ab_lo[1]
+    side = _triangle_side_reference(q, half_e) if energy else 0.0
+    assert not energy or 0.0 < side and q + side <= top
 
     if sampler == "pseudo":
         counts = [count]
 
         def draw(done, t):
-            a, b = ab_of(rng.random((2, t)))
-            return a, b, rng.random((2, t))
+            return rng.random((2, t)), rng.random((2, t))
 
         draws = [draw]
     else:
@@ -868,7 +860,7 @@ def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
         def direct(scramble):
             def draw(done, t):
                 u = scramble.words(np.arange(done, done + t)) * 2.0 ** -32
-                return *ab_of(u), u[2:]
+                return u[:2], u[2:]
             return draw
 
         draws = [direct(_sobol.Scramble(rng)) for _ in counts]
@@ -876,34 +868,31 @@ def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
     for n, draw in zip(counts, draws):
         s1 = s2 = 0.0
         for done in range(0, n, integrate._TILE):
-            a, b, (c, v) = draw(done, min(integrate._TILE, n - done))
-            # the rectangle's Jacobian; the maps replace it with theirs
-            jac = ab_span[0] * ab_span[1] / (span[0] * span[1])
+            (a, b), (c, v) = draw(done, min(integrate._TILE, n - done))
             if energy:
-                a, b, jac = _triangle_ab_reference(a, b, map_q, side, half_e)
-                jac /= span[0] * span[1]
+                a, b, jac = _triangle_ab_reference(a, b, q, side, half_e)
+            else:
+                a, b, jac = _fold_ab_reference(a, b, q, top)
             if classical:
                 end = np.sqrt(np.maximum(a * b, 0.0)) + tol
                 c = c * end
                 d = v * (end + end) - end
                 jac *= end * (end + end)
-            elif fold:
-                a, b, jac = _fold_ab_reference(a, b, map_q, box.hi[0])
-                jac /= span[0] * span[1]
-                end = _class_limits(tag, a, b, np.zeros(a.size), q * q)[0]
+            elif energy:
+                end, start, length = _class_limits(tag, a, b, c, mu, draw="uniform")[:3]
+                d = start + v * length
+                jac *= end * length
+            else:
+                end = _class_limits(tag, a, b, np.zeros(a.size), mu)[0]
                 jac *= 2.0 * end * c
                 c = end - end * c * c
-                start, length = _class_limits(tag, a, b, c, q * q)[1:3]
+                start, length = _class_limits(tag, a, b, c, mu)[1:3]
                 if tag is DomainTag.ENTANGLED:
                     d = start + length * v * v
                     jac *= 2.0 * length * v
                 else:
                     d = start + v * length
                     jac *= length
-            else:
-                end, start, length = _class_limits(tag, a, b, c, q * q, draw="uniform")[:3]
-                d = start + v * length
-                jac *= end * length
             w = volume_density(a, b, c, d) * regularizer_values(a, b, c, d, spec)
             w *= jac * per
             s1 += np.sum(w)
@@ -939,19 +928,16 @@ _ORACLE_CASES = [
 ] + [
     # the boxes fitted to the quantum classes: E = 8's at tol = 1e-3, and
     # kappa's with a and b from 1 - 1e-9, which a classical pass draws in too;
-    # a kappa box whose a and b sides differ, where every class draws on the
-    # rectangle, and a kappa box whose a and b sides start above 1 - tol,
-    # where the fold draws from their lower end
+    # and a kappa box whose a and b sides start above 1 - tol, where the fold
+    # draws from their lower end
     (2 * integrate._TILE + 3, sampler, reg, fitted, tol)
     for sampler, reg, fitted, tol in (("qmc", "E", "fit_E", 1e-3),
                                       ("pseudo", "kappa", "fold_kappa", -1e-6),
-                                      ("qmc", "kappa", "unequal_kappa", 1e-9),
                                       ("qmc", "kappa", "high_kappa", 1e-3))
 ]
 _FITTED_BOXES = {
     "fit_E": Box(lo=(0.999, 0.999, -2.0, -2.0), hi=(3.001, 3.001, 2.0, 2.0)),
     "fold_kappa": Box(lo=(1.0 - 1e-9, 1.0 - 1e-9, -8.0, -8.0), hi=(8.0, 8.0, 8.0, 8.0)),
-    "unequal_kappa": Box(lo=(0.0, 0.0, -8.0, -8.0), hi=(8.0, 6.0, 8.0, 8.0)),
     "high_kappa": Box(lo=(2.0, 2.0, -8.0, -8.0), hi=(8.0, 8.0, 8.0, 8.0)),
 }
 
@@ -1050,7 +1036,7 @@ def test_fold_points_stay_in_their_class(kappa):
             assert np.all(top >= a) and np.all(a >= b) and np.all(b >= q), (tag, q, top)
             end = _class_limits(tag, a, b, np.zeros(a.size), mu)[0]
             c = yc.copy()
-            _, start, length, pc, _ = _class_limits(tag, a, b, c, mu, draw="end", ordered=True)
+            _, start, length, pc, _ = _class_limits(tag, a, b, c, mu, draw="end")
             assert np.all(c >= 0.0) and np.all(c <= end), (tag, q, top)
             v = yd * yd if tag is DomainTag.ENTANGLED else yd
             d = v * length + start
@@ -1167,9 +1153,9 @@ def test_weights_computed_once_per_tile(monkeypatch):
 
 @pytest.mark.parametrize("tol", _ORACLE_TOLS + (0.5,))
 def test_in_class_draw_needs_a_box_holding_the_class(tol):
-    # every pass draws inside its class, so its box must hold the slice
-    # |c|, |d| <= r of every point of its support, and under the energy
-    # cutoff have equal a and b sides that hold each drawn class's triangle.
+    # every pass draws a >= b inside its class, so its box must have equal a
+    # and b sides, hold the slice |c|, |d| <= r of every point of its
+    # support, and under the energy cutoff hold each drawn class's triangle.
     # Every box _default_box fits does, for any domains, and every draw of a
     # pass over it lies in its class; a pass over a box whose c or d side
     # cuts the slice, such as a quadrant c >= 0 >= d, or that fails the
@@ -1204,13 +1190,16 @@ def test_in_class_draw_needs_a_box_holding_the_class(tol):
     quadrant = Box(lo=(1.0, 1.0, 0.0, -4.0), hi=(4.0, 4.0, 4.0, 0.0))
     for domains in one:
         refused(quadrant, K, domains)
-    # under the energy cutoff: a, b sides that differ in either end, and a
-    # box that holds the quantum classes' triangles, from 1 - tol to at most
-    # 3.5, but not the classical one, a, b >= 0, a + b <= 4
+    # under either regularizer, a, b sides that differ in either end, since
+    # every pass draws a >= b over them
     unequal = (Box((0.0, 0.0, -2.0, -2.0), (4.0, 3.5, 2.0, 2.0)),
-               Box((0.0, 0.5, -2.0, -2.0), (4.0, 4.0, 2.0, 2.0)))
-    for box, domains in itertools.product(unequal, one + (DOMAIN_ORDER,)):
-        refused(box, E, domains, "a and b sides must be equal")
+               Box((0.0, 0.5, -2.0, -2.0), (4.0, 4.0, 2.0, 2.0)),
+               Box((0.0, 0.0, -8.0, -8.0), (8.0, 6.0, 8.0, 8.0)))
+    for box, spec, domains in itertools.product(unequal, (E, K), one + (DOMAIN_ORDER,)):
+        refused(box, spec, domains, "a and b sides must be equal")
+    # under the energy cutoff, a box that holds the quantum classes'
+    # triangles, from 1 - tol to at most 3.5, but not the classical one,
+    # a, b >= 0, a + b <= 4
     for domains in one[1:]:
         assert run(integrate._sym_box(3.5), E, domains).n_samples == 100, domains
     for domains in ((T.CLASSICAL,), DOMAIN_ORDER):
@@ -1242,9 +1231,9 @@ def test_class_weight_is_zero_off_the_open_classical_domain(spec):
 
 
 @pytest.mark.parametrize("spec", [RegularizerSpec.energy(8.0), RegularizerSpec.adjugate(5.0),
-                                  RegularizerSpec.adjugate(0.2), RegularizerSpec.energy(8.0, m=3),
-                                  RegularizerSpec.energy(1e40), RegularizerSpec.energy(1e44)],
-                         ids=["E8", "kappa5", "kappa0.2", "E8m3", "E1e40", "E1e44"])
+                                  RegularizerSpec.adjugate(0.2), RegularizerSpec.energy(1e40),
+                                  RegularizerSpec.energy(1e44)],
+                         ids=["E8", "kappa5", "kappa0.2", "E1e40", "E1e44"])
 def test_class_weight_matches_generic_weights(spec):
     # the fused weight of the in-class draw is twice volume_density *
     # regularizer_values to 1e-12, at and near the ends of the c- and
@@ -1256,12 +1245,14 @@ def test_class_weight_matches_generic_weights(spec):
     tol = 1e-9
     box = integrate._default_box(spec, (DomainTag.QUANTUM,), DEFAULT_EPS_TAIL, tol)
     huge = spec.kind is RegKind.ENERGY_PHI and spec.bound_E >= 1e40
-    big = 2 * spec.m * math.log(max(box.hi[0] * box.hi[1], 1.0)) > 700.0
+    big = 8 * math.log(max(box.hi[0] * box.hi[1], 1.0)) > 700.0
     assert big == huge
     span = np.subtract(box.hi, box.lo)[:2, None]
     a, b = np.asarray(box.lo[:2])[:, None] + rng.random((2, 100_000)) * span
     if spec.kind is RegKind.ENERGY_PHI:
         a, b = a[2.0 * (a + b) <= spec.bound_E], b[2.0 * (a + b) <= spec.bound_E]
+    # _class_limits takes a >= b, as every pass draws them
+    a, b = np.maximum(a, b), np.minimum(a, b)
     c, v = rng.uniform(0.01, 0.99, (2, a.size))
     if not huge:
         c[:1000], v[1000:2000], v[2000:3000] = 1.0 - 1e-12, 1.0 - 1e-12, 0.0
@@ -1310,8 +1301,10 @@ def test_enlarged_box_same_integral():
 # their support boxes (side 4 sqrt(5/2) = 6.3246 for each), whose a, b sides
 # are fitted to them: each the volume minus the tail outside the box, from
 # _quad's rule at order 32, where orders 24, 32 and 40 agree to 1.3e-8
-# relative or better; and the three quantum classes at E = 8, whose boxes
-# are fitted likewise, from a 3-d rule exact to 1e-10
+# relative or better; the three quantum classes at E = 8, whose boxes
+# are fitted likewise, from a 3-d rule exact to 1e-10; and the classical
+# class at kappa = 5 inside its box (side 8 sqrt(5) = 17.889), by _quad's
+# rule at order 80, where orders 64 and 80 agree to 4e-8 relative
 _EXACT_CASES = {
     "kappa5_quantum": (DomainTag.QUANTUM, RegularizerSpec.adjugate(5.0), 0.4738284762),
     "kappa5_separable": (DomainTag.SEPARABLE, RegularizerSpec.adjugate(5.0), 0.1772976858),
@@ -1319,7 +1312,11 @@ _EXACT_CASES = {
     "E8_separable": (DomainTag.SEPARABLE, RegularizerSpec.energy(8.0), 5.1866948377),
     "E8_quantum": (DomainTag.QUANTUM, RegularizerSpec.energy(8.0), 8.3216937604),
     "E8_entangled": (DomainTag.ENTANGLED, RegularizerSpec.energy(8.0), 3.1349989227),
+    "kappa5_classical": (DomainTag.CLASSICAL, RegularizerSpec.adjugate(5.0), 10.938365431),
 }
+# the cases whose intervals are checked over 200 seeds: the quantum classes
+_COVERAGE_CASES = [case for case, (tag, _, _) in _EXACT_CASES.items()
+                   if tag is not DomainTag.CLASSICAL]
 
 
 @functools.cache
@@ -1374,11 +1371,11 @@ def test_qmc_error_bars_honest_against_exact_values(case):
     _check_honest(case, "qmc")
 
 
-@pytest.mark.parametrize("case", list(_EXACT_CASES))
+@pytest.mark.parametrize("case", _COVERAGE_CASES)
 def test_qmc_intervals_cover_exact_values(case):
     # the Student-t interval of R = 2 * streams = 8 replicates misses the
     # exact value in 5% of runs.  The share over seeds 0-199 reads 3.5%,
-    # 7.5%, 5.0%, 4.0%, 4.0% and 4.5% in the order of _EXACT_CASES (2.0%,
+    # 7.5%, 5.0%, 4.0%, 4.0% and 4.5% in the order of _COVERAGE_CASES (2.0%,
     # 4.5%, 4.0%, 3.0%, 4.0% and 5.5% over seeds 1000-1199), each quantum
     # case drawn as a separable and an entangled pass
     t_quantile = pytest.importorskip("scipy.stats").t.ppf(0.975, 2 * 4 - 1)
@@ -1386,7 +1383,7 @@ def test_qmc_intervals_cover_exact_values(case):
     assert 0.02 <= missed <= 0.08, missed
 
 
-@pytest.mark.parametrize("case", list(_EXACT_CASES))
+@pytest.mark.parametrize("case", _COVERAGE_CASES)
 def test_pseudo_intervals_cover_exact_values(case):
     # the normal interval of the iid error bar misses the exact value in 5%
     # of runs; [1%, 10%] holds the share over 200 seeds with probability
@@ -1634,6 +1631,15 @@ def test_mc_volume_validates():
         mc_volume(IntegrationRequest(**{**good, "regularizer": RegularizerSpec.energy(8.0, m=3)}))
     with pytest.raises(InvalidArgumentError):
         mc_volume(IntegrationRequest(**{**good, "sampler": "sobol"}))
+
+
+def test_joint_volumes_refuse_a_regularizer_off_the_chart():
+    # every pass weights with log(1 + det V^4), the 4-parameter chart's m, and
+    # refuses another m as IntegrationRequest does
+    spec = RegularizerSpec.energy(8.0, m=3)
+    for domains in ((DomainTag.CLASSICAL,), DOMAIN_ORDER):
+        with pytest.raises(InvalidArgumentError, match="regularizer m must be 4"):
+            mc_joint_volumes(phi_box(8.0), spec, 1000, seed=1, domains=domains)
 
 
 @pytest.mark.parametrize("field,bad", [("n_samples", 20000.5), ("n_samples", 20000.0),

@@ -458,14 +458,16 @@ def _near_label_surfaces(rng, n, tol):
     a = np.where(near1 & (a <= b), 1.0 + jitter(), a)
     b = np.where(near1 & (b < a), 1.0 + jitter(), b)
     sign = lambda: rng.choice([-1.0, 1.0], n)
+    # _class_limits takes a >= b; the labels are symmetric in a and b
+    ab = np.maximum(a, b), np.minimum(a, b)
     with np.errstate(invalid="ignore"):
         zero = np.zeros(n)
-        cb = _class_limits(DomainTag.QUANTUM, a, b, zero, 1.0)[0]
-        sc3 = _class_limits(DomainTag.SEPARABLE, a, b, zero, 1.0)[0]
+        cb = _class_limits(DomainTag.QUANTUM, *ab, zero, 1.0)[0]
+        sc3 = _class_limits(DomainTag.SEPARABLE, *ab, zero, 1.0)[0]
         c = np.choose(rng.integers(0, 3, n), [rng.uniform(-1.0, 1.0, n) * cb,
                                               sign() * cb + jitter(), sign() * sc3 + jitter()])
         # the quantum d-interval's formulas hold for c of either sign
-        d1, length = _class_limits(DomainTag.QUANTUM, a, b, c, 1.0)[1:3]
+        d1, length = _class_limits(DomainTag.QUANTUM, *ab, c, 1.0)[1:3]
         root = np.where(rng.random(n) < 0.5, d1, d1 + length) * sign()
         d = np.where(rng.random(n) < 0.75, root + jitter(),
                      rng.uniform(-1.0, 1.0, n) * np.sqrt(np.maximum(a * b, 0.0)))
@@ -524,14 +526,16 @@ _CLASS_LABELS = {DomainTag.SEPARABLE: (2,), DomainTag.ENTANGLED: (3,), DomainTag
 def _drawn_in_class(rng, n, tag, tol):
     """Points that _class_limits draws in the class ``tag``, crowded at its surfaces.
 
-    a and b from 1 - tol, a fifth of a at that floor or at 1 above it; each uniform
-    is 0, within 1e-12 of either end of [0, 1) or uniform, so that c lies
-    at 0 or at its c-end and d at either end of its interval.  Returns the
-    point and the quantum class's d2 = start + length at it.
+    a >= b from 1 - tol, a fifth of one side at that floor or at 1 above
+    it; each uniform is 0, within 1e-12 of either end of [0, 1) or uniform,
+    so that c lies at 0 or at its c-end and d at either end of its
+    interval.  Returns the point and the quantum class's d2 = start + length
+    at it.
     """
     q = 1.0 - tol
     a, b = rng.uniform(q, 8.0, (2, n))
     a = np.where(rng.random(n) < 0.2, rng.choice([max(1.0, q), q], n), a)
+    a, b = np.maximum(a, b), np.minimum(a, b)
 
     def crowded():
         x = rng.random(n)
@@ -595,7 +599,7 @@ def test_huge_class_limits_keep_the_d_interval_finite(tag):
     rng = np.random.default_rng(len(tag.value))
     mu = (1.0 - 1e-9) ** 2
     for scale, finite in ((1.0, True), (1e30, True), (1e70, False)):
-        a, b = rng.uniform(1.0, 8.0, (2, 10_000)) * scale
+        a, b = np.sort(rng.uniform(1.0, 8.0, (2, 10_000)) * scale, axis=0)[::-1]
         c = rng.uniform(0.0, 1.0, a.size)
         with np.errstate(over="ignore", invalid="ignore"):
             plain = _class_limits(tag, a, b, c.copy(), mu, draw="uniform")
