@@ -6,11 +6,11 @@ The integrand over the standard-form chart (a, b, c, d) is
 
 integrated over an axis-aligned box that contains the support of the
 weighted domain: ``phi_box`` for the energy cutoff and ``upsilon_box`` for
-the damping, fitted by ``_default_box`` when only the quantum classes are
-scored, with a and b sides from 1 - tol.  Every pass takes tol < 1
-(``twomode._check_tol``), m = 4 (``_check_m``) and a box with equal a and b
-sides whose c and d sides hold the slice |c|, |d| < sqrt(ab) of every point
-in its support (``_check_box``), as every box ``_default_box`` fits does.
+the damping (``_default_box``).  Every pass takes tol < 1
+(``twomode._check_tol``), m = 4 (``_check_m``) and a box with equal a and
+b sides whose c and d sides hold the slice |c|, |d| < sqrt(ab) of every
+point in its support (``_check_box``), as both boxes do.  Only the box's
+a, b sides enter a pass: its c and d sides change no bit.
 
 Every pass draws inside one class and labels nothing: the classical,
 separable or entangled class, and it drops no draw.  The quantum domain is
@@ -27,28 +27,28 @@ is uniform on [0, c-end] of the class at (a, b) and d on its d-interval at
 half-width h = sqrt(ab) + tol (``twomode._half_width``, which
 ``domain_labels`` shares); for a quantum class they come from
 ``twomode._class_limits`` at mu = (1 - tol)^2, the limits ``_quad``
-integrates over.  Each weight is multiplied by the two interval lengths
-over the box's c and d spans, and by 2 for the mirror image c < 0 of what
-is drawn.  So an estimate is box.volume times the mean weight, and its
-integrand over the unit cube is smooth rather than an indicator with a
-curved edge, which keeps the convergence rate of qmc (Owen, Ann. Stat.
-1997; He and Wang, SIAM J. Numer. Anal. 2015).
+integrates over.  Each weight carries its draw's Jacobian: the two
+interval lengths, the a, b map's (below), and 2 for the mirror image c < 0
+of what is drawn.  So an estimate is the mean weight, the class's integral
+itself, and its integrand over the unit cube is smooth rather than an
+indicator with a curved edge, which keeps the convergence rate of qmc
+(Owen, Ann. Stat. 1997; He and Wang, SIAM J. Numer. Anal. 2015).
 
 Under the energy cutoff every pass draws a >= b on its class's triangle
 T = {a, b >= q, a + b <= E/2}, with q = max(lo, 1 - tol) for the quantum
 classes and max(lo, -tol) for classical, wherever H = E/2 - 2q > 0
 (``_triangle_ab``): a = q + (H u / 2)(1 + y) and b = q + (H u / 2)(1 - y),
 smooth in the uniforms (u, y), with the mirror image a <-> b counted
-twice, so the Jacobian is H^2 u over the box's a, b area.  So every draw
-passes the a, b test and the cutoff, and none is dropped.  At E = 8 under
-qmc the error of the separable class is about 25 times smaller at equal
-samples than that of a uniform draw over the box, of the entangled class
-about 16 times, and of the classical one about 6 times.  c and d stay
-uniform on the class's intervals; c crowded at its c-end, or a and b
-at a = b, measured no better here.  ``_check_box`` refuses an energy
-cutoff box that cuts a drawn class's nonempty triangle; ``phi_box`` and
-``_default_box`` give none.  Where H <= 0, as for the quantum classes at
-E <= 4 (1 - tol), the class has no volume inside the cutoff.
+twice, so the Jacobian is H^2 u.  So every draw passes the a, b test and
+the cutoff, and none is dropped.  At E = 8 under qmc the error of the
+separable class is about 25 times smaller at equal samples than that of a
+uniform draw over the box, of the entangled class about 16 times, and of
+the classical one about 6 times.  c and d stay uniform on the class's
+intervals; c crowded at its c-end, or a and b at a = b, measured no better
+here.  ``_check_box`` refuses an energy cutoff box that cuts a drawn
+class's nonempty triangle; ``phi_box`` gives none.  Where H <= 0, as for
+the quantum classes at E <= 4 (1 - tol), the class has no volume inside
+the cutoff.
 
 Under the damping most of a class's mass lies near a = b, and a quantum
 class's on a thin ridge of near two-mode squeezed states: a close to b, c
@@ -60,13 +60,12 @@ the square (``_fold_ab``).  A quantum class draws c = end (1 - y^2),
 which crowds the c-end, and the entangled class d = d1 + length y^2,
 which crowds d1; the separable class keeps a uniform d, which gave it the
 smaller error, and the classical class uniform c and d on its slice.
-Each weight carries the maps' Jacobians over the box's a, b area, so an
-estimate is still box.volume times the mean weight.  Against a uniform
-draw over the box, the entangled error at kappa = 5 and 8M qmc samples is
-about 7 times smaller, and at kappa = 50 and 1000 and 200k about 25 and 30
-times, and the classical error at kappa = 1, 2 and 5 and 200k qmc samples
-is 1.5, 2.0 and 1.3 times smaller than that of a uniform draw on
-[q, top]^2.
+Each weight carries the maps' Jacobians, so an estimate is still the
+mean weight.  Against a uniform draw over the box, the entangled error at
+kappa = 5 and 8M qmc samples is about 7 times smaller, and at kappa = 50
+and 1000 and 200k about 25 and 30 times, and the classical error at
+kappa = 1, 2 and 5 and 200k qmc samples is 1.5, 2.0 and 1.3 times smaller
+than that of a uniform draw on [q, top]^2.
 
 The weight is fused with the interval arithmetic (``_class_weight``); it
 is 0 off the open classical domain, where pc = ab - c^2 <= 0 or
@@ -266,8 +265,10 @@ def _check_box(box: Box, spec: RegularizerSpec, draws: tuple, tol: float) -> Non
     (c, d) -> (-c, -d).  Under the energy cutoff each class of ``draws`` is
     drawn on its triangle a, b >= q, a + b <= E/2 (see the module
     docstring), so the box's a and b sides must hold every such triangle
-    that is not empty.  ``phi_box``, ``upsilon_box`` and ``_default_box``
-    give only such boxes.  Any other box raises ``InvalidArgumentError``.
+    that is not empty.  ``phi_box`` and ``upsilon_box`` give only such
+    boxes.  Any other box raises ``InvalidArgumentError``.  A pass reads
+    only the box's a, b sides, so c and d sides wider than [-r, r] change
+    no bit.
     """
     if box.lo[0] != box.lo[1] or box.hi[0] != box.hi[1]:
         raise InvalidArgumentError("the box's a and b sides must be equal")
@@ -406,9 +407,6 @@ def _triangle_ab(uv, q: float, h: float, half_e: float, out, scratch) -> None:
 
 def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: float,
                     sampler: str, tag: DomainTag):
-    # a weight is scaled by the lengths of the c and d intervals it was drawn
-    # on, over the box's c and d spans
-    per_cd = 1.0 / ((box.hi[2] - box.lo[2]) * (box.hi[3] - box.lo[3]))
     counts, tiles = _replicates(child_ss, count, sampler)
     # one weight sum and one squared-weight sum per replicate, to which each
     # of its tiles adds its own
@@ -422,21 +420,16 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
     # every class folds [q, top]^2 (_fold_ab); a quantum class draws c
     # through end (1 - y^2) and, the entangled one, d through
     # d1 + length y^2, and the classical class keeps c and d uniform.  The
-    # weights carry the Jacobians' varying parts, and the sums their
-    # constants over the box's a, b area: 2 H for the triangle, 8 (top - q)
-    # for the fold and 2 for each of c and d drawn through y^2
+    # weights carry the Jacobians' varying parts, and then their constant:
+    # 2 H for the triangle, 8 (top - q) for the fold and 2 for each of c
+    # and d drawn through y^2
     q, top = max(box.lo[0], _floor(tag, tol)), box.hi[0]
     h = _triangle_side(q, spec.bound_E / 2.0) if energy else 0.0
     if (h <= 0.0) if energy else top <= q:
         # the class has no volume in the box, so nothing is drawn
         return np.array(counts, dtype=np.int64), s1, s2, False
     d_map = not energy and tag is DomainTag.ENTANGLED
-    side = top - box.lo[0]
-    area = side * side
-    if energy:
-        per_cd *= 2.0 * h / area
-    else:
-        per_cd *= 8.0 * (top - q) / area * (1.0 if classical else 4.0 if d_map else 2.0)
+    const = 2.0 * h if energy else 8.0 * (top - q) * (1.0 if classical else 4.0 if d_map else 2.0)
     tile = min(_TILE, max(counts))
     # a tile's points live in the flat buffer pbuf.  wbuf holds the uniforms
     # of their a and b, then stage 2's n weights and the scratch rows of its
@@ -497,17 +490,20 @@ def _stream_partial(child_ss, count: int, box: Box, spec: RegularizerSpec, tol: 
                                   (f[1], f[4], f[5]), classical)
                 w *= length
                 w *= end
-            # the tile's weights and their squares, summed; the factor 2 of
+            # the tile's weights, times the Jacobians' constant before they
+            # are squared, so that a square underflows only where the
+            # volume's own does, and their squares, summed; the factor 2 of
             # _class_weight counts each point's mirror image c < 0.  A
             # non-finite weight makes its sum non-finite; its point is named
             # before the squares overwrite c's row
-            part = np.sum(w_row) * per_cd
+            w_row *= const
+            part = np.sum(w_row)
             if not math.isfinite(part):
                 i = int(np.argmin(np.isfinite(w_row)))
                 bad = tuple(float(row[i]) for row in pts)
                 raise NumericError(f"non-finite integrand weight at (a, b, c, d) = {bad}")
             s1[r] += part
-            s2[r] += np.sum(np.square(w_row, out=pts[2])) * (per_cd * per_cd)
+            s2[r] += np.sum(np.square(w_row, out=pts[2]))
     return np.array(counts, dtype=np.int64), s1, s2, True
 
 
@@ -552,9 +548,9 @@ class JointVolumes:
     has S's error, and Q and S covary by S's variance in a ratio.  Every
     weight carries the Jacobian of its draw: the lengths of the intervals
     its c and d were drawn on, or the polynomial maps' (see the module
-    docstring), so each class's estimate is box.volume times a mean over
-    its pass's ``n_samples`` draws, and its error box.volume times that
-    mean's.  The sums are kept per replicate, in stream order: one per
+    docstring), so each class's estimate is the mean over its pass's
+    ``n_samples`` draws, and its error that mean's; the box's volume does
+    not enter.  The sums are kept per replicate, in stream order: one per
     stream for pseudo, whose variances come from the pooled sums by the iid
     formula, and two per stream for qmc, whose come from the R =
     2 * streams replicate means (their sample variance over R; see the
@@ -632,12 +628,11 @@ class JointVolumes:
         return max(self._mean_cov(tag, tag), 0.0)
 
     def result(self, tag: DomainTag) -> IntegrationResult:
-        vol = self.box.volume
-        estimate = vol * self._mean(tag)
+        estimate = self._mean(tag)
         drew = self._drew(_CLASSES[tag])
         return IntegrationResult(
             estimate=estimate,
-            std_error=vol * math.sqrt(self._mean_var(tag)),
+            std_error=math.sqrt(self._mean_var(tag)),
             n_samples=self.n_samples,
             seed=self.seed,
             streams=self.streams,
@@ -651,10 +646,9 @@ class JointVolumes:
 
     def difference(self, tag_a: DomainTag, tag_b: DomainTag) -> tuple[float, float]:
         """Estimate and standard error of vol(tag_a) - vol(tag_b)."""
-        vol = self.box.volume
-        est = vol * (self._mean(tag_a) - self._mean(tag_b))
+        est = self._mean(tag_a) - self._mean(tag_b)
         var = self._mean_var(tag_a) + self._mean_var(tag_b) - 2.0 * self._mean_cov(tag_a, tag_b)
-        return est, vol * math.sqrt(max(var, 0.0))
+        return est, math.sqrt(max(var, 0.0))
 
     def ratio(self, tag: DomainTag, base: DomainTag = DomainTag.CLASSICAL) -> tuple[float, float]:
         """Delta-method ratio vol(tag) / vol(base); approximate to first order."""
@@ -812,12 +806,11 @@ def mc_joint_volumes(box: Box, spec: RegularizerSpec, n_samples: int, seed, stre
     triangle a + b <= E/2 under the energy cutoff, and through a fold of
     the box's a, b square under the damping, where a quantum class also
     draws c, and the entangled class d, through polynomial maps.  Each
-    weight carries the Jacobians of its draw over the box's a, b area and
-    c and d spans, so a pass estimates the integrals over the box that
-    uniform sampling estimates.  The box must have equal a and b sides, and
-    hold the slice |c|, |d| < sqrt(ab) of its support and, under the
-    energy cutoff, each drawn class's triangle; ``spec`` must have m = 4
-    (``InvalidArgumentError`` otherwise).  Each pass draws
+    weight carries the Jacobians of its draw, so a pass's mean weight
+    estimates the class's integral over the box.  The box must have equal
+    a and b sides, and hold the slice |c|, |d| < sqrt(ab) of its support
+    and, under the energy cutoff, each drawn class's triangle; ``spec``
+    must have m = 4 (``InvalidArgumentError`` otherwise).  Each pass draws
     ``n_samples``: the k-th pass runs on the seed's children k * streams
     to (k + 1) * streams - 1, so the passes are independent, and the first
     gives the bits of a call that scores only its class.
@@ -941,41 +934,30 @@ class IntegrationRequest:
             _check_eps_tail(self.eps_tail)
 
 
-def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float, tol: float) -> Box:
-    """The support box of ``domains`` under ``spec``, fitted to the quantum classes.
+def _default_box(spec: RegularizerSpec, domains: tuple, eps_tail: float) -> Box:
+    """The support box of ``domains`` under ``spec``.
 
-    The box is ``upsilon_box`` fitted to each of ``domains`` for the damping,
-    with a, b sides (0, L], and ``phi_box`` for the energy cutoff.  When the
-    classical domain is not among them, the a and b sides become [q, top]
-    with q = 1 - tol: every quantum point has min(a, b) >= q
-    (``twomode._classical_labels``), and top is L, or E/2 - q, since a + b <= E/2.  When
-    top <= q the quantum classes have no volume in the box, and it is kept
-    as it is.  Every box returned holds the slice |c|, |d| < sqrt(ab) of
-    each point in its support (``_check_box``).
+    ``upsilon_box`` fitted to each of ``domains`` for the damping, and
+    ``phi_box`` for the energy cutoff.  A pass draws a and b from its
+    class's floor on whatever the box's lower a, b end (see the module
+    docstring), so the box need not start there.
     """
-    q = _floor(DomainTag.QUANTUM, tol)
     if spec.kind is RegKind.ADJUGATE_UPSILON:
-        box = upsilon_box(spec.kappa, eps_tail, domain=domains)
-        top = box.hi[0]
-    else:
-        box = phi_box(spec.bound_E)
-        top = box.hi[0] - q
-    if DomainTag.CLASSICAL in _draws(domains) or top <= q:
-        return box
-    return Box((q, q, *box.lo[2:]), (top, top, *box.hi[2:]))
+        return upsilon_box(spec.kappa, eps_tail, domain=domains)
+    return phi_box(spec.bound_E)
 
 
 def mc_volume(req: IntegrationRequest) -> IntegrationResult:
     """Monte Carlo volume of one domain under the requested regularizer.
 
-    One pass over ``_default_box`` draws inside the domain's class: a
-    quantum, separable or entangled run draws a and b from q = 1 - tol,
-    where that leaves the box any volume; a classical run keeps ``phi_box``
-    or ``upsilon_box``, and gives the bits of the classical column of
+    The passes of the domain's classes over ``_default_box``, ``phi_box``
+    or ``upsilon_box`` fitted to the domain: a quantum, separable or
+    entangled run draws a and b from q = 1 - tol, a classical one from
+    -tol.  A classical run gives the bits of the classical column of
     ``mc_joint_volumes`` over that box scoring all four.  Bit-identical for
-    a fixed (seed, streams, n_samples) request.
+    a fixed request.
     """
-    box = _default_box(req.regularizer, (req.domain,), req.eps_tail, req.tol)
+    box = _default_box(req.regularizer, (req.domain,), req.eps_tail)
     jv = mc_joint_volumes(box, req.regularizer, req.n_samples, req.seed, req.streams,
                           req.tol, req.sampler, domains=(req.domain,))
     return jv.result(req.domain)
@@ -1035,7 +1017,7 @@ def sweep(param: str, values, template: IntegrationRequest) -> SweepTable:
     rows = []
     for i, (v, spec) in enumerate(_sweep_specs(param, values, template)):
         try:
-            box = _default_box(spec, DOMAIN_ORDER, template.eps_tail, template.tol)
+            box = _default_box(spec, DOMAIN_ORDER, template.eps_tail)
             row_ss = np.random.SeedSequence([int(template.seed), i])
             jv = mc_joint_volumes(box, spec, template.n_samples, row_ss, template.streams,
                                   template.tol, template.sampler, seed_label=template.seed)

@@ -248,15 +248,18 @@ def test_volume_rejects_out_of_range_input(flags, capsys):
 # when damped quantum-class passes began to draw through the polynomial maps
 # (integrate._fold_ab), and the E row when passes under the energy cutoff
 # began to draw a and b on their class's triangle (integrate._triangle_ab).
+# Both re-recorded when a pass's sums became its class's integral, with no
+# box volume to divide and multiply back, which moved their error bars in
+# the last digits and made their box columns phi_box's and upsilon_box's.
 # A kernel speed-up must keep these bytes
 _PINNED_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
-        "entangled,adj,kappa,5.0,4,0.2980692495117169,0.00184580484944417,1.0,0,200000,"
-        "1,4,pseudo,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
-        "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
+        "entangled,adj,kappa,5.0,4,0.2980692495117169,0.0018458048494441703,1.0,0,200000,1,4,"
+        "pseudo,0.0,6.324555320336758,0.0,6.324555320336758,-6.324555320336758,"
+        "6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "separable", "--E", "8"):
-        "separable,energy,E,8.0,4,5.18879976790259,0.015046458189722178,1.0,0,200000,1,4,pseudo,"
-        "0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
+        "separable,energy,E,8.0,4,5.18879976790259,0.015046458189722176,1.0,0,200000,1,4,pseudo,"
+        "0.0,4.0,0.0,4.0,-2.0,2.0,-2.0,2.0",
 }
 
 
@@ -273,12 +276,12 @@ def test_volume_benchmark_rows_pinned(flags, capsys):
 # of the numpy Sobol' generator per stream
 _PINNED_QMC_ROWS = {
     ("--set", "entangled", "--kappa", "5"):
-        "entangled,adj,kappa,5.0,4,0.29670201556319126,0.00015043639381577743,1.0,0,200000,"
-        "1,4,qmc,0.999999999,6.324555320336758,0.999999999,6.324555320336758,"
-        "-6.324555320336758,6.324555320336758,-6.324555320336758,6.324555320336758",
+        "entangled,adj,kappa,5.0,4,0.29670201556319126,0.0001504363938157823,1.0,0,200000,1,4,"
+        "qmc,0.0,6.324555320336758,0.0,6.324555320336758,-6.324555320336758,6.324555320336758,"
+        "-6.324555320336758,6.324555320336758",
     ("--set", "separable", "--E", "8"):
-        "separable,energy,E,8.0,4,5.186675102982909,0.0001559303038436243,1.0,0,200000,1,4,qmc,"
-        "0.999999999,3.000000001,0.999999999,3.000000001,-2.0,2.0,-2.0,2.0",
+        "separable,energy,E,8.0,4,5.186675102982909,0.00015593030384368554,1.0,0,200000,1,4,qmc,"
+        "0.0,4.0,0.0,4.0,-2.0,2.0,-2.0,2.0",
 }
 
 
@@ -295,11 +298,13 @@ def test_volume_benchmark_rows_pinned_qmc(flags, capsys):
 # slice, on its triangle a + b <= E/2, and the quantum row is a separable
 # and an entangled pass, each through the polynomial maps.  Both re-recorded
 # when the triangle draw came in and the split sums became plain sums, and
-# the quantum row again when one quantum pass split at d = -d2 became two
+# the quantum row again when one quantum pass split at d = -d2 became two,
+# and when a pass's sums became its class's integral, which moved its
+# estimate in the last digit and made its box columns upsilon_box's
 _PINNED_MULTI_TILE_ROWS = {
     ("--set", "quantum", "--kappa", "5"):
-        "quantum,adj,kappa,5.0,4,0.47230616740184644,0.001647484657504159,1.0,0,400000,1,1,pseudo,"
-        "0.999999999,6.324555320336758,0.999999999,6.324555320336758,-6.324555320336758,"
+        "quantum,adj,kappa,5.0,4,0.4723061674018464,0.001647484657504159,1.0,0,400000,1,1,"
+        "pseudo,0.0,6.324555320336758,0.0,6.324555320336758,-6.324555320336758,"
         "6.324555320336758,-6.324555320336758,6.324555320336758",
     ("--set", "classical", "--E", "8"):
         "classical,energy,E,8.0,4,46.559535228584146,0.16337616149206463,1.0,0,400000,1,1,pseudo,"
@@ -355,8 +360,8 @@ def test_volume_entangled_empty_just_above_threshold(capsys):
     assert float(fields[7]) == 0.0
     assert fields[8] == "1"
     assert fields[13:15] == ["0.0", "1.95"]
-    # just above the threshold the box fitted to the quantum classes finds
-    # the entangled points inside tr V <= 4.05 that phi_box(4.05) missed
+    # just above the threshold the entangled pass draws on its triangle
+    # a, b >= 1 - tol, a + b <= 2.025 inside phi_box(4.05)
     code = main(["volume", "--set", "entangled", "--E", "4.05", "--samples", "100000",
                  "--seed", "3"])
     assert code == 0
@@ -367,7 +372,7 @@ def test_volume_entangled_empty_just_above_threshold(capsys):
 
 def test_volume_entangled_empty_where_no_damped_box_is_fitted(capsys):
     # at tol = -10 the quantum classes start at a, b = 11, past the kappa = 5
-    # box's side: the run keeps the unfitted box and reports an empty class
+    # box's side: the run reports upsilon_box and an empty class
     code = main(["volume", "--set", "entangled", "--kappa", "5", "--tol=-10", "--samples",
                  "20000", "--seed", "1"])
     assert code == 0
@@ -378,17 +383,20 @@ def test_volume_entangled_empty_where_no_damped_box_is_fitted(capsys):
 
 
 def test_volume_tol_sets_the_fitted_box(capsys):
-    # the a and b sides of a quantum class's E box start at 1 - tol
-    assert main(["volume", "--set", "quantum", "--E", "8", "--tol", "1e-3", "--samples", "20000",
-                 "--seed", "1"]) == 0
-    fields = capsys.readouterr().out.splitlines()[2].split(",")
-    assert fields[13:17] == ["0.999", "3.001", "0.999", "3.001"]
-    # and those of its kappa box, whose c and d sides are upsilon_box's
-    assert main(["volume", "--set", "entangled", "--kappa", "5", "--tol", "1e-3", "--samples",
-                 "20000", "--seed", "1"]) == 0
-    fields = capsys.readouterr().out.splitlines()[2].split(",")
+    # --tol moves the quantum classes' floor 1 - tol, from which their
+    # passes draw a and b, and so the estimate, but not the box, which is
+    # phi_box or upsilon_box
     L = "6.324555320336758"
-    assert fields[13:] == ["0.999", L, "0.999", L, "-" + L, L, "-" + L, L]
+    for flags, box in ((["--set", "quantum", "--E", "8"],
+                        ["0.0", "4.0", "0.0", "4.0", "-2.0", "2.0", "-2.0", "2.0"]),
+                       (["--set", "entangled", "--kappa", "5"],
+                        ["0.0", L, "0.0", L, "-" + L, L, "-" + L, L])):
+        rows = []
+        for tol in ("1e-9", "1e-3"):
+            assert main(["volume", *flags, "--tol", tol, "--samples", "20000", "--seed", "1"]) == 0
+            rows.append(capsys.readouterr().out.splitlines()[2].split(","))
+        assert rows[0][13:] == rows[1][13:] == box, flags
+        assert rows[0][5] != rows[1][5], flags
 
 
 def test_volume_adjugate_kind(capsys):
@@ -536,10 +544,11 @@ def test_unwritable_output_exits_2(argv, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["volume", "--E", "1e70", "--samples", "10000"],
-    ["volume", "--E", "1e45", "--samples", "100000"],
+    # every weight underflows to 0
     ["volume", "--kappa", "1e30", "--samples", "10000"],
-], ids=["E1e70", "E1e45", "kappa1e30"])
+    # the weights stay above 0, but every square of one underflows
+    ["volume", "--set", "separable", "--kappa", "0.01", "--samples", "10000"],
+], ids=["kappa1e30", "separable-kappa0.01"])
 def test_underflowed_weights_exit_5(argv, capsys):
     # the run prints no row rather than an estimate or error bar of 0
     assert main(argv) == 5
@@ -707,22 +716,24 @@ def test_sweep_csv_shape(capsys):
 # class's triangle, where E = 4's quantum classes, a, b >= 1 - tol with
 # a + b <= 2, read about 1e-31 rather than 0; and the quantum, separable and
 # entangled columns and their ratios of every row when the quantum pass
-# became a separable and an entangled pass.  A kernel change must keep these
-# bytes or re-record them
+# became a separable and an entangled pass; and all rows but one again, in
+# their last digits, when a pass's sums became its class's integral.  A
+# kernel change must keep these bytes or re-record them
 _PINNED_SWEEP_ROWS = {
     (("--kappa", "1:16:log:3"), "qmc"): [
         "kappa,1.0,0.03908378662744785,8.750587735176377e-05,0.00023086621532531553,"
-        "2.3244162545705337e-07,6.299133021851992e-05,5.042696510774055e-08,0.0001678748851067956,"
-        "2.26905774353893e-07,0.005906956189428746,1.4500950215164348e-05,0.0016116997776843408,"
-        "3.8322108702527175e-06,0.004295256411744404,1.1233331231970252e-05,200000,8",
-        "kappa,4.0,5.96295470056981,0.016690125407122464,0.22811272357730042,"
-        "0.00016593647576485193,0.08273169354283871,7.322547214311229e-05,0.14538103003446168,"
-        "0.0001489058233202368,0.03825498180549692,0.00011063156012952133,0.013874278390029193,"
-        "4.072903548835166e-05,0.024380703415467723,7.266638185154595e-05,200000,8",
-        "kappa,16.0,145.7270803657421,1.613785056085824,8.850940138540004,0.01194386608626816,"
-        "3.744970634877258,0.003530885041390872,5.105969503662745,0.011410030145060479,"
-        "0.060736413001112356,0.0006775717662351897,0.025698522371258838,0.0002856156061228801,"
-        "0.03503789062985352,0.0003958314523481115,200000,8",
+        "2.3244162545706043e-07,6.299133021851992e-05,5.042696510773983e-08,"
+        "0.0001678748851067956,2.2690577435390038e-07,0.005906956189428746,"
+        "1.4500950215164423e-05,0.0016116997776843408,3.832210870252712e-06,"
+        "0.004295256411744404,1.1233331231970348e-05,200000,8",
+        "kappa,4.0,5.96295470056981,0.016690125407122464,0.2281127235773004,"
+        "0.0001659364757648529,0.0827316935428387,7.322547214311e-05,0.14538103003446168,"
+        "0.000148905823320239,0.03825498180549691,0.00011063156012952136,0.013874278390029192,"
+        "4.072903548835154e-05,0.024380703415467723,7.266638185154607e-05,200000,8",
+        "kappa,16.0,145.7270803657421,1.613785056085824,8.850940138540004,0.01194386608626818,"
+        "3.744970634877258,0.00353088504139083,5.105969503662745,0.011410030145060512,"
+        "0.060736413001112356,0.0006775717662351897,0.025698522371258838,0.00028561560612288005,"
+        "0.03503789062985352,0.0003958314523481116,200000,8",
     ],
     (("--kappa", "1:16:log:3"), "pseudo"): [
         "kappa,1.0,0.0393413953089542,0.0003849870847313965,0.0002274810035408361,"
@@ -731,51 +742,51 @@ _PINNED_SWEEP_ROWS = {
         "0.0015650549672922387,2.9726032563486487e-05,0.0042171752193697195,6.689570237017677e-05,"
         "200000,8",
         "kappa,4.0,5.953868645017526,0.07175592684204699,0.22688717292407834,"
-        "0.0020822444718855884,0.08297905368979085,0.0012417680922493395,0.14390811923428745,"
+        "0.0020822444718855884,0.08297905368979085,0.0012417680922493398,0.14390811923428745,"
         "0.0016714526753005986,0.03810752074853852,0.0005772701996178377,0.013936997713114073,"
         "0.00026779232352731766,0.024170523035424444,0.000404560012491348,200000,8",
-        "kappa,16.0,149.46027676653378,3.411987734760278,8.782877159686564,0.08030060270646601,"
+        "kappa,16.0,149.46027676653378,3.411987734760278,8.782877159686562,0.08030060270646601,"
         "3.693609878839446,0.05355826840881897,5.089267280847117,0.059830583150012835,"
-        "0.05876395621430544,0.0014450946990669888,0.024712987013994988,0.000668351758568412,"
+        "0.05876395621430543,0.0014450946990669886,0.024712987013994988,0.000668351758568412,"
         "0.03405096920031044,0.0008743607452164197,200000,8",
     ],
     (("--E", "4:16:log:4"), "qmc"): [
-        "E,4.0,0.07057469593613724,8.817519870178303e-05,1.1870805484036423e-31,"
-        "5.69424697476044e-36,3.6968160549471686e-36,1.7186308062503887e-40,"
-        "1.1870435802430929e-31,5.694246972166865e-36,1.6820200677560506e-30,"
-        "2.103044480088385e-33,5.238160796742791e-35,6.549025849596428e-38,"
-        "1.6819676861480833e-30,2.1029790833027343e-33,200000,8",
-        "E,6.3496042078727974,11.007837724943931,0.003772955607842418,1.4273946791215355,"
-        "2.717054754508426e-05,0.8100886391559282,2.1160669305299217e-05,0.6173060399656075,"
-        "1.7043025800938394e-05,0.12967075957951643,4.4513366090942885e-05,0.07359198594654559,"
-        "2.5296926843312304e-05,0.05607877363297084,1.928335321791974e-05,200000,8",
-        "E,10.079368399158986,144.3127162623346,0.07387107974015895,29.365543023456432,"
-        "0.0015050747021221275,19.284644321774877,0.0010475076390426754,10.08089870168156,"
-        "0.0010807301259404456,0.20348548474463712,0.00010468137583088141,0.13363094272800505,"
-        "6.878731619865907e-05,0.06985454201663212,3.653307306116387e-05,200000,8",
-        "E,16.0,831.7450489481134,0.7645971287146375,179.66240260293432,0.0190595876351242,"
-        "124.68488013902325,0.012731625387243158,54.97752246391104,0.014183567809965334,"
-        "0.2160065789753107,0.0001998859283846624,0.14990757119228904,0.00013865286236497315,"
-        "0.06609900778302161,6.311028820386248e-05,200000,8",
+        "E,4.0,0.07057469593613724,8.817519870178303e-05,1.1870805484036421e-31,"
+        "5.6942469747559505e-36,3.6968160549471686e-36,1.7186308062508624e-40,"
+        "1.1870435802430927e-31,5.6942469721623745e-36,1.6820200677560502e-30,"
+        "2.1030444800883825e-33,5.238160796742791e-35,6.54902584959643e-38,"
+        "1.681967686148083e-30,2.1029790833027316e-33,200000,8",
+        "E,6.3496042078727974,11.007837724943935,0.0037729556078423326,1.4273946791215357,"
+        "2.717054754509453e-05,0.8100886391559281,2.1160669305304255e-05,0.6173060399656075,"
+        "1.704302580094851e-05,0.1296707595795164,4.451336609094191e-05,0.07359198594654556,"
+        "2.529692684331175e-05,0.05607877363297083,1.9283353217919372e-05,200000,8",
+        "E,10.079368399158986,144.31271626233462,0.07387107974015744,29.36554302345644,"
+        "0.0015050747021221693,19.284644321774877,0.0010475076390428133,10.08089870168156,"
+        "0.00108073012594037,0.20348548474463715,0.0001046813758308793,0.13363094272800502,"
+        "6.878731619865774e-05,0.0698545420166321,3.6533073061163026e-05,200000,8",
+        "E,16.0,831.7450489481134,0.7645971287146375,179.66240260293432,0.01905958763512277,"
+        "124.68488013902326,0.012731625387240209,54.97752246391104,0.014183567809966059,"
+        "0.2160065789753107,0.00019988592838466218,0.14990757119228906,0.00013865286236497277,"
+        "0.06609900778302161,6.311028820386271e-05,200000,8",
     ],
     (("--E", "4:16:log:4"), "pseudo"): [
         "E,4.0,0.0716920622017161,0.0009954004385592508,1.1833499940637605e-31,"
-        "3.6064702703493348e-34,3.7081021030410835e-36,1.3519336581892753e-38,"
-        "1.18331291304273e-31,3.6064702678153823e-34,1.650601137311732e-30,"
+        "3.606470270349334e-34,3.7081021030410835e-36,1.3519336581892753e-38,"
+        "1.18331291304273e-31,3.606470267815382e-34,1.650601137311732e-30,"
         "2.3463199998957206e-32,5.172263133689467e-35,7.424833074324937e-37,"
         "1.6505494146803955e-30,2.3462498561143287e-32,200000,8",
-        "E,6.3496042078727974,11.012416306697627,0.07072274924710922,1.419391159850865,"
-        "0.003378559590827429,0.8047118328813456,0.002599912827306342,0.6146793269695193,"
-        "0.0021575722929208993,0.12889007465033875,0.0008827703178992675,0.07307313948819107,"
-        "0.0005253228599010649,0.055816935162147675,0.00040850946581457397,200000,8",
-        "E,10.079368399158986,145.04140386614907,0.6455620300527395,29.3367060100645,"
-        "0.06647352003974068,19.30678021850044,0.051932204738945824,10.029925791564061,"
-        "0.041494276441769846,0.20226435506055754,0.0010101998786793858,0.13311219902640786,"
-        "0.0006922550599463437,0.06915215603414968,0.00042021245945890576,200000,8",
+        "E,6.3496042078727974,11.012416306697629,0.07072274924710922,1.4193911598508648,"
+        "0.0033785595908274292,0.8047118328813457,0.0025999128273063426,0.6146793269695192,"
+        "0.0021575722929208993,0.12889007465033872,0.0008827703178992672,0.07307313948819107,"
+        "0.0005253228599010649,0.05581693516214766,0.0004085094658145738,200000,8",
+        "E,10.079368399158986,145.04140386614912,0.6455620300527395,29.336706010064507,"
+        "0.06647352003974066,19.306780218500442,0.05193220473894583,10.029925791564063,"
+        "0.04149427644176985,0.2022643550605575,0.0010101998786793854,0.13311219902640783,"
+        "0.0006922550599463434,0.06915215603414966,0.00042021245945890565,200000,8",
         "E,16.0,827.3129928539895,4.435130538789997,179.7334528333272,0.43675738990610796,"
-        "124.59932893235985,0.3147199212271579,55.134123900967374,0.30283392944048976,"
+        "124.59932893235985,0.3147199212271579,55.13412390096736,0.30283392944048976,"
         "0.21724964358809232,0.0012787155175229934,0.15060724297648023,0.0008925184497494954,"
-        "0.06664240061161213,0.0005114933277379861,200000,8",
+        "0.06664240061161211,0.000511493327737986,200000,8",
     ],
 }
 

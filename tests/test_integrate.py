@@ -93,29 +93,34 @@ def test_phi_box_covers_energy_support():
     assert np.all(inside[tr <= E])
 
 
+# every set of domains a box is fitted to: each domain alone, and all four
+_DOMAIN_SETS = tuple((tag,) for tag in DOMAIN_ORDER) + (DOMAIN_ORDER,)
+
+
 def test_fitted_energy_box_covers_quantum_support():
-    # every quantum point with tr V <= E lies inside the box fitted to the
-    # quantum classes, whose a and b sides start at 1 - tol
+    # every quantum point with tr V <= E lies inside phi_box(E), the box of
+    # any domains, and has min(a, b) >= 1 - tol, the quantum classes' floor
+    # from which their passes draw a and b
     rng = np.random.default_rng(107)
     E = 6.0
     a, b = rng.uniform(0.5, 2.5, (2, 400_000))
     c, d = rng.uniform(-1.5, 1.5, (2, 400_000))
     for tol in _ORACLE_TOLS:
-        box = integrate._default_box(RegularizerSpec.energy(E), (DomainTag.QUANTUM,),
-                                     DEFAULT_EPS_TAIL, tol)
-        assert box.lo == (1.0 - tol, 1.0 - tol, -1.5, -1.5), tol
-        assert box.hi == (3.0 - (1.0 - tol), 3.0 - (1.0 - tol), 1.5, 1.5), tol
         support = (domain_labels(a, b, c, d, tol) >= 2) & (2.0 * (a + b) <= E)
         pts = np.column_stack([a, b, c, d])[support]
-        assert len(pts) > 1000 and box.contains(pts).all(), tol
+        assert len(pts) > 1000 and phi_box(E).contains(pts).all(), tol
+        assert np.minimum(a, b)[support].min() >= integrate._floor(DomainTag.QUANTUM, tol), tol
+    for domains in _DOMAIN_SETS:
+        box = integrate._default_box(RegularizerSpec.energy(E), domains, DEFAULT_EPS_TAIL)
+        assert box == phi_box(E), domains
 
 
 @pytest.mark.parametrize("kappa", [1.0, 5.0, 50.0])
 def test_fitted_damped_box_covers_quantum_support(kappa):
-    # under the damping the box of each quantum class has a and b sides
-    # from 1 - tol and the c and d sides of upsilon_box: every point with
-    # label >= 2 has min(a, b) >= 1 - tol, and every point with label 3 has
-    # fl(c*d) < 0, in either quadrant
+    # under the damping every point with label >= 2 has min(a, b) >= 1 - tol,
+    # the quantum classes' floor, and every point with label 3 has
+    # fl(c*d) < 0, in either quadrant; the box of any domains is upsilon_box
+    # fitted to them
     rng = np.random.default_rng(int(kappa) + 109)
     a, b = rng.uniform(0.0, 4.0, (2, 400_000))
     h = np.sqrt(a * b) + 1e-3
@@ -124,13 +129,26 @@ def test_fitted_damped_box_covers_quantum_support(kappa):
     for tol in _ORACLE_TOLS:
         lab = domain_labels(a, b, c, d, tol)
         assert np.count_nonzero(lab == 2) > 1000 and np.count_nonzero(lab == 3) > 1000, tol
-        for domains in ((DomainTag.QUANTUM,), (DomainTag.SEPARABLE,), (DomainTag.ENTANGLED,)):
-            box = integrate._default_box(spec, domains, DEFAULT_EPS_TAIL, tol)
-            L = upsilon_box(kappa, domain=domains).hi[0]
-            assert box.lo[:2] == (1.0 - tol, 1.0 - tol) and box.hi[:2] == (L, L), (tol, domains)
-            assert np.minimum(a, b)[lab >= 2].min() >= box.lo[0], (tol, domains)
-            assert box.lo[2:] == (-L, -L) and box.hi[2:] == (L, L), (tol, domains)
+        assert np.minimum(a, b)[lab >= 2].min() >= integrate._floor(DomainTag.QUANTUM, tol), tol
         assert np.all(c[lab == 3] * d[lab == 3] < 0.0), tol
+    with warnings.catch_warnings():
+        # at kappa = 50 the classical box is capped
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for domains in _DOMAIN_SETS:
+            box = integrate._default_box(spec, domains, DEFAULT_EPS_TAIL)
+            assert box == upsilon_box(kappa, domain=domains), domains
+
+
+def _check_default_box(spec, tol, domains, want):
+    # the box is want whatever tol, and a pass over it draws each class of
+    # domains but a quantum one whose floor 1 - tol leaves it no volume
+    box = integrate._default_box(spec, domains, DEFAULT_EPS_TAIL)
+    assert box == want
+    jv = mc_joint_volumes(box, spec, 100, 1, tol=tol, domains=domains)
+    for tag in integrate._draws(domains):
+        q = integrate._floor(tag, tol)
+        empty = 4.0 * q >= spec.bound_E if spec.kind is RegKind.ENERGY_PHI else q >= box.hi[0]
+        assert jv.result(tag).empty_domain == empty, tag
 
 
 @pytest.mark.parametrize("spec,tol,domains", [
@@ -142,16 +160,22 @@ def test_fitted_damped_box_covers_quantum_support(kappa):
     (RegularizerSpec.adjugate(5.0), 1e-9, DOMAIN_ORDER),
 ])
 def test_fitted_damped_box_falls_back_to_upsilon_box(spec, tol, domains):
-    box = upsilon_box(spec.kappa, domain=domains)
-    assert integrate._default_box(spec, domains, DEFAULT_EPS_TAIL, tol) == box
+    _check_default_box(spec, tol, domains, upsilon_box(spec.kappa, domain=domains))
 
 
 def test_fitted_energy_box_keeps_full_sides_for_entangled_passes():
+    # an entangled pass draws a and b from 1 - tol whatever the box's lower
+    # a, b end, and the triangle's side only from there, so over phi_box(8)
+    # it gives the bits of a pass over its a, b sides cut to [q, E/2 - q]
     E, tol = 8.0, 1e-9
-    box = integrate._default_box(RegularizerSpec.energy(E), (DomainTag.ENTANGLED,),
-                                 DEFAULT_EPS_TAIL, tol)
-    q = 1.0 - tol
-    assert box == Box(lo=(q, q, -2.0, -2.0), hi=(4.0 - q, 4.0 - q, 2.0, 2.0))
+    spec, q = RegularizerSpec.energy(E), 1.0 - tol
+    box = integrate._default_box(spec, (DomainTag.ENTANGLED,), DEFAULT_EPS_TAIL)
+    assert box == phi_box(E)
+    cut = Box(lo=(q, q, -2.0, -2.0), hi=(4.0 - q, 4.0 - q, 2.0, 2.0))
+    got, want = (mc_joint_volumes(b, spec, 20_000, 3, 2, tol, "qmc",
+                                  domains=(DomainTag.ENTANGLED,)).result(DomainTag.ENTANGLED)
+                 for b in (box, cut))
+    assert (got.estimate, got.std_error) == (want.estimate, want.std_error) and got.estimate > 0.0
 
 
 @pytest.mark.parametrize("E,tol,domains", [
@@ -166,8 +190,7 @@ def test_fitted_energy_box_keeps_full_sides_for_entangled_passes():
     (8.0, 1e-9, DOMAIN_ORDER),
 ])
 def test_fitted_energy_box_falls_back_to_phi_box(E, tol, domains):
-    spec = RegularizerSpec.energy(E)
-    assert integrate._default_box(spec, domains, DEFAULT_EPS_TAIL, tol) == phi_box(E)
+    _check_default_box(RegularizerSpec.energy(E), tol, domains, phi_box(E))
 
 
 def test_regularizer_values_match_matrix_forms():
@@ -609,18 +632,31 @@ def test_non_finite_weight_raises(monkeypatch):
         mc_joint_volumes(phi_box(6.0), spec, 20_000, seed=3)
 
 
-@pytest.mark.parametrize("spec, box, n", [
+@pytest.mark.parametrize("spec, box, tag", [
     # every weight underflows to 0
-    (RegularizerSpec.energy(1e70), phi_box(1e70), 10_000),
+    (RegularizerSpec.adjugate(1e30), integrate._sym_box(8e15), DomainTag.CLASSICAL),
     # the weights stay above 0, but every square of one underflows
-    (RegularizerSpec.energy(1e45), phi_box(1e45), 100_000),
-    (RegularizerSpec.adjugate(1e30), integrate._sym_box(8e15), 10_000),
-], ids=["E1e70", "E1e45", "kappa1e30"])
-def test_underflowed_weight_sums_raise(spec, box, n):
+    (RegularizerSpec.adjugate(0.01), upsilon_box(0.01, domain=DomainTag.SEPARABLE),
+     DomainTag.SEPARABLE),
+], ids=["kappa1e30", "separable-kappa0.01"])
+def test_underflowed_weight_sums_raise(spec, box, tag):
     # a domain that drew but has a zero sum would report 0 or a 0 error bar
-    jv = mc_joint_volumes(box, spec, n, seed=12345, streams=4, domains=(DomainTag.CLASSICAL,))
-    with pytest.raises(NumericError, match="classical domain underflow"):
-        jv.result(DomainTag.CLASSICAL)
+    jv = mc_joint_volumes(box, spec, 10_000, seed=12345, streams=4, domains=(tag,))
+    with pytest.raises(NumericError, match=f"{tag.value} domain underflow"):
+        jv.result(tag)
+
+
+@pytest.mark.parametrize("sampler", ["pseudo", "qmc"])
+def test_huge_energy_cutoff_sums_do_not_underflow(sampler):
+    # a pass sums the class's integral itself, not its mean over a box of
+    # volume E^4 / 16, whose sums read a 0 error bar at E = 1e43 and a 0
+    # squared-weight sum at E = 1e45.  The estimates carry the classical
+    # draw's bias at large E, so only the error bar is checked
+    for E in (1e43, 1e45):
+        jv = mc_joint_volumes(phi_box(E), RegularizerSpec.energy(E), 100_000, seed=12345,
+                              streams=4, sampler=sampler, domains=(DomainTag.CLASSICAL,))
+        r = jv.result(DomainTag.CLASSICAL)
+        assert math.isfinite(r.std_error) and r.std_error > 0.0, E
 
 
 def test_one_underflowed_label_leaves_its_domains_other_labels():
@@ -677,7 +713,7 @@ def test_first_bad_point_of_an_in_class_pass_named(monkeypatch, tag):
     # an in-class pass names its first non-finite weight in draw order too:
     # here the 8th point of the second tile's first block
     spec = RegularizerSpec.adjugate(5.0)
-    box = integrate._default_box(spec, (DomainTag.QUANTUM,), DEFAULT_EPS_TAIL, 1e-9)
+    box = integrate._default_box(spec, (DomainTag.QUANTUM,), DEFAULT_EPS_TAIL)
     real, seen = integrate._class_weight, []
 
     def nan_in_third_call(a, b, pc, d, *rest):
@@ -830,14 +866,11 @@ def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
     h = sqrt(max(ab, 0)) + tol for classical, and ``twomode._class_limits``
     for the quantum classes.  Each point is weighted with the generic
     ``volume_density`` and ``regularizer_values`` times the Jacobians of its
-    draw over the box's a, b area and c and d spans, times 2 for the c < 0
-    half.  Returns each replicate's count, weight sum and squared-weight
-    sum, and that the class drew.
+    draw, times 2 for the c < 0 half.  Returns each replicate's count,
+    weight sum and squared-weight sum, and that the class drew.
     """
     mu = (1.0 - tol) ** 2
     lo = np.asarray(box.lo)
-    span = np.asarray(box.hi) - lo
-    per = 2.0 / (span[0] * span[1] * span[2] * span[3])
     rng = np.random.default_rng(child_ss)
     classical = tag is DomainTag.CLASSICAL
     q, top = max(lo[0], -tol if classical else 1.0 - tol), box.hi[0]
@@ -894,7 +927,7 @@ def _reference_in_class_stream(child_ss, count, box, spec, tol, sampler, tag):
                     d = start + v * length
                     jac *= length
             w = volume_density(a, b, c, d) * regularizer_values(a, b, c, d, spec)
-            w *= jac * per
+            w *= jac * 2.0
             s1 += np.sum(w)
             s2 += np.sum(w * w)
         rows.append((s1, s2))
@@ -926,10 +959,10 @@ _ORACLE_CASES = [
     (2 * integrate._TILE + 3, sampler, reg, False, tol)
     for sampler, reg, tol in (("pseudo", "E", -0.25), ("qmc", "E", -0.25), ("qmc", "E16", 1e-9))
 ] + [
-    # the boxes fitted to the quantum classes: E = 8's at tol = 1e-3, and
-    # kappa's with a and b from 1 - 1e-9, which a classical pass draws in too;
-    # and a kappa box whose a and b sides start above 1 - tol, where the fold
-    # draws from their lower end
+    # boxes whose a and b sides start at the quantum classes' floor 1 - tol:
+    # E = 8's at tol = 1e-3, and kappa's from 1 - 1e-9, which a classical
+    # pass draws in too; and a kappa box whose a and b sides start above
+    # 1 - tol, where the fold draws from their lower end
     (2 * integrate._TILE + 3, sampler, reg, fitted, tol)
     for sampler, reg, fitted, tol in (("qmc", "E", "fit_E", 1e-3),
                                       ("pseudo", "kappa", "fold_kappa", -1e-6),
@@ -1027,7 +1060,7 @@ def test_fold_points_stay_in_their_class(kappa):
     mu = (1.0 - tol) ** 2
     ends = np.array([0.0, 0.5, 1.0 - 2.0 ** -53])
     for tag in (DomainTag.SEPARABLE, DomainTag.ENTANGLED):
-        box = integrate._default_box(spec, (tag,), DEFAULT_EPS_TAIL, tol)
+        box = integrate._default_box(spec, (tag,), DEFAULT_EPS_TAIL)
         for q, top in ((max(box.lo[0], 1.0 - tol), box.hi[0]),) + _FOLD_SIDES:
             u, y, yc, yd = (g.ravel() for g in np.meshgrid(*[ends] * 4, indexing="ij"))
             out = np.empty((2, u.size))
@@ -1063,7 +1096,7 @@ def test_triangle_points_keep_the_closed_cutoff(E, tol):
     ends = np.array([0.0, 0.5, 1.0 - 2.0 ** -53])
     u, y = (g.ravel() for g in np.meshgrid(ends, [0.0, 0.5, 1.0 - 2.0 ** -53], indexing="ij"))
     for tag in DOMAIN_ORDER:
-        box = integrate._default_box(spec, (tag,), DEFAULT_EPS_TAIL, tol)
+        box = integrate._default_box(spec, (tag,), DEFAULT_EPS_TAIL)
         q = max(box.lo[0], -tol if tag is DomainTag.CLASSICAL else 1.0 - tol)
         h = integrate._triangle_side(q, E / 2.0)
         if 4.0 * q >= E:
@@ -1134,9 +1167,9 @@ def test_weights_computed_once_per_tile(monkeypatch):
     cases = [
         (phi_box(8.0), energy, DomainTag.CLASSICAL),
         (upsilon_box(5.0), damped, DomainTag.CLASSICAL),
-        (integrate._default_box(damped, (DomainTag.ENTANGLED,), DEFAULT_EPS_TAIL, 1e-9), damped,
+        (integrate._default_box(damped, (DomainTag.ENTANGLED,), DEFAULT_EPS_TAIL), damped,
          DomainTag.ENTANGLED),
-        (integrate._default_box(energy, (DomainTag.SEPARABLE,), DEFAULT_EPS_TAIL, 1e-9), energy,
+        (integrate._default_box(energy, (DomainTag.SEPARABLE,), DEFAULT_EPS_TAIL), energy,
          DomainTag.SEPARABLE),
         (upsilon_box(5.0), damped, DomainTag.SEPARABLE),
     ]
@@ -1172,7 +1205,7 @@ def test_in_class_draw_needs_a_box_holding_the_class(tol):
     one = ((T.CLASSICAL,), (T.QUANTUM,), (T.SEPARABLE,), (T.ENTANGLED,))
     for spec in (E, K):
         for domains in one + (DOMAIN_ORDER,):
-            box = integrate._default_box(spec, domains, DEFAULT_EPS_TAIL, tol)
+            box = integrate._default_box(spec, domains, DEFAULT_EPS_TAIL)
             jv = run(box, spec, domains)
             assert jv.n_samples == 100, (spec, domains)
             for tag in integrate._draws(domains):
@@ -1243,12 +1276,13 @@ def test_class_weight_matches_generic_weights(spec):
     # are compared, away from the ends
     rng = np.random.default_rng(3)
     tol = 1e-9
-    box = integrate._default_box(spec, (DomainTag.QUANTUM,), DEFAULT_EPS_TAIL, tol)
+    box = integrate._default_box(spec, (DomainTag.QUANTUM,), DEFAULT_EPS_TAIL)
     huge = spec.kind is RegKind.ENERGY_PHI and spec.bound_E >= 1e40
     big = 8 * math.log(max(box.hi[0] * box.hi[1], 1.0)) > 700.0
     assert big == huge
-    span = np.subtract(box.hi, box.lo)[:2, None]
-    a, b = np.asarray(box.lo[:2])[:, None] + rng.random((2, 100_000)) * span
+    # a and b uniform over the box's a, b square from the quantum classes' floor
+    q = integrate._floor(DomainTag.QUANTUM, tol)
+    a, b = q + rng.random((2, 100_000)) * (box.hi[0] - q)
     if spec.kind is RegKind.ENERGY_PHI:
         a, b = a[2.0 * (a + b) <= spec.bound_E], b[2.0 * (a + b) <= spec.bound_E]
     # _class_limits takes a >= b, as every pass draws them
@@ -1286,6 +1320,25 @@ def test_stream_partial_traced_peak_is_small():
         assert peak <= 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB for {args}"
 
 
+@pytest.mark.parametrize("sampler", ["pseudo", "qmc"])
+def test_box_c_and_d_sides_change_no_bit(sampler):
+    # a pass reads only the box's a, b sides: c and d sides wider than the
+    # slice, by non-dyadic amounts, give the same estimate and error bar
+    E, K, T = RegularizerSpec.energy(8.0), RegularizerSpec.adjugate(5.0), DomainTag
+    L = upsilon_box(5.0, domain=(T.CLASSICAL, T.ENTANGLED)).hi[0]
+    wide = Box((0.0, 0.0, -1.3 * L, -L - 0.7), (L, L, L + 0.1, 1.7 * L))
+    cases = ((E, phi_box(8.0), Box((0.0, 0.0, -3.0, -2.5), (4.0, 4.0, 3.0, 2.7)),
+              (T.SEPARABLE, T.CLASSICAL)),
+             (K, integrate._sym_box(L), wide, (T.ENTANGLED, T.CLASSICAL)))
+    for spec, box, wide, tags in cases:
+        got, want = (mc_joint_volumes(b, spec, 20_000, 11, 2, sampler=sampler, domains=tags)
+                     for b in (wide, box))
+        for tag in tags:
+            g, w = got.result(tag), want.result(tag)
+            assert (g.estimate, g.std_error) == (w.estimate, w.std_error), (spec, tag)
+            assert w.estimate > 0.0 and w.std_error > 0.0, (spec, tag)
+
+
 def test_enlarged_box_same_integral():
     # the energy cut has bounded support, so growing the box only adds variance
     spec = RegularizerSpec.energy(5.0)
@@ -1298,13 +1351,13 @@ def test_enlarged_box_same_integral():
 
 
 # the cases with exact values: the three quantum classes at kappa = 5 inside
-# their support boxes (side 4 sqrt(5/2) = 6.3246 for each), whose a, b sides
-# are fitted to them: each the volume minus the tail outside the box, from
-# _quad's rule at order 32, where orders 24, 32 and 40 agree to 1.3e-8
-# relative or better; the three quantum classes at E = 8, whose boxes
-# are fitted likewise, from a 3-d rule exact to 1e-10; and the classical
-# class at kappa = 5 inside its box (side 8 sqrt(5) = 17.889), by _quad's
-# rule at order 80, where orders 64 and 80 agree to 4e-8 relative
+# their support boxes (side 4 sqrt(5/2) = 6.3246 for each), fitted to them:
+# each the volume minus the tail outside the box, from _quad's rule at
+# order 32, where orders 24, 32 and 40 agree to 1.3e-8 relative or better;
+# the three quantum classes at E = 8, inside phi_box(8), from a 3-d rule
+# exact to 1e-10; and the classical class at kappa = 5 inside its box
+# (side 8 sqrt(5) = 17.889), by _quad's rule at order 80, where orders 64
+# and 80 agree to 4e-8 relative
 _EXACT_CASES = {
     "kappa5_quantum": (DomainTag.QUANTUM, RegularizerSpec.adjugate(5.0), 0.4738284762),
     "kappa5_separable": (DomainTag.SEPARABLE, RegularizerSpec.adjugate(5.0), 0.1772976858),
@@ -1322,7 +1375,7 @@ _COVERAGE_CASES = [case for case, (tag, _, _) in _EXACT_CASES.items()
 @functools.cache
 def _exact_case_box(case):
     tag, spec, _ = _EXACT_CASES[case]
-    return integrate._default_box(spec, (tag,), DEFAULT_EPS_TAIL, DEFAULT_TOL)
+    return integrate._default_box(spec, (tag,), DEFAULT_EPS_TAIL)
 
 
 @functools.cache
@@ -1407,7 +1460,7 @@ _INTERVAL = {"qmc": 2.3646242510102993, "pseudo": 1.959963984540054}
 @functools.cache
 def _large_kappa_case(kappa):
     tag, spec = DomainTag.ENTANGLED, RegularizerSpec.adjugate(kappa)
-    box = integrate._default_box(spec, (tag,), DEFAULT_EPS_TAIL, DEFAULT_TOL)
+    box = integrate._default_box(spec, (tag,), DEFAULT_EPS_TAIL)
     inside = _quad.quad_volumes(spec, 24, (tag,))[tag]
     inside -= _quad.tail_masses(spec, (tag,), box.hi[0], 24)[tag]
     return spec, box, inside
@@ -1581,20 +1634,18 @@ def test_qmc_error_bar_is_the_spread_of_replicates():
     def var(x):
         return float(np.dot(x - x.mean(), x - x.mean())) / (x.size * (x.size - 1))
 
-    vol = box.volume
     for tag in _DRAWN:
-        assert jv.result(tag).std_error == pytest.approx(vol * math.sqrt(var(means[tag])),
-                                                         rel=1e-12)
-    assert jv.result(q).std_error == pytest.approx(
-        vol * math.sqrt(var(means[s]) + var(means[e])), rel=1e-12)
+        assert jv.result(tag).std_error == pytest.approx(math.sqrt(var(means[tag])), rel=1e-12)
+    assert jv.result(q).std_error == pytest.approx(math.sqrt(var(means[s]) + var(means[e])),
+                                                   rel=1e-12)
     assert jv.difference(c, q)[1] == pytest.approx(
-        vol * math.sqrt(var(means[c]) + var(means[s]) + var(means[e])), rel=1e-12)
+        math.sqrt(var(means[c]) + var(means[s]) + var(means[e])), rel=1e-12)
     # the ratio's delta method at the pooled means: Q over C, independent,
     # and S over Q, whose covariance is S's variance
-    x, y = (jv.result(tag).estimate / vol for tag in (q, c))
+    x, y = (jv.result(tag).estimate for tag in (q, c))
     ratio_var = (var(means[s]) + var(means[e])) / y ** 2 + x * x * var(means[c]) / y ** 4
     assert jv.ratio(q)[1] == pytest.approx(math.sqrt(ratio_var), rel=1e-6)
-    x, y = (jv.result(tag).estimate / vol for tag in (s, q))
+    x, y = (jv.result(tag).estimate for tag in (s, q))
     ratio_var = (var(means[s]) / y ** 2 + x * x * (var(means[s]) + var(means[e])) / y ** 4
                  - 2.0 * x * var(means[s]) / y ** 3)
     assert jv.ratio(s, q)[1] == pytest.approx(math.sqrt(ratio_var), rel=1e-6)
